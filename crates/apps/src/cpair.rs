@@ -328,6 +328,7 @@ mod tests {
             cpair_chunks(coords, 16 * 1024),
             &EngineTuning::default(),
             &Telemetry::disabled(),
+            None,
         )
         .unwrap();
         assert_eq!(res.rounds, 2);

@@ -16,7 +16,7 @@
 //! its input resident) and restarted the broadcast at `SimTime::ZERO`
 //! instead of at the end of the round it follows.
 
-use gpmr_core::rounds::{run_rounds, run_rounds_journaled, RoundJob, RoundStep, RoundsResult};
+use gpmr_core::rounds::{run_rounds, RoundJob, RoundStep};
 use gpmr_core::{journal::Fnv64, EngineResult, EngineTuning, Journal, KvSet, SliceChunk};
 use gpmr_sim_gpu::SimDuration;
 use gpmr_sim_net::Cluster;
@@ -127,20 +127,15 @@ impl RoundJob for KmcRounds {
     }
 }
 
-fn assemble(driver: KmcRounds, res: RoundsResult<u32, f64>) -> KmeansResult {
-    KmeansResult {
-        centers: driver.centers,
-        iterations: res.rounds as usize,
-        total_time: res.total_time,
-        movement: driver.movement,
-        resident_rounds: res.per_round.iter().filter(|r| r.resident).count(),
-    }
-}
-
 /// Run K-Means to convergence (center movement below `tolerance`) or for
 /// `max_iterations`, whichever comes first, on the core round driver.
 /// Chunks are built once; after the first quiet round that fits on one
 /// device, the points stay GPU-resident and later rounds skip the upload.
+///
+/// With a write-ahead `journal` the driver brackets every iteration with
+/// round records, so an interrupted run resumed against the same journal
+/// replays completed rounds and finishes bit-identically (centers,
+/// movement history, and the cross-round clock).
 pub fn run_kmeans(
     cluster: &mut Cluster,
     points: &[Point],
@@ -148,6 +143,7 @@ pub fn run_kmeans(
     chunk_points: usize,
     max_iterations: usize,
     tolerance: f64,
+    journal: Option<&mut Journal>,
 ) -> EngineResult<KmeansResult> {
     let chunks = SliceChunk::split(points, chunk_points.max(1));
     let mut driver = KmcRounds::new(initial_centers, max_iterations as u32, tolerance);
@@ -157,35 +153,15 @@ pub fn run_kmeans(
         chunks,
         &EngineTuning::default(),
         &Telemetry::disabled(),
-    )?;
-    Ok(assemble(driver, res))
-}
-
-/// [`run_kmeans`] with a write-ahead [`Journal`]: the driver brackets
-/// every iteration with round records, so an interrupted run resumed
-/// against the same journal replays completed rounds and finishes
-/// bit-identically (centers, movement history, and the cross-round
-/// clock).
-pub fn run_kmeans_journaled(
-    cluster: &mut Cluster,
-    points: &[Point],
-    initial_centers: Vec<Point>,
-    chunk_points: usize,
-    max_iterations: usize,
-    tolerance: f64,
-    journal: &mut Journal,
-) -> EngineResult<KmeansResult> {
-    let chunks = SliceChunk::split(points, chunk_points.max(1));
-    let mut driver = KmcRounds::new(initial_centers, max_iterations as u32, tolerance);
-    let res = run_rounds_journaled(
-        cluster,
-        &mut driver,
-        chunks,
-        &EngineTuning::default(),
-        &Telemetry::disabled(),
         journal,
     )?;
-    Ok(assemble(driver, res))
+    Ok(KmeansResult {
+        centers: driver.centers,
+        iterations: res.rounds as usize,
+        total_time: res.total_time,
+        movement: driver.movement,
+        resident_rounds: res.per_round.iter().filter(|r| r.resident).count(),
+    })
 }
 
 /// Sequential reference K-Means (same update rule) for verification.
@@ -219,7 +195,8 @@ mod tests {
         let points = generate_points(20_000, 6, 31);
         let init = initial_centers(6, 32);
         let mut cluster = Cluster::accelerator(4, GpuSpec::gt200());
-        let gpu_result = run_kmeans(&mut cluster, &points, init.clone(), 4096, 10, 1e-6).unwrap();
+        let gpu_result =
+            run_kmeans(&mut cluster, &points, init.clone(), 4096, 10, 1e-6, None).unwrap();
         let (ref_centers, ref_iters) = reference_kmeans(&points, init, 10, 1e-6);
 
         assert_eq!(gpu_result.iterations, ref_iters);
@@ -238,7 +215,7 @@ mod tests {
         let points = generate_points(10_000, 4, 33);
         let init = initial_centers(4, 34);
         let mut cluster = Cluster::accelerator(2, GpuSpec::gt200());
-        let result = run_kmeans(&mut cluster, &points, init, 2048, 20, 1e-4).unwrap();
+        let result = run_kmeans(&mut cluster, &points, init, 2048, 20, 1e-4, None).unwrap();
         assert!(result.iterations < 20, "should converge quickly");
         assert_eq!(result.movement.len(), result.iterations);
         // Movement decreases (allowing small non-monotonic wiggles early).
@@ -259,9 +236,9 @@ mod tests {
         let points = generate_points(400_000, 4, 35);
         let init = initial_centers(4, 36);
         let mut c1 = Cluster::accelerator(2, GpuSpec::gt200());
-        let one = run_kmeans(&mut c1, &points, init.clone(), 100_000, 1, 0.0).unwrap();
+        let one = run_kmeans(&mut c1, &points, init.clone(), 100_000, 1, 0.0, None).unwrap();
         let mut c2 = Cluster::accelerator(2, GpuSpec::gt200());
-        let three = run_kmeans(&mut c2, &points, init, 100_000, 3, 0.0).unwrap();
+        let three = run_kmeans(&mut c2, &points, init, 100_000, 3, 0.0, None).unwrap();
         assert_eq!(one.iterations, 1);
         assert_eq!(three.iterations, 3);
         assert_eq!(one.resident_rounds, 0);
@@ -281,7 +258,7 @@ mod tests {
         let points = generate_points(12_000, 5, 41);
         let init = initial_centers(5, 42);
         let mut cluster = Cluster::accelerator(4, GpuSpec::fermi());
-        let result = run_kmeans(&mut cluster, &points, init.clone(), 1024, 8, 1e-6).unwrap();
+        let result = run_kmeans(&mut cluster, &points, init.clone(), 1024, 8, 1e-6, None).unwrap();
         let (ref_centers, _) = reference_kmeans(&points, init, 8, 1e-6);
         for (a, b) in result.centers.iter().zip(&ref_centers) {
             for d in 0..DIMS {

@@ -32,7 +32,7 @@ pub mod wo;
 
 pub use cpair::{CpairJob, CpairRounds};
 pub use datasets::{strong_workload, Benchmark, Workload};
-pub use iterative::{run_kmeans, run_kmeans_journaled, KmcRounds, KmeansResult};
+pub use iterative::{run_kmeans, KmcRounds, KmeansResult};
 pub use kmc::KmcJob;
 pub use lr::LrJob;
 pub use mm::{run_mm, run_mm_default, Matrix, MmMapJob, MmResult, MmSumJob};

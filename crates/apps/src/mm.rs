@@ -18,7 +18,8 @@
 
 use gpmr_core::JobTimings;
 use gpmr_core::{
-    Chunk, EngineResult, GpmrJob, KvSet, PartitionMode, PipelineConfig, Pod, SliceChunk,
+    Chunk, EngineError, EngineResult, GpmrJob, KvSet, PartitionMode, PipelineConfig, Pod,
+    SliceChunk,
 };
 use gpmr_sim_gpu::SimDuration;
 use gpmr_sim_gpu::{Gpu, LaunchConfig, SimGpuResult, SimTime};
@@ -426,6 +427,7 @@ pub fn mm_chunks(
 
 /// Run the full two-phase multiplication on a cluster. The block sizes
 /// control chunk granularity in tiles ([`run_mm_auto`] picks them).
+/// Order-0 matrices are rejected with [`EngineError::InvalidPipeline`].
 pub fn run_mm(
     cluster: &mut Cluster,
     a: &Matrix,
@@ -434,6 +436,11 @@ pub fn run_mm(
     col_block: usize,
     k_block: usize,
 ) -> EngineResult<MmResult> {
+    if a.n == 0 {
+        return Err(EngineError::InvalidPipeline(
+            "matrix order must be positive".into(),
+        ));
+    }
     let nt = a.n_tiles() as u32;
     let chunks = mm_chunks(a, b, row_block, col_block, k_block);
 
@@ -548,6 +555,18 @@ fn group_chunks(sorted: &[(u32, TileData)], max_items: usize) -> Vec<SliceChunk<
 mod tests {
     use super::*;
     use gpmr_sim_gpu::GpuSpec;
+
+    #[test]
+    fn order_zero_is_a_typed_error_not_a_panic() {
+        let mut cluster = Cluster::accelerator(2, GpuSpec::gt200());
+        let empty = Matrix::zeros(0);
+        for result in [
+            run_mm(&mut cluster, &empty, &empty, 1, 1, 1),
+            run_mm_auto(&mut cluster, &empty, &empty),
+        ] {
+            assert!(matches!(result, Err(EngineError::InvalidPipeline(_))));
+        }
+    }
 
     fn assert_matrix_close(a: &Matrix, b: &Matrix) {
         assert_eq!(a.n, b.n);

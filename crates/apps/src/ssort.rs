@@ -244,6 +244,7 @@ mod tests {
             sio_chunks(data, 1 << 18),
             &EngineTuning::default(),
             &Telemetry::disabled(),
+            None,
         )
         .unwrap();
         assert_eq!(res.rounds, 2);

@@ -1,6 +1,5 @@
-//! Hot-path microbenches for the execution backend and shuffle/sort
-//! allocation work introduced by the persistent worker pool: kernel
-//! launch overhead (pool vs spawn-per-launch), radix sort throughput,
+//! Hot-path microbenches for the kernel worker pool and shuffle/sort
+//! allocation work: kernel launch overhead, radix sort throughput,
 //! the engine's bucket-split/combine shuffle path, and the cost of the
 //! telemetry subsystem (disabled vs enabled) on a full engine run.
 
@@ -8,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use gpmr_core::helpers::{combine_pairs, split_buckets};
 use gpmr_core::{run_job_instrumented, EngineTuning, KvSet};
 use gpmr_primitives::sort_pairs;
-use gpmr_sim_gpu::{set_exec_backend, ExecBackend, Gpu, GpuSpec, LaunchConfig, SimTime};
+use gpmr_sim_gpu::{Gpu, GpuSpec, LaunchConfig, SimTime};
 use gpmr_sim_net::Cluster;
 use gpmr_telemetry::{AlertEngine, AlertRule, Telemetry, TimeSeriesStore};
 
@@ -40,17 +39,12 @@ fn tiny_launch(gpu: &mut Gpu) -> usize {
 
 fn bench_launch_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("launch_overhead");
-    for (name, backend) in [("pool", ExecBackend::Pool), ("spawn", ExecBackend::Spawn)] {
-        group.bench_function(name, |b| {
-            set_exec_backend(backend);
-            let mut gpu = Gpu::new(GpuSpec::gt200());
-            // Force the parallel path even on single-core CI runners so
-            // the backends are actually compared.
-            gpu.worker_threads = 4;
-            b.iter(|| tiny_launch(&mut gpu));
-            set_exec_backend(ExecBackend::Pool);
-        });
-    }
+    group.bench_function("pool", |b| {
+        let mut gpu = Gpu::new(GpuSpec::gt200());
+        // Force the parallel path even on single-core CI runners.
+        gpu.worker_threads = 4;
+        b.iter(|| tiny_launch(&mut gpu));
+    });
     group.finish();
 }
 

@@ -35,7 +35,7 @@ use gpmr_bench::harness::chunk_bytes;
 use gpmr_bench::runners::{corpus_for, scaled_cluster, KMC_CENTERS};
 use gpmr_bench::table::render;
 use gpmr_bench::{shared_dictionary, HarnessConfig};
-use gpmr_core::{run_job, run_job_tuned, EngineTuning, SliceChunk};
+use gpmr_core::{run_job, run_job_with, EngineTuning, RunOpts, SliceChunk};
 use gpmr_sim_gpu::GpuSpec;
 use gpmr_sim_net::{Cluster, Topology};
 
@@ -271,7 +271,11 @@ fn main() {
             ),
         ] {
             let mut cl = scaled_cluster(gpus, scale);
-            let r = run_job_tuned(&mut cl, &SioJob::default(), chunks.clone(), &tuning).unwrap();
+            let opts = RunOpts {
+                tuning,
+                ..RunOpts::default()
+            };
+            let r = run_job_with(&mut cl, &SioJob::default(), chunks.clone(), opts).unwrap();
             rows.push(vec![
                 label.to_string(),
                 format!("{}", r.timings.total),

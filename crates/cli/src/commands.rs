@@ -11,8 +11,8 @@ use gpmr_apps::text::{chunk_text, generate_text, generate_zipf_text, Dictionary}
 use gpmr_apps::wo::{sample_word_keys, WoJob};
 use gpmr_bench::perf as perfsuite;
 use gpmr_core::{
-    derive_splitters, run_job_instrumented, run_job_journaled, EngineTuning, GpmrJob, JobResult,
-    JobTrace, Journal, PartitionMode, Pod,
+    derive_splitters, run_job_instrumented, run_job_with, EngineTuning, GpmrJob, JobResult,
+    JobTrace, Journal, PartitionMode, RunOpts,
 };
 use gpmr_sim_gpu::{FaultPlan, GpuSpec, PcieLink};
 use gpmr_sim_net::{Cluster, CpuSpec, Nic, Topology};
@@ -360,21 +360,20 @@ fn run_with_tel<J: GpmrJob>(
     tuning: &EngineTuning,
     need_tel: bool,
     journal: Option<&mut Journal>,
-) -> Result<RunOutcome<J>, CliError>
-where
-    J::Key: Pod,
-    J::Value: Pod,
-{
+) -> Result<RunOutcome<J>, CliError> {
     let tel = if need_tel {
         Telemetry::enabled()
     } else {
         Telemetry::disabled()
     };
-    let result = match journal {
-        Some(j) => run_job_journaled(cluster, job, chunks, tuning, &tel, j),
-        None => run_job_instrumented(cluster, job, chunks, tuning, &tel),
-    }
-    .map_err(|e| CliError::Invalid(e.to_string()))?;
+    let opts = RunOpts {
+        tuning: *tuning,
+        tel: tel.clone(),
+        journal,
+        ..RunOpts::default()
+    };
+    let result =
+        run_job_with(cluster, job, chunks, opts).map_err(|e| CliError::Invalid(e.to_string()))?;
     Ok((result, tel))
 }
 
@@ -935,9 +934,9 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
                 ));
             }
             let n: usize = args.get_or("size", 512)?;
-            if !n.is_multiple_of(16) {
+            if n == 0 || !n.is_multiple_of(16) {
                 return Err(CliError::Invalid(
-                    "--size for mm must be a multiple of 16".into(),
+                    "--size for mm must be a positive multiple of 16".into(),
                 ));
             }
             let a = Matrix::random(n, seed);
@@ -977,25 +976,15 @@ fn cmd_kmeans(args: &Args) -> Result<String, CliError> {
     let chunk_points = (points / (4 * gpus as usize)).max(1024);
     let jopts = JournalOpts::from_args(args)?;
     let mut journal = jopts.open()?;
-    let result = match journal.as_mut() {
-        Some(j) => gpmr_apps::iterative::run_kmeans_journaled(
-            &mut cluster,
-            &data,
-            init,
-            chunk_points,
-            iterations,
-            1e-4,
-            j,
-        ),
-        None => gpmr_apps::iterative::run_kmeans(
-            &mut cluster,
-            &data,
-            init,
-            chunk_points,
-            iterations,
-            1e-4,
-        ),
-    }
+    let result = gpmr_apps::iterative::run_kmeans(
+        &mut cluster,
+        &data,
+        init,
+        chunk_points,
+        iterations,
+        1e-4,
+        journal.as_mut(),
+    )
     .map_err(|e| CliError::Invalid(e.to_string()))?;
     let mut out = format!(
         "Iterative K-Means: {points} points, k={k}, {gpus} GPU(s)
@@ -1286,8 +1275,10 @@ mod tests {
 
     #[test]
     fn run_mm_validates_size() {
-        let err = run(&["run", "--benchmark", "mm", "--size", "100"]).unwrap_err();
-        assert!(err.to_string().contains("multiple of 16"));
+        for size in ["100", "0"] {
+            let err = run(&["run", "--benchmark", "mm", "--size", size]).unwrap_err();
+            assert!(err.to_string().contains("positive multiple of 16"));
+        }
         let out = run(&["run", "--benchmark", "mm", "--size", "64"]).unwrap();
         assert!(out.contains("phase 1"));
     }

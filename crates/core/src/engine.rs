@@ -15,34 +15,25 @@
 //! Data is computed for real — the output of [`run_job`] is bit-exact and
 //! is verified against CPU references in the application crates.
 
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 
 use gpmr_primitives::{
-    bitonic_sort_pairs_by, bits_for_radix, extract_segments, sort_pairs_with_bits_config, RadixKey,
-    Segments, SortConfig,
+    bitonic_sort_pairs_by, bits_for_radix, extract_segments, sort_pairs_with_bits, RadixKey,
+    Segments,
 };
-use gpmr_sim_gpu::{FaultPlan, SimDuration, SimTime};
-use gpmr_sim_net::{Cluster, Fabric, Mailbox};
-use gpmr_telemetry::analyze::{analyze, Analysis};
+use gpmr_sim_gpu::{FaultPlan, Reservation, SimDuration, SimTime};
+use gpmr_sim_net::{Cluster, Mailbox};
 use gpmr_telemetry::{Counter, Registry, Telemetry};
 
 use crate::error::{EngineError, EngineResult};
 use crate::helpers::{charge_partition, combine_pairs, split_buckets_bounded};
-use crate::job::{GpmrJob, MapMode, PartitionMode, SortMode};
+use crate::job::{GpmrJob, MapMode, PartitionMode, PipelineConfig, SortMode};
 use crate::journal::{fnv1a, hash_pairs, Fnv64, Journal, JournalRecord, RecordOutcome};
-use crate::pod::Pod;
 use crate::scheduler::WorkQueues;
 use crate::stats::{JobTimings, StageTimes};
-use crate::trace::{JobTrace, TraceKind};
+use crate::trace::TraceKind;
 use crate::types::KvSet;
 use crate::Chunk;
-
-/// Result of a traced run: the job result paired with its schedule trace.
-pub type TracedRun<K, V> = EngineResult<(JobResult<K, V>, JobTrace)>;
-
-/// Result of an analyzed run: the job result paired with its performance
-/// diagnosis.
-pub type AnalyzedRun<K, V> = EngineResult<(JobResult<K, V>, Analysis)>;
 
 /// Engine policy knobs: scheduler behaviour and fixed-cost calibration.
 ///
@@ -119,10 +110,9 @@ impl EngineTuning {
     }
 }
 
-/// Caller-side control over a running job, threaded through the poolable
-/// entry points ([`run_job_controlled`]). The default is unrestricted: the
-/// engine behaves bit-identically to the classic `run_job*` family (which
-/// are thin wrappers passing exactly this default).
+/// Caller-side control over a running job ([`RunOpts::control`]). The
+/// default is unrestricted, which is what every `run_job*` convenience
+/// passes.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RunControl {
     /// Stop the job at this simulated instant (cancellation, deadline).
@@ -144,23 +134,10 @@ pub struct RunControl {
 }
 
 impl RunControl {
-    /// Unrestricted control: run to completion (what `run_job` passes).
-    pub fn unrestricted() -> Self {
-        RunControl::default()
-    }
-
     /// Stop (cancel) the job at simulated instant `t`.
     pub fn stop_at(t: SimTime) -> Self {
         RunControl {
             stop_at: Some(t),
-            ..RunControl::default()
-        }
-    }
-
-    /// Inputs are device-resident on their home ranks (round chaining).
-    pub fn resident() -> Self {
-        RunControl {
-            inputs_resident: true,
             ..RunControl::default()
         }
     }
@@ -219,10 +196,20 @@ struct RankState<K, V, C> {
     /// initial ranks; join instant plus local setup for elastic adds).
     /// Stage accounting measures Map from here.
     setup_end: SimTime,
-    /// False for a rank with a scheduled elastic add that has not reached
-    /// its join instant yet; flipped (once) the first time the scheduler
-    /// picks the rank.
-    joined: bool,
+    /// Join instant of a scheduled elastic add that has not joined yet;
+    /// taken the first time the scheduler picks the rank. Such ranks take
+    /// no part in the initial distribution and are excluded from the
+    /// reducer set, so the shuffle destinations — and therefore the
+    /// per-rank outputs — are identical to a run on the initial cluster
+    /// alone; added GPUs contribute map throughput by stealing.
+    join_at: Option<SimTime>,
+    /// When the fault plan fail-stops this rank's GPU. Read, like the
+    /// stalls, at the scheduler's touch-points (chunk dispatch, chunk
+    /// commit, sort readiness); transfer faults are applied inside
+    /// `Run::transfer`.
+    kill_at: Option<SimTime>,
+    /// Injected stalls not applied yet, in schedule order.
+    stalls: VecDeque<(SimTime, SimDuration)>,
     /// Map-end instants of chunks whose staging buffer is still occupied;
     /// an upload for a new chunk gates on the oldest entry once all
     /// `pipeline_depth` buffers are in flight.
@@ -239,8 +226,6 @@ struct RankState<K, V, C> {
     active: bool,
     /// False once the rank's GPU has been lost to an injected fault.
     alive: bool,
-    /// Next entry of the rank's injected-stall schedule to apply.
-    stall_idx: usize,
     /// Chunks already folded into this rank's GPU-resident accumulate
     /// state. Retained only when the fault plan schedules a kill for this
     /// rank in accumulate mode: the state dies with the device, so these
@@ -248,13 +233,17 @@ struct RankState<K, V, C> {
     processed: Vec<(u64, C)>,
 }
 
-impl<K: crate::types::Key, V: crate::types::Value, C> Default for RankState<K, V, C> {
-    fn default() -> Self {
+impl<K: crate::types::Key, V: crate::types::Value, C> RankState<K, V, C> {
+    /// Rank `r`, whose host may dispatch from `cursor` and whose setup
+    /// charge ends at `setup_end`, under the cluster's fault `plan`.
+    fn new(cursor: SimTime, setup_end: SimTime, plan: Option<&FaultPlan>, r: u32) -> Self {
         RankState {
-            cursor: SimTime::ZERO,
-            compute_ready: SimTime::ZERO,
-            setup_end: SimTime::ZERO,
-            joined: true,
+            cursor,
+            compute_ready: setup_end,
+            setup_end,
+            join_at: plan.and_then(|p| p.add_time(r)),
+            kill_at: plan.and_then(|p| p.kill_time(r)),
+            stalls: plan.map_or_else(VecDeque::new, |p| p.stalls_for(r).into()),
             inflight: VecDeque::new(),
             last_map_end: SimTime::ZERO,
             last_d2h: SimTime::ZERO,
@@ -267,68 +256,98 @@ impl<K: crate::types::Key, V: crate::types::Value, C> Default for RankState<K, V
             store: KvSet::new(),
             active: true,
             alive: true,
-            stall_idx: 0,
             processed: Vec::new(),
         }
     }
 }
 
-/// The engine's telemetry context: the caller's [`Telemetry`] handle (for
-/// spans and counter samples) plus cached `engine.*` counter handles.
-///
-/// Counters are always real — when the caller's handle is disabled they go
-/// to a private registry — so [`JobTimings`] is a thin consumer of
-/// telemetry counters in every mode, and a shared enabled registry reused
-/// across jobs still yields per-job numbers via the `base` deltas.
-struct EngineTel {
-    tel: Telemetry,
-    dispatched: Counter,
-    stolen: Counter,
-    requeued: Counter,
-    gpus_lost: Counter,
-    retries: Counter,
-    stalls: Counter,
-    pairs_emitted: Counter,
-    pairs_shuffled: Counter,
-    gpus_added: Counter,
-    base: [u64; 9],
+/// Everything a run takes beyond the cluster, the job and its chunks.
+/// `RunOpts::default()` is what [`run_job`] passes: default tuning,
+/// telemetry off, no journal, unrestricted control.
+#[derive(Default)]
+pub struct RunOpts<'j> {
+    /// Scheduler policy and overhead calibration.
+    pub tuning: EngineTuning,
+    /// Where chunk and stage spans, queue-depth samples and `engine.*`
+    /// counters go; the cluster's devices and fabric are attached for
+    /// `gpu.*` and `fabric.*` metrics. A disabled handle costs nothing.
+    pub tel: Telemetry,
+    /// Write-ahead journal: every scheduling decision and stage commit is
+    /// verified against (on resume) or appended to it, so an interrupted
+    /// run restarted with [`Journal::resume`] finishes bit-identically.
+    /// Journaling charges no simulated time.
+    pub journal: Option<&'j mut Journal>,
+    /// Caller-side stop and residency control.
+    pub control: RunControl,
 }
 
-impl EngineTel {
-    fn new(tel: &Telemetry) -> Self {
+/// An `engine.*` counter with its value at job start. Counters are always
+/// real (a private registry backs a disabled handle), so [`JobTimings`]
+/// reads them in every mode, and a registry shared across jobs still
+/// yields per-job numbers via [`JobCounter::delta`].
+struct JobCounter {
+    counter: Counter,
+    base: u64,
+}
+
+impl JobCounter {
+    fn new(reg: &Registry, name: &str) -> Self {
+        let counter = reg.counter(name);
+        let base = counter.get();
+        JobCounter { counter, base }
+    }
+
+    fn inc(&self) {
+        self.counter.inc();
+    }
+
+    fn add(&self, n: u64) {
+        self.counter.add(n);
+    }
+
+    /// How much this job added.
+    fn delta(&self) -> u64 {
+        self.counter.get().saturating_sub(self.base)
+    }
+}
+
+/// Everything a run records without charging simulated time: the
+/// caller's [`Telemetry`] handle (spans and counter samples), the job's
+/// `engine.*` counters, and the journal of a journaled run.
+struct EngineTel<'j> {
+    tel: Telemetry,
+    jctx: Option<JournalCtx<'j>>,
+    dispatched: JobCounter,
+    stolen: JobCounter,
+    requeued: JobCounter,
+    gpus_lost: JobCounter,
+    retries: JobCounter,
+    stalls: JobCounter,
+    pairs_emitted: JobCounter,
+    pairs_shuffled: JobCounter,
+    gpus_added: JobCounter,
+}
+
+impl<'j> EngineTel<'j> {
+    fn new(tel: Telemetry, journal: Option<&'j mut Journal>) -> Self {
         let reg = tel.registry().cloned().unwrap_or_else(Registry::new);
-        let dispatched = reg.counter("engine.chunks_dispatched");
-        let stolen = reg.counter("engine.chunks_stolen");
-        let requeued = reg.counter("engine.chunks_requeued");
-        let gpus_lost = reg.counter("engine.gpus_lost");
-        let retries = reg.counter("engine.transfer_retries");
-        let stalls = reg.counter("engine.stalls_injected");
-        let pairs_emitted = reg.counter("engine.pairs_emitted");
-        let pairs_shuffled = reg.counter("engine.pairs_shuffled");
-        let gpus_added = reg.counter("engine.gpus_added");
-        let base = [
-            dispatched.get(),
-            stolen.get(),
-            requeued.get(),
-            gpus_lost.get(),
-            retries.get(),
-            stalls.get(),
-            pairs_emitted.get(),
-            pairs_shuffled.get(),
-            gpus_added.get(),
-        ];
         EngineTel {
-            tel: tel.clone(),
-            dispatched,
-            stolen,
-            requeued,
-            gpus_lost,
-            retries,
-            stalls,
-            pairs_emitted,
-            pairs_shuffled,
-            gpus_added,
-            base,
+            jctx: journal.map(|journal| JournalCtx {
+                journal,
+                records: reg.counter("engine.journal_records"),
+                replayed: reg.counter("engine.journal_replayed"),
+                flushes: reg.counter("engine.journal_flushes"),
+            }),
+            dispatched: JobCounter::new(&reg, "engine.chunks_dispatched"),
+            stolen: JobCounter::new(&reg, "engine.chunks_stolen"),
+            requeued: JobCounter::new(&reg, "engine.chunks_requeued"),
+            gpus_lost: JobCounter::new(&reg, "engine.gpus_lost"),
+            retries: JobCounter::new(&reg, "engine.transfer_retries"),
+            stalls: JobCounter::new(&reg, "engine.stalls_injected"),
+            pairs_emitted: JobCounter::new(&reg, "engine.pairs_emitted"),
+            pairs_shuffled: JobCounter::new(&reg, "engine.pairs_shuffled"),
+            gpus_added: JobCounter::new(&reg, "engine.gpus_added"),
+            tel,
         }
     }
 
@@ -385,20 +404,41 @@ impl EngineTel {
             .sample(rank, "queue_depth", at.as_secs(), depth as f64);
     }
 
-    fn delta(c: &Counter, base: u64) -> u64 {
-        c.get().saturating_sub(base)
+    /// Verify-or-append one journal record. `rec` only runs on journaled
+    /// runs, so the content hashes inside it cost plain runs nothing. A
+    /// flush is recorded as a zero-duration `JournalFlush` span at the
+    /// commit instant.
+    fn journal(
+        &mut self,
+        rank: u32,
+        at: SimTime,
+        rec: impl FnOnce() -> JournalRecord,
+    ) -> EngineResult<()> {
+        let Some(ctx) = self.jctx.as_mut() else {
+            return Ok(());
+        };
+        let outcome = ctx.journal.record(&rec())?;
+        match outcome {
+            RecordOutcome::Replayed => ctx.replayed.inc(),
+            RecordOutcome::Buffered | RecordOutcome::Flushed => ctx.records.inc(),
+        }
+        if outcome == RecordOutcome::Flushed {
+            ctx.flushes.inc();
+            let on_disk = ctx.journal.replay_len() + ctx.journal.appended();
+            self.event(rank, TraceKind::JournalFlush, at, at, || {
+                format!("{on_disk} record(s) durable")
+            });
+        }
+        Ok(())
     }
 }
 
-/// Journal hooks threaded through the engine for journaled runs. Plain
-/// runs pass `None` everywhere, so the disabled path does no hashing, no
-/// I/O, and no extra counter work — journal-less runs stay byte-identical
-/// in timing and output to an engine without the journal.
-struct JournalCtx<'j, K, V> {
+/// The journal of a journaled run plus its `engine.journal_*` counters.
+/// Plain runs carry none, so they do no hashing, no I/O, and no extra
+/// counter work — journal-less runs stay byte-identical in timing and
+/// output to an engine without the journal.
+struct JournalCtx<'j> {
     journal: &'j mut Journal,
-    /// Content hash over an ordered pair buffer; instantiated at the
-    /// journaled entry point, where the `Pod` bounds live.
-    hash_pairs: fn(&[K], &[V]) -> u64,
     /// `engine.journal_records` — records verified or appended.
     records: Counter,
     /// `engine.journal_replayed` — records verified against the prefix.
@@ -407,147 +447,13 @@ struct JournalCtx<'j, K, V> {
     flushes: Counter,
 }
 
-/// Verify-or-append one journal record (no-op without a journal context).
-/// Journaling never charges simulated time; a flush is recorded as a
-/// zero-duration `JournalFlush` span at the commit instant.
-fn jrecord<K, V>(
-    jctx: &mut Option<JournalCtx<'_, K, V>>,
-    tel: &EngineTel,
-    rank: u32,
-    at: SimTime,
-    rec: JournalRecord,
-) -> EngineResult<()> {
-    let Some(ctx) = jctx.as_mut() else {
-        return Ok(());
-    };
-    match ctx.journal.record(&rec).map_err(EngineError::from)? {
-        RecordOutcome::Replayed => ctx.replayed.inc(),
-        RecordOutcome::Buffered => ctx.records.inc(),
-        RecordOutcome::Flushed => {
-            ctx.records.inc();
-            ctx.flushes.inc();
-            let on_disk = ctx.journal.replay_len() + ctx.journal.appended();
-            tel.event(rank, TraceKind::JournalFlush, at, at, || {
-                format!("{on_disk} record(s) durable")
-            });
-        }
+/// `" (on rank {exec})"` when a lost rank's stage ran elsewhere.
+fn exec_note(r: u32, exec: u32) -> String {
+    if exec == r {
+        String::new()
+    } else {
+        format!(" (on rank {exec})")
     }
-    Ok(())
-}
-
-/// Time a transfer through the fabric, retrying plan-injected failures
-/// with capped exponential backoff. Returns the arrival instant at `to`,
-/// or [`EngineError::TransferFailed`] once the retry budget is exhausted.
-fn transfer_with_retry(
-    fabric: &mut Fabric,
-    from: u32,
-    to: u32,
-    mut ready: SimTime,
-    bytes: u64,
-    tuning: &EngineTuning,
-    tel: &EngineTel,
-) -> EngineResult<SimTime> {
-    let mut attempt = 0u32;
-    loop {
-        match fabric.try_send(from, to, ready, bytes, attempt) {
-            Ok(arrival) => return Ok(arrival),
-            Err(fault) => {
-                attempt += 1;
-                tel.retries.inc();
-                if attempt > tuning.max_transfer_retries {
-                    return Err(EngineError::TransferFailed { attempt, fault });
-                }
-                let backoff = SimDuration::from_secs(
-                    (tuning.retry_backoff_base_s * f64::from(1u32 << (attempt - 1).min(31)))
-                        .min(tuning.retry_backoff_cap_s),
-                );
-                tel.event(from, TraceKind::Retry, ready, ready + backoff, || {
-                    format!("transfer to rank {to} failed (attempt {attempt}); backing off")
-                });
-                ready += backoff;
-            }
-        }
-    }
-}
-
-/// Handle a fail-stop GPU loss on rank `r` detected at simulated instant
-/// `now`: mark the rank dead, collect every chunk whose work died with the
-/// device (the in-flight chunk, anything still queued, and — in accumulate
-/// mode — chunks already folded into the lost GPU-resident state), and
-/// migrate them to surviving ranks round-robin, charging the fabric for
-/// each move. Errors with [`EngineError::GpuLost`] when no rank survives.
-#[allow(clippy::too_many_arguments)]
-fn kill_rank<K: crate::types::Key, V: crate::types::Value, C: Chunk>(
-    r: u32,
-    now: SimTime,
-    in_flight: Option<(u64, C)>,
-    queues: &mut WorkQueues<(u64, C)>,
-    st: &mut [RankState<K, V, C>],
-    cluster: &mut Cluster,
-    tuning: &EngineTuning,
-    tel: &EngineTel,
-    jctx: &mut Option<JournalCtx<'_, K, V>>,
-    displaced: &mut std::collections::HashSet<u64>,
-) -> EngineResult<()> {
-    let ri = r as usize;
-    tel.gpus_lost.inc();
-    jrecord(jctx, tel, r, now, JournalRecord::GpuLost { rank: r })?;
-    st[ri].alive = false;
-    st[ri].active = false;
-    st[ri].accum = None;
-    let mut orphans: Vec<(u64, C)> = std::mem::take(&mut st[ri].processed);
-    orphans.extend(in_flight);
-    orphans.extend(queues.drain_rank(r));
-    // Canonical migration order, independent of how the orphans mixed.
-    orphans.sort_by_key(|&(id, _)| id);
-    tel.event(r, TraceKind::GpuLost, now, now, || {
-        format!("GPU lost; {} chunks orphaned", orphans.len())
-    });
-    let live: Vec<u32> = (0..queues.ranks())
-        .filter(|&x| st[x as usize].alive)
-        .collect();
-    if live.is_empty() {
-        return Err(EngineError::GpuLost { rank: r });
-    }
-    // Spread orphans over survivors, starting just past the victim. The
-    // chunk data sits in the victim's *host* memory (chunks are streamed
-    // from rank-local storage and Bin is a CPU stage), so the surviving
-    // host forwards it across the fabric even though its GPU is gone.
-    let first = live.iter().position(|&x| x > r).unwrap_or(0);
-    for (i, (id, chunk)) in orphans.into_iter().enumerate() {
-        let dest = live[(first + i) % live.len()];
-        // The chunk leaves its home rank: any device residency is gone.
-        displaced.insert(id);
-        let bytes = chunk.serialize().len() as u64;
-        let arrival = transfer_with_retry(cluster.fabric(), r, dest, now, bytes, tuning, tel)?;
-        tel.event(r, TraceKind::Requeue, now, arrival, || {
-            format!("chunk {id} -> rank {dest}")
-        });
-        jrecord(
-            jctx,
-            tel,
-            r,
-            arrival,
-            JournalRecord::Requeue {
-                chunk_id: id,
-                from: r,
-                to: dest,
-            },
-        )?;
-        queues.push_back(dest, (id, chunk));
-        let d = dest as usize;
-        st[d].cursor = st[d].cursor.max(arrival);
-        st[d].active = true;
-        tel.requeued.inc();
-    }
-    Ok(())
-}
-
-/// The rank that takes over a lost rank's remaining pipeline work: the
-/// next live rank cyclically past `r`.
-fn takeover<K, V, C>(r: u32, st: &[RankState<K, V, C>]) -> Option<u32> {
-    let n = st.len() as u32;
-    (1..n).map(|i| (r + i) % n).find(|&x| st[x as usize].alive)
 }
 
 /// Run `job` over `chunks` on `cluster`, returning per-rank outputs and
@@ -558,58 +464,12 @@ pub fn run_job<J: GpmrJob>(
     job: &J,
     chunks: Vec<J::Chunk>,
 ) -> EngineResult<JobResult<J::Key, J::Value>> {
-    run_job_controlled(
-        cluster,
-        job,
-        chunks,
-        &EngineTuning::default(),
-        &Telemetry::disabled(),
-        &RunControl::unrestricted(),
-    )
+    run_job_with(cluster, job, chunks, RunOpts::default())
 }
 
-/// [`run_job`] with explicit [`EngineTuning`] (scheduler policy and
-/// overhead calibration).
-pub fn run_job_tuned<J: GpmrJob>(
-    cluster: &mut Cluster,
-    job: &J,
-    chunks: Vec<J::Chunk>,
-    tuning: &EngineTuning,
-) -> EngineResult<JobResult<J::Key, J::Value>> {
-    run_job_controlled(
-        cluster,
-        job,
-        chunks,
-        tuning,
-        &Telemetry::disabled(),
-        &RunControl::unrestricted(),
-    )
-}
-
-/// The poolable, cancellable entry point the job service multiplexes onto
-/// a shared engine pool: [`run_job_instrumented`] plus a caller-side
-/// [`RunControl`]. With an unrestricted control this is bit-identical —
-/// outputs and simulated timings — to the classic entry points, which are
-/// thin wrappers over this path. With `stop_at` set the run is aborted at
-/// that instant and surfaces as [`EngineError::Cancelled`] carrying
-/// chunk-conservation accounting.
-pub fn run_job_controlled<J: GpmrJob>(
-    cluster: &mut Cluster,
-    job: &J,
-    chunks: Vec<J::Chunk>,
-    tuning: &EngineTuning,
-    tel: &Telemetry,
-    control: &RunControl,
-) -> EngineResult<JobResult<J::Key, J::Value>> {
-    run_job_impl(cluster, job, chunks, tuning, tel, None, control)
-}
-
-/// [`run_job`] recording into a caller-provided [`Telemetry`] handle:
-/// chunk lifecycle spans, stage spans, queue-depth samples, and `engine.*`
-/// counters, with the cluster's devices and fabric attached for `gpu.*`
-/// and `fabric.*` metrics. A disabled handle degrades to [`run_job_tuned`]
-/// at near-zero cost. Snapshot the handle afterwards for export (or derive
-/// a classic [`JobTrace`] with [`JobTrace::from_telemetry`]).
+/// [`run_job`] with explicit tuning, recording into `tel` (see
+/// [`RunOpts::tel`]). Snapshot the handle afterwards for export,
+/// [`JobTrace::from_telemetry`](crate::JobTrace) or `telemetry::analyze`.
 pub fn run_job_instrumented<J: GpmrJob>(
     cluster: &mut Cluster,
     job: &J,
@@ -617,970 +477,910 @@ pub fn run_job_instrumented<J: GpmrJob>(
     tuning: &EngineTuning,
     tel: &Telemetry,
 ) -> EngineResult<JobResult<J::Key, J::Value>> {
-    run_job_controlled(
-        cluster,
-        job,
-        chunks,
-        tuning,
-        tel,
-        &RunControl::unrestricted(),
-    )
-}
-
-/// [`run_job`], additionally recording a full execution trace (every
-/// upload, kernel, send, steal, sort, and reduce with its simulated time
-/// window). Render it with [`JobTrace::gantt`]. The trace is derived from
-/// a telemetry recording ([`run_job_instrumented`] is the richer API).
-pub fn run_job_traced<J: GpmrJob>(
-    cluster: &mut Cluster,
-    job: &J,
-    chunks: Vec<J::Chunk>,
-) -> TracedRun<J::Key, J::Value> {
-    let tel = Telemetry::enabled();
-    let result = run_job_controlled(
-        cluster,
-        job,
-        chunks,
-        &EngineTuning::default(),
-        &tel,
-        &RunControl::unrestricted(),
-    )?;
-    Ok((result, JobTrace::from_telemetry(&tel.snapshot())))
-}
-
-/// [`run_job_instrumented`] with a private recording, returning the job
-/// result alongside the finished performance [`Analysis`] (critical path
-/// with per-stage attribution, per-rank busy/idle/blocked, imbalance, and
-/// findings). The recorder is snapshotted after engine teardown, so the
-/// analysis sees final memory-peak gauges and every span.
-pub fn run_job_analyzed<J: GpmrJob>(
-    cluster: &mut Cluster,
-    job: &J,
-    chunks: Vec<J::Chunk>,
-    tuning: &EngineTuning,
-) -> AnalyzedRun<J::Key, J::Value> {
-    let tel = Telemetry::enabled();
-    let result = run_job_controlled(
-        cluster,
-        job,
-        chunks,
-        tuning,
-        &tel,
-        &RunControl::unrestricted(),
-    )?;
-    Ok((result, analyze(&tel.snapshot())))
-}
-
-/// [`run_job_instrumented`] with a write-ahead [`Journal`]: every
-/// scheduling decision and stage commit is verified against (on resume) or
-/// appended to (fresh, or once past the replay prefix) the journal, so an
-/// interrupted run restarted with [`Journal::resume`] finishes
-/// bit-identically to an uninterrupted one. Requires `Pod` key/value types
-/// so commits can be content-hashed. Journaling charges no simulated time:
-/// a journaled run's outputs and timings equal the plain run's.
-pub fn run_job_journaled<J>(
-    cluster: &mut Cluster,
-    job: &J,
-    chunks: Vec<J::Chunk>,
-    tuning: &EngineTuning,
-    tel: &Telemetry,
-    journal: &mut Journal,
-) -> EngineResult<JobResult<J::Key, J::Value>>
-where
-    J: GpmrJob,
-    J::Key: Pod,
-    J::Value: Pod,
-{
-    run_job_controlled_journaled(
-        cluster,
-        job,
-        chunks,
-        tuning,
-        tel,
-        journal,
-        &RunControl::unrestricted(),
-    )
-}
-
-/// [`run_job_controlled`] with a write-ahead [`Journal`] (the service's
-/// journaled path). A stopped run leaves the journal holding a consistent
-/// prefix of the full run's records: resuming the same job without the
-/// stop replays that prefix and finishes bit-identically.
-#[allow(clippy::too_many_arguments)]
-pub fn run_job_controlled_journaled<J>(
-    cluster: &mut Cluster,
-    job: &J,
-    chunks: Vec<J::Chunk>,
-    tuning: &EngineTuning,
-    tel: &Telemetry,
-    journal: &mut Journal,
-    control: &RunControl,
-) -> EngineResult<JobResult<J::Key, J::Value>>
-where
-    J: GpmrJob,
-    J::Key: Pod,
-    J::Value: Pod,
-{
-    let reg = tel.registry().cloned().unwrap_or_else(Registry::new);
-    let jctx = JournalCtx {
-        journal,
-        hash_pairs: hash_pairs::<J::Key, J::Value>,
-        records: reg.counter("engine.journal_records"),
-        replayed: reg.counter("engine.journal_replayed"),
-        flushes: reg.counter("engine.journal_flushes"),
+    let opts = RunOpts {
+        tuning: *tuning,
+        tel: tel.clone(),
+        ..RunOpts::default()
     };
-    run_job_impl(cluster, job, chunks, tuning, tel, Some(jctx), control)
+    run_job_with(cluster, job, chunks, opts)
 }
 
-fn run_job_impl<J: GpmrJob>(
+/// [`run_job_instrumented`] with a write-ahead [`Journal`] (see
+/// [`RunOpts::journal`]).
+pub fn run_job_journaled<J: GpmrJob>(
     cluster: &mut Cluster,
     job: &J,
     chunks: Vec<J::Chunk>,
     tuning: &EngineTuning,
-    telemetry: &Telemetry,
-    mut jctx: Option<JournalCtx<'_, J::Key, J::Value>>,
-    control: &RunControl,
+    tel: &Telemetry,
+    journal: &mut Journal,
 ) -> EngineResult<JobResult<J::Key, J::Value>> {
-    let cfg = job.pipeline();
-    cfg.validate().map_err(EngineError::InvalidPipeline)?;
-    let ranks = cluster.size();
-    let gpu_direct = tuning.gpu_direct || cluster.gpu_direct();
-    let depth = tuning.pipeline_depth.max(1) as usize;
-    let sort_cfg = SortConfig::from_env();
-    cluster.reset_clocks();
-    if telemetry.is_enabled() {
-        cluster.attach_telemetry(telemetry);
-    }
-    let tel = EngineTel::new(telemetry);
+    let opts = RunOpts {
+        tuning: *tuning,
+        tel: tel.clone(),
+        journal: Some(journal),
+        ..RunOpts::default()
+    };
+    run_job_with(cluster, job, chunks, opts)
+}
 
-    // Every staging slot of the upload pipeline must fit on the device at
-    // once, plus one slot of GPU-direct staging (pairs parked in device
-    // memory for the NIC to source).
-    let staging_slots = depth as u64 + u64::from(gpu_direct);
-    let capacity = cluster.gpu(0).mem.capacity();
-    for c in &chunks {
-        if c.size_bytes().saturating_mul(staging_slots) > capacity {
-            return Err(EngineError::ChunkTooLarge {
-                bytes: c.size_bytes(),
-                capacity,
-                slots: staging_slots,
-            });
+/// The engine's one general entry point; [`run_job`],
+/// [`run_job_instrumented`] and [`run_job_journaled`] are conveniences
+/// over it. With [`RunControl::stop_at`] set the run surfaces as
+/// [`EngineError::Cancelled`] with chunk-conservation accounting, and its
+/// journal holds a consistent prefix of the full run's records: resuming
+/// the same job without the stop finishes bit-identically.
+pub fn run_job_with<J: GpmrJob>(
+    cluster: &mut Cluster,
+    job: &J,
+    chunks: Vec<J::Chunk>,
+    opts: RunOpts<'_>,
+) -> EngineResult<JobResult<J::Key, J::Value>> {
+    let mut run = Run::new(cluster, job, chunks, opts)?;
+    run.map_loop()?;
+    run.stop()?;
+    run.bin_deferred()?;
+    let outputs = run.sort_reduce()?;
+    run.finish(outputs)
+}
+
+/// A dequeued chunk whose upload is reserved: what the map stage needs.
+struct Staged<C> {
+    id: u64,
+    chunk: C,
+    /// Upload start: where the chunk's span opens and where the host is
+    /// free to dispatch again.
+    up_start: SimTime,
+    /// Earliest map start: upload done and kernels allowed.
+    ready: SimTime,
+    /// Pre-reserved id of the chunk's container span (0 = telemetry off).
+    span: u64,
+}
+
+/// The state of one job run. [`run_job_with`] drives it through its
+/// stages in order: [`Run::new`] → [`Run::map_loop`] → [`Run::stop`] →
+/// [`Run::bin_deferred`] → [`Run::sort_reduce`] → [`Run::finish`].
+struct Run<'a, J: GpmrJob> {
+    cluster: &'a mut Cluster,
+    job: &'a J,
+    cfg: PipelineConfig,
+    tuning: EngineTuning,
+    tel: EngineTel<'a>,
+    control: RunControl,
+    st: Vec<RankState<J::Key, J::Value, J::Chunk>>,
+    queues: WorkQueues<(u64, J::Chunk)>,
+    mailbox: Mailbox<Bucket<J>>,
+    /// Chunk ids that moved off their home rank (steals, fault-plan
+    /// requeues): under `RunControl::inputs_resident` these still pay the
+    /// full upload — residency only holds where the chunk was born.
+    displaced: HashSet<u64>,
+    /// The ranks that started the job (no pending elastic add).
+    reducers: Vec<u32>,
+    depth: usize,
+    gpu_direct: bool,
+    /// Every staging slot of the upload pipeline must fit on the device at
+    /// once, plus one slot of GPU-direct staging (pairs parked in device
+    /// memory for the NIC to source).
+    staging_slots: u64,
+    n_chunks: u64,
+}
+
+impl<'a, J: GpmrJob> Run<'a, J> {
+    /// Validate the job against the cluster, open the journal with the
+    /// job fingerprint, distribute the chunks and charge job setup.
+    fn new(
+        cluster: &'a mut Cluster,
+        job: &'a J,
+        chunks: Vec<J::Chunk>,
+        opts: RunOpts<'a>,
+    ) -> EngineResult<Self> {
+        let tuning = opts.tuning;
+        let mut tel = EngineTel::new(opts.tel, opts.journal);
+        let cfg = job.pipeline();
+        cfg.validate().map_err(EngineError::InvalidPipeline)?;
+        let ranks = cluster.size();
+        let gpu_direct = tuning.gpu_direct || cluster.gpu_direct();
+        let depth = tuning.pipeline_depth.max(1) as usize;
+        cluster.reset_clocks();
+        if tel.tel.is_enabled() {
+            cluster.attach_telemetry(&tel.tel);
         }
-    }
 
-    // Fault-injection state. Kills and stalls are read by the scheduler at
-    // its touch-points (chunk dispatch, chunk commit, sort readiness);
-    // transfer faults are applied inside `transfer_with_retry`.
-    let plan: Option<FaultPlan> = cluster.fault_plan().cloned();
-    let kill_at: Vec<Option<SimTime>> = (0..ranks)
-        .map(|r| plan.as_ref().and_then(|p| p.kill_time(r)))
-        .collect();
-    let stalls: Vec<Vec<(SimTime, SimDuration)>> = (0..ranks)
-        .map(|r| plan.as_ref().map_or_else(Vec::new, |p| p.stalls_for(r)))
-        .collect();
-
-    // Elastic adds: ranks with a scheduled GPU-add event join mid-job.
-    // They take no part in the initial distribution and are excluded from
-    // the reducer set, so the shuffle destinations — and therefore the
-    // per-rank outputs — are identical to a run on the initial cluster
-    // alone; added GPUs contribute map throughput by stealing.
-    let join_at: Vec<Option<SimTime>> = (0..ranks)
-        .map(|r| plan.as_ref().and_then(|p| p.add_time(r)))
-        .collect();
-    if let Some(p) = plan.as_ref() {
-        if let Some(r) = p.added_ranks().into_iter().find(|&r| r >= ranks) {
-            return Err(EngineError::InvalidPipeline(format!(
-                "fault plan adds rank {r} but the cluster has only {ranks} GPUs"
-            )));
-        }
-    }
-    let reducers: Vec<u32> = (0..ranks)
-        .filter(|&r| join_at[r as usize].is_none())
-        .collect();
-    if reducers.is_empty() {
-        return Err(EngineError::InvalidPipeline(
-            "fault plan defers every GPU with an add event; no rank can start the job".into(),
-        ));
-    }
-
-    // Chunks carry their original index as a canonical id: requeues and
-    // steals change *which rank* processes a chunk, never its identity, so
-    // receivers can order inbound buckets identically across fault plans.
-    let n_chunks = chunks.len() as u64;
-    let ids: Vec<(u64, J::Chunk)> = chunks
-        .into_iter()
-        .enumerate()
-        .map(|(i, c)| (i as u64, c))
-        .collect();
-    if jctx.is_some() {
-        // Job fingerprint: everything that shapes the schedule and the
-        // data. A resume against a journal written by a different job (or
-        // the same job on a different cluster shape) diverges on record 0
-        // instead of replaying garbage.
-        let mut fp = Fnv64::new();
-        fp.write_u64(u64::from(ranks));
-        fp.write_u64(reducers.len() as u64);
-        for &r in &reducers {
-            fp.write_u64(u64::from(r));
-        }
-        fp.write_u64(n_chunks);
-        fp.write_u64(depth as u64);
-        fp.write_u64(u64::from(gpu_direct));
-        fp.write_u64(cfg.map_mode as u64);
-        fp.write_u64(u64::from(cfg.combine));
-        fp.write_u64(cfg.partition.discriminant());
-        if let PartitionMode::Range { splitters } = &cfg.partition {
-            fp.write_u64(splitters.len() as u64);
-            for &s in splitters {
-                fp.write_u64(s);
+        let staging_slots = tuning.staging_slots(cluster.gpu_direct());
+        let capacity = cluster.gpu(0).mem.capacity();
+        for c in &chunks {
+            if c.size_bytes().saturating_mul(staging_slots) > capacity {
+                return Err(EngineError::ChunkTooLarge {
+                    bytes: c.size_bytes(),
+                    capacity,
+                    slots: staging_slots,
+                });
             }
         }
-        fp.write_u64(cfg.sort as u64);
-        fp.write_u64(u64::from(cfg.sort_and_reduce));
-        for (_, c) in &ids {
-            fp.write_u64(fnv1a(&c.serialize()));
+
+        let plan = cluster.fault_plan().cloned();
+        let join_at = |r: u32| plan.as_ref().and_then(|p| p.add_time(r));
+        if let Some(p) = plan.as_ref() {
+            if let Some(r) = p.added_ranks().into_iter().find(|&r| r >= ranks) {
+                return Err(EngineError::InvalidPipeline(format!(
+                    "fault plan adds rank {r} but the cluster has only {ranks} GPUs"
+                )));
+            }
         }
-        let rec = JournalRecord::JobStart {
-            fingerprint: fp.finish(),
-            n_chunks,
-            ranks,
-            reducers: reducers.len() as u32,
+        let reducers: Vec<u32> = (0..ranks).filter(|&r| join_at(r).is_none()).collect();
+        if reducers.is_empty() {
+            return Err(EngineError::InvalidPipeline(
+                "fault plan defers every GPU with an add event; no rank can start the job".into(),
+            ));
+        }
+
+        // Chunks carry their original index as a canonical id: requeues and
+        // steals change *which rank* processes a chunk, never its identity, so
+        // receivers can order inbound buckets identically across fault plans.
+        let n_chunks = chunks.len() as u64;
+        let ids: Vec<(u64, J::Chunk)> = (0u64..).zip(chunks).collect();
+        tel.journal(0, SimTime::ZERO, || {
+            // Job fingerprint: everything that shapes the schedule and the
+            // data. A resume against a journal written by a different job (or
+            // the same job on a different cluster shape) diverges on record 0
+            // instead of replaying garbage.
+            let mut fp = Fnv64::new();
+            fp.write_u64(u64::from(ranks));
+            fp.write_u64(reducers.len() as u64);
+            for &r in &reducers {
+                fp.write_u64(u64::from(r));
+            }
+            fp.write_u64(n_chunks);
+            fp.write_u64(depth as u64);
+            fp.write_u64(u64::from(gpu_direct));
+            cfg.fingerprint(&mut fp);
+            for (_, c) in &ids {
+                fp.write_u64(fnv1a(&c.serialize()));
+            }
+            JournalRecord::JobStart {
+                fingerprint: fp.finish(),
+                n_chunks,
+                ranks,
+                reducers: reducers.len() as u32,
+            }
+        })?;
+        let queues = WorkQueues::distribute_on(ids, ranks, &reducers);
+        let setup =
+            SimTime::from_secs(tuning.setup_base_s + tuning.setup_per_rank_s * f64::from(ranks));
+        // Uploads are host-driven DMA enqueues: with a pipelined engine they
+        // start once the local context exists (base setup), overlapping the
+        // cluster-wide collective startup. Kernels still wait for full setup
+        // (`compute_ready`). Depth 1 keeps the legacy serialized start.
+        let upload_ready = if depth >= 2 {
+            SimTime::from_secs(tuning.setup_base_s)
+        } else {
+            setup
         };
-        jrecord(&mut jctx, &tel, 0, SimTime::ZERO, rec)?;
-    }
-    let mut queues = WorkQueues::distribute_on(ids, ranks, &reducers);
-    let setup =
-        SimTime::from_secs(tuning.setup_base_s + tuning.setup_per_rank_s * f64::from(ranks));
-    // Uploads are host-driven DMA enqueues: with a pipelined engine they
-    // start once the local context exists (base setup), overlapping the
-    // cluster-wide collective startup. Kernels still wait for full setup
-    // (`compute_ready`). Depth 1 keeps the legacy serialized start.
-    let upload_ready = if depth >= 2 {
-        SimTime::from_secs(tuning.setup_base_s)
-    } else {
-        setup
-    };
-    let mut st: Vec<RankState<J::Key, J::Value, J::Chunk>> = (0..ranks)
-        .map(|r| match join_at[r as usize] {
-            // Initial ranks pay the cluster-wide collective setup.
-            None => RankState {
-                cursor: upload_ready,
-                compute_ready: setup,
-                setup_end: setup,
-                ..RankState::default()
-            },
-            // Elastic adds pay only their local context creation, starting
-            // at the join instant; the collective already happened.
-            Some(join) => RankState {
-                cursor: join,
-                compute_ready: join + SimDuration::from_secs(tuning.setup_base_s),
-                setup_end: join + SimDuration::from_secs(tuning.setup_base_s),
-                joined: false,
-                ..RankState::default()
-            },
-        })
-        .collect();
-    for &r in &reducers {
-        tel.event(r, TraceKind::Setup, SimTime::ZERO, setup, || {
-            "job setup".into()
-        });
-    }
-    let mut mailbox: Mailbox<ShuffleMsg<J::Key, J::Value>> = Mailbox::new(ranks);
-    // Chunk ids that moved off their home rank (steals, fault-plan
-    // requeues): under `RunControl::inputs_resident` these still pay the
-    // full upload — residency only holds where the chunk was born.
-    let mut displaced: std::collections::HashSet<u64> = std::collections::HashSet::new();
-
-    // --- Map stage -------------------------------------------------------
-    if cfg.map_mode == MapMode::Accumulate {
+        let mut st: Vec<RankState<J::Key, J::Value, J::Chunk>> = (0..ranks)
+            .map(|r| {
+                let (cursor, setup_end) = match join_at(r) {
+                    // Initial ranks pay the cluster-wide collective setup.
+                    None => (upload_ready, setup),
+                    // Elastic adds pay only their local context creation, starting
+                    // at the join instant; the collective already happened.
+                    Some(join) => (join, join + SimDuration::from_secs(tuning.setup_base_s)),
+                };
+                RankState::new(cursor, setup_end, plan.as_ref(), r)
+            })
+            .collect();
         for &r in &reducers {
-            let gpu = cluster.gpu(r);
-            let (state, t) = job.accumulate_init(gpu, setup)?;
-            tel.event(r, TraceKind::AccumulateInit, setup, t, || {
-                "accumulate init".into()
+            tel.event(r, TraceKind::Setup, SimTime::ZERO, setup, || {
+                "job setup".into()
             });
-            let s = &mut st[r as usize];
-            s.accum = Some(state);
-            // Chunk uploads may overlap the init kernel; maps may not.
-            s.compute_ready = s.compute_ready.max(t);
         }
+        if cfg.map_mode == MapMode::Accumulate {
+            for &r in &reducers {
+                let (state, t) = job.accumulate_init(cluster.gpu(r), setup)?;
+                tel.event(r, TraceKind::AccumulateInit, setup, t, || {
+                    "accumulate init".into()
+                });
+                let s = &mut st[r as usize];
+                s.accum = Some(state);
+                // Chunk uploads may overlap the init kernel; maps may not.
+                s.compute_ready = s.compute_ready.max(t);
+            }
+        }
+        Ok(Run {
+            mailbox: Mailbox::new(ranks),
+            cluster,
+            job,
+            cfg,
+            tuning,
+            tel,
+            control: opts.control,
+            st,
+            queues,
+            displaced: HashSet::new(),
+            reducers,
+            depth,
+            gpu_direct,
+            staging_slots,
+            n_chunks,
+        })
     }
 
-    // Drive the earliest-ready active rank until none remain.
-    while let Some(r) = (0..ranks)
-        .filter(|&r| st[r as usize].active)
-        .min_by(|&a, &b| {
-            st[a as usize]
-                .cursor
-                .partial_cmp(&st[b as usize].cursor)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        })
-    {
+    fn ranks(&self) -> u32 {
+        self.st.len() as u32
+    }
+
+    /// The rank whose GPU runs rank `r`'s post-map stages: `r`, or once
+    /// its GPU is lost the next live rank cyclically past it.
+    fn exec_rank(&self, r: u32) -> u32 {
+        let n = self.ranks();
+        (0..n)
+            .map(|i| (r + i) % n)
+            .find(|&x| self.st[x as usize].alive)
+            .expect("a live rank exists")
+    }
+
+    /// Map stage: drive the earliest-ready active rank until none remain.
+    fn map_loop(&mut self) -> EngineResult<()> {
+        while let Some(r) = (0..self.ranks())
+            .filter(|&r| self.st[r as usize].active)
+            .min_by(|&a, &b| {
+                self.st[a as usize]
+                    .cursor
+                    .partial_cmp(&self.st[b as usize].cursor)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.cmp(&b))
+            })
+        {
+            self.dispatch(r)?;
+        }
+        Ok(())
+    }
+
+    /// One scheduler pick of rank `r`: apply whatever the fault plan and
+    /// the caller's control have due at its cursor, then take one chunk
+    /// through upload and map (or retire the rank when none is left).
+    fn dispatch(&mut self, r: u32) -> EngineResult<()> {
         let ri = r as usize;
 
         // Caller-requested stop: a rank whose clock has reached the stop
         // instant dequeues no more work. Its in-flight chunks already
         // committed (dispatch is synchronous per chunk), so stopping here
         // is a clean chunk boundary; the leftover queue is drained and
-        // accounted for after the loop.
-        if control.stop_at.is_some_and(|stop| st[ri].cursor >= stop) {
-            st[ri].active = false;
-            continue;
+        // accounted for in `stop`.
+        let cursor = self.st[ri].cursor;
+        if self.control.stop_at.is_some_and(|stop| cursor >= stop) {
+            self.st[ri].active = false;
+            return Ok(());
         }
 
         // Straggler injection: a stall due at or before this dispatch
         // freezes the rank before it takes more work.
-        while st[ri].stall_idx < stalls[ri].len() && stalls[ri][st[ri].stall_idx].0 <= st[ri].cursor
-        {
-            let (_, dur) = stalls[ri][st[ri].stall_idx];
-            st[ri].stall_idx += 1;
-            let begin = st[ri].cursor;
-            st[ri].cursor += dur;
-            tel.stalls.inc();
-            tel.event(r, TraceKind::Stall, begin, st[ri].cursor, || {
+        while let Some(&(due, dur)) = self.st[ri].stalls.front() {
+            if due > self.st[ri].cursor {
+                break;
+            }
+            let s = &mut self.st[ri];
+            s.stalls.pop_front();
+            let begin = s.cursor;
+            s.cursor += dur;
+            self.tel.stalls.inc();
+            self.tel.event(r, TraceKind::Stall, begin, s.cursor, || {
                 format!("injected stall ({dur})")
             });
         }
 
         // Fail-stop check at dispatch: a GPU whose kill instant has passed
         // takes no more work, and everything it held migrates away.
-        if kill_at[ri].is_some_and(|k| k <= st[ri].cursor) {
-            kill_rank(
-                r,
-                st[ri].cursor,
-                None,
-                &mut queues,
-                &mut st,
-                cluster,
-                tuning,
-                &tel,
-                &mut jctx,
-                &mut displaced,
-            )?;
-            continue;
+        if self.st[ri].kill_at.is_some_and(|k| k <= self.st[ri].cursor) {
+            return self.kill_rank(r, self.st[ri].cursor, None);
         }
-
-        // Elastic add: a rank scheduled to join mid-job runs its local
-        // setup at its first scheduler pick. It owns no queued work (the
-        // initial distribution skipped it) and is not a reducer, so it
-        // contributes by stealing map work from loaded survivors.
-        if !st[ri].joined {
-            st[ri].joined = true;
-            let join = join_at[ri].expect("unjoined ranks have an add event");
-            tel.gpus_added.inc();
-            tel.event(r, TraceKind::GpuAdded, join, join, || {
-                "GPU joined the job mid-run".into()
-            });
-            tel.event(r, TraceKind::Setup, join, st[ri].compute_ready, || {
-                "late-join setup".into()
-            });
-            jrecord(
-                &mut jctx,
-                &tel,
-                r,
-                join,
-                JournalRecord::GpuAdded { rank: r },
-            )?;
-            if cfg.map_mode == MapMode::Accumulate {
-                let t0 = st[ri].compute_ready;
-                let gpu = cluster.gpu(r);
-                let (state, t) = job.accumulate_init(gpu, t0)?;
-                tel.event(r, TraceKind::AccumulateInit, t0, t, || {
-                    "accumulate init".into()
-                });
-                st[ri].accum = Some(state);
-                st[ri].compute_ready = st[ri].compute_ready.max(t);
-            }
+        if let Some(join) = self.st[ri].join_at.take() {
+            self.join(r, join)?;
         }
-
-        // Obtain a chunk: own queue, else steal, else retire.
-        let (chunk_id, chunk) = match queues.pop_local(r) {
-            Some(c) => c,
-            None if !tuning.allow_stealing => {
-                st[ri].active = false;
-                continue;
-            }
-            // Work-aware stealing: take the heaviest chunk from the rank
-            // with the most queued bytes, but only while the steal pays
-            // for itself (see `WorkQueues::steal_profitable`) — late
-            // steals queue their migration behind the victim's outbound
-            // shuffle traffic and arrive after the victim would have
-            // processed the chunk locally.
-            None => match queues.steal_profitable(r, |c| c.1.size_bytes()) {
-                Some((victim, c)) => {
-                    tel.stolen.inc();
-                    displaced.insert(c.0);
-                    // Migration: serialized chunk crosses the fabric from the
-                    // victim's host memory to the thief's.
-                    let bytes = c.1.serialize().len() as u64;
-                    let before = st[ri].cursor;
-                    let arrival = transfer_with_retry(
-                        cluster.fabric(),
-                        victim,
-                        r,
-                        before,
-                        bytes,
-                        tuning,
-                        &tel,
-                    )?;
-                    tel.event(r, TraceKind::Steal, before, arrival, || {
-                        format!("stole chunk from rank {victim}")
-                    });
-                    st[ri].cursor = arrival;
-                    jrecord(
-                        &mut jctx,
-                        &tel,
-                        r,
-                        arrival,
-                        JournalRecord::Steal {
-                            chunk_id: c.0,
-                            victim,
-                            thief: r,
-                        },
-                    )?;
-                    c
-                }
-                None => {
-                    st[ri].active = false;
-                    continue;
-                }
-            },
+        let Some((chunk_id, chunk)) = self.obtain_chunk(r)? else {
+            self.st[ri].active = false;
+            return Ok(());
         };
 
-        st[ri].cursor += SimDuration::from_secs(tuning.sched_overhead_s);
-        let cursor = st[ri].cursor;
-        jrecord(
-            &mut jctx,
-            &tel,
-            r,
-            cursor,
-            JournalRecord::ChunkDispatch { chunk_id, rank: r },
-        )?;
-        let compute_ready = st[ri].compute_ready;
+        self.st[ri].cursor += SimDuration::from_secs(self.tuning.sched_overhead_s);
+        let cursor = self.st[ri].cursor;
+        self.tel
+            .journal(r, cursor, || JournalRecord::ChunkDispatch {
+                chunk_id,
+                rank: r,
+            })?;
         // k-deep upload pipeline: the upload may only start once a staging
         // slot frees — i.e. when the map of the chunk `depth` dispatches
         // back has finished. Until then uploads queue on the copy engine
         // while earlier chunks map.
         let mut gate = SimTime::ZERO;
-        while st[ri].inflight.len() >= depth {
-            gate = gate.max(st[ri].inflight.pop_front().expect("len checked"));
+        while self.st[ri].inflight.len() >= self.depth {
+            gate = gate.max(self.st[ri].inflight.pop_front().expect("len checked"));
         }
-        tel.dispatch(r, cursor, queues.remaining(r));
+        self.tel.dispatch(r, cursor, self.queues.remaining(r));
         // Container span grouping this chunk's stage spans; its id is
         // reserved now so children can link to it, and the span itself is
         // written once the chunk's window is known.
-        let chunk_span = tel.tel.reserve_span_id();
+        let span = self.tel.tel.reserve_span_id();
 
-        let gpu = cluster.gpu(r);
+        let gpu = self.cluster.gpu(r);
         // Round chaining: a chunk the driver left resident on this device
         // skips its upload entirely — the window collapses to the gated
         // dispatch instant. Displaced chunks (steals, requeues) moved
         // hosts, so they pay the full transfer like any cold chunk.
-        let up = if control.inputs_resident && !displaced.contains(&chunk_id) {
+        let up = if self.control.inputs_resident && !self.displaced.contains(&chunk_id) {
             let at = cursor.max(gate);
-            gpmr_sim_gpu::Reservation { start: at, end: at }
+            Reservation { start: at, end: at }
         } else {
             gpu.h2d_gated(cursor, gate, chunk.size_bytes())
         };
-        gpu.note_resident(staging_slots * chunk.size_bytes());
-        tel.child_event(r, TraceKind::Upload, up.start, up.end, chunk_span, || {
-            format!("{} bytes", chunk.size_bytes())
-        });
+        gpu.note_resident(self.staging_slots * chunk.size_bytes());
+        self.tel
+            .child_event(r, TraceKind::Upload, up.start, up.end, span, || {
+                format!("{} bytes", chunk.size_bytes())
+            });
 
-        match cfg.map_mode {
-            MapMode::Accumulate => {
-                let mut state = st[ri].accum.take().expect("accumulate state initialized");
-                let t = job.map_accumulate(gpu, up.end.max(compute_ready), &chunk, &mut state)?;
-                if kill_at[ri].is_some_and(|k| k <= t) {
-                    // The device died before this map finished. The whole
-                    // accumulate state dies with it, so every chunk it
-                    // covered — plus this one — reruns on survivors.
-                    drop(state);
-                    kill_rank(
-                        r,
-                        t,
-                        Some((chunk_id, chunk)),
-                        &mut queues,
-                        &mut st,
-                        cluster,
-                        tuning,
-                        &tel,
-                        &mut jctx,
-                        &mut displaced,
-                    )?;
-                    continue;
-                }
-                tel.child_event(
-                    r,
-                    TraceKind::Map,
-                    up.end.max(compute_ready),
-                    t,
-                    chunk_span,
-                    || "map+accumulate".into(),
-                );
-                tel.chunk_span(r, chunk_span, chunk_id, up.start, t);
-                // Accumulate folds emissions into device state, so the
-                // commit hashes the chunk itself: replay re-folds it.
-                if jctx.is_some() {
-                    let hash = fnv1a(&chunk.serialize());
-                    jrecord(
-                        &mut jctx,
-                        &tel,
-                        r,
-                        t,
-                        JournalRecord::ChunkCommit {
-                            chunk_id,
-                            rank: r,
-                            pairs: chunk.item_count() as u64,
-                            hash,
-                        },
-                    )?;
-                }
-                gpu.note_resident(staging_slots * chunk.size_bytes() + state.size_bytes());
-                let s = &mut st[ri];
-                s.accum = Some(state);
-                s.last_map_end = s.last_map_end.max(t);
-                // The host is free to dispatch again once this upload has
-                // left the queue; the staging gate and the compute timeline
-                // keep the device honest.
-                s.cursor = up.start;
-                s.inflight.push_back(t);
-                s.chunks_done += 1;
-                if kill_at[ri].is_some() {
-                    s.processed.push((chunk_id, chunk));
-                }
+        let staged = Staged {
+            id: chunk_id,
+            chunk,
+            up_start: up.start,
+            ready: up.end.max(self.st[ri].compute_ready),
+            span,
+        };
+        match self.cfg.map_mode {
+            MapMode::Accumulate => self.map_accumulate(r, staged),
+            MapMode::Plain | MapMode::PartialReduce => self.map_plain(r, staged),
+        }
+    }
+
+    /// Elastic add: a rank scheduled to join mid-job runs its local setup
+    /// at its first scheduler pick. It owns no queued work (the initial
+    /// distribution skipped it) and is not a reducer, so it contributes by
+    /// stealing map work from loaded survivors.
+    fn join(&mut self, r: u32, join: SimTime) -> EngineResult<()> {
+        let ri = r as usize;
+        self.tel.gpus_added.inc();
+        self.tel.event(r, TraceKind::GpuAdded, join, join, || {
+            "GPU joined the job mid-run".into()
+        });
+        let t0 = self.st[ri].compute_ready;
+        self.tel
+            .event(r, TraceKind::Setup, join, t0, || "late-join setup".into());
+        self.tel
+            .journal(r, join, || JournalRecord::GpuAdded { rank: r })?;
+        if self.cfg.map_mode == MapMode::Accumulate {
+            let (state, t) = self.job.accumulate_init(self.cluster.gpu(r), t0)?;
+            self.tel.event(r, TraceKind::AccumulateInit, t0, t, || {
+                "accumulate init".into()
+            });
+            self.st[ri].accum = Some(state);
+            self.st[ri].compute_ready = t0.max(t);
+        }
+        Ok(())
+    }
+
+    /// Rank `r`'s next chunk: its own queue, else a steal; `None` retires
+    /// the rank.
+    fn obtain_chunk(&mut self, r: u32) -> EngineResult<Option<(u64, J::Chunk)>> {
+        if let Some(c) = self.queues.pop_local(r) {
+            return Ok(Some(c));
+        }
+        if !self.tuning.allow_stealing {
+            return Ok(None);
+        }
+        // Work-aware stealing: take the heaviest chunk from the rank with
+        // the most queued bytes, but only while the steal pays for itself
+        // (see `WorkQueues::steal_profitable`) — late steals queue their
+        // migration behind the victim's outbound shuffle traffic and arrive
+        // after the victim would have processed the chunk locally.
+        let Some((victim, c)) = self.queues.steal_profitable(r, |c| c.1.size_bytes()) else {
+            return Ok(None);
+        };
+        self.tel.stolen.inc();
+        self.displaced.insert(c.0);
+        // Migration: serialized chunk crosses the fabric from the victim's
+        // host memory to the thief's.
+        let bytes = c.1.serialize().len() as u64;
+        let before = self.st[r as usize].cursor;
+        let arrival = self.transfer(victim, r, before, bytes)?;
+        self.tel.event(r, TraceKind::Steal, before, arrival, || {
+            format!("stole chunk from rank {victim}")
+        });
+        self.st[r as usize].cursor = arrival;
+        self.tel.journal(r, arrival, || JournalRecord::Steal {
+            chunk_id: c.0,
+            victim,
+            thief: r,
+        })?;
+        Ok(Some(c))
+    }
+
+    /// Map a staged chunk into rank `r`'s GPU-resident accumulate state.
+    fn map_accumulate(&mut self, r: u32, c: Staged<J::Chunk>) -> EngineResult<()> {
+        let ri = r as usize;
+        let gpu = self.cluster.gpu(r);
+        let mut state = self.st[ri]
+            .accum
+            .take()
+            .expect("accumulate state initialized");
+        let t = self
+            .job
+            .map_accumulate(gpu, c.ready, &c.chunk, &mut state)?;
+        if self.st[ri].kill_at.is_some_and(|k| k <= t) {
+            // The device died before this map finished. The whole
+            // accumulate state dies with it, so every chunk it covered —
+            // plus this one — reruns on survivors.
+            drop(state);
+            return self.kill_rank(r, t, Some((c.id, c.chunk)));
+        }
+        self.tel
+            .child_event(r, TraceKind::Map, c.ready, t, c.span, || {
+                "map+accumulate".into()
+            });
+        self.tel.chunk_span(r, c.span, c.id, c.up_start, t);
+        // Accumulate folds emissions into device state, so the commit
+        // hashes the chunk itself: replay re-folds it.
+        self.tel.journal(r, t, || JournalRecord::ChunkCommit {
+            chunk_id: c.id,
+            rank: r,
+            pairs: c.chunk.item_count() as u64,
+            hash: fnv1a(&c.chunk.serialize()),
+        })?;
+        gpu.note_resident(self.staging_slots * c.chunk.size_bytes() + state.size_bytes());
+        self.st[ri].accum = Some(state);
+        self.chunk_mapped(r, c.up_start, t);
+        if self.st[ri].kill_at.is_some() {
+            self.st[ri].processed.push((c.id, c.chunk));
+        }
+        Ok(())
+    }
+
+    /// Map a staged chunk to pairs (plus Partial Reduce when configured),
+    /// then either park them host-side for the global Combine or bin them
+    /// right away.
+    fn map_plain(&mut self, r: u32, c: Staged<J::Chunk>) -> EngineResult<()> {
+        let ri = r as usize;
+        let gpu = self.cluster.gpu(r);
+        let (mut pairs, mut t) = self.job.map(gpu, c.ready, &c.chunk)?;
+        let map_end = t;
+        let map_pairs = pairs.len();
+        let mut partial = None;
+        if self.cfg.map_mode == MapMode::PartialReduce {
+            let (p, tp) = self.job.partial_reduce(gpu, t, pairs)?;
+            partial = Some((t, tp, p.len()));
+            pairs = p;
+            t = tp;
+        }
+        if self.st[ri].kill_at.is_some_and(|k| k <= t) {
+            // Kernels never completed: nothing was emitted, and the chunk
+            // reruns on a survivor.
+            drop(pairs);
+            return self.kill_rank(r, t, Some((c.id, c.chunk)));
+        }
+        self.tel.journal(r, t, || JournalRecord::ChunkCommit {
+            chunk_id: c.id,
+            rank: r,
+            pairs: pairs.len() as u64,
+            hash: hash_pairs(&pairs.keys, &pairs.vals),
+        })?;
+        self.tel
+            .child_event(r, TraceKind::Map, c.ready, map_end, c.span, || {
+                format!("{map_pairs} pairs")
+            });
+        if let Some((pr_start, pr_end, pr_pairs)) = partial {
+            self.tel.child_event(
+                r,
+                TraceKind::PartialReduce,
+                pr_start,
+                pr_end,
+                c.span,
+                || format!("-> {pr_pairs} pairs"),
+            );
+        }
+        self.tel.pairs_emitted.add(map_pairs as u64);
+        gpu.note_resident(c.chunk.size_bytes() + pairs.size_bytes());
+        let chunk_end = if self.cfg.combine {
+            // Pairs are stored in CPU memory until all maps finish.
+            let down = gpu.d2h(t, pairs.size_bytes());
+            let s = &mut self.st[ri];
+            s.store.append(pairs);
+            s.last_d2h = s.last_d2h.max(down.end);
+            down.end
+        } else {
+            // Partition on the GPU, download, and bin immediately —
+            // overlapped with the next chunk's upload and map.
+            self.ship(r, r, t, pairs, c.id, Some(c.span))?
+        };
+        self.tel.chunk_span(r, c.span, c.id, c.up_start, chunk_end);
+        self.chunk_mapped(r, c.up_start, t);
+        Ok(())
+    }
+
+    /// Book a chunk whose map finished at `t` on rank `r`. The host is
+    /// free to dispatch again once the chunk's upload has left the queue
+    /// (`up_start`); the staging gate and the compute timeline keep the
+    /// device honest.
+    fn chunk_mapped(&mut self, r: u32, up_start: SimTime, t: SimTime) {
+        let s = &mut self.st[r as usize];
+        s.last_map_end = s.last_map_end.max(t);
+        s.cursor = up_start;
+        s.inflight.push_back(t);
+        s.chunks_done += 1;
+    }
+
+    /// Partition `pairs` into one bucket per reducer (the ranks that
+    /// started the job; elastic adds are excluded so the destination set —
+    /// and the output — is independent of mid-job joins); bucket `i` goes
+    /// to `self.reducers[i]`. Each bucket carries the largest key radix it
+    /// holds (the pass touches every key anyway), so the receiver sizes
+    /// its radix sort without a max-radix reduction.
+    fn route(&self, pairs: KvSet<J::Key, J::Value>) -> Vec<Bucket<J>> {
+        let nred = self.reducers.len() as u32;
+        match &self.cfg.partition {
+            PartitionMode::None => {
+                let max_radix = pairs.keys.iter().map(|k| k.radix()).max().unwrap_or(0);
+                vec![(pairs, max_radix)]
             }
-            MapMode::Plain | MapMode::PartialReduce => {
-                let (mut pairs, mut t) = job.map(gpu, up.end.max(compute_ready), &chunk)?;
-                let map_end = t;
-                let map_pairs = pairs.len();
-                let mut partial = None;
-                if cfg.map_mode == MapMode::PartialReduce {
-                    let (p, tp) = job.partial_reduce(gpu, t, pairs)?;
-                    partial = Some((t, tp, p.len()));
-                    pairs = p;
-                    t = tp;
-                }
-                if kill_at[ri].is_some_and(|k| k <= t) {
-                    // Kernels never completed: nothing was emitted, and the
-                    // chunk reruns on a survivor.
-                    drop(pairs);
-                    kill_rank(
-                        r,
-                        t,
-                        Some((chunk_id, chunk)),
-                        &mut queues,
-                        &mut st,
-                        cluster,
-                        tuning,
-                        &tel,
-                        &mut jctx,
-                        &mut displaced,
-                    )?;
-                    continue;
-                }
-                let commit = jctx
-                    .as_ref()
-                    .map(|ctx| (ctx.hash_pairs)(&pairs.keys, &pairs.vals));
-                if let Some(hash) = commit {
-                    jrecord(
-                        &mut jctx,
-                        &tel,
-                        r,
-                        t,
-                        JournalRecord::ChunkCommit {
-                            chunk_id,
-                            rank: r,
-                            pairs: pairs.len() as u64,
-                            hash,
-                        },
-                    )?;
-                }
-                tel.child_event(
-                    r,
-                    TraceKind::Map,
-                    up.end.max(compute_ready),
-                    map_end,
-                    chunk_span,
-                    || format!("{map_pairs} pairs"),
-                );
-                if let Some((pr_start, pr_end, pr_pairs)) = partial {
-                    tel.child_event(
-                        r,
-                        TraceKind::PartialReduce,
-                        pr_start,
-                        pr_end,
-                        chunk_span,
-                        || format!("-> {pr_pairs} pairs"),
-                    );
-                }
-                tel.pairs_emitted.add(map_pairs as u64);
-                gpu.note_resident(chunk.size_bytes() + pairs.size_bytes());
-                if cfg.combine {
-                    // Pairs are stored in CPU memory until all maps finish.
-                    let down = gpu.d2h(t, pairs.size_bytes());
-                    tel.chunk_span(r, chunk_span, chunk_id, up.start, down.end);
-                    let s = &mut st[ri];
-                    s.store.append(pairs);
-                    s.last_d2h = s.last_d2h.max(down.end);
-                    s.last_map_end = s.last_map_end.max(t);
-                    s.cursor = up.start;
-                    s.inflight.push_back(t);
-                    s.chunks_done += 1;
-                } else {
-                    // Partition on the GPU, download, and bin immediately —
-                    // overlapped with the next chunk's upload and map.
-                    let t_part = charge_partition::<J::Key, J::Value>(gpu, t, pairs.len());
-                    // GPU-direct networking (the paper's future-work
-                    // hardware): pairs leave the GPU through the NIC
-                    // without the PCI-e round trip through host memory.
-                    let send_ready = if gpu_direct {
-                        t_part
-                    } else {
-                        let down = gpu.d2h(t_part, pairs.size_bytes());
-                        tel.child_event(
-                            r,
-                            TraceKind::Download,
-                            down.start,
-                            down.end,
-                            chunk_span,
-                            || format!("{} bytes", pairs.size_bytes()),
-                        );
-                        down.end
-                    };
-                    tel.child_event(r, TraceKind::Partition, t, t_part, chunk_span, || {
-                        String::new()
-                    });
-                    tel.pairs_shuffled.add(pairs.len() as u64);
-                    let buckets = route_pairs(job, &cfg.partition, pairs, &reducers, ranks);
-                    let mut bin_done = st[ri].bin_done;
-                    let mut chunk_end = send_ready;
-                    for (dest, bucket) in buckets.into_iter().enumerate() {
-                        if bucket.pairs.is_empty() {
-                            continue;
-                        }
-                        let bytes = bucket.pairs.size_bytes();
-                        let arrival = transfer_with_retry(
-                            cluster.fabric(),
-                            r,
-                            dest as u32,
-                            send_ready,
-                            bytes,
-                            tuning,
-                            &tel,
-                        )?;
-                        mailbox.deliver(dest as u32, r, chunk_id, arrival, bucket);
-                        tel.child_event(
-                            r,
-                            TraceKind::Send,
-                            send_ready,
-                            arrival,
-                            chunk_span,
-                            || format!("{bytes} bytes to rank {dest}"),
-                        );
-                        bin_done = bin_done.max(arrival);
-                        chunk_end = chunk_end.max(arrival);
+            PartitionMode::RoundRobin => {
+                split_buckets_bounded(pairs, nred, |k| (k.radix() % u64::from(nred)) as u32)
+            }
+            PartitionMode::Custom => {
+                split_buckets_bounded(pairs, nred, |k| self.job.partition(k, nred))
+            }
+            PartitionMode::Range { splitters } => split_buckets_bounded(pairs, nred, |k| {
+                splitters.partition_point(|&s| s <= k.radix()) as u32
+            }),
+        }
+    }
+
+    /// Time a transfer through the fabric, retrying plan-injected failures
+    /// with capped exponential backoff. Returns the arrival instant at
+    /// `to`, or [`EngineError::TransferFailed`] once the retry budget is
+    /// exhausted.
+    fn transfer(
+        &mut self,
+        from: u32,
+        to: u32,
+        mut ready: SimTime,
+        bytes: u64,
+    ) -> EngineResult<SimTime> {
+        let tuning = &self.tuning;
+        let mut attempt = 0u32;
+        loop {
+            match self
+                .cluster
+                .fabric()
+                .try_send(from, to, ready, bytes, attempt)
+            {
+                Ok(arrival) => return Ok(arrival),
+                Err(fault) => {
+                    attempt += 1;
+                    self.tel.retries.inc();
+                    if attempt > tuning.max_transfer_retries {
+                        return Err(EngineError::TransferFailed { attempt, fault });
                     }
-                    tel.chunk_span(r, chunk_span, chunk_id, up.start, chunk_end);
-                    let s = &mut st[ri];
-                    s.bin_done = bin_done;
-                    s.last_map_end = s.last_map_end.max(t);
-                    s.cursor = up.start;
-                    s.inflight.push_back(t);
-                    s.chunks_done += 1;
+                    let backoff = SimDuration::from_secs(
+                        (tuning.retry_backoff_base_s * f64::from(1u32 << (attempt - 1).min(31)))
+                            .min(tuning.retry_backoff_cap_s),
+                    );
+                    self.tel
+                        .event(from, TraceKind::Retry, ready, ready + backoff, || {
+                            format!("transfer to rank {to} failed (attempt {attempt}); backing off")
+                        });
+                    ready += backoff;
                 }
             }
         }
     }
 
-    // --- Caller-requested stop ------------------------------------------
-    // Every rank halted at a chunk boundary at or after `stop_at`. Drain
-    // the leftover queues so no chunk stays parked in scheduler state, and
-    // account for the whole input: chunks committed by maps plus chunks
-    // released here cover every dispatched chunk (fault-plan kills may
-    // rerun chunks, which only raises the committed count). Device memory
-    // holds no engine allocations across chunks (working sets are modeled
-    // via `note_resident`), so dropping per-rank state releases everything.
-    if let Some(stop) = control.stop_at {
-        let chunks_committed: u32 = st.iter().map(|s| s.chunks_done).sum();
-        let chunks_released = queues.drain_all().len() as u32;
-        tel.event(0, TraceKind::Cancelled, stop, stop, || {
+    /// Bin `pairs` produced for rank `from`: partition them on `exec`'s
+    /// GPU (`from` itself unless its GPU is lost) from instant `at`, bring
+    /// them to the host — unless GPU-direct networking, the paper's
+    /// future-work hardware, lets the NIC source them from the GPU — and
+    /// send every non-empty bucket through the fabric into its reducer's
+    /// mailbox under canonical sequence number `seq`. Per-chunk shipments
+    /// get Download/Partition spans under the chunk's container span; the
+    /// deferred whole-rank ones record only their sends. Returns the
+    /// instant the last bucket arrived.
+    fn ship(
+        &mut self,
+        from: u32,
+        exec: u32,
+        at: SimTime,
+        pairs: KvSet<J::Key, J::Value>,
+        seq: u64,
+        chunk_span: Option<u64>,
+    ) -> EngineResult<SimTime> {
+        let parent = chunk_span.unwrap_or(0);
+        let gpu = self.cluster.gpu(exec);
+        let t_part = charge_partition::<J::Key, J::Value>(gpu, at, pairs.len());
+        let send_ready = if self.gpu_direct {
+            t_part
+        } else {
+            let down = gpu.d2h(t_part, pairs.size_bytes());
+            if chunk_span.is_some() {
+                self.tel.child_event(
+                    from,
+                    TraceKind::Download,
+                    down.start,
+                    down.end,
+                    parent,
+                    || format!("{} bytes", pairs.size_bytes()),
+                );
+            }
+            down.end
+        };
+        if chunk_span.is_some() {
+            self.tel
+                .child_event(from, TraceKind::Partition, at, t_part, parent, String::new);
+        }
+        self.tel.pairs_shuffled.add(pairs.len() as u64);
+        let mut end = send_ready;
+        for (i, (pairs, max_radix)) in self.route(pairs).into_iter().enumerate() {
+            if pairs.is_empty() {
+                continue;
+            }
+            let dest = self.reducers[i];
+            let bytes = pairs.size_bytes();
+            let arrival = self.transfer(from, dest, send_ready, bytes)?;
+            self.mailbox
+                .deliver(dest, from, seq, arrival, (pairs, max_radix));
+            self.tel
+                .child_event(from, TraceKind::Send, send_ready, arrival, parent, || {
+                    format!("{bytes} bytes to rank {dest}")
+                });
+            let s = &mut self.st[from as usize];
+            s.bin_done = s.bin_done.max(arrival);
+            end = end.max(arrival);
+        }
+        Ok(end)
+    }
+
+    /// Handle a fail-stop GPU loss on rank `r` detected at simulated
+    /// instant `now`: mark the rank dead, collect every chunk whose work
+    /// died with the device (the in-flight chunk, anything still queued,
+    /// and — in accumulate mode — chunks already folded into the lost
+    /// GPU-resident state), and migrate them to surviving ranks
+    /// round-robin, charging the fabric for each move. Errors with
+    /// [`EngineError::GpuLost`] when no rank survives.
+    fn kill_rank(
+        &mut self,
+        r: u32,
+        now: SimTime,
+        in_flight: Option<(u64, J::Chunk)>,
+    ) -> EngineResult<()> {
+        let ri = r as usize;
+        self.tel.gpus_lost.inc();
+        self.tel
+            .journal(r, now, || JournalRecord::GpuLost { rank: r })?;
+        self.st[ri].alive = false;
+        self.st[ri].active = false;
+        self.st[ri].accum = None;
+        let mut orphans: Vec<(u64, J::Chunk)> = std::mem::take(&mut self.st[ri].processed);
+        orphans.extend(in_flight);
+        orphans.extend(self.queues.drain_rank(r));
+        // Canonical migration order, independent of how the orphans mixed.
+        orphans.sort_by_key(|&(id, _)| id);
+        self.tel.event(r, TraceKind::GpuLost, now, now, || {
+            format!("GPU lost; {} chunks orphaned", orphans.len())
+        });
+        let live: Vec<u32> = (0..self.ranks())
+            .filter(|&x| self.st[x as usize].alive)
+            .collect();
+        if live.is_empty() {
+            return Err(EngineError::GpuLost { rank: r });
+        }
+        // Spread orphans over survivors, starting just past the victim. The
+        // chunk data sits in the victim's *host* memory (chunks are streamed
+        // from rank-local storage and Bin is a CPU stage), so the surviving
+        // host forwards it across the fabric even though its GPU is gone.
+        let first = live.iter().position(|&x| x > r).unwrap_or(0);
+        for (i, (id, chunk)) in orphans.into_iter().enumerate() {
+            let dest = live[(first + i) % live.len()];
+            // The chunk leaves its home rank: any device residency is gone.
+            self.displaced.insert(id);
+            let bytes = chunk.serialize().len() as u64;
+            let arrival = self.transfer(r, dest, now, bytes)?;
+            self.tel.event(r, TraceKind::Requeue, now, arrival, || {
+                format!("chunk {id} -> rank {dest}")
+            });
+            self.tel.journal(r, arrival, || JournalRecord::Requeue {
+                chunk_id: id,
+                from: r,
+                to: dest,
+            })?;
+            self.queues.push_back(dest, (id, chunk));
+            let d = &mut self.st[dest as usize];
+            d.cursor = d.cursor.max(arrival);
+            d.active = true;
+            self.tel.requeued.inc();
+        }
+        Ok(())
+    }
+
+    /// Caller-requested stop: every rank halted at a chunk boundary at or
+    /// after `stop_at`. Drain the leftover queues so no chunk stays parked
+    /// in scheduler state, and account for the whole input: chunks
+    /// committed by maps plus chunks released here cover every dispatched
+    /// chunk (fault-plan kills may rerun chunks, which only raises the
+    /// committed count). Device memory holds no engine allocations across
+    /// chunks (working sets are modeled via `note_resident`), so dropping
+    /// per-rank state releases everything.
+    fn stop(&mut self) -> EngineResult<()> {
+        let Some(stop) = self.control.stop_at else {
+            return Ok(());
+        };
+        let chunks_committed: u32 = self.st.iter().map(|s| s.chunks_done).sum();
+        let chunks_released = self.queues.drain_all().len() as u32;
+        self.tel.event(0, TraceKind::Cancelled, stop, stop, || {
             format!(
                 "run stopped: {chunks_committed} chunk(s) committed, {chunks_released} released"
             )
         });
-        cluster.flush_telemetry();
-        return Err(EngineError::Cancelled {
+        self.cluster.flush_telemetry();
+        Err(EngineError::Cancelled {
             at_ns: (stop.as_secs() * 1e9).round() as u64,
             chunks_committed,
             chunks_released,
-        });
+        })
     }
 
-    // --- Deferred binning (Accumulate / Combine) -------------------------
-    match cfg.map_mode {
-        MapMode::Accumulate => {
-            for r in 0..ranks {
-                let ri = r as usize;
-                if !st[ri].alive {
-                    // The accumulate state died with the device; its chunks
-                    // were rerun on survivors, so there is nothing to ship.
-                    continue;
-                }
-                let state = st[ri].accum.take().unwrap_or_default();
-                // Accumulate-mode maps fold emissions into device state
-                // immediately, so the committed accumulator entries are the
-                // map output: count them as emitted here, where the state
-                // is committed for binning (keeps `pairs_emitted >=
-                // pairs_shuffled` in every map mode, and counts nothing for
-                // state that died with its GPU and was rerun elsewhere).
-                tel.pairs_emitted.add(state.len() as u64);
-                tel.pairs_shuffled.add(state.len() as u64);
-                let gpu = cluster.gpu(r);
-                let t_part =
-                    charge_partition::<J::Key, J::Value>(gpu, st[ri].last_map_end, state.len());
-                let send_ready = if gpu_direct {
-                    t_part
-                } else {
-                    gpu.d2h(t_part, state.size_bytes()).end
-                };
-                let buckets = route_pairs(job, &cfg.partition, state, &reducers, ranks);
-                let mut bin_done = st[ri].bin_done;
-                for (dest, bucket) in buckets.into_iter().enumerate() {
-                    if bucket.pairs.is_empty() {
+    /// Deferred binning: Accumulate ships each rank's folded state, the
+    /// global Combine ships each rank's combined store.
+    fn bin_deferred(&mut self) -> EngineResult<()> {
+        match self.cfg.map_mode {
+            MapMode::Accumulate => {
+                for r in 0..self.ranks() {
+                    let ri = r as usize;
+                    if !self.st[ri].alive {
+                        // The accumulate state died with the device; its chunks
+                        // were rerun on survivors, so there is nothing to ship.
                         continue;
                     }
-                    let bytes = bucket.pairs.size_bytes();
-                    let arrival = transfer_with_retry(
-                        cluster.fabric(),
-                        r,
-                        dest as u32,
-                        send_ready,
-                        bytes,
-                        tuning,
-                        &tel,
-                    )?;
-                    mailbox.deliver(dest as u32, r, n_chunks + u64::from(r), arrival, bucket);
-                    tel.event(r, TraceKind::Send, send_ready, arrival, || {
-                        format!("{bytes} bytes to rank {dest}")
-                    });
-                    bin_done = bin_done.max(arrival);
+                    let state = self.st[ri].accum.take().unwrap_or_default();
+                    // Accumulate-mode maps fold emissions into device state
+                    // immediately, so the committed accumulator entries are the
+                    // map output: count them as emitted here, where the state
+                    // is committed for binning (keeps `pairs_emitted >=
+                    // pairs_shuffled` in every map mode, and counts nothing for
+                    // state that died with its GPU and was rerun elsewhere).
+                    self.tel.pairs_emitted.add(state.len() as u64);
+                    let at = self.st[ri].last_map_end;
+                    self.ship(r, r, at, state, self.n_chunks + u64::from(r), None)?;
                 }
-                st[ri].bin_done = bin_done;
             }
-        }
-        MapMode::Plain | MapMode::PartialReduce if cfg.combine => {
-            for r in 0..ranks {
-                let ri = r as usize;
-                let store = std::mem::take(&mut st[ri].store);
-                if store.is_empty() {
-                    continue;
-                }
-                // The store lives in host memory, so it survives a GPU
-                // loss; a lost rank's combine runs on a surviving GPU.
-                let exec = if st[ri].alive {
-                    r
-                } else {
-                    takeover(r, &st).expect("kill_rank guarantees a survivor")
-                };
-                let t0 = st[ri].last_map_end.max(st[ri].last_d2h);
-                let gpu = cluster.gpu(exec);
-                // Stream stored pairs back down to the GPU for combination.
-                let up = gpu.h2d(t0, store.size_bytes());
-                let (combined, t1) =
-                    combine_pairs(gpu, up.end, store, |a, b| job.combine_op(a, b))?;
-                tel.event(r, TraceKind::Combine, up.start, t1, || {
-                    let note = if exec == r {
-                        String::new()
-                    } else {
-                        format!(" (on rank {exec})")
-                    };
-                    format!("-> {} pairs{note}", combined.len())
-                });
-                tel.pairs_shuffled.add(combined.len() as u64);
-                let t_part = charge_partition::<J::Key, J::Value>(gpu, t1, combined.len());
-                let send_ready = if gpu_direct {
-                    t_part
-                } else {
-                    gpu.d2h(t_part, combined.size_bytes()).end
-                };
-                let buckets = route_pairs(job, &cfg.partition, combined, &reducers, ranks);
-                let mut bin_done = st[ri].bin_done;
-                for (dest, bucket) in buckets.into_iter().enumerate() {
-                    if bucket.pairs.is_empty() {
+            MapMode::Plain | MapMode::PartialReduce if self.cfg.combine => {
+                for r in 0..self.ranks() {
+                    let ri = r as usize;
+                    let store = std::mem::take(&mut self.st[ri].store);
+                    if store.is_empty() {
                         continue;
                     }
-                    let bytes = bucket.pairs.size_bytes();
-                    let arrival = transfer_with_retry(
-                        cluster.fabric(),
-                        r,
-                        dest as u32,
-                        send_ready,
-                        bytes,
-                        tuning,
-                        &tel,
-                    )?;
-                    mailbox.deliver(dest as u32, r, n_chunks + u64::from(r), arrival, bucket);
-                    tel.event(r, TraceKind::Send, send_ready, arrival, || {
-                        format!("{bytes} bytes to rank {dest}")
+                    // The store lives in host memory, so it survives a GPU
+                    // loss; a lost rank's combine runs on a surviving GPU.
+                    let exec = self.exec_rank(r);
+                    let t0 = self.st[ri].last_map_end.max(self.st[ri].last_d2h);
+                    let gpu = self.cluster.gpu(exec);
+                    // Stream stored pairs back down to the GPU for combination.
+                    let up = gpu.h2d(t0, store.size_bytes());
+                    let (combined, t1) =
+                        combine_pairs(gpu, up.end, store, |a, b| self.job.combine_op(a, b))?;
+                    self.tel.event(r, TraceKind::Combine, up.start, t1, || {
+                        format!("-> {} pairs{}", combined.len(), exec_note(r, exec))
                     });
-                    bin_done = bin_done.max(arrival);
+                    self.ship(r, exec, t1, combined, self.n_chunks + u64::from(r), None)?;
                 }
-                st[ri].bin_done = bin_done;
             }
+            _ => {}
         }
-        _ => {}
+        Ok(())
     }
 
-    // --- Sort + Reduce stages --------------------------------------------
-    // Drain all inbound pairs first: sort-readiness must be known for
-    // every rank before lost GPUs are assigned takeover ranks. Deliveries
-    // are consumed in canonical (chunk-id, sender) order, so the
-    // concatenated set is identical no matter how faults, retries, or
-    // stalls reshuffled arrival times.
-    let mut inbound: Vec<Inbound<J::Key, J::Value>> = Vec::with_capacity(ranks as usize);
-    for r in 0..ranks {
-        let ri = r as usize;
-        let deliveries = mailbox.drain_canonical(r);
-        let mut incoming: KvSet<J::Key, J::Value> =
-            KvSet::with_capacity(deliveries.iter().map(|d| d.payload.pairs.len()).sum());
+    /// Sort + Reduce stages: every rank sorts and reduces what it was
+    /// sent; returns the per-rank outputs.
+    fn sort_reduce(&mut self) -> EngineResult<Vec<KvSet<J::Key, J::Value>>> {
+        // Drain all inbound pairs first: sort-readiness must be known for
+        // every rank before lost GPUs are assigned takeover ranks.
+        let inbound: Vec<Inbound<J::Key, J::Value>> =
+            (0..self.ranks()).map(|r| self.drain_inbound(r)).collect();
+
+        // A rank whose GPU died after its map work completed is discovered
+        // here: its sort and reduce run on the next surviving rank, with the
+        // output still stored in the lost rank's slot.
+        let mut last_sort_loss = None;
+        for r in 0..self.ranks() {
+            let s = &mut self.st[r as usize];
+            let sort_ready = s.sort_ready;
+            if s.alive && s.kill_at.is_some_and(|k| k <= sort_ready) {
+                s.alive = false;
+                self.tel.gpus_lost.inc();
+                last_sort_loss = Some(r);
+                self.tel
+                    .event(r, TraceKind::GpuLost, sort_ready, sort_ready, || {
+                        "GPU lost before sort".to_string()
+                    });
+                self.tel
+                    .journal(r, sort_ready, || JournalRecord::GpuLost { rank: r })?;
+            }
+        }
+        if self.st.iter().all(|s| !s.alive) {
+            return Err(EngineError::GpuLost {
+                rank: last_sort_loss.unwrap_or(0),
+            });
+        }
+
+        let mut outputs = Vec::with_capacity(inbound.len());
+        for (r, inb) in (0..self.ranks()).zip(inbound) {
+            outputs.push(self.sort_reduce_rank(r, inb)?);
+        }
+        // Job is done: publish each device's memory high-water mark to its
+        // `gpu.rank{r}.mem_peak_bytes` gauge (teardown flush).
+        self.cluster.flush_telemetry();
+        Ok(outputs)
+    }
+
+    /// Collect rank `r`'s mailbox and fix its sort-readiness. Deliveries
+    /// are consumed in canonical (chunk-id, sender) order, so the
+    /// concatenated set is identical no matter how faults, retries, or
+    /// stalls reshuffled arrival times.
+    fn drain_inbound(&mut self, r: u32) -> Inbound<J::Key, J::Value> {
+        let deliveries = self.mailbox.drain_canonical(r);
+        let mut pairs: KvSet<J::Key, J::Value> =
+            KvSet::with_capacity(deliveries.iter().map(|d| d.payload.0.len()).sum());
         let mut last_arrival = SimTime::ZERO;
         let mut parts = Vec::with_capacity(deliveries.len());
         let mut max_radix = 0u64;
         for d in deliveries {
+            let (bucket, radix) = d.payload;
             last_arrival = last_arrival.max(d.arrival);
-            max_radix = max_radix.max(d.payload.max_radix);
-            parts.push((d.arrival, d.payload.pairs.size_bytes()));
-            incoming.append(d.payload.pairs);
+            max_radix = max_radix.max(radix);
+            parts.push((d.arrival, bucket.size_bytes()));
+            pairs.append(bucket);
         }
-        st[ri].sort_ready = st[ri].last_map_end.max(st[ri].bin_done).max(last_arrival);
-        inbound.push(Inbound {
-            pairs: incoming,
+        let s = &mut self.st[r as usize];
+        s.sort_ready = s.last_map_end.max(s.bin_done).max(last_arrival);
+        Inbound {
+            pairs,
             parts,
             max_radix,
-        });
-    }
-
-    // A rank whose GPU died after its map work completed is discovered
-    // here: its sort and reduce run on the next surviving rank, with the
-    // output still stored in the lost rank's slot.
-    let mut last_sort_loss = None;
-    for r in 0..ranks {
-        let ri = r as usize;
-        if st[ri].alive && kill_at[ri].is_some_and(|k| k <= st[ri].sort_ready) {
-            st[ri].alive = false;
-            tel.gpus_lost.inc();
-            last_sort_loss = Some(r);
-            tel.event(
-                r,
-                TraceKind::GpuLost,
-                st[ri].sort_ready,
-                st[ri].sort_ready,
-                || "GPU lost before sort".to_string(),
-            );
-            jrecord(
-                &mut jctx,
-                &tel,
-                r,
-                st[ri].sort_ready,
-                JournalRecord::GpuLost { rank: r },
-            )?;
         }
     }
-    if st.iter().all(|s| !s.alive) {
-        return Err(EngineError::GpuLost {
-            rank: last_sort_loss.unwrap_or(0),
-        });
-    }
 
-    let mut outputs: Vec<KvSet<J::Key, J::Value>> = Vec::with_capacity(ranks as usize);
-    for (r, inb) in (0..ranks).zip(inbound) {
+    /// Sort and reduce what rank `r` received (on a takeover rank when
+    /// `r`'s GPU is lost), returning its output.
+    fn sort_reduce_rank(
+        &mut self,
+        r: u32,
+        inb: Inbound<J::Key, J::Value>,
+    ) -> EngineResult<KvSet<J::Key, J::Value>> {
         let ri = r as usize;
-        let sort_ready = st[ri].sort_ready;
+        let sort_ready = self.st[ri].sort_ready;
         let incoming = inb.pairs;
 
-        if !cfg.sort_and_reduce || incoming.is_empty() {
-            st[ri].sort_done = sort_ready;
-            st[ri].reduce_done = sort_ready;
-            let hash = jctx
-                .as_ref()
-                .map(|ctx| (ctx.hash_pairs)(&incoming.keys, &incoming.vals));
-            if let Some(hash) = hash {
-                jrecord(
-                    &mut jctx,
-                    &tel,
-                    r,
-                    sort_ready,
-                    JournalRecord::BinReduced {
-                        rank: r,
-                        pairs: incoming.len() as u64,
-                        hash,
-                    },
-                )?;
-            }
-            outputs.push(incoming);
-            continue;
+        if !self.cfg.sort_and_reduce || incoming.is_empty() {
+            self.st[ri].sort_done = sort_ready;
+            self.st[ri].reduce_done = sort_ready;
+            self.tel
+                .journal(r, sort_ready, || JournalRecord::BinReduced {
+                    rank: r,
+                    pairs: incoming.len() as u64,
+                    hash: hash_pairs(&incoming.keys, &incoming.vals),
+                })?;
+            return Ok(incoming);
         }
 
-        let exec = if st[ri].alive {
-            r
-        } else {
-            takeover(r, &st).expect("a live rank exists")
-        };
-        let exec_note = if exec == r {
-            String::new()
-        } else {
-            format!(" (on rank {exec})")
-        };
+        let exec = self.exec_rank(r);
+        let bytes = incoming.size_bytes();
+        let device_ready = self.upload_sort_input(r, exec, inb.parts, bytes);
 
-        // Sort input: stream inbound buckets up to the device as they
-        // arrive, overlapping the upload with the map/bin tail instead of
-        // paying one bulk transfer after the last arrival. The host stages
-        // arrivals in a pinned buffer and coalesces everything that lands
-        // while the previous DMA is in flight into the next one, so
-        // hundreds of small deliveries cost a handful of transfers — not
-        // one initiation latency each. Free with GPU-direct networking —
-        // the pairs arrived in device memory.
-        let gpu = cluster.gpu(exec);
-        let mut device_ready = sort_ready;
-        if !gpu_direct {
-            let mut parts = inb.parts;
-            parts.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-            let mut first_start: Option<SimTime> = None;
-            let mut last_end = sort_ready;
-            let mut transfers = 0u32;
-            let mut i = 0usize;
-            while i < parts.len() {
-                let issue = parts[i].0.max(gpu.copy_free_at());
-                let mut bytes = 0u64;
-                while i < parts.len() && parts[i].0 <= issue {
-                    bytes += parts[i].1;
-                    i += 1;
-                }
-                let u = gpu.h2d(issue, bytes);
-                first_start.get_or_insert(u.start);
-                last_end = u.end;
-                transfers += 1;
-            }
-            device_ready = device_ready.max(last_end);
-            if let Some(first) = first_start {
-                tel.event(r, TraceKind::Upload, first, last_end, || {
-                    format!(
-                        "{} bytes of sort input in {transfers} transfers{exec_note}",
-                        incoming.size_bytes(),
-                    )
-                });
-            }
-        }
         // Out-of-core sort: when the pairs (with the sort's ping-pong
         // buffer) exceed device memory, external passes stream the data
         // back and forth across PCI-e. This is what makes SIO's speedup
         // super-linear at the GPU count where the data first fits in core
         // (paper Figure 3).
+        let gpu = self.cluster.gpu(exec);
         let mut sort_start = device_ready;
         let capacity = gpu.mem.capacity();
-        let need = 2 * incoming.size_bytes();
+        let need = 2 * bytes;
         // In-core working set: pairs plus the ping-pong buffer, capped at
         // device capacity when the sort spills out of core.
         gpu.note_resident(if capacity > 0 {
@@ -1589,24 +1389,22 @@ fn run_job_impl<J: GpmrJob>(
             need
         });
         if capacity > 0 && need > capacity {
-            let extra_passes = need / capacity;
-            for _ in 0..extra_passes {
-                let d = gpu.d2h(sort_start, incoming.size_bytes());
-                let u = gpu.h2d(d.end, incoming.size_bytes());
+            for _ in 0..need / capacity {
+                let d = gpu.d2h(sort_start, bytes);
+                let u = gpu.h2d(d.end, bytes);
                 sort_start = u.end;
             }
         }
         // The partitioner already bounded every bucket's key range while
         // routing, so the sort starts on the right digit count without a
         // max-radix reduction pass.
-        let (skeys, svals, t1) = match cfg.sort {
-            SortMode::Radix => sort_pairs_with_bits_config(
+        let (skeys, svals, t1) = match self.cfg.sort {
+            SortMode::Radix => sort_pairs_with_bits(
                 gpu,
                 sort_start,
                 &incoming.keys,
                 &incoming.vals,
                 bits_for_radix(inb.max_radix),
-                &sort_cfg,
             )?,
             SortMode::Bitonic => {
                 bitonic_sort_pairs_by(gpu, sort_start, &incoming.keys, &incoming.vals, |a, b| {
@@ -1615,42 +1413,105 @@ fn run_job_impl<J: GpmrJob>(
             }
         };
         let (segs, t2) = extract_segments(gpu, t1, &skeys)?;
-        tel.event(r, TraceKind::Sort, device_ready, t2, || {
+        self.tel.event(r, TraceKind::Sort, device_ready, t2, || {
             format!(
-                "{} pairs, {} unique keys{exec_note}",
+                "{} pairs, {} unique keys{}",
                 skeys.len(),
-                segs.len()
+                segs.len(),
+                exec_note(r, exec)
             )
         });
-        let sorted = jctx.as_ref().map(|ctx| (ctx.hash_pairs)(&skeys, &svals));
-        if let Some(hash) = sorted {
-            jrecord(
-                &mut jctx,
-                &tel,
-                r,
-                t2,
-                JournalRecord::BinSorted {
-                    rank: r,
-                    pairs: skeys.len() as u64,
-                    unique: segs.len() as u64,
-                    hash,
-                },
-            )?;
-        }
-        st[ri].sort_done = t2;
+        self.tel.journal(r, t2, || JournalRecord::BinSorted {
+            rank: r,
+            pairs: skeys.len() as u64,
+            unique: segs.len() as u64,
+            hash: hash_pairs(&skeys, &svals),
+        })?;
+        self.st[ri].sort_done = t2;
         // Stage accounting: Bin absorbs the wait for arrivals and the
         // streamed input upload; Sort is kernel time only.
-        st[ri].sort_ready = device_ready;
+        self.st[ri].sort_ready = device_ready;
 
-        // Reduce: chunked by the job's callback. Typical reducers emit one
-        // pair per unique key, so size for that.
+        let out = self.reduce_segments(r, exec, t2, &segs, &svals)?;
+        let reduce_done = self.st[ri].reduce_done;
+        self.tel
+            .journal(r, reduce_done, || JournalRecord::BinReduced {
+                rank: r,
+                pairs: out.len() as u64,
+                hash: hash_pairs(&out.keys, &out.vals),
+            })?;
+        Ok(out)
+    }
+
+    /// Sort input: stream rank `r`'s inbound buckets (`parts`: arrival
+    /// instant and size of each) up to `exec`'s device as they arrive,
+    /// overlapping the upload with the map/bin tail instead of paying one
+    /// bulk transfer after the last arrival. The host stages arrivals in a
+    /// pinned buffer and coalesces everything that lands while the
+    /// previous DMA is in flight into the next one, so hundreds of small
+    /// deliveries cost a handful of transfers — not one initiation latency
+    /// each. Free with GPU-direct networking — the pairs arrived in device
+    /// memory. Returns the instant the input is on the device.
+    fn upload_sort_input(
+        &mut self,
+        r: u32,
+        exec: u32,
+        mut parts: Vec<(SimTime, u64)>,
+        total_bytes: u64,
+    ) -> SimTime {
+        let sort_ready = self.st[r as usize].sort_ready;
+        if self.gpu_direct {
+            return sort_ready;
+        }
+        let gpu = self.cluster.gpu(exec);
+        parts.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+        let mut first_start: Option<SimTime> = None;
+        let mut last_end = sort_ready;
+        let mut transfers = 0u32;
+        let mut i = 0usize;
+        while i < parts.len() {
+            let issue = parts[i].0.max(gpu.copy_free_at());
+            let mut bytes = 0u64;
+            while i < parts.len() && parts[i].0 <= issue {
+                bytes += parts[i].1;
+                i += 1;
+            }
+            let u = gpu.h2d(issue, bytes);
+            first_start.get_or_insert(u.start);
+            last_end = u.end;
+            transfers += 1;
+        }
+        if let Some(first) = first_start {
+            self.tel.event(r, TraceKind::Upload, first, last_end, || {
+                format!(
+                    "{total_bytes} bytes of sort input in {transfers} transfers{}",
+                    exec_note(r, exec)
+                )
+            });
+        }
+        sort_ready.max(last_end)
+    }
+
+    /// Reduce rank `r`'s sorted value sets, chunked by the job's callback,
+    /// on `exec`'s GPU from instant `at`, and bring the output to the host.
+    fn reduce_segments(
+        &mut self,
+        r: u32,
+        exec: u32,
+        at: SimTime,
+        segs: &Segments<J::Key>,
+        svals: &[J::Value],
+    ) -> EngineResult<KvSet<J::Key, J::Value>> {
+        let gpu = self.cluster.gpu(exec);
+        // Typical reducers emit one pair per unique key, so size for that.
         let mut out: KvSet<J::Key, J::Value> = KvSet::with_capacity(segs.len());
-        let mut t = t2;
+        let mut t = at;
         let mut i = 0usize;
         let val_bytes = std::mem::size_of::<J::Value>().max(1);
-        let reduce_budget = (capacity as usize / 4).max(val_bytes);
+        let reduce_budget = (gpu.mem.capacity() as usize / 4).max(val_bytes);
         while i < segs.len() {
-            let mut take = job
+            let mut take = self
+                .job
                 .reduce_sets_per_chunk(segs.len() - i)
                 .clamp(1, segs.len() - i);
             // Memory safety net: a reduce chunk's values must fit on the
@@ -1668,98 +1529,79 @@ fn run_job_impl<J: GpmrJob>(
                     .collect(),
             };
             let vals = &svals[segs.offsets[i]..segs.offsets[i + take]];
-            let (part, tn) = job.reduce(gpu, t, &sub, vals)?;
+            let (part, tn) = self.job.reduce(gpu, t, &sub, vals)?;
             out.append(part);
             t = tn;
             i += take;
         }
         let down = gpu.d2h(t, out.size_bytes());
-        tel.event(r, TraceKind::Reduce, t2, down.end, || {
-            format!("{} output pairs{exec_note}", out.len())
+        self.tel.event(r, TraceKind::Reduce, at, down.end, || {
+            format!("{} output pairs{}", out.len(), exec_note(r, exec))
         });
-        st[ri].reduce_done = down.end;
-        let reduced = jctx
-            .as_ref()
-            .map(|ctx| (ctx.hash_pairs)(&out.keys, &out.vals));
-        if let Some(hash) = reduced {
-            jrecord(
-                &mut jctx,
-                &tel,
-                r,
-                down.end,
-                JournalRecord::BinReduced {
-                    rank: r,
-                    pairs: out.len() as u64,
-                    hash,
-                },
-            )?;
-        }
-        outputs.push(out);
+        self.st[r as usize].reduce_done = down.end;
+        Ok(out)
     }
 
-    // Job is done: publish each device's memory high-water mark to its
-    // `gpu.rank{r}.mem_peak_bytes` gauge (teardown flush).
-    cluster.flush_telemetry();
-
-    // --- Assemble timings -------------------------------------------------
-    let makespan = st
-        .iter()
-        .map(|s| s.reduce_done)
-        .fold(SimTime::ZERO, SimTime::max);
-    if let Some(ctx) = jctx.as_ref() {
-        // Job-end manifest: a fold of every rank's output hash plus the
-        // exact makespan bits. A resumed run that reaches this record with
-        // the same values is bit-identical to the uninterrupted run.
-        let mut h = Fnv64::new();
-        for o in &outputs {
-            h.write_u64((ctx.hash_pairs)(&o.keys, &o.vals));
-        }
-        let rec = JournalRecord::JobEnd {
-            output_hash: h.finish(),
-            makespan_bits: makespan.since(SimTime::ZERO).as_secs().to_bits(),
-        };
-        jrecord(&mut jctx, &tel, 0, makespan, rec)?;
-    }
-    let per_rank: Vec<StageTimes> = st
-        .iter()
-        .map(|s| StageTimes {
-            map: s.last_map_end.since(s.setup_end),
-            bin: s.sort_ready.since(s.last_map_end.max(s.setup_end)),
-            sort: s.sort_done.since(s.sort_ready),
-            reduce: s.reduce_done.since(s.sort_done),
-            // Job setup plus the end-of-job barrier wait. An elastic add's
-            // setup ends at its join instant plus local setup, so its idle
-            // pre-join span lands here, not in Map.
-            scheduler: s.setup_end.since(SimTime::ZERO) + makespan.since(s.reduce_done),
+    /// Close the journal with the job-end manifest and assemble timings.
+    fn finish(
+        mut self,
+        outputs: Vec<KvSet<J::Key, J::Value>>,
+    ) -> EngineResult<JobResult<J::Key, J::Value>> {
+        let makespan = self
+            .st
+            .iter()
+            .map(|s| s.reduce_done)
+            .fold(SimTime::ZERO, SimTime::max);
+        self.tel.journal(0, makespan, || {
+            // Job-end manifest: a fold of every rank's output hash plus the
+            // exact makespan bits. A resumed run that reaches this record with
+            // the same values is bit-identical to the uninterrupted run.
+            let mut h = Fnv64::new();
+            for o in &outputs {
+                h.write_u64(hash_pairs(&o.keys, &o.vals));
+            }
+            JournalRecord::JobEnd {
+                output_hash: h.finish(),
+                makespan_bits: makespan.since(SimTime::ZERO).as_secs().to_bits(),
+            }
+        })?;
+        let per_rank: Vec<StageTimes> = self
+            .st
+            .iter()
+            .map(|s| StageTimes {
+                map: s.last_map_end.since(s.setup_end),
+                bin: s.sort_ready.since(s.last_map_end.max(s.setup_end)),
+                sort: s.sort_done.since(s.sort_ready),
+                reduce: s.reduce_done.since(s.sort_done),
+                // Job setup plus the end-of-job barrier wait. An elastic add's
+                // setup ends at its join instant plus local setup, so its idle
+                // pre-join span lands here, not in Map.
+                scheduler: s.setup_end.since(SimTime::ZERO) + makespan.since(s.reduce_done),
+            })
+            .collect();
+        let tel = &self.tel;
+        Ok(JobResult {
+            outputs,
+            timings: JobTimings {
+                total: makespan.since(SimTime::ZERO),
+                per_rank,
+                chunks_per_rank: self.st.iter().map(|s| s.chunks_done).collect(),
+                chunks_stolen: tel.stolen.delta() as u32,
+                pairs_emitted: tel.pairs_emitted.delta(),
+                pairs_shuffled: tel.pairs_shuffled.delta(),
+                gpus_lost: tel.gpus_lost.delta() as u32,
+                gpus_added: tel.gpus_added.delta() as u32,
+                chunks_requeued: tel.requeued.delta() as u32,
+                transfer_retries: tel.retries.delta() as u32,
+                stalls_injected: tel.stalls.delta() as u32,
+            },
         })
-        .collect();
-
-    Ok(JobResult {
-        outputs,
-        timings: JobTimings {
-            total: makespan.since(SimTime::ZERO),
-            per_rank,
-            chunks_per_rank: st.iter().map(|s| s.chunks_done).collect(),
-            chunks_stolen: EngineTel::delta(&tel.stolen, tel.base[1]) as u32,
-            pairs_emitted: EngineTel::delta(&tel.pairs_emitted, tel.base[6]),
-            pairs_shuffled: EngineTel::delta(&tel.pairs_shuffled, tel.base[7]),
-            gpus_lost: EngineTel::delta(&tel.gpus_lost, tel.base[3]) as u32,
-            gpus_added: EngineTel::delta(&tel.gpus_added, tel.base[8]) as u32,
-            chunks_requeued: EngineTel::delta(&tel.requeued, tel.base[2]) as u32,
-            transfer_retries: EngineTel::delta(&tel.retries, tel.base[4]) as u32,
-            stalls_injected: EngineTel::delta(&tel.stalls, tel.base[5]) as u32,
-        },
-    })
+    }
 }
 
-/// One binned bucket in flight to its reducer rank, carrying the key-range
-/// bound the partition pass computed while routing (the pass touches every
-/// key anyway, so folding a max costs nothing extra). The receiver uses it
-/// to size its radix sort without a max-radix reduction.
-struct ShuffleMsg<K, V> {
-    pairs: KvSet<K, V>,
-    max_radix: u64,
-}
+/// One binned bucket bound for a reducer rank, with the key-range bound
+/// [`Run::route`] computed for it.
+type Bucket<J> = (KvSet<<J as GpmrJob>::Key, <J as GpmrJob>::Value>, u64);
 
 /// Everything a rank received for its sort stage: the concatenated pairs,
 /// the per-delivery (arrival, bytes) schedule for streamed input uploads,
@@ -1770,73 +1612,12 @@ struct Inbound<K, V> {
     max_radix: u64,
 }
 
-/// Partition `pairs` over the `reducers` (the ranks that started the job;
-/// elastic adds are excluded so the destination set — and the output — is
-/// independent of mid-job joins), scattered into a `ranks`-wide bucket
-/// vector indexed by destination rank. With every rank a reducer this is
-/// the classic placement.
-fn route_pairs<J: GpmrJob>(
-    job: &J,
-    mode: &PartitionMode,
-    pairs: KvSet<J::Key, J::Value>,
-    reducers: &[u32],
-    ranks: u32,
-) -> Vec<ShuffleMsg<J::Key, J::Value>> {
-    fn scatter<K: crate::types::Key, V: crate::types::Value>(
-        buckets: Vec<(KvSet<K, V>, u64)>,
-        reducers: &[u32],
-        ranks: u32,
-    ) -> Vec<ShuffleMsg<K, V>> {
-        let mut out: Vec<ShuffleMsg<K, V>> = (0..ranks)
-            .map(|_| ShuffleMsg {
-                pairs: KvSet::new(),
-                max_radix: 0,
-            })
-            .collect();
-        for (i, (pairs, max_radix)) in buckets.into_iter().enumerate() {
-            out[reducers[i] as usize] = ShuffleMsg { pairs, max_radix };
-        }
-        out
-    }
-    let nred = reducers.len() as u32;
-    match mode {
-        PartitionMode::None => {
-            let max_radix = pairs.keys.iter().map(|k| k.radix()).max().unwrap_or(0);
-            let mut buckets: Vec<ShuffleMsg<J::Key, J::Value>> = (0..ranks)
-                .map(|_| ShuffleMsg {
-                    pairs: KvSet::new(),
-                    max_radix: 0,
-                })
-                .collect();
-            buckets[reducers[0] as usize] = ShuffleMsg { pairs, max_radix };
-            buckets
-        }
-        PartitionMode::RoundRobin => scatter(
-            split_buckets_bounded(pairs, nred, |k| (k.radix() % u64::from(nred)) as u32),
-            reducers,
-            ranks,
-        ),
-        PartitionMode::Custom => scatter(
-            split_buckets_bounded(pairs, nred, |k| job.partition(k, nred)),
-            reducers,
-            ranks,
-        ),
-        PartitionMode::Range { splitters } => scatter(
-            split_buckets_bounded(pairs, nred, |k| {
-                splitters.partition_point(|&s| s <= k.radix()) as u32
-            }),
-            reducers,
-            ranks,
-        ),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chunk::SliceChunk;
     use crate::job::PipelineConfig;
-    use gpmr_sim_gpu::{Gpu, GpuSpec, LaunchConfig, SimGpuResult};
+    use gpmr_sim_gpu::{FaultPlan, Gpu, GpuSpec, LaunchConfig, SimGpuResult};
 
     /// A minimal counting job with a configurable pipeline, used to
     /// exercise engine paths directly.

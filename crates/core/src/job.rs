@@ -25,6 +25,8 @@ use gpmr_primitives::{RadixKey, Segments};
 use gpmr_sim_gpu::{Gpu, SimGpuResult, SimTime};
 
 use crate::chunk::Chunk;
+use crate::journal::Fnv64;
+use crate::pod::Pod;
 use crate::types::{Key, KvSet, Value};
 
 /// Return type of the pair-producing job kernels: the emitted pairs plus
@@ -72,9 +74,10 @@ pub enum PartitionMode {
 }
 
 impl PartitionMode {
-    /// Stable small integer identifying the variant, for fingerprints and
-    /// journal hashing (splitter *contents* are hashed separately).
-    pub fn discriminant(&self) -> u64 {
+    /// Stable small integer identifying the variant, for
+    /// [`PipelineConfig::fingerprint`] (splitter *contents* are hashed
+    /// separately).
+    fn discriminant(&self) -> u64 {
         match self {
             PartitionMode::None => 0,
             PartitionMode::RoundRobin => 1,
@@ -233,6 +236,22 @@ impl PipelineConfig {
         self
     }
 
+    /// Fold every field into the journal's job fingerprint: a run resumed
+    /// under a different pipeline shape must diverge on record 0.
+    pub(crate) fn fingerprint(&self, fp: &mut Fnv64) {
+        fp.write_u64(self.map_mode as u64);
+        fp.write_u64(u64::from(self.combine));
+        fp.write_u64(self.partition.discriminant());
+        if let PartitionMode::Range { splitters } = &self.partition {
+            fp.write_u64(splitters.len() as u64);
+            for &s in splitters {
+                fp.write_u64(s);
+            }
+        }
+        fp.write_u64(self.sort as u64);
+        fp.write_u64(u64::from(self.sort_and_reduce));
+    }
+
     /// Validate substage compatibility (the paper: Accumulation eliminates
     /// Partial Reduce and Combine; Combine excludes Partial Reduce).
     pub fn validate(&self) -> Result<(), String> {
@@ -280,10 +299,11 @@ pub trait GpmrJob: Send + Sync {
     /// The input chunk type.
     type Chunk: Chunk;
     /// Key type; integer-based (radix-sortable) as the paper's fast path
-    /// requires for the default Sorter and Partitioner.
-    type Key: Key + RadixKey;
-    /// Value type.
-    type Value: Value;
+    /// requires for the default Sorter and Partitioner, and byte-encodable
+    /// ([`Pod`]) so any run can be journaled: commits are content-hashed.
+    type Key: Key + RadixKey + Pod;
+    /// Value type; [`Pod`] for the same reason as the key.
+    type Value: Value + Pod;
 
     /// This job's pipeline shape.
     fn pipeline(&self) -> PipelineConfig {

@@ -20,6 +20,16 @@
 //! global Combine, partitioning, and the Sorter are all selectable, with
 //! working defaults (round-robin partitioner, CUDPP-style radix sort).
 //!
+//! ## Entry points
+//!
+//! [`run_job_with`] is the engine's one general entry: a cluster, a job,
+//! its chunks, and a [`RunOpts`] carrying [`EngineTuning`], a telemetry
+//! handle, an optional write-ahead [`Journal`] and a [`RunControl`].
+//! [`run_job`] (all defaults), [`run_job_instrumented`] (tuning +
+//! telemetry) and [`run_job_journaled`] (plus a journal) are one-line
+//! conveniences over it; [`run_rounds`] chains passes for multi-round
+//! jobs.
+//!
 //! ## Quick start
 //!
 //! ```
@@ -97,9 +107,8 @@ pub mod types;
 
 pub use chunk::{Chunk, PairChunk, SliceChunk};
 pub use engine::{
-    run_job, run_job_analyzed, run_job_controlled, run_job_controlled_journaled,
-    run_job_instrumented, run_job_journaled, run_job_traced, run_job_tuned, EngineTuning,
-    JobResult, RunControl,
+    run_job, run_job_instrumented, run_job_journaled, run_job_with, EngineTuning, JobResult,
+    RunControl, RunOpts,
 };
 pub use error::{EngineError, EngineResult};
 pub use job::{
@@ -110,8 +119,8 @@ pub use journal::{
 };
 pub use pod::Pod;
 pub use rounds::{
-    max_resident_chunk_bytes, rechunk_interleaved, run_rounds, run_rounds_journaled, RoundDecision,
-    RoundJob, RoundStats, RoundStep, RoundsResult,
+    max_resident_chunk_bytes, rechunk_interleaved, run_rounds, RoundDecision, RoundJob, RoundStats,
+    RoundStep, RoundsResult,
 };
 pub use scheduler::WorkQueues;
 pub use stats::{efficiency, speedup, JobTimings, StageTimes};

@@ -20,8 +20,8 @@
 //!   time at zero; the driver accumulates `makespan + control-broadcast
 //!   tail` per round into one cross-round clock, recorded as per-round
 //!   `Round` telemetry spans.
-//! * **Round-granular recovery** — with [`run_rounds_journaled`], every
-//!   round is bracketed by [`JournalRecord::RoundStart`] (hashing the
+//! * **Round-granular recovery** — given a [`Journal`], every round is
+//!   bracketed by [`JournalRecord::RoundStart`] (hashing the
 //!   driver's control state) and [`JournalRecord::RoundEnd`] (hashing the
 //!   round's outputs and the exact clock bits), on top of the engine's
 //!   own per-round records. An interrupted multi-round run resumed with
@@ -33,9 +33,7 @@ use gpmr_sim_net::Cluster;
 use gpmr_telemetry::Telemetry;
 
 use crate::chunk::{Chunk, PairChunk};
-use crate::engine::{
-    run_job_controlled, run_job_controlled_journaled, EngineTuning, JobResult, RunControl,
-};
+use crate::engine::{run_job_with, EngineTuning, RunControl, RunOpts};
 use crate::error::EngineResult;
 use crate::job::GpmrJob;
 use crate::journal::{hash_pairs, Fnv64, Journal, JournalRecord};
@@ -256,75 +254,23 @@ pub fn rechunk_interleaved<K: Pod + PartialEq, V: Pod>(
     out
 }
 
-/// Journal hooks for the round driver (engine-level hooks live inside the
-/// per-round engine call). `run` is the journaled engine entry point,
-/// monomorphized where the `Pod` bounds hold so the driver loop itself
-/// needs none.
-#[allow(clippy::type_complexity)]
-struct RoundJournal<'j, J: GpmrJob> {
-    journal: &'j mut Journal,
-    hash_pairs: fn(&[J::Key], &[J::Value]) -> u64,
-    run: fn(
-        &mut Cluster,
-        &J,
-        Vec<J::Chunk>,
-        &EngineTuning,
-        &Telemetry,
-        &mut Journal,
-        &RunControl,
-    ) -> EngineResult<JobResult<J::Key, J::Value>>,
-}
-
 /// Drive `driver` through its rounds on `cluster`. The initial `chunks`
 /// are round 0's input; [`RoundDecision::Again`] rounds re-dispatch them
 /// (hence `Chunk: Clone`), [`RoundDecision::Chain`] rounds replace them
 /// via [`RoundJob::rechunk`].
-pub fn run_rounds<D: RoundJob>(
-    cluster: &mut Cluster,
-    driver: &mut D,
-    chunks: Vec<<D::Job as GpmrJob>::Chunk>,
-    tuning: &EngineTuning,
-    tel: &Telemetry,
-) -> EngineResult<DriveResult<D::Job>>
-where
-    <D::Job as GpmrJob>::Chunk: Clone,
-{
-    run_rounds_impl(cluster, driver, chunks, tuning, tel, None)
-}
-
-/// [`run_rounds`] with a write-ahead [`Journal`]: round boundaries are
-/// journaled as [`JournalRecord::RoundStart`]/[`JournalRecord::RoundEnd`]
-/// around the engine's own records, so `--journal F --resume` recovers an
+///
+/// With a write-ahead `journal`, round boundaries are journaled as
+/// [`JournalRecord::RoundStart`]/[`JournalRecord::RoundEnd`] around the
+/// engine's own records, so `--journal F --resume` recovers an
 /// interrupted multi-round job at round granularity and finishes
 /// bit-identically (outputs, per-round stats, and the cross-round clock).
-pub fn run_rounds_journaled<D: RoundJob>(
-    cluster: &mut Cluster,
-    driver: &mut D,
-    chunks: Vec<<D::Job as GpmrJob>::Chunk>,
-    tuning: &EngineTuning,
-    tel: &Telemetry,
-    journal: &mut Journal,
-) -> EngineResult<DriveResult<D::Job>>
-where
-    <D::Job as GpmrJob>::Chunk: Clone,
-    <D::Job as GpmrJob>::Key: Pod,
-    <D::Job as GpmrJob>::Value: Pod,
-{
-    let jr = RoundJournal {
-        journal,
-        hash_pairs: hash_pairs::<<D::Job as GpmrJob>::Key, <D::Job as GpmrJob>::Value>,
-        run: run_job_controlled_journaled::<D::Job>,
-    };
-    run_rounds_impl(cluster, driver, chunks, tuning, tel, Some(jr))
-}
-
-fn run_rounds_impl<D: RoundJob>(
+pub fn run_rounds<D: RoundJob>(
     cluster: &mut Cluster,
     driver: &mut D,
     mut chunks: Vec<<D::Job as GpmrJob>::Chunk>,
     tuning: &EngineTuning,
     tel: &Telemetry,
-    mut jr: Option<RoundJournal<'_, D::Job>>,
+    mut journal: Option<&mut Journal>,
 ) -> EngineResult<DriveResult<D::Job>>
 where
     <D::Job as GpmrJob>::Chunk: Clone,
@@ -335,32 +281,24 @@ where
     let mut resident = false;
     let mut round = 0u32;
     loop {
-        if let Some(jr) = jr.as_mut() {
-            jr.journal
-                .record(&JournalRecord::RoundStart {
-                    round,
-                    control_hash: driver.control_hash(),
-                })
-                .map_err(crate::error::EngineError::from)?;
+        if let Some(j) = journal.as_deref_mut() {
+            j.record(&JournalRecord::RoundStart {
+                round,
+                control_hash: driver.control_hash(),
+            })?;
         }
         let job = driver.job(round);
-        let control = RunControl {
-            stop_at: None,
-            inputs_resident: resident,
-        };
         let n_chunks = chunks.len();
-        let result: JobResult<_, _> = match jr.as_mut() {
-            Some(jrn) => (jrn.run)(
-                cluster,
-                &job,
-                chunks.clone(),
-                tuning,
-                tel,
-                &mut *jrn.journal,
-                &control,
-            )?,
-            None => run_job_controlled(cluster, &job, chunks.clone(), tuning, tel, &control)?,
+        let opts = RunOpts {
+            tuning: *tuning,
+            tel: tel.clone(),
+            journal: journal.as_deref_mut(),
+            control: RunControl {
+                stop_at: None,
+                inputs_resident: resident,
+            },
         };
+        let result = run_job_with(cluster, &job, chunks.clone(), opts)?;
         let makespan = result.timings.total;
         let quiet = result.timings.chunks_stolen == 0
             && result.timings.chunks_requeued == 0
@@ -397,18 +335,16 @@ where
                 .attr("chunks", n_chunks.to_string())
                 .record();
         }
-        if let Some(jr) = jr.as_mut() {
+        if let Some(j) = journal.as_deref_mut() {
             let mut h = Fnv64::new();
             for o in &result.outputs {
-                h.write_u64((jr.hash_pairs)(&o.keys, &o.vals));
+                h.write_u64(hash_pairs(&o.keys, &o.vals));
             }
-            jr.journal
-                .record(&JournalRecord::RoundEnd {
-                    round,
-                    output_hash: h.finish(),
-                    clock_bits: clock.as_secs().to_bits(),
-                })
-                .map_err(crate::error::EngineError::from)?;
+            j.record(&JournalRecord::RoundEnd {
+                round,
+                output_hash: h.finish(),
+                clock_bits: clock.as_secs().to_bits(),
+            })?;
         }
 
         round += 1;

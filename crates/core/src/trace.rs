@@ -1,9 +1,11 @@
 //! Job execution traces.
 //!
-//! [`run_job_traced`](crate::engine::run_job_traced) records every
-//! pipeline event — chunk uploads, map kernels, partial reductions,
+//! A run recorded into an enabled telemetry handle
+//! ([`run_job_instrumented`](crate::engine::run_job_instrumented)) holds
+//! every pipeline event — chunk uploads, map kernels, partial reductions,
 //! downloads, bin sends, chunk steals, sort and reduce phases — with its
-//! simulated start/end window. Traces power debugging ("why is rank 3
+//! simulated start/end window; [`JobTrace::from_telemetry`] derives the
+//! trace from its snapshot. Traces power debugging ("why is rank 3
 //! idle?"), the Gantt renderer below, and tests that assert structural
 //! properties of the schedule (overlap, stealing, barrier behaviour).
 

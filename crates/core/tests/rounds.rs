@@ -6,8 +6,8 @@
 
 use gpmr_core::rounds::{RoundJob, RoundStep};
 use gpmr_core::{
-    run_rounds, run_rounds_journaled, EngineTuning, GpmrJob, Journal, KvSet, PipelineConfig,
-    RoundsResult, SliceChunk,
+    run_rounds, EngineResult, EngineTuning, GpmrJob, Journal, KvSet, PipelineConfig, RoundsResult,
+    SliceChunk,
 };
 use gpmr_primitives::Segments;
 use gpmr_sim_gpu::{FaultPlan, Gpu, GpuSpec, LaunchConfig, SimGpuResult, SimTime};
@@ -154,7 +154,12 @@ fn fingerprint(r: &RoundsResult<u32, u32>) -> Fingerprint {
     )
 }
 
-fn drive(gpus: u32, spec: GpuSpec, plan: Option<FaultPlan>) -> RoundsResult<u32, u32> {
+fn try_drive(
+    gpus: u32,
+    spec: GpuSpec,
+    plan: Option<FaultPlan>,
+    journal: Option<&mut Journal>,
+) -> EngineResult<RoundsResult<u32, u32>> {
     let mut cluster = Cluster::accelerator(gpus, spec);
     cluster.set_fault_plan(plan);
     let mut driver = HistRounds { rounds: 3, salt: 1 };
@@ -164,8 +169,12 @@ fn drive(gpus: u32, spec: GpuSpec, plan: Option<FaultPlan>) -> RoundsResult<u32,
         input_chunks(60_000),
         &EngineTuning::default(),
         &Telemetry::disabled(),
+        journal,
     )
-    .expect("drive failed")
+}
+
+fn drive(gpus: u32, spec: GpuSpec, plan: Option<FaultPlan>) -> RoundsResult<u32, u32> {
+    try_drive(gpus, spec, plan, None).expect("drive failed")
 }
 
 #[test]
@@ -197,18 +206,9 @@ fn round_driver_is_deterministic_across_workers_backends_and_faults() {
 fn journaled_drive_matches_plain_drive() {
     let path = std::env::temp_dir().join("gpmr_rounds_plain_vs_journal.bin");
     let plain = fingerprint(&drive(4, GpuSpec::gt200(), None));
-    let mut cluster = Cluster::accelerator(4, GpuSpec::gt200());
-    let mut driver = HistRounds { rounds: 3, salt: 1 };
     let mut journal = Journal::create(&path, 1).unwrap();
-    let journaled = run_rounds_journaled(
-        &mut cluster,
-        &mut driver,
-        input_chunks(60_000),
-        &EngineTuning::default(),
-        &Telemetry::disabled(),
-        &mut journal,
-    )
-    .expect("journaled drive failed");
+    let journaled =
+        try_drive(4, GpuSpec::gt200(), None, Some(&mut journal)).expect("journaled drive failed");
     assert_eq!(plain, fingerprint(&journaled));
     std::fs::remove_file(&path).ok();
 }
@@ -221,19 +221,9 @@ fn interrupted_drive_resumes_bit_identically_at_any_truncation() {
     let dir = std::env::temp_dir();
     let full_path = dir.join("gpmr_rounds_resume_full.bin");
 
-    let mut cluster = Cluster::accelerator(4, GpuSpec::gt200());
-    let mut driver = HistRounds { rounds: 3, salt: 1 };
     let mut journal = Journal::create(&full_path, 1).unwrap();
     let reference = fingerprint(
-        &run_rounds_journaled(
-            &mut cluster,
-            &mut driver,
-            input_chunks(60_000),
-            &EngineTuning::default(),
-            &Telemetry::disabled(),
-            &mut journal,
-        )
-        .expect("reference drive failed"),
+        &try_drive(4, GpuSpec::gt200(), None, Some(&mut journal)).expect("reference drive failed"),
     );
     drop(journal);
     let bytes = std::fs::read(&full_path).unwrap();
@@ -247,18 +237,9 @@ fn interrupted_drive_resumes_bit_identically_at_any_truncation() {
         let trunc_path = dir.join(format!("gpmr_rounds_resume_{cut}.bin"));
         std::fs::write(&trunc_path, &bytes[..cut]).unwrap();
 
-        let mut cluster = Cluster::accelerator(4, GpuSpec::gt200());
-        let mut driver = HistRounds { rounds: 3, salt: 1 };
         let mut journal = Journal::resume(&trunc_path, 1).unwrap();
-        let resumed = run_rounds_journaled(
-            &mut cluster,
-            &mut driver,
-            input_chunks(60_000),
-            &EngineTuning::default(),
-            &Telemetry::disabled(),
-            &mut journal,
-        )
-        .unwrap_or_else(|e| panic!("resume at byte {cut} failed: {e}"));
+        let resumed = try_drive(4, GpuSpec::gt200(), None, Some(&mut journal))
+            .unwrap_or_else(|e| panic!("resume at byte {cut} failed: {e}"));
         assert_eq!(
             reference,
             fingerprint(&resumed),

@@ -57,23 +57,6 @@ impl SortConfig {
         }
     }
 
-    /// Config from the environment: `GPMR_SORT_DIGIT_BITS` (1..=12) and
-    /// `GPMR_SORT_FUSE` (`0` disables final-pass fusion). Unset variables
-    /// keep the defaults.
-    pub fn from_env() -> Self {
-        let mut cfg = SortConfig::default();
-        if let Some(bits) = std::env::var("GPMR_SORT_DIGIT_BITS")
-            .ok()
-            .and_then(|v| v.parse::<u32>().ok())
-        {
-            cfg.digit_bits = bits;
-        }
-        if let Ok(v) = std::env::var("GPMR_SORT_FUSE") {
-            cfg.fuse_final = v != "0";
-        }
-        cfg.normalized()
-    }
-
     /// Clamp the digit width to what the histogram's shared-memory
     /// footprint allows.
     pub fn normalized(mut self) -> Self {
@@ -966,7 +949,7 @@ mod tests {
     }
 
     #[test]
-    fn config_from_env_clamps_digit_width() {
+    fn normalized_clamps_digit_width() {
         let clamped = SortConfig {
             digit_bits: 40,
             fuse_final: true,

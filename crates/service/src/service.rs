@@ -29,8 +29,8 @@ use gpmr_apps::sio::{generate_integers, sio_chunks};
 use gpmr_apps::text::{chunk_text, generate_text, Dictionary};
 use gpmr_apps::{SioJob, WoJob};
 use gpmr_core::{
-    run_job_controlled, run_job_controlled_journaled, EngineError, EngineResult, EngineTuning,
-    GpmrJob, JobResult, Journal, KvSet, Pod, RunControl,
+    run_job_with, EngineError, EngineResult, EngineTuning, GpmrJob, JobResult, Journal, KvSet,
+    RunControl, RunOpts,
 };
 use gpmr_sim_gpu::{FaultPlan, GpuSpec, SimTime};
 use gpmr_sim_net::Cluster;
@@ -795,7 +795,7 @@ impl JobService {
                 self.cfg.gpus,
                 &self.cfg.tuning,
                 &tel,
-                &RunControl::unrestricted(),
+                &RunControl::default(),
             );
             capture = tel.is_enabled().then(|| tel.snapshot());
             result.map(|r| {
@@ -1002,7 +1002,7 @@ fn journal_temp_path() -> PathBuf {
     std::env::temp_dir().join(format!("gpmr-service-{}-{}.jnl", std::process::id(), seq))
 }
 
-fn run_engine<J>(
+fn run_engine<J: GpmrJob>(
     cluster: &mut Cluster,
     job: &J,
     chunks: Vec<J::Chunk>,
@@ -1010,25 +1010,27 @@ fn run_engine<J>(
     tel: &Telemetry,
     journaled: bool,
     control: &RunControl,
-) -> EngineResult<JobResult<J::Key, J::Value>>
-where
-    J: GpmrJob,
-    J::Key: Pod,
-    J::Value: Pod,
-{
-    if journaled {
-        // The journal layer is file-based; service-managed jobs journal
-        // into a throwaway path that lives only for the pass.
+) -> EngineResult<JobResult<J::Key, J::Value>> {
+    // The journal layer is file-based; service-managed jobs journal into
+    // a throwaway path that lives only for the pass.
+    let mut scratch = if journaled {
         let path = journal_temp_path();
-        let mut journal = Journal::create(&path, 1)?;
-        let result =
-            run_job_controlled_journaled(cluster, job, chunks, tuning, tel, &mut journal, control);
+        Some((Journal::create(&path, 1)?, path))
+    } else {
+        None
+    };
+    let opts = RunOpts {
+        tuning: *tuning,
+        tel: tel.clone(),
+        journal: scratch.as_mut().map(|(journal, _)| journal),
+        control: *control,
+    };
+    let result = run_job_with(cluster, job, chunks, opts);
+    if let Some((journal, path)) = scratch {
         drop(journal);
         let _ = std::fs::remove_file(&path);
-        result
-    } else {
-        run_job_controlled(cluster, job, chunks, tuning, tel, control)
     }
+    result
 }
 
 /// Run one job's engine pass on `cluster`, regenerating its input from
@@ -1109,7 +1111,7 @@ fn run_batch(
         tuning,
         &Telemetry::disabled(),
         false,
-        &RunControl::unrestricted(),
+        &RunControl::default(),
     )?;
     let makespan = result.timings.total.as_secs();
     Ok((split_outputs(&result.outputs, specs.len()), makespan))

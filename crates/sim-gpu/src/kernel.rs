@@ -325,21 +325,7 @@ where
         Ok((out, cost))
     };
 
-    let results: Vec<SimGpuResult<(Vec<R>, KernelCost)>> = match crate::pool::exec_backend() {
-        crate::pool::ExecBackend::Pool => {
-            crate::pool::run_indexed(spans.len(), |t| run_span(spans[t]))
-        }
-        crate::pool::ExecBackend::Spawn => std::thread::scope(|s| {
-            let handles: Vec<_> = spans
-                .iter()
-                .map(|&span| s.spawn(move || run_span(span)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("kernel worker panicked"))
-                .collect()
-        }),
-    };
+    let results = crate::pool::run_indexed(spans.len(), |t| run_span(spans[t]));
 
     let mut outputs = Vec::with_capacity(grid);
     let mut cost = KernelCost::ZERO;
@@ -409,17 +395,10 @@ mod tests {
         assert_eq!(seq, (0..37).collect::<Vec<_>>());
         assert_eq!(cost_seq.flops, (0..37).sum::<u64>());
         for workers in [2, 8] {
-            for backend in [
-                crate::pool::ExecBackend::Pool,
-                crate::pool::ExecBackend::Spawn,
-            ] {
-                crate::pool::set_exec_backend(backend);
-                let (par, cost_par) = run_blocks(&s, &cfg, workers, &f).unwrap();
-                assert_eq!(seq, par, "{workers} workers on {backend:?}");
-                assert_eq!(cost_seq, cost_par, "{workers} workers on {backend:?}");
-            }
+            let (par, cost_par) = run_blocks(&s, &cfg, workers, &f).unwrap();
+            assert_eq!(seq, par, "{workers} workers");
+            assert_eq!(cost_seq, cost_par, "{workers} workers");
         }
-        crate::pool::set_exec_backend(crate::pool::ExecBackend::Pool);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use kernel::{BlockCtx, Launch, LaunchConfig};
 pub use link::{Direction, PcieLink, SharedLink};
 pub use memory::{DeviceBuffer, DeviceMemory};
 pub use occupancy::{occupancy, Occupancy};
-pub use pool::{exec_backend, run_indexed, set_exec_backend, worker_threads, ExecBackend};
+pub use pool::{run_indexed, worker_threads};
 pub use spec::GpuSpec;
 pub use stream::Stream;
 pub use time::{Reservation, SimDuration, SimTime, Timeline};

@@ -1,68 +1,21 @@
 //! The persistent host worker pool backing every kernel launch.
 //!
-//! The seed implementation spawned (and joined) a fresh set of OS threads
-//! for *every* kernel launch. At paper scale — tens of thousands of
-//! launches per job — thread creation dominated host-side wall clock. This
-//! module replaces that with one process-wide pool, created lazily on the
-//! first parallel launch and shared by every simulated [`crate::Gpu`],
-//! the primitives, and the CPU baselines.
+//! One process-wide pool, created lazily on the first parallel launch and
+//! shared by every simulated [`crate::Gpu`], the primitives, and the CPU
+//! baselines: at paper scale — tens of thousands of launches per job —
+//! spawning threads per launch would dominate host-side wall clock.
 //!
 //! Determinism contract: [`run_indexed`] returns results **in task-index
 //! order**, and nothing about scheduling leaks into outputs. Simulated
 //! costs are integer sums, so kernel timing is bit-identical no matter how
 //! many pool workers exist or how tasks interleave. `GPMR_WORKER_THREADS`
-//! caps the pool size; `GPMR_EXEC_BACKEND=spawn` restores the old
-//! spawn-per-launch behaviour (kept for benchmarking the difference).
+//! caps the pool size.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{mpsc, Condvar, Mutex, Once, OnceLock};
-
-/// How parallel work inside a launch is executed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExecBackend {
-    /// The persistent worker pool (default).
-    Pool,
-    /// A fresh scoped thread per worker span, per launch — the seed
-    /// behaviour, kept selectable so benches can measure launch overhead
-    /// before/after in one process.
-    Spawn,
-}
-
-/// Unset sentinel for the backend atomic; resolved from the environment on
-/// first read.
-const BACKEND_UNSET: u8 = u8::MAX;
-
-static BACKEND: AtomicU8 = AtomicU8::new(BACKEND_UNSET);
-
-/// The active execution backend (`GPMR_EXEC_BACKEND=spawn` selects
-/// [`ExecBackend::Spawn`]; anything else defaults to the pool).
-pub fn exec_backend() -> ExecBackend {
-    match BACKEND.load(Ordering::Relaxed) {
-        0 => ExecBackend::Pool,
-        1 => ExecBackend::Spawn,
-        _ => {
-            let resolved = match std::env::var("GPMR_EXEC_BACKEND").as_deref() {
-                Ok("spawn") => ExecBackend::Spawn,
-                _ => ExecBackend::Pool,
-            };
-            set_exec_backend(resolved);
-            resolved
-        }
-    }
-}
-
-/// Select the execution backend at runtime (overrides the environment).
-pub fn set_exec_backend(backend: ExecBackend) {
-    let v = match backend {
-        ExecBackend::Pool => 0,
-        ExecBackend::Spawn => 1,
-    };
-    BACKEND.store(v, Ordering::Relaxed);
-}
 
 /// Default host parallelism per launch: `GPMR_WORKER_THREADS` if set to a
 /// positive integer, else the machine's available parallelism.
@@ -237,15 +190,5 @@ mod tests {
         assert!(result.is_err());
         // The pool still works after the panic.
         assert_eq!(run_indexed(16, |i| i), (0..16).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn backend_round_trips() {
-        let before = exec_backend();
-        set_exec_backend(ExecBackend::Spawn);
-        assert_eq!(exec_backend(), ExecBackend::Spawn);
-        set_exec_backend(ExecBackend::Pool);
-        assert_eq!(exec_backend(), ExecBackend::Pool);
-        set_exec_backend(before);
     }
 }

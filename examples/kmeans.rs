@@ -32,6 +32,7 @@ fn main() {
         CHUNK_POINTS,
         ITERATIONS,
         1e-4,
+        None,
     )
     .expect("k-means failed");
 

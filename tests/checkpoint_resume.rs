@@ -11,14 +11,17 @@
 //! divergence error instead of silently replaying garbage.
 
 use std::path::PathBuf;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-use gpmr::core::journal::{scan_bytes, Journal, JournalError, JournalRecord};
-use gpmr::core::{run_job_journaled, EngineError, EngineTuning, JobTimings};
+use gpmr::core::journal::{fnv1a, scan_bytes, Journal, JournalError, JournalRecord};
+use gpmr::core::{run_job_journaled, run_rounds, EngineError, EngineTuning, JobTimings};
 use gpmr::prelude::*;
 use gpmr::sim_gpu::FaultPlan;
 use gpmr::telemetry::Telemetry;
-use gpmr_apps::sio::{self, sio_chunks};
+use gpmr_apps::iterative::KmcRounds;
+use gpmr_apps::kmc::{generate_points, initial_centers};
+use gpmr_apps::sio::{self, sio_chunks, SioMode};
+use gpmr_apps::text::{chunk_text, generate_text};
 use proptest::prelude::*;
 
 const DATA_N: usize = 12_000;
@@ -45,7 +48,7 @@ fn tuning(gpu_direct: bool) -> EngineTuning {
 }
 
 /// One journaled SIO run (integer-exact, so outputs are bit-comparable).
-fn run_journaled(
+fn run_with_journal(
     ranks: u32,
     gpu_direct: bool,
     plan: &Option<FaultPlan>,
@@ -83,7 +86,7 @@ fn record_reference(
 ) -> Reference {
     let mut journal = Journal::create(path, every).expect("create journal");
     let (outputs, timings) =
-        run_journaled(ranks, gpu_direct, plan, DATA_SEED, &mut journal).expect("reference run");
+        run_with_journal(ranks, gpu_direct, plan, DATA_SEED, &mut journal).expect("reference run");
     drop(journal);
     let bytes = std::fs::read(path).unwrap();
     let (records, offsets) = scan_bytes(&bytes);
@@ -122,7 +125,7 @@ fn crash_and_resume(
     std::fs::write(path, &reference.bytes[..cut]).unwrap();
     let mut journal = Journal::resume(path, 1).expect("resume after crash");
     let (outputs, timings) =
-        run_journaled(ranks, gd, plan, DATA_SEED, &mut journal).expect("resumed run completes");
+        run_with_journal(ranks, gd, plan, DATA_SEED, &mut journal).expect("resumed run completes");
     let replayed = journal.replayed();
     drop(journal);
     assert_eq!(
@@ -159,7 +162,7 @@ fn resume_from_every_record_boundary_is_bit_identical() {
     for (i, &off) in reference.offsets.iter().enumerate() {
         std::fs::write(&path, &reference.bytes[..off as usize]).unwrap();
         let mut journal = Journal::resume(&path, 1).expect("resume");
-        let (outputs, timings) = run_journaled(2, false, &plan, DATA_SEED, &mut journal)
+        let (outputs, timings) = run_with_journal(2, false, &plan, DATA_SEED, &mut journal)
             .unwrap_or_else(|e| panic!("resume from record boundary {i} failed: {e}"));
         assert_eq!(
             journal.replayed(),
@@ -258,7 +261,7 @@ fn buffered_checkpoints_lose_only_unflushed_records() {
         std::fs::write(&path, &reference.bytes[..reference.offsets[i] as usize]).unwrap();
         let mut journal = Journal::resume(&path, 8).expect("resume");
         let (outputs, timings) =
-            run_journaled(2, false, &None, DATA_SEED, &mut journal).expect("resumed run");
+            run_with_journal(2, false, &None, DATA_SEED, &mut journal).expect("resumed run");
         drop(journal);
         assert_eq!(outputs, reference.outputs);
         assert_eq!(timings, reference.timings);
@@ -276,7 +279,7 @@ fn resuming_someone_elses_journal_diverges_with_a_typed_error() {
     // Same journal, different cluster shape: the JobStart fingerprint
     // catches it on record 0.
     let mut journal = Journal::resume(&path, 1).unwrap();
-    let err = run_journaled(4, false, &plan, DATA_SEED, &mut journal)
+    let err = run_with_journal(4, false, &plan, DATA_SEED, &mut journal)
         .expect_err("a 4-rank resume of a 2-rank journal must diverge");
     assert!(
         matches!(
@@ -288,7 +291,7 @@ fn resuming_someone_elses_journal_diverges_with_a_typed_error() {
 
     // Same shape, different input data: ditto.
     let mut journal = Journal::resume(&path, 1).unwrap();
-    let err = run_journaled(2, false, &plan, DATA_SEED + 1, &mut journal)
+    let err = run_with_journal(2, false, &plan, DATA_SEED + 1, &mut journal)
         .expect_err("a resume over different data must diverge");
     assert!(
         matches!(
@@ -300,7 +303,7 @@ fn resuming_someone_elses_journal_diverges_with_a_typed_error() {
 
     // GPU-direct reshapes the schedule: fingerprint divergence again.
     let mut journal = Journal::resume(&path, 1).unwrap();
-    let err = run_journaled(2, true, &plan, DATA_SEED, &mut journal)
+    let err = run_with_journal(2, true, &plan, DATA_SEED, &mut journal)
         .expect_err("a resume under a different transfer mode must diverge");
     assert!(
         matches!(err, EngineError::Journal(JournalError::Diverged { .. })),
@@ -322,7 +325,7 @@ fn corrupt_byte_mid_journal_self_heals_by_truncating_there() {
 
     let mut journal = Journal::resume(&path, 1).expect("tampered journal still resumes");
     let (outputs, timings) =
-        run_journaled(2, false, &None, DATA_SEED, &mut journal).expect("resumed run");
+        run_with_journal(2, false, &None, DATA_SEED, &mut journal).expect("resumed run");
     let replayed = journal.replayed();
     drop(journal);
     assert!(
@@ -341,12 +344,106 @@ fn resume_on_an_empty_journal_is_a_fresh_run() {
     std::fs::write(&path, b"").unwrap();
     let mut journal = Journal::resume(&path, 1).expect("empty journal resumes");
     let (outputs, timings) =
-        run_journaled(2, false, &None, DATA_SEED, &mut journal).expect("fresh run");
+        run_with_journal(2, false, &None, DATA_SEED, &mut journal).expect("fresh run");
     assert_eq!(journal.replayed(), 0);
     drop(journal);
     assert_eq!(outputs, reference.outputs);
     assert_eq!(timings, reference.timings);
     assert_eq!(std::fs::read(&path).unwrap(), reference.bytes);
+}
+
+/// Byte length and FNV-1a of the journal `record` writes to a fresh file.
+fn journal_digest(name: &str, record: impl FnOnce(&mut Journal)) -> (usize, u64) {
+    let path = tmp(name);
+    let mut journal = Journal::create(&path, 1).expect("create journal");
+    record(&mut journal);
+    drop(journal);
+    let bytes = std::fs::read(&path).unwrap();
+    (bytes.len(), fnv1a(&bytes))
+}
+
+#[test]
+fn journal_bytes_match_the_build_that_introduced_the_format() {
+    // Every other test here proves resumed == uninterrupted *within* a
+    // build. This one pins the bytes themselves — recorded on the commit
+    // before the engine became a staged `Run` — so a journal written by an
+    // earlier build still verify-replays: one small fixed job per map mode
+    // on 4 ranks, with a kill (GpuLost/Requeue), an elastic add
+    // (GpuAdded/Steal) and a 3-round drive (RoundStart/RoundEnd).
+    let tuning = EngineTuning::default();
+    let tel = Telemetry::disabled();
+    let data = sio::generate_integers(DATA_N, DATA_SEED);
+    let sio_cases = [
+        (
+            "golden_sio_plain_kill",
+            SioMode::Plain,
+            Some(FaultPlan::new().kill(1, 3e-4)),
+            (2137, 0x9962_9eba_331f_dba8),
+        ),
+        (
+            "golden_sio_partial_reduce",
+            SioMode::PartialReduce,
+            None,
+            (1946, 0xe107_9c9c_1cdd_8d57),
+        ),
+        (
+            "golden_sio_combine",
+            SioMode::Combine,
+            None,
+            (1946, 0xb8ff_8962_fa1f_616c),
+        ),
+        (
+            "golden_sio_plain_elastic",
+            SioMode::Plain,
+            Some(FaultPlan::new().add(3, 2e-4)),
+            (1980, 0xe179_105f_40ed_3343),
+        ),
+    ];
+    for (name, mode, plan, expect) in sio_cases {
+        let got = journal_digest(name, |journal| {
+            run_job_journaled(
+                &mut cluster(4, &plan),
+                &SioJob::with_mode(mode),
+                sio_chunks(&data, 2 * 1024),
+                &tuning,
+                &tel,
+                journal,
+            )
+            .expect("golden sio run");
+        });
+        assert_eq!(got, expect, "{name}: journal (len, fnv1a) drifted");
+    }
+
+    let got = journal_digest("golden_wo_accumulate_kill", |journal| {
+        let dict = Arc::new(Dictionary::generate(300, 11));
+        let text = generate_text(&dict, 120_000, 12);
+        run_job_journaled(
+            &mut cluster(4, &Some(FaultPlan::new().kill(2, 1.5e-3))),
+            &WoJob::new(dict, 4),
+            chunk_text(&text, 8 * 1024),
+            &tuning,
+            &tel,
+            journal,
+        )
+        .expect("golden wo run");
+    });
+    assert_eq!(got, (1387, 0x4375_23a3_9d92_5122), "wo accumulate + kill");
+
+    let got = journal_digest("golden_kmeans_3_rounds", |journal| {
+        let points = generate_points(8_000, 4, 33);
+        let mut driver = KmcRounds::new(initial_centers(4, 34), 3, 0.0);
+        let res = run_rounds(
+            &mut cluster(4, &None),
+            &mut driver,
+            SliceChunk::split(&points, 1024),
+            &tuning,
+            &tel,
+            Some(journal),
+        )
+        .expect("golden kmeans drive");
+        assert_eq!(res.rounds, 3);
+    });
+    assert_eq!(got, (2844, 0xf26f_3c3c_b0a5_9615), "kmeans, 3 rounds");
 }
 
 /// Shared reference for the proptest below (recording it once keeps the
@@ -383,7 +480,7 @@ proptest! {
             "torn byte accounting wrong for cut {}", cut
         );
         let (outputs, timings) =
-            run_journaled(2, false, &plan, DATA_SEED, &mut journal).expect("resumed run");
+            run_with_journal(2, false, &plan, DATA_SEED, &mut journal).expect("resumed run");
         drop(journal);
         prop_assert_eq!(&outputs, &reference.outputs, "outputs diverged at cut {}", cut);
         prop_assert_eq!(&timings, &reference.timings, "timings diverged at cut {}", cut);

@@ -1,22 +1,19 @@
-//! Execution-backend determinism: a full multi-GPU job must produce
+//! Host-parallelism determinism: a full multi-GPU job must produce
 //! bit-identical outputs AND identical simulated times no matter how many
-//! host worker threads execute the kernels, and no matter whether the
-//! persistent pool or the legacy spawn-per-launch backend runs them.
-//! Simulated time is an integer cost model summed per block, so the
-//! schedule of real host threads must never leak into results.
+//! host worker threads execute the kernels. Simulated time is an integer
+//! cost model summed per block, so the schedule of real host threads must
+//! never leak into results.
 
 use std::sync::Arc;
 
 use gpmr::apps::text::{chunk_text, generate_text};
 use gpmr::prelude::*;
-use gpmr::sim_gpu::{set_exec_backend, ExecBackend, FaultPlan};
+use gpmr::sim_gpu::FaultPlan;
 
 fn run_wo_faulted(
     workers: usize,
-    backend: ExecBackend,
     plan: Option<FaultPlan>,
 ) -> (Vec<KvSet<u32, u32>>, gpmr::core::JobTimings) {
-    set_exec_backend(backend);
     // 2 nodes x 2 GPUs, the smallest shape that exercises both intra-node
     // PCI-e sharing and inter-node network binning.
     let mut cluster = Cluster::new(Topology::new(2, 2, 2), GpuSpec::gt200());
@@ -29,25 +26,22 @@ fn run_wo_faulted(
     let chunks = chunk_text(&text, 16 * 1024);
     let job = WoJob::new(dict, 4);
     let result = run_job(&mut cluster, &job, chunks).expect("job runs");
-    set_exec_backend(ExecBackend::Pool);
     (result.outputs, result.timings)
 }
 
-fn run_wo(workers: usize, backend: ExecBackend) -> (Vec<KvSet<u32, u32>>, gpmr::core::JobTimings) {
-    run_wo_faulted(workers, backend, None)
+fn run_wo(workers: usize) -> (Vec<KvSet<u32, u32>>, gpmr::core::JobTimings) {
+    run_wo_faulted(workers, None)
 }
 
 /// The same WO job under an explicit engine tuning (upload pipeline depth
 /// and transfer mode), for the tuning-matrix determinism tests.
 fn run_wo_tuned(
     workers: usize,
-    backend: ExecBackend,
     depth: u32,
     gpu_direct: bool,
     plan: Option<FaultPlan>,
 ) -> (Vec<KvSet<u32, u32>>, gpmr::core::JobTimings) {
-    use gpmr::core::{run_job_tuned, EngineTuning};
-    set_exec_backend(backend);
+    use gpmr::core::{run_job_with, EngineTuning, RunOpts};
     let mut cluster = Cluster::new(Topology::new(2, 2, 2), GpuSpec::gt200());
     cluster.set_fault_plan(plan);
     for rank in 0..4 {
@@ -62,21 +56,22 @@ fn run_wo_tuned(
         gpu_direct,
         ..EngineTuning::default()
     };
-    let result = run_job_tuned(&mut cluster, &job, chunks, &tuning).expect("job runs");
-    set_exec_backend(ExecBackend::Pool);
+    let opts = RunOpts {
+        tuning,
+        ..RunOpts::default()
+    };
+    let result = run_job_with(&mut cluster, &job, chunks, opts).expect("job runs");
     (result.outputs, result.timings)
 }
 
 /// The WO job journaled to `path`: same cluster/workload as
 /// [`run_wo_faulted`], but every scheduling decision is written to (or
 /// replayed against) the write-ahead journal.
-fn run_wo_journaled(
+fn run_wo_with_journal(
     workers: usize,
-    backend: ExecBackend,
     journal: &mut gpmr::core::Journal,
 ) -> (Vec<KvSet<u32, u32>>, gpmr::core::JobTimings) {
     use gpmr::core::{run_job_journaled, EngineTuning};
-    set_exec_backend(backend);
     let mut cluster = Cluster::new(Topology::new(2, 2, 2), GpuSpec::gt200());
     cluster.set_fault_plan(None);
     for rank in 0..4 {
@@ -95,38 +90,32 @@ fn run_wo_journaled(
         journal,
     )
     .expect("journaled job runs");
-    set_exec_backend(ExecBackend::Pool);
     (result.outputs, result.timings)
 }
 
 #[test]
-fn outputs_and_times_are_independent_of_workers_and_backend() {
-    let (base_out, base_times) = run_wo(1, ExecBackend::Pool);
+fn outputs_and_times_are_independent_of_workers() {
+    let (base_out, base_times) = run_wo(1);
     assert_eq!(base_out.len(), 4, "one output set per rank");
     assert!(base_times.total > SimDuration::ZERO);
 
     for workers in [2, 8] {
-        for backend in [ExecBackend::Pool, ExecBackend::Spawn] {
-            let (out, times) = run_wo(workers, backend);
-            assert_eq!(
-                out, base_out,
-                "outputs changed with {workers} workers on {backend:?}"
-            );
-            assert_eq!(
-                times, base_times,
-                "simulated times changed with {workers} workers on {backend:?}"
-            );
-        }
+        let (out, times) = run_wo(workers);
+        assert_eq!(out, base_out, "outputs changed with {workers} workers");
+        assert_eq!(
+            times, base_times,
+            "simulated times changed with {workers} workers"
+        );
     }
 }
 
 #[test]
-fn fault_recovery_is_independent_of_workers_and_backend() {
+fn fault_recovery_is_independent_of_workers() {
     // A plan that exercises every injection path at once: a mid-job GPU
     // kill, a transient route failure, and a straggler stall. Recovery
     // (requeue targets, retry counts, migrated work) must replay
     // identically no matter which host threads execute the kernels.
-    let (fault_free, fault_free_times) = run_wo(1, ExecBackend::Pool);
+    let (fault_free, fault_free_times) = run_wo(1);
     let horizon = fault_free_times.total.as_secs();
     let plan = || {
         Some(
@@ -137,7 +126,7 @@ fn fault_recovery_is_independent_of_workers_and_backend() {
         )
     };
 
-    let (base_out, base_times) = run_wo_faulted(1, ExecBackend::Pool, plan());
+    let (base_out, base_times) = run_wo_faulted(1, plan());
     assert_eq!(
         base_out, fault_free,
         "faulted run must still compute the fault-free answer"
@@ -150,17 +139,15 @@ fn fault_recovery_is_independent_of_workers_and_backend() {
     );
 
     for workers in [2, 8] {
-        for backend in [ExecBackend::Pool, ExecBackend::Spawn] {
-            let (out, times) = run_wo_faulted(workers, backend, plan());
-            assert_eq!(
-                out, base_out,
-                "faulted outputs changed with {workers} workers on {backend:?}"
-            );
-            assert_eq!(
-                times, base_times,
-                "faulted times/recovery changed with {workers} workers on {backend:?}"
-            );
-        }
+        let (out, times) = run_wo_faulted(workers, plan());
+        assert_eq!(
+            out, base_out,
+            "faulted outputs changed with {workers} workers"
+        );
+        assert_eq!(
+            times, base_times,
+            "faulted times/recovery changed with {workers} workers"
+        );
     }
 }
 
@@ -169,25 +156,25 @@ fn tuning_matrix_is_deterministic_and_output_invariant() {
     // Pipeline depth and transfer mode reshape the schedule, never the
     // answer: every tuning point must reproduce the default-tuning
     // outputs bit-for-bit, and within a tuning point the simulated times
-    // must be identical across worker counts and execution backends.
-    let (base_out, _) = run_wo(1, ExecBackend::Pool);
+    // must be identical across worker counts.
+    let (base_out, _) = run_wo(1);
     for depth in [1u32, 2, 4] {
         for gpu_direct in [false, true] {
-            let (out, times) = run_wo_tuned(1, ExecBackend::Pool, depth, gpu_direct, None);
+            let (out, times) = run_wo_tuned(1, depth, gpu_direct, None);
             assert_eq!(
                 out, base_out,
                 "outputs changed at depth {depth}, gpu_direct {gpu_direct}"
             );
-            for (workers, backend) in [(2, ExecBackend::Pool), (8, ExecBackend::Spawn)] {
-                let (o, t) = run_wo_tuned(workers, backend, depth, gpu_direct, None);
+            for workers in [2, 8] {
+                let (o, t) = run_wo_tuned(workers, depth, gpu_direct, None);
                 assert_eq!(
                     o, out,
-                    "outputs changed with {workers} workers on {backend:?} \
+                    "outputs changed with {workers} workers \
                      at depth {depth}, gpu_direct {gpu_direct}"
                 );
                 assert_eq!(
                     t, times,
-                    "times changed with {workers} workers on {backend:?} \
+                    "times changed with {workers} workers \
                      at depth {depth}, gpu_direct {gpu_direct}"
                 );
             }
@@ -199,9 +186,9 @@ fn tuning_matrix_is_deterministic_and_output_invariant() {
 fn tuning_matrix_survives_faults_deterministically() {
     // The corner tuning points (pipelining off / deep, host-staged /
     // GPU-direct) under the all-paths fault plan: recovery must replay
-    // identically across workers and backends, and still compute the
-    // fault-free answer.
-    let (fault_free, fault_free_times) = run_wo(1, ExecBackend::Pool);
+    // identically across workers, and still compute the fault-free
+    // answer.
+    let (fault_free, fault_free_times) = run_wo(1);
     let horizon = fault_free_times.total.as_secs();
     let plan = || {
         Some(
@@ -212,107 +199,78 @@ fn tuning_matrix_survives_faults_deterministically() {
         )
     };
     for (depth, gpu_direct) in [(1u32, false), (1, true), (4, false), (4, true)] {
-        let (out, times) = run_wo_tuned(1, ExecBackend::Pool, depth, gpu_direct, plan());
+        let (out, times) = run_wo_tuned(1, depth, gpu_direct, plan());
         assert_eq!(
             out, fault_free,
             "faulted run must still compute the fault-free answer \
              at depth {depth}, gpu_direct {gpu_direct}"
         );
         assert!(times.gpus_lost >= 1, "the kill must have landed");
-        let (o, t) = run_wo_tuned(8, ExecBackend::Spawn, depth, gpu_direct, plan());
+        let (o, t) = run_wo_tuned(8, depth, gpu_direct, plan());
         assert_eq!(
             o, out,
-            "faulted outputs changed across backends at depth {depth}, \
+            "faulted outputs changed across workers at depth {depth}, \
              gpu_direct {gpu_direct}"
         );
         assert_eq!(
             t, times,
-            "faulted times/recovery changed across backends at depth {depth}, \
+            "faulted times/recovery changed across workers at depth {depth}, \
              gpu_direct {gpu_direct}"
         );
     }
 }
 
 #[test]
-fn interrupted_and_resumed_runs_match_uninterrupted_across_workers_and_backends() {
-    // The resumed-run determinism axis: for every worker-count x backend
-    // combination, a journaled run interrupted halfway (journal truncated
-    // at a record boundary) and resumed must match the uninterrupted run
-    // bit-for-bit — outputs, simulated times, and the final journal.
+fn interrupted_and_resumed_runs_match_uninterrupted_across_workers() {
+    // The resumed-run determinism axis: for every worker count, a
+    // journaled run interrupted halfway (journal truncated at a record
+    // boundary) and resumed must match the uninterrupted run bit-for-bit —
+    // outputs, simulated times, and the final journal.
     use gpmr::core::{scan_bytes, Journal};
 
     let dir = std::env::temp_dir().join(format!("gpmr_det_resume_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let (base_out, base_times) = run_wo(1, ExecBackend::Pool);
+    let (base_out, base_times) = run_wo(1);
 
     for workers in [1usize, 2, 8] {
-        for backend in [ExecBackend::Pool, ExecBackend::Spawn] {
-            let path = dir.join(format!("wo_w{workers}_{backend:?}.gpj"));
+        let path = dir.join(format!("wo_w{workers}.gpj"));
 
-            // Uninterrupted journaled run: zero behavior change vs plain.
-            let mut journal = Journal::create(&path, 1).expect("create journal");
-            let (out, times) = run_wo_journaled(workers, backend, &mut journal);
-            drop(journal);
-            assert_eq!(
-                out, base_out,
-                "journaling changed outputs with {workers} workers on {backend:?}"
-            );
-            assert_eq!(
-                times, base_times,
-                "journaling changed times with {workers} workers on {backend:?}"
-            );
-            let reference = std::fs::read(&path).unwrap();
-            let (_, offsets) = scan_bytes(&reference);
+        // Uninterrupted journaled run: zero behavior change vs plain.
+        let mut journal = Journal::create(&path, 1).expect("create journal");
+        let (out, times) = run_wo_with_journal(workers, &mut journal);
+        drop(journal);
+        assert_eq!(
+            out, base_out,
+            "journaling changed outputs with {workers} workers"
+        );
+        assert_eq!(
+            times, base_times,
+            "journaling changed times with {workers} workers"
+        );
+        let reference = std::fs::read(&path).unwrap();
+        let (_, offsets) = scan_bytes(&reference);
 
-            // Interrupt halfway, resume, and demand bit-identity.
-            let cut = offsets[offsets.len() / 2] as usize;
-            std::fs::write(&path, &reference[..cut]).unwrap();
-            let mut journal = Journal::resume(&path, 1).expect("resume journal");
-            let (out, times) = run_wo_journaled(workers, backend, &mut journal);
-            assert!(journal.replayed() > 0, "half the journal must replay");
-            drop(journal);
-            assert_eq!(
-                out, base_out,
-                "resumed outputs diverged with {workers} workers on {backend:?}"
-            );
-            assert_eq!(
-                times, base_times,
-                "resumed times diverged with {workers} workers on {backend:?}"
-            );
-            assert_eq!(
-                std::fs::read(&path).unwrap(),
-                reference,
-                "resumed journal bytes diverged with {workers} workers on {backend:?}"
-            );
-        }
+        // Interrupt halfway, resume, and demand bit-identity.
+        let cut = offsets[offsets.len() / 2] as usize;
+        std::fs::write(&path, &reference[..cut]).unwrap();
+        let mut journal = Journal::resume(&path, 1).expect("resume journal");
+        let (out, times) = run_wo_with_journal(workers, &mut journal);
+        assert!(journal.replayed() > 0, "half the journal must replay");
+        drop(journal);
+        assert_eq!(
+            out, base_out,
+            "resumed outputs diverged with {workers} workers"
+        );
+        assert_eq!(
+            times, base_times,
+            "resumed times diverged with {workers} workers"
+        );
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            reference,
+            "resumed journal bytes diverged with {workers} workers"
+        );
     }
-}
-
-#[test]
-fn classic_wrappers_match_the_controlled_entry_point() {
-    // run_job (and friends) are now thin wrappers over the controlled
-    // engine entry: calling the controlled path with an unrestricted
-    // control must be indistinguishable — outputs AND simulated times.
-    use gpmr::core::{run_job_controlled, EngineTuning, RunControl};
-    use gpmr::telemetry::Telemetry;
-
-    let (base_out, base_times) = run_wo(1, ExecBackend::Pool);
-
-    let mut cluster = Cluster::new(Topology::new(2, 2, 2), GpuSpec::gt200());
-    let dict = Arc::new(Dictionary::generate(300, 11));
-    let text = generate_text(&dict, 120_000, 12);
-    let chunks = chunk_text(&text, 16 * 1024);
-    let result = run_job_controlled(
-        &mut cluster,
-        &WoJob::new(dict, 4),
-        chunks,
-        &EngineTuning::default(),
-        &Telemetry::disabled(),
-        &RunControl::unrestricted(),
-    )
-    .expect("controlled run completes");
-    assert_eq!(result.outputs, base_out, "controlled path changed outputs");
-    assert_eq!(result.timings, base_times, "controlled path changed times");
 }
 
 #[test]

@@ -193,7 +193,7 @@ fn reduce_memory_clamp_handles_tiny_devices() {
 
 #[test]
 fn dynamic_scheduling_beats_static_on_skewed_work() {
-    use gpmr::core::{run_job_tuned, EngineTuning};
+    use gpmr::core::{run_job_with, EngineTuning, RunOpts};
     // Adversarial queue skew: the round-robin distribution assigns chunk i
     // to rank i % 8, so placing every big chunk at positions = 0 (mod 8)
     // piles all the heavy work onto rank 0's queue. The big chunks are
@@ -227,7 +227,11 @@ fn dynamic_scheduling_beats_static_on_skewed_work() {
     let mut c1 = Cluster::accelerator(8, GpuSpec::gt200());
     let dynamic = run_job(&mut c1, &SioJob::default(), big.clone()).unwrap();
     let mut c2 = Cluster::accelerator(8, GpuSpec::gt200());
-    let fixed = run_job_tuned(&mut c2, &SioJob::default(), big, &static_tuning).unwrap();
+    let opts = RunOpts {
+        tuning: static_tuning,
+        ..RunOpts::default()
+    };
+    let fixed = run_job_with(&mut c2, &SioJob::default(), big, opts).unwrap();
 
     assert_eq!(dynamic.merged_output(), fixed.merged_output());
     assert_eq!(fixed.timings.chunks_stolen, 0);
@@ -245,7 +249,7 @@ fn dynamic_scheduling_beats_static_on_skewed_work() {
 
 #[test]
 fn zeroed_overheads_form_the_software_ceiling() {
-    use gpmr::core::{run_job_tuned, EngineTuning};
+    use gpmr::core::{run_job_with, EngineTuning, RunOpts};
     let data = generate_integers(100_000, 32);
     let chunks = sio_chunks(&data, 16 * 1024);
     let ideal = EngineTuning {
@@ -257,7 +261,11 @@ fn zeroed_overheads_form_the_software_ceiling() {
     let mut c1 = Cluster::accelerator(8, GpuSpec::gt200());
     let real = run_job(&mut c1, &SioJob::default(), chunks.clone()).unwrap();
     let mut c2 = Cluster::accelerator(8, GpuSpec::gt200());
-    let ceiling = run_job_tuned(&mut c2, &SioJob::default(), chunks, &ideal).unwrap();
+    let opts = RunOpts {
+        tuning: ideal,
+        ..RunOpts::default()
+    };
+    let ceiling = run_job_with(&mut c2, &SioJob::default(), chunks, opts).unwrap();
     assert_eq!(real.merged_output(), ceiling.merged_output());
     assert!(ceiling.total_time().as_secs() < real.total_time().as_secs());
 }

@@ -39,7 +39,7 @@ fn oversized_chunks_are_rejected_with_capacity_info() {
 
 #[test]
 fn chunk_capacity_boundary_is_exact_per_staging_slot() {
-    use gpmr::core::{run_job_tuned, EngineTuning};
+    use gpmr::core::{run_job_with, EngineTuning, RunOpts};
     // Device capacity of exactly pipeline_depth × chunk bytes: every
     // staging slot fits at once, so the job must run. One extra item per
     // chunk tips it over.
@@ -55,12 +55,11 @@ fn chunk_capacity_boundary_is_exact_per_staging_slot() {
         let mut cluster = Cluster::new(gpmr::sim_net::Topology::new(1, 2, 2), spec);
         let data = vec![7u32; n_items];
         let chunks = sio_chunks(&data, n_items * 4); // one chunk holding all items
-        run_job_tuned(
-            &mut cluster,
-            &SioJob::default(),
-            chunks,
-            &tuning(depth, direct),
-        )
+        let opts = RunOpts {
+            tuning: tuning(depth, direct),
+            ..RunOpts::default()
+        };
+        run_job_with(&mut cluster, &SioJob::default(), chunks, opts)
     };
 
     for depth in [1u32, 2, 4] {

@@ -14,11 +14,33 @@
 use std::sync::Arc;
 
 use gpmr::apps::{text, wo};
-use gpmr::core::{run_job, run_job_traced, EngineError, EngineTuning, JobTimings, TraceKind};
+use gpmr::core::{
+    run_job, run_job_instrumented, EngineError, EngineResult, EngineTuning, JobResult, JobTimings,
+    JobTrace, TraceKind,
+};
 use gpmr::prelude::*;
 use gpmr::sim_gpu::FaultPlan;
 use gpmr::sim_net::TransferFault;
+use gpmr::telemetry::Telemetry;
 use gpmr_apps::sio::{self, sio_chunks};
+
+/// A job result with the schedule trace of the run.
+type Traced<J> = (
+    JobResult<<J as GpmrJob>::Key, <J as GpmrJob>::Value>,
+    JobTrace,
+);
+
+/// Run `job` recording into a private telemetry handle; returns the
+/// result with the schedule trace derived from the recording.
+fn run_job_traced<J: GpmrJob>(
+    cluster: &mut Cluster,
+    job: &J,
+    chunks: Vec<J::Chunk>,
+) -> EngineResult<Traced<J>> {
+    let tel = Telemetry::enabled();
+    let result = run_job_instrumented(cluster, job, chunks, &EngineTuning::default(), &tel)?;
+    Ok((result, JobTrace::from_telemetry(&tel.snapshot())))
+}
 
 const RANKS: u32 = 4;
 

@@ -8,10 +8,9 @@
 
 use gpmr::apps::sio::{generate_integers, sio_chunks};
 use gpmr::apps::SioJob;
-use gpmr::core::{run_job_controlled, EngineError, RunControl, WorkQueues};
+use gpmr::core::{run_job, run_job_with, EngineError, RunControl, RunOpts, WorkQueues};
 use gpmr::sim_gpu::{GpuSpec, SimTime};
 use gpmr::sim_net::Cluster;
-use gpmr::telemetry::Telemetry;
 use proptest::prelude::*;
 
 proptest! {
@@ -261,26 +260,17 @@ proptest! {
 
         // Learn the fault-free makespan, then stop at a fraction of it.
         let mut cluster = Cluster::accelerator(4, GpuSpec::gt200());
-        let full = run_job_controlled(
-            &mut cluster,
-            &SioJob::default(),
-            chunks.clone(),
-            &Default::default(),
-            &Telemetry::disabled(),
-            &RunControl::unrestricted(),
-        ).expect("unrestricted run completes");
+        let full = run_job(&mut cluster, &SioJob::default(), chunks.clone())
+            .expect("unrestricted run completes");
         let makespan = full.timings.total.as_secs();
         let stop = SimTime::from_secs(makespan * stop_frac);
 
         let mut cluster = Cluster::accelerator(4, GpuSpec::gt200());
-        let out = run_job_controlled(
-            &mut cluster,
-            &SioJob::default(),
-            chunks,
-            &Default::default(),
-            &Telemetry::disabled(),
-            &RunControl::stop_at(stop),
-        );
+        let opts = RunOpts {
+            control: RunControl::stop_at(stop),
+            ..RunOpts::default()
+        };
+        let out = run_job_with(&mut cluster, &SioJob::default(), chunks, opts);
         match out {
             Err(EngineError::Cancelled { chunks_committed, chunks_released, .. }) => {
                 prop_assert_eq!(

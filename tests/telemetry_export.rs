@@ -96,9 +96,8 @@ fn retries_appear_as_counter_increments() {
 
 /// Accumulate-mode jobs (WO) fold map emissions into device state, so
 /// pair accounting happens when the accumulator is committed for binning —
-/// the `engine.pairs_emitted` counter must not stay at zero there (it did,
-/// while `engine.pairs_shuffled` counted; see BENCH_PR1's
-/// `telemetry_small_wo_4rank`).
+/// the `engine.pairs_emitted` counter must not stay at zero there (it once
+/// did, while `engine.pairs_shuffled` counted).
 #[test]
 fn accumulate_mode_reports_emitted_pairs() {
     use gpmr_apps::text::{chunk_text, generate_text, Dictionary};

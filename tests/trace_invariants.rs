@@ -2,11 +2,32 @@
 //! be consistent with the timing result and the pipeline's ordering
 //! rules.
 
-use gpmr::core::{run_job_traced, TraceKind};
+use gpmr::core::{
+    run_job_instrumented, EngineResult, EngineTuning, JobResult, JobTrace, TraceKind,
+};
 use gpmr::prelude::*;
+use gpmr::telemetry::Telemetry;
 use gpmr_apps::sio::{generate_integers, sio_chunks};
 use gpmr_apps::wo;
 use std::sync::Arc;
+
+/// A job result with the schedule trace of the run.
+type Traced<J> = (
+    JobResult<<J as GpmrJob>::Key, <J as GpmrJob>::Value>,
+    JobTrace,
+);
+
+/// Run `job` recording into a private telemetry handle; returns the
+/// result with the schedule trace derived from the recording.
+fn run_job_traced<J: GpmrJob>(
+    cluster: &mut Cluster,
+    job: &J,
+    chunks: Vec<J::Chunk>,
+) -> EngineResult<Traced<J>> {
+    let tel = Telemetry::enabled();
+    let result = run_job_instrumented(cluster, job, chunks, &EngineTuning::default(), &tel)?;
+    Ok((result, JobTrace::from_telemetry(&tel.snapshot())))
+}
 
 #[test]
 fn trace_covers_every_stage_and_respects_the_makespan() {
