@@ -155,23 +155,17 @@ impl GpmrJob for SioJob {
     ) -> SimGpuResult<(KvSet<u32, u32>, SimTime)> {
         let n = chunk.items.len();
         let cfg = LaunchConfig::for_items(n, ITEMS_PER_MAP_BLOCK, 256);
-        let (launch, res) = gpu.launch(at, &cfg, |ctx| {
+        // The launch charges each block's cost; the pairs it emits are
+        // written once below, into one set, not block by block.
+        let (_, res) = gpu.launch(at, &cfg, |ctx| {
             let range = ctx.item_range(n);
             // Two integers per thread: one fully-coalesced read of the
             // range, one coalesced write of each emitted (key, 1) pair.
             ctx.charge_read::<u32>(range.len());
             ctx.charge_write::<u32>(2 * range.len());
             ctx.charge_flops(range.len() as u64);
-            let mut out: KvSet<u32, u32> = KvSet::with_capacity(range.len());
-            for &x in &chunk.items[range] {
-                out.push(x, 1);
-            }
-            out
         })?;
-        let mut pairs = KvSet::with_capacity(n);
-        for p in launch.outputs {
-            pairs.append(p);
-        }
+        let pairs = KvSet::from_parts(chunk.items.clone(), vec![1; n]);
         Ok((pairs, res.end))
     }
 
@@ -193,26 +187,23 @@ impl GpmrJob for SioJob {
             return Ok((KvSet::new(), at));
         }
         // One key per thread; each thread serially sums its values
-        // (uncoalesced reads — the paper's final, fastest variant).
+        // (uncoalesced reads — the paper's final, fastest variant). A
+        // block's cost follows from how many values its keys own; the sums
+        // themselves are written once below, into one set.
         let cfg = LaunchConfig::for_items(segs.len(), 2048, 256);
-        let (launch, res) = gpu.launch(at, &cfg, |ctx| {
+        let (_, res) = gpu.launch(at, &cfg, |ctx| {
             let range = ctx.item_range(segs.len());
-            let mut out: KvSet<u32, u32> = KvSet::with_capacity(range.len());
-            for s in range {
-                let r = segs.range(s);
-                ctx.charge_read_uncoalesced::<u32>(r.len());
-                ctx.charge_flops(r.len() as u64);
-                let sum = vals[r].iter().sum::<u32>();
-                out.push(segs.keys[s], sum);
-            }
-            ctx.charge_write::<u32>(2 * out.len());
-            out
+            let values = segs.offsets[range.end] - segs.offsets[range.start];
+            ctx.charge_read_uncoalesced::<u32>(values);
+            ctx.charge_flops(values as u64);
+            ctx.charge_write::<u32>(2 * range.len());
         })?;
-        let mut out = KvSet::new();
-        for p in launch.outputs {
-            out.append(p);
-        }
-        Ok((out, res.end))
+        let sums = segs
+            .offsets
+            .windows(2)
+            .map(|w| vals[w[0]..w[1]].iter().sum())
+            .collect();
+        Ok((KvSet::from_parts(segs.keys.clone(), sums), res.end))
     }
 }
 

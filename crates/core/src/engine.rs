@@ -16,17 +16,18 @@
 //! is verified against CPU references in the application crates.
 
 use std::collections::{HashSet, VecDeque};
+use std::ops::Range;
 
 use gpmr_primitives::{
-    bitonic_sort_pairs_by, bits_for_radix, extract_segments, sort_pairs_with_bits, RadixKey,
-    Segments,
+    bitonic_sort_pairs_by, bits_for_radix, extract_segments_into, sort_parts_with_bits, RadixKey,
+    Segments, SortPart, SortScratch,
 };
 use gpmr_sim_gpu::{FaultPlan, Reservation, SimDuration, SimTime};
 use gpmr_sim_net::{Cluster, Mailbox};
 use gpmr_telemetry::{Counter, Registry, Telemetry};
 
 use crate::error::{EngineError, EngineResult};
-use crate::helpers::{charge_partition, combine_pairs, split_buckets_bounded};
+use crate::helpers::{charge_partition, combine_pairs, route_into, RouteScratch};
 use crate::job::{GpmrJob, MapMode, PartitionMode, PipelineConfig, SortMode};
 use crate::journal::{fnv1a, hash_pairs, Fnv64, Journal, JournalRecord, RecordOutcome};
 use crate::scheduler::WorkQueues;
@@ -549,7 +550,13 @@ struct Run<'a, J: GpmrJob> {
     control: RunControl,
     st: Vec<RankState<J::Key, J::Value, J::Chunk>>,
     queues: WorkQueues<(u64, J::Chunk)>,
-    mailbox: Mailbox<Bucket<J>>,
+    /// Everything shuffled so far, one growing arena per reducer
+    /// (`inbox[i]` belongs to rank `reducers[i]`): Bin writes each pair
+    /// here once and the reducer sorts it from here.
+    inbox: Vec<KvSet<J::Key, J::Value>>,
+    /// Which piece of its inbox each delivery is, and when it arrived.
+    mailbox: Mailbox<Bucket>,
+    route_scratch: RouteScratch,
     /// Chunk ids that moved off their home rank (steals, fault-plan
     /// requeues): under `RunControl::inputs_resident` these still pay the
     /// full upload — residency only holds where the chunk was born.
@@ -686,7 +693,9 @@ impl<'a, J: GpmrJob> Run<'a, J> {
             }
         }
         Ok(Run {
+            inbox: reducers.iter().map(|_| KvSet::new()).collect(),
             mailbox: Mailbox::new(ranks),
+            route_scratch: RouteScratch::default(),
             cluster,
             job,
             cfg,
@@ -1007,28 +1016,36 @@ impl<'a, J: GpmrJob> Run<'a, J> {
         s.chunks_done += 1;
     }
 
-    /// Partition `pairs` into one bucket per reducer (the ranks that
-    /// started the job; elastic adds are excluded so the destination set —
-    /// and the output — is independent of mid-job joins); bucket `i` goes
-    /// to `self.reducers[i]`. Each bucket carries the largest key radix it
-    /// holds (the pass touches every key anyway), so the receiver sizes
+    /// Partition `pairs` over the reducers (the ranks that started the
+    /// job; elastic adds are excluded so the destination set — and the
+    /// output — is independent of mid-job joins), appending reducer
+    /// `self.reducers[i]`'s share to `self.inbox[i]`. Returns one bucket
+    /// per reducer: the inbox range it was given and the largest key radix
+    /// in it (the pass touches every key anyway), so the receiver sizes
     /// its radix sort without a max-radix reduction.
-    fn route(&self, pairs: KvSet<J::Key, J::Value>) -> Vec<Bucket<J>> {
+    fn route(&mut self, pairs: &KvSet<J::Key, J::Value>) -> Vec<Bucket> {
         let nred = self.reducers.len() as u32;
+        let (job, inbox, scratch) = (self.job, &mut self.inbox, &mut self.route_scratch);
         match &self.cfg.partition {
             PartitionMode::None => {
+                let start = inbox[0].len();
+                inbox[0].extend_from_set(pairs);
                 let max_radix = pairs.keys.iter().map(|k| k.radix()).max().unwrap_or(0);
-                vec![(pairs, max_radix)]
+                vec![(start..inbox[0].len(), max_radix)]
             }
-            PartitionMode::RoundRobin => {
-                split_buckets_bounded(pairs, nred, |k| (k.radix() % u64::from(nred)) as u32)
-            }
-            PartitionMode::Custom => {
-                split_buckets_bounded(pairs, nred, |k| self.job.partition(k, nred))
-            }
-            PartitionMode::Range { splitters } => split_buckets_bounded(pairs, nred, |k| {
-                splitters.partition_point(|&s| s <= k.radix()) as u32
-            }),
+            PartitionMode::RoundRobin => route_into(
+                pairs,
+                |k| (k.radix() % u64::from(nred)) as u32,
+                inbox,
+                scratch,
+            ),
+            PartitionMode::Custom => route_into(pairs, |k| job.partition(k, nred), inbox, scratch),
+            PartitionMode::Range { splitters } => route_into(
+                pairs,
+                |k| splitters.partition_point(|&s| s <= k.radix()) as u32,
+                inbox,
+                scratch,
+            ),
         }
     }
 
@@ -1115,15 +1132,15 @@ impl<'a, J: GpmrJob> Run<'a, J> {
         }
         self.tel.pairs_shuffled.add(pairs.len() as u64);
         let mut end = send_ready;
-        for (i, (pairs, max_radix)) in self.route(pairs).into_iter().enumerate() {
-            if pairs.is_empty() {
+        for (i, (range, max_radix)) in self.route(&pairs).into_iter().enumerate() {
+            if range.is_empty() {
                 continue;
             }
             let dest = self.reducers[i];
-            let bytes = pairs.size_bytes();
+            let bytes = pair_bytes::<J>(range.len());
             let arrival = self.transfer(from, dest, send_ready, bytes)?;
             self.mailbox
-                .deliver(dest, from, seq, arrival, (pairs, max_radix));
+                .deliver(dest, from, seq, arrival, (range, max_radix));
             self.tel
                 .child_event(from, TraceKind::Send, send_ready, arrival, parent, || {
                     format!("{bytes} bytes to rank {dest}")
@@ -1280,8 +1297,7 @@ impl<'a, J: GpmrJob> Run<'a, J> {
     fn sort_reduce(&mut self) -> EngineResult<Vec<KvSet<J::Key, J::Value>>> {
         // Drain all inbound pairs first: sort-readiness must be known for
         // every rank before lost GPUs are assigned takeover ranks.
-        let inbound: Vec<Inbound<J::Key, J::Value>> =
-            (0..self.ranks()).map(|r| self.drain_inbound(r)).collect();
+        let inbound: Vec<Inbound> = (0..self.ranks()).map(|r| self.drain_inbound(r)).collect();
 
         // A rank whose GPU died after its map work completed is discovered
         // here: its sort and reduce run on the next surviving rank, with the
@@ -1308,9 +1324,15 @@ impl<'a, J: GpmrJob> Run<'a, J> {
             });
         }
 
+        // The ranks sort one after another on the host, so one set of
+        // buffers serves them all.
+        let mut bufs = SortBuffers {
+            sort: SortScratch::default(),
+            segs: Segments::default(),
+        };
         let mut outputs = Vec::with_capacity(inbound.len());
         for (r, inb) in (0..self.ranks()).zip(inbound) {
-            outputs.push(self.sort_reduce_rank(r, inb)?);
+            outputs.push(self.sort_reduce_rank(r, inb, &mut bufs)?);
         }
         // Job is done: publish each device's memory high-water mark to its
         // `gpu.rank{r}.mem_peak_bytes` gauge (teardown flush).
@@ -1319,30 +1341,28 @@ impl<'a, J: GpmrJob> Run<'a, J> {
     }
 
     /// Collect rank `r`'s mailbox and fix its sort-readiness. Deliveries
-    /// are consumed in canonical (chunk-id, sender) order, so the
-    /// concatenated set is identical no matter how faults, retries, or
-    /// stalls reshuffled arrival times.
-    fn drain_inbound(&mut self, r: u32) -> Inbound<J::Key, J::Value> {
+    /// are listed in canonical (chunk-id, sender) order, so reading the
+    /// inbox through them gives the same sequence no matter how faults,
+    /// retries, or stalls reshuffled the arrivals, and with them the order
+    /// in which the pairs landed in the inbox.
+    fn drain_inbound(&mut self, r: u32) -> Inbound {
         let deliveries = self.mailbox.drain_canonical(r);
-        let mut pairs: KvSet<J::Key, J::Value> =
-            KvSet::with_capacity(deliveries.iter().map(|d| d.payload.0.len()).sum());
+        let mut inb = Inbound {
+            ranges: Vec::with_capacity(deliveries.len()),
+            arrivals: Vec::with_capacity(deliveries.len()),
+            max_radix: 0,
+        };
         let mut last_arrival = SimTime::ZERO;
-        let mut parts = Vec::with_capacity(deliveries.len());
-        let mut max_radix = 0u64;
         for d in deliveries {
-            let (bucket, radix) = d.payload;
+            let (range, radix) = d.payload;
             last_arrival = last_arrival.max(d.arrival);
-            max_radix = max_radix.max(radix);
-            parts.push((d.arrival, bucket.size_bytes()));
-            pairs.append(bucket);
+            inb.max_radix = inb.max_radix.max(radix);
+            inb.arrivals.push((d.arrival, pair_bytes::<J>(range.len())));
+            inb.ranges.push(range);
         }
         let s = &mut self.st[r as usize];
         s.sort_ready = s.last_map_end.max(s.bin_done).max(last_arrival);
-        Inbound {
-            pairs,
-            parts,
-            max_radix,
-        }
+        inb
     }
 
     /// Sort and reduce what rank `r` received (on a takeover rank when
@@ -1350,13 +1370,25 @@ impl<'a, J: GpmrJob> Run<'a, J> {
     fn sort_reduce_rank(
         &mut self,
         r: u32,
-        inb: Inbound<J::Key, J::Value>,
+        inb: Inbound,
+        bufs: &mut SortBuffers<J::Key, J::Value>,
     ) -> EngineResult<KvSet<J::Key, J::Value>> {
         let ri = r as usize;
         let sort_ready = self.st[ri].sort_ready;
-        let incoming = inb.pairs;
+        // Taken out of the run, so the arena is freed as soon as this rank
+        // has sorted it. A rank that is not a reducer was sent nothing.
+        let inbox = match self.reducers.binary_search(&r) {
+            Ok(i) => std::mem::take(&mut self.inbox[i]),
+            Err(_) => KvSet::new(),
+        };
+        let parts: Vec<SortPart<'_, J::Key, J::Value>> = inb
+            .ranges
+            .iter()
+            .map(|range| (&inbox.keys[range.clone()], &inbox.vals[range.clone()]))
+            .collect();
 
-        if !self.cfg.sort_and_reduce || incoming.is_empty() {
+        if !self.cfg.sort_and_reduce || inbox.is_empty() {
+            let incoming = gather(&parts);
             self.st[ri].sort_done = sort_ready;
             self.st[ri].reduce_done = sort_ready;
             self.tel
@@ -1369,8 +1401,8 @@ impl<'a, J: GpmrJob> Run<'a, J> {
         }
 
         let exec = self.exec_rank(r);
-        let bytes = incoming.size_bytes();
-        let device_ready = self.upload_sort_input(r, exec, inb.parts, bytes);
+        let bytes = inbox.size_bytes();
+        let device_ready = self.upload_sort_input(r, exec, inb.arrivals, bytes);
 
         // Out-of-core sort: when the pairs (with the sort's ping-pong
         // buffer) exceed device memory, external passes stream the data
@@ -1397,22 +1429,33 @@ impl<'a, J: GpmrJob> Run<'a, J> {
         }
         // The partitioner already bounded every bucket's key range while
         // routing, so the sort starts on the right digit count without a
-        // max-radix reduction pass.
-        let (skeys, svals, t1) = match self.cfg.sort {
-            SortMode::Radix => sort_pairs_with_bits(
+        // max-radix reduction pass. It reads the deliveries where they lie
+        // in the inbox.
+        let t1 = match self.cfg.sort {
+            SortMode::Radix => sort_parts_with_bits(
                 gpu,
                 sort_start,
-                &incoming.keys,
-                &incoming.vals,
+                &parts,
                 bits_for_radix(inb.max_radix),
+                &mut bufs.sort,
             )?,
             SortMode::Bitonic => {
-                bitonic_sort_pairs_by(gpu, sort_start, &incoming.keys, &incoming.vals, |a, b| {
-                    a.radix().cmp(&b.radix())
-                })?
+                let incoming = gather(&parts);
+                let (k, v, t) = bitonic_sort_pairs_by(
+                    gpu,
+                    sort_start,
+                    &incoming.keys,
+                    &incoming.vals,
+                    |a, b| a.radix().cmp(&b.radix()),
+                )?;
+                (bufs.sort.keys, bufs.sort.vals) = (k, v);
+                t
             }
         };
-        let (segs, t2) = extract_segments(gpu, t1, &skeys)?;
+        drop(parts);
+        drop(inbox);
+        let (skeys, svals, segs) = (&bufs.sort.keys, &bufs.sort.vals, &mut bufs.segs);
+        let t2 = extract_segments_into(gpu, t1, skeys, segs)?;
         self.tel.event(r, TraceKind::Sort, device_ready, t2, || {
             format!(
                 "{} pairs, {} unique keys{}",
@@ -1425,14 +1468,14 @@ impl<'a, J: GpmrJob> Run<'a, J> {
             rank: r,
             pairs: skeys.len() as u64,
             unique: segs.len() as u64,
-            hash: hash_pairs(&skeys, &svals),
+            hash: hash_pairs(skeys, svals),
         })?;
         self.st[ri].sort_done = t2;
         // Stage accounting: Bin absorbs the wait for arrivals and the
         // streamed input upload; Sort is kernel time only.
         self.st[ri].sort_ready = device_ready;
 
-        let out = self.reduce_segments(r, exec, t2, &segs, &svals)?;
+        let out = self.reduce_segments(r, exec, t2, segs, svals)?;
         let reduce_done = self.st[ri].reduce_done;
         self.tel
             .journal(r, reduce_done, || JournalRecord::BinReduced {
@@ -1503,8 +1546,7 @@ impl<'a, J: GpmrJob> Run<'a, J> {
         svals: &[J::Value],
     ) -> EngineResult<KvSet<J::Key, J::Value>> {
         let gpu = self.cluster.gpu(exec);
-        // Typical reducers emit one pair per unique key, so size for that.
-        let mut out: KvSet<J::Key, J::Value> = KvSet::with_capacity(segs.len());
+        let mut out: KvSet<J::Key, J::Value> = KvSet::new();
         let mut t = at;
         let mut i = 0usize;
         let val_bytes = std::mem::size_of::<J::Value>().max(1);
@@ -1520,6 +1562,17 @@ impl<'a, J: GpmrJob> Run<'a, J> {
             while take > 1 && (segs.offsets[i + take] - segs.offsets[i]) * val_bytes > reduce_budget
             {
                 take /= 2;
+            }
+            if take == segs.len() {
+                // One kernel over everything (what every app asks for by
+                // default): it reads the sorted sets where they are and
+                // its result is the output.
+                (out, t) = self.job.reduce(gpu, t, segs, svals)?;
+                break;
+            }
+            if i == 0 {
+                // Typical reducers emit one pair per unique key.
+                out.reserve(segs.len());
             }
             let sub = Segments {
                 keys: segs.keys[i..i + take].to_vec(),
@@ -1599,17 +1652,42 @@ impl<'a, J: GpmrJob> Run<'a, J> {
     }
 }
 
-/// One binned bucket bound for a reducer rank, with the key-range bound
-/// [`Run::route`] computed for it.
-type Bucket<J> = (KvSet<<J as GpmrJob>::Key, <J as GpmrJob>::Value>, u64);
+/// One binned bucket bound for a reducer rank: where [`Run::route`] put
+/// it in that reducer's inbox, and the key-range bound it computed.
+type Bucket = (Range<usize>, u64);
 
-/// Everything a rank received for its sort stage: the concatenated pairs,
-/// the per-delivery (arrival, bytes) schedule for streamed input uploads,
-/// and the folded key-range bound.
-struct Inbound<K, V> {
-    pairs: KvSet<K, V>,
-    parts: Vec<(SimTime, u64)>,
+/// Everything a rank received for its sort stage, in canonical order: the
+/// inbox range of each delivery, its (arrival, bytes) for the streamed
+/// input upload, and the folded key-range bound.
+struct Inbound {
+    ranges: Vec<Range<usize>>,
+    arrivals: Vec<(SimTime, u64)>,
     max_radix: u64,
+}
+
+/// Host buffers of the Sort stage. The ranks' [`Run::sort_reduce_rank`]
+/// calls run one after another and share them, so the sorted pairs and
+/// their segments are mapped and faulted in once per job, not per rank.
+struct SortBuffers<K, V> {
+    sort: SortScratch<K, V>,
+    segs: Segments<K>,
+}
+
+/// Wire and device size of `pairs` of job `J`'s intermediate pairs.
+fn pair_bytes<J: GpmrJob>(pairs: usize) -> u64 {
+    (pairs * (std::mem::size_of::<J::Key>() + std::mem::size_of::<J::Value>())) as u64
+}
+
+/// The concatenation of `parts`.
+fn gather<K: crate::types::Key, V: crate::types::Value>(
+    parts: &[SortPart<'_, K, V>],
+) -> KvSet<K, V> {
+    let mut out = KvSet::with_capacity(parts.iter().map(|(k, _)| k.len()).sum());
+    for (k, v) in parts {
+        out.keys.extend_from_slice(k);
+        out.vals.extend_from_slice(v);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -1623,11 +1701,20 @@ mod tests {
     /// exercise engine paths directly.
     struct TestJob {
         cfg: PipelineConfig,
+        /// The pair an input item maps to.
+        emit: fn(u32) -> (u32, u32),
+        /// Cap on value sets per reduce kernel (the reduce-chunking
+        /// callback); `None` takes all remaining sets at once.
+        reduce_chunk: Option<usize>,
     }
 
     impl TestJob {
         fn with(cfg: PipelineConfig) -> Self {
-            TestJob { cfg }
+            TestJob {
+                cfg,
+                emit: |x| (x % 16, 1),
+                reduce_chunk: None,
+            }
         }
     }
 
@@ -1653,7 +1740,8 @@ mod tests {
                 ctx.charge_read::<u32>(range.len());
                 let mut out = KvSet::with_capacity(range.len());
                 for &x in &chunk.items[range] {
-                    out.push(x % 16, 1);
+                    let (k, v) = (self.emit)(x);
+                    out.push(k, v);
                 }
                 out
             })?;
@@ -1666,6 +1754,11 @@ mod tests {
 
         fn combine_op(&self, a: u32, b: u32) -> u32 {
             a + b
+        }
+
+        fn reduce_sets_per_chunk(&self, remaining: usize) -> usize {
+            self.reduce_chunk
+                .map_or(remaining, |cap| cap.min(remaining))
         }
 
         fn reduce(
@@ -1749,6 +1842,75 @@ mod tests {
             assert_eq!(st.sort.as_secs(), 0.0);
             assert_eq!(st.reduce.as_secs(), 0.0);
         }
+    }
+
+    #[test]
+    fn whole_and_chunked_reduce_agree() {
+        // 16 keys over 4 reducers: 4 value sets per rank. The default
+        // callback reduces them in one kernel straight from the sorted
+        // buffers; a cap of 3 takes the chunked path (3 + 1 sets, rebased
+        // sub-segments, appended parts).
+        let run_with = |reduce_chunk: Option<usize>| {
+            let mut cl = Cluster::accelerator(4, GpuSpec::gt200());
+            let job = TestJob {
+                reduce_chunk,
+                ..TestJob::with(PipelineConfig::default())
+            };
+            let result = run_job(&mut cl, &job, input(8000)).unwrap();
+            let kernels: u64 = (0..4).map(|r| cl.gpu(r).stats().kernels).sum();
+            (result, kernels)
+        };
+        let (whole, whole_kernels) = run_with(None);
+        let (chunked, chunked_kernels) = run_with(Some(3));
+        assert_eq!(whole.outputs, chunked.outputs);
+        for out in &whole.outputs {
+            assert_eq!(out.len(), 4);
+            assert_eq!(out.vals, vec![500; 4]);
+        }
+        assert_eq!(chunked_kernels, whole_kernels + 4);
+        assert!(chunked.total_time().as_secs() > whole.total_time().as_secs());
+    }
+
+    #[test]
+    fn map_only_output_is_canonical_under_steals_and_faults() {
+        // Without sort+reduce a rank's output is what it was sent, read
+        // in (chunk id, sender) order. Every item x becomes the pair
+        // (x, 3x) on reducer x % 4 and chunks hold consecutive items, so
+        // that order is ascending x — whichever rank mapped a chunk, and
+        // however late its bucket arrived.
+        let job = TestJob {
+            emit: |x| (x, x.wrapping_mul(3)),
+            ..TestJob::with(PipelineConfig::default().map_only())
+        };
+        let n = 40_000u32;
+        let expect: Vec<KvSet<u32, u32>> = (0..4)
+            .map(|r| (r..n).step_by(4).map(|x| (x, x.wrapping_mul(3))).collect())
+            .collect();
+
+        // Steal-heavy: rank 0 freezes as the job starts, so its queue is
+        // drained by the others.
+        let mut cl = Cluster::accelerator(4, GpuSpec::gt200());
+        cl.set_fault_plan(Some(FaultPlan::new().stall(0, 0.0, 5e-3)));
+        let stolen = run_job(&mut cl, &job, input(n)).unwrap();
+        assert!(
+            stolen.timings.chunks_stolen >= 5,
+            "{:?}",
+            stolen.timings.chunks_per_rank
+        );
+        assert_eq!(stolen.outputs, expect);
+
+        // Kill + add: rank 1 dies mid-map (its queue is requeued, its
+        // inbox is gathered on a survivor) while a fifth GPU joins and
+        // steals. The added rank is not a reducer.
+        let mut cl = Cluster::accelerator(5, GpuSpec::gt200());
+        cl.set_fault_plan(Some(FaultPlan::new().kill(1, 1.9e-3).add(4, 1e-4)));
+        let faulted = run_job(&mut cl, &job, input(n)).unwrap();
+        assert_eq!(faulted.timings.gpus_lost, 1);
+        assert_eq!(faulted.timings.gpus_added, 1);
+        assert!(faulted.timings.chunks_requeued >= 1);
+        assert!(faulted.timings.chunks_per_rank[4] >= 1);
+        assert_eq!(&faulted.outputs[..4], &expect[..]);
+        assert!(faulted.outputs[4].is_empty());
     }
 
     #[test]

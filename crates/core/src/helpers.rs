@@ -1,6 +1,7 @@
 //! Engine-internal GPU helpers shared by pipeline stages.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use gpmr_primitives::{extract_segments, sort_pairs, RadixKey};
 use gpmr_sim_gpu::{Gpu, KernelCost, LaunchConfig, SimGpuResult, SimTime};
@@ -45,22 +46,75 @@ pub fn split_buckets_bounded<K: Key + RadixKey, V: Value>(
     ranks: u32,
     route: impl Fn(&K) -> u32,
 ) -> Vec<(KvSet<K, V>, u64)> {
-    // Counting pre-pass: route every key once to size each bucket exactly,
-    // so the fill loop never reallocates.
-    let mut dests: Vec<u32> = Vec::with_capacity(pairs.len());
-    let mut counts = vec![0usize; ranks as usize];
-    let mut bounds = vec![0u64; ranks as usize];
+    let mut buckets: Vec<KvSet<K, V>> = (0..ranks).map(|_| KvSet::new()).collect();
+    let routed = route_into(&pairs, route, &mut buckets, &mut RouteScratch::default());
+    buckets
+        .into_iter()
+        .zip(routed)
+        .map(|(bucket, (_, bound))| (bucket, bound))
+        .collect()
+}
+
+/// The per-pair destinations of one [`route_into`] call, kept by the
+/// caller so the next call reuses the buffer. Destinations are stored as
+/// narrow as the sink count allows.
+#[derive(Default)]
+pub(crate) struct RouteScratch {
+    narrow: Vec<u8>,
+    wide: Vec<u32>,
+}
+
+/// The routing kernel: append every pair to the tail of sink
+/// `route(key)` (clamped to the last sink), keeping the pairs' order
+/// inside each sink. Returns, per sink, the index range the call appended
+/// and the largest key radix in it (0 for an empty range).
+pub(crate) fn route_into<K: Key + RadixKey, V: Value>(
+    pairs: &KvSet<K, V>,
+    route: impl Fn(&K) -> u32,
+    sinks: &mut [KvSet<K, V>],
+    scratch: &mut RouteScratch,
+) -> Vec<(Range<usize>, u64)> {
+    if sinks.len() <= usize::from(u8::MAX) + 1 {
+        // Every clamped destination is below 256, so the cast is exact.
+        scatter(pairs, route, sinks, &mut scratch.narrow, |d| d as u8)
+    } else {
+        scatter(pairs, route, sinks, &mut scratch.wide, |d| d)
+    }
+}
+
+fn scatter<K: Key + RadixKey, V: Value, D: Copy + Into<u32>>(
+    pairs: &KvSet<K, V>,
+    route: impl Fn(&K) -> u32,
+    sinks: &mut [KvSet<K, V>],
+    dests: &mut Vec<D>,
+    narrow: impl Fn(u32) -> D,
+) -> Vec<(Range<usize>, u64)> {
+    // Counting pre-pass: route every key once to size each sink's tail
+    // exactly, so the fill loop never reallocates.
+    let last = sinks.len() as u32 - 1;
+    let mut counts = vec![0usize; sinks.len()];
+    let mut bounds = vec![0u64; sinks.len()];
+    dests.clear();
+    dests.reserve(pairs.len());
     for k in &pairs.keys {
-        let dest = route(k).min(ranks - 1);
+        let dest = route(k).min(last);
         counts[dest as usize] += 1;
         bounds[dest as usize] = bounds[dest as usize].max(k.radix());
-        dests.push(dest);
+        dests.push(narrow(dest));
     }
-    let mut buckets: Vec<KvSet<K, V>> = counts.into_iter().map(KvSet::with_capacity).collect();
-    for ((k, v), dest) in pairs.keys.into_iter().zip(pairs.vals).zip(dests) {
-        buckets[dest as usize].push(k, v);
+    let routed = sinks
+        .iter_mut()
+        .zip(counts)
+        .zip(bounds)
+        .map(|((sink, count), bound)| {
+            sink.reserve(count);
+            (sink.len()..sink.len() + count, bound)
+        })
+        .collect();
+    for ((k, v), &dest) in pairs.iter().zip(dests.iter()) {
+        sinks[dest.into() as usize].push(*k, *v);
     }
-    buckets.into_iter().zip(bounds).collect()
+    routed
 }
 
 /// The generic Combine: group like-keyed pairs and fold each group with
@@ -164,6 +218,37 @@ mod tests {
         let pairs: KvSet<u32, u32> = [(7u32, 1u32)].into_iter().collect();
         let buckets = split_buckets(pairs, 2, |_| 99);
         assert_eq!(buckets[1].len(), 1);
+    }
+
+    #[test]
+    fn destinations_past_a_byte_are_not_truncated() {
+        // Destinations are kept one byte each up to 256 sinks and wider
+        // beyond; a truncated 300 would land in bucket 44.
+        for ranks in [255u32, 256, 257, 300, 70_000] {
+            let pairs: KvSet<u32, u32> = (0..3 * ranks).map(|i| (i, !i)).collect();
+            let buckets = split_buckets_bounded(pairs, ranks, |k| k % ranks);
+            assert_eq!(buckets.len(), ranks as usize);
+            for (r, (b, bound)) in buckets.iter().enumerate() {
+                let r = r as u32;
+                assert_eq!(b.keys, [r, r + ranks, r + 2 * ranks], "{ranks} ranks");
+                assert!(b.iter().all(|(k, v)| *v == !*k));
+                assert_eq!(*bound, u64::from(r + 2 * ranks));
+            }
+        }
+    }
+
+    #[test]
+    fn route_into_appends_and_reuses_its_scratch() {
+        let mut sinks: Vec<KvSet<u32, u32>> = vec![KvSet::new(); 3];
+        let mut scratch = RouteScratch::default();
+        let first: KvSet<u32, u32> = (0..9u32).map(|i| (i, 10 * i)).collect();
+        let second: KvSet<u32, u32> = [(7u32, 1u32), (4, 2)].into_iter().collect();
+        let a = route_into(&first, |k| k % 3, &mut sinks, &mut scratch);
+        let b = route_into(&second, |k| k % 3, &mut sinks, &mut scratch);
+        assert_eq!(a, [(0..3, 6), (0..3, 7), (0..3, 8)]);
+        assert_eq!(b, [(3..3, 0), (3..5, 7), (3..3, 0)]);
+        assert_eq!(sinks[1].keys, [1, 4, 7, 7, 4]);
+        assert_eq!(sinks[1].vals, [10, 40, 70, 1, 2]);
     }
 
     #[test]

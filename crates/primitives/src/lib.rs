@@ -37,8 +37,8 @@ pub use elem::{AddElem, RadixKey};
 pub use histogram::histogram;
 pub use radix::{
     bits_for_radix, sort_keys, sort_pairs, sort_pairs_config, sort_pairs_with_bits,
-    sort_pairs_with_bits_config, SortConfig,
+    sort_pairs_with_bits_config, sort_parts_with_bits, SortConfig, SortPart, SortScratch,
 };
 pub use scan::{exclusive_scan, inclusive_scan, reduce};
 pub use segmented::{flags_from_segments, segmented_inclusive_scan, segmented_reduce};
-pub use segments::{extract_segments, Segments};
+pub use segments::{extract_segments, extract_segments_into, Segments};

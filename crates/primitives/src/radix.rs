@@ -69,6 +69,40 @@ impl SortConfig {
     }
 }
 
+/// One contiguous run of a sort's input: parallel key and value slices.
+/// A sort over several parts sorts their concatenation, in list order.
+pub type SortPart<'a, K, V> = (&'a [K], &'a [V]);
+
+/// The buffers a sort works in, kept by the caller so that consecutive
+/// sorts (one per reducer rank, say) reuse them instead of mapping and
+/// faulting in fresh ones: the sorted output, the packed ping-pong pair
+/// buffers and the digit counters.
+pub struct SortScratch<K, V> {
+    /// Sorted keys of the most recent sort.
+    pub keys: Vec<K>,
+    /// The values carried along; `vals[i]` belongs to `keys[i]`.
+    pub vals: Vec<V>,
+    a: Vec<(K, V)>,
+    b: Vec<(K, V)>,
+    hist: Vec<usize>,
+    next: Vec<usize>,
+    offsets: Vec<usize>,
+}
+
+impl<K, V> Default for SortScratch<K, V> {
+    fn default() -> Self {
+        SortScratch {
+            keys: Vec::new(),
+            vals: Vec::new(),
+            a: Vec::new(),
+            b: Vec::new(),
+            hist: Vec::new(),
+            next: Vec::new(),
+            offsets: Vec::new(),
+        }
+    }
+}
+
 /// Sort `keys` ascending, carrying `vals` along, auto-detecting the number
 /// of significant key bits (one reduction pass, like CUDPP's bit-range
 /// optimization). Stable. Returns sorted keys, reordered values, and the
@@ -115,18 +149,22 @@ where
         // Serial fast path: charge the max-reduction kernels as usual but
         // fold the host-side max into the pass-0 histogram sweep the sort
         // needs anyway — one read of the keys instead of two.
+        assert_eq!(keys.len(), vals.len(), "{LENGTH_MISMATCH}");
         let cfg = cfg.normalized();
         let t = charge_max_radix(gpu, at, keys)?;
-        let hbits = host_digit_bits(keys.len(), &cfg);
-        let mask = (1u64 << hbits) - 1;
-        let mut hist = vec![0usize; 1 << hbits];
-        let mut max = 0u64;
-        for k in keys {
-            let r = k.radix();
-            max = max.max(r);
-            hist[(r & mask) as usize] += 1;
-        }
-        return serial_sort(gpu, t, keys, vals, bits_for_radix(max), &cfg, hist);
+        let mut s = SortScratch::default();
+        let parts = [(keys, vals)];
+        let max = pass0_histogram(&parts, host_digit_bits(keys.len(), &cfg), &mut s.hist);
+        let t = serial_sort(
+            gpu,
+            t,
+            &parts,
+            keys.len(),
+            bits_for_radix(max),
+            &cfg,
+            &mut s,
+        )?;
+        return Ok((s.keys, s.vals, t));
     }
     // Find the maximum radix to bound the number of passes.
     let (max_radix, t) = max_radix(gpu, at, keys)?;
@@ -179,103 +217,227 @@ where
     K: RadixKey,
     V: Copy + Send + Sync + 'static,
 {
-    assert_eq!(
-        keys.len(),
-        vals.len(),
-        "keys and values must have equal length"
-    );
-    if keys.len() <= 1 {
-        return Ok((keys.to_vec(), vals.to_vec(), at));
-    }
-    let cfg = cfg.normalized();
-    let passes = significant_bits.clamp(1, K::BITS).div_ceil(cfg.digit_bits);
-
-    if serial_host(gpu, keys.len()) {
-        let hbits = host_digit_bits(keys.len(), &cfg);
-        let mask = (1u64 << hbits) - 1;
-        let mut hist = vec![0usize; 1 << hbits];
-        for k in keys {
-            hist[(k.radix() & mask) as usize] += 1;
-        }
-        return serial_sort(gpu, at, keys, vals, significant_bits, &cfg, hist);
-    }
-
-    // Ping-pong between two packed pair buffers: pass 0 reads the borrowed
-    // key/value slices directly, later passes read the previous pass's
-    // output. Packing each pair into one element means a scatter touches
-    // one cache line per pair instead of two (one per array) — the
-    // dominant cost of an LSD sort on the host side.
-    let mut a: Vec<(K, V)> = Vec::new();
-    let mut b: Vec<(K, V)> = Vec::new();
-    let mut offsets: Vec<usize> = Vec::new();
-    let mut t = at;
-
-    for pass in 0..passes {
-        let shift = pass * cfg.digit_bits;
-        let fused = cfg.fuse_final && pass + 1 == passes;
-        t = if pass == 0 {
-            let src = SplitSrc { keys, vals };
-            one_pass_into(gpu, t, &src, shift, &cfg, fused, &mut a, &mut offsets)?
-        } else if pass % 2 == 1 {
-            one_pass_into(
-                gpu,
-                t,
-                a.as_slice(),
-                shift,
-                &cfg,
-                fused,
-                &mut b,
-                &mut offsets,
-            )?
-        } else {
-            one_pass_into(
-                gpu,
-                t,
-                b.as_slice(),
-                shift,
-                &cfg,
-                fused,
-                &mut a,
-                &mut offsets,
-            )?
-        };
-    }
-    let out = if passes % 2 == 1 { a } else { b };
-    let mut ks = Vec::with_capacity(out.len());
-    let mut vs = Vec::with_capacity(out.len());
-    for (k, v) in out {
-        ks.push(k);
-        vs.push(v);
-    }
-    Ok((ks, vs, t))
+    let mut s = SortScratch::default();
+    let t = sort_parts(gpu, at, &[(keys, vals)], significant_bits, cfg, &mut s)?;
+    Ok((s.keys, s.vals, t))
 }
 
-/// Whole-sort serial fast path: one histogram read of the input up front,
-/// then one combined scatter-plus-next-histogram sweep per digit — the
-/// next pass's counts fall out of the keys the scatter is already
-/// touching, and the final pass scatters straight into the split output
-/// vectors, so no standalone histogram or unzip passes remain. Charges
-/// exactly the per-pass kernels the worker-pool path charges, and the
-/// stable output is unique, so simulated time, kernel counts, and results
-/// are all bit-identical to it.
-fn serial_sort<K, V>(
+/// [`sort_pairs_with_bits`] over an input that lies in several pieces:
+/// sorts the concatenation of `parts` (in list order, so the sort is
+/// stable across parts too) without the caller having to build it, into
+/// `scratch.keys` / `scratch.vals`. Returns the completion time. The
+/// simulated kernels, and so the time, are those of the one-piece sort.
+pub fn sort_parts_with_bits<K, V>(
     gpu: &mut Gpu,
     at: SimTime,
-    keys: &[K],
-    vals: &[V],
-    bits: u32,
-    cfg: &SortConfig,
-    // Digit counts of the host's pass 0 (shift 0, [`host_digit_bits`]
-    // wide), computed by the caller so it can fold other per-key work
-    // (e.g. the max reduction) into the same sweep; later passes inherit
-    // `next` from the previous scatter.
-    mut hist: Vec<usize>,
-) -> SimGpuResult<(Vec<K>, Vec<V>, SimTime)>
+    parts: &[SortPart<'_, K, V>],
+    significant_bits: u32,
+    scratch: &mut SortScratch<K, V>,
+) -> SimGpuResult<SimTime>
 where
     K: RadixKey,
     V: Copy + Send + Sync + 'static,
 {
-    let n = keys.len();
+    sort_parts(
+        gpu,
+        at,
+        parts,
+        significant_bits,
+        &SortConfig::default(),
+        scratch,
+    )
+}
+
+const LENGTH_MISMATCH: &str = "keys and values must have equal length";
+
+/// Every pair of `parts`, in order.
+fn pairs_of<'a, K: Copy, V: Copy>(
+    parts: &'a [SortPart<'a, K, V>],
+) -> impl Iterator<Item = (K, V)> + 'a {
+    parts
+        .iter()
+        .flat_map(|&(k, v)| k.iter().copied().zip(v.iter().copied()))
+}
+
+/// The sort behind every entry point above.
+fn sort_parts<K, V>(
+    gpu: &mut Gpu,
+    at: SimTime,
+    parts: &[SortPart<'_, K, V>],
+    significant_bits: u32,
+    cfg: &SortConfig,
+    s: &mut SortScratch<K, V>,
+) -> SimGpuResult<SimTime>
+where
+    K: RadixKey,
+    V: Copy + Send + Sync + 'static,
+{
+    for (k, v) in parts {
+        assert_eq!(k.len(), v.len(), "{LENGTH_MISMATCH}");
+    }
+    let n: usize = parts.iter().map(|(k, _)| k.len()).sum();
+    if n <= 1 {
+        s.keys.clear();
+        s.vals.clear();
+        for (k, v) in pairs_of(parts) {
+            s.keys.push(k);
+            s.vals.push(v);
+        }
+        return Ok(at);
+    }
+    let cfg = cfg.normalized();
+
+    if serial_host(gpu, n) {
+        pass0_histogram(parts, host_digit_bits(n, &cfg), &mut s.hist);
+        return serial_sort(gpu, at, parts, n, significant_bits, &cfg, s);
+    }
+
+    // Ping-pong between two packed pair buffers, the first filled from the
+    // parts. Packing each pair into one element means a scatter touches
+    // one cache line per pair instead of two (one per array) — the
+    // dominant cost of an LSD sort on the host side.
+    let SortScratch {
+        keys,
+        vals,
+        a,
+        b,
+        offsets,
+        ..
+    } = s;
+    a.clear();
+    a.reserve(n);
+    a.extend(pairs_of(parts));
+    let passes = significant_bits.clamp(1, K::BITS).div_ceil(cfg.digit_bits);
+    let (mut src, mut dst) = (a, b);
+    let mut t = at;
+    for pass in 0..passes {
+        let shift = pass * cfg.digit_bits;
+        let fused = cfg.fuse_final && pass + 1 == passes;
+        t = one_pass_into(gpu, t, src, shift, &cfg, fused, dst, offsets)?;
+        std::mem::swap(&mut src, &mut dst);
+    }
+    keys.clear();
+    keys.extend(src.iter().map(|p| p.0));
+    vals.clear();
+    vals.extend(src.iter().map(|p| p.1));
+    Ok(t)
+}
+
+/// Digit counts of the serial host's pass 0 (shift 0, `hbits` wide) into
+/// `hist`, and the largest key radix seen in the same sweep.
+fn pass0_histogram<K: RadixKey, V>(
+    parts: &[SortPart<'_, K, V>],
+    hbits: u32,
+    hist: &mut Vec<usize>,
+) -> u64 {
+    let mask = (1u64 << hbits) - 1;
+    hist.clear();
+    hist.resize(1 << hbits, 0);
+    let mut max = 0u64;
+    for (keys, _) in parts {
+        for k in *keys {
+            let r = k.radix();
+            max = max.max(r);
+            hist[(r & mask) as usize] += 1;
+        }
+    }
+    max
+}
+
+/// Stable scatter of `src` (`n` pairs) into the packed `dst` by the digit
+/// at `shift`, counting the next digit of every pair on the way. `cursors`
+/// must be the exclusive scan of exactly `src`'s counts of that digit, so
+/// that each slot in `0..n` is written exactly once — into spare capacity,
+/// with no zero/fill pass over memory the scatter is about to overwrite
+/// anyway.
+fn scatter_packed<K: RadixKey, V: Copy>(
+    src: impl Iterator<Item = (K, V)>,
+    n: usize,
+    dst: &mut Vec<(K, V)>,
+    cursors: &mut [usize],
+    next: &mut [usize],
+    shift: u32,
+    hbits: u32,
+) {
+    let mask = (1u64 << hbits) - 1;
+    dst.clear();
+    dst.reserve(n);
+    let out = &mut dst.spare_capacity_mut()[..n];
+    let mut written = 0usize;
+    src.for_each(|(k, v)| {
+        let pos = &mut cursors[((k.radix() >> shift) & mask) as usize];
+        out[*pos].write((k, v));
+        *pos += 1;
+        next[((k.radix() >> (shift + hbits)) & mask) as usize] += 1;
+        written += 1;
+    });
+    assert_eq!(written, n, "scatter source shorter than its digit counts");
+    // SAFETY: `n` pairs were written, each at its digit's cursor inside
+    // `out[..n]` (an out-of-range cursor panics on the index). Cursors
+    // scanned from `src`'s own counts never meet, so the `n` writes hit
+    // `n` distinct slots: all of `dst[..n]` is initialized. `(K, V)` is
+    // `Copy`.
+    unsafe { dst.set_len(n) };
+}
+
+/// [`scatter_packed`] for the last pass: straight into the split output
+/// vectors, so no unzip pass remains.
+fn scatter_split<K: RadixKey, V: Copy>(
+    src: impl Iterator<Item = (K, V)>,
+    n: usize,
+    keys: &mut Vec<K>,
+    vals: &mut Vec<V>,
+    cursors: &mut [usize],
+    shift: u32,
+    hbits: u32,
+) {
+    let mask = (1u64 << hbits) - 1;
+    keys.clear();
+    keys.reserve(n);
+    vals.clear();
+    vals.reserve(n);
+    let ok = &mut keys.spare_capacity_mut()[..n];
+    let ov = &mut vals.spare_capacity_mut()[..n];
+    let mut written = 0usize;
+    src.for_each(|(k, v)| {
+        let pos = &mut cursors[((k.radix() >> shift) & mask) as usize];
+        ok[*pos].write(k);
+        ov[*pos].write(v);
+        *pos += 1;
+        written += 1;
+    });
+    assert_eq!(written, n, "scatter source shorter than its digit counts");
+    // SAFETY: as in `scatter_packed` — `n` writes at `n` distinct
+    // positions inside `[..n]` of both buffers. `K` and `V` are `Copy`.
+    unsafe {
+        keys.set_len(n);
+        vals.set_len(n);
+    }
+}
+
+/// Whole-sort serial fast path: one histogram read of the input up front
+/// (`s.hist`, see [`pass0_histogram`] — by the caller, so it can fold
+/// other per-key work such as the max reduction into the same sweep), then
+/// one combined scatter-plus-next-histogram sweep per digit — the next
+/// pass's counts fall out of the keys the scatter is already touching, and
+/// the final pass scatters straight into the split output vectors, so no
+/// standalone histogram or unzip passes remain. Pass 0 reads the `parts`
+/// where they lie. Charges exactly the per-pass kernels the worker-pool
+/// path charges, and the stable output is unique, so simulated time,
+/// kernel counts, and results are all bit-identical to it.
+fn serial_sort<K, V>(
+    gpu: &mut Gpu,
+    at: SimTime,
+    parts: &[SortPart<'_, K, V>],
+    n: usize,
+    bits: u32,
+    cfg: &SortConfig,
+    s: &mut SortScratch<K, V>,
+) -> SimGpuResult<SimTime>
+where
+    K: RadixKey,
+    V: Copy + Send + Sync + 'static,
+{
     let digits = cfg.digits();
     let pair_bytes = std::mem::size_of::<K>() + std::mem::size_of::<V>();
     let launch_cfg = LaunchConfig::for_items(n, SORT_ITEMS_PER_BLOCK, 256)
@@ -326,102 +488,45 @@ where
     // (see [`host_digit_bits`]) — fewer sweeps over the data, same unique
     // stable output.
     let hbits = host_digit_bits(n, cfg);
-    let hmask = (1u64 << hbits) - 1;
     let hpasses = bits.clamp(1, K::BITS).div_ceil(hbits);
+    let SortScratch {
+        keys,
+        vals,
+        a,
+        b,
+        hist,
+        next,
+        ..
+    } = s;
     debug_assert_eq!(hist.len(), 1usize << hbits);
-    let mut next = vec![0usize; 1 << hbits];
-    let mut a: Vec<(K, V)> = Vec::new();
-    let mut b: Vec<(K, V)> = Vec::new();
-    let mut ks: Vec<K> = Vec::new();
-    let mut vs: Vec<V> = Vec::new();
+    let (mut src, mut dst) = (a, b);
     for pass in 0..hpasses {
         let shift = pass * hbits;
-        let last = pass + 1 == hpasses;
-
         // Exclusive scan turns the counts into running placement cursors
         // in place.
         let mut running = 0usize;
         for c in hist.iter_mut() {
             running += std::mem::replace(c, running);
         }
-        let next_shift = shift + hbits;
-        if !last {
-            next.iter_mut().for_each(|c| *c = 0);
-        }
-        // Every scatter writes into spare capacity: the cursors are the
-        // exclusive scan of exact digit counts, so each slot in 0..n is
-        // written exactly once and `set_len(n)` below observes a fully
-        // initialized buffer — no zero/fill pass over memory the scatter
-        // is about to overwrite anyway. All element types are `Copy`.
-        if pass == 0 && last {
-            ks.clear();
-            ks.reserve(n);
-            vs.clear();
-            vs.reserve(n);
-            let ok = &mut ks.spare_capacity_mut()[..n];
-            let ov = &mut vs.spare_capacity_mut()[..n];
-            for (&k, &v) in keys.iter().zip(vals) {
-                let pos = &mut hist[((k.radix() >> shift) & hmask) as usize];
-                ok[*pos].write(k);
-                ov[*pos].write(v);
-                *pos += 1;
-            }
-        } else if pass == 0 {
-            a.clear();
-            a.reserve(n);
-            let out = &mut a.spare_capacity_mut()[..n];
-            for (&k, &v) in keys.iter().zip(vals) {
-                let pos = &mut hist[((k.radix() >> shift) & hmask) as usize];
-                out[*pos].write((k, v));
-                *pos += 1;
-                next[((k.radix() >> next_shift) & hmask) as usize] += 1;
-            }
-            // SAFETY: all n slots written exactly once (see above).
-            unsafe { a.set_len(n) };
-        } else {
-            let (src, dst) = if pass % 2 == 1 {
-                (&mut a, &mut b)
+        if pass + 1 == hpasses {
+            if pass == 0 {
+                scatter_split(pairs_of(parts), n, keys, vals, hist, shift, hbits);
             } else {
-                (&mut b, &mut a)
-            };
-            if last {
-                ks.clear();
-                ks.reserve(n);
-                vs.clear();
-                vs.reserve(n);
-                let ok = &mut ks.spare_capacity_mut()[..n];
-                let ov = &mut vs.spare_capacity_mut()[..n];
-                for &(k, v) in src.iter() {
-                    let pos = &mut hist[((k.radix() >> shift) & hmask) as usize];
-                    ok[*pos].write(k);
-                    ov[*pos].write(v);
-                    *pos += 1;
-                }
-            } else {
-                dst.clear();
-                dst.reserve(n);
-                let out = &mut dst.spare_capacity_mut()[..n];
-                for &(k, v) in src.iter() {
-                    let pos = &mut hist[((k.radix() >> shift) & hmask) as usize];
-                    out[*pos].write((k, v));
-                    *pos += 1;
-                    next[((k.radix() >> next_shift) & hmask) as usize] += 1;
-                }
-                // SAFETY: all n slots written exactly once (see above).
-                unsafe { dst.set_len(n) };
+                scatter_split(src.iter().copied(), n, keys, vals, hist, shift, hbits);
             }
+            break;
         }
-        if last {
-            // SAFETY: all n slots written exactly once (see above).
-            unsafe {
-                ks.set_len(n);
-                vs.set_len(n);
-            }
+        next.clear();
+        next.resize(1 << hbits, 0);
+        if pass == 0 {
+            scatter_packed(pairs_of(parts), n, src, hist, next, shift, hbits);
         } else {
-            std::mem::swap(&mut hist, &mut next);
+            scatter_packed(src.iter().copied(), n, dst, hist, next, shift, hbits);
+            std::mem::swap(&mut src, &mut dst);
         }
+        std::mem::swap(hist, next);
     }
-    Ok((ks, vs, t))
+    Ok(t)
 }
 
 /// Sort keys only (values are implicit indices nobody needs).
@@ -507,57 +612,16 @@ fn max_radix<K: RadixKey>(gpu: &mut Gpu, at: SimTime, keys: &[K]) -> SimGpuResul
     Ok((partials.outputs.into_iter().max().unwrap_or(0), r2.end))
 }
 
-/// Pair source a sort pass reads from: the borrowed key/value slices on
-/// pass 0, the packed ping-pong buffer on later passes.
-trait PairSrc<K, V>: Sync {
-    fn len(&self) -> usize;
-    fn key(&self, i: usize) -> K;
-    fn pair(&self, i: usize) -> (K, V);
-}
-
-struct SplitSrc<'a, K, V> {
-    keys: &'a [K],
-    vals: &'a [V],
-}
-
-impl<K: RadixKey, V: Copy + Send + Sync> PairSrc<K, V> for SplitSrc<'_, K, V> {
-    fn len(&self) -> usize {
-        self.keys.len()
-    }
-    #[inline]
-    fn key(&self, i: usize) -> K {
-        self.keys[i]
-    }
-    #[inline]
-    fn pair(&self, i: usize) -> (K, V) {
-        (self.keys[i], self.vals[i])
-    }
-}
-
-impl<K: RadixKey, V: Copy + Send + Sync> PairSrc<K, V> for [(K, V)] {
-    fn len(&self) -> usize {
-        <[(K, V)]>::len(self)
-    }
-    #[inline]
-    fn key(&self, i: usize) -> K {
-        self[i].0
-    }
-    #[inline]
-    fn pair(&self, i: usize) -> (K, V) {
-        self[i]
-    }
-}
-
 /// One stable counting-sort pass on a `cfg.digit_bits`-wide digit at
 /// `shift`, writing the reordered pairs into `out` (buffers are reused
 /// across passes). `fused` charges the single-kernel histogram+scatter
 /// variant instead of the two-kernel-plus-scan layout; the data movement
 /// is identical either way, so the output does not depend on it.
 #[allow(clippy::too_many_arguments)]
-fn one_pass_into<K, V, S>(
+fn one_pass_into<K, V>(
     gpu: &mut Gpu,
     at: SimTime,
-    src: &S,
+    src: &[(K, V)],
     shift: u32,
     cfg: &SortConfig,
     fused: bool,
@@ -567,7 +631,6 @@ fn one_pass_into<K, V, S>(
 where
     K: RadixKey,
     V: Copy + Send + Sync + 'static,
-    S: PairSrc<K, V> + ?Sized,
 {
     let n = src.len();
     let digits = cfg.digits();
@@ -606,7 +669,7 @@ where
             ctx.charge_flops(3 * range.len() as u64); // digit extract + shared atomic
             let mut counts = vec![0usize; digits];
             for i in range {
-                let d = ((src.key(i).radix() >> shift) & mask) as usize;
+                let d = ((src[i].0.radix() >> shift) & mask) as usize;
                 counts[d] += 1;
             }
             counts
@@ -641,7 +704,7 @@ where
     // bit-identical results no matter the worker count.
     if out.len() != n {
         out.clear();
-        out.resize(n, src.pair(0));
+        out.resize(n, src[0]);
     }
     let per = n.div_ceil(blocks);
     let parts = digit_partitions(offsets, blocks, digits, n);
@@ -651,8 +714,7 @@ where
         // global input order anyway, so per-block bases are redundant and
         // the counter table stays cache-resident.
         let mut ctr: Vec<usize> = (0..digits).map(|d| offsets[d * blocks]).collect();
-        for i in 0..n {
-            let (k, v) = src.pair(i);
+        for &(k, v) in src {
             let d = ((k.radix() >> shift) & mask) as usize;
             let pos = &mut ctr[d];
             out[*pos] = (k, v);
@@ -700,13 +762,13 @@ where
             for b in 0..blocks {
                 let start = (b * per).min(n);
                 let end_i = ((b + 1) * per).min(n);
-                for i in start..end_i {
-                    let d = ((src.key(i).radix() >> shift) & mask) as usize;
+                for &(k, v) in &src[start..end_i] {
+                    let d = ((k.radix() >> shift) & mask) as usize;
                     if d < reg.d0 || d >= reg.d1 {
                         continue;
                     }
                     let pos = &mut reg.offs[(d - reg.d0) * blocks + b];
-                    reg.pairs[*pos - reg.base] = src.pair(i);
+                    reg.pairs[*pos - reg.base] = (k, v);
                     *pos += 1;
                 }
             }
@@ -720,8 +782,8 @@ where
 /// launch. Runs on the worker pool when there is one; a single-thread
 /// host just walks the input once (queueing hundreds of block tasks
 /// through a one-worker pool only adds overhead).
-fn host_histogram<K, V, S>(
-    src: &S,
+fn host_histogram<K, V>(
+    src: &[(K, V)],
     shift: u32,
     mask: u64,
     digits: usize,
@@ -731,16 +793,14 @@ fn host_histogram<K, V, S>(
 where
     K: RadixKey,
     V: Copy + Send + Sync + 'static,
-    S: PairSrc<K, V> + ?Sized,
 {
     let per = n.div_ceil(blocks);
     let block_counts = |b: usize| {
         let start = (b * per).min(n);
         let end = ((b + 1) * per).min(n);
         let mut counts = vec![0usize; digits];
-        for i in start..end {
-            let d = ((src.key(i).radix() >> shift) & mask) as usize;
-            counts[d] += 1;
+        for (k, _) in &src[start..end] {
+            counts[((k.radix() >> shift) & mask) as usize] += 1;
         }
         counts
     };

@@ -21,6 +21,16 @@ pub struct Segments<K> {
     pub offsets: Vec<usize>,
 }
 
+/// No segments and no buffers yet — what [`extract_segments_into`] fills.
+impl<K> Default for Segments<K> {
+    fn default() -> Self {
+        Segments {
+            keys: Vec::new(),
+            offsets: Vec::new(),
+        }
+    }
+}
+
 impl<K> Segments<K> {
     /// Number of distinct keys.
     pub fn len(&self) -> usize {
@@ -73,36 +83,46 @@ pub fn extract_segments<K>(
 where
     K: Copy + PartialEq + Send + Sync + 'static,
 {
+    let mut segs = Segments::default();
+    let end = extract_segments_into(gpu, at, sorted_keys, &mut segs)?;
+    Ok((segs, end))
+}
+
+/// [`extract_segments`] into a caller-kept `segs`, whose buffers are
+/// overwritten and reused. Returns the completion time.
+pub fn extract_segments_into<K>(
+    gpu: &mut Gpu,
+    at: SimTime,
+    sorted_keys: &[K],
+    segs: &mut Segments<K>,
+) -> SimGpuResult<SimTime>
+where
+    K: Copy + PartialEq + Send + Sync + 'static,
+{
+    let Segments { keys, offsets } = segs;
+    keys.clear();
+    offsets.clear();
     if sorted_keys.is_empty() {
-        return Ok((
-            Segments {
-                keys: Vec::new(),
-                offsets: vec![0],
-            },
-            at,
-        ));
+        offsets.push(0);
+        return Ok(at);
     }
     let n = sorted_keys.len();
     let cfg = LaunchConfig::for_items(n, SEGMENT_ITEMS_PER_BLOCK, 256);
 
     // Kernel: mark segment starts (k[i] != k[i-1]); each block emits the
-    // boundary indices in its range.
-    let (bounds, r1) = gpu.launch(at, &cfg, |ctx| {
+    // boundary indices in its range. The launch only charges the blocks'
+    // cost, which does not depend on the data; the host finds the
+    // boundaries itself below, in two sweeps over one output instead of a
+    // `Vec` per block.
+    let (_, r1) = gpu.launch(at, &cfg, |ctx| {
         let range = ctx.item_range(n);
         // Reads its range plus one predecessor element.
         ctx.charge_read::<K>(range.len() + 1);
         ctx.charge_flops(range.len() as u64);
-        let mut local = Vec::new();
-        for i in range {
-            if i == 0 || sorted_keys[i] != sorted_keys[i - 1] {
-                local.push(i);
-            }
-        }
-        local
     })?;
 
     // Compact boundary indices (scan + scatter, small).
-    let unique: usize = bounds.outputs.iter().map(Vec::len).sum();
+    let unique = 1 + sorted_keys.windows(2).filter(|w| w[0] != w[1]).count();
     let compact_cost = KernelCost {
         flops: cfg.grid_blocks as u64 + unique as u64,
         bytes_coalesced: (unique * std::mem::size_of::<usize>() * 2) as u64,
@@ -110,16 +130,23 @@ where
     };
     let r2 = gpu.charge_compute(r1.end, &compact_cost, 1.0);
 
-    let mut offsets = Vec::with_capacity(unique + 1);
-    let mut keys = Vec::with_capacity(unique);
-    for block in bounds.outputs {
-        for i in block {
-            offsets.push(i);
-            keys.push(sorted_keys[i]);
-        }
+    // Branch-free fill: every element is written at the cursor and only a
+    // segment start advances it, so a non-start is overwritten by its
+    // successor. Sparse keys make "is this a start" a coin flip a branch
+    // predictor loses. The cursor can reach `unique` (after the last
+    // start), hence one slack slot, which for `offsets` is the end mark.
+    keys.resize(unique + 1, sorted_keys[0]);
+    offsets.resize(unique + 1, 0);
+    let mut cur = 1usize;
+    for i in 1..n {
+        keys[cur] = sorted_keys[i];
+        offsets[cur] = i;
+        cur += usize::from(sorted_keys[i] != sorted_keys[i - 1]);
     }
-    offsets.push(n);
-    Ok((Segments { keys, offsets }, r2.end))
+    debug_assert_eq!(cur, unique);
+    keys.truncate(unique);
+    offsets[unique] = n;
+    Ok(r2.end)
 }
 
 #[cfg(test)]

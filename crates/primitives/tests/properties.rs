@@ -163,6 +163,125 @@ proptest! {
     }
 }
 
+mod pair_path {
+    //! The reducer-side pair path: a sort that reads its input in pieces,
+    //! and segment extraction that fills one output.
+
+    use gpmr_primitives::segments::SEGMENT_ITEMS_PER_BLOCK;
+    use gpmr_primitives::{
+        extract_segments, extract_segments_into, sort_pairs_with_bits, sort_parts_with_bits,
+        Segments, SortPart, SortScratch,
+    };
+    use gpmr_sim_gpu::{Gpu, GpuSpec, SimTime};
+    use proptest::prelude::*;
+
+    /// `n` keys of `width` significant bits from a xorshift stream.
+    fn keys_from(seed: u64, n: usize, width: u32) -> Vec<u32> {
+        let mut x = seed | 1;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                ((x >> 20) as u32) & (u32::MAX >> (32 - width))
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn sort_of_parts_is_sort_of_their_concatenation(
+            seed in any::<u64>(),
+            small in 0usize..3000,
+            big in any::<bool>(),
+            width in 1u32..=32,
+            cuts in prop::collection::vec(0usize..70_000, 0..12),
+            workers in 1usize..=2,
+        ) {
+            // Below 2^16 pairs the sort sweeps with its configured digits
+            // on one thread; above, with 16-bit digits or on the pool.
+            let n = if big { (1 << 16) + small } else { small };
+            let keys = keys_from(seed, n, width);
+            // Values are original positions: agreement proves stability,
+            // inside a part and across parts.
+            let vals: Vec<u32> = (0..n as u32).collect();
+            // Random boundaries; repeated cuts make empty parts, no cut
+            // leaves one part.
+            let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (n + 1)).collect();
+            bounds.extend([0, n]);
+            bounds.sort_unstable();
+            let parts: Vec<SortPart<'_, u32, u32>> = bounds
+                .windows(2)
+                .map(|w| (&keys[w[0]..w[1]], &vals[w[0]..w[1]]))
+                .collect();
+
+            let mut g = Gpu::new(GpuSpec::gt200());
+            g.worker_threads = workers;
+            let (ref_k, ref_v, ref_t) =
+                sort_pairs_with_bits(&mut g, SimTime::ZERO, &keys, &vals, width).unwrap();
+            let ref_kernels = g.stats().kernels;
+
+            // A scratch that already served a different, longer sort.
+            let mut scratch = SortScratch::default();
+            let other = keys_from(!seed, n + 100, 32);
+            sort_parts_with_bits(&mut g, SimTime::ZERO, &[(&other, &other)], 32, &mut scratch)
+                .unwrap();
+
+            let mut g = Gpu::new(GpuSpec::gt200());
+            g.worker_threads = workers;
+            let t = sort_parts_with_bits(&mut g, SimTime::ZERO, &parts, width, &mut scratch)
+                .unwrap();
+            prop_assert_eq!(&scratch.keys, &ref_k);
+            prop_assert_eq!(&scratch.vals, &ref_v);
+            // Same simulated kernels, so the same simulated time.
+            prop_assert_eq!(t, ref_t);
+            prop_assert_eq!(g.stats().kernels, ref_kernels);
+        }
+
+        #[test]
+        fn segments_match_a_naive_reference(
+            first_key in 0u32..1000,
+            runs in prop::collection::vec((1u32..5, 1usize..6000), 0..10),
+        ) {
+            // A single-element run first and last, and in between runs
+            // long enough to straddle one or more block boundaries.
+            let mut lens = vec![1usize];
+            let mut gaps = vec![1u32];
+            for (gap, len) in runs {
+                gaps.push(gap);
+                lens.push(len);
+            }
+            gaps.push(1);
+            lens.push(1);
+            let mut keys = Vec::new();
+            let mut expect = Segments::default();
+            let mut key = first_key;
+            for (gap, len) in gaps.iter().zip(&lens) {
+                key += gap;
+                expect.keys.push(key);
+                expect.offsets.push(keys.len());
+                keys.extend(std::iter::repeat_n(key, *len));
+            }
+            expect.offsets.push(keys.len());
+
+            let mut g = Gpu::new(GpuSpec::gt200());
+            let (segs, t) = extract_segments(&mut g, SimTime::ZERO, &keys).unwrap();
+            prop_assert_eq!(&segs, &expect);
+
+            // Into buffers that held a longer result before.
+            let mut reused = Segments::default();
+            let longer: Vec<u32> = (0..keys.len() as u32 + SEGMENT_ITEMS_PER_BLOCK as u32).collect();
+            extract_segments_into(&mut g, SimTime::ZERO, &longer, &mut reused).unwrap();
+            let mut g = Gpu::new(GpuSpec::gt200());
+            let t_into = extract_segments_into(&mut g, SimTime::ZERO, &keys, &mut reused).unwrap();
+            prop_assert_eq!(&reused, &expect);
+            prop_assert_eq!(t_into, t);
+        }
+    }
+}
+
 mod segmented_props {
     use gpmr_primitives::{
         extract_segments, flags_from_segments, segmented_inclusive_scan, segmented_reduce,
