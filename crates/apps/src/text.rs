@@ -11,7 +11,7 @@ use rand::{Rng, SeedableRng};
 
 use gpmr_core::SliceChunk;
 
-use crate::mph::MinimalPerfectHash;
+use crate::mph::{is_separator, MinimalPerfectHash};
 
 /// The paper's dictionary size.
 pub const PAPER_DICTIONARY_WORDS: usize = 43_000;
@@ -79,8 +79,12 @@ impl Dictionary {
 }
 
 /// Generate roughly `total_bytes` of text: dictionary words separated by
-/// spaces, newline about every 64 bytes.
+/// spaces, newline about every 64 bytes. An empty dictionary has no words
+/// to draw, so its text is empty.
 pub fn generate_text(dict: &Dictionary, total_bytes: usize, seed: u64) -> Vec<u8> {
+    if dict.is_empty() {
+        return Vec::new();
+    }
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x7465_7874);
     let mut out = Vec::with_capacity(total_bytes + 16);
     let mut line = 0usize;
@@ -105,8 +109,11 @@ pub fn generate_text(dict: &Dictionary, total_bytes: usize, seed: u64) -> Vec<u8
 /// dictionary with Zipf(`s`) frequencies (dictionary order is rank order
 /// — word 0 is the hottest). The workload the skew-aware shuffle exists
 /// for: a handful of words dominate the corpus, so their keys dominate
-/// the pair stream.
+/// the pair stream. Empty for an empty dictionary, like [`generate_text`].
 pub fn generate_zipf_text(dict: &Dictionary, total_bytes: usize, s: f64, seed: u64) -> Vec<u8> {
+    if dict.is_empty() {
+        return Vec::new();
+    }
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x7a69_7066);
     // Inverse-CDF table over word ranks.
     let mut cdf = Vec::with_capacity(dict.words.len());
@@ -160,8 +167,7 @@ pub fn chunk_text(text: &[u8], chunk_bytes: usize) -> Vec<SliceChunk<u8>> {
 
 /// Iterate the words of a text buffer (split on spaces and newlines).
 pub fn words_of(text: &[u8]) -> impl Iterator<Item = &[u8]> {
-    text.split(|&b| b == b' ' || b == b'\n')
-        .filter(|w| !w.is_empty())
+    text.split(|&b| is_separator(b)).filter(|w| !w.is_empty())
 }
 
 #[cfg(test)]
@@ -211,6 +217,16 @@ mod tests {
         for w in words_of(&text) {
             assert!(dict_set.contains(w), "unknown word {:?}", w);
         }
+    }
+
+    #[test]
+    fn empty_dictionary_generates_empty_text() {
+        // Both generators used to panic sampling `0..0`.
+        let d = Dictionary::generate(0, 1);
+        assert!(d.is_empty());
+        assert!(generate_text(&d, 4096, 2).is_empty());
+        assert!(generate_zipf_text(&d, 4096, 1.1, 2).is_empty());
+        assert!(chunk_text(&[], 1024).is_empty());
     }
 
     #[test]

@@ -16,13 +16,13 @@
 //!   coalesced reads then a warp-wide reduction (the paper saw an order of
 //!   magnitude improvement over thread-per-key here).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use gpmr_core::{GpmrJob, KvSet, MapMode, PartitionMode, PipelineConfig, SliceChunk};
 use gpmr_primitives::Segments;
 use gpmr_sim_gpu::{Gpu, LaunchConfig, SimGpuResult, SimTime};
 
+use crate::mph::is_separator;
 use crate::text::{words_of, Dictionary};
 
 /// GPU count past which WO switches from the single-reducer configuration
@@ -81,31 +81,30 @@ impl WoJob {
         &self.dict
     }
 
-    /// Scan the words starting within `range` of `text`, calling `f` with
-    /// each word's dictionary index.
-    fn scan_words(
-        &self,
-        text: &[u8],
-        range: std::ops::Range<usize>,
-        mut f: impl FnMut(u32),
-    ) -> u64 {
-        let sep = |b: u8| b == b' ' || b == b'\n';
+    /// The dictionary ids of the words starting within `range` of `text`,
+    /// in text order: what one map block hands back. Words *starting* in
+    /// the range belong to it; the last one may run past the range end.
+    fn block_word_ids(&self, text: &[u8], range: std::ops::Range<usize>) -> Vec<u32> {
+        // A word start needs a separator (or the text start) before it, so
+        // starts lie at least two bytes apart.
+        let mut ids = Vec::with_capacity(range.len() / 2 + 1);
         let mut i = range.start;
-        let mut words = 0u64;
+        // Step over the tail of a word that started in an earlier block.
+        if i > 0 && !is_separator(text[i - 1]) {
+            while i < range.end && !is_separator(text[i]) {
+                i += 1;
+            }
+        }
         while i < range.end {
-            if sep(text[i]) || (i > 0 && !sep(text[i - 1])) {
+            if is_separator(text[i]) {
                 i += 1;
                 continue;
             }
-            let mut j = i;
-            while j < text.len() && !sep(text[j]) {
-                j += 1;
-            }
-            f(self.dict.mph.index(&text[i..j]));
-            words += 1;
-            i = j;
+            let (id, end) = self.dict.mph.index_at(text, i);
+            ids.push(id);
+            i = end;
         }
-        words
+        ids
     }
 }
 
@@ -150,16 +149,13 @@ impl GpmrJob for WoJob {
             let range = ctx.item_range(n);
             ctx.charge_read::<u8>(range.len());
             ctx.charge_flops(range.len() as u64);
-            let mut out: KvSet<u32, u32> = KvSet::new();
-            let words = self.scan_words(text, range.clone(), |idx| out.push(idx, 1));
-            ctx.charge_write::<u32>(2 * words as usize);
-            out
+            let ids = self.block_word_ids(text, range);
+            ctx.charge_write::<u32>(2 * ids.len());
+            ids
         })?;
-        let mut pairs = KvSet::new();
-        for p in locals.outputs {
-            pairs.append(p);
-        }
-        Ok((pairs, res.end))
+        let keys = locals.outputs.concat();
+        let ones = vec![1; keys.len()];
+        Ok((KvSet::from_parts(keys, ones), res.end))
     }
 
     fn accumulate_init(
@@ -191,24 +187,19 @@ impl GpmrJob for WoJob {
         let (locals, res) = gpu.launch(at, &cfg, |ctx| {
             let range = ctx.item_range(n);
             ctx.charge_read::<u8>(range.len());
-            // Words *starting* in this block's byte range belong to it; a
-            // word may extend past the range end.
-            let mut map: HashMap<u32, u32> = HashMap::new();
-            let words = self.scan_words(text, range.clone(), |idx| {
-                *map.entry(idx).or_insert(0) += 1;
-            });
             // Hashing is ~1 op per byte; one fire-and-forget atomic per
             // word into the resident emit space.
             ctx.charge_flops(range.len() as u64);
-            ctx.charge_atomics(words);
-            let mut counts: Vec<(u32, u32)> = map.into_iter().collect();
-            counts.sort_unstable();
-            counts
+            let ids = self.block_word_ids(text, range);
+            ctx.charge_atomics(ids.len() as u64);
+            ids
         })?;
-        for block in locals.outputs {
-            for (idx, c) in block {
-                state.vals[idx as usize] += c;
-            }
+        // The atomics themselves: blocks cannot touch `state`, so each
+        // hands back its word ids and they land here in one sweep. `+1` on
+        // `u32` reorders freely, so block order and worker count do not
+        // matter.
+        for id in locals.outputs.iter().flatten() {
+            state.vals[*id as usize] += 1;
         }
         Ok(res.end)
     }
@@ -224,25 +215,25 @@ impl GpmrJob for WoJob {
             return Ok((KvSet::new(), at));
         }
         // One key per *warp*: lanes read the key's values coalesced, then a
-        // warp-wide reduction finishes the sum.
-        let warps_per_block = 8usize;
-        let cfg = LaunchConfig::for_items(segs.len(), warps_per_block, 256);
+        // warp-wide reduction finishes the sum. A block hands back its
+        // warps' sums by value (it may own fewer keys than it has warps),
+        // so all blocks' sums are one allocation.
+        const WARPS_PER_BLOCK: usize = 8;
+        let cfg = LaunchConfig::for_items(segs.len(), WARPS_PER_BLOCK, 256);
         let (launch, res) = gpu.launch(at, &cfg, |ctx| {
             let range = ctx.item_range(segs.len());
-            let mut out: KvSet<u32, u32> = KvSet::with_capacity(range.len());
-            for s in range {
-                let r = segs.range(s);
-                let sum = ctx.warp_sum_u32(&vals[r]) as u32;
-                out.push(segs.keys[s], sum);
+            ctx.charge_write::<u32>(2 * range.len());
+            let mut block = [0u32; WARPS_PER_BLOCK];
+            for (sum, s) in block.iter_mut().zip(range.clone()) {
+                *sum = ctx.warp_sum_u32(&vals[segs.range(s)]) as u32;
             }
-            ctx.charge_write::<u32>(2 * out.len());
-            out
+            (range.len(), block)
         })?;
-        let mut out = KvSet::new();
-        for p in launch.outputs {
-            out.append(p);
+        let mut sums = Vec::with_capacity(segs.len());
+        for (keys, block) in &launch.outputs {
+            sums.extend_from_slice(&block[..*keys]);
         }
-        Ok((out, res.end))
+        Ok((KvSet::from_parts(segs.keys.clone(), sums), res.end))
     }
 }
 
@@ -448,5 +439,57 @@ mod tests {
             range_ratio < rr_ratio,
             "range ({range_ratio:.3}) should beat round-robin ({rr_ratio:.3})"
         );
+    }
+
+    #[test]
+    fn block_word_ids_cover_each_word_once() {
+        let (dict, mut text) = setup(300, 50_000, 16);
+        // No trailing newline: the last word ends where the text does.
+        while text.last().is_some_and(|&b| is_separator(b)) {
+            text.pop();
+        }
+        let job = WoJob::new(dict.clone(), 1);
+        let expect: Vec<u32> = words_of(&text).map(|w| dict.mph.index(w)).collect();
+        // Block sizes that cut words in two, down to one byte per block.
+        for block in [1usize, 2, 3, 7, 64, 1000, text.len()] {
+            let mut got = Vec::new();
+            let mut straddled = false;
+            for start in (0..text.len()).step_by(block) {
+                let end = (start + block).min(text.len());
+                straddled |=
+                    end < text.len() && !is_separator(text[end - 1]) && !is_separator(text[end]);
+                got.extend(job.block_word_ids(&text, start..end));
+            }
+            assert_eq!(got, expect, "block size {block}");
+            assert!(straddled || block == text.len());
+        }
+    }
+
+    #[test]
+    fn accumulate_state_is_the_same_for_any_worker_count() {
+        let dict = Arc::new(Dictionary::generate(400, 17));
+        let uniform = generate_text(&dict, 200_000, 18);
+        let zipf = crate::text::generate_zipf_text(&dict, 200_000, 1.1, 19);
+        for text in [uniform, zipf] {
+            let job = WoJob::new(dict.clone(), 1);
+            let chunk = SliceChunk::new(0, 0, text.clone());
+            let states: Vec<(KvSet<u32, u32>, SimTime)> = [1usize, 2, 8]
+                .into_iter()
+                .map(|workers| {
+                    let mut gpu = Gpu::new(GpuSpec::gt200());
+                    gpu.worker_threads = workers;
+                    let (mut state, t) = job.accumulate_init(&mut gpu, SimTime::ZERO).unwrap();
+                    let end = job.map_accumulate(&mut gpu, t, &chunk, &mut state).unwrap();
+                    (state, end)
+                })
+                .collect();
+            assert_eq!(states[0].0.vals, cpu_reference(&dict, &text));
+            assert_eq!(states[0].0.keys, (0..400).collect::<Vec<u32>>());
+            for (state, end) in &states[1..] {
+                assert_eq!(state.keys, states[0].0.keys);
+                assert_eq!(state.vals, states[0].0.vals);
+                assert_eq!(*end, states[0].1);
+            }
+        }
     }
 }

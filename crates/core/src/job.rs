@@ -343,6 +343,17 @@ pub trait GpmrJob: Send + Sync {
 
     /// Accumulation: map one chunk, folding its output into the resident
     /// set. Required for [`MapMode::Accumulate`].
+    ///
+    /// Blocks must not touch `state`: the launch closure is `Fn + Sync`
+    /// and its blocks run on any number of host workers, in any order.
+    /// A block charges its atomics (or its pool flush) to its `BlockCtx`
+    /// and *returns* its updates; the kernel applies the returned updates
+    /// to `state` after the launch, in block order. What a block returns
+    /// is the job's choice — WO returns the flat list of word ids it saw,
+    /// each worth `+1` (integer adds reorder freely, so nothing is
+    /// combined per block); KMC returns a dense per-block pool of `f64`
+    /// sums, because float adds are not associative and summing the pools
+    /// in block order fixes the result.
     fn map_accumulate(
         &self,
         _gpu: &mut Gpu,

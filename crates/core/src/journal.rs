@@ -79,14 +79,25 @@ impl Default for Fnv64 {
 /// and [`JournalRecord::BinReduced`]: since the engine's pair buffers are
 /// canonically ordered, equal hashes mean bit-identical data.
 pub fn hash_pairs<K: Pod, V: Pod>(keys: &[K], vals: &[V]) -> u64 {
-    let mut buf = Vec::with_capacity(keys.len() * K::SIZE + vals.len() * V::SIZE);
-    for k in keys {
-        k.write_le(&mut buf);
+    let mut h = Fnv64::new();
+    let mut buf = Vec::with_capacity(HASH_BLOCK_ITEMS * K::SIZE.max(V::SIZE));
+    hash_pods(&mut h, &mut buf, keys);
+    hash_pods(&mut h, &mut buf, vals);
+    h.finish()
+}
+
+/// Items encoded per [`Fnv64::write`] in [`hash_pairs`]: the encoding
+/// passes through one small reused buffer, not one as long as the data.
+const HASH_BLOCK_ITEMS: usize = 4096;
+
+fn hash_pods<T: Pod>(h: &mut Fnv64, buf: &mut Vec<u8>, items: &[T]) {
+    for block in items.chunks(HASH_BLOCK_ITEMS) {
+        buf.clear();
+        for it in block {
+            it.write_le(buf);
+        }
+        h.write(buf);
     }
-    for v in vals {
-        v.write_le(&mut buf);
-    }
-    fnv1a(&buf)
 }
 
 /// One commit-log entry. Every variant is written at a scheduler
@@ -949,5 +960,39 @@ mod tests {
         assert_ne!(a, c);
         // Published FNV-1a 64 test vector.
         assert_eq!(fnv1a(b"hello"), 0xa430_d846_80aa_bd0b);
+    }
+
+    #[test]
+    fn hash_pairs_equals_hashing_the_whole_encoding() {
+        // The digest is defined over all keys then all values, encoded
+        // little-endian; hashing block by block must not move it. Lengths
+        // sit on and around the block edges.
+        fn whole<K: Pod, V: Pod>(keys: &[K], vals: &[V]) -> u64 {
+            let mut buf = Vec::new();
+            keys.iter().for_each(|k| k.write_le(&mut buf));
+            vals.iter().for_each(|v| v.write_le(&mut buf));
+            fnv1a(&buf)
+        }
+        let b = HASH_BLOCK_ITEMS;
+        for n in [0, 1, b - 1, b, b + 1, 3 * b + 7] {
+            let keys: Vec<u32> = (0..n as u32)
+                .map(|i| i.wrapping_mul(2_654_435_761))
+                .collect();
+            let ones = vec![1u32; n];
+            assert_eq!(hash_pairs(&keys, &ones), whole(&keys, &ones), "n = {n}");
+            let wide: Vec<[f32; 3]> = keys.iter().map(|&k| [k as f32, 0.5, -1.0]).collect();
+            let vals: Vec<f64> = keys.iter().map(|&k| f64::from(k) / 7.0).collect();
+            assert_eq!(hash_pairs(&wide, &vals), whole(&wide, &vals), "n = {n}");
+        }
+        // Recorded on the commit that still encoded every pair into one
+        // buffer; the golden journals in `tests/checkpoint_resume.rs` pin
+        // the same function through whole runs.
+        let keys: Vec<u32> = (0..10_000u32)
+            .map(|i| i.wrapping_mul(2_654_435_761))
+            .collect();
+        assert_eq!(
+            hash_pairs(&keys, &vec![1u32; 10_000]),
+            0xffff_0acf_e62f_0318
+        );
     }
 }

@@ -476,6 +476,9 @@ impl JobService {
             return Err(RejectReason::UnknownTenant);
         };
         let tenant = &self.tenants[tix];
+        if matches!(spec.kind, JobKind::Wo { dict_words: 0, .. }) {
+            return Err(RejectReason::EmptyDictionary);
+        }
         if self.queue.len() >= self.cfg.max_queue_depth {
             return Err(RejectReason::QueueFull {
                 depth: self.queue.len(),

@@ -45,7 +45,8 @@ pub enum JobKind {
     Wo {
         /// Text size in bytes.
         bytes: usize,
-        /// Dictionary size in words.
+        /// Dictionary size in words; at least 1, or admission refuses the
+        /// job with [`RejectReason::EmptyDictionary`].
         dict_words: usize,
         /// Input generator seed.
         seed: u64,
@@ -199,6 +200,9 @@ pub enum RejectReason {
         /// The configured budget.
         budget_s: f64,
     },
+    /// A WO job over a dictionary of zero words: there is no text to
+    /// generate and nothing to count.
+    EmptyDictionary,
 }
 
 impl fmt::Display for RejectReason {
@@ -223,6 +227,7 @@ impl fmt::Display for RejectReason {
                     "GPU-seconds budget spent ({spent_s:.4}s of {budget_s:.4}s)"
                 )
             }
+            RejectReason::EmptyDictionary => write!(f, "wo job over an empty dictionary"),
         }
     }
 }

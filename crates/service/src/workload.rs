@@ -168,7 +168,12 @@ fn parse_submit(lineno: usize, toks: &[&str]) -> Result<JobSpec, WorkloadError> 
         match k {
             "n" => n = Some(parse_num(lineno, k, v)?),
             "bytes" => bytes = Some(parse_num(lineno, k, v)?),
-            "dict" => dict = parse_num(lineno, k, v)?,
+            "dict" => {
+                dict = parse_num(lineno, k, v)?;
+                if dict == 0 {
+                    return Err(err(lineno, "dict must be at least 1 word"));
+                }
+            }
             "seed" => seed = parse_num(lineno, k, v)?,
             "chunk_kb" => chunk_kb = parse_num(lineno, k, v)?,
             "priority" => priority = parse_num(lineno, k, v)?,
@@ -416,5 +421,15 @@ mod tests {
             .unwrap_err()
             .message
             .contains("n="));
+    }
+
+    #[test]
+    fn rejects_an_empty_dictionary_with_the_line() {
+        // `dict=0` used to parse and then panic the whole service in the
+        // text generator once the job was dispatched.
+        let e = parse("tenant a\nat 0 submit a wo bytes=4096 dict=0 seed=1").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("dict"), "{e}");
+        assert!(parse("tenant a\nat 0 submit a wo bytes=4096 dict=1").is_ok());
     }
 }

@@ -11,94 +11,89 @@
 
 use std::collections::BTreeMap;
 
-use crate::json::{parse, Value};
+use crate::json::{parse, render_num, render_string, Value};
 use crate::span::{CounterSample, SpanRecord, TelemetrySnapshot};
 
 const US_PER_S: f64 = 1e6;
 
 /// Render a snapshot as a Chrome trace-event / Perfetto JSON document.
 /// Open the result at <https://ui.perfetto.dev> (drag and drop the file).
+///
+/// Events are written straight into the output string, with no
+/// [`Value`] tree in between: the flight recorder renders a whole ring on
+/// every deadline miss, failure and alert.
 pub fn to_perfetto_json(snap: &TelemetrySnapshot) -> String {
-    let mut events: Vec<Value> = Vec::new();
-    events.push(meta_event(
-        "process_name",
-        0,
-        vec![("name".into(), Value::str("gpmr"))],
-    ));
+    let mut out = String::new();
+    out.push_str(r#"{"traceEvents":[{"name":"process_name","ph":"M","pid":0,"tid":0,"args":{"name":"gpmr"}}"#);
     for (&track, name) in &snap.tracks {
-        events.push(Value::Obj(vec![
-            ("name".into(), Value::str("thread_name")),
-            ("ph".into(), Value::str("M")),
-            ("pid".into(), Value::Num(0.0)),
-            ("tid".into(), Value::Num(track as f64)),
-            (
-                "args".into(),
-                Value::Obj(vec![("name".into(), Value::str(name.clone()))]),
-            ),
-        ]));
+        out.push_str(r#",{"name":"thread_name","ph":"M","pid":0,"tid":"#);
+        render_num(f64::from(track), &mut out);
+        out.push_str(r#","args":{"name":"#);
+        render_string(name, &mut out);
+        out.push_str("}}");
     }
 
     // Emit timed events sorted by timestamp (Perfetto requires no ordering,
     // but sorted output is stable, diffs cleanly, and lets the validator
-    // assert monotonicity).
-    let mut timed: Vec<(f64, Value)> = Vec::new();
-    for s in &snap.spans {
-        let mut args: Vec<(String, Value)> = vec![("kind".into(), Value::str(s.kind.clone()))];
-        if let Some(p) = s.parent {
-            args.push(("parent_span".into(), Value::Num(p as f64)));
-        }
-        for (k, v) in &s.attrs {
-            args.push((k.clone(), Value::str(v.clone())));
-        }
-        timed.push((
-            s.start_s,
-            Value::Obj(vec![
-                ("name".into(), Value::str(s.name.clone())),
-                ("cat".into(), Value::str(s.kind.clone())),
-                ("ph".into(), Value::str("X")),
-                ("pid".into(), Value::Num(0.0)),
-                ("tid".into(), Value::Num(s.track as f64)),
-                ("ts".into(), Value::Num(s.start_s * US_PER_S)),
-                ("dur".into(), Value::Num(s.duration_s() * US_PER_S)),
-                ("id".into(), Value::Num(s.id as f64)),
-                ("args".into(), Value::Obj(args)),
-            ]),
-        ));
-    }
-    for c in &snap.samples {
-        timed.push((
-            c.ts_s,
-            Value::Obj(vec![
-                ("name".into(), Value::str(c.series.clone())),
-                ("ph".into(), Value::str("C")),
-                ("pid".into(), Value::Num(0.0)),
-                ("tid".into(), Value::Num(c.track as f64)),
-                ("ts".into(), Value::Num(c.ts_s * US_PER_S)),
-                (
-                    "args".into(),
-                    Value::Obj(vec![("value".into(), Value::Num(c.value))]),
-                ),
-            ]),
-        ));
-    }
+    // assert monotonicity). Spans come before samples at equal times; the
+    // second field indexes the spans, then the samples.
+    let mut timed: Vec<(f64, usize)> = snap
+        .spans
+        .iter()
+        .map(|s| s.start_s)
+        .chain(snap.samples.iter().map(|c| c.ts_s))
+        .zip(0..)
+        .collect();
     timed.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-    events.extend(timed.into_iter().map(|(_, v)| v));
-
-    Value::Obj(vec![
-        ("traceEvents".into(), Value::Arr(events)),
-        ("displayTimeUnit".into(), Value::str("ms")),
-    ])
-    .render()
+    for (_, i) in timed {
+        out.push(',');
+        match snap.spans.get(i) {
+            Some(s) => write_span_event(s, &mut out),
+            None => write_counter_event(&snap.samples[i - snap.spans.len()], &mut out),
+        }
+    }
+    out.push_str(r#"],"displayTimeUnit":"ms"}"#);
+    out
 }
 
-fn meta_event(name: &str, tid: u32, args: Vec<(String, Value)>) -> Value {
-    Value::Obj(vec![
-        ("name".into(), Value::str(name)),
-        ("ph".into(), Value::str("M")),
-        ("pid".into(), Value::Num(0.0)),
-        ("tid".into(), Value::Num(tid as f64)),
-        ("args".into(), Value::Obj(args)),
-    ])
+fn write_span_event(s: &SpanRecord, out: &mut String) {
+    out.push_str(r#"{"name":"#);
+    render_string(&s.name, out);
+    out.push_str(r#","cat":"#);
+    render_string(&s.kind, out);
+    out.push_str(r#","ph":"X","pid":0,"tid":"#);
+    render_num(f64::from(s.track), out);
+    out.push_str(r#","ts":"#);
+    render_num(s.start_s * US_PER_S, out);
+    out.push_str(r#","dur":"#);
+    render_num(s.duration_s() * US_PER_S, out);
+    out.push_str(r#","id":"#);
+    render_num(s.id as f64, out);
+    out.push_str(r#","args":{"kind":"#);
+    render_string(&s.kind, out);
+    if let Some(p) = s.parent {
+        out.push_str(r#","parent_span":"#);
+        render_num(p as f64, out);
+    }
+    for (k, v) in &s.attrs {
+        out.push(',');
+        render_string(k, out);
+        out.push(':');
+        render_string(v, out);
+    }
+    out.push_str("}}");
+}
+
+fn write_counter_event(c: &CounterSample, out: &mut String) {
+    out.push_str(r#"{"name":"#);
+    render_string(&c.series, out);
+    out.push_str(r#","ph":"C","pid":0,"tid":"#);
+    render_num(f64::from(c.track), out);
+    out.push_str(r#","ts":"#);
+    render_num(c.ts_s * US_PER_S, out);
+    out.push_str(r#","args":{"value":"#);
+    render_num(c.value, out);
+    out.push_str("}}");
 }
 
 /// Render a snapshot as a JSONL event stream: one `track`, `span`, or
@@ -512,6 +507,85 @@ mod tests {
         assert_eq!(stats.counter_events, 1);
         assert_eq!(stats.named_tracks, 2);
         assert!((stats.end_ts_us - 1e6).abs() < 1e-6);
+    }
+
+    /// A snapshot that reaches every formatting branch of the exporter:
+    /// equal and out-of-order timestamps across spans and samples,
+    /// fractional and huge numbers, a non-finite value, an inverted span,
+    /// strings that need escaping, parents and attributes.
+    fn awkward_snapshot() -> TelemetrySnapshot {
+        let mut snap = TelemetrySnapshot::default();
+        snap.tracks.insert(0, "rank 0".into());
+        snap.tracks.insert(7, "tenant \"q\"\\\n\u{1}é".into());
+        snap.tracks.insert(4_000_000_000, "wide".into());
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            x >> 33
+        };
+        for i in 0..400u64 {
+            // A coarse grid, so spans and samples collide on timestamps.
+            let start_s =
+                (next() % 64) as f64 * 0.125e-3 + if i % 5 == 0 { 1e-7 / 3.0 } else { 0.0 };
+            let len_s = match i % 7 {
+                0 => -1e-4, // inverted: duration clamps to 0
+                1 => 0.0,
+                _ => (next() % 1000) as f64 * 1e-6,
+            };
+            snap.spans.push(SpanRecord {
+                id: if i == 13 { 1 << 60 } else { i + 1 },
+                parent: (i % 3 == 0).then_some(i / 3),
+                track: [0, 7, 4_000_000_000][(next() % 3) as usize],
+                kind: ["Map", "Upload", "Net\tSend"][(i % 3) as usize].into(),
+                name: format!("span \"{i}\"\r\n"),
+                start_s,
+                end_s: start_s + len_s,
+                attrs: (0..i % 4)
+                    .map(|a| (format!("k{a}"), format!("v\\{}\u{1f}", next() % 10)))
+                    .collect(),
+            });
+            if i % 2 == 0 {
+                snap.samples.push(CounterSample {
+                    track: 7,
+                    series: "queue_depth".into(),
+                    ts_s: (next() % 64) as f64 * 0.125e-3,
+                    value: match i % 10 {
+                        0 => f64::NAN,
+                        2 => 1e300,
+                        4 => -2.5,
+                        _ => (next() % 9) as f64,
+                    },
+                });
+            }
+        }
+        snap
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn perfetto_documents_are_pinned_byte_for_byte() {
+        // Length and FNV-1a of the documents the `Value`-tree exporter
+        // produced for the same two snapshots, recorded on the commit
+        // before events were written straight into the output string.
+        let small = to_perfetto_json(&sample_snapshot());
+        assert_eq!(
+            (small.len(), fnv1a(small.as_bytes())),
+            (581, 0x873c_28b1_0f52_8535)
+        );
+        let awkward = to_perfetto_json(&awkward_snapshot());
+        assert_eq!(
+            (awkward.len(), fnv1a(awkward.as_bytes())),
+            (96_029, 0x8ee1_086f_d31c_1da8)
+        );
+        let stats = validate_perfetto(&awkward).expect("valid Perfetto JSON");
+        assert_eq!((stats.complete_events, stats.counter_events), (400, 200));
     }
 
     #[test]

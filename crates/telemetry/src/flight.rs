@@ -160,12 +160,16 @@ impl FlightRecorder {
                 .entry(track)
                 .or_insert_with(|| format!("track {track}"));
         }
+        // Postmortems are kept until the service ends: do not keep the
+        // slack the document's buffer grew by along with each of them.
+        let mut trace_json = to_perfetto_json(&snap);
+        trace_json.shrink_to_fit();
         let pm = Postmortem {
             seq: self.next_seq,
             reason: reason.to_string(),
             subject: subject.to_string(),
             at_s,
-            trace_json: to_perfetto_json(&snap),
+            trace_json,
         };
         self.next_seq += 1;
         self.dumps.push(pm);

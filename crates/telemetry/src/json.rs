@@ -5,6 +5,8 @@
 //! is a small recursive-descent implementation sufficient for round-tripping
 //! our own exports and validating Perfetto files in tests/CI.
 
+use std::fmt::Write as _;
+
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
@@ -72,15 +74,7 @@ impl Value {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Num(n) => {
-                if !n.is_finite() {
-                    out.push_str("null");
-                } else if n.fract() == 0.0 && n.abs() < 9.0e15 {
-                    out.push_str(&format!("{}", *n as i64));
-                } else {
-                    out.push_str(&format!("{n}"));
-                }
-            }
+            Value::Num(n) => render_num(*n, out),
             Value::Str(s) => render_string(s, out),
             Value::Arr(items) => {
                 out.push('[');
@@ -108,7 +102,22 @@ impl Value {
     }
 }
 
-fn render_string(s: &str, out: &mut String) {
+/// Append `n` as [`Value::Num`] renders it: `null` when not finite,
+/// without a fraction when integral. For exporters that write a document
+/// straight into its output string.
+pub(crate) fn render_num(n: f64, out: &mut String) {
+    // Writing into a `String` cannot fail.
+    if !n.is_finite() {
+        out.push_str("null");
+    } else if n.fract() == 0.0 && n.abs() < 9.0e15 {
+        let _ = write!(out, "{}", n as i64);
+    } else {
+        let _ = write!(out, "{n}");
+    }
+}
+
+/// Append `s` as a quoted, escaped JSON string (see [`render_num`]).
+pub(crate) fn render_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -117,7 +126,9 @@ fn render_string(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }

@@ -1,20 +1,29 @@
-//! Allocation budget of the shuffle: how many bytes, in how many
-//! allocations, the engine takes from the allocator to move a job's
-//! intermediate pairs from Map to the reducers' outputs.
+//! Allocation budgets of the two pair data paths: how many bytes, in how
+//! many allocations, a job takes from the allocator between its prepared
+//! chunks and the reducers' outputs.
 //!
-//! SIO is the case to watch — nothing compacts its pairs, so every stage
+//! SIO is the shuffle's case — nothing compacts its pairs, so every stage
 //! carries all of them. Bin writes each pair once into its reducer's
 //! inbox, Sort reads it from there into buffers the ranks share, and Map,
 //! Segments and Reduce fill one output each; a per-block `Vec` or a copy
 //! creeping back into that path shows up here as a multiple of the pair
-//! bytes. The run is single-threaded and fault-free, so both counts
-//! repeat exactly.
+//! bytes.
+//!
+//! WO is Accumulation's case — almost nothing is shuffled, and what a map
+//! block allocates is all there is: one flat list of word ids per block,
+//! applied to the resident counters in one sweep. A container per block
+//! (a hash map that grows, drains and sorts) shows up as a multiple of
+//! the text bytes.
+//!
+//! The runs are single-threaded and fault-free, so all counts repeat
+//! exactly.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use gpmr::prelude::*;
 use gpmr_apps::sio::{generate_integers, sio_chunks};
+use gpmr_apps::text::{chunk_text, generate_text, Dictionary};
 
 thread_local! {
     /// Bytes and calls this thread has asked the allocator for while
@@ -70,18 +79,26 @@ const KEYS: usize = 1_000_000;
 const RANKS: u32 = 8;
 const CHUNKS: usize = 48;
 
-/// `(bytes, calls)` of one engine run over prepared chunks.
-fn sio_run_allocations() -> (u64, u64) {
-    let data = generate_integers(KEYS, 42);
-    let chunks = sio_chunks(&data, 4 * KEYS.div_ceil(CHUNKS));
+/// One engine run over prepared chunks on single-threaded GPUs, and the
+/// `(bytes, calls)` it allocated.
+fn counted_run<J: GpmrJob>(
+    job: &J,
+    chunks: Vec<J::Chunk>,
+) -> (JobResult<J::Key, J::Value>, (u64, u64)) {
     let mut cluster = Cluster::accelerator(RANKS, GpuSpec::gt200());
     for r in 0..RANKS {
         cluster.gpu(r).worker_threads = 1;
     }
     COUNTED.with(|c| c.set(Some((0, 0))));
-    let result = run_job(&mut cluster, &SioJob::default(), chunks);
+    let result = run_job(&mut cluster, job, chunks);
     let counted = COUNTED.with(|c| c.take()).expect("counting was on");
-    let result = result.unwrap();
+    (result.unwrap(), counted)
+}
+
+fn sio_run_allocations() -> (u64, u64) {
+    let data = generate_integers(KEYS, 42);
+    let chunks = sio_chunks(&data, 4 * KEYS.div_ceil(CHUNKS));
+    let (result, counted) = counted_run(&SioJob::default(), chunks);
     assert_eq!(result.timings.pairs_shuffled, KEYS as u64);
     counted
 }
@@ -113,3 +130,48 @@ fn sio_shuffle_stays_inside_its_allocation_budget() {
 
 /// A tenth above the measured 533.
 const ALLOCATION_CEILING: u64 = 586;
+
+const TEXT_BYTES: usize = 4 << 20;
+const DICT_WORDS: usize = 43_000;
+
+fn wo_run_allocations() -> (u64, u64) {
+    let dict = std::sync::Arc::new(Dictionary::generate(DICT_WORDS, 42));
+    let text = generate_text(&dict, TEXT_BYTES, 43);
+    let chunks = chunk_text(&text, TEXT_BYTES / 16);
+    let (result, counted) = counted_run(&WoJob::new(dict, RANKS), chunks);
+    // One pair per dictionary word per rank: Accumulation shipped counts,
+    // not occurrences.
+    assert_eq!(
+        result.timings.pairs_shuffled,
+        u64::from(RANKS) * DICT_WORDS as u64
+    );
+    counted
+}
+
+#[test]
+fn wo_accumulation_stays_inside_its_allocation_budget() {
+    let (bytes, calls) = wo_run_allocations();
+    assert_eq!(
+        (bytes, calls),
+        wo_run_allocations(),
+        "a single-threaded, fault-free run allocates the same every time"
+    );
+    println!(
+        "{bytes} bytes in {calls} allocations: {:.2} x the text bytes",
+        bytes as f64 / TEXT_BYTES as f64
+    );
+    assert!(
+        bytes <= WO_BYTES_CEILING,
+        "{bytes} bytes, ceiling {WO_BYTES_CEILING}"
+    );
+    assert!(
+        calls <= WO_ALLOCATION_CEILING,
+        "{calls} allocations, ceiling {WO_ALLOCATION_CEILING}"
+    );
+}
+
+/// A tenth above the measured 26 090 289 bytes (6.22 x the text) in 607
+/// allocations. With a `HashMap` and a sorted `Vec` per map block and a
+/// `KvSet` per reduce block the same run took 34 134 461 bytes in 14 128.
+const WO_BYTES_CEILING: u64 = 28_699_000;
+const WO_ALLOCATION_CEILING: u64 = 667;

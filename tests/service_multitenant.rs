@@ -317,6 +317,45 @@ fn queue_full_rejects_with_depth() {
 }
 
 #[test]
+fn empty_dictionary_is_rejected_not_dispatched() {
+    // A `dict_words: 0` spec built through the API (the workload parser
+    // refuses it earlier) must not reach the text generator, where it
+    // used to panic the service and every tenant on it.
+    let mut svc = JobService::new(
+        ServiceConfig::default(),
+        vec![TenantConfig::unlimited("t")],
+        Telemetry::disabled(),
+    );
+    let empty = svc.submit(JobSpec::new(
+        "t",
+        JobKind::Wo {
+            bytes: 4096,
+            dict_words: 0,
+            seed: 1,
+            chunk_kb: 16,
+        },
+    ));
+    let fine = svc.submit(JobSpec::new(
+        "t",
+        JobKind::Wo {
+            bytes: 4096,
+            dict_words: 1,
+            seed: 1,
+            chunk_kb: 16,
+        },
+    ));
+    svc.drain();
+    assert_eq!(
+        svc.poll(empty).unwrap(),
+        JobStatus::Rejected(RejectReason::EmptyDictionary)
+    );
+    assert!(matches!(
+        svc.poll(fine).unwrap(),
+        JobStatus::Completed { .. }
+    ));
+}
+
+#[test]
 fn cancel_semantics_cover_queued_running_and_terminal() {
     let mut svc = JobService::new(
         ServiceConfig {
