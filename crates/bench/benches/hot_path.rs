@@ -1,12 +1,14 @@
 //! Hot-path microbenches for the kernel worker pool and shuffle/sort
 //! allocation work: kernel launch overhead, radix sort throughput,
-//! the engine's bucket-split/combine shuffle path, and the cost of the
-//! telemetry subsystem (disabled vs enabled) on a full engine run.
+//! the engine's bucket-split/combine shuffle path, the cost of the
+//! telemetry subsystem (disabled vs enabled) on a full engine run, and
+//! the fixed cost of a job too small for anything else to show.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gpmr_core::helpers::{combine_pairs, split_buckets};
-use gpmr_core::{run_job_instrumented, EngineTuning, KvSet};
+use gpmr_core::{run_job, run_job_instrumented, EngineTuning, KvSet};
 use gpmr_primitives::sort_pairs;
+use gpmr_service::{JobKind, JobService, JobSpec, ServiceConfig, TenantConfig};
 use gpmr_sim_gpu::{Gpu, GpuSpec, LaunchConfig, SimTime};
 use gpmr_sim_net::Cluster;
 use gpmr_telemetry::{AlertEngine, AlertRule, Telemetry, TimeSeriesStore};
@@ -139,11 +141,55 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     group.finish();
 }
 
+/// What a job costs before its data costs anything. `sio_100_keys` is
+/// 100 keys on 4 ranks through `run_job` — the engine's per-run and
+/// per-sort bookkeeping (69 µs while every sort asked the OS for the core
+/// count, four times 12 µs of it). `wo_dispatch` is one 512-word,
+/// 4 KiB WO job submitted to a warm `JobService` and drained — what a
+/// tenant's repeat job costs the serve path (0.40 ms more while every
+/// dispatch rebuilt the dictionary and its perfect hash).
+fn bench_tiny_job(c: &mut Criterion) {
+    let mut group = c.benchmark_group("tiny_job");
+    group.bench_function("sio_100_keys", |b| {
+        let data = gpmr_apps::sio::generate_integers(100, 7);
+        let mut cluster = Cluster::accelerator(4, GpuSpec::gt200());
+        b.iter(|| {
+            let chunks = gpmr_apps::sio::sio_chunks(&data, 64 * 1024);
+            run_job(&mut cluster, &gpmr_apps::sio::SioJob::default(), chunks).unwrap()
+        });
+    });
+    group.bench_function("wo_dispatch", |b| {
+        let mut svc = JobService::new(
+            ServiceConfig::default(),
+            vec![TenantConfig::unlimited("t")],
+            Telemetry::disabled(),
+        );
+        let spec = JobSpec::new(
+            "t",
+            JobKind::Wo {
+                bytes: 4096,
+                dict_words: 512,
+                seed: 7,
+                chunk_kb: 16,
+            },
+        );
+        let mut dispatch = || {
+            let id = svc.submit(spec.clone());
+            svc.drain();
+            svc.poll(id)
+        };
+        dispatch().expect("the job was submitted");
+        b.iter(dispatch);
+    });
+    group.finish();
+}
+
 criterion_group!(
     hot_path,
     bench_launch_overhead,
     bench_sort_throughput,
     bench_shuffle_throughput,
-    bench_telemetry_overhead
+    bench_telemetry_overhead,
+    bench_tiny_job
 );
 criterion_main!(hot_path);

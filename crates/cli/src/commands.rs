@@ -1082,7 +1082,14 @@ fn cmd_serve(args: &Args) -> Result<String, CliError> {
         for pm in svc.postmortems() {
             let path = std::path::Path::new(dir).join(pm.file_name());
             let path = path.to_string_lossy();
-            write_file(&path, &pm.trace_json)?;
+            // The document is assembled as it is written, never held.
+            std::fs::File::create(&*path)
+                .and_then(|file| {
+                    let mut w = std::io::BufWriter::new(file);
+                    pm.write_trace(&mut w)?;
+                    std::io::Write::flush(&mut w)
+                })
+                .map_err(|e| CliError::Invalid(format!("cannot write {path}: {e}")))?;
             out.push_str(&format!("postmortem     : written to {path}\n"));
         }
     }

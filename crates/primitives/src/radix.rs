@@ -12,7 +12,7 @@
 //! charged as such — this is why Sort is a visible slice of the paper's
 //! Figure 2 runtime breakdown.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use gpmr_sim_gpu::{
     occupancy, run_indexed, worker_threads, Gpu, KernelCost, LaunchConfig, SimGpuResult, SimTime,
@@ -548,10 +548,19 @@ pub fn sort_keys<K: RadixKey>(
 /// the same simulated kernels and produces bit-identical output (the
 /// stable sort result is unique).
 fn serial_host(gpu: &Gpu, n: usize) -> bool {
-    let hw = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    gpu.worker_threads.min(hw).min(8) <= 1 || n < (1 << 16)
+    n < (1 << 16) || gpu.worker_threads <= 1 || host_cores() <= 1
+}
+
+/// The cores actually present, read once per process: the query is an
+/// affinity system call plus a cgroup file read (12 µs), which on every
+/// sort was most of a tiny job's host time.
+fn host_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Digit width of the serial host sweeps. Wide 16-bit digits halve the

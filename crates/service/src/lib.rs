@@ -41,7 +41,12 @@ pub mod spec;
 pub mod workload;
 
 pub use batch::{BatchChunk, SioBatchJob};
-pub use service::{JobService, ObsConfig, ServiceConfig, ServiceStats, QUEUE_WAIT_BOUNDS};
+pub use service::{
+    JobService, ObsConfig, ServiceConfig, ServiceStats, DICT_CACHE_ENTRIES, QUEUE_WAIT_BOUNDS,
+};
 pub use slo::{render_prometheus, SloAccountant, SloPolicy, SloReport, TenantSlo};
-pub use spec::{JobId, JobKind, JobSpec, JobStatus, RejectReason, ServiceError, TenantConfig};
+pub use spec::{
+    JobId, JobKind, JobSpec, JobStatus, RejectReason, ServiceError, TenantConfig, MAX_DICT_WORDS,
+    MAX_SIO_INTEGERS, MAX_WO_BYTES,
+};
 pub use workload::{parse, run, run_script, Action, Workload, WorkloadError};

@@ -42,12 +42,21 @@ use gpmr_telemetry::{
 
 use crate::batch::{split_outputs, tag_chunks, SioBatchJob};
 use crate::slo::{SloAccountant, SloPolicy, SloReport};
-use crate::spec::{JobId, JobKind, JobSpec, JobStatus, RejectReason, ServiceError, TenantConfig};
+use crate::spec::{
+    JobId, JobKind, JobSpec, JobStatus, RejectReason, ServiceError, TenantConfig, MAX_DICT_WORDS,
+};
 
 /// Histogram bucket bounds for `service.queue_wait_s` (seconds).
 pub const QUEUE_WAIT_BOUNDS: &[f64] = &[
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
 ];
+
+/// Distinct WO dictionaries a service keeps built; the least recently
+/// used one beyond this is dropped and rebuilt when next asked for.
+pub const DICT_CACHE_ENTRIES: usize = 32;
+/// Words the kept dictionaries may hold between them: one dictionary of
+/// the largest admissible size, so the cache never outweighs one job.
+const DICT_CACHE_WORDS: usize = MAX_DICT_WORDS;
 
 /// Service-wide configuration.
 #[derive(Clone, Debug, PartialEq)]
@@ -169,6 +178,46 @@ pub struct ServiceStats {
     pub alerts_fired: u64,
     /// Postmortem traces dumped so far.
     pub postmortems: u64,
+    /// WO dictionaries built (words generated, perfect hash constructed);
+    /// dispatches and stop re-runs beyond this count drew from the cache.
+    pub dictionaries_built: u64,
+}
+
+/// The WO dictionaries the service has built, most recently used first.
+///
+/// A dictionary is a pure function of `(dict_words, seed)` and building
+/// one (word generation plus the minimal perfect hash) costs as much host
+/// time as running a small job over it, so the paper builds it once and
+/// keeps it resident (§5.3.3). Tenants re-run the same few dictionaries;
+/// the service keeps the last [`DICT_CACHE_ENTRIES`] of them, within
+/// [`DICT_CACHE_WORDS`] words in total, and rebuilds an evicted one.
+#[derive(Default)]
+struct DictCache {
+    entries: Vec<((usize, u64), Arc<Dictionary>)>,
+    words: usize,
+    built: u64,
+}
+
+impl DictCache {
+    fn get(&mut self, dict_words: usize, seed: u64) -> Arc<Dictionary> {
+        let key = (dict_words, seed);
+        if let Some(ix) = self.entries.iter().position(|(k, _)| *k == key) {
+            self.entries[..=ix].rotate_right(1);
+            return Arc::clone(&self.entries[0].1);
+        }
+        let dict = Arc::new(Dictionary::generate(dict_words, seed));
+        self.built += 1;
+        while !self.entries.is_empty()
+            && (self.entries.len() >= DICT_CACHE_ENTRIES
+                || self.words + dict_words > DICT_CACHE_WORDS)
+        {
+            let ((evicted_words, _), _) = self.entries.pop().expect("non-empty");
+            self.words -= evicted_words;
+        }
+        self.entries.insert(0, (key, Arc::clone(&dict)));
+        self.words += dict_words;
+        dict
+    }
 }
 
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -190,6 +239,7 @@ pub struct JobService {
     /// Admitted jobs awaiting dispatch, in submission order.
     queue: Vec<JobId>,
     clusters: Vec<Cluster>,
+    dicts: DictCache,
     running: Vec<Option<Pass>>,
     service_track: u32,
     stats: ServiceStats,
@@ -249,6 +299,7 @@ impl JobService {
             jobs: Vec::new(),
             queue: Vec::new(),
             clusters,
+            dicts: DictCache::default(),
             running: (0..engines).map(|_| None).collect(),
             service_track,
             stats: ServiceStats::default(),
@@ -261,7 +312,10 @@ impl JobService {
 
     /// Pass and batching tallies.
     pub fn stats(&self) -> ServiceStats {
-        self.stats
+        ServiceStats {
+            dictionaries_built: self.dicts.built,
+            ..self.stats
+        }
     }
 
     /// The service clock, in simulated seconds.
@@ -399,7 +453,12 @@ impl JobService {
                     Some(started_s),
                     cost,
                 );
-                self.dump_postmortem("cancelled", id, at, capture.map(|c| (c, started_s)));
+                self.dump_postmortem(
+                    "cancelled",
+                    id,
+                    at,
+                    capture.as_ref().map(|c| (c, started_s)),
+                );
                 self.try_dispatch();
             }
             _ => unreachable!("is_live checked above"),
@@ -478,6 +537,9 @@ impl JobService {
         let tenant = &self.tenants[tix];
         if matches!(spec.kind, JobKind::Wo { dict_words: 0, .. }) {
             return Err(RejectReason::EmptyDictionary);
+        }
+        if let Some(too_large) = spec.kind.input_too_large() {
+            return Err(too_large);
         }
         if self.queue.len() >= self.cfg.max_queue_depth {
             return Err(RejectReason::QueueFull {
@@ -584,7 +646,7 @@ impl JobService {
                     "gpu-lost",
                     *member,
                     pass.finish_s,
-                    pass.capture.clone().map(|c| (c, pass.started_s)),
+                    pass.capture.as_ref().map(|c| (c, pass.started_s)),
                 );
             }
         }
@@ -628,7 +690,7 @@ impl JobService {
                     "deadline-missed",
                     id,
                     deadline_s,
-                    capture.map(|c| (c, started_s)),
+                    capture.as_ref().map(|c| (c, started_s)),
                 );
             }
             _ => return,
@@ -675,6 +737,7 @@ impl JobService {
         let capture = self.engine_capture();
         let outcome = run_solo(
             &mut self.clusters[slot],
+            &mut self.dicts,
             &spec,
             self.cfg.gpus,
             &self.cfg.tuning,
@@ -794,6 +857,7 @@ impl JobService {
             };
             let result = run_solo(
                 &mut self.clusters[slot],
+                &mut self.dicts,
                 &spec,
                 self.cfg.gpus,
                 &self.cfg.tuning,
@@ -965,17 +1029,14 @@ impl JobService {
         reason: &str,
         id: JobId,
         at_s: f64,
-        engine: Option<(TelemetrySnapshot, f64)>,
+        engine: Option<(&TelemetrySnapshot, f64)>,
     ) {
         let track_offset = self.service_track + 1;
         let Some(f) = &mut self.flight else {
             return;
         };
-        let subject = id.to_string();
-        let engine = engine
-            .as_ref()
-            .map(|(snap, started_s)| (snap, *started_s, track_offset));
-        f.dump(reason, &subject, at_s, engine);
+        let engine = engine.map(|(snap, started_s)| (snap, started_s, track_offset));
+        f.dump(reason, &id.to_string(), at_s, engine);
         self.stats.postmortems += 1;
     }
 
@@ -1037,9 +1098,11 @@ fn run_engine<J: GpmrJob>(
 }
 
 /// Run one job's engine pass on `cluster`, regenerating its input from
-/// the spec (deterministic: a rerun sees bit-identical chunks).
+/// the spec (deterministic: a rerun sees bit-identical chunks). A WO
+/// job's dictionary comes from `dicts`.
 fn run_solo(
     cluster: &mut Cluster,
+    dicts: &mut DictCache,
     spec: &JobSpec,
     gpus: u32,
     tuning: &EngineTuning,
@@ -1074,8 +1137,8 @@ fn run_solo(
             seed,
             chunk_kb,
         } => {
-            let dict = Arc::new(Dictionary::generate(dict_words, seed));
-            let text = generate_text(&dict, bytes, seed + 1);
+            let dict = dicts.get(dict_words, seed);
+            let text = generate_text(&dict, bytes, seed.wrapping_add(1));
             let chunks = chunk_text(&text, chunk_kb * 1024);
             let job = WoJob::new(dict, gpus);
             run_engine(cluster, &job, chunks, tuning, tel, spec.journal, control)

@@ -55,7 +55,38 @@ pub enum JobKind {
     },
 }
 
+/// Most integers an SIO job may ask the service to generate (1 GiB of
+/// `u32` keys).
+pub const MAX_SIO_INTEGERS: usize = 1 << 28;
+/// Most text a WO job may ask the service to generate (1 GiB).
+pub const MAX_WO_BYTES: usize = 1 << 30;
+/// Largest WO dictionary the service will build, in words (24 times the
+/// paper's).
+pub const MAX_DICT_WORDS: usize = 1 << 20;
+
 impl JobKind {
+    /// The refusal for a job whose generated input exceeds the service's
+    /// fixed bounds ([`MAX_SIO_INTEGERS`], [`MAX_WO_BYTES`],
+    /// [`MAX_DICT_WORDS`]). The lengths come from the submitter and every
+    /// one of them sizes an allocation, so they are checked before
+    /// anything is generated.
+    pub fn input_too_large(&self) -> Option<RejectReason> {
+        let over = |field, value: usize, max: usize| {
+            (value > max).then_some(RejectReason::InputTooLarge {
+                field,
+                value: value as u64,
+                max: max as u64,
+            })
+        };
+        match *self {
+            JobKind::Sio { n, .. } => over("n", n, MAX_SIO_INTEGERS),
+            JobKind::Wo {
+                bytes, dict_words, ..
+            } => over("bytes", bytes, MAX_WO_BYTES)
+                .or_else(|| over("dict", dict_words, MAX_DICT_WORDS)),
+        }
+    }
+
     /// Short kind name for reports.
     pub fn name(&self) -> &'static str {
         match self {
@@ -70,7 +101,7 @@ impl JobKind {
     pub fn chunk_bytes(&self) -> u64 {
         match self {
             JobKind::Sio { chunk_kb, .. } | JobKind::Wo { chunk_kb, .. } => {
-                (*chunk_kb as u64) * 1024
+                (*chunk_kb as u64).saturating_mul(1024)
             }
         }
     }
@@ -203,6 +234,17 @@ pub enum RejectReason {
     /// A WO job over a dictionary of zero words: there is no text to
     /// generate and nothing to count.
     EmptyDictionary,
+    /// The job asks for a generated input beyond the service's fixed
+    /// bounds (see [`JobKind::input_too_large`]).
+    InputTooLarge {
+        /// The workload-script key of the oversized length (`n`, `bytes`
+        /// or `dict`).
+        field: &'static str,
+        /// The requested length.
+        value: u64,
+        /// The bound it exceeds.
+        max: u64,
+    },
 }
 
 impl fmt::Display for RejectReason {
@@ -228,6 +270,9 @@ impl fmt::Display for RejectReason {
                 )
             }
             RejectReason::EmptyDictionary => write!(f, "wo job over an empty dictionary"),
+            RejectReason::InputTooLarge { field, value, max } => {
+                write!(f, "input too large: {field}={value} exceeds {max}")
+            }
         }
     }
 }
@@ -375,5 +420,13 @@ mod tests {
             chunk_kb: 16,
         };
         assert_eq!(sio.chunk_bytes(), 16 * 1024);
+        // A chunk size from a script saturates (and then fails the
+        // staging formula) instead of overflowing at admission.
+        let huge = JobKind::Sio {
+            n: 1,
+            seed: 0,
+            chunk_kb: usize::MAX,
+        };
+        assert_eq!(huge.chunk_bytes(), u64::MAX);
     }
 }

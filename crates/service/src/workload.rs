@@ -217,6 +217,9 @@ fn parse_submit(lineno: usize, toks: &[&str]) -> Result<JobSpec, WorkloadError> 
         },
         other => return Err(err(lineno, format!("unknown job kind {other:?}"))),
     };
+    if let Some(too_large) = kind.input_too_large() {
+        return Err(err(lineno, too_large.to_string()));
+    }
     let mut spec = JobSpec::new(tenant, kind);
     spec.priority = priority;
     spec.deadline_s = deadline;
@@ -431,5 +434,28 @@ mod tests {
         assert_eq!(e.line, 2);
         assert!(e.message.contains("dict"), "{e}");
         assert!(parse("tenant a\nat 0 submit a wo bytes=4096 dict=1").is_ok());
+    }
+
+    #[test]
+    fn rejects_oversized_generated_inputs_with_the_line() {
+        // Each of these lengths sizes an allocation once the job is
+        // dispatched; the first two used to abort `gpmr serve` there.
+        for (line, field) in [
+            ("wo bytes=4096 dict=18446744073709551615 seed=1", "dict="),
+            ("sio n=4000000000000000000 seed=1", "n="),
+            ("wo bytes=4000000000000000000 dict=64", "bytes="),
+        ] {
+            let e = parse(&format!("tenant a\n\nat 0 submit a {line}")).unwrap_err();
+            assert_eq!(e.line, 3, "{e}");
+            assert!(e.message.contains("too large"), "{e}");
+            assert!(e.message.contains(field), "{e}");
+        }
+        let at_the_bound = format!(
+            "tenant a\nat 0 submit a sio n={}\nat 0 submit a wo bytes={} dict={}",
+            crate::spec::MAX_SIO_INTEGERS,
+            crate::spec::MAX_WO_BYTES,
+            crate::spec::MAX_DICT_WORDS
+        );
+        assert_eq!(parse(&at_the_bound).unwrap().events.len(), 2);
     }
 }

@@ -20,18 +20,13 @@ const US_PER_S: f64 = 1e6;
 /// Open the result at <https://ui.perfetto.dev> (drag and drop the file).
 ///
 /// Events are written straight into the output string, with no
-/// [`Value`] tree in between: the flight recorder renders a whole ring on
-/// every deadline miss, failure and alert.
+/// [`Value`] tree in between. The flight recorder assembles its
+/// postmortems from the same pieces (the track preamble, one fragment
+/// per event, the closing) without going through a snapshot; this
+/// function is the reference those documents must equal byte for byte.
 pub fn to_perfetto_json(snap: &TelemetrySnapshot) -> String {
     let mut out = String::new();
-    out.push_str(r#"{"traceEvents":[{"name":"process_name","ph":"M","pid":0,"tid":0,"args":{"name":"gpmr"}}"#);
-    for (&track, name) in &snap.tracks {
-        out.push_str(r#",{"name":"thread_name","ph":"M","pid":0,"tid":"#);
-        render_num(f64::from(track), &mut out);
-        out.push_str(r#","args":{"name":"#);
-        render_string(name, &mut out);
-        out.push_str("}}");
-    }
+    write_preamble(&snap.tracks, &mut out);
 
     // Emit timed events sorted by timestamp (Perfetto requires no ordering,
     // but sorted output is stable, diffs cleanly, and lets the validator
@@ -48,30 +43,75 @@ pub fn to_perfetto_json(snap: &TelemetrySnapshot) -> String {
     for (_, i) in timed {
         out.push(',');
         match snap.spans.get(i) {
-            Some(s) => write_span_event(s, &mut out),
-            None => write_counter_event(&snap.samples[i - snap.spans.len()], &mut out),
+            Some(s) => write_span_event(s, &SpanPlace::of(s), &mut out),
+            None => {
+                let c = &snap.samples[i - snap.spans.len()];
+                write_counter_event(c, c.track, c.ts_s, &mut out);
+            }
         }
     }
-    out.push_str(r#"],"displayTimeUnit":"ms"}"#);
+    out.push_str(PERFETTO_CLOSE);
     out
 }
 
-fn write_span_event(s: &SpanRecord, out: &mut String) {
+/// What follows a document's last event.
+pub(crate) const PERFETTO_CLOSE: &str = r#"],"displayTimeUnit":"ms"}"#;
+
+/// Open a document: the `traceEvents` array, the process name and one
+/// `thread_name` record per track. Every timed event follows a comma.
+pub(crate) fn write_preamble(tracks: &BTreeMap<u32, String>, out: &mut String) {
+    out.push_str(r#"{"traceEvents":[{"name":"process_name","ph":"M","pid":0,"tid":0,"args":{"name":"gpmr"}}"#);
+    for (&track, name) in tracks {
+        out.push_str(r#",{"name":"thread_name","ph":"M","pid":0,"tid":"#);
+        render_num(f64::from(track), out);
+        out.push_str(r#","args":{"name":"#);
+        render_string(name, out);
+        out.push_str("}}");
+    }
+}
+
+/// Where and when a span is drawn — the fields a splice into another
+/// trace rewrites, apart from what the span says.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SpanPlace {
+    pub id: u64,
+    pub parent: Option<u64>,
+    pub track: u32,
+    pub start_s: f64,
+    pub end_s: f64,
+}
+
+impl SpanPlace {
+    /// The span's own placement.
+    pub(crate) fn of(s: &SpanRecord) -> SpanPlace {
+        SpanPlace {
+            id: s.id,
+            parent: s.parent,
+            track: s.track,
+            start_s: s.start_s,
+            end_s: s.end_s,
+        }
+    }
+}
+
+/// One complete (`ph:"X"`) event: `s`'s kind, name and attributes, drawn
+/// at `at`.
+pub(crate) fn write_span_event(s: &SpanRecord, at: &SpanPlace, out: &mut String) {
     out.push_str(r#"{"name":"#);
     render_string(&s.name, out);
     out.push_str(r#","cat":"#);
     render_string(&s.kind, out);
     out.push_str(r#","ph":"X","pid":0,"tid":"#);
-    render_num(f64::from(s.track), out);
+    render_num(f64::from(at.track), out);
     out.push_str(r#","ts":"#);
-    render_num(s.start_s * US_PER_S, out);
+    render_num(at.start_s * US_PER_S, out);
     out.push_str(r#","dur":"#);
-    render_num(s.duration_s() * US_PER_S, out);
+    render_num((at.end_s - at.start_s).max(0.0) * US_PER_S, out);
     out.push_str(r#","id":"#);
-    render_num(s.id as f64, out);
+    render_num(at.id as f64, out);
     out.push_str(r#","args":{"kind":"#);
     render_string(&s.kind, out);
-    if let Some(p) = s.parent {
+    if let Some(p) = at.parent {
         out.push_str(r#","parent_span":"#);
         render_num(p as f64, out);
     }
@@ -84,13 +124,15 @@ fn write_span_event(s: &SpanRecord, out: &mut String) {
     out.push_str("}}");
 }
 
-fn write_counter_event(c: &CounterSample, out: &mut String) {
+/// One counter (`ph:"C"`) event: `c`'s series and value on `track` at
+/// `ts_s`.
+pub(crate) fn write_counter_event(c: &CounterSample, track: u32, ts_s: f64, out: &mut String) {
     out.push_str(r#"{"name":"#);
     render_string(&c.series, out);
     out.push_str(r#","ph":"C","pid":0,"tid":"#);
-    render_num(f64::from(c.track), out);
+    render_num(f64::from(track), out);
     out.push_str(r#","ts":"#);
-    render_num(c.ts_s * US_PER_S, out);
+    render_num(ts_s * US_PER_S, out);
     out.push_str(r#","args":{"value":"#);
     render_num(c.value, out);
     out.push_str("}}");

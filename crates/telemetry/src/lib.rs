@@ -167,6 +167,11 @@ impl Telemetry {
         }
     }
 
+    /// Run `f` over the span ring in place; `None` when disabled.
+    pub(crate) fn with_ring<R>(&self, f: impl FnOnce(&span::RecorderState) -> R) -> Option<R> {
+        self.inner.as_ref().map(|i| i.spans.with_ring(f))
+    }
+
     /// Snapshot all spans, samples, track names, and metrics. Disabled
     /// handles return an empty snapshot.
     pub fn snapshot(&self) -> TelemetrySnapshot {

@@ -61,14 +61,16 @@ pub struct CounterSample {
     pub value: f64,
 }
 
+/// What a recorder holds. Record `i` of a queue is the `dropped + i`-th
+/// ever recorded there.
 #[derive(Debug, Default)]
-struct RecorderState {
-    spans: VecDeque<SpanRecord>,
-    samples: VecDeque<CounterSample>,
-    tracks: BTreeMap<u32, String>,
+pub(crate) struct RecorderState {
+    pub(crate) spans: VecDeque<SpanRecord>,
+    pub(crate) samples: VecDeque<CounterSample>,
+    pub(crate) tracks: BTreeMap<u32, String>,
     next_id: u64,
-    dropped_spans: u64,
-    dropped_samples: u64,
+    pub(crate) dropped_spans: u64,
+    pub(crate) dropped_samples: u64,
 }
 
 /// Bounded ring-buffer recorder for spans and counter samples. When full,
@@ -131,6 +133,13 @@ impl SpanRecorder {
     pub fn set_track_name(&self, track: u32, name: &str) {
         let mut st = self.state.lock().unwrap();
         st.tracks.insert(track, name.to_string());
+    }
+
+    /// Run `f` over what the ring holds, in place. A reader that
+    /// remembers how far it got sees exactly what is new (the flight
+    /// recorder renders each record once that way, not a copy per dump).
+    pub(crate) fn with_ring<R>(&self, f: impl FnOnce(&RecorderState) -> R) -> R {
+        f(&self.state.lock().unwrap())
     }
 
     /// Copy out everything recorded so far, paired with `metrics`.

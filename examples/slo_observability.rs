@@ -80,9 +80,10 @@ fn main() {
     // Perfetto-valid postmortem spliced from the flight ring.
     std::fs::create_dir_all("target/postmortems").expect("mkdir");
     for pm in svc.postmortems() {
-        validate_perfetto(&pm.trace_json).expect("postmortem must validate");
+        let trace = pm.trace_json();
+        validate_perfetto(&trace).expect("postmortem must validate");
         let path = format!("target/postmortems/{}", pm.file_name());
-        std::fs::write(&path, &pm.trace_json).expect("write postmortem");
+        std::fs::write(&path, trace).expect("write postmortem");
         println!("postmortem: {path}");
     }
 

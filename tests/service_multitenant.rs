@@ -10,10 +10,10 @@ use std::sync::Arc;
 use gpmr::apps::sio::{generate_integers, sio_chunks};
 use gpmr::apps::text::{chunk_text, generate_text, Dictionary};
 use gpmr::apps::{SioJob, WoJob};
-use gpmr::core::{run_job, KvSet};
+use gpmr::core::{run_job, JobResult, KvSet};
 use gpmr::service::{
     run_script, JobId, JobKind, JobService, JobSpec, JobStatus, RejectReason, ServiceConfig,
-    TenantConfig,
+    TenantConfig, DICT_CACHE_ENTRIES, MAX_DICT_WORDS, MAX_SIO_INTEGERS, MAX_WO_BYTES,
 };
 use gpmr::sim_gpu::{FaultPlan, GpuSpec};
 use gpmr::sim_net::Cluster;
@@ -23,8 +23,9 @@ use proptest::prelude::*;
 const DEMO: &str = include_str!("../workloads/service_demo.wl");
 
 /// Run a spec exactly as a standalone `run_job` user would: fresh
-/// cluster, same deterministic input, same fault plan.
-fn standalone_outputs(spec: &JobSpec, gpus: u32) -> Vec<KvSet<u32, u32>> {
+/// cluster, same deterministic input (a freshly built dictionary), same
+/// fault plan.
+fn standalone_result(spec: &JobSpec, gpus: u32) -> JobResult<u32, u32> {
     let mut cluster = Cluster::accelerator(gpus, GpuSpec::gt200());
     let mut plan: Option<FaultPlan> = None;
     if let Some((rank, at_s)) = spec.kill {
@@ -38,9 +39,7 @@ fn standalone_outputs(spec: &JobSpec, gpus: u32) -> Vec<KvSet<u32, u32>> {
         JobKind::Sio { n, seed, chunk_kb } => {
             let data = generate_integers(n, seed);
             let chunks = sio_chunks(&data, chunk_kb * 1024);
-            run_job(&mut cluster, &SioJob::default(), chunks)
-                .expect("standalone sio")
-                .outputs
+            run_job(&mut cluster, &SioJob::default(), chunks).expect("standalone sio")
         }
         JobKind::Wo {
             bytes,
@@ -49,13 +48,15 @@ fn standalone_outputs(spec: &JobSpec, gpus: u32) -> Vec<KvSet<u32, u32>> {
             chunk_kb,
         } => {
             let dict = Arc::new(Dictionary::generate(dict_words, seed));
-            let text = generate_text(&dict, bytes, seed + 1);
+            let text = generate_text(&dict, bytes, seed.wrapping_add(1));
             let chunks = chunk_text(&text, chunk_kb * 1024);
-            run_job(&mut cluster, &WoJob::new(dict, gpus), chunks)
-                .expect("standalone wo")
-                .outputs
+            run_job(&mut cluster, &WoJob::new(dict, gpus), chunks).expect("standalone wo")
         }
     }
+}
+
+fn standalone_outputs(spec: &JobSpec, gpus: u32) -> Vec<KvSet<u32, u32>> {
+    standalone_result(spec, gpus).outputs
 }
 
 /// How many chunks a spec's input splits into.
@@ -71,7 +72,7 @@ fn chunk_count(spec: &JobSpec) -> u32 {
             chunk_kb,
         } => {
             let dict = Dictionary::generate(dict_words, seed);
-            let text = generate_text(&dict, bytes, seed + 1);
+            let text = generate_text(&dict, bytes, seed.wrapping_add(1));
             chunk_text(&text, chunk_kb * 1024).len() as u32
         }
     }
@@ -353,6 +354,206 @@ fn empty_dictionary_is_rejected_not_dispatched() {
         svc.poll(fine).unwrap(),
         JobStatus::Completed { .. }
     ));
+}
+
+#[test]
+fn oversized_generated_inputs_are_rejected_not_allocated() {
+    // `dict=18446744073709551615` used to reach `HashSet::with_capacity`
+    // ("Hash table capacity overflow") and `n=4000000000000000000`
+    // `Vec::with_capacity` ("capacity overflow"): one tenant's line took
+    // the process, and every other tenant's jobs, down with it.
+    let huge_n = 4_000_000_000_000_000_000usize;
+    let oversized = [
+        (
+            JobKind::Sio {
+                n: huge_n,
+                seed: 1,
+                chunk_kb: 16,
+            },
+            ("n", huge_n, MAX_SIO_INTEGERS),
+        ),
+        (
+            JobKind::Wo {
+                bytes: 4096,
+                dict_words: usize::MAX,
+                seed: 1,
+                chunk_kb: 16,
+            },
+            ("dict", usize::MAX, MAX_DICT_WORDS),
+        ),
+        (
+            JobKind::Wo {
+                bytes: usize::MAX,
+                dict_words: 64,
+                seed: 1,
+                chunk_kb: 16,
+            },
+            ("bytes", usize::MAX, MAX_WO_BYTES),
+        ),
+    ];
+    let mut svc = JobService::new(
+        ServiceConfig::default(),
+        vec![TenantConfig::unlimited("t")],
+        Telemetry::disabled(),
+    );
+    let refused: Vec<JobId> = oversized
+        .iter()
+        .map(|(kind, _)| svc.submit(JobSpec::new("t", *kind)))
+        .collect();
+    let fine = svc.submit(JobSpec::new(
+        "t",
+        JobKind::Sio {
+            n: 2_000,
+            seed: 1,
+            chunk_kb: 4,
+        },
+    ));
+    svc.drain();
+    for (id, (_, (field, value, max))) in refused.iter().zip(&oversized) {
+        assert_eq!(
+            svc.poll(*id).unwrap(),
+            JobStatus::Rejected(RejectReason::InputTooLarge {
+                field,
+                value: *value as u64,
+                max: *max as u64,
+            })
+        );
+    }
+    assert!(matches!(
+        svc.poll(fine).unwrap(),
+        JobStatus::Completed { .. }
+    ));
+    // The bounds themselves are admissible (not run here: a gibibyte).
+    for kind in [
+        JobKind::Sio {
+            n: MAX_SIO_INTEGERS,
+            seed: 1,
+            chunk_kb: 16,
+        },
+        JobKind::Wo {
+            bytes: MAX_WO_BYTES,
+            dict_words: MAX_DICT_WORDS,
+            seed: 1,
+            chunk_kb: 16,
+        },
+    ] {
+        assert_eq!(kind.input_too_large(), None);
+    }
+
+    // A script is refused whole, with the offending line.
+    let script = "tenant t\n\
+                  at 0 submit t sio n=100\n\
+                  at 0 submit t wo bytes=4096 dict=18446744073709551615 seed=1\n";
+    let e = run_script(script, ServiceConfig::default(), Telemetry::disabled())
+        .err()
+        .expect("oversized dict is a parse error");
+    assert_eq!(e.line, 3);
+    assert!(e.to_string().contains("dict=18446744073709551615"), "{e}");
+}
+
+#[test]
+fn text_seed_wraps_at_the_largest_seed() {
+    // The text generator is seeded with `seed + 1`; at `u64::MAX` that
+    // overflowed (a panic in debug builds). It wraps, and the service
+    // computes what a stand-alone run over the same inputs computes.
+    let mut svc = JobService::new(
+        ServiceConfig::default(),
+        vec![TenantConfig::unlimited("t")],
+        Telemetry::disabled(),
+    );
+    let id = svc.submit(JobSpec::new(
+        "t",
+        JobKind::Wo {
+            bytes: 16_384,
+            dict_words: 128,
+            seed: u64::MAX,
+            chunk_kb: 8,
+        },
+    ));
+    svc.drain();
+    assert!(matches!(svc.poll(id).unwrap(), JobStatus::Completed { .. }));
+    assert_outputs_match_standalone(&svc, id, 4);
+}
+
+#[test]
+fn dictionary_cache_evicts_rebuilds_and_never_mis_shares() {
+    // More distinct (dict, seed) pairs than the cache holds, visited
+    // twice in the same order: a least-recently-used cache misses every
+    // time, so each dictionary is evicted and rebuilt. Pairs share a
+    // size or a seed with a neighbour, so a dictionary handed to the
+    // wrong job changes that job's output. Some jobs journal, one is
+    // cancelled mid-flight (the stop re-run draws from the cache too).
+    let distinct = DICT_CACHE_ENTRIES + 5;
+    let kind_of = |i: usize| JobKind::Wo {
+        bytes: 8_192,
+        dict_words: 64 + 16 * (i % 3),
+        seed: (i / 2) as u64,
+        chunk_kb: 4,
+    };
+    let kinds: Vec<JobKind> = (0..distinct).map(kind_of).collect();
+    let pairs: std::collections::BTreeSet<(usize, u64)> =
+        (0..distinct).map(|i| (i % 3, (i / 2) as u64)).collect();
+    assert_eq!(pairs.len(), distinct, "the pairs are distinct");
+    let run = |kinds: &[JobKind]| {
+        let mut svc = JobService::new(
+            ServiceConfig::default(),
+            vec![TenantConfig::unlimited("t")],
+            Telemetry::disabled(),
+        );
+        let mut ids = Vec::new();
+        for (j, kind) in kinds.iter().enumerate() {
+            svc.advance_to(j as f64 * 0.002);
+            let mut spec = JobSpec::new("t", *kind);
+            spec.journal = j % 7 == 3;
+            ids.push(svc.submit(spec));
+        }
+        svc.drain();
+        (svc, ids)
+    };
+
+    let twice: Vec<JobKind> = kinds.iter().chain(&kinds).copied().collect();
+    let (svc, ids) = run(&twice);
+    assert_eq!(
+        svc.stats().dictionaries_built,
+        2 * distinct as u64,
+        "every dictionary was evicted before its second use"
+    );
+    for &id in &ids {
+        let spec = svc.spec(id).unwrap().clone();
+        // Cold reference: a stand-alone run over a freshly built dictionary.
+        let cold = standalone_result(&spec, 4);
+        let JobStatus::Completed {
+            started_s,
+            finished_s,
+            ..
+        } = svc.poll(id).unwrap()
+        else {
+            panic!("{id} did not complete");
+        };
+        assert_eq!(svc.outputs(id).unwrap(), &cold.outputs[..], "{id} outputs");
+        assert_eq!(
+            finished_s,
+            started_s + cold.timings.total.as_secs(),
+            "{id} simulated time"
+        );
+    }
+
+    // Within capacity nothing is rebuilt: the second visit, and a
+    // mid-flight cancel's re-run, are hits.
+    let few: Vec<JobKind> = kinds[..4].iter().chain(&kinds[..4]).copied().collect();
+    let (mut svc, ids) = run(&few);
+    assert_eq!(svc.stats().dictionaries_built, 4);
+    let victim = svc.submit(JobSpec::new("t", kinds[0]));
+    svc.advance_to(svc.now() + 0.0002);
+    svc.cancel(victim).expect("running job cancels");
+    assert!(matches!(
+        svc.poll(victim).unwrap(),
+        JobStatus::Cancelled { chunks_released, .. } if chunks_released > 0
+    ));
+    assert_eq!(svc.stats().dictionaries_built, 4);
+    for (a, b) in ids[..4].iter().zip(&ids[4..]) {
+        assert_eq!(svc.outputs(*a), svc.outputs(*b));
+    }
 }
 
 #[test]

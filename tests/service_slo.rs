@@ -142,10 +142,10 @@ fn deadline_miss_dumps_a_valid_postmortem_with_the_jobs_span() {
         .find(|p| p.reason == "deadline-missed")
         .expect("deadline-missed dump");
     assert_eq!(pm.subject, id.to_string());
-    let stats = validate_perfetto(&pm.trace_json).expect("postmortem is Perfetto-valid");
+    let stats = validate_perfetto(&pm.trace_json()).expect("postmortem is Perfetto-valid");
     assert!(stats.complete_events > 0);
     assert!(
-        pm.trace_json.contains(&format!("\"{id}\"")),
+        pm.trace_json().contains(&format!("\"{id}\"")),
         "postmortem must contain the triggering job's span"
     );
     assert_eq!(svc.stats().postmortems, pms.len() as u64);
@@ -175,7 +175,7 @@ fn alerts_fire_deterministically_on_the_demo_workload() {
         let traces: Vec<(String, String)> = svc
             .postmortems()
             .iter()
-            .map(|p| (p.file_name(), p.trace_json.clone()))
+            .map(|p| (p.file_name(), p.trace_json()))
             .collect();
         (svc.slo_report().to_json(), alerts, traces, lines)
     };
@@ -215,7 +215,7 @@ fn alerts_fire_deterministically_on_the_demo_workload() {
         assert!(reasons.contains(&want), "missing {want} dump: {reasons:?}");
     }
     for pm in svc.postmortems() {
-        validate_perfetto(&pm.trace_json).unwrap_or_else(|e| panic!("{}: {e}", pm.file_name()));
+        validate_perfetto(&pm.trace_json()).unwrap_or_else(|e| panic!("{}: {e}", pm.file_name()));
     }
 }
 

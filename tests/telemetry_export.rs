@@ -7,12 +7,15 @@
 //! * recovery work appears as counter increments that reconcile exactly
 //!   with [`JobTimings`] (also as a property over generated fault plans);
 //! * the Perfetto export passes the structural validator and the JSONL
-//!   stream round-trips losslessly.
+//!   stream round-trips losslessly;
+//! * a flight recorder's postmortems, assembled from fragments rendered
+//!   once and shared between dumps, equal the whole-snapshot export byte
+//!   for byte (a property over record/dump interleavings).
 
 use gpmr::core::{run_job_instrumented, EngineTuning, JobTimings};
 use gpmr::prelude::*;
 use gpmr::sim_gpu::FaultPlan;
-use gpmr::telemetry::{export, Telemetry, TelemetrySnapshot};
+use gpmr::telemetry::{export, FlightRecorder, Telemetry, TelemetrySnapshot};
 use gpmr_apps::sio::{self, sio_chunks};
 use proptest::prelude::*;
 
@@ -283,4 +286,79 @@ fn service_telemetry_has_tenant_tracks_queue_wait_and_valid_perfetto() {
         queue_share > 0.0,
         "demo workload queues jobs, so queue wait share must be > 0"
     );
+}
+
+/// An engine-scoped recording to splice: its own zero-based clock, rank
+/// tracks, a parent recorded after its child, and a counter series.
+fn engine_recording(ranks: u32) -> TelemetrySnapshot {
+    let tel = Telemetry::enabled();
+    for r in 0..ranks {
+        tel.set_track_name(r, &format!("rank {r}"));
+        let parent = tel.reserve_span_id();
+        tel.span(r, "Map", 0.25 * f64::from(r), 0.5)
+            .parent(parent)
+            .attr("chunk", r.to_string())
+            .record();
+        tel.span(r, "Chunk", 0.0, 0.5).id(parent).record();
+        tel.sample(r, "queue_depth", 0.25, f64::from(r));
+    }
+    tel.snapshot()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Whatever is recorded between dumps — fewer or more records than
+    /// the ring holds, spans and samples interleaved, timestamps tied and
+    /// out of order, explicit span ids above and below the automatic
+    /// ones, tracks named late or never, with and without a spliced
+    /// engine recording — every postmortem's assembled document is the
+    /// one `to_perfetto_json` writes for the equivalent snapshot, and
+    /// later dumps leave it that way.
+    #[test]
+    fn postmortems_equal_the_whole_snapshot_export(
+        capacity in 1usize..20,
+        ops in prop::collection::vec((0u8..10, 0u32..16, 0u32..5, 0u64..4000), 1..160),
+    ) {
+        let mut fr = FlightRecorder::new(capacity);
+        let recordings = [engine_recording(2), engine_recording(4)];
+        let mut written: Vec<String> = Vec::new();
+        for (op, tick, track, x) in ops {
+            // A coarse grid, so timestamps tie; -0.0 ties with 0.0.
+            let t = if tick == 0 && x % 2 == 1 { -0.0 } else { f64::from(tick) * 0.125 };
+            match op {
+                0..=3 => {
+                    let mut span = fr
+                        .ring()
+                        .span(track, ["Job", "QueueWait"][(x % 2) as usize], t, t + (x % 7) as f64 * 0.0625 - 0.125)
+                        .name(format!("job{x} \"q\"\n"))
+                        .attr("job", format!("job{x}"));
+                    if x % 5 == 0 {
+                        span = span.id(x + 1).parent(x / 5);
+                    }
+                    span.record();
+                }
+                4..=6 => fr.ring().sample(track, "service.queue_depth", t, (x % 9) as f64),
+                7 => fr.ring().set_track_name(track, &format!("tenant {x}")),
+                _ => {
+                    let engine = (op == 9).then(|| {
+                        (&recordings[(x % 2) as usize], t, track + 1)
+                    });
+                    let subject = format!("job{x}");
+                    let want = export::to_perfetto_json(&fr.snapshot_for(&subject, engine));
+                    let pm = fr.dump("deadline-missed", &subject, t, engine);
+                    prop_assert!(pm.trace_json() == want, "dump {} differs", pm.seq);
+                    let mut bytes = Vec::new();
+                    pm.write_trace(&mut bytes).expect("write to a Vec");
+                    prop_assert!(bytes == want.as_bytes(), "dump {} writes differently", pm.seq);
+                    export::validate_perfetto(&want).expect("postmortem validates");
+                    written.push(want);
+                }
+            }
+        }
+        prop_assert_eq!(fr.postmortems().len(), written.len());
+        for (pm, want) in fr.postmortems().iter().zip(&written) {
+            prop_assert!(&pm.trace_json() == want, "dump {} changed after later dumps", pm.seq);
+        }
+    }
 }
