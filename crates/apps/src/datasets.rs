@@ -93,6 +93,13 @@ pub struct Workload {
     pub seed: u64,
 }
 
+/// Seed of a workload's second random stream — WO's text beside its
+/// dictionary, KMC's points beside its centers, MM's second matrix. Every
+/// `u64` is a valid seed, so the next one wraps at `u64::MAX`.
+pub fn second_seed(seed: u64) -> u64 {
+    seed.wrapping_add(1)
+}
+
 /// The dimension divisor used for MM under workload scale `scale`:
 /// matrix orders shrink by `sqrt(scale)` rounded to a power of two
 /// (compute then shrinks by its cube, traffic by its square — the MM
@@ -154,6 +161,12 @@ mod tests {
         assert_eq!(w.size, 16384 / 8);
         let w = strong_workload(Benchmark::Mm, 0, 1, 1);
         assert_eq!(w.size, 1024);
+    }
+
+    #[test]
+    fn second_seed_wraps_at_the_largest_seed() {
+        assert_eq!(second_seed(41), 42);
+        assert_eq!(second_seed(u64::MAX), 0);
     }
 
     #[test]

@@ -57,8 +57,11 @@ impl KmcJob {
     }
 }
 
-/// Nearest center by squared Euclidean distance (ties to the lower index).
-fn nearest_center(centers: &[Point], p: &Point) -> usize {
+/// Nearest center by squared Euclidean distance (ties to the lower
+/// index; a NaN distance is never nearer). The scalar definition: the map
+/// kernel's block tails, [`cpu_reference`] and the CPU baselines call it,
+/// and the kernel's eight-point step is checked against it.
+pub fn nearest_center(centers: &[Point], p: &Point) -> usize {
     let mut best = 0usize;
     let mut best_d = f32::INFINITY;
     for (c, center) in centers.iter().enumerate() {
@@ -73,6 +76,51 @@ fn nearest_center(centers: &[Point], p: &Point) -> usize {
         }
     }
     best
+}
+
+/// Points the map kernel assigns per step — the paper's one point per
+/// thread, with the centers broadcast from shared memory (§5.3.4).
+const LANES: usize = 8;
+
+/// [`nearest_center`] of `LANES` points at once. The points are
+/// transposed so that a lane is a point; the centers are visited in
+/// index order, each distance is summed over `dim` in the scalar order,
+/// and a lane takes a center by compare-and-select on the same `<` — so
+/// every lane holds exactly the scalar function's index, without the
+/// data-dependent branch per center that the scalar loop mispredicts.
+fn nearest_centers(centers: &[Point], points: &[Point; LANES]) -> [u32; LANES] {
+    let mut coords = [[0.0f32; LANES]; DIMS];
+    for (l, p) in points.iter().enumerate() {
+        for dim in 0..DIMS {
+            coords[dim][l] = p[dim];
+        }
+    }
+    let mut best = [0u32; LANES];
+    let mut best_d = [f32::INFINITY; LANES];
+    for (c, center) in centers.iter().enumerate() {
+        let mut d = [0.0f32; LANES];
+        for dim in 0..DIMS {
+            for l in 0..LANES {
+                let diff = coords[dim][l] - center[dim];
+                d[l] += diff * diff;
+            }
+        }
+        for l in 0..LANES {
+            let take = d[l] < best_d[l];
+            best_d[l] = if take { d[l] } else { best_d[l] };
+            best[l] = if take { c as u32 } else { best[l] };
+        }
+    }
+    best
+}
+
+/// Add point `p` to center `c`'s coordinate sums and count.
+fn add_point(sums: &mut [f64], c: usize, p: &Point) {
+    let base = c * (DIMS + 1);
+    for dim in 0..DIMS {
+        sums[base + dim] += f64::from(p[dim]);
+    }
+    sums[base + DIMS] += 1.0;
 }
 
 impl GpmrJob for KmcJob {
@@ -134,13 +182,15 @@ impl GpmrJob for KmcJob {
             // center, plus the block reductions per emitted key.
             ctx.charge_flops((range.len() * k * (3 * DIMS)) as u64);
             let mut sums = vec![0.0f64; keys];
-            for p in &points[range] {
-                let c = nearest_center(&self.centers, p);
-                let base = c * (DIMS + 1);
-                for dim in 0..DIMS {
-                    sums[base + dim] += f64::from(p[dim]);
+            // The sums are added in point order whatever the step width.
+            let (steps, tail) = points[range].as_chunks::<LANES>();
+            for step in steps {
+                for (p, c) in step.iter().zip(nearest_centers(&self.centers, step)) {
+                    add_point(&mut sums, c as usize, p);
                 }
-                sums[base + DIMS] += 1.0;
+            }
+            for p in tail {
+                add_point(&mut sums, nearest_center(&self.centers, p), p);
             }
             ctx.charge_flops(keys as u64); // block-wide reductions
             sums
@@ -288,6 +338,7 @@ mod tests {
     use gpmr_core::run_job;
     use gpmr_sim_gpu::GpuSpec;
     use gpmr_sim_net::Cluster;
+    use proptest::prelude::*;
 
     fn assert_close(a: &[f64], b: &[f64]) {
         assert_eq!(a.len(), b.len());
@@ -358,6 +409,142 @@ mod tests {
             &sums_from_output(8, &r1.merged_output()),
             &sums_from_output(8, &r2.merged_output()),
         );
+    }
+
+    /// A coordinate from a small palette: a coarse grid, so that centers
+    /// coincide and points sit equidistant from several of them, both
+    /// zeros, values whose squares overflow, infinities and NaN.
+    fn coordinate(rng: &mut SmallRng) -> f32 {
+        match rng.gen_range(0..30u32) {
+            i @ 0..=19 => (i % 5) as f32 - 2.0,
+            20 => -0.0,
+            21 | 22 => 0.5,
+            23 => 1e30,
+            24 => -1e30,
+            25 => f32::INFINITY,
+            26 => f32::NEG_INFINITY,
+            27 => f32::NAN,
+            _ => rng.gen_range(-2.0..2.0),
+        }
+    }
+
+    /// 1 to 40 centers, one of them duplicated, and one step of points.
+    fn assignment_case(seed: u64) -> (Vec<Point>, [Point; LANES]) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let k = rng.gen_range(1..=40usize);
+        let mut centers: Vec<Point> = (0..k)
+            .map(|_| std::array::from_fn(|_| coordinate(&mut rng)))
+            .collect();
+        let (from, to) = (rng.gen_range(0..k), rng.gen_range(0..k));
+        centers[to] = centers[from];
+        let points = std::array::from_fn(|_| std::array::from_fn(|_| coordinate(&mut rng)));
+        (centers, points)
+    }
+
+    /// Every lane of the step kernel holds `scalar`'s index.
+    fn lanes_hold(seed: u64, scalar: impl Fn(&[Point], &Point) -> usize) -> bool {
+        let (centers, points) = assignment_case(seed);
+        let lanes = nearest_centers(&centers, &points);
+        (points.iter().zip(lanes)).all(|(p, c)| scalar(&centers, p) == c as usize)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+        #[test]
+        fn every_lane_holds_the_scalar_index(seed in any::<u64>()) {
+            prop_assert!(lanes_hold(seed, nearest_center), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn assignment_cases_tell_a_wrong_tie_break_apart() {
+        // Two scalar functions that differ from `nearest_center` only on
+        // exact ties: the cases must contain enough of those to fail both.
+        fn argmin<'a>(
+            centers: impl Iterator<Item = (usize, &'a Point)>,
+            p: &Point,
+            nearer: fn(f32, f32) -> bool,
+        ) -> usize {
+            let (mut best, mut best_d) = (0, f32::INFINITY);
+            for (c, center) in centers {
+                let d = (0..DIMS).fold(0.0f32, |d, dim| {
+                    let diff = p[dim] - center[dim];
+                    d + diff * diff
+                });
+                if nearer(d, best_d) {
+                    (best, best_d) = (c, d);
+                }
+            }
+            best
+        }
+        let in_order = |cs: &[Point], p: &Point, nearer| argmin(cs.iter().enumerate(), p, nearer);
+        let unmutated = |cs: &[Point], p: &Point| in_order(cs, p, |d, b| d < b);
+        let ties_go_up = |cs: &[Point], p: &Point| in_order(cs, p, |d, b| d <= b);
+        let reversed =
+            |cs: &[Point], p: &Point| argmin(cs.iter().enumerate().rev(), p, |d, b| d < b);
+        assert!((0..256).all(|seed| lanes_hold(seed, unmutated)));
+        let failures = |scalar: &dyn Fn(&[Point], &Point) -> usize| {
+            (0..256).filter(|&seed| !lanes_hold(seed, scalar)).count()
+        };
+        assert!(failures(&ties_go_up) > 64, "`<=` for `<` goes unnoticed");
+        assert!(failures(&reversed) > 64, "reversed centers go unnoticed");
+    }
+
+    fn digest(out: &KvSet<u32, f64>) -> u64 {
+        gpmr_core::journal::hash_pairs(&out.keys, &out.vals)
+    }
+
+    #[test]
+    fn output_bits_are_the_recorded_ones() {
+        // Recorded with the scalar kernel. `f64` sums depend on the order
+        // of addition — block by block, chunk by chunk, rank by rank. The
+        // chunks split into blocks of 3 001, 2 999, 2 050, 2 049, 1 531
+        // and (the last chunk) fewer points: steps and scalar tails both.
+        let centers = initial_centers(32, 40);
+        let points = generate_points(100_003, 32, 41);
+        let job = KmcJob::new(centers);
+        for (ranks, chunk_items, expect) in [
+            (1, 9001, 0x47ad_3c49_ba95_a5d2u64),
+            (8, 4099, 0x13c5_0359_df17_759e),
+            (64, 1531, 0x47ad_3c49_ba95_a5d2),
+        ] {
+            let mut cluster = Cluster::accelerator(ranks, GpuSpec::gt200());
+            let chunks = SliceChunk::split(&points, chunk_items);
+            let result = run_job(&mut cluster, &job, chunks).unwrap();
+            assert_eq!(
+                digest(&result.merged_output()),
+                expect,
+                "{ranks} ranks, chunks of {chunk_items}"
+            );
+        }
+    }
+
+    #[test]
+    fn accumulate_state_is_the_same_for_any_worker_count() {
+        let centers = initial_centers(32, 42);
+        let points = generate_points(3 * POINTS_PER_MAP_BLOCK + 1237, 32, 43);
+        let job = KmcJob::new(centers.clone());
+        let chunk = SliceChunk::new(0, 0, points.clone());
+        let states: Vec<(KvSet<u32, f64>, SimTime)> = [1usize, 2, 8]
+            .into_iter()
+            .map(|workers| {
+                let mut gpu = Gpu::new(GpuSpec::gt200());
+                gpu.worker_threads = workers;
+                let (mut state, t) = job.accumulate_init(&mut gpu, SimTime::ZERO).unwrap();
+                let end = job.map_accumulate(&mut gpu, t, &chunk, &mut state).unwrap();
+                (state, end)
+            })
+            .collect();
+        // Counts are exact whatever the order; sums are compared bit for bit.
+        let reference = cpu_reference(&centers, &points);
+        for c in 0..centers.len() {
+            let count = c * (DIMS + 1) + DIMS;
+            assert_eq!(states[0].0.vals[count], reference[count]);
+        }
+        for (state, end) in &states[1..] {
+            assert_eq!(digest(state), digest(&states[0].0));
+            assert_eq!(*end, states[0].1);
+        }
     }
 
     #[test]

@@ -447,18 +447,9 @@ pub fn run_mm(
     // Phase 1: partial products, binned to their owner ranks.
     let phase1 = gpmr_core::run_job(cluster, &MmMapJob::new(nt), chunks)?;
 
-    // Between the two GPMR tasks: group each rank's partials by key
-    // (GPMR is storage-agnostic between jobs).
-    let mut pairs: Vec<(u32, TileData)> = Vec::new();
-    for out in &phase1.outputs {
-        pairs.extend(out.iter().map(|(k, v)| (*k, *v)));
-    }
-    pairs.sort_by_key(|(k, _)| *k);
-    // Size phase-2 chunks to quarter of device memory (double buffer +
-    // output headroom).
-    let pair_bytes = 4 + TILE_ELEMS * 4;
-    let max_items = (cluster.gpu(0).mem.capacity() as usize / 4 / pair_bytes).clamp(16, 2048);
-    let chunks2 = group_chunks(&pairs, max_items);
+    // Between the two GPMR tasks: group the ranks' partials by key (GPMR
+    // is storage-agnostic between jobs).
+    let chunks2 = phase2_chunks(&phase1.outputs, cluster.gpu(0).mem.capacity());
 
     let phase2 = gpmr_core::run_job(cluster, &MmSumJob::new(nt), chunks2)?;
 
@@ -528,24 +519,52 @@ pub fn run_mm_auto(cluster: &mut Cluster, a: &Matrix, b: &Matrix) -> EngineResul
     run_mm(cluster, a, b, rb, cb, kb)
 }
 
-/// Pack sorted (key, tile) pairs into chunks of at most `max_items`
-/// without splitting a key-group across chunks.
-fn group_chunks(sorted: &[(u32, TileData)], max_items: usize) -> Vec<SliceChunk<(u32, TileData)>> {
+/// The hand-over between MM's two GPMR tasks: phase 1's per-rank outputs
+/// regrouped by tile key into phase-2 chunks for a device with
+/// `capacity_bytes` of memory. Inside a key the partials keep rank, then
+/// position, order — the order phase 2 adds them in. Only 12-byte
+/// handles are sorted; each 1 KiB tile is copied once, from where phase 1
+/// left it into its chunk.
+pub fn phase2_chunks(
+    outputs: &[KvSet<u32, TileData>],
+    capacity_bytes: u64,
+) -> Vec<SliceChunk<(u32, TileData)>> {
+    // A quarter of device memory (double buffer + output headroom).
+    let pair_bytes = 4 + TILE_ELEMS * 4;
+    let max_items = (capacity_bytes as usize / 4 / pair_bytes).clamp(16, 2048);
+    group_chunks(outputs, max_items)
+}
+
+/// Pack the partial tiles of `outputs`, ordered by key, into chunks of at
+/// most `max_items` without splitting a key-group across chunks.
+fn group_chunks(
+    outputs: &[KvSet<u32, TileData>],
+    max_items: usize,
+) -> Vec<SliceChunk<(u32, TileData)>> {
+    // (key, rank, position) of every partial; the sort is stable, so
+    // equal keys stay in rank-then-position order.
+    let mut handles: Vec<(u32, u32, u32)> =
+        Vec::with_capacity(outputs.iter().map(KvSet::len).sum());
+    for (rank, out) in outputs.iter().enumerate() {
+        assert!(out.len() <= u32::MAX as usize, "positions are 32-bit");
+        let keys = out.keys.iter().enumerate();
+        handles.extend(keys.map(|(pos, &key)| (key, rank as u32, pos as u32)));
+    }
+    handles.sort_by_key(|&(key, ..)| key);
+
     let mut chunks = Vec::new();
     let mut start = 0usize;
-    let mut id = 0u32;
-    while start < sorted.len() {
-        let mut end = (start + max_items).min(sorted.len());
+    while start < handles.len() {
+        let mut end = (start + max_items).min(handles.len());
         // Extend to the end of the current key-group.
-        while end < sorted.len() && sorted[end].0 == sorted[end - 1].0 {
+        while end < handles.len() && handles[end].0 == handles[end - 1].0 {
             end += 1;
         }
-        chunks.push(SliceChunk::new(
-            id,
-            start as u64,
-            sorted[start..end].to_vec(),
-        ));
-        id += 1;
+        let items = handles[start..end]
+            .iter()
+            .map(|&(key, rank, pos)| (key, outputs[rank as usize].vals[pos as usize]))
+            .collect();
+        chunks.push(SliceChunk::new(chunks.len() as u32, start as u64, items));
         start = end;
     }
     chunks
@@ -652,8 +671,8 @@ mod tests {
     #[test]
     fn group_chunks_never_split_groups() {
         let t = [0.0f32; TILE_ELEMS];
-        let pairs: Vec<(u32, TileData)> = (0..100).map(|i| (i / 10, t)).collect();
-        let chunks = group_chunks(&pairs, 15);
+        let pairs: KvSet<u32, TileData> = (0..100).map(|i| (i / 10, t)).collect();
+        let chunks = group_chunks(&[pairs], 15);
         for c in &chunks {
             // Each group (10 items) stays whole.
             let first = c.items.first().unwrap().0;
@@ -662,6 +681,118 @@ mod tests {
         }
         let total: usize = chunks.iter().map(|c| c.items.len()).sum();
         assert_eq!(total, 100);
+    }
+
+    /// The hand-over as it was before handles: concatenate every rank's
+    /// pairs, stable-sort the 1 KiB elements by key, copy each chunk out.
+    /// Kept as the oracle for [`group_chunks`].
+    fn concat_sort_group(
+        outputs: &[KvSet<u32, TileData>],
+        max_items: usize,
+    ) -> Vec<SliceChunk<(u32, TileData)>> {
+        let mut sorted: Vec<(u32, TileData)> = Vec::new();
+        for out in outputs {
+            sorted.extend(out.iter().map(|(k, v)| (*k, *v)));
+        }
+        sorted.sort_by_key(|(k, _)| *k);
+        let mut chunks = Vec::new();
+        let mut start = 0usize;
+        let mut id = 0u32;
+        while start < sorted.len() {
+            let mut end = (start + max_items).min(sorted.len());
+            while end < sorted.len() && sorted[end].0 == sorted[end - 1].0 {
+                end += 1;
+            }
+            chunks.push(SliceChunk::new(
+                id,
+                start as u64,
+                sorted[start..end].to_vec(),
+            ));
+            id += 1;
+            start = end;
+        }
+        chunks
+    }
+
+    fn phase1_outputs(order: usize, ranks: u32, blocks: usize) -> Vec<KvSet<u32, TileData>> {
+        let a = Matrix::random(order, 20);
+        let b = Matrix::random(order, 21);
+        let mut cluster = Cluster::accelerator(ranks, GpuSpec::gt200());
+        let chunks = mm_chunks(&a, &b, blocks, blocks, blocks);
+        let job = MmMapJob::new(a.n_tiles() as u32);
+        gpmr_core::run_job(&mut cluster, &job, chunks)
+            .unwrap()
+            .outputs
+    }
+
+    #[test]
+    fn regrouping_handles_builds_the_chunks_the_tile_sort_built() {
+        // Order 96 in 2-tile blocks: 36 keys with 3 partials each, spread
+        // over the ranks. 3 divides 15 and 108 but not 16, 40 or 100, so
+        // those limits fall inside a key-group.
+        for ranks in [1, 3, 8] {
+            let outputs = phase1_outputs(96, ranks, 2);
+            assert_eq!(outputs.iter().map(KvSet::len).sum::<usize>(), 108);
+            for max_items in [1, 15, 16, 40, 100, 108, 2048] {
+                let chunks = group_chunks(&outputs, max_items);
+                assert_eq!(
+                    chunks,
+                    concat_sort_group(&outputs, max_items),
+                    "{ranks} ranks, {max_items} items"
+                );
+                for pair in chunks.windows(2) {
+                    let (last, first) = (pair[0].items.last(), pair[1].items.first());
+                    assert!(last.unwrap().0 < first.unwrap().0, "a key-group was split");
+                }
+            }
+            assert!(group_chunks(&outputs, 16)[0].items.len() > 16);
+        }
+        assert!(group_chunks(&[], 16).is_empty());
+        assert!(group_chunks(&[KvSet::new(), KvSet::new()], 16).is_empty());
+    }
+
+    fn digest(m: &Matrix) -> u64 {
+        gpmr_core::journal::hash_pairs::<f32, f32>(&m.data, &[])
+    }
+
+    #[test]
+    fn products_are_bit_identical_to_the_recorded_ones() {
+        // Recorded with the hand-over that concatenated and sorted whole
+        // tiles. Phase 2 adds a key's partials in rank-then-position
+        // order, and `f32` addition does not reorder: any other order
+        // changes these bits long before it shows at 1e-4.
+        let a = Matrix::random(256, 30);
+        let b = Matrix::random(256, 31);
+        // 4-tile k-slabs of 16: phase 2 adds four partials per key.
+        // Every partial of a key lands on the key's owner in chunk order,
+        // so fixed blocks give one product whatever the rank count.
+        for ranks in [1, 8, 64] {
+            let mut cluster = Cluster::accelerator(ranks, GpuSpec::gt200());
+            let result = run_mm(&mut cluster, &a, &b, 8, 8, 4).unwrap();
+            assert_eq!(digest(&result.c), 0x7016_dc28_3e0e_dd2f, "{ranks} ranks");
+        }
+        // `run_mm_auto` cuts slabs to the rank count.
+        for (ranks, expect) in [
+            (1, 0x203f_4416_4a73_0918u64),
+            (8, 0x91f1_a059_adde_ceaf),
+            (64, 0x91f1_a059_adde_ceaf),
+        ] {
+            let mut cluster = Cluster::accelerator(ranks, GpuSpec::gt200());
+            let result = run_mm_auto(&mut cluster, &a, &b).unwrap();
+            assert_eq!(digest(&result.c), expect, "run_mm_auto on {ranks} ranks");
+        }
+
+        // Order 240 in single-tile slabs: 225 keys with 15 partials each,
+        // 3 375 in all. A chunk holds 2 048 and 15 does not divide that,
+        // so the limit falls inside a key-group and the chunk must grow.
+        let a = Matrix::random(240, 32);
+        let b = Matrix::random(240, 33);
+        let mut cluster = Cluster::accelerator(8, GpuSpec::gt200());
+        let capacity = cluster.gpu(0).mem.capacity();
+        let chunks2 = phase2_chunks(&phase1_outputs(240, 8, 1), capacity);
+        assert_eq!(chunks2[0].items.len(), 2055);
+        let result = run_mm(&mut cluster, &a, &b, 1, 1, 1).unwrap();
+        assert_eq!(digest(&result.c), 0x40f9_f313_024a_b4b9, "order 240");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use gpmr_apps::kmc::{Point, DIMS};
+use gpmr_apps::kmc::{nearest_center, Point, DIMS};
 use gpmr_apps::mm::Matrix;
 use gpmr_apps::text::Dictionary;
 use gpmr_sim_gpu::{BlockCtx, Gpu, LaunchConfig, SimDuration, SimTime};
@@ -78,23 +78,6 @@ impl MarsKmc {
     pub fn new(centers: Vec<Point>) -> Self {
         MarsKmc { centers }
     }
-
-    fn nearest(&self, p: &Point) -> u32 {
-        let mut best = 0usize;
-        let mut best_d = f32::INFINITY;
-        for (c, center) in self.centers.iter().enumerate() {
-            let mut d = 0.0f32;
-            for dim in 0..DIMS {
-                let diff = p[dim] - center[dim];
-                d += diff * diff;
-            }
-            if d < best_d {
-                best_d = d;
-                best = c;
-            }
-        }
-        best as u32
-    }
 }
 
 impl MarsApp for MarsKmc {
@@ -119,7 +102,7 @@ impl MarsApp for MarsKmc {
         ctx.charge_read_uncoalesced::<Point>(1);
         ctx.charge_flops((self.centers.len() * 3 * DIMS) as u64);
         let p = &items[idx];
-        let c = self.nearest(p);
+        let c = nearest_center(&self.centers, p) as u32;
         let mut v = [0.0f64; DIMS + 1];
         for dim in 0..DIMS {
             v[dim] = f64::from(p[dim]);

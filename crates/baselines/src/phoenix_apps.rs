@@ -5,7 +5,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use gpmr_apps::kmc::{Point, DIMS};
+use gpmr_apps::kmc::{nearest_center, Point, DIMS};
 use gpmr_apps::lr::{Sample, STAT_KEYS};
 use gpmr_apps::mm::Matrix;
 use gpmr_apps::text::Dictionary;
@@ -136,19 +136,7 @@ impl PhoenixApp for PhoenixKmc {
         let k = self.centers.len();
         out.reserve(n);
         for p in &items[range] {
-            let mut best = 0usize;
-            let mut best_d = f32::INFINITY;
-            for (c, center) in self.centers.iter().enumerate() {
-                let mut d = 0.0f32;
-                for dim in 0..DIMS {
-                    let diff = p[dim] - center[dim];
-                    d += diff * diff;
-                }
-                if d < best_d {
-                    best_d = d;
-                    best = c;
-                }
-            }
+            let best = nearest_center(&self.centers, p);
             let mut v = [0.0f64; DIMS + 1];
             for dim in 0..DIMS {
                 v[dim] = f64::from(p[dim]);

@@ -1,12 +1,15 @@
 //! Hot-path microbenches for the kernel worker pool and shuffle/sort
 //! allocation work: kernel launch overhead, radix sort throughput,
 //! the engine's bucket-split/combine shuffle path, the cost of the
-//! telemetry subsystem (disabled vs enabled) on a full engine run, and
-//! the fixed cost of a job too small for anything else to show.
+//! telemetry subsystem (disabled vs enabled) on a full engine run, the
+//! fixed cost of a job too small for anything else to show, and the two
+//! application kernels that are host work rather than engine work.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use gpmr_apps::kmc::{self, KmcJob};
+use gpmr_apps::mm::{self, Matrix, MmMapJob};
 use gpmr_core::helpers::{combine_pairs, split_buckets};
-use gpmr_core::{run_job, run_job_instrumented, EngineTuning, KvSet};
+use gpmr_core::{run_job, run_job_instrumented, EngineTuning, GpmrJob, KvSet, SliceChunk};
 use gpmr_primitives::sort_pairs;
 use gpmr_service::{JobKind, JobService, JobSpec, ServiceConfig, TenantConfig};
 use gpmr_sim_gpu::{Gpu, GpuSpec, LaunchConfig, SimTime};
@@ -184,12 +187,47 @@ fn bench_tiny_job(c: &mut Criterion) {
     group.finish();
 }
 
+/// The two application kernels `paper5_64rank` spends host time in,
+/// outside an engine run. `kmc_assign` is 1 M points against 32 centers
+/// through `KmcJob::map_accumulate` on one GPU; the rate is points per
+/// second, and it falls to a third if the compiler stops vectorising the
+/// eight-point step. `mm_regroup` is the hand-over between MM's two
+/// phases alone — order 512 on 64 ranks, 32 768 partial tiles (32 MiB).
+fn bench_app_kernels(c: &mut Criterion) {
+    let mut group = c.benchmark_group("app_kernels");
+
+    let points = 1 << 20;
+    let job = KmcJob::new(kmc::initial_centers(32, 42));
+    let chunk = SliceChunk::new(0, 0, kmc::generate_points(points, 32, 43));
+    group.throughput(Throughput::Elements(points as u64));
+    group.bench_function("kmc_assign", |b| {
+        let mut gpu = Gpu::new(GpuSpec::gt200());
+        gpu.worker_threads = 1;
+        let (mut state, t) = job.accumulate_init(&mut gpu, SimTime::ZERO).unwrap();
+        b.iter(|| job.map_accumulate(&mut gpu, t, &chunk, &mut state).unwrap());
+    });
+
+    let (a, b) = (Matrix::random(512, 42), Matrix::random(512, 43));
+    let mut cluster = Cluster::accelerator(64, GpuSpec::gt200());
+    let capacity = cluster.gpu(0).mem.capacity();
+    let (rb, cb, kb) = mm::mm_auto_blocks(a.n_tiles(), cluster.size(), capacity);
+    let chunks = mm::mm_chunks(&a, &b, rb, cb, kb);
+    let phase1 = run_job(&mut cluster, &MmMapJob::new(a.n_tiles() as u32), chunks).unwrap();
+    let tiles: usize = phase1.outputs.iter().map(KvSet::len).sum();
+    group.throughput(Throughput::Elements(tiles as u64));
+    group.bench_function("mm_regroup", |b| {
+        b.iter(|| mm::phase2_chunks(&phase1.outputs, capacity));
+    });
+    group.finish();
+}
+
 criterion_group!(
     hot_path,
     bench_launch_overhead,
     bench_sort_throughput,
     bench_shuffle_throughput,
     bench_telemetry_overhead,
-    bench_tiny_job
+    bench_tiny_job,
+    bench_app_kernels
 );
 criterion_main!(hot_path);

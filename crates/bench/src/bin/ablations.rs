@@ -26,6 +26,7 @@
 //!
 //! Usage: `cargo run --release -p gpmr-bench --bin ablations [--scale N]`
 
+use gpmr_apps::datasets::second_seed;
 use gpmr_apps::kmc::{self, KmcJob};
 use gpmr_apps::lr::{self, LrJob};
 use gpmr_apps::sio::{self, SioJob, SioMode};
@@ -137,7 +138,7 @@ fn main() {
     {
         let points = (8_000_000 / scale as usize).max(16 * 1024);
         let centers = kmc::initial_centers(KMC_CENTERS, cfg.seed);
-        let data = kmc::generate_points(points, KMC_CENTERS, cfg.seed + 1);
+        let data = kmc::generate_points(points, KMC_CENTERS, second_seed(cfg.seed));
         let chunk_items = chunk_bytes(16 * points as u64, 1, scale) / 16;
         let chunks = SliceChunk::split(&data, chunk_items.max(1));
         let mut rows = Vec::new();

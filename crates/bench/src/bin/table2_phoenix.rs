@@ -5,7 +5,7 @@
 //!
 //! Usage: `cargo run --release -p gpmr-bench --bin table2_phoenix [--scale N]`
 
-use gpmr_apps::datasets::mm_dim_factor;
+use gpmr_apps::datasets::{mm_dim_factor, second_seed};
 use gpmr_apps::mm::Matrix;
 use gpmr_apps::{kmc, lr, sio, strong_workload, text, Benchmark};
 use gpmr_baselines::phoenix::{run_phoenix, PhoenixConfig};
@@ -54,7 +54,7 @@ fn main() {
         let (phoenix_t, g1, g4) = match bench {
             Benchmark::Mm => {
                 let a = Matrix::random(w.size as usize, w.seed);
-                let b = Matrix::random(w.size as usize, w.seed + 1);
+                let b = Matrix::random(w.size as usize, second_seed(w.seed));
                 // Phoenix MM scales uniformly by d^3 (compute and naive
                 // vector-vector traffic are both n^3).
                 let d = mm_dim_factor(cfg.scale) as f64;
@@ -90,7 +90,7 @@ fn main() {
                 let points = kmc::generate_points(
                     w.size as usize,
                     gpmr_bench::runners::KMC_CENTERS,
-                    w.seed + 1,
+                    second_seed(w.seed),
                 );
                 let t = run_phoenix(&phx, &PhoenixKmc::new(centers), &points).time;
                 (

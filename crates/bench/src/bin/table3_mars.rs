@@ -7,7 +7,7 @@
 //!
 //! Usage: `cargo run --release -p gpmr-bench --bin table3_mars [--scale N]`
 
-use gpmr_apps::datasets::mm_dim_factor;
+use gpmr_apps::datasets::{mm_dim_factor, second_seed};
 use gpmr_apps::mm::Matrix;
 use gpmr_apps::{kmc, text, Benchmark};
 use gpmr_baselines::mars::run_mars;
@@ -60,7 +60,7 @@ fn main() {
         let w = gpmr_apps::strong_workload(Benchmark::Mm, 2, cfg.scale, cfg.seed);
         let d = mm_dim_factor(cfg.scale);
         let a = Matrix::random(w.size as usize, w.seed);
-        let b = Matrix::random(w.size as usize, w.seed + 1);
+        let b = Matrix::random(w.size as usize, second_seed(w.seed));
         let mut gpu = mars_gpu_mm(d);
         let (_, mars_t) = mars_mm(&mut gpu, &a, &b).expect("Mars MM must fit in core");
         let g1 = run_mm_bench(1, w.size as usize, cfg.scale, w.seed).time;
@@ -75,7 +75,7 @@ fn main() {
         let points = kmc::generate_points(
             w.size as usize,
             gpmr_bench::runners::KMC_CENTERS,
-            w.seed + 1,
+            second_seed(w.seed),
         );
         let mut gpu = mars_gpu(cfg.scale as f64);
         let mars_t = run_mars(&mut gpu, &MarsKmc::new(centers), &points)

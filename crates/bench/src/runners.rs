@@ -10,6 +10,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
+use gpmr_apps::datasets::second_seed;
 use gpmr_apps::kmc::{self, KmcJob, Point};
 use gpmr_apps::lr::{self, LrJob};
 use gpmr_apps::mm::Matrix;
@@ -109,7 +110,7 @@ pub fn run_wo(
 /// K-Means Clustering over `points` 4-D points.
 pub fn run_kmc(gpus: u32, points: usize, scale: u64, seed: u64) -> RunOutcome {
     let centers: Vec<Point> = kmc::initial_centers(KMC_CENTERS, seed);
-    let data = kmc::generate_points(points, KMC_CENTERS, seed + 1);
+    let data = kmc::generate_points(points, KMC_CENTERS, second_seed(seed));
     let chunk_items = chunk_bytes(16 * points as u64, gpus, scale) / 16;
     let chunks = SliceChunk::split(&data, chunk_items.max(1));
     let mut cl = scaled_cluster(gpus, scale);
@@ -161,7 +162,7 @@ pub fn run_mm_bench(gpus: u32, n: usize, scale: u64, seed: u64) -> RunOutcome {
     spec.mem_capacity = ((spec.mem_capacity as f64 / d2) as u64).max(1 << 20);
 
     let a = Matrix::random(n, seed);
-    let b = Matrix::random(n, seed + 1);
+    let b = Matrix::random(n, second_seed(seed));
     let mut cl = Cluster::custom_scaled(Topology::accelerator(gpus), spec, d2);
     let result = gpmr_apps::mm::run_mm(&mut cl, &a, &b, side, side, kb).expect("MM job failed");
     let ranks = result.phase1.per_rank.len();

@@ -3,6 +3,7 @@
 
 use std::sync::Arc;
 
+use gpmr_apps::datasets::second_seed;
 use gpmr_apps::kmc::{self, KmcJob};
 use gpmr_apps::lr::{self, LrJob};
 use gpmr_apps::mm::{run_mm_auto, Matrix};
@@ -636,7 +637,7 @@ fn live_snapshot(args: &Args) -> Result<TelemetrySnapshot, CliError> {
                 (43_000 / scale.max(1) as usize).max(64),
                 seed,
             ));
-            let text = generate_text(&dict, n, seed + 1);
+            let text = generate_text(&dict, n, second_seed(seed));
             let chunks = chunk_text(&text, chunk_items(1, n, gpus, scale, depth));
             let job = WoJob::new(dict, gpus);
             run_job_instrumented(&mut cluster, &job, chunks, &tuning, &tel).map_err(fail)?;
@@ -644,7 +645,7 @@ fn live_snapshot(args: &Args) -> Result<TelemetrySnapshot, CliError> {
         "kmc" => {
             let n: usize = args.get_or("size", 500_000)?;
             let centers = kmc::initial_centers(32, seed);
-            let data = kmc::generate_points(n, 32, seed + 1);
+            let data = kmc::generate_points(n, 32, second_seed(seed));
             let chunks =
                 gpmr_core::SliceChunk::split(&data, chunk_items(16, n, gpus, scale, depth));
             run_job_instrumented(&mut cluster, &KmcJob::new(centers), chunks, &tuning, &tel)
@@ -850,8 +851,8 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
                 seed,
             ));
             let text = match zipf {
-                Some(s) => generate_zipf_text(&dict, n, s, seed + 1),
-                None => generate_text(&dict, n, seed + 1),
+                Some(s) => generate_zipf_text(&dict, n, s, second_seed(seed)),
+                None => generate_text(&dict, n, second_seed(seed)),
             };
             let chunks = chunk_text(&text, chunk_items(1, n));
             let mut job = WoJob::new(dict.clone(), gpus);
@@ -883,7 +884,7 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
         "kmc" => {
             let n: usize = args.get_or("size", 500_000)?;
             let centers = kmc::initial_centers(32, seed);
-            let data = kmc::generate_points(n, 32, seed + 1);
+            let data = kmc::generate_points(n, 32, second_seed(seed));
             let chunks = gpmr_core::SliceChunk::split(&data, chunk_items(16, n));
             let (result, tel) = run_with_tel(
                 &mut cluster,
@@ -940,7 +941,7 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
                 ));
             }
             let a = Matrix::random(n, seed);
-            let b = Matrix::random(n, seed + 1);
+            let b = Matrix::random(n, second_seed(seed));
             let result =
                 run_mm_auto(&mut cluster, &a, &b).map_err(|e| CliError::Invalid(e.to_string()))?;
             Ok(format!(
@@ -971,7 +972,7 @@ fn cmd_kmeans(args: &Args) -> Result<String, CliError> {
         return Err(CliError::Invalid("--k must be positive".into()));
     }
     let data = kmc::generate_points(points, k, seed);
-    let init = kmc::initial_centers(k, seed + 1);
+    let init = kmc::initial_centers(k, second_seed(seed));
     let mut cluster = Cluster::accelerator(gpus, GpuSpec::gt200());
     let chunk_points = (points / (4 * gpus as usize)).max(1024);
     let jopts = JournalOpts::from_args(args)?;

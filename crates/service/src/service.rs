@@ -25,6 +25,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use gpmr_apps::datasets::second_seed;
 use gpmr_apps::sio::{generate_integers, sio_chunks};
 use gpmr_apps::text::{chunk_text, generate_text, Dictionary};
 use gpmr_apps::{SioJob, WoJob};
@@ -1138,7 +1139,7 @@ fn run_solo(
             chunk_kb,
         } => {
             let dict = dicts.get(dict_words, seed);
-            let text = generate_text(&dict, bytes, seed.wrapping_add(1));
+            let text = generate_text(&dict, bytes, second_seed(seed));
             let chunks = chunk_text(&text, chunk_kb * 1024);
             let job = WoJob::new(dict, gpus);
             run_engine(cluster, &job, chunks, tuning, tel, spec.journal, control)

@@ -1,4 +1,4 @@
-//! Allocation budgets of the two pair data paths: how many bytes, in how
+//! Allocation budgets of the pair data paths: how many bytes, in how
 //! many allocations, a job takes from the allocator between its prepared
 //! chunks and the reducers' outputs.
 //!
@@ -20,6 +20,11 @@
 //! dictionary per dispatch, a whole-ring copy and re-serialisation per
 //! postmortem show up as thousands of allocations per job.
 //!
+//! MM is the hand-over's case — its two GPMR tasks pass 1 KiB partial
+//! tiles from one to the next, and regrouping them by key should cost
+//! one copy of each tile plus a handle; a concatenation, a sort of whole
+//! tiles or a second copy shows up as a multiple of the tile bytes.
+//!
 //! The runs are single-threaded and fault-free, so all counts repeat
 //! exactly.
 
@@ -27,6 +32,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use gpmr::prelude::*;
+use gpmr_apps::mm::{mm_auto_blocks, mm_chunks, phase2_chunks, MmMapJob};
 use gpmr_apps::sio::{generate_integers, sio_chunks};
 use gpmr_apps::text::{chunk_text, generate_text, Dictionary};
 use gpmr_service::{workload, ObsConfig, ServiceConfig};
@@ -276,3 +282,49 @@ fn serve_path_stays_inside_its_allocation_budget() {
 /// 1 251 per job and 921 per postmortem.
 const SERVE_JOB_ALLOCATION_CEILING: u64 = 277;
 const POSTMORTEM_ALLOCATION_CEILING: u64 = 510;
+
+const MM_ORDER: usize = 256;
+
+/// Phase 1 of an order-256 product on the 8 ranks, then the regrouping
+/// of its partial tiles into phase-2 chunks, counted: `(tile bytes,
+/// bytes allocated, allocations)`.
+fn mm_regroup_allocations() -> (u64, u64, u64) {
+    let a = Matrix::random(MM_ORDER, 42);
+    let b = Matrix::random(MM_ORDER, 43);
+    inline_kernels();
+    let mut cluster = Cluster::accelerator(RANKS, GpuSpec::gt200());
+    let capacity = cluster.gpu(0).mem.capacity();
+    let (rb, cb, kb) = mm_auto_blocks(a.n_tiles(), RANKS, capacity);
+    let job = MmMapJob::new(a.n_tiles() as u32);
+    let phase1 = run_job(&mut cluster, &job, mm_chunks(&a, &b, rb, cb, kb)).unwrap();
+
+    COUNTED.with(|c| c.set(Some((0, 0))));
+    let chunks = phase2_chunks(&phase1.outputs, capacity);
+    let (bytes, calls) = COUNTED.with(|c| c.take()).expect("counting was on");
+    assert_eq!(
+        chunks.iter().map(|c| c.items.len() as u64).sum::<u64>(),
+        phase1.timings.pairs_shuffled,
+        "every partial tile is handed over"
+    );
+    (chunks.iter().map(Chunk::size_bytes).sum(), bytes, calls)
+}
+
+#[test]
+fn mm_regroup_stays_inside_its_allocation_budget() {
+    let (tile_bytes, bytes, calls) = mm_regroup_allocations();
+    assert_eq!(
+        (tile_bytes, bytes, calls),
+        mm_regroup_allocations(),
+        "the hand-over allocates the same every time"
+    );
+    let ratio = bytes as f64 / tile_bytes as f64;
+    println!("{bytes} bytes in {calls} allocations: {ratio:.2} x the {tile_bytes} tile bytes");
+    // Measured: 1.02 x in 5 allocations — the tiles once, 12 bytes of
+    // handle per tile and as much again of sort scratch. Concatenating
+    // the ranks' pairs, sorting the 1 028-byte elements and copying each
+    // chunk out of the sorted run took 3.88 x in 8.
+    assert!(
+        4 * bytes <= 5 * tile_bytes,
+        "{bytes} bytes allocated to hand over {tile_bytes} bytes of tiles ({ratio:.2} x, budget 1.25 x)"
+    );
+}
