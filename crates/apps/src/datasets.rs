@@ -44,6 +44,36 @@ impl Benchmark {
         }
     }
 
+    /// The benchmark `gpmr run --benchmark` names: the paper's
+    /// abbreviation in any case, lower case by convention.
+    pub fn from_cli_name(name: &str) -> Option<Benchmark> {
+        Benchmark::ALL
+            .into_iter()
+            .find(|b| b.name().eq_ignore_ascii_case(name))
+    }
+
+    /// The full name reports are headed with.
+    pub fn title(self) -> &'static str {
+        match self {
+            Benchmark::Mm => "Matrix Multiplication",
+            Benchmark::Sio => "Sparse Integer Occurrence",
+            Benchmark::Wo => "Word Occurrence",
+            Benchmark::Kmc => "K-Means Clustering (one iteration)",
+            Benchmark::Lr => "Linear Regression",
+        }
+    }
+
+    /// Input size `gpmr run` uses without `--size`: elements (bytes of
+    /// text for WO, the matrix order for MM).
+    pub fn default_size(self) -> usize {
+        match self {
+            Benchmark::Mm => 512,
+            Benchmark::Sio | Benchmark::Lr => 1_000_000,
+            Benchmark::Wo => 4 << 20,
+            Benchmark::Kmc => 500_000,
+        }
+    }
+
     /// Input element size in bytes (Table 1 row 1; MM is dimensioned by
     /// matrix order instead).
     pub fn element_bytes(self) -> Option<u64> {
@@ -136,6 +166,16 @@ mod tests {
         assert_eq!(Benchmark::Kmc.element_bytes(), Some(16));
         assert_eq!(Benchmark::Lr.element_bytes(), Some(8));
         assert_eq!(Benchmark::Mm.element_bytes(), None);
+    }
+
+    #[test]
+    fn cli_names_round_trip_in_any_case() {
+        for bench in Benchmark::ALL {
+            assert_eq!(Benchmark::from_cli_name(bench.name()), Some(bench));
+            let lower = bench.name().to_ascii_lowercase();
+            assert_eq!(Benchmark::from_cli_name(&lower), Some(bench));
+        }
+        assert_eq!(Benchmark::from_cli_name("nope"), None);
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! | K-Means Clustering | [`kmc`] | Accumulation, per-block pools, per-center partition |
 //! | Linear Regression | [`lr`] | Accumulation, six keys, no partitioner |
 //!
-//! [`datasets`] encodes the paper's Table 1; [`mph`] and [`text`] are the
+//! [`datasets`] encodes the paper's Table 1 and [`table`] puts the five
+//! benchmarks behind one input type and one run function — what the CLI,
+//! the perf gate and the paper harness call; [`mph`] and [`text`] are the
 //! Word Occurrence substrates (minimal perfect hashing, corpus
 //! generation).
 
@@ -27,6 +29,7 @@ pub mod mm;
 pub mod mph;
 pub mod sio;
 pub mod ssort;
+pub mod table;
 pub mod text;
 pub mod wo;
 
@@ -39,5 +42,6 @@ pub use mm::{run_mm, run_mm_default, Matrix, MmMapJob, MmResult, MmSumJob};
 pub use mph::MinimalPerfectHash;
 pub use sio::SioJob;
 pub use ssort::{SsortJob, SsortRounds};
+pub use table::{AppData, AppInput, AppOutput, AppRun};
 pub use text::Dictionary;
 pub use wo::WoJob;

@@ -30,10 +30,11 @@ use gpmr_apps::datasets::second_seed;
 use gpmr_apps::kmc::{self, KmcJob};
 use gpmr_apps::lr::{self, LrJob};
 use gpmr_apps::sio::{self, SioJob, SioMode};
-use gpmr_apps::text::chunk_text;
+use gpmr_apps::table::{KMC_CENTERS, LR_MODEL};
+use gpmr_apps::text::{chunk_text, generate_text};
 use gpmr_apps::wo::WoJob;
 use gpmr_bench::harness::chunk_bytes;
-use gpmr_bench::runners::{corpus_for, scaled_cluster, KMC_CENTERS};
+use gpmr_bench::runners::scaled_cluster;
 use gpmr_bench::table::render;
 use gpmr_bench::{shared_dictionary, HarnessConfig};
 use gpmr_core::{run_job, run_job_with, EngineTuning, RunOpts, SliceChunk};
@@ -45,11 +46,13 @@ fn main() {
     let scale = cfg.scale;
     println!("Ablation studies, scale divisor {scale}\n");
 
+    // The corpus ablations 1 and 3 share.
+    let bytes = (64_000_000 / scale as usize).max(64 * 1024);
+    let dict = shared_dictionary(scale);
+    let text = generate_text(&dict, bytes, cfg.seed);
+
     // ---- 1. WO accumulation on/off -----------------------------------
     {
-        let bytes = (64_000_000 / scale as usize).max(64 * 1024);
-        let dict = shared_dictionary(scale);
-        let text = corpus_for(&dict, bytes, cfg.seed);
         let gpus = 4;
         let chunks = chunk_text(&text, chunk_bytes(bytes as u64, gpus, scale));
         let mut rows = Vec::new();
@@ -104,9 +107,6 @@ fn main() {
 
     // ---- 3. WO partitioner crossover ----------------------------------
     {
-        let bytes = (64_000_000 / scale as usize).max(64 * 1024);
-        let dict = shared_dictionary(scale);
-        let text = corpus_for(&dict, bytes, cfg.seed);
         let mut rows = Vec::new();
         for gpus in [4u32, 16, 64] {
             let chunks = chunk_text(&text, chunk_bytes(bytes as u64, gpus, scale));
@@ -296,7 +296,7 @@ fn main() {
     // ---- 5. PCI-e link sharing ----------------------------------------
     {
         let samples = (64_000_000 / scale as usize).max(16 * 1024);
-        let data = lr::generate_samples(samples, 2.0, -1.0, cfg.seed);
+        let data = lr::generate_samples(samples, LR_MODEL.0, LR_MODEL.1, cfg.seed);
         let chunk_items = chunk_bytes(8 * samples as u64, 4, scale) / 8;
         let chunks = SliceChunk::split(&data, chunk_items.max(1));
         let mut rows = Vec::new();

@@ -7,9 +7,7 @@
 
 use gpmr_apps::{strong_workload, Benchmark};
 use gpmr_bench::table::{percent_cell, render};
-use gpmr_bench::{
-    run_kmc, run_lr, run_mm_bench, run_sio, run_wo, shared_dictionary, HarnessConfig, RunOutcome,
-};
+use gpmr_bench::{harness_input, or_exit, run_bench, HarnessConfig};
 
 fn main() {
     let cfg = HarnessConfig::from_args();
@@ -25,19 +23,9 @@ fn main() {
     let mut rows = Vec::new();
     for bench in Benchmark::ALL {
         // Largest strong-scaling input (index 3).
-        let w = strong_workload(bench, 3, cfg.scale, cfg.seed);
+        let input = harness_input(&strong_workload(bench, 3, cfg.scale, cfg.seed), cfg.scale);
         for &g in &gpu_counts {
-            let out: RunOutcome = match bench {
-                Benchmark::Mm => run_mm_bench(g, w.size as usize, cfg.scale, w.seed),
-                Benchmark::Sio => run_sio(g, w.size as usize, cfg.scale, w.seed),
-                Benchmark::Wo => {
-                    let dict = shared_dictionary(cfg.scale);
-                    run_wo(g, w.size as usize, cfg.scale, &dict, w.seed)
-                }
-                Benchmark::Kmc => run_kmc(g, w.size as usize, cfg.scale, w.seed),
-                Benchmark::Lr => run_lr(g, w.size as usize, cfg.scale, w.seed),
-            };
-            let p = out.timings.mean_percentages();
+            let p = or_exit(run_bench(&input, g, cfg.scale)).mean_percentages();
             csv.push_str(&format!(
                 "{},{g},{:.2},{:.2},{:.2},{:.2},{:.2}\n",
                 bench.name(),

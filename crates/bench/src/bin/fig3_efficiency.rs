@@ -8,9 +8,7 @@
 use gpmr_apps::Benchmark;
 use gpmr_bench::plot::{render_chart, Series};
 use gpmr_bench::table::{efficiency_cell, render};
-use gpmr_bench::{
-    run_kmc, run_lr, run_mm_bench, run_sio, run_wo, shared_dictionary, HarnessConfig,
-};
+use gpmr_bench::{harness_input, or_exit, run_bench, HarnessConfig};
 use gpmr_core::efficiency;
 use gpmr_sim_gpu::SimDuration;
 
@@ -49,11 +47,12 @@ fn main() {
                 Benchmark::Mm => format!("{0}x{0} (paper {1}x{1})", w.size, sizes[si]),
                 _ => format!("{} (paper {}M)", human(w.size), sizes[si]),
             };
+            let input = harness_input(&w, cfg.scale);
             let mut t1 = SimDuration::ZERO;
             let mut points = Vec::new();
             let mut cells = vec![label.clone()];
             for &g in &gpu_counts {
-                let out = run_one(bench, g, cfg.scale, &w);
+                let out = or_exit(run_bench(&input, g, cfg.scale)).total;
                 if g == 1 {
                     t1 = out;
                 }
@@ -80,19 +79,6 @@ fn main() {
     println!("Expected shapes (paper §6): MM near-perfect; SIO super-linear at 4 GPUs");
     println!("(in-core crossover) then network-bound decay; WO recovers past the");
     println!("partitioner crossover; KMC >60% at 64 GPUs; LR flat past one node.");
-}
-
-fn run_one(bench: Benchmark, gpus: u32, scale: u64, w: &gpmr_apps::Workload) -> SimDuration {
-    match bench {
-        Benchmark::Mm => run_mm_bench(gpus, w.size as usize, scale, w.seed).time,
-        Benchmark::Sio => run_sio(gpus, w.size as usize, scale, w.seed).time,
-        Benchmark::Wo => {
-            let dict = shared_dictionary(scale);
-            run_wo(gpus, w.size as usize, scale, &dict, w.seed).time
-        }
-        Benchmark::Kmc => run_kmc(gpus, w.size as usize, scale, w.seed).time,
-        Benchmark::Lr => run_lr(gpus, w.size as usize, scale, w.seed).time,
-    }
 }
 
 fn human(n: u64) -> String {

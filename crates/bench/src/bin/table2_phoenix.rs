@@ -5,15 +5,12 @@
 //!
 //! Usage: `cargo run --release -p gpmr-bench --bin table2_phoenix [--scale N]`
 
-use gpmr_apps::datasets::{mm_dim_factor, second_seed};
-use gpmr_apps::mm::Matrix;
-use gpmr_apps::{kmc, lr, sio, strong_workload, text, Benchmark};
+use gpmr_apps::datasets::mm_dim_factor;
+use gpmr_apps::{strong_workload, AppData, Benchmark};
 use gpmr_baselines::phoenix::{run_phoenix, PhoenixConfig};
 use gpmr_baselines::phoenix_apps::{phoenix_mm, PhoenixKmc, PhoenixLr, PhoenixSio, PhoenixWo};
 use gpmr_bench::table::{render, speedup_cell};
-use gpmr_bench::{
-    run_kmc, run_lr, run_mm_bench, run_sio, run_wo, shared_dictionary, HarnessConfig,
-};
+use gpmr_bench::{harness_input, or_exit, run_bench, HarnessConfig};
 use gpmr_sim_gpu::SimDuration;
 use gpmr_sim_net::CpuSpec;
 
@@ -50,65 +47,27 @@ fn main() {
     ];
     let mut rows = Vec::new();
     for (bench, idx, paper1, paper4) in entries {
-        let w = strong_workload(bench, idx, cfg.scale, cfg.seed);
-        let (phoenix_t, g1, g4) = match bench {
-            Benchmark::Mm => {
-                let a = Matrix::random(w.size as usize, w.seed);
-                let b = Matrix::random(w.size as usize, second_seed(w.seed));
+        // Phoenix and GPMR read the same generated input.
+        let input = harness_input(&strong_workload(bench, idx, cfg.scale, cfg.seed), cfg.scale);
+        let phoenix_t = match input.data() {
+            AppData::Mm { a, b } => {
                 // Phoenix MM scales uniformly by d^3 (compute and naive
                 // vector-vector traffic are both n^3).
                 let d = mm_dim_factor(cfg.scale) as f64;
                 let mm_cpu = CpuSpec::dual_opteron_2216().scaled(d * d * d);
-                let (_, t) = phoenix_mm(&mm_cpu, &a, &b);
-                (
-                    t,
-                    run_mm_bench(1, w.size as usize, cfg.scale, w.seed).time,
-                    run_mm_bench(4, w.size as usize, cfg.scale, w.seed).time,
-                )
+                phoenix_mm(&mm_cpu, a, b).1
             }
-            Benchmark::Sio => {
-                let data = sio::generate_integers(w.size as usize, w.seed);
-                let t = run_phoenix(&phx, &PhoenixSio, &data).time;
-                (
-                    t,
-                    run_sio(1, w.size as usize, cfg.scale, w.seed).time,
-                    run_sio(4, w.size as usize, cfg.scale, w.seed).time,
-                )
+            AppData::Sio(data) => run_phoenix(&phx, &PhoenixSio, data).time,
+            AppData::Wo { dict, text } => {
+                run_phoenix(&phx, &PhoenixWo::new(dict.clone()), text).time
             }
-            Benchmark::Wo => {
-                let dict = shared_dictionary(cfg.scale);
-                let corpus = text::generate_text(&dict, w.size as usize, w.seed);
-                let t = run_phoenix(&phx, &PhoenixWo::new(dict.clone()), &corpus).time;
-                (
-                    t,
-                    run_wo(1, w.size as usize, cfg.scale, &dict, w.seed).time,
-                    run_wo(4, w.size as usize, cfg.scale, &dict, w.seed).time,
-                )
+            AppData::Kmc { centers, points } => {
+                run_phoenix(&phx, &PhoenixKmc::new(centers.clone()), points).time
             }
-            Benchmark::Kmc => {
-                let centers = kmc::initial_centers(gpmr_bench::runners::KMC_CENTERS, w.seed);
-                let points = kmc::generate_points(
-                    w.size as usize,
-                    gpmr_bench::runners::KMC_CENTERS,
-                    second_seed(w.seed),
-                );
-                let t = run_phoenix(&phx, &PhoenixKmc::new(centers), &points).time;
-                (
-                    t,
-                    run_kmc(1, w.size as usize, cfg.scale, w.seed).time,
-                    run_kmc(4, w.size as usize, cfg.scale, w.seed).time,
-                )
-            }
-            Benchmark::Lr => {
-                let samples = lr::generate_samples(w.size as usize, 2.0, -1.0, w.seed);
-                let t = run_phoenix(&phx, &PhoenixLr, &samples).time;
-                (
-                    t,
-                    run_lr(1, w.size as usize, cfg.scale, w.seed).time,
-                    run_lr(4, w.size as usize, cfg.scale, w.seed).time,
-                )
-            }
+            AppData::Lr(samples) => run_phoenix(&phx, &PhoenixLr, samples).time,
         };
+        let g1 = or_exit(run_bench(&input, 1, cfg.scale)).total;
+        let g4 = or_exit(run_bench(&input, 4, cfg.scale)).total;
         rows.push(vec![
             bench.name().to_string(),
             format!("{phoenix_t}"),

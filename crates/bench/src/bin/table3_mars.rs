@@ -7,13 +7,13 @@
 //!
 //! Usage: `cargo run --release -p gpmr-bench --bin table3_mars [--scale N]`
 
-use gpmr_apps::datasets::{mm_dim_factor, second_seed};
-use gpmr_apps::mm::Matrix;
-use gpmr_apps::{kmc, text, Benchmark};
+use gpmr_apps::datasets::mm_dim_factor;
+use gpmr_apps::{strong_workload, AppData, Benchmark};
 use gpmr_baselines::mars::run_mars;
 use gpmr_baselines::mars_apps::{mars_mm, MarsKmc, MarsWo};
+use gpmr_bench::runners::mm_scaled_spec;
 use gpmr_bench::table::{render, speedup_cell};
-use gpmr_bench::{run_kmc, run_mm_bench, run_wo, shared_dictionary, HarnessConfig};
+use gpmr_bench::{harness_input, or_exit, run_bench, HarnessConfig};
 use gpmr_sim_gpu::{Gpu, GpuSpec, PcieLink, SharedLink, SimDuration};
 
 const MARS_CAPACITY: u64 = 4 << 30;
@@ -28,14 +28,9 @@ fn mars_gpu(scale: f64) -> Gpu {
 
 /// A Mars GPU under the MM scaling law (compute d^3, traffic/capacity d^2).
 fn mars_gpu_mm(d: u64) -> Gpu {
-    let d2 = (d * d) as f64;
-    let d3 = d2 * d as f64;
-    let mut spec = GpuSpec::gt200().with_mem_capacity(MARS_CAPACITY);
-    spec.clock_ghz /= d3;
-    spec.mem_bandwidth /= d3;
-    spec.atomic_throughput /= d3;
-    spec.mem_capacity = ((spec.mem_capacity as f64 / d2) as u64).max(1 << 20);
-    Gpu::with_link(spec, SharedLink::new(PcieLink::gen1_x16().scaled(d2)))
+    let spec = mm_scaled_spec(GpuSpec::gt200().with_mem_capacity(MARS_CAPACITY), d);
+    let link = PcieLink::gen1_x16().scaled((d as f64).powi(2));
+    Gpu::with_link(spec, SharedLink::new(link))
 }
 
 fn main() {
@@ -55,49 +50,40 @@ fn main() {
     ];
     let mut rows = Vec::new();
 
-    // --- MM on 4096^2 (paper strong size index 2). --------------------
-    {
-        let w = gpmr_apps::strong_workload(Benchmark::Mm, 2, cfg.scale, cfg.seed);
-        let d = mm_dim_factor(cfg.scale);
-        let a = Matrix::random(w.size as usize, w.seed);
-        let b = Matrix::random(w.size as usize, second_seed(w.seed));
-        let mut gpu = mars_gpu_mm(d);
-        let (_, mars_t) = mars_mm(&mut gpu, &a, &b).expect("Mars MM must fit in core");
-        let g1 = run_mm_bench(1, w.size as usize, cfg.scale, w.seed).time;
-        let g4 = run_mm_bench(4, w.size as usize, cfg.scale, w.seed).time;
-        rows.push(row("MM", mars_t, g1, g4, 2.695, 10.760));
-    }
-
-    // --- KMC on 8M points (paper strong size index 1). -----------------
-    {
-        let w = gpmr_apps::strong_workload(Benchmark::Kmc, 1, cfg.scale, cfg.seed);
-        let centers = kmc::initial_centers(gpmr_bench::runners::KMC_CENTERS, w.seed);
-        let points = kmc::generate_points(
-            w.size as usize,
-            gpmr_bench::runners::KMC_CENTERS,
-            second_seed(w.seed),
-        );
-        let mut gpu = mars_gpu(cfg.scale as f64);
-        let mars_t = run_mars(&mut gpu, &MarsKmc::new(centers), &points)
-            .expect("Mars KMC must fit in core")
-            .time;
-        let g1 = run_kmc(1, w.size as usize, cfg.scale, w.seed).time;
-        let g4 = run_kmc(4, w.size as usize, cfg.scale, w.seed).time;
-        rows.push(row("KMC", mars_t, g1, g4, 37.344, 129.425));
-    }
-
-    // --- WO on 512 MB of text (paper strong size index 3). -------------
-    {
-        let w = gpmr_apps::strong_workload(Benchmark::Wo, 3, cfg.scale, cfg.seed);
-        let dict = shared_dictionary(cfg.scale);
-        let corpus = text::generate_text(&dict, w.size as usize, w.seed);
-        let mut gpu = mars_gpu(cfg.scale as f64);
-        let mars_t = run_mars(&mut gpu, &MarsWo::new(dict.clone()), &corpus)
-            .expect("Mars WO must fit in core")
-            .time;
-        let g1 = run_wo(1, w.size as usize, cfg.scale, &dict, w.seed).time;
-        let g4 = run_wo(4, w.size as usize, cfg.scale, &dict, w.seed).time;
-        rows.push(row("WO", mars_t, g1, g4, 3.098, 11.709));
+    // The largest inputs Mars holds in core: MM on 4096^2, KMC on 8 M
+    // points, WO on 512 MB of text — (benchmark, strong-size index,
+    // paper 1-GPU, paper 4-GPU).
+    let entries: [(Benchmark, usize, f64, f64); 3] = [
+        (Benchmark::Mm, 2, 2.695, 10.760),
+        (Benchmark::Kmc, 1, 37.344, 129.425),
+        (Benchmark::Wo, 3, 3.098, 11.709),
+    ];
+    for (bench, idx, paper1, paper4) in entries {
+        // Mars and GPMR read the same generated input.
+        let input = harness_input(&strong_workload(bench, idx, cfg.scale, cfg.seed), cfg.scale);
+        let mars_t = match input.data() {
+            AppData::Mm { a, b } => {
+                let mut gpu = mars_gpu_mm(mm_dim_factor(cfg.scale));
+                let (_, t) = mars_mm(&mut gpu, a, b).expect("Mars MM must fit in core");
+                t
+            }
+            AppData::Kmc { centers, points } => {
+                let mut gpu = mars_gpu(cfg.scale as f64);
+                run_mars(&mut gpu, &MarsKmc::new(centers.clone()), points)
+                    .expect("Mars KMC must fit in core")
+                    .time
+            }
+            AppData::Wo { dict, text } => {
+                let mut gpu = mars_gpu(cfg.scale as f64);
+                run_mars(&mut gpu, &MarsWo::new(dict.clone()), text)
+                    .expect("Mars WO must fit in core")
+                    .time
+            }
+            AppData::Sio(_) | AppData::Lr(_) => unreachable!("the paper has no Mars SIO or LR"),
+        };
+        let g1 = or_exit(run_bench(&input, 1, cfg.scale)).total;
+        let g4 = or_exit(run_bench(&input, 4, cfg.scale)).total;
+        rows.push(row(bench.name(), mars_t, g1, g4, paper1, paper4));
     }
 
     println!("{}", render(&headers, &rows));

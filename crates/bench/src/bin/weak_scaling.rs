@@ -6,9 +6,9 @@
 //! [--scale N] [--full]` — by default only the mid-range per-GPU size of
 //! each benchmark runs; `--full` sweeps the paper's entire set two.
 
-use gpmr_apps::Benchmark;
+use gpmr_apps::{Benchmark, Workload};
 use gpmr_bench::table::{efficiency_cell, render};
-use gpmr_bench::{run_kmc, run_lr, run_sio, run_wo, shared_dictionary, HarnessConfig};
+use gpmr_bench::{harness_input, or_exit, run_bench, HarnessConfig};
 use gpmr_sim_gpu::SimDuration;
 
 fn main() {
@@ -20,16 +20,20 @@ fn main() {
     );
 
     let gpu_counts = [1u32, 4, 16, 64];
-    for bench in [Benchmark::Sio, Benchmark::Wo, Benchmark::Kmc, Benchmark::Lr] {
+    for bench in Benchmark::ALL {
         // Mid-range per-GPU size by default; the whole set with --full.
+        // (MM has no weak-scaling set.)
         let sizes = bench.weak_sizes_per_gpu();
+        if sizes.is_empty() {
+            continue;
+        }
         let chosen: Vec<u64> = if full {
             sizes.to_vec()
         } else {
             vec![sizes[sizes.len() / 2]]
         };
         for per_gpu_m in chosen {
-            let per_gpu = (per_gpu_m * 1_000_000 / cfg.scale.max(1)).max(1024) as usize;
+            let per_gpu = (per_gpu_m * 1_000_000 / cfg.scale.max(1)).max(1024);
 
             let mut headers: Vec<String> =
                 vec![format!("{} ({}M/GPU paper)", bench.name(), per_gpu_m)];
@@ -40,17 +44,12 @@ fn main() {
             let mut eff_cells = vec!["weak efficiency".to_string()];
             let mut t1 = SimDuration::ZERO;
             for &g in &gpu_counts {
-                let total = per_gpu * g as usize;
-                let t = match bench {
-                    Benchmark::Sio => run_sio(g, total, cfg.scale, cfg.seed).time,
-                    Benchmark::Wo => {
-                        let dict = shared_dictionary(cfg.scale);
-                        run_wo(g, total, cfg.scale, &dict, cfg.seed).time
-                    }
-                    Benchmark::Kmc => run_kmc(g, total, cfg.scale, cfg.seed).time,
-                    Benchmark::Lr => run_lr(g, total, cfg.scale, cfg.seed).time,
-                    Benchmark::Mm => unreachable!("MM has no weak-scaling set"),
+                let w = Workload {
+                    benchmark: bench,
+                    size: per_gpu * u64::from(g),
+                    seed: cfg.seed,
                 };
+                let t = or_exit(run_bench(&harness_input(&w, cfg.scale), g, cfg.scale)).total;
                 if g == 1 {
                     t1 = t;
                 }

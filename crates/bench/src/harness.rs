@@ -75,8 +75,18 @@ pub fn chunk_bytes_tuned(total_bytes: u64, gpus: u32, scale: u64, depth: u32) ->
     let d = u64::from(depth.max(1));
     let per = total_bytes / (2 * d * u64::from(gpus.max(1)));
     let min = (64 * 1024 / s).max(1024);
-    let max = ((64 << 20) / (d * s)).max(min);
+    // `--scale` is user input: near `u64::MAX` the product has no `u64`.
+    let max = ((64 << 20) / d.saturating_mul(s)).max(min);
     per.clamp(min, max) as usize
+}
+
+/// Unwrap a harness run, or print its error and exit 2 — how the paper
+/// bins report a job the (scaled) cluster cannot run.
+pub fn or_exit<T>(result: gpmr_core::EngineResult<T>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
 }
 
 #[cfg(test)]
@@ -114,6 +124,17 @@ mod tests {
         // Depth 1 (no pipelining) degrades to halves of the double-buffer
         // sizing's chunk count, never below the floor.
         assert_eq!(chunk_bytes_tuned(1024, 4, 64, 1), 1024);
+    }
+
+    #[test]
+    fn the_largest_scales_size_chunks_at_the_floor() {
+        // `d * s` used to wrap: to zero (a division by zero) at 2^62 with
+        // depth 4, past `u64::MAX` (an overflow panic in debug) above it.
+        for scale in [1 << 62, u64::MAX] {
+            for depth in [1, 2, 4, 64] {
+                assert_eq!(chunk_bytes_tuned(1 << 40, 4, scale, depth), 1024);
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //! minutes; `--scale 1` reproduces the paper's full sizes if you have the
 //! time and memory. Simulated times scale with the workload, so speedup
 //! and efficiency *shapes* are preserved; EXPERIMENTS.md records results
-//! at the default scale.
+//! at the default scale. A job the scaled cluster cannot hold (MM above
+//! `--scale 80`) is reported and exits 2 ([`or_exit`]).
 
 #![warn(missing_docs)]
 
@@ -30,5 +31,5 @@ pub mod plot;
 pub mod runners;
 pub mod table;
 
-pub use harness::{parse_scale, HarnessConfig, DEFAULT_SCALE};
-pub use runners::{run_kmc, run_lr, run_mm_bench, run_sio, run_wo, shared_dictionary, RunOutcome};
+pub use harness::{or_exit, parse_scale, HarnessConfig, DEFAULT_SCALE};
+pub use runners::{harness_input, run_bench, shared_dictionary};

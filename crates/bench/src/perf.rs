@@ -14,38 +14,26 @@
 //! the pipeline ever stops paying for itself).
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-use gpmr_core::{derive_splitters, run_job_instrumented, EngineTuning, PartitionMode};
+use gpmr_apps::table::{self, AppInput};
+use gpmr_apps::Benchmark;
+use gpmr_core::{EngineTuning, RunOpts};
 use gpmr_telemetry::analyze::{analyze, Analysis};
 use gpmr_telemetry::baseline::{BaselineSet, BenchBaseline};
 use gpmr_telemetry::Telemetry;
 
-use gpmr_apps::sio::{self, SioJob};
-use gpmr_apps::text::{chunk_text, generate_zipf_text};
-use gpmr_apps::wo::{sample_word_keys, WoJob};
-
 use crate::harness::chunk_bytes_tuned;
-use crate::runners::{corpus_for, scaled_cluster, shared_dictionary};
+use crate::runners::{scaled_cluster, shared_dictionary};
 
 /// Tolerance the perf gate runs with (±10%, per the CI contract).
 pub const DEFAULT_TOLERANCE: f64 = 0.10;
 
-/// Full-scale WO corpus bytes (divided by the scale divisor per run).
+/// Full-scale WO corpus bytes.
 const WO_FULL_BYTES: u64 = 1 << 28;
-/// Full-scale SIO element count (divided by the scale divisor per run).
+/// Full-scale SIO element count.
 const SIO_FULL_ELEMENTS: u64 = 1 << 25;
 /// Workload seed shared by every scenario.
 const SEED: u64 = 11;
-
-/// Which benchmark a scenario runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PerfApp {
-    /// Word Occurrence (accumulate-mode map, text corpus).
-    Wo,
-    /// Sparse Integer Occurrence (plain map, integer stream).
-    Sio,
-}
 
 /// One gate scenario: a benchmark at a GPU count under a fixed engine
 /// tuning (pipeline depth, transfer mode).
@@ -54,7 +42,9 @@ pub struct PerfScenario {
     /// Stable scenario name used to match baselines, e.g. `"sio_4rank"`.
     pub name: &'static str,
     /// Benchmark to run.
-    pub app: PerfApp,
+    pub app: Benchmark,
+    /// Full-scale input size (divided by the scale divisor per run).
+    pub full_size: u64,
     /// Cluster size in GPUs.
     pub gpus: u32,
     /// Upload pipeline depth the engine (and chunk autotuner) run with.
@@ -69,10 +59,11 @@ pub struct PerfScenario {
 }
 
 impl PerfScenario {
-    const fn new(name: &'static str, app: PerfApp, gpus: u32) -> Self {
+    const fn new(name: &'static str, app: Benchmark, full_size: u64, gpus: u32) -> Self {
         PerfScenario {
             name,
             app,
+            full_size,
             gpus,
             depth: 4,
             gpu_direct: false,
@@ -96,9 +87,6 @@ impl PerfScenario {
 /// key-granularity splitters can reach balance).
 const ZIPF_S: f64 = 1.05;
 
-/// Sampling stride for the range-partitioned scenario's splitters.
-const SPLITTER_STRIDE: usize = 101;
-
 /// The gate suite: WO + SIO at 1, 4, and 8 ranks at the default tuning,
 /// plus the GPU-direct and pipelining-off variants of the 8-rank runs,
 /// plus the skewed-shuffle pair — the same Zipf corpus shuffled
@@ -106,32 +94,32 @@ const SPLITTER_STRIDE: usize = 101;
 /// (`wo_8rank_zipf_range`), pinning the skew-aware partitioner's win
 /// into the gate.
 pub const SCENARIOS: [PerfScenario; 11] = [
-    PerfScenario::new("wo_1rank", PerfApp::Wo, 1),
-    PerfScenario::new("wo_4rank", PerfApp::Wo, 4),
-    PerfScenario::new("wo_8rank", PerfApp::Wo, 8),
+    PerfScenario::new("wo_1rank", Benchmark::Wo, WO_FULL_BYTES, 1),
+    PerfScenario::new("wo_4rank", Benchmark::Wo, WO_FULL_BYTES, 4),
+    PerfScenario::new("wo_8rank", Benchmark::Wo, WO_FULL_BYTES, 8),
     PerfScenario {
         gpu_direct: true,
-        ..PerfScenario::new("wo_8rank_direct", PerfApp::Wo, 8)
+        ..PerfScenario::new("wo_8rank_direct", Benchmark::Wo, WO_FULL_BYTES, 8)
     },
     PerfScenario {
         depth: 1,
-        ..PerfScenario::new("wo_8rank_k1", PerfApp::Wo, 8)
+        ..PerfScenario::new("wo_8rank_k1", Benchmark::Wo, WO_FULL_BYTES, 8)
     },
     PerfScenario {
         zipf: Some(ZIPF_S),
-        ..PerfScenario::new("wo_8rank_zipf", PerfApp::Wo, 8)
+        ..PerfScenario::new("wo_8rank_zipf", Benchmark::Wo, WO_FULL_BYTES, 8)
     },
     PerfScenario {
         zipf: Some(ZIPF_S),
         range_partition: true,
-        ..PerfScenario::new("wo_8rank_zipf_range", PerfApp::Wo, 8)
+        ..PerfScenario::new("wo_8rank_zipf_range", Benchmark::Wo, WO_FULL_BYTES, 8)
     },
-    PerfScenario::new("sio_1rank", PerfApp::Sio, 1),
-    PerfScenario::new("sio_4rank", PerfApp::Sio, 4),
-    PerfScenario::new("sio_8rank", PerfApp::Sio, 8),
+    PerfScenario::new("sio_1rank", Benchmark::Sio, SIO_FULL_ELEMENTS, 1),
+    PerfScenario::new("sio_4rank", Benchmark::Sio, SIO_FULL_ELEMENTS, 4),
+    PerfScenario::new("sio_8rank", Benchmark::Sio, SIO_FULL_ELEMENTS, 8),
     PerfScenario {
         gpu_direct: true,
-        ..PerfScenario::new("sio_8rank_direct", PerfApp::Sio, 8)
+        ..PerfScenario::new("sio_8rank_direct", Benchmark::Sio, SIO_FULL_ELEMENTS, 8)
     },
 ];
 
@@ -141,45 +129,25 @@ pub fn scenario(name: &str) -> Option<PerfScenario> {
 }
 
 /// Run one scenario instrumented at the given inverse scale, returning its
-/// baseline record and the full analysis behind it.
+/// baseline record and the full analysis behind it. Inputs never shrink
+/// below 64 KiB, and WO reads the harness's shared dictionary.
 pub fn run_scenario(sc: &PerfScenario, scale: u64) -> (BenchBaseline, Analysis) {
     let scale = scale.max(1);
     let tel = Telemetry::enabled();
     let mut cluster = scaled_cluster(sc.gpus, scale);
-    let tuning = sc.tuning();
-    match sc.app {
-        PerfApp::Wo => {
-            let dict = shared_dictionary(scale);
-            let bytes = (WO_FULL_BYTES / scale).max(64 * 1024) as usize;
-            let text = match sc.zipf {
-                Some(s) => Arc::new(generate_zipf_text(&dict, bytes, s, SEED)),
-                None => corpus_for(&dict, bytes, SEED),
-            };
-            let chunks = chunk_text(
-                &text,
-                chunk_bytes_tuned(bytes as u64, sc.gpus, scale, sc.depth),
-            );
-            let mut job = WoJob::new(Arc::clone(&dict), sc.gpus);
-            if sc.range_partition {
-                let samples = sample_word_keys(&dict, &text, SPLITTER_STRIDE);
-                job = job.with_partition(PartitionMode::Range {
-                    splitters: derive_splitters(&samples, sc.gpus),
-                });
-            }
-            run_job_instrumented(&mut cluster, &job, chunks, &tuning, &tel)
-                .expect("WO perf scenario failed");
-        }
-        PerfApp::Sio => {
-            let elements = (SIO_FULL_ELEMENTS / scale).max(16 * 1024) as usize;
-            let data = sio::generate_integers(elements, SEED);
-            let chunks = sio::sio_chunks(
-                &data,
-                chunk_bytes_tuned(4 * elements as u64, sc.gpus, scale, sc.depth),
-            );
-            run_job_instrumented(&mut cluster, &SioJob::default(), chunks, &tuning, &tel)
-                .expect("SIO perf scenario failed");
-        }
-    }
+    let floor = 64 * 1024 / sc.app.element_bytes().unwrap_or(1);
+    let size = (sc.full_size / scale).max(floor) as usize;
+    let input = AppInput::generate(sc.app, size, SEED, sc.zipf, || {
+        (shared_dictionary(scale), SEED)
+    });
+    let chunk = chunk_bytes_tuned(input.bytes(), sc.gpus, scale, sc.depth);
+    let opts = RunOpts {
+        tuning: sc.tuning(),
+        tel: tel.clone(),
+        ..RunOpts::default()
+    };
+    table::run(&input, &mut cluster, chunk, sc.range_partition, opts)
+        .expect("perf scenario failed");
     let snap = tel.snapshot();
     let analysis = analyze(&snap);
     let counters: BTreeMap<String, u64> = snap

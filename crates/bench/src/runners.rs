@@ -1,40 +1,26 @@
-//! One-call runners for each benchmark: build the (scaled) workload, run
-//! the GPMR job on an N-GPU cluster with matching scaled hardware, and
-//! return the timing breakdown.
+//! The harness runner: generate a (scaled) benchmark input once, run it
+//! on N-GPU clusters with matching scaled hardware, and return the timing
+//! breakdown. Which generator, chunker and job a benchmark means is
+//! [`gpmr_apps::table`]'s business; this module owns what is the
+//! harness's — the shared dictionary, the double-buffer chunk sizing and
+//! the hardware-scaling laws.
 //!
 //! Workload-scaling: element counts are divided by `scale` and every
 //! hardware throughput is divided by `scale` too (latencies unchanged),
 //! so the simulated times approximate full-scale runs — see
 //! [`gpmr_sim_gpu::GpuSpec::scaled`].
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
-use gpmr_apps::datasets::second_seed;
-use gpmr_apps::kmc::{self, KmcJob, Point};
-use gpmr_apps::lr::{self, LrJob};
-use gpmr_apps::mm::Matrix;
-use gpmr_apps::sio::{self, SioJob};
-use gpmr_apps::text::{chunk_text, generate_text, Dictionary, PAPER_DICTIONARY_WORDS};
-use gpmr_apps::wo::WoJob;
-use gpmr_core::{run_job, JobTimings, SliceChunk, StageTimes};
-use gpmr_sim_gpu::{GpuSpec, SimDuration};
+use gpmr_apps::datasets::{mm_dim_factor, Workload};
+use gpmr_apps::mm::{mm_auto_blocks, run_mm, Matrix, TILE};
+use gpmr_apps::table::{self, dictionary_words, AppData, AppInput};
+use gpmr_apps::text::Dictionary;
+use gpmr_core::{EngineResult, JobTimings, RunOpts};
+use gpmr_sim_gpu::GpuSpec;
 use gpmr_sim_net::{Cluster, Topology};
 
 use crate::harness::chunk_bytes;
-
-/// Timing outcome of one benchmark run.
-#[derive(Clone, Debug)]
-pub struct RunOutcome {
-    /// Job makespan (both phases for MM).
-    pub time: SimDuration,
-    /// Stage breakdown.
-    pub timings: JobTimings,
-}
-
-/// Number of K-Means centers used by the harness (the paper keeps the
-/// center count small and fixed).
-pub const KMC_CENTERS: usize = 32;
 
 /// A GT200 cluster with hardware scaled to match workloads divided by
 /// `scale`.
@@ -42,188 +28,129 @@ pub fn scaled_cluster(gpus: u32, scale: u64) -> Cluster {
     Cluster::accelerator_scaled(gpus, GpuSpec::gt200(), scale as f64)
 }
 
-/// The shared dictionary for a given scale: 43 k words divided by the
-/// scale divisor (scaled-hardware runs must scale *all* data, the
-/// dictionary included, or the fixed 43 k-key accumulation state would
-/// dominate shrunken workloads). Memoized per scale.
+/// The dictionary every harness WO run of a scale shares:
+/// [`dictionary_words`] words from a fixed seed.
 pub fn shared_dictionary(scale: u64) -> Arc<Dictionary> {
-    static DICTS: OnceLock<Mutex<HashMap<u64, Arc<Dictionary>>>> = OnceLock::new();
-    let words = (PAPER_DICTIONARY_WORDS / scale.max(1) as usize).max(64);
-    let cache = DICTS.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut guard = cache.lock().expect("dictionary cache poisoned");
-    guard
-        .entry(scale)
-        .or_insert_with(|| Arc::new(Dictionary::generate(words, 0xd1c7)))
-        .clone()
+    Arc::new(Dictionary::generate(dictionary_words(scale), 0xd1c7))
 }
 
-/// One memoized corpus: (bytes, seed, text).
-type CorpusCache = OnceLock<Mutex<Option<(usize, u64, Arc<Vec<u8>>)>>>;
+/// Generate workload `w`'s input the harness way: WO reads the shared
+/// dictionary and draws its text from the workload seed itself. Sweeps
+/// call this once per size and reuse the input across GPU counts.
+pub fn harness_input(w: &Workload, scale: u64) -> AppInput {
+    AppInput::generate(w.benchmark, w.size as usize, w.seed, None, || {
+        (shared_dictionary(scale), w.seed)
+    })
+}
 
-/// Memoized corpus text so repeated WO runs (different GPU counts) reuse
-/// one generation pass.
-pub fn corpus_for(dict: &Arc<Dictionary>, bytes: usize, seed: u64) -> Arc<Vec<u8>> {
-    static CACHE: CorpusCache = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(None));
-    let mut guard = cache.lock().expect("corpus cache poisoned");
-    if let Some((b, s, text)) = guard.as_ref() {
-        if *b == bytes && *s == seed {
-            return text.clone();
-        }
+/// Run `input`'s benchmark on `gpus` GPUs of hardware scaled by `scale`,
+/// in chunks sized for the classic double buffer. A job the scaled
+/// cluster cannot hold is the engine's typed error, not a panic.
+pub fn run_bench(input: &AppInput, gpus: u32, scale: u64) -> EngineResult<JobTimings> {
+    if let AppData::Mm { a, b } = input.data() {
+        return run_mm_scaled(a, b, gpus, scale);
     }
-    let text = Arc::new(generate_text(dict, bytes, seed));
-    *guard = Some((bytes, seed, text.clone()));
-    text
+    let mut cluster = scaled_cluster(gpus, scale);
+    let chunk = chunk_bytes(input.bytes(), gpus, scale);
+    let run = table::run(input, &mut cluster, chunk, false, RunOpts::default())?;
+    Ok(run.timings)
 }
 
-/// Sparse Integer Occurrence over `elements` integers.
-pub fn run_sio(gpus: u32, elements: usize, scale: u64, seed: u64) -> RunOutcome {
-    let data = sio::generate_integers(elements, seed);
-    let chunks = sio::sio_chunks(&data, chunk_bytes(4 * elements as u64, gpus, scale));
-    let mut cl = scaled_cluster(gpus, scale);
-    let result = run_job(&mut cl, &SioJob::default(), chunks).expect("SIO job failed");
-    RunOutcome {
-        time: result.timings.total,
-        timings: result.timings,
-    }
-}
-
-/// Word Occurrence over `bytes` of corpus text.
-pub fn run_wo(
-    gpus: u32,
-    bytes: usize,
-    scale: u64,
-    dict: &Arc<Dictionary>,
-    seed: u64,
-) -> RunOutcome {
-    let text = corpus_for(dict, bytes, seed);
-    let chunks = chunk_text(&text, chunk_bytes(bytes as u64, gpus, scale));
-    let mut cl = scaled_cluster(gpus, scale);
-    let job = WoJob::new(dict.clone(), gpus);
-    let result = run_job(&mut cl, &job, chunks).expect("WO job failed");
-    RunOutcome {
-        time: result.timings.total,
-        timings: result.timings,
-    }
-}
-
-/// K-Means Clustering over `points` 4-D points.
-pub fn run_kmc(gpus: u32, points: usize, scale: u64, seed: u64) -> RunOutcome {
-    let centers: Vec<Point> = kmc::initial_centers(KMC_CENTERS, seed);
-    let data = kmc::generate_points(points, KMC_CENTERS, second_seed(seed));
-    let chunk_items = chunk_bytes(16 * points as u64, gpus, scale) / 16;
-    let chunks = SliceChunk::split(&data, chunk_items.max(1));
-    let mut cl = scaled_cluster(gpus, scale);
-    let job = KmcJob::new(centers);
-    let result = run_job(&mut cl, &job, chunks).expect("KMC job failed");
-    RunOutcome {
-        time: result.timings.total,
-        timings: result.timings,
-    }
-}
-
-/// Linear Regression over `samples` (x, y) samples.
-pub fn run_lr(gpus: u32, samples: usize, scale: u64, seed: u64) -> RunOutcome {
-    let data = lr::generate_samples(samples, 2.0, -1.0, seed);
-    let chunk_items = chunk_bytes(8 * samples as u64, gpus, scale) / 8;
-    let chunks = SliceChunk::split(&data, chunk_items.max(1));
-    let mut cl = scaled_cluster(gpus, scale);
-    let result = run_job(&mut cl, &LrJob, chunks).expect("LR job failed");
-    RunOutcome {
-        time: result.timings.total,
-        timings: result.timings,
-    }
-}
-
-/// Matrix Multiplication for order-`n` matrices (already divided by
-/// [`gpmr_apps::datasets::mm_dim_factor`]). Both GPMR phases are
-/// included; stage times are summed across phases.
-///
-/// MM has its own scaling law: when matrix order shrinks by `d`, total
-/// compute shrinks by `d^3` but PCI-e/network traffic and resident
-/// working sets shrink by `d^2`. So the MM cluster scales GPU compute and
-/// memory bandwidth by `d^3`, the transfer fabric and device capacity by
-/// `d^2`, and the chunk blocks by `d` — making the scaled run time-
-/// equivalent to the full-order run (up to fixed latencies).
-pub fn run_mm_bench(gpus: u32, n: usize, scale: u64, seed: u64) -> RunOutcome {
-    let d = gpmr_apps::datasets::mm_dim_factor(scale);
-    let full_spec = GpuSpec::gt200();
-    let nt_full = n * d as usize / gpmr_apps::mm::TILE;
-    let (side_f, _, kb_f) = gpmr_apps::mm::mm_auto_blocks(nt_full, gpus, full_spec.mem_capacity);
-    let side = (side_f / d as usize).max(1);
-    let kb = (kb_f / d as usize).max(1);
-
-    let d2 = (d * d) as f64;
+/// `spec` under the MM scaling law for matrix orders divided by `d`:
+/// total compute shrinks by `d^3` but PCI-e/network traffic and resident
+/// working sets shrink by `d^2`, so GPU compute and memory bandwidth
+/// scale by `d^3` and device capacity by `d^2`. Pair it with a transfer
+/// fabric scaled by `d^2`.
+pub fn mm_scaled_spec(mut spec: GpuSpec, d: u64) -> GpuSpec {
+    let d2 = (d as f64).powi(2);
     let d3 = d2 * d as f64;
-    let mut spec = full_spec;
     spec.clock_ghz /= d3;
     spec.mem_bandwidth /= d3;
     spec.atomic_throughput /= d3;
     spec.mem_capacity = ((spec.mem_capacity as f64 / d2) as u64).max(1 << 20);
+    spec
+}
 
-    let a = Matrix::random(n, seed);
-    let b = Matrix::random(n, second_seed(seed));
-    let mut cl = Cluster::custom_scaled(Topology::accelerator(gpus), spec, d2);
-    let result = gpmr_apps::mm::run_mm(&mut cl, &a, &b, side, side, kb).expect("MM job failed");
-    let ranks = result.phase1.per_rank.len();
-    let per_rank: Vec<StageTimes> = (0..ranks)
-        .map(|r| {
-            let (p1, p2) = (&result.phase1.per_rank[r], &result.phase2.per_rank[r]);
-            StageTimes {
-                map: p1.map + p2.map,
-                bin: p1.bin + p2.bin,
-                sort: p1.sort + p2.sort,
-                reduce: p1.reduce + p2.reduce,
-                scheduler: p1.scheduler + p2.scheduler,
-            }
-        })
-        .collect();
-    let timings = JobTimings {
-        total: result.total_time,
-        per_rank,
-        chunks_per_rank: result.phase1.chunks_per_rank.clone(),
-        chunks_stolen: result.phase1.chunks_stolen + result.phase2.chunks_stolen,
-        pairs_emitted: result.phase1.pairs_emitted + result.phase2.pairs_emitted,
-        pairs_shuffled: result.phase1.pairs_shuffled + result.phase2.pairs_shuffled,
-        gpus_lost: result.phase1.gpus_lost + result.phase2.gpus_lost,
-        gpus_added: result.phase1.gpus_added + result.phase2.gpus_added,
-        chunks_requeued: result.phase1.chunks_requeued + result.phase2.chunks_requeued,
-        transfer_retries: result.phase1.transfer_retries + result.phase2.transfer_retries,
-        stalls_injected: result.phase1.stalls_injected + result.phase2.stalls_injected,
-    };
-    RunOutcome {
-        time: result.total_time,
-        timings,
-    }
+/// MM under its own scaling law ([`mm_scaled_spec`]): the matrix order
+/// was already divided by [`mm_dim_factor`], the chunk blocks shrink by
+/// the same `d` — making the scaled run time-equivalent to the full-order
+/// run (up to fixed latencies). Both GPMR phases are included.
+fn run_mm_scaled(a: &Matrix, b: &Matrix, gpus: u32, scale: u64) -> EngineResult<JobTimings> {
+    let d = mm_dim_factor(scale);
+    let full_spec = GpuSpec::gt200();
+    let nt_full = a.n * d as usize / TILE;
+    let (side_f, _, kb_f) = mm_auto_blocks(nt_full, gpus, full_spec.mem_capacity);
+    let side = (side_f / d as usize).max(1);
+    let kb = (kb_f / d as usize).max(1);
+    let mut cluster = Cluster::custom_scaled(
+        Topology::accelerator(gpus),
+        mm_scaled_spec(full_spec, d),
+        (d as f64).powi(2),
+    );
+    Ok(run_mm(&mut cluster, a, b, side, side, kb)?.timings())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpmr_apps::Benchmark;
+    use gpmr_core::EngineError;
+
+    fn input(benchmark: Benchmark, size: u64, seed: u64) -> AppInput {
+        let w = Workload {
+            benchmark,
+            size,
+            seed,
+        };
+        harness_input(&w, 64)
+    }
 
     #[test]
-    fn runners_produce_positive_times() {
-        assert!(run_sio(2, 20_000, 64, 1).time.as_secs() > 0.0);
-        assert!(run_lr(2, 20_000, 64, 1).time.as_secs() > 0.0);
-        assert!(run_kmc(2, 5_000, 64, 1).time.as_secs() > 0.0);
-        assert!(run_mm_bench(2, 64, 64, 1).time.as_secs() > 0.0);
+    fn runner_produces_positive_times() {
+        for (bench, size) in [
+            (Benchmark::Sio, 20_000),
+            (Benchmark::Lr, 20_000),
+            (Benchmark::Kmc, 5_000),
+            (Benchmark::Mm, 64),
+        ] {
+            let timings = run_bench(&input(bench, size, 1), 2, 64).unwrap();
+            assert!(timings.total.as_secs() > 0.0, "{}", bench.name());
+        }
     }
 
     #[test]
     fn wo_runner_works_with_small_dictionary() {
-        let dict = Arc::new(Dictionary::generate(100, 9));
-        let out = run_wo(2, 10_000, 64, &dict, 3);
-        assert!(out.time.as_secs() > 0.0);
-        assert_eq!(out.timings.per_rank.len(), 2);
+        let wo = AppInput::generate(Benchmark::Wo, 10_000, 3, None, || {
+            (Arc::new(Dictionary::generate(100, 9)), 3)
+        });
+        let timings = run_bench(&wo, 2, 64).unwrap();
+        assert!(timings.total.as_secs() > 0.0);
+        assert_eq!(timings.per_rank.len(), 2);
     }
 
     #[test]
     fn more_gpus_do_not_increase_makespan_for_large_jobs() {
-        let t1 = run_sio(1, 400_000, 64, 2).time;
-        let t4 = run_sio(4, 400_000, 64, 2).time;
+        let sio = input(Benchmark::Sio, 400_000, 2);
+        let t1 = run_bench(&sio, 1, 64).unwrap().total;
+        let t4 = run_bench(&sio, 4, 64).unwrap().total;
         assert!(
             t4.as_secs() < t1.as_secs(),
             "4-GPU run ({t4}) should beat 1 GPU ({t1})"
         );
+    }
+
+    #[test]
+    fn mm_past_its_scaling_range_is_a_typed_error() {
+        // Device capacity shrinks by d^2 while phase 2 keeps whole tile
+        // groups per chunk: `fig2_breakdown --scale 128` died in an
+        // `expect` here.
+        for scale in [128, 4096] {
+            let w = gpmr_apps::strong_workload(Benchmark::Mm, 3, scale, 1);
+            let result = run_bench(&harness_input(&w, scale), 1, scale);
+            assert!(
+                matches!(result, Err(EngineError::ChunkTooLarge { .. })),
+                "scale {scale}: {result:?}"
+            );
+        }
     }
 }

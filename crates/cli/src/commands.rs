@@ -4,17 +4,12 @@
 use std::sync::Arc;
 
 use gpmr_apps::datasets::second_seed;
-use gpmr_apps::kmc::{self, KmcJob};
-use gpmr_apps::lr::{self, LrJob};
-use gpmr_apps::mm::{run_mm_auto, Matrix};
-use gpmr_apps::sio::{self, SioJob};
-use gpmr_apps::text::{chunk_text, generate_text, generate_zipf_text, Dictionary};
-use gpmr_apps::wo::{sample_word_keys, WoJob};
+use gpmr_apps::table::{self, dictionary_words, AppInput, AppOutput};
+use gpmr_apps::text::Dictionary;
+use gpmr_apps::{kmc, lr, Benchmark};
+use gpmr_bench::harness::chunk_bytes_tuned;
 use gpmr_bench::perf as perfsuite;
-use gpmr_core::{
-    derive_splitters, run_job_instrumented, run_job_with, EngineTuning, GpmrJob, JobResult,
-    JobTrace, Journal, PartitionMode, RunOpts,
-};
+use gpmr_core::{EngineTuning, JobTimings, JobTrace, Journal, RunOpts};
 use gpmr_sim_gpu::{FaultPlan, GpuSpec, PcieLink};
 use gpmr_sim_net::{Cluster, CpuSpec, Nic, Topology};
 use gpmr_telemetry::analyze;
@@ -23,12 +18,40 @@ use gpmr_telemetry::{export, Telemetry, TelemetrySnapshot};
 
 use crate::args::{ArgError, Args};
 
+/// The one place the CLI asks "is it MM?": MM's two phases run outside
+/// the tuned, instrumented, journaled engine, so it cannot be analyzed,
+/// journaled or exported, and it reports phases instead of stages.
+fn outside_engine(bench: Benchmark) -> bool {
+    bench == Benchmark::Mm
+}
+
+/// The benchmarks' `--benchmark` spellings, in table order; `engine_only`
+/// leaves out what `analyze` cannot run.
+fn bench_names(engine_only: bool) -> Vec<String> {
+    Benchmark::ALL
+        .into_iter()
+        .filter(|b| !(engine_only && outside_engine(*b)))
+        .map(|b| b.name().to_ascii_lowercase())
+        .collect()
+}
+
+/// `"a, b, or c"`.
+fn or_list(names: &[String]) -> String {
+    let (last, rest) = names.split_last().expect("the table has benchmarks");
+    format!("{}, or {last}", rest.join(", "))
+}
+
 /// The help text.
-pub const HELP: &str = "\
+pub fn help() -> String {
+    HELP.replace("{benchmarks}", &bench_names(false).join("|"))
+        .replace("{engine_benchmarks}", &bench_names(true).join("|"))
+}
+
+const HELP: &str = "\
 gpmr — Multi-GPU MapReduce on a simulated GPU cluster
 
 USAGE:
-    gpmr run    --benchmark <mm|sio|wo|kmc|lr> [--gpus N] [--size X]
+    gpmr run    --benchmark <{benchmarks}> [--gpus N] [--size X]
                 [--scale K] [--seed S] [--trace]
                 [--partition <rr|range>] [--zipf S]
                 [--pipeline-depth K] [--gpu-direct]
@@ -38,7 +61,7 @@ USAGE:
     gpmr kmeans [--points N] [--k K] [--gpus N] [--iterations I] [--seed S]
                 [--journal F [--resume] [--checkpoint-every N]]
     gpmr analyze --events events.jsonl [--json]
-    gpmr analyze --benchmark <sio|wo|kmc|lr> [run options] [--json]
+    gpmr analyze --benchmark <{engine_benchmarks}> [run options] [--json]
     gpmr trace  export --in events.jsonl --out trace.json
     gpmr trace  check  --in trace.json
     gpmr trace  summary --in events.jsonl
@@ -255,7 +278,7 @@ where
     }
     let args = match Args::parse(tokens, VALUED, BOOLEAN) {
         Ok(a) => a,
-        Err(ArgError::MissingSubcommand) => return Ok(HELP.to_string()),
+        Err(ArgError::MissingSubcommand) => return Ok(help()),
         Err(e) => return Err(e.into()),
     };
     match args.subcommand.as_str() {
@@ -264,27 +287,21 @@ where
         "analyze" => cmd_analyze(&args),
         "serve" => cmd_serve(&args),
         "info" => cmd_info(&args),
-        "help" | "--help" | "-h" => Ok(HELP.to_string()),
+        "help" | "--help" | "-h" => Ok(help()),
         other => Err(CliError::Invalid(format!(
             "unknown subcommand {other:?}; try `gpmr help`"
         ))),
     }
 }
 
-fn report(
-    label: &str,
-    gpus: u32,
-    items: u64,
-    result: &JobResult<u32, impl gpmr_core::Value>,
-) -> String {
-    let p = result.timings.mean_percentages();
-    let t = result.total_time();
+fn report(label: &str, gpus: u32, items: u64, tm: &JobTimings) -> String {
+    let p = tm.mean_percentages();
+    let t = tm.total;
     let throughput = if t.as_secs() > 0.0 {
         items as f64 / t.as_secs() / 1e6
     } else {
         0.0
     };
-    let tm = &result.timings;
     let recovery =
         if tm.gpus_lost + tm.chunks_requeued + tm.transfer_retries + tm.stalls_injected > 0 {
             format!(
@@ -344,38 +361,6 @@ fn write_file(path: &str, contents: &str) -> Result<(), CliError> {
 
 fn read_file(path: &str) -> Result<String, CliError> {
     std::fs::read_to_string(path).map_err(|e| CliError::Invalid(format!("cannot read {path}: {e}")))
-}
-
-/// A finished job plus the telemetry handle that recorded it.
-type RunOutcome<J> = (
-    JobResult<<J as GpmrJob>::Key, <J as GpmrJob>::Value>,
-    Telemetry,
-);
-
-/// Run one job with telemetry on when the Gantt chart or any output file
-/// needs it, off otherwise (zero recording overhead).
-fn run_with_tel<J: GpmrJob>(
-    cluster: &mut Cluster,
-    job: &J,
-    chunks: Vec<J::Chunk>,
-    tuning: &EngineTuning,
-    need_tel: bool,
-    journal: Option<&mut Journal>,
-) -> Result<RunOutcome<J>, CliError> {
-    let tel = if need_tel {
-        Telemetry::enabled()
-    } else {
-        Telemetry::disabled()
-    };
-    let opts = RunOpts {
-        tuning: *tuning,
-        tel: tel.clone(),
-        journal,
-        ..RunOpts::default()
-    };
-    let result =
-        run_job_with(cluster, job, chunks, opts).map_err(|e| CliError::Invalid(e.to_string()))?;
-    Ok((result, tel))
 }
 
 /// `--journal`/`--resume`/`--checkpoint-every`, validated together.
@@ -438,28 +423,6 @@ fn journal_line(out: &mut String, journal: &Option<Journal>) {
             j.path().display(),
         ));
     }
-}
-
-/// Append the Gantt chart and write any requested output files from the
-/// telemetry recording.
-fn finish_run(
-    out: &mut String,
-    tel: &Telemetry,
-    want_trace: bool,
-    outs: &OutFiles,
-    gpus: u32,
-) -> Result<(), CliError> {
-    if !tel.is_enabled() {
-        return Ok(());
-    }
-    let snap = tel.snapshot();
-    write_outputs(out, &snap, outs)?;
-    if want_trace {
-        let tr = JobTrace::from_telemetry(&snap);
-        out.push('\n');
-        out.push_str(&tr.gantt(gpus, 100));
-    }
-    Ok(())
 }
 
 fn write_outputs(
@@ -569,32 +532,32 @@ fn tuning_from_args(args: &Args) -> Result<EngineTuning, CliError> {
     })
 }
 
-/// Items per chunk, autotuned to the upload pipeline: target `2 * depth`
-/// chunks per rank so every copy-engine slot stays fed, clamped to
-/// [64 KiB, 64 MiB / depth] of payload (both ends shrunk by the scale
-/// divisor) — the mirror of `gpmr_bench::harness::chunk_bytes_tuned`.
-fn chunk_items(elem_bytes: u64, n: usize, gpus: u32, scale: u64, depth: u32) -> usize {
-    let d = u64::from(depth.max(1));
-    let per = (n as u64 * elem_bytes) / (2 * d * u64::from(gpus));
-    let min = 64 * 1024 / scale.max(1);
-    let max = ((64 << 20) / (d * scale.max(1))).max(min);
-    (per.clamp(min, max) / elem_bytes).max(1) as usize
+/// `--gpus`, range-checked: every command that builds a cluster reads it
+/// through here.
+fn gpus_from_args(args: &Args) -> Result<u32, CliError> {
+    let gpus: u32 = args.get_or("gpus", 4)?;
+    if !(1..=1024).contains(&gpus) {
+        return Err(CliError::Invalid("--gpus must be in 1..=1024".into()));
+    }
+    Ok(gpus)
 }
 
 /// `gpmr analyze`: performance diagnosis over a recorded JSONL stream or a
-/// live instrumented run.
+/// live run — `gpmr run`'s own path with telemetry forced on, so every
+/// run option means here what it means there.
 fn cmd_analyze(args: &Args) -> Result<String, CliError> {
     let snap = match (args.get("events"), args.get("benchmark")) {
         (Some(path), None) => {
             export::snapshot_from_jsonl(&read_file(path)?).map_err(CliError::Invalid)?
         }
-        (None, Some(_)) => live_snapshot(args)?,
+        (None, Some(_)) => run_benchmark(args, true)?
+            .1
+            .expect("an analyzed run records telemetry"),
         _ => {
-            return Err(CliError::Invalid(
-                "analyze needs exactly one of --events <file.jsonl> or \
-                 --benchmark <sio|wo|kmc|lr>"
-                    .into(),
-            ))
+            return Err(CliError::Invalid(format!(
+                "analyze needs exactly one of --events <file.jsonl> or --benchmark <{}>",
+                bench_names(true).join("|")
+            )))
         }
     };
     let analysis = analyze::analyze(&snap);
@@ -603,68 +566,6 @@ fn cmd_analyze(args: &Args) -> Result<String, CliError> {
     } else {
         analysis.render_text()
     })
-}
-
-/// Run one benchmark with telemetry on and hand back the recording.
-fn live_snapshot(args: &Args) -> Result<TelemetrySnapshot, CliError> {
-    let bench = args
-        .get("benchmark")
-        .unwrap_or_default()
-        .to_ascii_lowercase();
-    let gpus: u32 = args.get_or("gpus", 4)?;
-    let scale: u64 = args.get_or("scale", 1)?;
-    let seed: u64 = args.get_or("seed", 42)?;
-    if gpus == 0 || gpus > 1024 {
-        return Err(CliError::Invalid("--gpus must be in 1..=1024".into()));
-    }
-    let mut cluster = Cluster::accelerator_scaled(gpus, GpuSpec::gt200(), scale as f64);
-    apply_faults(&mut cluster, args, gpus)?;
-    let tel = Telemetry::enabled();
-    let tuning = tuning_from_args(args)?;
-    let depth = tuning.pipeline_depth;
-    let fail = |e: gpmr_core::EngineError| CliError::Invalid(e.to_string());
-    match bench.as_str() {
-        "sio" => {
-            let n: usize = args.get_or("size", 1_000_000)?;
-            let data = sio::generate_integers(n, seed);
-            let chunks = gpmr_core::SliceChunk::split(&data, chunk_items(4, n, gpus, scale, depth));
-            run_job_instrumented(&mut cluster, &SioJob::default(), chunks, &tuning, &tel)
-                .map_err(fail)?;
-        }
-        "wo" => {
-            let n: usize = args.get_or("size", 4 << 20)?;
-            let dict = Arc::new(Dictionary::generate(
-                (43_000 / scale.max(1) as usize).max(64),
-                seed,
-            ));
-            let text = generate_text(&dict, n, second_seed(seed));
-            let chunks = chunk_text(&text, chunk_items(1, n, gpus, scale, depth));
-            let job = WoJob::new(dict, gpus);
-            run_job_instrumented(&mut cluster, &job, chunks, &tuning, &tel).map_err(fail)?;
-        }
-        "kmc" => {
-            let n: usize = args.get_or("size", 500_000)?;
-            let centers = kmc::initial_centers(32, seed);
-            let data = kmc::generate_points(n, 32, second_seed(seed));
-            let chunks =
-                gpmr_core::SliceChunk::split(&data, chunk_items(16, n, gpus, scale, depth));
-            run_job_instrumented(&mut cluster, &KmcJob::new(centers), chunks, &tuning, &tel)
-                .map_err(fail)?;
-        }
-        "lr" => {
-            let n: usize = args.get_or("size", 1_000_000)?;
-            let data = lr::generate_samples(n, 2.0, -1.0, seed);
-            let chunks = gpmr_core::SliceChunk::split(&data, chunk_items(8, n, gpus, scale, depth));
-            run_job_instrumented(&mut cluster, &LrJob, chunks, &tuning, &tel).map_err(fail)?;
-        }
-        other => {
-            return Err(CliError::Invalid(format!(
-                "analyze supports sio, wo, kmc, or lr; got {other:?} \
-                 (mm runs outside the instrumented engine)"
-            )))
-        }
-    }
-    Ok(tel.snapshot())
 }
 
 /// `gpmr perf`: record the gate baseline suite or diff against one.
@@ -748,35 +649,12 @@ fn cmd_perf(tokens: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_run(args: &Args) -> Result<String, CliError> {
-    let bench = args
-        .get("benchmark")
-        .ok_or_else(|| CliError::Invalid("run needs --benchmark <mm|sio|wo|kmc|lr>".into()))?
-        .to_ascii_lowercase();
-    let gpus: u32 = args.get_or("gpus", 4)?;
-    let scale: u64 = args.get_or("scale", 1)?;
-    let seed: u64 = args.get_or("seed", 42)?;
-    let want_trace = args.flag("trace");
-    let outs = OutFiles::from_args(args);
-    let need_tel = want_trace || outs.any();
-    if gpus == 0 || gpus > 1024 {
-        return Err(CliError::Invalid("--gpus must be in 1..=1024".into()));
-    }
+    Ok(run_benchmark(args, false)?.0)
+}
 
-    let mut cluster = Cluster::accelerator_scaled(gpus, GpuSpec::gt200(), scale as f64);
-    apply_faults(&mut cluster, args, gpus)?;
-    let tuning = tuning_from_args(args)?;
-    let depth = tuning.pipeline_depth;
-    let chunk_items = |elem_bytes: u64, n: usize| chunk_items(elem_bytes, n, gpus, scale, depth);
-    let jopts = JournalOpts::from_args(args)?;
-    if jopts.path.is_some() && bench == "mm" {
-        return Err(CliError::Invalid(
-            "--journal/--resume are not supported for mm \
-             (it runs outside the journaled MapReduce engine)"
-                .into(),
-        ));
-    }
-    let mut journal = jopts.open()?;
-
+/// `--partition` and `--zipf`: whether to shuffle through sampled range
+/// splitters, and the Zipf exponent of a skewed workload.
+fn skew_from_args(args: &Args, bench: Benchmark) -> Result<(bool, Option<f64>), CliError> {
     let partition = args.get("partition").unwrap_or("rr").to_ascii_lowercase();
     let range_partition = match partition.as_str() {
         "rr" | "roundrobin" => false,
@@ -798,174 +676,149 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
     } else {
         None
     };
-    if (range_partition || zipf.is_some()) && !matches!(bench.as_str(), "sio" | "wo") {
+    if (range_partition || zipf.is_some()) && !matches!(bench, Benchmark::Sio | Benchmark::Wo) {
         return Err(CliError::Invalid(
             "--partition=range/--zipf apply only to the shuffling benchmarks (sio, wo)".into(),
         ));
     }
-    // Sampling stride for `--partition=range` splitter derivation.
-    const SPLITTER_STRIDE: usize = 101;
+    Ok((range_partition, zipf))
+}
 
-    match bench.as_str() {
-        "sio" => {
-            let n: usize = args.get_or("size", 1_000_000)?;
-            let data = match zipf {
-                Some(s) => sio::generate_zipf_integers(n, 1 << 16, s, seed),
-                None => sio::generate_integers(n, seed),
-            };
-            let chunks = gpmr_core::SliceChunk::split(&data, chunk_items(4, n));
-            let mut job = SioJob::default();
-            let mut partition_note = String::new();
-            if range_partition {
-                let samples: Vec<u64> = data
-                    .iter()
-                    .step_by(SPLITTER_STRIDE)
-                    .map(|&v| u64::from(v))
-                    .collect();
-                let splitters = derive_splitters(&samples, gpus);
-                partition_note = format!(
-                    "partition      : range ({} splitters from {} samples)\n",
-                    splitters.len(),
-                    samples.len()
-                );
-                job = job.with_range_partition(splitters);
-            }
-            let (result, tel) = run_with_tel(
-                &mut cluster,
-                &job,
-                chunks,
-                &tuning,
-                need_tel,
-                journal.as_mut(),
-            )?;
-            let mut out = report("Sparse Integer Occurrence", gpus, n as u64, &result);
-            out.push_str(&partition_note);
-            journal_line(&mut out, &journal);
-            finish_run(&mut out, &tel, want_trace, &outs, gpus)?;
-            Ok(out)
+/// Run the benchmark the arguments name: the report `gpmr run` prints,
+/// and the telemetry recording when one was made — always under
+/// `analyze`, otherwise when the Gantt chart or an output file needs it
+/// (telemetry off costs nothing).
+fn run_benchmark(
+    args: &Args,
+    analyze: bool,
+) -> Result<(String, Option<TelemetrySnapshot>), CliError> {
+    let name = args.get("benchmark").ok_or_else(|| {
+        CliError::Invalid(format!(
+            "run needs --benchmark <{}>",
+            bench_names(false).join("|")
+        ))
+    })?;
+    let bench = Benchmark::from_cli_name(name).ok_or_else(|| {
+        CliError::Invalid(format!(
+            "unknown benchmark {:?}; expected {}",
+            name.to_ascii_lowercase(),
+            or_list(&bench_names(analyze))
+        ))
+    })?;
+    let gpus = gpus_from_args(args)?;
+    let scale: u64 = args.get_or("scale", 1)?;
+    let seed: u64 = args.get_or("seed", 42)?;
+    let size: usize = args.get_or("size", bench.default_size())?;
+    let want_trace = args.flag("trace");
+    let outs = OutFiles::from_args(args);
+    let tuning = tuning_from_args(args)?;
+    let jopts = JournalOpts::from_args(args)?;
+    let (range_partition, zipf) = skew_from_args(args, bench)?;
+    let mut cluster = Cluster::accelerator_scaled(gpus, GpuSpec::gt200(), scale as f64);
+    apply_faults(&mut cluster, args, gpus)?;
+    let generate = || {
+        AppInput::generate(bench, size, seed, zipf, || {
+            let words = dictionary_words(scale);
+            (
+                Arc::new(Dictionary::generate(words, seed)),
+                second_seed(seed),
+            )
+        })
+    };
+    let fail = |e: gpmr_core::EngineError| CliError::Invalid(e.to_string());
+
+    // Refuse what cannot reach MM, and report its two phases.
+    if outside_engine(bench) {
+        if analyze {
+            return Err(CliError::Invalid(format!(
+                "analyze supports {}; got \"mm\" (mm runs outside the instrumented engine)",
+                or_list(&bench_names(true))
+            )));
         }
-        "wo" => {
-            let n: usize = args.get_or("size", 4 << 20)?;
-            let dict = Arc::new(Dictionary::generate(
-                (43_000 / scale.max(1) as usize).max(64),
-                seed,
+        if jopts.path.is_some() {
+            return Err(CliError::Invalid(
+                "--journal/--resume are not supported for mm \
+                 (it runs outside the journaled MapReduce engine)"
+                    .into(),
             ));
-            let text = match zipf {
-                Some(s) => generate_zipf_text(&dict, n, s, second_seed(seed)),
-                None => generate_text(&dict, n, second_seed(seed)),
-            };
-            let chunks = chunk_text(&text, chunk_items(1, n));
-            let mut job = WoJob::new(dict.clone(), gpus);
-            let mut partition_note = String::new();
-            if range_partition {
-                let samples = sample_word_keys(&dict, &text, SPLITTER_STRIDE);
-                let splitters = derive_splitters(&samples, gpus);
-                partition_note = format!(
-                    "partition      : range ({} splitters from {} samples)\n",
-                    splitters.len(),
-                    samples.len()
-                );
-                job = job.with_partition(PartitionMode::Range { splitters });
-            }
-            let (result, tel) = run_with_tel(
-                &mut cluster,
-                &job,
-                chunks,
-                &tuning,
-                need_tel,
-                journal.as_mut(),
-            )?;
-            let mut out = report("Word Occurrence", gpus, n as u64, &result);
-            out.push_str(&partition_note);
-            journal_line(&mut out, &journal);
-            finish_run(&mut out, &tel, want_trace, &outs, gpus)?;
-            Ok(out)
         }
-        "kmc" => {
-            let n: usize = args.get_or("size", 500_000)?;
-            let centers = kmc::initial_centers(32, seed);
-            let data = kmc::generate_points(n, 32, second_seed(seed));
-            let chunks = gpmr_core::SliceChunk::split(&data, chunk_items(16, n));
-            let (result, tel) = run_with_tel(
-                &mut cluster,
-                &KmcJob::new(centers),
-                chunks,
-                &tuning,
-                need_tel,
-                journal.as_mut(),
-            )?;
-            let mut out = report(
-                "K-Means Clustering (one iteration)",
-                gpus,
-                n as u64,
-                &result,
-            );
-            journal_line(&mut out, &journal);
-            finish_run(&mut out, &tel, want_trace, &outs, gpus)?;
-            Ok(out)
-        }
-        "lr" => {
-            let n: usize = args.get_or("size", 1_000_000)?;
-            let data = lr::generate_samples(n, 2.0, -1.0, seed);
-            let chunks = gpmr_core::SliceChunk::split(&data, chunk_items(8, n));
-            let (result, tel) = run_with_tel(
-                &mut cluster,
-                &LrJob,
-                chunks,
-                &tuning,
-                need_tel,
-                journal.as_mut(),
-            )?;
-            let mut out = report("Linear Regression", gpus, n as u64, &result);
-            journal_line(&mut out, &journal);
-            let model = lr::model_from_stats(&lr::stats_from_output(&result.into_merged_output()));
-            out.push_str(&format!(
-                "model          : y = {:.4}x + {:.4} (r = {:.5})\n",
-                model.slope, model.intercept, model.correlation
+        if outs.any() {
+            return Err(CliError::Invalid(
+                "--metrics-out/--trace-out/--events-out are not supported for mm \
+                 (it runs outside the instrumented MapReduce engine)"
+                    .into(),
             ));
-            finish_run(&mut out, &tel, want_trace, &outs, gpus)?;
-            Ok(out)
         }
-        "mm" => {
-            if outs.any() {
-                return Err(CliError::Invalid(
-                    "--metrics-out/--trace-out/--events-out are not supported for mm \
-                     (it runs outside the instrumented MapReduce engine)"
-                        .into(),
-                ));
-            }
-            let n: usize = args.get_or("size", 512)?;
-            if n == 0 || !n.is_multiple_of(16) {
-                return Err(CliError::Invalid(
-                    "--size for mm must be a positive multiple of 16".into(),
-                ));
-            }
-            let a = Matrix::random(n, seed);
-            let b = Matrix::random(n, second_seed(seed));
-            let result =
-                run_mm_auto(&mut cluster, &a, &b).map_err(|e| CliError::Invalid(e.to_string()))?;
-            Ok(format!(
-                "Matrix Multiplication {n}x{n} on {gpus} GPU(s)\n\
-                 simulated time : {}\n\
-                 phase 1 (map)  : {}\n\
-                 phase 2 (sum)  : {}\n\
-                 effective rate : {:.1} simulated GFLOP/s\n",
-                result.total_time,
-                result.phase1.total,
-                result.phase2.total,
-                2.0 * (n as f64).powi(3) / result.total_time.as_secs().max(1e-12) / 1e9,
-            ))
+        if size == 0 || !size.is_multiple_of(16) {
+            return Err(CliError::Invalid(
+                "--size for mm must be a positive multiple of 16".into(),
+            ));
         }
-        other => Err(CliError::Invalid(format!(
-            "unknown benchmark {other:?}; expected mm, sio, wo, kmc, or lr"
-        ))),
+        let run =
+            table::run(&generate(), &mut cluster, 0, false, RunOpts::default()).map_err(fail)?;
+        let AppOutput::Mm(result) = run.output else {
+            unreachable!("MM produces an MM result");
+        };
+        let out = format!(
+            "{} {size}x{size} on {gpus} GPU(s)\n\
+             simulated time : {}\n\
+             phase 1 (map)  : {}\n\
+             phase 2 (sum)  : {}\n\
+             effective rate : {:.1} simulated GFLOP/s\n",
+            bench.title(),
+            result.total_time,
+            result.phase1.total,
+            result.phase2.total,
+            2.0 * (size as f64).powi(3) / result.total_time.as_secs().max(1e-12) / 1e9,
+        );
+        return Ok((out, None));
     }
+
+    let input = generate();
+    let chunk_bytes = chunk_bytes_tuned(input.bytes(), gpus, scale, tuning.pipeline_depth);
+    let tel = if analyze || want_trace || outs.any() {
+        Telemetry::enabled()
+    } else {
+        Telemetry::disabled()
+    };
+    let mut journal = jopts.open()?;
+    let opts = RunOpts {
+        tuning,
+        tel: tel.clone(),
+        journal: journal.as_mut(),
+        ..RunOpts::default()
+    };
+    let run = table::run(&input, &mut cluster, chunk_bytes, range_partition, opts).map_err(fail)?;
+
+    let mut out = report(bench.title(), gpus, size as u64, &run.timings);
+    if let Some((splitters, samples)) = run.splitters {
+        out.push_str(&format!(
+            "partition      : range ({splitters} splitters from {samples} samples)\n"
+        ));
+    }
+    journal_line(&mut out, &journal);
+    if let (Benchmark::Lr, AppOutput::Sums(sums)) = (bench, &run.output) {
+        let model = lr::model_from_stats(&lr::stats_from_output(sums));
+        out.push_str(&format!(
+            "model          : y = {:.4}x + {:.4} (r = {:.5})\n",
+            model.slope, model.intercept, model.correlation
+        ));
+    }
+    let snap = tel.is_enabled().then(|| tel.snapshot());
+    if let Some(snap) = &snap {
+        write_outputs(&mut out, snap, &outs)?;
+        if want_trace {
+            out.push('\n');
+            out.push_str(&JobTrace::from_telemetry(snap).gantt(gpus, 100));
+        }
+    }
+    Ok((out, snap))
 }
 
 fn cmd_kmeans(args: &Args) -> Result<String, CliError> {
     let points: usize = args.get_or("points", 200_000)?;
     let k: usize = args.get_or("k", 8)?;
-    let gpus: u32 = args.get_or("gpus", 4)?;
+    let gpus = gpus_from_args(args)?;
     let iterations: usize = args.get_or("iterations", 20)?;
     let seed: u64 = args.get_or("seed", 42)?;
     if k == 0 {
@@ -1029,7 +882,7 @@ fn service_cfg_from_args(args: &Args) -> Result<gpmr_service::ServiceConfig, Cli
         return Err(CliError::Invalid("--slo-target must be in [0, 1)".into()));
     }
     Ok(ServiceConfig {
-        gpus: args.get_or("gpus", 4u32)?,
+        gpus: gpus_from_args(args)?,
         engines: args.get_or("engines", 2usize)?,
         max_queue_depth: args.get_or("queue-depth", 64usize)?,
         batch_window_s: args.get_or("batch-window", 0.05f64)?,
@@ -1191,7 +1044,7 @@ fn cmd_metrics(tokens: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_info(args: &Args) -> Result<String, CliError> {
-    let gpus: u32 = args.get_or("gpus", 4)?;
+    let gpus = gpus_from_args(args)?;
     let spec = GpuSpec::gt200();
     let topo = Topology::accelerator(gpus);
     let link = PcieLink::gen1_x16();

@@ -26,4 +26,4 @@ pub mod args;
 pub mod commands;
 
 pub use args::{ArgError, Args};
-pub use commands::{dispatch, CliError, HELP};
+pub use commands::{dispatch, help, CliError};

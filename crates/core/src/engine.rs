@@ -63,10 +63,6 @@ pub struct EngineTuning {
     /// exponential backoff) before the job aborts with
     /// [`EngineError::TransferFailed`].
     pub max_transfer_retries: u32,
-    /// First retry backoff, in seconds; each further retry doubles it.
-    pub retry_backoff_base_s: f64,
-    /// Ceiling on the exponential backoff, in seconds.
-    pub retry_backoff_cap_s: f64,
     /// Depth of the chunk upload pipeline: how many chunk staging buffers
     /// each rank keeps resident. `1` serializes upload behind the previous
     /// map (no overlap), `2` is the classic double buffer, and deeper
@@ -75,11 +71,13 @@ pub struct EngineTuning {
     /// latency on upload-bound jobs. Device memory must hold the chunk
     /// `pipeline_depth` times (see [`EngineError::ChunkTooLarge`]).
     pub pipeline_depth: u32,
-    /// GPU-direct networking (the source paper's future-work hardware):
-    /// intermediate pairs are sourced and sunk by the GPU for network I/O,
-    /// skipping the PCI-e round trips through host memory that bracket
-    /// every Bin send and the sort-input upload. Also enabled by
-    /// [`Cluster::with_gpu_direct`]; either switch turns it on.
+    /// GPU-direct networking, the what-if hardware of the source paper's
+    /// conclusion ("we hope GPU and network vendors work together to allow
+    /// sourcing and sinking by the GPU for network I/O ... GPMR would
+    /// benefit by moving intermediate data between nodes without having to
+    /// route through CPU memory"): intermediate pairs are sourced and sunk
+    /// by the GPU, skipping the PCI-e round trips through host memory that
+    /// bracket every Bin send and the sort-input upload.
     pub gpu_direct: bool,
 }
 
@@ -91,8 +89,6 @@ impl Default for EngineTuning {
             setup_base_s: 0.5e-3,
             setup_per_rank_s: 0.25e-3,
             max_transfer_retries: 8,
-            retry_backoff_base_s: 50.0e-6,
-            retry_backoff_cap_s: 5.0e-3,
             pipeline_depth: 4,
             gpu_direct: false,
         }
@@ -102,12 +98,11 @@ impl Default for EngineTuning {
 impl EngineTuning {
     /// Staging slots a chunk must fit into device memory simultaneously:
     /// the upload pipeline depth, plus one GPU-direct staging slot when
-    /// that mode is on (pass the cluster's own gpu-direct flag — either
-    /// switch enables it). This is the [`EngineError::ChunkTooLarge`]
+    /// that mode is on. This is the [`EngineError::ChunkTooLarge`]
     /// admission formula; the job service reuses it for memory admission
     /// control before a job ever reaches the engine.
-    pub fn staging_slots(&self, cluster_gpu_direct: bool) -> u64 {
-        u64::from(self.pipeline_depth.max(1)) + u64::from(self.gpu_direct || cluster_gpu_direct)
+    pub fn staging_slots(&self) -> u64 {
+        u64::from(self.pipeline_depth.max(1)) + u64::from(self.gpu_direct)
     }
 }
 
@@ -586,14 +581,14 @@ impl<'a, J: GpmrJob> Run<'a, J> {
         let cfg = job.pipeline();
         cfg.validate().map_err(EngineError::InvalidPipeline)?;
         let ranks = cluster.size();
-        let gpu_direct = tuning.gpu_direct || cluster.gpu_direct();
+        let gpu_direct = tuning.gpu_direct;
         let depth = tuning.pipeline_depth.max(1) as usize;
         cluster.reset_clocks();
         if tel.tel.is_enabled() {
             cluster.attach_telemetry(&tel.tel);
         }
 
-        let staging_slots = tuning.staging_slots(cluster.gpu_direct());
+        let staging_slots = tuning.staging_slots();
         let capacity = cluster.gpu(0).mem.capacity();
         for c in &chunks {
             if c.size_bytes().saturating_mul(staging_slots) > capacity {
@@ -1049,6 +1044,12 @@ impl<'a, J: GpmrJob> Run<'a, J> {
         }
     }
 
+    /// First retry backoff of [`Run::transfer`], in seconds; each further
+    /// retry doubles it.
+    const RETRY_BACKOFF_BASE_S: f64 = 50.0e-6;
+    /// Ceiling on the exponential backoff, in seconds.
+    const RETRY_BACKOFF_CAP_S: f64 = 5.0e-3;
+
     /// Time a transfer through the fabric, retrying plan-injected failures
     /// with capped exponential backoff. Returns the arrival instant at
     /// `to`, or [`EngineError::TransferFailed`] once the retry budget is
@@ -1076,8 +1077,8 @@ impl<'a, J: GpmrJob> Run<'a, J> {
                         return Err(EngineError::TransferFailed { attempt, fault });
                     }
                     let backoff = SimDuration::from_secs(
-                        (tuning.retry_backoff_base_s * f64::from(1u32 << (attempt - 1).min(31)))
-                            .min(tuning.retry_backoff_cap_s),
+                        (Self::RETRY_BACKOFF_BASE_S * f64::from(1u32 << (attempt - 1).min(31)))
+                            .min(Self::RETRY_BACKOFF_CAP_S),
                     );
                     self.tel
                         .event(from, TraceKind::Retry, ready, ready + backoff, || {

@@ -210,9 +210,7 @@ pub struct RoundsResult<K, V> {
 /// formula, inverted). [`RoundJob::rechunk`] implementations split their
 /// outputs to stay under this.
 pub fn max_resident_chunk_bytes(cluster: &mut Cluster, tuning: &EngineTuning) -> u64 {
-    let gpu_direct = cluster.gpu_direct();
-    let capacity = cluster.gpu(0).mem.capacity();
-    capacity / tuning.staging_slots(gpu_direct).max(1)
+    cluster.gpu(0).mem.capacity() / tuning.staging_slots().max(1)
 }
 
 /// Split per-rank outputs into [`PairChunk`]s interleaved by source rank:

@@ -550,7 +550,7 @@ impl JobService {
         }
         // The engine's ChunkTooLarge staging formula, against the
         // tenant's memory share instead of raw capacity.
-        let slots = self.cfg.tuning.staging_slots(false);
+        let slots = self.cfg.tuning.staging_slots();
         let budget_bytes =
             (GpuSpec::gt200().mem_capacity as f64 * tenant.cfg.mem_share.clamp(0.0, 1.0)) as u64;
         let chunk_bytes = spec.kind.chunk_bytes();

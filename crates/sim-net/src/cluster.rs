@@ -15,7 +15,6 @@ pub struct Cluster {
     topology: Topology,
     gpus: Vec<Gpu>,
     fabric: Fabric,
-    gpu_direct: bool,
     fault_plan: Option<FaultPlan>,
 }
 
@@ -70,7 +69,6 @@ impl Cluster {
             topology,
             gpus,
             fabric: Fabric::scaled(topology, scale),
-            gpu_direct: false,
             fault_plan: None,
         }
     }
@@ -86,23 +84,6 @@ impl Cluster {
     /// The active fault plan, if any.
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.fault_plan.as_ref()
-    }
-
-    /// Enable GPU-direct networking: the what-if hardware of the paper's
-    /// conclusion ("we hope GPU and network vendors work together to allow
-    /// sourcing and sinking by the GPU for network I/O ... GPMR would
-    /// benefit by moving intermediate data between nodes without having to
-    /// route through CPU memory"). With it on, the engine skips the PCI-e
-    /// round trips that bracket every network transfer of intermediate
-    /// pairs.
-    pub fn with_gpu_direct(mut self, enabled: bool) -> Self {
-        self.gpu_direct = enabled;
-        self
-    }
-
-    /// Whether GPU-direct networking is enabled.
-    pub fn gpu_direct(&self) -> bool {
-        self.gpu_direct
     }
 
     /// The cluster shape.
@@ -197,14 +178,6 @@ mod tests {
         // Rank 2 is on link 1: starts immediately.
         let r2 = c.gpu(2).h2d(SimTime::ZERO, 64 << 20);
         assert_eq!(r2.start, SimTime::ZERO);
-    }
-
-    #[test]
-    fn gpu_direct_flag_round_trips() {
-        let c = Cluster::accelerator(2, GpuSpec::gt200());
-        assert!(!c.gpu_direct());
-        let c = c.with_gpu_direct(true);
-        assert!(c.gpu_direct());
     }
 
     #[test]

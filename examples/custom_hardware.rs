@@ -7,6 +7,7 @@
 //!
 //! Run with: `cargo run --release --example custom_hardware`
 
+use gpmr::core::{run_job_with, EngineTuning, RunOpts};
 use gpmr::prelude::*;
 use gpmr::sim_gpu::Stream;
 use gpmr_apps::sio::{generate_integers, sio_chunks, SioJob};
@@ -34,8 +35,15 @@ fn main() {
     println!("Fermi GPUs, same fabric           : {t_fermi}");
 
     // 3. GPU-direct networking (the paper's future-work hardware).
-    let mut direct = Cluster::accelerator(8, GpuSpec::gt200()).with_gpu_direct(true);
-    let t_direct = run_job(&mut direct, &SioJob::default(), chunks.clone())
+    let mut direct = Cluster::accelerator(8, GpuSpec::gt200());
+    let opts = RunOpts {
+        tuning: EngineTuning {
+            gpu_direct: true,
+            ..EngineTuning::default()
+        },
+        ..RunOpts::default()
+    };
+    let t_direct = run_job_with(&mut direct, &SioJob::default(), chunks.clone(), opts)
         .unwrap()
         .total_time();
     println!("GT200 + GPU-direct networking     : {t_direct}");

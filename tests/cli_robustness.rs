@@ -22,3 +22,53 @@ fn the_largest_seed_runs_every_command_that_derives_a_second_one() {
         assert!(!out.is_empty(), "{command} printed nothing");
     }
 }
+
+/// The chunk autotuner multiplied pipeline depth by `--scale`: at 2^62
+/// the product wrapped to zero (a division by zero, in release too), at
+/// `u64::MAX` it overflowed. The CLI had its own copy of the function;
+/// now `run`, `analyze` and `perf record` all reach the harness's, which
+/// saturates.
+#[test]
+fn the_largest_scales_run_every_command_that_sizes_chunks() {
+    let recording = std::env::temp_dir().join("gpmr_cli_robustness_scale.json");
+    for scale in [1u64 << 62, u64::MAX] {
+        for command in [
+            "run --benchmark sio --size 2000".to_string(),
+            "analyze --benchmark sio --size 2000".to_string(),
+            format!("perf record --out {}", recording.display()),
+        ] {
+            let line = format!("{command} --scale {scale}");
+            let out = dispatch(line.split(' ')).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert!(!out.is_empty(), "{line} printed nothing");
+        }
+    }
+    std::fs::remove_file(&recording).ok();
+}
+
+/// `--gpus` sizes a cluster in seven commands and was range-checked in
+/// two: `kmeans --gpus 0` divided by zero, `serve --gpus 100000` built
+/// 100 000 devices per engine slot. One bound for all of them.
+#[test]
+fn every_command_that_builds_a_cluster_bounds_gpus() {
+    let wl = concat!(env!("CARGO_MANIFEST_DIR"), "/workloads/service_demo.wl");
+    for command in [
+        "run --benchmark sio --size 2000".to_string(),
+        "analyze --benchmark sio --size 2000".to_string(),
+        "kmeans --points 100".to_string(),
+        format!("serve --workload {wl}"),
+        format!("slo report --workload {wl}"),
+        format!("metrics export --workload {wl}"),
+        "info".to_string(),
+    ] {
+        for gpus in ["0", "1025", "100000"] {
+            let line = format!("{command} --gpus {gpus}");
+            let err = dispatch(line.split(' ')).expect_err(&line);
+            assert!(
+                err.to_string().contains("--gpus must be in 1..=1024"),
+                "{line}: {err}"
+            );
+        }
+        let line = format!("{command} --gpus 2");
+        dispatch(line.split(' ')).unwrap_or_else(|e| panic!("{line}: {e}"));
+    }
+}

@@ -149,6 +149,7 @@ fn chunked_reduce_matches_single_kernel_reduce() {
 
 #[test]
 fn gpu_direct_networking_speeds_up_shuffle_heavy_jobs() {
+    use gpmr::core::{run_job_with, EngineTuning, RunOpts};
     // The paper's concluding hardware wish: GPUs sourcing/sinking network
     // I/O directly removes the PCI-e round trips around every pair
     // transfer. A shuffle-heavy SIO job must get faster; results must not
@@ -157,8 +158,15 @@ fn gpu_direct_networking_speeds_up_shuffle_heavy_jobs() {
     let chunks = sio_chunks(&data, 64 * 1024);
     let mut plain = Cluster::accelerator(8, GpuSpec::gt200());
     let without = run_job(&mut plain, &SioJob::default(), chunks.clone()).unwrap();
-    let mut direct = Cluster::accelerator(8, GpuSpec::gt200()).with_gpu_direct(true);
-    let with = run_job(&mut direct, &SioJob::default(), chunks).unwrap();
+    let mut direct = Cluster::accelerator(8, GpuSpec::gt200());
+    let opts = RunOpts {
+        tuning: EngineTuning {
+            gpu_direct: true,
+            ..EngineTuning::default()
+        },
+        ..RunOpts::default()
+    };
+    let with = run_job_with(&mut direct, &SioJob::default(), chunks, opts).unwrap();
 
     assert_eq!(without.merged_output(), with.merged_output());
     assert!(
