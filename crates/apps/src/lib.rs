@@ -18,6 +18,7 @@
 //! Word Occurrence substrates (minimal perfect hashing, corpus
 //! generation).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cpair;

@@ -1,7 +1,7 @@
 //! CPU cost accounting for the Phoenix-style baseline.
 //!
 //! Same philosophy as the GPU side: computation is executed for real on
-//! host threads; *time* comes from an analytic model over operation and
+//! the host; *time* comes from an analytic model over operation and
 //! byte counts, so Phoenix and GPMR times are directly comparable
 //! (Table 2).
 

@@ -12,6 +12,7 @@
 //! references as the GPMR jobs) and charge their time to the same
 //! simulated-hardware models, so speedup ratios are apples-to-apples.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cpu;

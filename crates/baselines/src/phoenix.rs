@@ -4,10 +4,10 @@
 //! Phoenix runs on one shared-memory node: map tasks are spread over
 //! worker threads, intermediate pairs are grouped with a hash table, and
 //! reduce tasks run per key. The executor here does the real computation
-//! on host threads (the shared persistent worker pool, deterministic merge
-//! order) while the time charged comes from the [`CpuCost`] model, so
-//! Phoenix runtimes are directly comparable with the simulated GPMR
-//! runtimes.
+//! one modelled worker after another on the calling thread (merge order
+//! is worker order) while the time charged comes from the [`CpuCost`]
+//! model, so Phoenix runtimes are directly comparable with the simulated
+//! GPMR runtimes.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -91,22 +91,22 @@ pub fn run_phoenix<A: PhoenixApp>(
     let task_items = cfg.task_items.max(1);
     let n_tasks = items.len().div_ceil(task_items).max(1);
 
-    // --- Map: tasks statically striped over workers, real execution on
-    // the shared persistent pool (results come back in worker order). ----
-    let worker_outputs: Vec<MapOutput<A>> = gpmr_sim_gpu::pool::run_indexed(workers, |w| {
-        let mut out = Vec::new();
-        let mut cost = CpuCost::ZERO;
-        let mut t = w;
-        while t < n_tasks {
-            let start = t * task_items;
-            let end = ((t + 1) * task_items).min(items.len());
-            if start < end {
-                cost += app.map_range(items, start..end, &mut out);
+    // --- Map: tasks statically striped over the modelled workers, each
+    // worker's stripe executed in worker order on the calling thread. ----
+    let worker_outputs: Vec<MapOutput<A>> = (0..workers)
+        .map(|w| {
+            let mut out = Vec::new();
+            let mut cost = CpuCost::ZERO;
+            for t in (w..n_tasks).step_by(workers) {
+                let start = t * task_items;
+                let end = ((t + 1) * task_items).min(items.len());
+                if start < end {
+                    cost += app.map_range(items, start..end, &mut out);
+                }
             }
-            t += workers;
-        }
-        (out, cost)
-    });
+            (out, cost)
+        })
+        .collect();
 
     // The map stage finishes when the slowest worker's *compute* finishes
     // or when the shared memory bus has moved everyone's bytes, whichever

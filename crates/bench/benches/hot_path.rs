@@ -1,4 +1,4 @@
-//! Hot-path microbenches for the kernel worker pool and shuffle/sort
+//! Hot-path microbenches for kernel launches and shuffle/sort
 //! allocation work: kernel launch overhead, radix sort throughput,
 //! the engine's bucket-split/combine shuffle path, the cost of the
 //! telemetry subsystem (disabled vs enabled) on a full engine run, the
@@ -29,7 +29,7 @@ fn pseudo_random(n: usize, seed: u64) -> Vec<u32> {
 }
 
 /// One cheap 64-block kernel: the real work is negligible, so the
-/// measured time is dominated by handing blocks to host threads.
+/// measured time is the launch's own bookkeeping.
 fn tiny_launch(gpu: &mut Gpu) -> usize {
     let cfg = LaunchConfig::for_items(4096, 64, 64);
     let (launch, _) = gpu
@@ -44,10 +44,8 @@ fn tiny_launch(gpu: &mut Gpu) -> usize {
 
 fn bench_launch_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("launch_overhead");
-    group.bench_function("pool", |b| {
+    group.bench_function("inline", |b| {
         let mut gpu = Gpu::new(GpuSpec::gt200());
-        // Force the parallel path even on single-core CI runners.
-        gpu.worker_threads = 4;
         b.iter(|| tiny_launch(&mut gpu));
     });
     group.finish();
@@ -202,7 +200,6 @@ fn bench_app_kernels(c: &mut Criterion) {
     group.throughput(Throughput::Elements(points as u64));
     group.bench_function("kmc_assign", |b| {
         let mut gpu = Gpu::new(GpuSpec::gt200());
-        gpu.worker_threads = 1;
         let (mut state, t) = job.accumulate_init(&mut gpu, SimTime::ZERO).unwrap();
         b.iter(|| job.map_accumulate(&mut gpu, t, &chunk, &mut state).unwrap());
     });

@@ -22,6 +22,7 @@
 //! at the default scale. A job the scaled cluster cannot hold (MM above
 //! `--scale 80`) is reported and exits 2 ([`or_exit`]).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod harness;

@@ -20,6 +20,7 @@
 //! `perf` records/gates the deterministic benchmark baselines. `info`
 //! prints the modelled hardware.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod args;

@@ -344,8 +344,8 @@ pub trait GpmrJob: Send + Sync {
     /// Accumulation: map one chunk, folding its output into the resident
     /// set. Required for [`MapMode::Accumulate`].
     ///
-    /// Blocks must not touch `state`: the launch closure is `Fn + Sync`
-    /// and its blocks run on any number of host workers, in any order.
+    /// Blocks must not touch `state`: the launch closure is `Fn + Sync`,
+    /// because a kernel's blocks are independent of one another.
     /// A block charges its atomics (or its pool flush) to its `BlockCtx`
     /// and *returns* its updates; the kernel applies the returned updates
     /// to `state` after the launch, in block order. What a block returns

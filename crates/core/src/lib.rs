@@ -90,6 +90,7 @@
 //! assert_eq!(total, 10_000);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chunk;

@@ -12,11 +12,7 @@
 //! charged as such — this is why Sort is a visible slice of the paper's
 //! Figure 2 runtime breakdown.
 
-use std::sync::{Mutex, OnceLock};
-
-use gpmr_sim_gpu::{
-    occupancy, run_indexed, worker_threads, Gpu, KernelCost, LaunchConfig, SimGpuResult, SimTime,
-};
+use gpmr_sim_gpu::{occupancy, Gpu, KernelCost, LaunchConfig, SimGpuResult, SimTime};
 
 use crate::elem::RadixKey;
 
@@ -86,7 +82,6 @@ pub struct SortScratch<K, V> {
     b: Vec<(K, V)>,
     hist: Vec<usize>,
     next: Vec<usize>,
-    offsets: Vec<usize>,
 }
 
 impl<K, V> Default for SortScratch<K, V> {
@@ -98,7 +93,6 @@ impl<K, V> Default for SortScratch<K, V> {
             b: Vec::new(),
             hist: Vec::new(),
             next: Vec::new(),
-            offsets: Vec::new(),
         }
     }
 }
@@ -145,30 +139,13 @@ where
     K: RadixKey,
     V: Copy + Send + Sync + 'static,
 {
-    if keys.len() > 1 && serial_host(gpu, keys.len()) {
-        // Serial fast path: charge the max-reduction kernels as usual but
-        // fold the host-side max into the pass-0 histogram sweep the sort
-        // needs anyway — one read of the keys instead of two.
-        assert_eq!(keys.len(), vals.len(), "{LENGTH_MISMATCH}");
-        let cfg = cfg.normalized();
-        let t = charge_max_radix(gpu, at, keys)?;
-        let mut s = SortScratch::default();
-        let parts = [(keys, vals)];
-        let max = pass0_histogram(&parts, host_digit_bits(keys.len(), &cfg), &mut s.hist);
-        let t = serial_sort(
-            gpu,
-            t,
-            &parts,
-            keys.len(),
-            bits_for_radix(max),
-            &cfg,
-            &mut s,
-        )?;
-        return Ok((s.keys, s.vals, t));
-    }
-    // Find the maximum radix to bound the number of passes.
-    let (max_radix, t) = max_radix(gpu, at, keys)?;
-    sort_pairs_with_bits_config(gpu, t, keys, vals, bits_for_radix(max_radix), cfg)
+    // Charge the max-reduction kernels that bound the number of passes;
+    // the host finds the real max in the pass-0 histogram sweep the sort
+    // needs anyway — one read of the keys instead of two.
+    let t = charge_max_radix(gpu, at, keys)?;
+    let mut s = SortScratch::default();
+    let t = sort_parts(gpu, t, &[(keys, vals)], None, cfg, &mut s)?;
+    Ok((s.keys, s.vals, t))
 }
 
 /// Significant bits needed to represent `max_radix` (at least 1).
@@ -218,7 +195,14 @@ where
     V: Copy + Send + Sync + 'static,
 {
     let mut s = SortScratch::default();
-    let t = sort_parts(gpu, at, &[(keys, vals)], significant_bits, cfg, &mut s)?;
+    let t = sort_parts(
+        gpu,
+        at,
+        &[(keys, vals)],
+        Some(significant_bits),
+        cfg,
+        &mut s,
+    )?;
     Ok((s.keys, s.vals, t))
 }
 
@@ -242,7 +226,7 @@ where
         gpu,
         at,
         parts,
-        significant_bits,
+        Some(significant_bits),
         &SortConfig::default(),
         scratch,
     )
@@ -259,12 +243,13 @@ fn pairs_of<'a, K: Copy, V: Copy>(
         .flat_map(|&(k, v)| k.iter().copied().zip(v.iter().copied()))
 }
 
-/// The sort behind every entry point above.
+/// The sort behind every entry point above. `significant_bits` of `None`
+/// means as many as the largest key needs.
 fn sort_parts<K, V>(
     gpu: &mut Gpu,
     at: SimTime,
     parts: &[SortPart<'_, K, V>],
-    significant_bits: u32,
+    significant_bits: Option<u32>,
     cfg: &SortConfig,
     s: &mut SortScratch<K, V>,
 ) -> SimGpuResult<SimTime>
@@ -287,43 +272,12 @@ where
     }
     let cfg = cfg.normalized();
 
-    if serial_host(gpu, n) {
-        pass0_histogram(parts, host_digit_bits(n, &cfg), &mut s.hist);
-        return serial_sort(gpu, at, parts, n, significant_bits, &cfg, s);
-    }
-
-    // Ping-pong between two packed pair buffers, the first filled from the
-    // parts. Packing each pair into one element means a scatter touches
-    // one cache line per pair instead of two (one per array) — the
-    // dominant cost of an LSD sort on the host side.
-    let SortScratch {
-        keys,
-        vals,
-        a,
-        b,
-        offsets,
-        ..
-    } = s;
-    a.clear();
-    a.reserve(n);
-    a.extend(pairs_of(parts));
-    let passes = significant_bits.clamp(1, K::BITS).div_ceil(cfg.digit_bits);
-    let (mut src, mut dst) = (a, b);
-    let mut t = at;
-    for pass in 0..passes {
-        let shift = pass * cfg.digit_bits;
-        let fused = cfg.fuse_final && pass + 1 == passes;
-        t = one_pass_into(gpu, t, src, shift, &cfg, fused, dst, offsets)?;
-        std::mem::swap(&mut src, &mut dst);
-    }
-    keys.clear();
-    keys.extend(src.iter().map(|p| p.0));
-    vals.clear();
-    vals.extend(src.iter().map(|p| p.1));
-    Ok(t)
+    let max = pass0_histogram(parts, host_digit_bits(n, &cfg), &mut s.hist);
+    let bits = significant_bits.unwrap_or_else(|| bits_for_radix(max));
+    serial_sort(gpu, at, parts, n, bits, &cfg, s)
 }
 
-/// Digit counts of the serial host's pass 0 (shift 0, `hbits` wide) into
+/// Digit counts of the host's pass 0 (shift 0, `hbits` wide) into
 /// `hist`, and the largest key radix seen in the same sweep.
 fn pass0_histogram<K: RadixKey, V>(
     parts: &[SortPart<'_, K, V>],
@@ -415,16 +369,15 @@ fn scatter_split<K: RadixKey, V: Copy>(
     }
 }
 
-/// Whole-sort serial fast path: one histogram read of the input up front
-/// (`s.hist`, see [`pass0_histogram`] — by the caller, so it can fold
-/// other per-key work such as the max reduction into the same sweep), then
-/// one combined scatter-plus-next-histogram sweep per digit — the next
-/// pass's counts fall out of the keys the scatter is already touching, and
-/// the final pass scatters straight into the split output vectors, so no
-/// standalone histogram or unzip passes remain. Pass 0 reads the `parts`
-/// where they lie. Charges exactly the per-pass kernels the worker-pool
-/// path charges, and the stable output is unique, so simulated time,
-/// kernel counts, and results are all bit-identical to it.
+/// The whole sort: one histogram read of the input up front (`s.hist`, see
+/// [`pass0_histogram`] — by the caller, which folds the max reduction into
+/// the same sweep), then one combined scatter-plus-next-histogram sweep
+/// per digit — the next pass's counts fall out of the keys the scatter is
+/// already touching, and the final pass scatters straight into the split
+/// output vectors, so no standalone histogram or unzip passes remain. Pass
+/// 0 reads the `parts` where they lie. The simulated kernels charged are
+/// those of the configured [`SortConfig`] plan whatever digits the host
+/// sweeps with; the stable output is unique.
 fn serial_sort<K, V>(
     gpu: &mut Gpu,
     at: SimTime,
@@ -445,9 +398,8 @@ where
     let blocks = n.div_ceil(SORT_ITEMS_PER_BLOCK);
 
     // Simulated kernels: exactly the configured plan (`cfg.digit_bits`-wide
-    // passes, optionally a fused final) that `one_pass_into` charges, with
-    // charge-only launch closures — how the host reproduces the output is
-    // its own business (below).
+    // passes, optionally a fused final), with charge-only launch closures
+    // — how the host reproduces the output is its own business (below).
     let sim_passes = bits.clamp(1, K::BITS).div_ceil(cfg.digit_bits);
     let mut t = at;
     for pass in 0..sim_passes {
@@ -541,29 +493,7 @@ pub fn sort_keys<K: RadixKey>(
     Ok((k, t))
 }
 
-/// Whether the sort's host bookkeeping should run serially: a worker pool
-/// wider than the machine's real parallelism only adds queuing overhead
-/// to a memory-bound scatter, so the pool path is gated on the GPU's
-/// configured workers AND the cores actually present. Either path charges
-/// the same simulated kernels and produces bit-identical output (the
-/// stable sort result is unique).
-fn serial_host(gpu: &Gpu, n: usize) -> bool {
-    n < (1 << 16) || gpu.worker_threads <= 1 || host_cores() <= 1
-}
-
-/// The cores actually present, read once per process: the query is an
-/// affinity system call plus a cgroup file read (12 µs), which on every
-/// sort was most of a tiny job's host time.
-fn host_cores() -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    })
-}
-
-/// Digit width of the serial host sweeps. Wide 16-bit digits halve the
+/// Digit width of the host sweeps. Wide 16-bit digits halve the
 /// sweep count for 32-bit keys once the input is big enough to amortize
 /// the 64K-entry counter tables; small inputs keep the configured width.
 /// Purely a host-execution choice: the simulated kernels always charge
@@ -577,8 +507,9 @@ fn host_digit_bits(n: usize, cfg: &SortConfig) -> u32 {
     }
 }
 
-/// Charge exactly the kernels [`max_radix`] charges without the host-side
-/// reduction — the serial sort folds the real max into the pass-0
+/// Charge the dedicated max-reduction kernel pair (read every key once
+/// and fold per block, then fold the per-block partials) without doing the
+/// host-side reduction — the sort folds the real max into the pass-0
 /// histogram sweep it needs anyway.
 fn charge_max_radix<K: RadixKey>(gpu: &mut Gpu, at: SimTime, keys: &[K]) -> SimGpuResult<SimTime> {
     if keys.is_empty() {
@@ -596,281 +527,6 @@ fn charge_max_radix<K: RadixKey>(gpu: &mut Gpu, at: SimTime, keys: &[K]) -> SimG
         ..KernelCost::ZERO
     };
     Ok(gpu.charge_compute(r1.end, &final_cost, 1.0).end)
-}
-
-fn max_radix<K: RadixKey>(gpu: &mut Gpu, at: SimTime, keys: &[K]) -> SimGpuResult<(u64, SimTime)> {
-    if keys.is_empty() {
-        return Ok((0, at));
-    }
-    // A dedicated max-reduction kernel: read every key once, fold per
-    // block, then fold the per-block partials (same shape as a sum
-    // reduction, no materialized radix array).
-    let cfg = LaunchConfig::for_items(keys.len(), SORT_ITEMS_PER_BLOCK, 256);
-    let (partials, r1) = gpu.launch(at, &cfg, |ctx| {
-        let range = ctx.item_range(keys.len());
-        ctx.charge_read::<K>(range.len());
-        ctx.charge_flops(range.len() as u64);
-        keys[range].iter().map(|k| k.radix()).max().unwrap_or(0)
-    })?;
-    let final_cost = KernelCost {
-        flops: partials.outputs.len() as u64,
-        bytes_coalesced: (partials.outputs.len() * 8) as u64,
-        ..KernelCost::ZERO
-    };
-    let r2 = gpu.charge_compute(r1.end, &final_cost, 1.0);
-    Ok((partials.outputs.into_iter().max().unwrap_or(0), r2.end))
-}
-
-/// One stable counting-sort pass on a `cfg.digit_bits`-wide digit at
-/// `shift`, writing the reordered pairs into `out` (buffers are reused
-/// across passes). `fused` charges the single-kernel histogram+scatter
-/// variant instead of the two-kernel-plus-scan layout; the data movement
-/// is identical either way, so the output does not depend on it.
-#[allow(clippy::too_many_arguments)]
-fn one_pass_into<K, V>(
-    gpu: &mut Gpu,
-    at: SimTime,
-    src: &[(K, V)],
-    shift: u32,
-    cfg: &SortConfig,
-    fused: bool,
-    out: &mut Vec<(K, V)>,
-    offsets: &mut Vec<usize>,
-) -> SimGpuResult<SimTime>
-where
-    K: RadixKey,
-    V: Copy + Send + Sync + 'static,
-{
-    let n = src.len();
-    let digits = cfg.digits();
-    let mask = digits as u64 - 1;
-    let launch_cfg = LaunchConfig::for_items(n, SORT_ITEMS_PER_BLOCK, 256)
-        .with_shared_bytes((digits * 4) as u32);
-    let pair_bytes = std::mem::size_of::<K>() + std::mem::size_of::<V>();
-    let blocks = n.div_ceil(SORT_ITEMS_PER_BLOCK);
-
-    let end = if fused {
-        // Fused pass: one kernel builds its digit histogram in shared
-        // memory, exchanges per-block digit offsets, and scatters — the
-        // pairs are read from global memory once (no standalone histogram
-        // read) and the separate scan launch disappears. Writes stay
-        // scattered and are charged uncoalesced.
-        let cost = KernelCost {
-            flops: 5 * n as u64 + (digits * blocks) as u64,
-            bytes_coalesced: (n * pair_bytes) as u64,
-            bytes_uncoalesced: (n * pair_bytes) as u64,
-            ..KernelCost::ZERO
-        };
-        let occ = occupancy(&gpu.spec, &launch_cfg).fraction;
-        let r = gpu.charge_compute(at, &cost, occ);
-        let counts = host_histogram(src, shift, mask, digits, blocks, n);
-        scan_offsets(&counts, digits, offsets);
-        r.end
-    } else {
-        // Kernel 1: per-block digit histogram. The global stable order is
-        // digit-major then block-major then local order; with counts per
-        // block the scatter below can place every pair directly, so no
-        // per-block bucket lists are materialized.
-        let (hist, r1) = gpu.launch(at, &launch_cfg, |ctx| {
-            let range = ctx.item_range(n);
-            ctx.charge_read::<K>(range.len());
-            ctx.charge_read::<V>(range.len());
-            ctx.charge_flops(3 * range.len() as u64); // digit extract + shared atomic
-            let mut counts = vec![0usize; digits];
-            for i in range {
-                let d = ((src[i].0.radix() >> shift) & mask) as usize;
-                counts[d] += 1;
-            }
-            counts
-        })?;
-
-        // Digit-major exclusive scan over the (digit x block) histogram.
-        let blocks = hist.outputs.len();
-        let scan_cost = KernelCost {
-            flops: (digits * blocks) as u64,
-            bytes_coalesced: (2 * digits * blocks * 4) as u64,
-            ..KernelCost::ZERO
-        };
-        let r2 = gpu.charge_compute(r1.end, &scan_cost, 1.0);
-        scan_offsets(&hist.outputs, digits, offsets);
-
-        // Kernel 2 (scatter): each pair lands at its scanned offset. Writes
-        // are scattered across the output — charged uncoalesced, reads
-        // coalesced.
-        let scatter_cost = KernelCost {
-            flops: 2 * n as u64,
-            bytes_coalesced: (n * pair_bytes) as u64,
-            bytes_uncoalesced: (n * pair_bytes) as u64,
-            ..KernelCost::ZERO
-        };
-        gpu.charge_compute(r2.end, &scatter_cost, 1.0).end
-    };
-
-    // A forward scan writes each pair at its block's scanned offset;
-    // forward order within a block keeps the sort stable. (Placement is
-    // the same data movement the kernels charged for above.) The stable
-    // output is unique, so either placement strategy below produces
-    // bit-identical results no matter the worker count.
-    if out.len() != n {
-        out.clear();
-        out.resize(n, src[0]);
-    }
-    let per = n.div_ceil(blocks);
-    let parts = digit_partitions(offsets, blocks, digits, n);
-    if parts.len() <= 1 {
-        // Serial placement collapses the (digit x block) offset table to
-        // one running counter per digit — a block's pairs are visited in
-        // global input order anyway, so per-block bases are redundant and
-        // the counter table stays cache-resident.
-        let mut ctr: Vec<usize> = (0..digits).map(|d| offsets[d * blocks]).collect();
-        for &(k, v) in src {
-            let d = ((k.radix() >> shift) & mask) as usize;
-            let pos = &mut ctr[d];
-            out[*pos] = (k, v);
-            *pos += 1;
-        }
-    } else {
-        // Parallel placement: the digit-major layout means each digit range
-        // owns one contiguous slice of the output and of the offset table,
-        // so the ranges can be carved into disjoint `&mut` regions and
-        // filled on the worker pool. Every region's writes are fully
-        // determined by the scanned offsets, so the result is bit-identical
-        // to the serial loop no matter how tasks interleave.
-        struct Region<'a, K, V> {
-            d0: usize,
-            d1: usize,
-            base: usize,
-            pairs: &'a mut [(K, V)],
-            offs: &'a mut [usize],
-        }
-        let mut regions: Vec<Mutex<Region<'_, K, V>>> = Vec::with_capacity(parts.len());
-        let mut rem_p: &mut [(K, V)] = out;
-        let mut rem_o: &mut [usize] = offsets;
-        let mut done_out = 0usize;
-        let mut done_dig = 0usize;
-        for &(d0, d1, start, end_o) in &parts {
-            let (_, rest) = std::mem::take(&mut rem_p).split_at_mut(start - done_out);
-            let (mine_p, rest_p) = rest.split_at_mut(end_o - start);
-            rem_p = rest_p;
-            let (_, rest) = std::mem::take(&mut rem_o).split_at_mut((d0 - done_dig) * blocks);
-            let (mine_o, rest_o) = rest.split_at_mut((d1 - d0) * blocks);
-            rem_o = rest_o;
-            done_out = end_o;
-            done_dig = d1;
-            regions.push(Mutex::new(Region {
-                d0,
-                d1,
-                base: start,
-                pairs: mine_p,
-                offs: mine_o,
-            }));
-        }
-        run_indexed(regions.len(), |t| {
-            let mut guard = regions[t].lock().unwrap();
-            let reg = &mut *guard;
-            for b in 0..blocks {
-                let start = (b * per).min(n);
-                let end_i = ((b + 1) * per).min(n);
-                for &(k, v) in &src[start..end_i] {
-                    let d = ((k.radix() >> shift) & mask) as usize;
-                    if d < reg.d0 || d >= reg.d1 {
-                        continue;
-                    }
-                    let pos = &mut reg.offs[(d - reg.d0) * blocks + b];
-                    reg.pairs[*pos - reg.base] = (k, v);
-                    *pos += 1;
-                }
-            }
-        });
-    }
-    Ok(end)
-}
-
-/// Host-side per-block digit histograms for the fused pass — the same
-/// per-block counts the two-kernel path gets from its histogram kernel
-/// launch. Runs on the worker pool when there is one; a single-thread
-/// host just walks the input once (queueing hundreds of block tasks
-/// through a one-worker pool only adds overhead).
-fn host_histogram<K, V>(
-    src: &[(K, V)],
-    shift: u32,
-    mask: u64,
-    digits: usize,
-    blocks: usize,
-    n: usize,
-) -> Vec<Vec<usize>>
-where
-    K: RadixKey,
-    V: Copy + Send + Sync + 'static,
-{
-    let per = n.div_ceil(blocks);
-    let block_counts = |b: usize| {
-        let start = (b * per).min(n);
-        let end = ((b + 1) * per).min(n);
-        let mut counts = vec![0usize; digits];
-        for (k, _) in &src[start..end] {
-            counts[((k.radix() >> shift) & mask) as usize] += 1;
-        }
-        counts
-    };
-    if worker_threads() == 1 {
-        (0..blocks).map(block_counts).collect()
-    } else {
-        run_indexed(blocks, block_counts)
-    }
-}
-
-/// Digit-major exclusive scan of per-block counts into `offsets`
-/// (indexed `d * blocks + b`): the global stable order is digit-major,
-/// then block-major, then local order.
-fn scan_offsets(counts: &[Vec<usize>], digits: usize, offsets: &mut Vec<usize>) {
-    let blocks = counts.len();
-    offsets.clear();
-    offsets.resize(blocks * digits, 0);
-    let mut running = 0usize;
-    for d in 0..digits {
-        for (b, c) in counts.iter().enumerate() {
-            offsets[d * blocks + b] = running;
-            running += c[d];
-        }
-    }
-}
-
-/// Greedily split the digit space into at most `worker_threads()` (capped
-/// at 8) contiguous ranges holding roughly equal pair counts, returning
-/// `(d0, d1, out_start, out_end)` per non-empty range. Small inputs stay
-/// on one range (serial placement).
-fn digit_partitions(
-    offsets: &[usize],
-    blocks: usize,
-    digits: usize,
-    n: usize,
-) -> Vec<(usize, usize, usize, usize)> {
-    let max_parts = worker_threads().min(8);
-    if n < (1 << 16) || max_parts <= 1 {
-        return vec![(0, digits, 0, n)];
-    }
-    let start = |d: usize| {
-        if d == digits {
-            n
-        } else {
-            offsets[d * blocks]
-        }
-    };
-    let target = n.div_ceil(max_parts);
-    let mut parts = Vec::with_capacity(max_parts);
-    let mut d0 = 0;
-    while d0 < digits {
-        let mut d1 = d0 + 1;
-        while d1 < digits && start(d1) - start(d0) < target {
-            d1 += 1;
-        }
-        if start(d1) > start(d0) {
-            parts.push((d0, d1, start(d0), start(d1)));
-        }
-        d0 = d1;
-    }
-    parts
 }
 
 #[cfg(test)]

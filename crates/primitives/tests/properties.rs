@@ -169,8 +169,9 @@ mod pair_path {
 
     use gpmr_primitives::segments::SEGMENT_ITEMS_PER_BLOCK;
     use gpmr_primitives::{
-        extract_segments, extract_segments_into, sort_pairs_with_bits, sort_parts_with_bits,
-        Segments, SortPart, SortScratch,
+        extract_segments, extract_segments_into, sort_pairs, sort_pairs_with_bits,
+        sort_pairs_with_bits_config, sort_parts_with_bits, Segments, SortConfig, SortPart,
+        SortScratch,
     };
     use gpmr_sim_gpu::{Gpu, GpuSpec, SimTime};
     use proptest::prelude::*;
@@ -188,6 +189,68 @@ mod pair_path {
             .collect()
     }
 
+    /// One sort of the table below: `(bits of the end SimTime, kernels)`.
+    type Recorded = (u64, u64);
+
+    /// Recorded at 9cb304c, the last commit with a second, pooled sort
+    /// (`one_pass_into`, taken there with 8 workers on a 2-core host from
+    /// 2^16 pairs up), for `keys_from(n ^ bits, n, bits)` carrying their
+    /// positions: `(n, bits, FNV-1a of sorted keys then values, [default
+    /// config, reference config, sort_pairs])`. The first two are
+    /// `sort_pairs_with_bits_config` at `bits`; `sort_pairs` finds the bits
+    /// itself. The one sort left must reproduce the deleted one to the bit.
+    #[rustfmt::skip]
+    const RECORDED: [(usize, u32, u64, [Recorded; 3]); 15] = [
+        (2, 8, 0x1821_a03a_b382_eccd, [(0x3edd_5fbe_b713_7160, 1), (0x3ef6_0af4_9604_d4ec, 3), (0x3ef6_0613_21f3_0c4c, 3)]),
+        (2, 20, 0xf493_f090_33d4_fa7b, [(0x3efd_889e_b84a_068f, 4), (0x3f10_8837_7083_9fb1, 9), (0x3f06_1b61_163c_1b42, 6)]),
+        (2, 32, 0xa461_06ef_224c_4af6, [(0x3f09_dca6_e167_9862, 7), (0x3f16_0af4_9604_d4eb, 12), (0x3f10_99dc_4dbf_582f, 9)]),
+        (4095, 8, 0x798a_3c77_7db9_529c, [(0x3ee4_bdf8_18a5_e426, 1), (0x3ef9_68af_94ab_7106, 3), (0x3ef9_3835_a6d6_436e, 3)]),
+        (4095, 20, 0x8913_93e4_e143_3404, [(0x3f01_f6b3_0abf_5c32, 4), (0x3f13_0e83_af80_94c5, 9), (0x3f09_634f_d801_04e0, 6)]),
+        (4095, 32, 0x12ad_134c_ee77_4a75, [(0x3f0e_bde8_0f55_3f5a, 7), (0x3f19_68af_94ab_7106, 12), (0x3f13_1542_6e4b_7404, 9)]),
+        (65_535, 8, 0x4694_a63a_7a9a_d104, [(0x3f0b_ec6f_aa5c_e056, 1), (0x3f13_103d_a567_98ab, 3), (0x3f12_4e4b_d2fc_d239, 3)]),
+        (65_535, 20, 0xd29b_7acb_dc54_115d, [(0x3f20_ceaf_a64b_af00, 4), (0x3f2c_985c_781b_6500, 9), (0x3f22_fab9_a532_e008, 6)]),
+        (65_535, 32, 0xbc00_3c24_2745_6118, [(0x3f2a_a243_6200_25ec, 7), (0x3f33_103d_a567_98ab, 12), (0x3f2c_ce4d_60e7_56f2, 9)]),
+        (65_536, 8, 0xa073_8413_da50_4d19, [(0x3f0b_ec87_eb5e_a08d, 1), (0x3f13_104b_1eda_58ca, 3), (0x3f12_4e58_9ff6_a256, 3)]),
+        (65_536, 20, 0x6b59_7e3c_6f3a_3282, [(0x3f20_cebc_7345_7f1d, 4), (0x3f2c_9870_ae47_852e, 9), (0x3f22_fac6_c869_2825, 6)]),
+        (65_536, 32, 0x68af_de14_9bc5_4ea9, [(0x3f2a_a256_ebb3_5617, 7), (0x3f33_104b_1eda_58c9, 12), (0x3f2c_ce61_40d6_ff1f, 9)]),
+        (1 << 20, 8, 0x6072_b734_96ad_5604, [(0x3f48_7bba_22e9_5155, 1), (0x3f4b_ce2c_e454_c3ed, 3), (0x3f4a_4a47_e68d_5705, 3)]),
+        (1 << 20, 20, 0x6c2b_cbc4_fde3_5a87, [(0x3f5a_bbdd_55a0_5fcc, 4), (0x3f64_daa1_ab3f_92f1, 9), (0x3f5b_a324_3772_62a4, 6)]),
+        (1 << 20, 32, 0x0912_80ab_654b_6702, [(0x3f64_9cee_cce6_0b76, 7), (0x3f6b_ce2c_e454_c3ec, 12), (0x3f65_1092_3dcf_0ce2, 9)]),
+    ];
+
+    #[test]
+    fn sort_reproduces_the_times_kernels_and_bytes_recorded_before_the_pool_went() {
+        let fnv1a = |keys: &[u32], vals: &[u32]| {
+            keys.iter()
+                .chain(vals)
+                .flat_map(|w| w.to_le_bytes())
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+                })
+        };
+        for (n, bits, digest, [default, reference, max_radix]) in RECORDED {
+            let keys = keys_from(n as u64 ^ u64::from(bits), n, bits);
+            let vals: Vec<u32> = (0..n as u32).collect();
+            for (cfg, expect) in [
+                (Some(SortConfig::default()), default),
+                (Some(SortConfig::reference()), reference),
+                (None, max_radix),
+            ] {
+                let mut g = Gpu::new(GpuSpec::gt200());
+                let (k, v, t) = match cfg {
+                    Some(cfg) => {
+                        sort_pairs_with_bits_config(&mut g, SimTime::ZERO, &keys, &vals, bits, &cfg)
+                    }
+                    None => sort_pairs(&mut g, SimTime::ZERO, &keys, &vals),
+                }
+                .unwrap();
+                let case = format!("n {n}, bits {bits}, {cfg:?}");
+                assert_eq!(fnv1a(&k, &v), digest, "{case}");
+                assert_eq!((t.as_secs().to_bits(), g.stats().kernels), expect, "{case}");
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -198,10 +261,9 @@ mod pair_path {
             big in any::<bool>(),
             width in 1u32..=32,
             cuts in prop::collection::vec(0usize..70_000, 0..12),
-            workers in 1usize..=2,
         ) {
-            // Below 2^16 pairs the sort sweeps with its configured digits
-            // on one thread; above, with 16-bit digits or on the pool.
+            // Below 2^16 pairs the sort sweeps with its configured digits;
+            // above, with 16-bit digits.
             let n = if big { (1 << 16) + small } else { small };
             let keys = keys_from(seed, n, width);
             // Values are original positions: agreement proves stability,
@@ -218,7 +280,6 @@ mod pair_path {
                 .collect();
 
             let mut g = Gpu::new(GpuSpec::gt200());
-            g.worker_threads = workers;
             let (ref_k, ref_v, ref_t) =
                 sort_pairs_with_bits(&mut g, SimTime::ZERO, &keys, &vals, width).unwrap();
             let ref_kernels = g.stats().kernels;
@@ -230,7 +291,6 @@ mod pair_path {
                 .unwrap();
 
             let mut g = Gpu::new(GpuSpec::gt200());
-            g.worker_threads = workers;
             let t = sort_parts_with_bits(&mut g, SimTime::ZERO, &parts, width, &mut scratch)
                 .unwrap();
             prop_assert_eq!(&scratch.keys, &ref_k);

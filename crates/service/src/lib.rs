@@ -32,6 +32,7 @@
 //! assert!(svc.merged_output(id).is_some());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch;

@@ -77,11 +77,6 @@ pub struct Gpu {
     link: SharedLink,
     stats: GpuStats,
     telem: Option<Box<GpuTelemetry>>,
-    /// Host worker threads used to execute kernel blocks. Defaults to
-    /// [`crate::pool::worker_threads`] (`GPMR_WORKER_THREADS`, else the
-    /// machine's available parallelism). Outputs and simulated times do
-    /// not depend on this value.
-    pub worker_threads: usize,
 }
 
 impl Gpu {
@@ -101,7 +96,6 @@ impl Gpu {
             link,
             stats: GpuStats::default(),
             telem: None,
-            worker_threads: crate::pool::worker_threads(),
         }
     }
 
@@ -115,10 +109,10 @@ impl Gpu {
             .then(|| Box::new(GpuTelemetry::new(tel, rank)));
     }
 
-    /// Launch an infallible kernel: run `f` once per block (in parallel on
-    /// host threads, deterministically), charge its aggregate cost on the
-    /// compute timeline starting no earlier than `at`, and return per-block
-    /// outputs with the reservation window.
+    /// Launch an infallible kernel: run `f` once per block, in block order,
+    /// charge its aggregate cost on the compute timeline starting no
+    /// earlier than `at`, and return per-block outputs with the reservation
+    /// window.
     pub fn launch<R, F>(
         &mut self,
         at: SimTime,
@@ -144,7 +138,7 @@ impl Gpu {
         R: Send,
         F: Fn(&mut BlockCtx) -> SimGpuResult<R> + Sync,
     {
-        let (outputs, cost) = run_blocks(&self.spec, cfg, self.worker_threads, &f)?;
+        let (outputs, cost) = run_blocks(&self.spec, cfg, &f)?;
         let occ = occupancy(&self.spec, cfg);
         let dur = kernel_time(&self.spec, occ.fraction, &cost);
         let res = self.compute.reserve(at, dur);

@@ -8,8 +8,7 @@
 //! closure does the block's real work on host data and *charges* the
 //! memory traffic, arithmetic, and atomics it would have issued.
 //!
-//! Blocks run in parallel on host threads (results are assembled in block
-//! order, so execution is deterministic), and the aggregate
+//! Blocks run in block order on the calling thread, and the aggregate
 //! [`KernelCost`] is converted to simulated time by the device.
 
 use crate::cost::KernelCost;
@@ -278,13 +277,11 @@ pub struct Launch<R> {
     pub occupancy: f64,
 }
 
-/// Execute `f` for every block of `cfg`, in parallel on up to
-/// `worker_threads` host threads, returning per-block outputs in block
-/// order plus the aggregate cost. Deterministic regardless of thread count.
+/// Execute `f` for every block of `cfg`, in block order on the calling
+/// thread, returning per-block outputs plus the aggregate cost.
 pub(crate) fn run_blocks<R, F>(
     spec: &GpuSpec,
     cfg: &LaunchConfig,
-    worker_threads: usize,
     f: &F,
 ) -> SimGpuResult<(Vec<R>, KernelCost)>
 where
@@ -293,46 +290,12 @@ where
 {
     cfg.validate(spec)?;
     let grid = cfg.grid_blocks as usize;
-    let threads = worker_threads.max(1).min(grid);
-
-    if threads <= 1 || grid < 4 {
-        let mut outputs = Vec::with_capacity(grid);
-        let mut cost = KernelCost::ZERO;
-        for b in 0..grid {
-            let mut ctx = BlockCtx::new(spec, cfg, b as u32);
-            outputs.push(f(&mut ctx)?);
-            cost += ctx.cost;
-        }
-        return Ok((outputs, cost));
-    }
-
-    // Contiguous partition of the grid over worker spans; each span fills
-    // an independent vector, concatenated in span order afterwards, so the
-    // result is identical to the sequential path for any thread count.
-    let per = grid.div_ceil(threads);
-    let spans: Vec<(usize, usize)> = (0..threads)
-        .map(|t| (t * per, ((t + 1) * per).min(grid)))
-        .filter(|&(start, end)| start < end)
-        .collect();
-    let run_span = |(start, end): (usize, usize)| -> SimGpuResult<(Vec<R>, KernelCost)> {
-        let mut out = Vec::with_capacity(end - start);
-        let mut cost = KernelCost::ZERO;
-        for b in start..end {
-            let mut ctx = BlockCtx::new(spec, cfg, b as u32);
-            out.push(f(&mut ctx)?);
-            cost += ctx.cost;
-        }
-        Ok((out, cost))
-    };
-
-    let results = crate::pool::run_indexed(spans.len(), |t| run_span(spans[t]));
-
     let mut outputs = Vec::with_capacity(grid);
     let mut cost = KernelCost::ZERO;
-    for r in results {
-        let (out, c) = r?;
-        outputs.extend(out);
-        cost += c;
+    for b in 0..grid {
+        let mut ctx = BlockCtx::new(spec, cfg, b as u32);
+        outputs.push(f(&mut ctx)?);
+        cost += ctx.cost;
     }
     Ok((outputs, cost))
 }
@@ -384,21 +347,16 @@ mod tests {
     }
 
     #[test]
-    fn run_blocks_is_deterministic_and_ordered() {
+    fn run_blocks_is_ordered() {
         let s = spec();
         let cfg = LaunchConfig::grid(37, 64);
         let f = |ctx: &mut BlockCtx| {
             ctx.charge_flops(ctx.block_idx as u64);
             Ok(ctx.block_idx)
         };
-        let (seq, cost_seq) = run_blocks(&s, &cfg, 1, &f).unwrap();
-        assert_eq!(seq, (0..37).collect::<Vec<_>>());
-        assert_eq!(cost_seq.flops, (0..37).sum::<u64>());
-        for workers in [2, 8] {
-            let (par, cost_par) = run_blocks(&s, &cfg, workers, &f).unwrap();
-            assert_eq!(seq, par, "{workers} workers");
-            assert_eq!(cost_seq, cost_par, "{workers} workers");
-        }
+        let (out, cost) = run_blocks(&s, &cfg, &f).unwrap();
+        assert_eq!(out, (0..37).collect::<Vec<_>>());
+        assert_eq!(cost.flops, (0..37).sum::<u64>());
     }
 
     #[test]
@@ -435,7 +393,7 @@ mod tests {
     }
 
     #[test]
-    fn kernel_errors_propagate_from_workers() {
+    fn kernel_errors_propagate_from_blocks() {
         let s = spec();
         let cfg = LaunchConfig::grid(16, 32).with_shared_bytes(4);
         let f = |ctx: &mut BlockCtx| {
@@ -443,7 +401,7 @@ mod tests {
             ctx.shared_alloc::<u64>(2)?;
             Ok(())
         };
-        assert!(run_blocks(&s, &cfg, 4, &f).is_err());
+        assert!(run_blocks(&s, &cfg, &f).is_err());
     }
 
     #[test]

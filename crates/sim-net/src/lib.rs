@@ -12,6 +12,7 @@
 //! the GPMR engine models by chaining a device D2H reservation into a
 //! fabric send.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cluster;

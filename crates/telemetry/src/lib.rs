@@ -29,6 +29,7 @@
 //! gpmr_telemetry::export::validate_perfetto(&perfetto).unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod alerts;

@@ -50,6 +50,8 @@
 //! println!("counted in {} simulated", result.total_time());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use gpmr_apps as apps;
 pub use gpmr_baselines as baselines;
 pub use gpmr_core as core;

@@ -92,26 +92,13 @@ const KEYS: usize = 1_000_000;
 const RANKS: u32 = 8;
 const CHUNKS: usize = 48;
 
-/// Run kernels inline on the calling thread, where the counter is. The
-/// service builds its own clusters, so the per-GPU setting the engine
-/// runs use is out of its test's reach; the process-wide default is
-/// pinned instead, before anything reads it — every run starts here.
-fn inline_kernels() {
-    static PINNED: std::sync::Once = std::sync::Once::new();
-    PINNED.call_once(|| std::env::set_var("GPMR_WORKER_THREADS", "1"));
-}
-
-/// One engine run over prepared chunks on single-threaded GPUs, and the
-/// `(bytes, calls)` it allocated.
+/// One engine run over prepared chunks, and the `(bytes, calls)` it
+/// allocated.
 fn counted_run<J: GpmrJob>(
     job: &J,
     chunks: Vec<J::Chunk>,
 ) -> (JobResult<J::Key, J::Value>, (u64, u64)) {
-    inline_kernels();
     let mut cluster = Cluster::accelerator(RANKS, GpuSpec::gt200());
-    for r in 0..RANKS {
-        cluster.gpu(r).worker_threads = 1;
-    }
     COUNTED.with(|c| c.set(Some((0, 0))));
     let result = run_job(&mut cluster, job, chunks);
     let counted = COUNTED.with(|c| c.take()).expect("counting was on");
@@ -234,7 +221,6 @@ fn serve_run_allocations(flight_capacity: usize) -> (u64, (u64, u64)) {
         },
         ..ServiceConfig::default()
     };
-    inline_kernels();
     COUNTED.with(|c| c.set(Some((0, 0))));
     let (svc, _report) =
         workload::run_script(&script, cfg, Telemetry::disabled()).expect("the script parses");
@@ -291,7 +277,6 @@ const MM_ORDER: usize = 256;
 fn mm_regroup_allocations() -> (u64, u64, u64) {
     let a = Matrix::random(MM_ORDER, 42);
     let b = Matrix::random(MM_ORDER, 43);
-    inline_kernels();
     let mut cluster = Cluster::accelerator(RANKS, GpuSpec::gt200());
     let capacity = cluster.gpu(0).mem.capacity();
     let (rb, cb, kb) = mm_auto_blocks(a.n_tiles(), RANKS, capacity);

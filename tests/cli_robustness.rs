@@ -72,3 +72,16 @@ fn every_command_that_builds_a_cluster_bounds_gpus() {
         dispatch(line.split(' ')).unwrap_or_else(|e| panic!("{line}: {e}"));
     }
 }
+
+/// Kernels ran on a process-wide worker pool sized by an environment
+/// variable, one spawned thread per requested worker: at 4 000 000 000
+/// `gpmr run` aborted (exit 134) inside the spawn loop, at 100 000 under
+/// an address-space limit it panicked there. Nothing reads the variable
+/// now and the process spawns no thread.
+#[test]
+fn no_environment_variable_sizes_a_thread_pool() {
+    std::env::set_var("GPMR_WORKER_THREADS", "4000000000");
+    let line = "run --benchmark wo --size 200000 --gpus 2";
+    let out = dispatch(line.split(' ')).unwrap_or_else(|e| panic!("{line}: {e}"));
+    assert!(out.contains("simulated time"), "{out}");
+}

@@ -1,8 +1,8 @@
-//! Host-parallelism determinism: a full multi-GPU job must produce
-//! bit-identical outputs AND identical simulated times no matter how many
-//! host worker threads execute the kernels. Simulated time is an integer
-//! cost model summed per block, so the schedule of real host threads must
-//! never leak into results.
+//! Determinism: a full multi-GPU job must produce bit-identical outputs
+//! AND identical simulated times every time it runs — fault-free, under a
+//! fault plan, at every tuning point, interrupted and resumed, and through
+//! the service. Simulated time is a cost model summed per block in block
+//! order; nothing about the host may leak into results.
 
 use std::sync::Arc;
 
@@ -10,17 +10,11 @@ use gpmr::apps::text::{chunk_text, generate_text};
 use gpmr::prelude::*;
 use gpmr::sim_gpu::FaultPlan;
 
-fn run_wo_faulted(
-    workers: usize,
-    plan: Option<FaultPlan>,
-) -> (Vec<KvSet<u32, u32>>, gpmr::core::JobTimings) {
+fn run_wo_faulted(plan: Option<FaultPlan>) -> (Vec<KvSet<u32, u32>>, gpmr::core::JobTimings) {
     // 2 nodes x 2 GPUs, the smallest shape that exercises both intra-node
     // PCI-e sharing and inter-node network binning.
     let mut cluster = Cluster::new(Topology::new(2, 2, 2), GpuSpec::gt200());
     cluster.set_fault_plan(plan);
-    for rank in 0..4 {
-        cluster.gpu(rank).worker_threads = workers;
-    }
     let dict = Arc::new(Dictionary::generate(300, 11));
     let text = generate_text(&dict, 120_000, 12);
     let chunks = chunk_text(&text, 16 * 1024);
@@ -29,14 +23,13 @@ fn run_wo_faulted(
     (result.outputs, result.timings)
 }
 
-fn run_wo(workers: usize) -> (Vec<KvSet<u32, u32>>, gpmr::core::JobTimings) {
-    run_wo_faulted(workers, None)
+fn run_wo() -> (Vec<KvSet<u32, u32>>, gpmr::core::JobTimings) {
+    run_wo_faulted(None)
 }
 
 /// The same WO job under an explicit engine tuning (upload pipeline depth
 /// and transfer mode), for the tuning-matrix determinism tests.
 fn run_wo_tuned(
-    workers: usize,
     depth: u32,
     gpu_direct: bool,
     plan: Option<FaultPlan>,
@@ -44,9 +37,6 @@ fn run_wo_tuned(
     use gpmr::core::{run_job_with, EngineTuning, RunOpts};
     let mut cluster = Cluster::new(Topology::new(2, 2, 2), GpuSpec::gt200());
     cluster.set_fault_plan(plan);
-    for rank in 0..4 {
-        cluster.gpu(rank).worker_threads = workers;
-    }
     let dict = Arc::new(Dictionary::generate(300, 11));
     let text = generate_text(&dict, 120_000, 12);
     let chunks = chunk_text(&text, 16 * 1024);
@@ -68,15 +58,11 @@ fn run_wo_tuned(
 /// [`run_wo_faulted`], but every scheduling decision is written to (or
 /// replayed against) the write-ahead journal.
 fn run_wo_with_journal(
-    workers: usize,
     journal: &mut gpmr::core::Journal,
 ) -> (Vec<KvSet<u32, u32>>, gpmr::core::JobTimings) {
     use gpmr::core::{run_job_journaled, EngineTuning};
     let mut cluster = Cluster::new(Topology::new(2, 2, 2), GpuSpec::gt200());
     cluster.set_fault_plan(None);
-    for rank in 0..4 {
-        cluster.gpu(rank).worker_threads = workers;
-    }
     let dict = Arc::new(Dictionary::generate(300, 11));
     let text = generate_text(&dict, 120_000, 12);
     let chunks = chunk_text(&text, 16 * 1024);
@@ -94,28 +80,26 @@ fn run_wo_with_journal(
 }
 
 #[test]
-fn outputs_and_times_are_independent_of_workers() {
-    let (base_out, base_times) = run_wo(1);
+fn outputs_and_times_are_identical_run_to_run() {
+    let (base_out, base_times) = run_wo();
     assert_eq!(base_out.len(), 4, "one output set per rank");
     assert!(base_times.total > SimDuration::ZERO);
 
-    for workers in [2, 8] {
-        let (out, times) = run_wo(workers);
-        assert_eq!(out, base_out, "outputs changed with {workers} workers");
-        assert_eq!(
-            times, base_times,
-            "simulated times changed with {workers} workers"
-        );
-    }
+    let (out, times) = run_wo();
+    assert_eq!(out, base_out, "outputs changed on the second run");
+    assert_eq!(
+        times, base_times,
+        "simulated times changed on the second run"
+    );
 }
 
 #[test]
-fn fault_recovery_is_independent_of_workers() {
+fn fault_recovery_is_identical_run_to_run() {
     // A plan that exercises every injection path at once: a mid-job GPU
     // kill, a transient route failure, and a straggler stall. Recovery
     // (requeue targets, retry counts, migrated work) must replay
-    // identically no matter which host threads execute the kernels.
-    let (fault_free, fault_free_times) = run_wo(1);
+    // identically every time.
+    let (fault_free, fault_free_times) = run_wo();
     let horizon = fault_free_times.total.as_secs();
     let plan = || {
         Some(
@@ -126,7 +110,7 @@ fn fault_recovery_is_independent_of_workers() {
         )
     };
 
-    let (base_out, base_times) = run_wo_faulted(1, plan());
+    let (base_out, base_times) = run_wo_faulted(plan());
     assert_eq!(
         base_out, fault_free,
         "faulted run must still compute the fault-free answer"
@@ -138,17 +122,12 @@ fn fault_recovery_is_independent_of_workers() {
         "the stall must have landed"
     );
 
-    for workers in [2, 8] {
-        let (out, times) = run_wo_faulted(workers, plan());
-        assert_eq!(
-            out, base_out,
-            "faulted outputs changed with {workers} workers"
-        );
-        assert_eq!(
-            times, base_times,
-            "faulted times/recovery changed with {workers} workers"
-        );
-    }
+    let (out, times) = run_wo_faulted(plan());
+    assert_eq!(out, base_out, "faulted outputs changed on the second run");
+    assert_eq!(
+        times, base_times,
+        "faulted times/recovery changed on the second run"
+    );
 }
 
 #[test]
@@ -156,28 +135,26 @@ fn tuning_matrix_is_deterministic_and_output_invariant() {
     // Pipeline depth and transfer mode reshape the schedule, never the
     // answer: every tuning point must reproduce the default-tuning
     // outputs bit-for-bit, and within a tuning point the simulated times
-    // must be identical across worker counts.
-    let (base_out, _) = run_wo(1);
+    // must be identical from run to run.
+    let (base_out, _) = run_wo();
     for depth in [1u32, 2, 4] {
         for gpu_direct in [false, true] {
-            let (out, times) = run_wo_tuned(1, depth, gpu_direct, None);
+            let (out, times) = run_wo_tuned(depth, gpu_direct, None);
             assert_eq!(
                 out, base_out,
                 "outputs changed at depth {depth}, gpu_direct {gpu_direct}"
             );
-            for workers in [2, 8] {
-                let (o, t) = run_wo_tuned(workers, depth, gpu_direct, None);
-                assert_eq!(
-                    o, out,
-                    "outputs changed with {workers} workers \
-                     at depth {depth}, gpu_direct {gpu_direct}"
-                );
-                assert_eq!(
-                    t, times,
-                    "times changed with {workers} workers \
-                     at depth {depth}, gpu_direct {gpu_direct}"
-                );
-            }
+            let (o, t) = run_wo_tuned(depth, gpu_direct, None);
+            assert_eq!(
+                o, out,
+                "outputs changed on the second run \
+                 at depth {depth}, gpu_direct {gpu_direct}"
+            );
+            assert_eq!(
+                t, times,
+                "times changed on the second run \
+                 at depth {depth}, gpu_direct {gpu_direct}"
+            );
         }
     }
 }
@@ -186,9 +163,9 @@ fn tuning_matrix_is_deterministic_and_output_invariant() {
 fn tuning_matrix_survives_faults_deterministically() {
     // The corner tuning points (pipelining off / deep, host-staged /
     // GPU-direct) under the all-paths fault plan: recovery must replay
-    // identically across workers, and still compute the fault-free
+    // identically from run to run, and still compute the fault-free
     // answer.
-    let (fault_free, fault_free_times) = run_wo(1);
+    let (fault_free, fault_free_times) = run_wo();
     let horizon = fault_free_times.total.as_secs();
     let plan = || {
         Some(
@@ -199,54 +176,50 @@ fn tuning_matrix_survives_faults_deterministically() {
         )
     };
     for (depth, gpu_direct) in [(1u32, false), (1, true), (4, false), (4, true)] {
-        let (out, times) = run_wo_tuned(1, depth, gpu_direct, plan());
+        let (out, times) = run_wo_tuned(depth, gpu_direct, plan());
         assert_eq!(
             out, fault_free,
             "faulted run must still compute the fault-free answer \
              at depth {depth}, gpu_direct {gpu_direct}"
         );
         assert!(times.gpus_lost >= 1, "the kill must have landed");
-        let (o, t) = run_wo_tuned(8, depth, gpu_direct, plan());
+        let (o, t) = run_wo_tuned(depth, gpu_direct, plan());
         assert_eq!(
             o, out,
-            "faulted outputs changed across workers at depth {depth}, \
+            "faulted outputs changed on the second run at depth {depth}, \
              gpu_direct {gpu_direct}"
         );
         assert_eq!(
             t, times,
-            "faulted times/recovery changed across workers at depth {depth}, \
+            "faulted times/recovery changed on the second run at depth {depth}, \
              gpu_direct {gpu_direct}"
         );
     }
 }
 
 #[test]
-fn interrupted_and_resumed_runs_match_uninterrupted_across_workers() {
-    // The resumed-run determinism axis: for every worker count, a
-    // journaled run interrupted halfway (journal truncated at a record
-    // boundary) and resumed must match the uninterrupted run bit-for-bit —
-    // outputs, simulated times, and the final journal.
+fn interrupted_and_resumed_runs_match_uninterrupted() {
+    // Resumed-run determinism, twice over: a journaled run interrupted
+    // halfway (journal truncated at a record boundary) and resumed must
+    // match the uninterrupted run bit-for-bit — outputs, simulated times,
+    // and the final journal — and a second round must write the same
+    // journal bytes as the first.
     use gpmr::core::{scan_bytes, Journal};
 
     let dir = std::env::temp_dir().join(format!("gpmr_det_resume_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let (base_out, base_times) = run_wo(1);
+    let (base_out, base_times) = run_wo();
+    let mut journals = Vec::new();
 
-    for workers in [1usize, 2, 8] {
-        let path = dir.join(format!("wo_w{workers}.gpj"));
+    for round in 0..2 {
+        let path = dir.join(format!("wo_r{round}.gpj"));
 
         // Uninterrupted journaled run: zero behavior change vs plain.
         let mut journal = Journal::create(&path, 1).expect("create journal");
-        let (out, times) = run_wo_with_journal(workers, &mut journal);
+        let (out, times) = run_wo_with_journal(&mut journal);
         drop(journal);
-        assert_eq!(
-            out, base_out,
-            "journaling changed outputs with {workers} workers"
-        );
-        assert_eq!(
-            times, base_times,
-            "journaling changed times with {workers} workers"
-        );
+        assert_eq!(out, base_out, "journaling changed outputs, round {round}");
+        assert_eq!(times, base_times, "journaling changed times, round {round}");
         let reference = std::fs::read(&path).unwrap();
         let (_, offsets) = scan_bytes(&reference);
 
@@ -254,23 +227,19 @@ fn interrupted_and_resumed_runs_match_uninterrupted_across_workers() {
         let cut = offsets[offsets.len() / 2] as usize;
         std::fs::write(&path, &reference[..cut]).unwrap();
         let mut journal = Journal::resume(&path, 1).expect("resume journal");
-        let (out, times) = run_wo_with_journal(workers, &mut journal);
+        let (out, times) = run_wo_with_journal(&mut journal);
         assert!(journal.replayed() > 0, "half the journal must replay");
         drop(journal);
-        assert_eq!(
-            out, base_out,
-            "resumed outputs diverged with {workers} workers"
-        );
-        assert_eq!(
-            times, base_times,
-            "resumed times diverged with {workers} workers"
-        );
+        assert_eq!(out, base_out, "resumed outputs diverged, round {round}");
+        assert_eq!(times, base_times, "resumed times diverged, round {round}");
         assert_eq!(
             std::fs::read(&path).unwrap(),
             reference,
-            "resumed journal bytes diverged with {workers} workers"
+            "resumed journal bytes diverged, round {round}"
         );
+        journals.push(reference);
     }
+    assert_eq!(journals[0], journals[1], "journal bytes changed run to run");
 }
 
 #[test]
