@@ -9,7 +9,7 @@ use gpmr_apps::text::Dictionary;
 use gpmr_apps::{kmc, lr, Benchmark};
 use gpmr_bench::harness::chunk_bytes_tuned;
 use gpmr_bench::perf as perfsuite;
-use gpmr_core::{EngineTuning, JobTimings, JobTrace, Journal, RunOpts};
+use gpmr_core::{EngineTuning, JobTimings, Journal, RunOpts};
 use gpmr_sim_gpu::{FaultPlan, GpuSpec, PcieLink};
 use gpmr_sim_net::{Cluster, CpuSpec, Nic, Topology};
 use gpmr_telemetry::analyze;
@@ -490,7 +490,7 @@ fn cmd_trace(tokens: &[String]) -> Result<String, CliError> {
         "summary" => {
             let snap =
                 export::snapshot_from_jsonl(&read_file(input)?).map_err(CliError::Invalid)?;
-            Ok(export::summary_report(&snap, &["Chunk"]).render_text())
+            Ok(export::summary_report(&snap).render_text())
         }
         other => Err(CliError::Invalid(format!(
             "unknown trace mode {other:?}; expected export, check, or summary"
@@ -809,7 +809,7 @@ fn run_benchmark(
         write_outputs(&mut out, snap, &outs)?;
         if want_trace {
             out.push('\n');
-            out.push_str(&JobTrace::from_telemetry(snap).gantt(gpus, 100));
+            out.push_str(&export::gantt(snap, gpus, 100));
         }
     }
     Ok((out, snap))

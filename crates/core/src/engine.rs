@@ -24,7 +24,7 @@ use gpmr_primitives::{
 };
 use gpmr_sim_gpu::{FaultPlan, Reservation, SimDuration, SimTime};
 use gpmr_sim_net::{Cluster, Mailbox};
-use gpmr_telemetry::{Counter, Registry, Telemetry};
+use gpmr_telemetry::{Counter, Registry, SpanKind, Telemetry};
 
 use crate::error::{EngineError, EngineResult};
 use crate::helpers::{charge_partition, combine_pairs, route_into, RouteScratch};
@@ -32,7 +32,6 @@ use crate::job::{GpmrJob, MapMode, PartitionMode, PipelineConfig, SortMode};
 use crate::journal::{fnv1a, hash_pairs, Fnv64, Journal, JournalRecord, RecordOutcome};
 use crate::scheduler::WorkQueues;
 use crate::stats::{JobTimings, StageTimes};
-use crate::trace::TraceKind;
 use crate::types::KvSet;
 use crate::Chunk;
 
@@ -352,7 +351,7 @@ impl<'j> EngineTel<'j> {
     fn event(
         &self,
         rank: u32,
-        kind: TraceKind,
+        kind: SpanKind,
         start: SimTime,
         end: SimTime,
         detail: impl FnOnce() -> String,
@@ -364,7 +363,7 @@ impl<'j> EngineTel<'j> {
     fn child_event(
         &self,
         rank: u32,
-        kind: TraceKind,
+        kind: SpanKind,
         start: SimTime,
         end: SimTime,
         parent: u64,
@@ -386,7 +385,7 @@ impl<'j> EngineTel<'j> {
             return;
         }
         self.tel
-            .span(rank, "Chunk", start.as_secs(), end.as_secs())
+            .span(rank, SpanKind::Chunk.name(), start.as_secs(), end.as_secs())
             .id(id)
             .name(format!("chunk {chunk_id}"))
             .attr("chunk", chunk_id.to_string())
@@ -421,7 +420,7 @@ impl<'j> EngineTel<'j> {
         if outcome == RecordOutcome::Flushed {
             ctx.flushes.inc();
             let on_disk = ctx.journal.replay_len() + ctx.journal.appended();
-            self.event(rank, TraceKind::JournalFlush, at, at, || {
+            self.event(rank, SpanKind::JournalFlush, at, at, || {
                 format!("{on_disk} record(s) durable")
             });
         }
@@ -465,7 +464,7 @@ pub fn run_job<J: GpmrJob>(
 
 /// [`run_job`] with explicit tuning, recording into `tel` (see
 /// [`RunOpts::tel`]). Snapshot the handle afterwards for export,
-/// [`JobTrace::from_telemetry`](crate::JobTrace) or `telemetry::analyze`.
+/// `telemetry::export::gantt` or `telemetry::analyze`.
 pub fn run_job_instrumented<J: GpmrJob>(
     cluster: &mut Cluster,
     job: &J,
@@ -671,14 +670,14 @@ impl<'a, J: GpmrJob> Run<'a, J> {
             })
             .collect();
         for &r in &reducers {
-            tel.event(r, TraceKind::Setup, SimTime::ZERO, setup, || {
+            tel.event(r, SpanKind::Setup, SimTime::ZERO, setup, || {
                 "job setup".into()
             });
         }
         if cfg.map_mode == MapMode::Accumulate {
             for &r in &reducers {
                 let (state, t) = job.accumulate_init(cluster.gpu(r), setup)?;
-                tel.event(r, TraceKind::AccumulateInit, setup, t, || {
+                tel.event(r, SpanKind::AccumulateInit, setup, t, || {
                     "accumulate init".into()
                 });
                 let s = &mut st[r as usize];
@@ -767,7 +766,7 @@ impl<'a, J: GpmrJob> Run<'a, J> {
             let begin = s.cursor;
             s.cursor += dur;
             self.tel.stalls.inc();
-            self.tel.event(r, TraceKind::Stall, begin, s.cursor, || {
+            self.tel.event(r, SpanKind::Stall, begin, s.cursor, || {
                 format!("injected stall ({dur})")
             });
         }
@@ -819,7 +818,7 @@ impl<'a, J: GpmrJob> Run<'a, J> {
         };
         gpu.note_resident(self.staging_slots * chunk.size_bytes());
         self.tel
-            .child_event(r, TraceKind::Upload, up.start, up.end, span, || {
+            .child_event(r, SpanKind::Upload, up.start, up.end, span, || {
                 format!("{} bytes", chunk.size_bytes())
             });
 
@@ -843,17 +842,17 @@ impl<'a, J: GpmrJob> Run<'a, J> {
     fn join(&mut self, r: u32, join: SimTime) -> EngineResult<()> {
         let ri = r as usize;
         self.tel.gpus_added.inc();
-        self.tel.event(r, TraceKind::GpuAdded, join, join, || {
+        self.tel.event(r, SpanKind::GpuAdded, join, join, || {
             "GPU joined the job mid-run".into()
         });
         let t0 = self.st[ri].compute_ready;
         self.tel
-            .event(r, TraceKind::Setup, join, t0, || "late-join setup".into());
+            .event(r, SpanKind::Setup, join, t0, || "late-join setup".into());
         self.tel
             .journal(r, join, || JournalRecord::GpuAdded { rank: r })?;
         if self.cfg.map_mode == MapMode::Accumulate {
             let (state, t) = self.job.accumulate_init(self.cluster.gpu(r), t0)?;
-            self.tel.event(r, TraceKind::AccumulateInit, t0, t, || {
+            self.tel.event(r, SpanKind::AccumulateInit, t0, t, || {
                 "accumulate init".into()
             });
             self.st[ri].accum = Some(state);
@@ -886,7 +885,7 @@ impl<'a, J: GpmrJob> Run<'a, J> {
         let bytes = c.1.serialize().len() as u64;
         let before = self.st[r as usize].cursor;
         let arrival = self.transfer(victim, r, before, bytes)?;
-        self.tel.event(r, TraceKind::Steal, before, arrival, || {
+        self.tel.event(r, SpanKind::Steal, before, arrival, || {
             format!("stole chunk from rank {victim}")
         });
         self.st[r as usize].cursor = arrival;
@@ -917,7 +916,7 @@ impl<'a, J: GpmrJob> Run<'a, J> {
             return self.kill_rank(r, t, Some((c.id, c.chunk)));
         }
         self.tel
-            .child_event(r, TraceKind::Map, c.ready, t, c.span, || {
+            .child_event(r, SpanKind::Map, c.ready, t, c.span, || {
                 "map+accumulate".into()
             });
         self.tel.chunk_span(r, c.span, c.id, c.up_start, t);
@@ -967,18 +966,14 @@ impl<'a, J: GpmrJob> Run<'a, J> {
             hash: hash_pairs(&pairs.keys, &pairs.vals),
         })?;
         self.tel
-            .child_event(r, TraceKind::Map, c.ready, map_end, c.span, || {
+            .child_event(r, SpanKind::Map, c.ready, map_end, c.span, || {
                 format!("{map_pairs} pairs")
             });
         if let Some((pr_start, pr_end, pr_pairs)) = partial {
-            self.tel.child_event(
-                r,
-                TraceKind::PartialReduce,
-                pr_start,
-                pr_end,
-                c.span,
-                || format!("-> {pr_pairs} pairs"),
-            );
+            self.tel
+                .child_event(r, SpanKind::PartialReduce, pr_start, pr_end, c.span, || {
+                    format!("-> {pr_pairs} pairs")
+                });
         }
         self.tel.pairs_emitted.add(map_pairs as u64);
         gpu.note_resident(c.chunk.size_bytes() + pairs.size_bytes());
@@ -1081,7 +1076,7 @@ impl<'a, J: GpmrJob> Run<'a, J> {
                             .min(Self::RETRY_BACKOFF_CAP_S),
                     );
                     self.tel
-                        .event(from, TraceKind::Retry, ready, ready + backoff, || {
+                        .event(from, SpanKind::Retry, ready, ready + backoff, || {
                             format!("transfer to rank {to} failed (attempt {attempt}); backing off")
                         });
                     ready += backoff;
@@ -1118,7 +1113,7 @@ impl<'a, J: GpmrJob> Run<'a, J> {
             if chunk_span.is_some() {
                 self.tel.child_event(
                     from,
-                    TraceKind::Download,
+                    SpanKind::Download,
                     down.start,
                     down.end,
                     parent,
@@ -1129,7 +1124,7 @@ impl<'a, J: GpmrJob> Run<'a, J> {
         };
         if chunk_span.is_some() {
             self.tel
-                .child_event(from, TraceKind::Partition, at, t_part, parent, String::new);
+                .child_event(from, SpanKind::Partition, at, t_part, parent, String::new);
         }
         self.tel.pairs_shuffled.add(pairs.len() as u64);
         let mut end = send_ready;
@@ -1143,7 +1138,7 @@ impl<'a, J: GpmrJob> Run<'a, J> {
             self.mailbox
                 .deliver(dest, from, seq, arrival, (range, max_radix));
             self.tel
-                .child_event(from, TraceKind::Send, send_ready, arrival, parent, || {
+                .child_event(from, SpanKind::Send, send_ready, arrival, parent, || {
                     format!("{bytes} bytes to rank {dest}")
                 });
             let s = &mut self.st[from as usize];
@@ -1178,7 +1173,7 @@ impl<'a, J: GpmrJob> Run<'a, J> {
         orphans.extend(self.queues.drain_rank(r));
         // Canonical migration order, independent of how the orphans mixed.
         orphans.sort_by_key(|&(id, _)| id);
-        self.tel.event(r, TraceKind::GpuLost, now, now, || {
+        self.tel.event(r, SpanKind::GpuLost, now, now, || {
             format!("GPU lost; {} chunks orphaned", orphans.len())
         });
         let live: Vec<u32> = (0..self.ranks())
@@ -1198,7 +1193,7 @@ impl<'a, J: GpmrJob> Run<'a, J> {
             self.displaced.insert(id);
             let bytes = chunk.serialize().len() as u64;
             let arrival = self.transfer(r, dest, now, bytes)?;
-            self.tel.event(r, TraceKind::Requeue, now, arrival, || {
+            self.tel.event(r, SpanKind::Requeue, now, arrival, || {
                 format!("chunk {id} -> rank {dest}")
             });
             self.tel.journal(r, arrival, || JournalRecord::Requeue {
@@ -1229,7 +1224,7 @@ impl<'a, J: GpmrJob> Run<'a, J> {
         };
         let chunks_committed: u32 = self.st.iter().map(|s| s.chunks_done).sum();
         let chunks_released = self.queues.drain_all().len() as u32;
-        self.tel.event(0, TraceKind::Cancelled, stop, stop, || {
+        self.tel.event(0, SpanKind::Cancelled, stop, stop, || {
             format!(
                 "run stopped: {chunks_committed} chunk(s) committed, {chunks_released} released"
             )
@@ -1282,7 +1277,7 @@ impl<'a, J: GpmrJob> Run<'a, J> {
                     let up = gpu.h2d(t0, store.size_bytes());
                     let (combined, t1) =
                         combine_pairs(gpu, up.end, store, |a, b| self.job.combine_op(a, b))?;
-                    self.tel.event(r, TraceKind::Combine, up.start, t1, || {
+                    self.tel.event(r, SpanKind::Combine, up.start, t1, || {
                         format!("-> {} pairs{}", combined.len(), exec_note(r, exec))
                     });
                     self.ship(r, exec, t1, combined, self.n_chunks + u64::from(r), None)?;
@@ -1312,7 +1307,7 @@ impl<'a, J: GpmrJob> Run<'a, J> {
                 self.tel.gpus_lost.inc();
                 last_sort_loss = Some(r);
                 self.tel
-                    .event(r, TraceKind::GpuLost, sort_ready, sort_ready, || {
+                    .event(r, SpanKind::GpuLost, sort_ready, sort_ready, || {
                         "GPU lost before sort".to_string()
                     });
                 self.tel
@@ -1457,7 +1452,7 @@ impl<'a, J: GpmrJob> Run<'a, J> {
         drop(inbox);
         let (skeys, svals, segs) = (&bufs.sort.keys, &bufs.sort.vals, &mut bufs.segs);
         let t2 = extract_segments_into(gpu, t1, skeys, segs)?;
-        self.tel.event(r, TraceKind::Sort, device_ready, t2, || {
+        self.tel.event(r, SpanKind::Sort, device_ready, t2, || {
             format!(
                 "{} pairs, {} unique keys{}",
                 skeys.len(),
@@ -1526,7 +1521,7 @@ impl<'a, J: GpmrJob> Run<'a, J> {
             transfers += 1;
         }
         if let Some(first) = first_start {
-            self.tel.event(r, TraceKind::Upload, first, last_end, || {
+            self.tel.event(r, SpanKind::Upload, first, last_end, || {
                 format!(
                     "{total_bytes} bytes of sort input in {transfers} transfers{}",
                     exec_note(r, exec)
@@ -1589,7 +1584,7 @@ impl<'a, J: GpmrJob> Run<'a, J> {
             i += take;
         }
         let down = gpu.d2h(t, out.size_bytes());
-        self.tel.event(r, TraceKind::Reduce, at, down.end, || {
+        self.tel.event(r, SpanKind::Reduce, at, down.end, || {
             format!("{} output pairs{}", out.len(), exec_note(r, exec))
         });
         self.st[r as usize].reduce_done = down.end;

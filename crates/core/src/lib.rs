@@ -103,7 +103,6 @@ pub mod pod;
 pub mod rounds;
 pub mod scheduler;
 pub mod stats;
-pub mod trace;
 pub mod types;
 
 pub use chunk::{Chunk, PairChunk, SliceChunk};
@@ -125,5 +124,4 @@ pub use rounds::{
 };
 pub use scheduler::WorkQueues;
 pub use stats::{efficiency, speedup, JobTimings, StageTimes};
-pub use trace::{JobTrace, TraceEvent, TraceKind};
 pub use types::{Key, KvSet, Value};

@@ -30,7 +30,7 @@
 
 use gpmr_sim_gpu::{SimDuration, SimTime};
 use gpmr_sim_net::Cluster;
-use gpmr_telemetry::Telemetry;
+use gpmr_telemetry::{SpanKind, Telemetry};
 
 use crate::chunk::{Chunk, PairChunk};
 use crate::engine::{run_job_with, EngineTuning, RunControl, RunOpts};
@@ -326,12 +326,17 @@ where
             chunks: n_chunks,
         });
         if tel.is_enabled() {
-            tel.span(0, "Round", round_start.as_secs(), clock.as_secs())
-                .name(format!("round {round}"))
-                .attr("round", round.to_string())
-                .attr("resident", resident.to_string())
-                .attr("chunks", n_chunks.to_string())
-                .record();
+            tel.span(
+                0,
+                SpanKind::Round.name(),
+                round_start.as_secs(),
+                clock.as_secs(),
+            )
+            .name(format!("round {round}"))
+            .attr("round", round.to_string())
+            .attr("resident", resident.to_string())
+            .attr("chunks", n_chunks.to_string())
+            .record();
         }
         if let Some(j) = journal.as_deref_mut() {
             let mut h = Fnv64::new();

@@ -37,8 +37,8 @@ use gpmr_sim_gpu::{FaultPlan, GpuSpec, SimTime};
 use gpmr_sim_net::Cluster;
 use gpmr_telemetry::alerts::Alert;
 use gpmr_telemetry::{
-    AlertEngine, AlertRule, Counter, FlightRecorder, Postmortem, Telemetry, TelemetrySnapshot,
-    TimeSeriesStore,
+    AlertEngine, AlertRule, Counter, FlightRecorder, Postmortem, SpanKind, Telemetry,
+    TelemetrySnapshot, TimeSeriesStore,
 };
 
 use crate::batch::{split_outputs, tag_chunks, SioBatchJob};
@@ -953,13 +953,13 @@ impl JobService {
         // carries the triggering job.
         let wait_end = started_s.unwrap_or(end_s).max(submit_s);
         let emit = |tel: &Telemetry| {
-            tel.span(track, "QueueWait", submit_s, wait_end)
+            tel.span(track, SpanKind::QueueWait.name(), submit_s, wait_end)
                 .name(format!("{id} wait"))
                 .attr("job", id.to_string())
                 .attr("kind", kind)
                 .record();
             if let Some(s) = started_s {
-                tel.span(track, "Job", s.min(end_s), end_s)
+                tel.span(track, SpanKind::Job.name(), s.min(end_s), end_s)
                     .name(id.to_string())
                     .attr("job", id.to_string())
                     .attr("kind", kind)

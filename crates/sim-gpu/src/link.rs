@@ -51,11 +51,6 @@ impl PcieLink {
         Self::new(3.2e9, 10.0e-6)
     }
 
-    /// Generation-2 x16 link (for ablations): ~6.2 GB/s effective.
-    pub fn gen2_x16() -> Self {
-        Self::new(6.2e9, 8.0e-6)
-    }
-
     /// Scale bandwidth down by `s`, keeping the initiation latency (see
     /// [`crate::GpuSpec::scaled`] for the workload-scaling rationale).
     pub fn scaled(mut self, s: f64) -> Self {

@@ -66,19 +66,9 @@ impl SimDuration {
         SimDuration(s.max(0.0))
     }
 
-    /// Construct from microseconds.
-    pub fn from_micros(us: f64) -> Self {
-        Self::from_secs(us * 1e-6)
-    }
-
     /// The span as fractional seconds.
     pub fn as_secs(self) -> f64 {
         self.0
-    }
-
-    /// The span as fractional milliseconds.
-    pub fn as_millis(self) -> f64 {
-        self.0 * 1e3
     }
 
     /// The larger of two spans.

@@ -13,7 +13,7 @@ use std::fmt;
 use crate::nic::{CpuSpec, Nic};
 use crate::topology::Topology;
 use gpmr_sim_gpu::{FaultPlan, SimDuration, SimTime, Timeline, TransferOutcome};
-use gpmr_telemetry::{Counter, Histogram, Telemetry};
+use gpmr_telemetry::{Counter, Histogram, SpanKind, Telemetry};
 
 /// Cached telemetry handles for the fabric (boxed so an uninstrumented
 /// `Fabric` pays only a pointer-sized `None`).
@@ -172,7 +172,7 @@ impl Fabric {
             t.tel
                 .span(
                     t.track_base + sn as u32,
-                    "NetSend",
+                    SpanKind::NetSend.name(),
                     sent.start.as_secs(),
                     recv.end.as_secs(),
                 )

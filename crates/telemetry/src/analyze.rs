@@ -24,113 +24,11 @@
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
-use std::fmt;
 
 use crate::json::Value;
+use crate::kind::SpanKind;
+pub use crate::kind::Stage;
 use crate::span::{SpanRecord, TelemetrySnapshot};
-
-/// Coarse pipeline stage a span kind belongs to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Stage {
-    /// Job setup (dictionary upload, accumulator init scheduling...).
-    Setup,
-    /// Host → device chunk transfers.
-    Upload,
-    /// Map kernels (including accumulate-mode map and accumulator init).
-    Map,
-    /// GPU-side partial reduction of map output.
-    PartialReduce,
-    /// Binning: partition, download, combine, and fabric sends.
-    Bin,
-    /// Keyspace sort on the reducing GPU.
-    Sort,
-    /// Reduce kernels.
-    Reduce,
-    /// Fault handling: retries, stalls, requeues, steals, losses.
-    Recovery,
-    /// Time a submitted job sat in the service queue before dispatch
-    /// (multi-tenant job service; see the `gpmr-service` crate).
-    QueueWait,
-    /// Anything not recognised above.
-    Other,
-}
-
-impl Stage {
-    /// Stage for a recorded span kind.
-    pub fn of_kind(kind: &str) -> Stage {
-        match kind {
-            "Setup" => Stage::Setup,
-            "Upload" => Stage::Upload,
-            "Map" | "AccumulateInit" => Stage::Map,
-            "PartialReduce" => Stage::PartialReduce,
-            "Partition" | "Download" | "Send" | "Combine" | "NetSend" => Stage::Bin,
-            "Sort" => Stage::Sort,
-            "Reduce" => Stage::Reduce,
-            "Retry" | "Stall" | "Requeue" | "Steal" | "GpuLost" | "Cancelled" => Stage::Recovery,
-            "QueueWait" => Stage::QueueWait,
-            _ => Stage::Other,
-        }
-    }
-
-    /// Stable display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Stage::Setup => "Setup",
-            Stage::Upload => "Upload",
-            Stage::Map => "Map",
-            Stage::PartialReduce => "PartialReduce",
-            Stage::Bin => "Bin",
-            Stage::Sort => "Sort",
-            Stage::Reduce => "Reduce",
-            Stage::Recovery => "Recovery",
-            Stage::QueueWait => "QueueWait",
-            Stage::Other => "Other",
-        }
-    }
-}
-
-impl fmt::Display for Stage {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Thresholds for [`analyze_with`]; [`Default`] matches `analyze`.
-#[derive(Clone, Debug)]
-pub struct AnalyzeConfig {
-    /// Container span kinds excluded from all accounting (they wrap their
-    /// children and would double-count).
-    pub container_kinds: Vec<String>,
-    /// A rank is a straggler when its active (busy + blocked) time exceeds
-    /// the mean across ranks by this factor...
-    pub straggler_factor: f64,
-    /// ...and by at least this share of the makespan in absolute terms
-    /// (guards against flagging noise on tiny jobs).
-    pub straggler_min_share: f64,
-    /// Map/send overlap is only judged when sends total at least this share
-    /// of the makespan.
-    pub overlap_min_send_share: f64,
-    /// Overlap ratio below this flags `PoorOverlap`.
-    pub poor_overlap_ratio: f64,
-    /// Sort's critical-path share above this flags `SortBound`.
-    pub sort_bound_share: f64,
-    /// Transfer retries at or above this flag `TransferRetryHotspot`.
-    pub retry_hotspot_min: u64,
-}
-
-impl Default for AnalyzeConfig {
-    fn default() -> Self {
-        AnalyzeConfig {
-            container_kinds: vec!["Chunk".to_string()],
-            straggler_factor: 1.25,
-            straggler_min_share: 0.02,
-            overlap_min_send_share: 0.05,
-            poor_overlap_ratio: 0.5,
-            sort_bound_share: 0.35,
-            retry_hotspot_min: 3,
-        }
-    }
-}
 
 /// One element of the critical path.
 #[derive(Clone, Debug)]
@@ -304,17 +202,13 @@ pub struct Analysis {
     pub findings: Vec<Finding>,
 }
 
-/// Analyze a snapshot with default thresholds.
+/// Analyze a snapshot. Container spans are left out of all accounting:
+/// they wrap their children and would count twice.
 pub fn analyze(snap: &TelemetrySnapshot) -> Analysis {
-    analyze_with(snap, &AnalyzeConfig::default())
-}
-
-/// Analyze a snapshot with explicit thresholds.
-pub fn analyze_with(snap: &TelemetrySnapshot, cfg: &AnalyzeConfig) -> Analysis {
     let spans: Vec<&SpanRecord> = snap
         .spans
         .iter()
-        .filter(|s| !cfg.container_kinds.contains(&s.kind))
+        .filter(|s| !SpanKind::from_name(&s.kind).is_some_and(SpanKind::is_container))
         .collect();
     let makespan_s = spans.iter().map(|s| s.end_s).fold(0.0, f64::max);
 
@@ -338,7 +232,7 @@ pub fn analyze_with(snap: &TelemetrySnapshot, cfg: &AnalyzeConfig) -> Analysis {
     let imbalance_cv = coefficient_of_variation(ranks.iter().map(|r| r.busy_s));
     let overlap = overlap_stats(&spans, &ranks);
 
-    let findings = find_findings(cfg, makespan_s, &stage_s, &ranks, overlap, snap, &spans);
+    let findings = find_findings(makespan_s, &stage_s, &ranks, overlap, snap, &spans);
 
     Analysis {
         makespan_s,
@@ -459,7 +353,7 @@ fn is_rank_track(snap: &TelemetrySnapshot, track: u32, spans: &[&SpanRecord]) ->
     }
     spans
         .iter()
-        .any(|s| s.track == track && s.kind != "NetSend")
+        .any(|s| s.track == track && s.kind != SpanKind::NetSend.name())
 }
 
 fn rank_activity(
@@ -526,7 +420,7 @@ fn overlap_stats(spans: &[&SpanRecord], ranks: &[RankActivity]) -> Option<Overla
             .collect();
         for s in spans
             .iter()
-            .filter(|s| s.track == r.track && s.kind == "Send")
+            .filter(|s| s.track == r.track && s.kind == SpanKind::Send.name())
         {
             send_s += s.duration_s();
             for &(a, b) in &map_iv {
@@ -549,9 +443,23 @@ fn overlap_stats(spans: &[&SpanRecord], ranks: &[RankActivity]) -> Option<Overla
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// A rank is a straggler when its active (busy + blocked) time exceeds
+/// the mean across ranks by this factor...
+const STRAGGLER_FACTOR: f64 = 1.25;
+/// ...and by at least this share of the makespan in absolute terms
+/// (guards against flagging noise on tiny jobs).
+const STRAGGLER_MIN_SHARE: f64 = 0.02;
+/// Map/send overlap is only judged when sends total at least this share
+/// of the makespan.
+const OVERLAP_MIN_SEND_SHARE: f64 = 0.05;
+/// Overlap ratio below this flags `PoorOverlap`.
+const POOR_OVERLAP_RATIO: f64 = 0.5;
+/// Sort's critical-path share above this flags `SortBound`.
+const SORT_BOUND_SHARE: f64 = 0.35;
+/// Transfer retries at or above this flag `TransferRetryHotspot`.
+const RETRY_HOTSPOT_MIN: u64 = 3;
+
 fn find_findings(
-    cfg: &AnalyzeConfig,
     makespan_s: f64,
     stage_s: &BTreeMap<Stage, f64>,
     ranks: &[RankActivity],
@@ -566,8 +474,8 @@ fn find_findings(
             ranks.iter().map(|r| r.busy_s + r.blocked_s).sum::<f64>() / ranks.len() as f64;
         for r in ranks {
             let active = r.busy_s + r.blocked_s;
-            if active > mean_active * cfg.straggler_factor
-                && active - mean_active > cfg.straggler_min_share * makespan_s
+            if active > mean_active * STRAGGLER_FACTOR
+                && active - mean_active > STRAGGLER_MIN_SHARE * makespan_s
             {
                 findings.push(Finding::Straggler {
                     rank: r.track,
@@ -579,7 +487,7 @@ fn find_findings(
     }
 
     if let Some(o) = overlap {
-        if o.send_s >= cfg.overlap_min_send_share * makespan_s && o.ratio < cfg.poor_overlap_ratio {
+        if o.send_s >= OVERLAP_MIN_SEND_SHARE * makespan_s && o.ratio < POOR_OVERLAP_RATIO {
             findings.push(Finding::PoorOverlap {
                 ratio: o.ratio,
                 send_s: o.send_s,
@@ -589,18 +497,18 @@ fn find_findings(
 
     if makespan_s > 0.0 {
         let sort_share = stage_s.get(&Stage::Sort).copied().unwrap_or(0.0) / makespan_s;
-        if sort_share > cfg.sort_bound_share {
+        if sort_share > SORT_BOUND_SHARE {
             findings.push(Finding::SortBound { share: sort_share });
         }
     }
 
     let mut retries_by_track: BTreeMap<u32, u64> = BTreeMap::new();
-    for s in spans.iter().filter(|s| s.kind == "Retry") {
+    for s in spans.iter().filter(|s| s.kind == SpanKind::Retry.name()) {
         *retries_by_track.entry(s.track).or_insert(0) += 1;
     }
     let span_retries: u64 = retries_by_track.values().sum();
     let retries = span_retries.max(snap.metrics.counter("engine.transfer_retries"));
-    if retries >= cfg.retry_hotspot_min {
+    if retries >= RETRY_HOTSPOT_MIN {
         let (worst_track, worst_track_retries) = retries_by_track
             .iter()
             .max_by_key(|(_, n)| **n)

@@ -1,6 +1,6 @@
 //! Exporters: Chrome trace-event / Perfetto JSON, a JSONL event stream,
-//! and a per-track utilization summary — plus a structural validator used
-//! by tests and CI.
+//! a per-track utilization summary and an ASCII Gantt chart — plus a
+//! structural validator used by tests and CI.
 //!
 //! ## Perfetto mapping
 //!
@@ -12,6 +12,7 @@
 use std::collections::BTreeMap;
 
 use crate::json::{parse, render_num, render_string, Value};
+use crate::kind::SpanKind;
 use crate::span::{CounterSample, SpanRecord, TelemetrySnapshot};
 
 const US_PER_S: f64 = 1e6;
@@ -26,7 +27,13 @@ const US_PER_S: f64 = 1e6;
 /// function is the reference those documents must equal byte for byte.
 pub fn to_perfetto_json(snap: &TelemetrySnapshot) -> String {
     let mut out = String::new();
-    write_preamble(&snap.tracks, &mut out);
+    let mut tracks = snap.tracks.clone();
+    let used = snap.spans.iter().map(|s| s.track);
+    name_used_tracks(
+        used.chain(snap.samples.iter().map(|c| c.track)),
+        &mut tracks,
+    );
+    write_preamble(&tracks, &mut out);
 
     // Emit timed events sorted by timestamp (Perfetto requires no ordering,
     // but sorted output is stable, diffs cleanly, and lets the validator
@@ -67,6 +74,19 @@ pub(crate) fn write_preamble(tracks: &BTreeMap<u32, String>, out: &mut String) {
         out.push_str(r#","args":{"name":"#);
         render_string(name, out);
         out.push_str("}}");
+    }
+}
+
+/// Name any track that carries events but was never named — the
+/// validator (and Perfetto itself) wants a thread_name per tid.
+pub(crate) fn name_used_tracks(
+    used: impl Iterator<Item = u32>,
+    tracks: &mut BTreeMap<u32, String>,
+) {
+    for track in used {
+        tracks
+            .entry(track)
+            .or_insert_with(|| format!("track {track}"));
     }
 }
 
@@ -223,7 +243,7 @@ pub fn snapshot_from_jsonl(text: &str) -> Result<TelemetrySnapshot, String> {
             .ok_or_else(|| format!("line {}: missing type", lineno + 1))?;
         match ty {
             "track" => {
-                let track = field_num(&v, "track", lineno)? as u32;
+                let track = field_uint(&v, "track", U32_LIMIT, lineno)? as u32;
                 let name = field_str(&v, "name", lineno)?;
                 snap.tracks.insert(track, name);
             }
@@ -236,27 +256,30 @@ pub fn snapshot_from_jsonl(text: &str) -> Result<TelemetrySnapshot, String> {
                     _ => Vec::new(),
                 };
                 snap.spans.push(SpanRecord {
-                    id: field_num(&v, "id", lineno)? as u64,
-                    parent: v.get("parent").and_then(Value::as_f64).map(|p| p as u64),
-                    track: field_num(&v, "track", lineno)? as u32,
+                    id: field_uint(&v, "id", U64_LIMIT, lineno)?,
+                    parent: v
+                        .get("parent")
+                        .map(|_| field_uint(&v, "parent", U64_LIMIT, lineno))
+                        .transpose()?,
+                    track: field_uint(&v, "track", U32_LIMIT, lineno)? as u32,
                     kind: field_str(&v, "kind", lineno)?,
                     name: field_str(&v, "name", lineno)?,
-                    start_s: field_num(&v, "start_s", lineno)?,
-                    end_s: field_num(&v, "end_s", lineno)?,
+                    start_s: field_time(&v, "start_s", lineno)?,
+                    end_s: field_time(&v, "end_s", lineno)?,
                     attrs,
                 });
             }
             "sample" => {
                 snap.samples.push(CounterSample {
-                    track: field_num(&v, "track", lineno)? as u32,
+                    track: field_uint(&v, "track", U32_LIMIT, lineno)? as u32,
                     series: field_str(&v, "series", lineno)?,
-                    ts_s: field_num(&v, "ts_s", lineno)?,
+                    ts_s: field_time(&v, "ts_s", lineno)?,
                     value: field_num(&v, "value", lineno)?,
                 });
             }
             "summary" => {
-                snap.dropped_spans = field_num(&v, "dropped_spans", lineno)? as u64;
-                snap.dropped_samples = field_num(&v, "dropped_samples", lineno)? as u64;
+                snap.dropped_spans = field_uint(&v, "dropped_spans", U64_LIMIT, lineno)?;
+                snap.dropped_samples = field_uint(&v, "dropped_samples", U64_LIMIT, lineno)?;
                 if let Some(metrics) = v.get("metrics") {
                     restore_metrics(metrics, &mut snap);
                 }
@@ -309,6 +332,39 @@ fn field_num(v: &Value, key: &str, lineno: usize) -> Result<f64, String> {
         .ok_or_else(|| format!("line {}: missing numeric field {key:?}", lineno + 1))
 }
 
+/// One past `u32::MAX` / `u64::MAX`, as `f64`.
+const U32_LIMIT: f64 = 4_294_967_296.0;
+const U64_LIMIT: f64 = 18_446_744_073_709_551_616.0;
+
+/// A whole number in `0..limit`. A cast would turn `-1`, `0.5` and `1e30`
+/// into some other track or id without a word.
+fn field_uint(v: &Value, key: &str, limit: f64, lineno: usize) -> Result<u64, String> {
+    let n = field_num(v, key, lineno)?;
+    if n >= 0.0 && n < limit && n.fract() == 0.0 {
+        Ok(n as u64)
+    } else {
+        Err(format!(
+            "line {}: field {key:?} is not an integer in range: {n:?}",
+            lineno + 1
+        ))
+    }
+}
+
+/// A simulated time in seconds: not negative, and finite in the
+/// microseconds [`to_perfetto_json`] writes — anything else would export
+/// to a document [`validate_perfetto`] rejects.
+fn field_time(v: &Value, key: &str, lineno: usize) -> Result<f64, String> {
+    let t = field_num(v, key, lineno)?;
+    if t >= 0.0 && (t * US_PER_S).is_finite() {
+        Ok(t)
+    } else {
+        Err(format!(
+            "line {}: field {key:?} is not a time: {t:?}",
+            lineno + 1
+        ))
+    }
+}
+
 fn field_str(v: &Value, key: &str, lineno: usize) -> Result<String, String> {
     v.get(key)
         .and_then(Value::as_str)
@@ -334,22 +390,21 @@ pub struct TrackSummary {
     pub name: String,
     /// Busy seconds per span kind, sorted by kind.
     pub busy_by_kind: BTreeMap<String, f64>,
-    /// Total busy seconds / snapshot end time. Overlapping spans (e.g. a
-    /// parent "Chunk" wrapping its stages) can push this above 1.
+    /// Total busy seconds / snapshot end time. Overlapping spans (an
+    /// upload under the previous chunk's map) can push this above 1.
     pub utilization: f64,
 }
 
-/// Compute a per-track utilization summary. Container kinds listed in
-/// `exclude_kinds` (e.g. `"Chunk"`) are ignored so wrappers don't double
-/// count their children.
-pub fn summary_report(snap: &TelemetrySnapshot, exclude_kinds: &[&str]) -> SummaryReport {
+/// Compute a per-track utilization summary. Container spans are ignored
+/// so wrappers don't double count their children.
+pub fn summary_report(snap: &TelemetrySnapshot) -> SummaryReport {
     let end_s = snap.end_s();
     let mut by_track: BTreeMap<u32, BTreeMap<String, f64>> = BTreeMap::new();
     for &track in snap.tracks.keys() {
         by_track.entry(track).or_default();
     }
     for s in &snap.spans {
-        if exclude_kinds.contains(&s.kind.as_str()) {
+        if SpanKind::from_name(&s.kind).is_some_and(SpanKind::is_container) {
             continue;
         }
         *by_track
@@ -398,6 +453,60 @@ impl SummaryReport {
         }
         out
     }
+}
+
+/// Render an ASCII Gantt chart of the spans whose [`SpanKind`] has a
+/// tag in the table, one row per track `0..ranks`, `width` columns of
+/// simulated time. Later spans overwrite earlier ones in a cell; kernels
+/// therefore show through the longer transfer windows they overlap.
+pub fn gantt(snap: &TelemetrySnapshot, ranks: u32, width: usize) -> String {
+    let width = width.max(10);
+    let drawn: Vec<(&SpanRecord, char)> = snap
+        .spans
+        .iter()
+        .filter_map(|s| Some((s, SpanKind::from_name(&s.kind)?.tag()?)))
+        .collect();
+    let end = drawn.iter().map(|(s, _)| s.end_s).fold(0.0, f64::max);
+    if end <= 0.0 {
+        return String::from("(empty trace)\n");
+    }
+    let col = |t: f64| (((t / end) * width as f64) as usize).min(width.saturating_sub(1));
+    let mut out = String::new();
+    // Wrap the header to ~78 columns.
+    let header = format!(
+        "time 0 .. {:.3} ms ({} columns; legend: {})",
+        end * 1e3,
+        width,
+        SpanKind::legend()
+    );
+    let mut line_len = 0;
+    for (i, word) in header.split(' ').enumerate() {
+        if i > 0 {
+            if line_len + 1 + word.len() > 78 {
+                out.push('\n');
+                line_len = 0;
+            } else {
+                out.push(' ');
+                line_len += 1;
+            }
+        }
+        out.push_str(word);
+        line_len += word.len();
+    }
+    out.push('\n');
+    for r in 0..ranks {
+        let mut row = vec![' '; width];
+        for (s, tag) in drawn.iter().filter(|(s, _)| s.track == r) {
+            let (c0, c1) = (col(s.start_s), col(s.end_s).max(col(s.start_s)));
+            for cell in row.iter_mut().take(c1 + 1).skip(c0) {
+                *cell = *tag;
+            }
+        }
+        out.push_str(&format!("rank {r:>3} |"));
+        out.extend(row);
+        out.push_str("|\n");
+    }
+    out
 }
 
 /// Structural statistics from a validated Perfetto file.
@@ -676,13 +785,43 @@ mod tests {
             end_s: 1.0,
             attrs: vec![],
         });
-        let report = summary_report(&snap, &["Chunk"]);
+        let report = summary_report(&snap);
         let t0 = report.tracks.iter().find(|t| t.track == 0).unwrap();
         assert!(!t0.busy_by_kind.contains_key("Chunk"));
         assert!((t0.busy_by_kind["Upload"] - 0.25).abs() < 1e-12);
         let text = report.render_text();
         assert!(text.contains("rank 0"));
         assert!(text.contains("Upload"));
+    }
+
+    #[test]
+    fn gantt_renders_rows_and_tags() {
+        let tel = crate::Telemetry::enabled();
+        tel.span(0, "Upload", 0.0, 0.1).record();
+        tel.span(0, "Map", 0.1, 0.4).record();
+        tel.span(1, "Map", 0.2, 0.3).record();
+        tel.span(0, "Sort", 0.5, 0.8).record();
+        // Neither has a tag: not drawn, and the chart ends at Sort's end.
+        tel.span(1, "Chunk", 0.0, 0.9).record();
+        tel.span(1, "NetSend", 0.0, 0.9).record();
+        let g = gantt(&tel.snapshot(), 2, 40);
+        assert!(g.starts_with("time 0 .. 800.000 ms (40 columns; legend: # setup,"));
+        assert!(g.contains("X gpu-lost"), "fault tags are in every header");
+        let rows: Vec<&str> = g.lines().filter(|l| l.starts_with("rank")).collect();
+        assert_eq!(rows.len(), 2);
+        assert!(rows[0].contains('M'));
+        assert!(rows[0].contains('S'));
+        assert!(rows[1].contains('M'));
+        // All rows same width.
+        assert_eq!(rows[0].len(), rows[1].len());
+    }
+
+    #[test]
+    fn empty_trace_renders_placeholder() {
+        assert_eq!(
+            gantt(&TelemetrySnapshot::default(), 4, 40),
+            "(empty trace)\n"
+        );
     }
 
     #[test]

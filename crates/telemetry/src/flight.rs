@@ -29,7 +29,8 @@ use std::io;
 use std::sync::Arc;
 
 use crate::export::{
-    write_counter_event, write_preamble, write_span_event, SpanPlace, PERFETTO_CLOSE,
+    name_used_tracks, write_counter_event, write_preamble, write_span_event, SpanPlace,
+    PERFETTO_CLOSE,
 };
 use crate::span::{CounterSample, SpanRecord, TelemetrySnapshot};
 use crate::Telemetry;
@@ -185,16 +186,6 @@ pub fn splice_snapshot(
         });
     }
     splice.name_tracks(&extra.tracks, label, &mut base.tracks);
-}
-
-/// Name any track that carries events but was never named — the
-/// validator (and Perfetto itself) wants a thread_name per tid.
-fn name_used_tracks(used: impl Iterator<Item = u32>, tracks: &mut BTreeMap<u32, String>) {
-    for track in used {
-        tracks
-            .entry(track)
-            .or_insert_with(|| format!("track {track}"));
-    }
 }
 
 /// One rendered event and what a dump needs to place it.

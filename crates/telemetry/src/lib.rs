@@ -38,6 +38,7 @@ pub mod baseline;
 pub mod export;
 pub mod flight;
 pub mod json;
+pub mod kind;
 pub mod metrics;
 pub mod span;
 pub mod timeseries;
@@ -46,6 +47,7 @@ use std::sync::Arc;
 
 pub use alerts::{Alert, AlertEngine, AlertRule};
 pub use flight::{FlightRecorder, Postmortem};
+pub use kind::SpanKind;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
 pub use span::{CounterSample, SpanRecord, SpanRecorder, TelemetrySnapshot};
 pub use timeseries::TimeSeriesStore;

@@ -21,7 +21,8 @@ pub struct SpanRecord {
     pub parent: Option<u64>,
     /// Track (lane) index — typically the GPU rank or a NIC lane.
     pub track: u32,
-    /// Coarse category, e.g. `"Map"`, `"Upload"`, `"Chunk"`, `"NetSend"`.
+    /// Coarse category: a [`SpanKind`](crate::SpanKind) name for everything
+    /// the product records; callers' own spans may carry any string.
     pub kind: String,
     /// Human-readable label (Perfetto slice name).
     pub name: String,

@@ -34,7 +34,7 @@ fn snap_of(spans: Vec<SpanRecord>) -> TelemetrySnapshot {
 #[test]
 fn zero_span_recorder_yields_empty_reports() {
     let snap = snap_of(vec![]);
-    let report = summary_report(&snap, &["Chunk"]);
+    let report = summary_report(&snap);
     assert_eq!(report.end_s, 0.0);
     assert!(report.tracks.is_empty());
     assert!(report.render_text().contains("span summary"));
@@ -55,7 +55,7 @@ fn single_track_job_summarizes_and_analyzes() {
         span(0, "Map", 1.0, 3.0),
         span(0, "Sort", 3.0, 4.0),
     ]);
-    let report = summary_report(&snap, &[]);
+    let report = summary_report(&snap);
     assert_eq!(report.tracks.len(), 1);
     let t = &report.tracks[0];
     assert!((t.utilization - 1.0).abs() < 1e-12, "{}", t.utilization);
@@ -79,7 +79,7 @@ fn identical_start_and_end_spans_are_harmless() {
         span(0, "Requeue", 1.0, 1.0),
         span(0, "Map", 0.0, 2.0),
     ]);
-    let report = summary_report(&snap, &[]);
+    let report = summary_report(&snap);
     assert!((report.tracks[0].utilization - 1.0).abs() < 1e-12);
 
     let a = analyze(&snap);
@@ -93,7 +93,7 @@ fn identical_start_and_end_spans_are_harmless() {
 #[test]
 fn all_zero_duration_spans_do_not_blow_up() {
     let snap = snap_of(vec![span(0, "Map", 1.0, 1.0), span(1, "Sort", 1.0, 1.0)]);
-    let report = summary_report(&snap, &[]);
+    let report = summary_report(&snap);
     assert_eq!(report.end_s, 1.0);
     for t in &report.tracks {
         assert_eq!(t.utilization, 0.0);

@@ -6,9 +6,9 @@
 //! Run with: `cargo run --release --example schedule_trace`
 //! Then open `target/schedule_trace.json` in https://ui.perfetto.dev
 
-use gpmr::core::{run_job_instrumented, EngineTuning, JobTrace, TraceKind};
+use gpmr::core::{run_job_instrumented, EngineTuning};
 use gpmr::prelude::*;
-use gpmr::telemetry::{export, Telemetry};
+use gpmr::telemetry::{export, SpanKind, Telemetry};
 use gpmr_apps::sio::{generate_integers, sio_chunks};
 
 fn main() {
@@ -34,9 +34,8 @@ fn main() {
     .expect("job failed");
     let snap = tel.snapshot();
 
-    // The classic Gantt chart is derived from the same recording.
-    let trace = JobTrace::from_telemetry(&snap);
-    println!("{}", trace.gantt(gpus, 110));
+    // The Gantt chart is one more exporter over the same recording.
+    println!("{}", export::gantt(&snap, gpus, 110));
     println!("simulated time: {}", result.total_time());
     println!(
         "recorded: {} spans, {} counter samples, {} metrics",
@@ -47,19 +46,23 @@ fn main() {
 
     // Quantify the overlap the chart shows: how much upload time hides
     // under map kernels.
-    for r in 0..gpus {
-        let upload = trace.busy_by_kind(r, TraceKind::Upload);
-        let map = trace.busy_by_kind(r, TraceKind::Map);
-        let sort = trace.busy_by_kind(r, TraceKind::Sort);
-        println!("rank {r}: upload busy {upload}, map busy {map}, sort busy {sort}");
+    let summary = export::summary_report(&snap);
+    for t in summary.tracks.iter().take(gpus as usize) {
+        let busy = |kind: SpanKind| {
+            SimDuration::from_secs(t.busy_by_kind.get(kind.name()).copied().unwrap_or(0.0))
+        };
+        println!(
+            "rank {}: upload busy {}, map busy {}, sort busy {}",
+            t.track,
+            busy(SpanKind::Upload),
+            busy(SpanKind::Map),
+            busy(SpanKind::Sort)
+        );
     }
 
-    // Per-track utilization from the span recording ("Chunk" container
-    // spans excluded so they don't double-count their children).
-    println!(
-        "\n{}",
-        export::summary_report(&snap, &["Chunk"]).render_text()
-    );
+    // Per-track utilization from the same summary (container spans are
+    // left out so they don't double-count their children).
+    println!("\n{}", summary.render_text());
 
     // Key counters from the metrics registry.
     for key in [

@@ -16,30 +16,29 @@ use std::sync::Arc;
 use gpmr::apps::{text, wo};
 use gpmr::core::{
     run_job, run_job_instrumented, EngineError, EngineResult, EngineTuning, JobResult, JobTimings,
-    JobTrace, TraceKind,
 };
 use gpmr::prelude::*;
 use gpmr::sim_gpu::FaultPlan;
 use gpmr::sim_net::TransferFault;
-use gpmr::telemetry::Telemetry;
+use gpmr::telemetry::{SpanKind, Telemetry, TelemetrySnapshot};
 use gpmr_apps::sio::{self, sio_chunks};
 
-/// A job result with the schedule trace of the run.
-type Traced<J> = (
+/// A job result with the recording of the run.
+type Recorded<J> = (
     JobResult<<J as GpmrJob>::Key, <J as GpmrJob>::Value>,
-    JobTrace,
+    TelemetrySnapshot,
 );
 
 /// Run `job` recording into a private telemetry handle; returns the
-/// result with the schedule trace derived from the recording.
-fn run_job_traced<J: GpmrJob>(
+/// result with the recording.
+fn run_recorded<J: GpmrJob>(
     cluster: &mut Cluster,
     job: &J,
     chunks: Vec<J::Chunk>,
-) -> EngineResult<Traced<J>> {
+) -> EngineResult<Recorded<J>> {
     let tel = Telemetry::enabled();
     let result = run_job_instrumented(cluster, job, chunks, &EngineTuning::default(), &tel)?;
-    Ok((result, JobTrace::from_telemetry(&tel.snapshot())))
+    Ok((result, tel.snapshot()))
 }
 
 const RANKS: u32 = 4;
@@ -173,7 +172,7 @@ fn transient_transfer_failures_retry_and_converge() {
 
     let data = sio_data();
     let mut cluster = cluster_with(Some(plan));
-    let (result, trace) = run_job_traced(
+    let (result, trace) = run_recorded(
         &mut cluster,
         &SioJob::default(),
         sio_chunks(&data, 16 * 1024),
@@ -185,7 +184,7 @@ fn transient_transfer_failures_retry_and_converge() {
         result.timings.transfer_retries > 0,
         "retries must be counted in JobTimings"
     );
-    let retries_traced = trace.events_of(TraceKind::Retry).count() as u32;
+    let retries_traced = trace.spans_of(SpanKind::Retry.name()).count() as u32;
     assert_eq!(
         retries_traced, result.timings.transfer_retries,
         "every retry must appear in the trace"
@@ -253,7 +252,7 @@ fn identical_seeds_reproduce_identical_plans_traces_and_timings() {
     let data = sio_data();
     let run = |plan: &FaultPlan| {
         let mut cluster = cluster_with(Some(plan.clone()));
-        run_job_traced(
+        run_recorded(
             &mut cluster,
             &SioJob::default(),
             sio_chunks(&data, 16 * 1024),
@@ -265,8 +264,7 @@ fn identical_seeds_reproduce_identical_plans_traces_and_timings() {
     assert_eq!(res_a.outputs, res_b.outputs);
     assert_eq!(res_a.timings, res_b.timings);
     assert_eq!(
-        trace_a.to_csv(),
-        trace_b.to_csv(),
+        trace_a.spans, trace_b.spans,
         "identical seeds must replay identical schedules"
     );
 }
@@ -282,7 +280,7 @@ fn mid_job_gpu_add_steals_work_and_preserves_output() {
     let data = sio_data();
     let mut cluster = Cluster::accelerator(RANKS + 1, GpuSpec::gt200());
     cluster.set_fault_plan(Some(FaultPlan::new().add(RANKS, join_at)));
-    let (result, trace) = run_job_traced(
+    let (result, trace) = run_recorded(
         &mut cluster,
         &SioJob::default(),
         sio_chunks(&data, 16 * 1024),
@@ -292,7 +290,7 @@ fn mid_job_gpu_add_steals_work_and_preserves_output() {
 
     assert_eq!(t.gpus_added, 1, "the join must be counted");
     assert_eq!(
-        trace.events_of(TraceKind::GpuAdded).count(),
+        trace.spans_of(SpanKind::GpuAdded.name()).count(),
         1,
         "the join must appear in the trace"
     );
