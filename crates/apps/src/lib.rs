@@ -39,7 +39,7 @@ pub use datasets::{strong_workload, Benchmark, Workload};
 pub use iterative::{run_kmeans, KmcRounds, KmeansResult};
 pub use kmc::KmcJob;
 pub use lr::LrJob;
-pub use mm::{run_mm, run_mm_default, Matrix, MmMapJob, MmResult, MmSumJob};
+pub use mm::{run_mm, Matrix, MmMapJob, MmResult, MmSumJob};
 pub use mph::MinimalPerfectHash;
 pub use sio::SioJob;
 pub use ssort::{SsortJob, SsortRounds};

@@ -469,11 +469,6 @@ pub fn run_mm(
     })
 }
 
-/// [`run_mm`] with a generic default granularity (32x32x32 tile blocks).
-pub fn run_mm_default(cluster: &mut Cluster, a: &Matrix, b: &Matrix) -> EngineResult<MmResult> {
-    run_mm(cluster, a, b, 32, 32, 32)
-}
-
 /// Pick chunk granularity for `n_tiles` on `gpus` GPUs with
 /// `capacity_bytes` of device memory. A chunk's PCI-e arithmetic
 /// intensity is `8 * side * kb / (2 * kb + side)` flops per byte, so the

@@ -53,20 +53,6 @@ impl Dictionary {
         Dictionary { words, mph }
     }
 
-    /// Load a dictionary from newline-separated words in a text file
-    /// (blank lines skipped, duplicates removed, order preserved).
-    pub fn from_word_file(path: &std::path::Path) -> std::io::Result<Self> {
-        let content = std::fs::read(path)?;
-        let mut seen = std::collections::HashSet::new();
-        let words: Vec<Vec<u8>> = content
-            .split(|&b| b == b'\n' || b == b'\r')
-            .filter(|w| !w.is_empty())
-            .filter(|w| seen.insert(w.to_vec()))
-            .map(<[u8]>::to_vec)
-            .collect();
-        Ok(Self::from_words(words))
-    }
-
     /// Number of words.
     pub fn len(&self) -> usize {
         self.words.len()
@@ -185,7 +171,7 @@ mod tests {
     }
 
     #[test]
-    fn dictionary_from_words_and_file() {
+    fn dictionary_from_words() {
         let words: Vec<Vec<u8>> = ["alpha", "beta", "gamma", "delta"]
             .iter()
             .map(|w| w.as_bytes().to_vec())
@@ -197,14 +183,6 @@ mod tests {
             &words.iter().map(Vec::as_slice).collect::<Vec<_>>()
         )
         .is_some());
-
-        // Round-trip through a word file (with duplicates and blanks).
-        let path = std::env::temp_dir().join("gpmr_dict_test.txt");
-        std::fs::write(&path, "alpha\nbeta\n\ngamma\nbeta\ndelta\n").unwrap();
-        let d2 = Dictionary::from_word_file(&path).unwrap();
-        assert_eq!(d2.len(), 4);
-        assert_eq!(d2.words, d.words);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

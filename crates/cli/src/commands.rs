@@ -1,6 +1,7 @@
 //! Subcommand implementations. All output goes through the returned
 //! `String` so commands are unit-testable without capturing stdout.
 
+use std::ops::Bound::{Excluded, Included};
 use std::sync::Arc;
 
 use gpmr_apps::datasets::second_seed;
@@ -16,7 +17,8 @@ use gpmr_telemetry::analyze;
 use gpmr_telemetry::baseline::{diff_sets, BaselineSet, Verdict};
 use gpmr_telemetry::{export, Telemetry, TelemetrySnapshot};
 
-use crate::args::{ArgError, Args};
+use crate::args::Kind::{Float, Switch, Text, Uint};
+use crate::args::{ArgError, Args, Flag, Kind};
 
 /// The one place the CLI asks "is it MM?": MM's two phases run outside
 /// the tuned, instrumented, journaled engine, so it cannot be analyzed,
@@ -24,6 +26,9 @@ use crate::args::{ArgError, Args};
 fn outside_engine(bench: Benchmark) -> bool {
     bench == Benchmark::Mm
 }
+
+/// The largest MM order: its square is the largest element count.
+const MM_MAX_ORDER: usize = 1 << 16;
 
 /// The benchmarks' `--benchmark` spellings, in table order; `engine_only`
 /// leaves out what `analyze` cannot run.
@@ -35,10 +40,14 @@ fn bench_names(engine_only: bool) -> Vec<String> {
         .collect()
 }
 
-/// `"a, b, or c"`.
+/// `"a"`, `"a or b"`, `"a, b, or c"`.
 fn or_list(names: &[String]) -> String {
-    let (last, rest) = names.split_last().expect("the table has benchmarks");
-    format!("{}, or {last}", rest.join(", "))
+    match names {
+        [one] => one.clone(),
+        [one, other] => format!("{one} or {other}"),
+        [rest @ .., last] => format!("{}, or {last}", rest.join(", ")),
+        [] => String::new(),
+    }
 }
 
 /// The help text.
@@ -80,8 +89,8 @@ USAGE:
 
 RUN OPTIONS:
     --benchmark   which paper benchmark to run (required)
-    --gpus        cluster size in GPUs                    [default: 4]
-    --size        elements (or matrix order for mm)       [default: per benchmark]
+    --gpus        cluster size in GPUs                    [default: 4; 1..=1024]
+    --size        elements (or matrix order for mm)       [default: per benchmark; <= 2^32]
     --scale       workload/hardware scale divisor         [default: 1]
     --seed        workload generator seed                 [default: 42]
     --trace       print an ASCII Gantt chart of the schedule
@@ -94,7 +103,7 @@ RUN OPTIONS:
                   workload --partition=range exists for
     --pipeline-depth
                   upload pipeline depth: H2D copy buffers in flight per
-                  rank; 1 disables pipelining             [default: 4]
+                  rank; 1 disables pipelining             [default: 4; 1..=64]
     --gpu-direct  shuffle pairs GPU-to-GPU over the fabric instead of
                   bouncing through host staging buffers
     --metrics-out write a metrics snapshot to F (JSON when F ends in
@@ -122,7 +131,7 @@ RUN OPTIONS:
                   trimmed, a mismatched job aborts with a divergence error
     --checkpoint-every
                   flush the journal every N records (stage-barrier
-                  records always flush immediately)      [default: 1]
+                  records always flush immediately)      [default: 1; at least 1]
 
 ANALYZE:
     Performance diagnosis: critical-path extraction with per-stage
@@ -130,8 +139,8 @@ ANALYZE:
     map/send overlap, and named findings (stragglers, poor overlap,
     sort-bound jobs, transfer-retry hotspots). Reads a recorded
     --events-out JSONL stream (--events F) or runs a benchmark live
-    (--benchmark plus the RUN OPTIONS above). --json emits the
-    machine-readable twin of the report.
+    (--benchmark plus the RUN OPTIONS above, --trace aside). --json
+    emits the machine-readable twin of the report.
 
 TRACE SUBCOMMAND:
     export        convert a --events-out JSONL stream to Perfetto JSON
@@ -148,15 +157,15 @@ SERVE:
     Submit flags: batch (small-job batching), journal (write-ahead
     journal), kill=R@T (fail-stop GPU R at T seconds into the job),
     deadline=D (cancel D seconds after submission), priority=P.
-    --gpus GPUs per engine slot [default: 4]; --engines concurrent jobs
-    [default: 2]; --queue-depth admission limit [default: 64];
-    --batch-window seconds [default: 0.05]; --batch-max members
-    [default: 4]. Prints one line per action and per job, then tenant
-    and service summaries, the per-tenant SLO report, and any alert and
-    postmortem lines; per-tenant activity exports as separate Perfetto
-    tracks via --trace-out/--events-out.
+    --gpus GPUs per engine slot [default: 4; 1..=1024]; --engines
+    concurrent jobs [default: 2; 0..=1024]; --queue-depth admission limit
+    [default: 64; 0..=1024]; --batch-window seconds [default: 0.05; >= 0];
+    --batch-max members [default: 4; 0..=1024]. Prints one line per action
+    and per job, then tenant and service summaries, the per-tenant SLO
+    report, and any alert and postmortem lines; per-tenant activity exports
+    as separate Perfetto tracks via --trace-out/--events-out.
     --slo-target  deadline hit-rate objective; 1 - T is the error
-                  budget in the SLO report               [default: 0.95]
+                  budget in the SLO report               [default: 0.95; in [0, 1)]
     --alerts      `;`-separated alert rules evaluated at every event
                   boundary over sliding-window series, e.g.
                   'deep: last(service.queue_depth) > 8 for 0.001;
@@ -220,38 +229,148 @@ impl From<ArgError> for CliError {
     }
 }
 
-/// Option names the subcommands accept.
-pub const VALUED: &[&str] = &[
-    "benchmark",
-    "gpus",
-    "size",
-    "scale",
-    "seed",
-    "points",
-    "k",
-    "iterations",
-    "fault-plan",
-    "fault-seed",
-    "journal",
-    "checkpoint-every",
-    "pipeline-depth",
-    "metrics-out",
-    "trace-out",
-    "events-out",
-    "events",
-    "workload",
-    "engines",
-    "queue-depth",
-    "batch-window",
-    "batch-max",
-    "partition",
-    "zipf",
-    "slo-target",
-    "alerts",
-    "flight-dir",
+/// The largest element count a size flag accepts: above the paper's
+/// largest input (512 M elements), and small enough that no product with
+/// an element size overflows `isize`.
+const ELEMS: u64 = 1 << 32;
+/// The largest count of GPUs, engine slots, queue and batch entries.
+const SLOTS: u64 = 1024;
+
+const fn flag(name: &'static str, kind: Kind) -> Flag {
+    Flag { name, kind }
+}
+
+const SEED: Flag = flag("seed", Uint(0, u64::MAX));
+const SCALE: Flag = flag("scale", Uint(0, u64::MAX));
+const EVENTS: Flag = flag("events", Text);
+const JSON: Flag = flag("json", Switch);
+const IN: Flag = flag("in", Text);
+const OUT: Flag = flag("out", Text);
+
+/// Read by every command that builds a cluster.
+pub const CLUSTER: &[Flag] = &[flag("gpus", Uint(1, SLOTS))];
+/// `run`'s options, which `analyze` shares: the job and its engine tuning.
+pub const RUN: &[Flag] = &[
+    flag("benchmark", Text),
+    flag("size", Uint(0, ELEMS)),
+    SCALE,
+    SEED,
+    flag("partition", Text),
+    flag("zipf", Float(Excluded(0.0), f64::INFINITY)),
+    flag("pipeline-depth", Uint(1, 64)),
+    flag("gpu-direct", Switch),
+    flag("fault-plan", Text),
+    flag("fault-seed", Uint(0, u64::MAX)),
 ];
-/// Boolean flags.
-pub const BOOLEAN: &[&str] = &["trace", "json", "gpu-direct", "resume"];
+/// Telemetry export files.
+pub const OUTPUTS: &[Flag] = &[
+    flag("metrics-out", Text),
+    flag("trace-out", Text),
+    flag("events-out", Text),
+];
+/// The write-ahead journal.
+pub const JOURNAL: &[Flag] = &[
+    flag("journal", Text),
+    flag("resume", Switch),
+    flag("checkpoint-every", Uint(1, u32::MAX as u64)),
+];
+/// The job service, for `serve`, `slo report` and `metrics export`.
+pub const SERVICE: &[Flag] = &[
+    flag("workload", Text),
+    flag("engines", Uint(0, SLOTS)),
+    flag("queue-depth", Uint(0, SLOTS)),
+    flag("batch-window", Float(Included(0.0), f64::INFINITY)),
+    flag("batch-max", Uint(0, SLOTS)),
+    flag("slo-target", Float(Included(0.0), 1.0)),
+    flag("alerts", Text),
+];
+const KMEANS: &[Flag] = &[
+    flag("points", Uint(0, ELEMS)),
+    flag("k", Uint(1, ELEMS)),
+    flag("iterations", Uint(0, u32::MAX as u64)),
+    SEED,
+];
+const PERF_DIFF: &[Flag] = &[
+    flag("baseline", Text),
+    flag("against", Text),
+    flag("tolerance", Float(Included(0.0), f64::INFINITY)),
+    JSON,
+];
+
+/// One `gpmr` subcommand: the flags it reads and the function that runs it.
+pub struct Command {
+    /// The subcommand.
+    pub name: &'static str,
+    /// The mode word after it (`trace export`); empty for a command without.
+    pub mode: &'static str,
+    /// The groups and flags the handler reads; [`Args::parse`] refuses the rest.
+    pub groups: &'static [&'static [Flag]],
+    /// The handler.
+    pub run: fn(&Args) -> Result<String, CliError>,
+}
+
+impl Command {
+    /// Every flag the command accepts.
+    pub fn flags(&self) -> impl Iterator<Item = &'static Flag> {
+        self.groups.iter().flat_map(|group| group.iter())
+    }
+}
+
+const fn row(
+    name: &'static str,
+    mode: &'static str,
+    groups: &'static [&'static [Flag]],
+    run: fn(&Args) -> Result<String, CliError>,
+) -> Command {
+    Command {
+        name,
+        mode,
+        groups,
+        run,
+    }
+}
+
+/// The command table: the one place a subcommand, the flags it accepts and
+/// their ranges are declared.
+pub const COMMANDS: &[Command] = &[
+    row(
+        "run",
+        "",
+        &[CLUSTER, RUN, OUTPUTS, JOURNAL, &[flag("trace", Switch)]],
+        cmd_run,
+    ),
+    row(
+        "analyze",
+        "",
+        &[CLUSTER, RUN, OUTPUTS, JOURNAL, &[EVENTS, JSON]],
+        cmd_analyze,
+    ),
+    row("kmeans", "", &[CLUSTER, JOURNAL, KMEANS], cmd_kmeans),
+    row(
+        "serve",
+        "",
+        &[CLUSTER, SERVICE, OUTPUTS, &[flag("flight-dir", Text)]],
+        cmd_serve,
+    ),
+    row("info", "", &[CLUSTER], cmd_info),
+    row("trace", "export", &[&[IN, OUT]], trace_export),
+    row("trace", "check", &[&[IN]], trace_check),
+    row("trace", "summary", &[&[IN]], trace_summary),
+    row("perf", "record", &[&[OUT, SCALE]], perf_record),
+    row("perf", "diff", &[PERF_DIFF], perf_diff),
+    row(
+        "slo",
+        "report",
+        &[CLUSTER, SERVICE, &[JSON, flag("html", Switch), OUT]],
+        slo_report,
+    ),
+    row(
+        "metrics",
+        "export",
+        &[CLUSTER, SERVICE, &[flag("format", Text), OUT]],
+        metrics_export,
+    ),
+];
 
 /// Parse tokens and execute; returns the text to print.
 pub fn dispatch<I, S>(tokens: I) -> Result<String, CliError>
@@ -260,38 +379,31 @@ where
     S: Into<String>,
 {
     let tokens: Vec<String> = tokens.into_iter().map(Into::into).collect();
-    // `trace` takes a mode positional (`export`/`check`/`summary`), which
-    // the generic parser would reject; route it before Args::parse.
-    if tokens.first().map(String::as_str) == Some("trace") {
-        return cmd_trace(&tokens[1..]);
-    }
-    // `perf` takes a mode positional too (`record`/`diff`).
-    if tokens.first().map(String::as_str) == Some("perf") {
-        return cmd_perf(&tokens[1..]);
-    }
-    // So do `slo` (`report`) and `metrics` (`export`).
-    if tokens.first().map(String::as_str) == Some("slo") {
-        return cmd_slo(&tokens[1..]);
-    }
-    if tokens.first().map(String::as_str) == Some("metrics") {
-        return cmd_metrics(&tokens[1..]);
-    }
-    let args = match Args::parse(tokens, VALUED, BOOLEAN) {
-        Ok(a) => a,
-        Err(ArgError::MissingSubcommand) => return Ok(help()),
-        Err(e) => return Err(e.into()),
+    let name = match tokens.first().map(String::as_str) {
+        None | Some("help" | "-h") => return Ok(help()),
+        Some(option) if option.starts_with("--") => return Ok(help()),
+        Some(name) => name,
     };
-    match args.subcommand.as_str() {
-        "run" => cmd_run(&args),
-        "kmeans" => cmd_kmeans(&args),
-        "analyze" => cmd_analyze(&args),
-        "serve" => cmd_serve(&args),
-        "info" => cmd_info(&args),
-        "help" | "--help" | "-h" => Ok(help()),
-        other => Err(CliError::Invalid(format!(
-            "unknown subcommand {other:?}; try `gpmr help`"
-        ))),
+    let rows: Vec<&Command> = COMMANDS.iter().filter(|c| c.name == name).collect();
+    let (mut row, mut rest) = match rows.first() {
+        Some(first) => (*first, &tokens[1..]),
+        None => {
+            let unknown = format!("unknown subcommand {name:?}; try `gpmr help`");
+            return Err(CliError::Invalid(unknown));
+        }
+    };
+    if !row.mode.is_empty() {
+        let modes = or_list(&rows.iter().map(|c| c.mode.to_string()).collect::<Vec<_>>());
+        let Some(mode) = rest.first().filter(|m| !m.starts_with("--")) else {
+            return Err(CliError::Invalid(format!("{name} needs a mode: {modes}")));
+        };
+        let Some(found) = rows.iter().find(|c| c.mode == mode) else {
+            let unknown = format!("unknown {name} mode {mode:?}; expected {modes}");
+            return Err(CliError::Invalid(unknown));
+        };
+        (row, rest) = (*found, &rest[1..]);
     }
+    (row.run)(&Args::parse(rest, row)?)
 }
 
 fn report(label: &str, gpus: u32, items: u64, tm: &JobTimings) -> String {
@@ -333,25 +445,9 @@ fn report(label: &str, gpus: u32, items: u64, tm: &JobTimings) -> String {
     )
 }
 
-/// Output files requested with `--metrics-out`/`--trace-out`/`--events-out`.
-struct OutFiles {
-    metrics: Option<String>,
-    trace: Option<String>,
-    events: Option<String>,
-}
-
-impl OutFiles {
-    fn from_args(args: &Args) -> OutFiles {
-        OutFiles {
-            metrics: args.get("metrics-out").map(str::to_string),
-            trace: args.get("trace-out").map(str::to_string),
-            events: args.get("events-out").map(str::to_string),
-        }
-    }
-
-    fn any(&self) -> bool {
-        self.metrics.is_some() || self.trace.is_some() || self.events.is_some()
-    }
+/// Whether an output file was requested, so the run must record telemetry.
+fn wants_outputs(args: &Args) -> bool {
+    OUTPUTS.iter().any(|flag| args.flag(flag.name))
 }
 
 fn write_file(path: &str, contents: &str) -> Result<(), CliError> {
@@ -364,47 +460,30 @@ fn read_file(path: &str) -> Result<String, CliError> {
 }
 
 /// `--journal`/`--resume`/`--checkpoint-every`, validated together.
-struct JournalOpts {
-    path: Option<String>,
-    resume: bool,
-    every: u32,
+fn check_journal_flags(args: &Args) -> Result<(), CliError> {
+    if !args.flag("journal") && (args.flag("resume") || args.flag("checkpoint-every")) {
+        return Err(CliError::Invalid(
+            "--resume/--checkpoint-every need --journal <file>".into(),
+        ));
+    }
+    Ok(())
 }
 
-impl JournalOpts {
-    fn from_args(args: &Args) -> Result<JournalOpts, CliError> {
-        let path = args.get("journal").map(str::to_string);
-        let resume = args.flag("resume");
-        let every: u32 = args.get_or("checkpoint-every", 1)?;
-        if path.is_none() && (resume || args.get("checkpoint-every").is_some()) {
-            return Err(CliError::Invalid(
-                "--resume/--checkpoint-every need --journal <file>".into(),
-            ));
-        }
-        if every == 0 {
-            return Err(CliError::Invalid(
-                "--checkpoint-every must be positive".into(),
-            ));
-        }
-        Ok(JournalOpts {
-            path,
-            resume,
-            every,
-        })
-    }
-
-    /// Open the journal: truncate-and-create for a fresh run, scan and
-    /// trim the valid prefix for `--resume`.
-    fn open(&self) -> Result<Option<Journal>, CliError> {
-        let Some(p) = &self.path else { return Ok(None) };
-        let journal = if self.resume {
-            Journal::resume(p, self.every)
-        } else {
-            Journal::create(p, self.every)
-        };
-        journal
-            .map(Some)
-            .map_err(|e| CliError::Invalid(format!("cannot open journal {p}: {e}")))
-    }
+/// Open the `--journal`: truncate-and-create for a fresh run, scan and
+/// trim the valid prefix for `--resume`.
+fn open_journal(args: &Args) -> Result<Option<Journal>, CliError> {
+    let Some(p) = args.get("journal") else {
+        return Ok(None);
+    };
+    let every = args.num("checkpoint-every").unwrap_or(1);
+    let journal = if args.flag("resume") {
+        Journal::resume(p, every)
+    } else {
+        Journal::create(p, every)
+    };
+    journal
+        .map(Some)
+        .map_err(|e| CliError::Invalid(format!("cannot open journal {p}: {e}")))
 }
 
 /// Append the journal status line to the run report.
@@ -425,12 +504,8 @@ fn journal_line(out: &mut String, journal: &Option<Journal>) {
     }
 }
 
-fn write_outputs(
-    out: &mut String,
-    snap: &TelemetrySnapshot,
-    outs: &OutFiles,
-) -> Result<(), CliError> {
-    if let Some(path) = &outs.metrics {
+fn write_outputs(out: &mut String, snap: &TelemetrySnapshot, args: &Args) -> Result<(), CliError> {
+    if let Some(path) = args.get("metrics-out") {
         let text = if path.ends_with(".json") {
             snap.metrics.to_json()
         } else {
@@ -439,115 +514,85 @@ fn write_outputs(
         write_file(path, &text)?;
         out.push_str(&format!("metrics        : written to {path}\n"));
     }
-    if let Some(path) = &outs.trace {
+    if let Some(path) = args.get("trace-out") {
         write_file(path, &export::to_perfetto_json(snap))?;
         out.push_str(&format!(
             "trace          : written to {path} (open in https://ui.perfetto.dev)\n"
         ));
     }
-    if let Some(path) = &outs.events {
+    if let Some(path) = args.get("events-out") {
         write_file(path, &export::to_jsonl(snap))?;
         out.push_str(&format!("events         : written to {path}\n"));
     }
     Ok(())
 }
 
-fn cmd_trace(tokens: &[String]) -> Result<String, CliError> {
-    const TRACE_VALUED: &[&str] = &["in", "out"];
-    let args = Args::parse(tokens.iter().cloned(), TRACE_VALUED, &[]).map_err(|e| match e {
-        ArgError::MissingSubcommand => {
-            CliError::Invalid("trace needs a mode: export, check, or summary".into())
-        }
-        other => CliError::Args(other),
-    })?;
-    let input = args
-        .get("in")
-        .ok_or_else(|| CliError::Invalid("trace needs --in <file>".into()))?;
-    match args.subcommand.as_str() {
-        "export" => {
-            let out_path = args
-                .get("out")
-                .ok_or_else(|| CliError::Invalid("trace export needs --out <file>".into()))?;
-            let snap =
-                export::snapshot_from_jsonl(&read_file(input)?).map_err(CliError::Invalid)?;
-            write_file(out_path, &export::to_perfetto_json(&snap))?;
-            Ok(format!(
-                "exported {} span(s), {} sample(s), {} track(s) -> {out_path} \
-                 (open in https://ui.perfetto.dev)\n",
-                snap.spans.len(),
-                snap.samples.len(),
-                snap.tracks.len(),
-            ))
-        }
-        "check" => {
-            let stats = export::validate_perfetto(&read_file(input)?).map_err(CliError::Invalid)?;
-            Ok(format!(
-                "{input}: OK — {} complete event(s), {} counter event(s), \
-                 {} named track(s), ends at {:.1} us\n",
-                stats.complete_events, stats.counter_events, stats.named_tracks, stats.end_ts_us,
-            ))
-        }
-        "summary" => {
-            let snap =
-                export::snapshot_from_jsonl(&read_file(input)?).map_err(CliError::Invalid)?;
-            Ok(export::summary_report(&snap).render_text())
-        }
-        other => Err(CliError::Invalid(format!(
-            "unknown trace mode {other:?}; expected export, check, or summary"
-        ))),
-    }
+/// A flag the command cannot run without.
+fn required<'a>(args: &'a Args, command: &str, key: &str) -> Result<&'a str, CliError> {
+    args.get(key)
+        .ok_or_else(|| CliError::Invalid(format!("{command} needs --{key} <file>")))
+}
+
+/// The recording a `trace` mode reads from `--in`.
+fn recorded_snapshot(args: &Args) -> Result<TelemetrySnapshot, CliError> {
+    let input = required(args, "trace", "in")?;
+    export::snapshot_from_jsonl(&read_file(input)?).map_err(CliError::Invalid)
+}
+
+fn trace_export(args: &Args) -> Result<String, CliError> {
+    let snap = recorded_snapshot(args)?;
+    let out_path = required(args, "trace export", "out")?;
+    write_file(out_path, &export::to_perfetto_json(&snap))?;
+    Ok(format!(
+        "exported {} span(s), {} sample(s), {} track(s) -> {out_path} \
+         (open in https://ui.perfetto.dev)\n",
+        snap.spans.len(),
+        snap.samples.len(),
+        snap.tracks.len(),
+    ))
+}
+
+fn trace_check(args: &Args) -> Result<String, CliError> {
+    let input = required(args, "trace", "in")?;
+    let stats = export::validate_perfetto(&read_file(input)?).map_err(CliError::Invalid)?;
+    Ok(format!(
+        "{input}: OK — {} complete event(s), {} counter event(s), \
+         {} named track(s), ends at {:.1} us\n",
+        stats.complete_events, stats.counter_events, stats.named_tracks, stats.end_ts_us,
+    ))
+}
+
+fn trace_summary(args: &Args) -> Result<String, CliError> {
+    Ok(export::summary_report(&recorded_snapshot(args)?).render_text())
 }
 
 /// Apply `--fault-plan`/`--fault-seed` to a freshly built cluster.
 fn apply_faults(cluster: &mut Cluster, args: &Args, gpus: u32) -> Result<(), CliError> {
-    match (args.get("fault-plan"), args.get("fault-seed")) {
-        (Some(spec), _) => {
-            let plan = FaultPlan::parse(spec).map_err(|e| CliError::Invalid(e.to_string()))?;
-            cluster.set_fault_plan(Some(plan));
-        }
-        (None, Some(_)) => {
-            let fault_seed: u64 = args.get_or("fault-seed", 0)?;
-            // Horizon covers the first ~10 simulated ms, where the default
-            // benchmark sizes do most of their work.
-            cluster.set_fault_plan(Some(FaultPlan::generate(fault_seed, gpus, 10e-3)));
-        }
-        (None, None) => {}
+    if let Some(spec) = args.get("fault-plan") {
+        let plan = FaultPlan::parse(spec).map_err(|e| CliError::Invalid(e.to_string()))?;
+        cluster.set_fault_plan(Some(plan));
+    } else if let Some(fault_seed) = args.num("fault-seed") {
+        // Horizon covers the first ~10 simulated ms, where the default
+        // benchmark sizes do most of their work.
+        cluster.set_fault_plan(Some(FaultPlan::generate(fault_seed, gpus, 10e-3)));
     }
     Ok(())
 }
 
-/// The engine tuning requested on the command line: `--pipeline-depth`
-/// and `--gpu-direct` over the defaults.
-fn tuning_from_args(args: &Args) -> Result<EngineTuning, CliError> {
-    let depth: u32 = args.get_or("pipeline-depth", EngineTuning::default().pipeline_depth)?;
-    if !(1..=64).contains(&depth) {
-        return Err(CliError::Invalid(
-            "--pipeline-depth must be in 1..=64".into(),
-        ));
-    }
-    Ok(EngineTuning {
-        pipeline_depth: depth,
-        gpu_direct: args.flag("gpu-direct"),
-        ..EngineTuning::default()
-    })
-}
-
-/// `--gpus`, range-checked: every command that builds a cluster reads it
-/// through here.
-fn gpus_from_args(args: &Args) -> Result<u32, CliError> {
-    let gpus: u32 = args.get_or("gpus", 4)?;
-    if !(1..=1024).contains(&gpus) {
-        return Err(CliError::Invalid("--gpus must be in 1..=1024".into()));
-    }
-    Ok(gpus)
+/// `--gpus`: every command that builds a cluster reads it through here.
+fn gpus_from_args(args: &Args) -> u32 {
+    args.num("gpus").unwrap_or(4)
 }
 
 /// `gpmr analyze`: performance diagnosis over a recorded JSONL stream or a
 /// live run — `gpmr run`'s own path with telemetry forced on, so every
 /// run option means here what it means there.
 fn cmd_analyze(args: &Args) -> Result<String, CliError> {
+    // The two forms share a row; a recording takes no run option.
+    let mut run_options = [CLUSTER, RUN, OUTPUTS, JOURNAL].into_iter().flatten();
+    let live = run_options.any(|flag| args.flag(flag.name));
     let snap = match (args.get("events"), args.get("benchmark")) {
-        (Some(path), None) => {
+        (Some(path), None) if !live => {
             export::snapshot_from_jsonl(&read_file(path)?).map_err(CliError::Invalid)?
         }
         (None, Some(_)) => run_benchmark(args, true)?
@@ -568,83 +613,68 @@ fn cmd_analyze(args: &Args) -> Result<String, CliError> {
     })
 }
 
-/// `gpmr perf`: record the gate baseline suite or diff against one.
-fn cmd_perf(tokens: &[String]) -> Result<String, CliError> {
-    const PERF_VALUED: &[&str] = &["out", "scale", "baseline", "against", "tolerance"];
-    const PERF_BOOLEAN: &[&str] = &["json"];
-    let args =
-        Args::parse(tokens.iter().cloned(), PERF_VALUED, PERF_BOOLEAN).map_err(|e| match e {
-            ArgError::MissingSubcommand => {
-                CliError::Invalid("perf needs a mode: record or diff".into())
-            }
-            other => CliError::Args(other),
-        })?;
-    match args.subcommand.as_str() {
-        "record" => {
-            let out_path = args.get("out").unwrap_or("BENCH_PR6.json");
-            let scale: u64 = args.get_or("scale", gpmr_bench::DEFAULT_SCALE)?;
-            let mut out = format!("recording perf baselines (scale {scale})\n");
-            let set = perfsuite::record_suite(scale, |b, a| {
-                out.push_str(&format!(
-                    "  {:<10} makespan {:.6}s  bounding {} ({:.1}%)  imbalance CV {:.3}\n",
-                    b.name,
-                    a.makespan_s,
-                    b.bounding_stage,
-                    a.bounding_share * 100.0,
-                    b.imbalance_cv,
-                ));
-            });
-            write_file(out_path, &set.to_json())?;
-            out.push_str(&format!("wrote {out_path}\n"));
-            Ok(out)
+/// `gpmr perf record`: run the gate suite and write its baseline set.
+fn perf_record(args: &Args) -> Result<String, CliError> {
+    let out_path = args.get("out").unwrap_or("BENCH_PR6.json");
+    let scale: u64 = args.num("scale").unwrap_or(gpmr_bench::DEFAULT_SCALE);
+    let mut out = format!("recording perf baselines (scale {scale})\n");
+    let set = perfsuite::record_suite(scale, |b, a| {
+        out.push_str(&format!(
+            "  {:<10} makespan {:.6}s  bounding {} ({:.1}%)  imbalance CV {:.3}\n",
+            b.name,
+            a.makespan_s,
+            b.bounding_stage,
+            a.bounding_share * 100.0,
+            b.imbalance_cv,
+        ));
+    });
+    write_file(out_path, &set.to_json())?;
+    out.push_str(&format!("wrote {out_path}\n"));
+    Ok(out)
+}
+
+/// `gpmr perf diff`: compare a recorded baseline set against another
+/// recording or a live re-run.
+fn perf_diff(args: &Args) -> Result<String, CliError> {
+    let base_path = required(args, "perf diff", "baseline")?;
+    let old = BaselineSet::from_json(&read_file(base_path)?).map_err(CliError::Invalid)?;
+    let default_tol = if old.tolerance > 0.0 {
+        old.tolerance
+    } else {
+        perfsuite::DEFAULT_TOLERANCE
+    };
+    let tolerance: f64 = args.num("tolerance").unwrap_or(default_tol);
+    let (new, provenance) = match args.get("against") {
+        Some(path) => (
+            BaselineSet::from_json(&read_file(path)?).map_err(CliError::Invalid)?,
+            format!("recorded set {path}"),
+        ),
+        None => {
+            let scale = if old.scale > 0 {
+                old.scale
+            } else {
+                gpmr_bench::DEFAULT_SCALE
+            };
+            (
+                perfsuite::record_suite(scale, |_, _| {}),
+                format!("live re-run at scale {scale}"),
+            )
         }
-        "diff" => {
-            let base_path = args
-                .get("baseline")
-                .ok_or_else(|| CliError::Invalid("perf diff needs --baseline <file>".into()))?;
-            let old = BaselineSet::from_json(&read_file(base_path)?).map_err(CliError::Invalid)?;
-            let default_tol = if old.tolerance > 0.0 {
-                old.tolerance
-            } else {
-                perfsuite::DEFAULT_TOLERANCE
-            };
-            let tolerance: f64 = args.get_or("tolerance", default_tol)?;
-            let (new, provenance) = match args.get("against") {
-                Some(path) => (
-                    BaselineSet::from_json(&read_file(path)?).map_err(CliError::Invalid)?,
-                    format!("recorded set {path}"),
-                ),
-                None => {
-                    let scale = if old.scale > 0 {
-                        old.scale
-                    } else {
-                        gpmr_bench::DEFAULT_SCALE
-                    };
-                    (
-                        perfsuite::record_suite(scale, |_, _| {}),
-                        format!("live re-run at scale {scale}"),
-                    )
-                }
-            };
-            let report = diff_sets(&old, &new, tolerance);
-            let body = if args.flag("json") {
-                report.to_json()
-            } else {
-                format!(
-                    "comparing {base_path} against {provenance}\n{}",
-                    report.render_text()
-                )
-            };
-            // A Fail verdict must surface as a non-zero exit for CI gating.
-            if report.verdict == Verdict::Fail {
-                Err(CliError::Invalid(body))
-            } else {
-                Ok(body)
-            }
-        }
-        other => Err(CliError::Invalid(format!(
-            "unknown perf mode {other:?}; expected record or diff"
-        ))),
+    };
+    let report = diff_sets(&old, &new, tolerance);
+    let body = if args.flag("json") {
+        report.to_json()
+    } else {
+        format!(
+            "comparing {base_path} against {provenance}\n{}",
+            report.render_text()
+        )
+    };
+    // A Fail verdict must surface as a non-zero exit for CI gating.
+    if report.verdict == Verdict::Fail {
+        Err(CliError::Invalid(body))
+    } else {
+        Ok(body)
     }
 }
 
@@ -665,17 +695,7 @@ fn skew_from_args(args: &Args, bench: Benchmark) -> Result<(bool, Option<f64>), 
             )))
         }
     };
-    let zipf: Option<f64> = if args.get("zipf").is_some() {
-        let s: f64 = args.get_or("zipf", 1.05)?;
-        if !s.is_finite() || s <= 0.0 {
-            return Err(CliError::Invalid(
-                "--zipf must be a positive exponent".into(),
-            ));
-        }
-        Some(s)
-    } else {
-        None
-    };
+    let zipf: Option<f64> = args.num("zipf");
     if (range_partition || zipf.is_some()) && !matches!(bench, Benchmark::Sio | Benchmark::Wo) {
         return Err(CliError::Invalid(
             "--partition=range/--zipf apply only to the shuffling benchmarks (sio, wo)".into(),
@@ -705,14 +725,15 @@ fn run_benchmark(
             or_list(&bench_names(analyze))
         ))
     })?;
-    let gpus = gpus_from_args(args)?;
-    let scale: u64 = args.get_or("scale", 1)?;
-    let seed: u64 = args.get_or("seed", 42)?;
-    let size: usize = args.get_or("size", bench.default_size())?;
+    let gpus = gpus_from_args(args);
+    let scale: u64 = args.num("scale").unwrap_or(1);
+    let seed: u64 = args.num("seed").unwrap_or(42);
+    let size: usize = args.num("size").unwrap_or(bench.default_size());
     let want_trace = args.flag("trace");
-    let outs = OutFiles::from_args(args);
-    let tuning = tuning_from_args(args)?;
-    let jopts = JournalOpts::from_args(args)?;
+    let mut tuning = EngineTuning::default();
+    tuning.pipeline_depth = args.num("pipeline-depth").unwrap_or(tuning.pipeline_depth);
+    tuning.gpu_direct = args.flag("gpu-direct");
+    check_journal_flags(args)?;
     let (range_partition, zipf) = skew_from_args(args, bench)?;
     let mut cluster = Cluster::accelerator_scaled(gpus, GpuSpec::gt200(), scale as f64);
     apply_faults(&mut cluster, args, gpus)?;
@@ -735,24 +756,19 @@ fn run_benchmark(
                 or_list(&bench_names(true))
             )));
         }
-        if jopts.path.is_some() {
-            return Err(CliError::Invalid(
-                "--journal/--resume are not supported for mm \
-                 (it runs outside the journaled MapReduce engine)"
-                    .into(),
-            ));
+        // The flags MM's two-phase path cannot honour.
+        let tuned = ["pipeline-depth", "gpu-direct", "trace"];
+        let mut engine_only = (OUTPUTS.iter().chain(JOURNAL).map(|flag| flag.name)).chain(tuned);
+        if let Some(flag) = engine_only.find(|flag| args.flag(flag)) {
+            return Err(CliError::Invalid(format!(
+                "--{flag} is not supported for mm (it runs outside the \
+                 tuned, instrumented, journaled MapReduce engine)"
+            )));
         }
-        if outs.any() {
-            return Err(CliError::Invalid(
-                "--metrics-out/--trace-out/--events-out are not supported for mm \
-                 (it runs outside the instrumented MapReduce engine)"
-                    .into(),
-            ));
-        }
-        if size == 0 || !size.is_multiple_of(16) {
-            return Err(CliError::Invalid(
-                "--size for mm must be a positive multiple of 16".into(),
-            ));
+        if size == 0 || !size.is_multiple_of(16) || size > MM_MAX_ORDER {
+            return Err(CliError::Invalid(format!(
+                "--size for mm must be a positive multiple of 16, at most {MM_MAX_ORDER}"
+            )));
         }
         let run =
             table::run(&generate(), &mut cluster, 0, false, RunOpts::default()).map_err(fail)?;
@@ -776,12 +792,12 @@ fn run_benchmark(
 
     let input = generate();
     let chunk_bytes = chunk_bytes_tuned(input.bytes(), gpus, scale, tuning.pipeline_depth);
-    let tel = if analyze || want_trace || outs.any() {
+    let tel = if analyze || want_trace || wants_outputs(args) {
         Telemetry::enabled()
     } else {
         Telemetry::disabled()
     };
-    let mut journal = jopts.open()?;
+    let mut journal = open_journal(args)?;
     let opts = RunOpts {
         tuning,
         tel: tel.clone(),
@@ -806,7 +822,7 @@ fn run_benchmark(
     }
     let snap = tel.is_enabled().then(|| tel.snapshot());
     if let Some(snap) = &snap {
-        write_outputs(&mut out, snap, &outs)?;
+        write_outputs(&mut out, snap, args)?;
         if want_trace {
             out.push('\n');
             out.push_str(&export::gantt(snap, gpus, 100));
@@ -816,20 +832,17 @@ fn run_benchmark(
 }
 
 fn cmd_kmeans(args: &Args) -> Result<String, CliError> {
-    let points: usize = args.get_or("points", 200_000)?;
-    let k: usize = args.get_or("k", 8)?;
-    let gpus = gpus_from_args(args)?;
-    let iterations: usize = args.get_or("iterations", 20)?;
-    let seed: u64 = args.get_or("seed", 42)?;
-    if k == 0 {
-        return Err(CliError::Invalid("--k must be positive".into()));
-    }
+    let points: usize = args.num("points").unwrap_or(200_000);
+    let k: usize = args.num("k").unwrap_or(8);
+    let gpus = gpus_from_args(args);
+    let iterations: usize = args.num("iterations").unwrap_or(20);
+    let seed: u64 = args.num("seed").unwrap_or(42);
     let data = kmc::generate_points(points, k, seed);
     let init = kmc::initial_centers(k, second_seed(seed));
     let mut cluster = Cluster::accelerator(gpus, GpuSpec::gt200());
     let chunk_points = (points / (4 * gpus as usize)).max(1024);
-    let jopts = JournalOpts::from_args(args)?;
-    let mut journal = jopts.open()?;
+    check_journal_flags(args)?;
+    let mut journal = open_journal(args)?;
     let result = gpmr_apps::iterative::run_kmeans(
         &mut cluster,
         &data,
@@ -877,24 +890,19 @@ fn service_cfg_from_args(args: &Args) -> Result<gpmr_service::ServiceConfig, Cli
             .map_err(|e| CliError::Invalid(format!("invalid --alerts: {e}")))?,
         None => Vec::new(),
     };
-    let deadline_target: f64 = args.get_or("slo-target", SloPolicy::default().deadline_target)?;
-    if !(0.0..1.0).contains(&deadline_target) {
-        return Err(CliError::Invalid("--slo-target must be in [0, 1)".into()));
-    }
+    let deadline_target = args
+        .num("slo-target")
+        .unwrap_or(SloPolicy::default().deadline_target);
     Ok(ServiceConfig {
-        gpus: gpus_from_args(args)?,
-        engines: args.get_or("engines", 2usize)?,
-        max_queue_depth: args.get_or("queue-depth", 64usize)?,
-        batch_window_s: args.get_or("batch-window", 0.05f64)?,
-        batch_max: args.get_or("batch-max", 4usize)?,
+        gpus: gpus_from_args(args),
+        engines: args.num("engines").unwrap_or(2),
+        max_queue_depth: args.num("queue-depth").unwrap_or(64),
+        batch_window_s: args.num("batch-window").unwrap_or(0.05),
+        batch_max: args.num("batch-max").unwrap_or(4),
         tuning: EngineTuning::default(),
         obs: ObsConfig {
             alerts,
-            flight_capacity: if args.get("flight-dir").is_some() {
-                4096
-            } else {
-                0
-            },
+            flight_capacity: if args.flag("flight-dir") { 4096 } else { 0 },
             slo: SloPolicy { deadline_target },
             ..ObsConfig::default()
         },
@@ -909,10 +917,7 @@ fn run_service_workload(
     label: &str,
     need_tel: bool,
 ) -> Result<(gpmr_service::JobService, Vec<String>), CliError> {
-    let path = args
-        .get("workload")
-        .ok_or_else(|| CliError::Invalid(format!("{label} needs --workload <file>")))?;
-    let script = read_file(path)?;
+    let script = read_file(required(args, label, "workload")?)?;
     let cfg = service_cfg_from_args(args)?;
     let tel = if need_tel || !cfg.obs.alerts.is_empty() {
         Telemetry::enabled()
@@ -923,8 +928,7 @@ fn run_service_workload(
 }
 
 fn cmd_serve(args: &Args) -> Result<String, CliError> {
-    let outs = OutFiles::from_args(args);
-    let (svc, lines) = run_service_workload(args, "serve", outs.any())?;
+    let (svc, lines) = run_service_workload(args, "serve", wants_outputs(args))?;
     let mut out = String::new();
     for line in lines {
         out.push_str(&line);
@@ -947,9 +951,8 @@ fn cmd_serve(args: &Args) -> Result<String, CliError> {
             out.push_str(&format!("postmortem     : written to {path}\n"));
         }
     }
-    if outs.any() {
-        let snap = svc.telemetry().snapshot();
-        write_outputs(&mut out, &snap, &outs)?;
+    if wants_outputs(args) {
+        write_outputs(&mut out, &svc.telemetry().snapshot(), args)?;
     }
     Ok(out)
 }
@@ -966,87 +969,39 @@ fn emit_report(args: &Args, label: &str, body: String) -> Result<String, CliErro
 }
 
 /// `gpmr slo report`: per-tenant SLO accounting over a workload.
-fn cmd_slo(tokens: &[String]) -> Result<String, CliError> {
-    const SLO_VALUED: &[&str] = &[
-        "workload",
-        "out",
-        "gpus",
-        "engines",
-        "queue-depth",
-        "batch-window",
-        "batch-max",
-        "slo-target",
-        "alerts",
-    ];
-    const SLO_BOOLEAN: &[&str] = &["json", "html"];
-    let args =
-        Args::parse(tokens.iter().cloned(), SLO_VALUED, SLO_BOOLEAN).map_err(|e| match e {
-            ArgError::MissingSubcommand => CliError::Invalid("slo needs a mode: report".into()),
-            other => CliError::Args(other),
-        })?;
-    match args.subcommand.as_str() {
-        "report" => {
-            let (svc, _) = run_service_workload(&args, "slo report", false)?;
-            let report = svc.slo_report();
-            let body = if args.flag("json") {
-                report.to_json()
-            } else if args.flag("html") {
-                report.render_html()
-            } else {
-                report.render_text()
-            };
-            emit_report(&args, "slo report", body)
-        }
-        other => Err(CliError::Invalid(format!(
-            "unknown slo mode {other:?}; expected report"
-        ))),
-    }
+fn slo_report(args: &Args) -> Result<String, CliError> {
+    let (svc, _) = run_service_workload(args, "slo report", false)?;
+    let report = svc.slo_report();
+    let body = if args.flag("json") {
+        report.to_json()
+    } else if args.flag("html") {
+        report.render_html()
+    } else {
+        report.render_text()
+    };
+    emit_report(args, "slo report", body)
 }
 
 /// `gpmr metrics export`: the final metrics snapshot of a workload run,
 /// as Prometheus text exposition or raw JSON.
-fn cmd_metrics(tokens: &[String]) -> Result<String, CliError> {
-    const METRICS_VALUED: &[&str] = &[
-        "workload",
-        "format",
-        "out",
-        "gpus",
-        "engines",
-        "queue-depth",
-        "batch-window",
-        "batch-max",
-        "slo-target",
-        "alerts",
-    ];
-    let args = Args::parse(tokens.iter().cloned(), METRICS_VALUED, &[]).map_err(|e| match e {
-        ArgError::MissingSubcommand => CliError::Invalid("metrics needs a mode: export".into()),
-        other => CliError::Args(other),
-    })?;
-    match args.subcommand.as_str() {
-        "export" => {
-            let (svc, _) = run_service_workload(&args, "metrics export", true)?;
-            let snap = svc.telemetry().snapshot();
-            let body = match args.get("format").unwrap_or("prom") {
-                "prom" => gpmr_service::render_prometheus(&snap.metrics, Some(&svc.slo_report())),
-                "json" => snap.metrics.to_json(),
-                other => {
-                    return Err(CliError::Invalid(format!(
-                        "unknown --format {other:?}; expected prom or json"
-                    )))
-                }
-            };
-            emit_report(&args, "metrics", body)
+fn metrics_export(args: &Args) -> Result<String, CliError> {
+    let (svc, _) = run_service_workload(args, "metrics export", true)?;
+    let snap = svc.telemetry().snapshot();
+    let body = match args.get("format").unwrap_or("prom") {
+        "prom" => gpmr_service::render_prometheus(&snap.metrics, Some(&svc.slo_report())),
+        "json" => snap.metrics.to_json(),
+        other => {
+            return Err(CliError::Invalid(format!(
+                "unknown --format {other:?}; expected prom or json"
+            )))
         }
-        other => Err(CliError::Invalid(format!(
-            "unknown metrics mode {other:?}; expected export"
-        ))),
-    }
+    };
+    emit_report(args, "metrics", body)
 }
 
 fn cmd_info(args: &Args) -> Result<String, CliError> {
-    let gpus = gpus_from_args(args)?;
     let spec = GpuSpec::gt200();
-    let topo = Topology::accelerator(gpus);
+    let topo = Topology::accelerator(gpus_from_args(args));
     let link = PcieLink::gen1_x16();
     let nic = Nic::qdr_infiniband();
     let cpu = CpuSpec::dual_opteron_2216();
@@ -1346,19 +1301,40 @@ mod tests {
             .contains("cannot read"));
     }
 
+    /// MM runs outside the engine: what tunes, instruments or journals
+    /// the engine is refused, not ignored (`--pipeline-depth`,
+    /// `--gpu-direct` and `--trace` printed the same report with and
+    /// without). Faults, scale, seed and GPUs reach it through the cluster.
     #[test]
-    fn mm_rejects_telemetry_out_flags() {
-        let err = run(&[
-            "run",
-            "--benchmark",
-            "mm",
-            "--size",
-            "64",
-            "--trace-out",
-            "/tmp/unused.json",
-        ])
-        .unwrap_err();
-        assert!(err.to_string().contains("not supported for mm"), "{err}");
+    fn mm_refuses_every_flag_that_cannot_reach_it() {
+        let mm = ["run", "--benchmark", "mm", "--size", "64"];
+        for flags in [
+            &["--trace-out", "/tmp/unused.json"][..],
+            &["--metrics-out", "/tmp/unused.json"],
+            &["--events-out", "/tmp/unused.jsonl"],
+            &["--journal", "/tmp/unused.gpj"],
+            &["--journal", "/tmp/unused.gpj", "--resume"],
+            &["--journal", "/tmp/unused.gpj", "--checkpoint-every", "2"],
+            &["--pipeline-depth", "1"],
+            &["--gpu-direct"],
+            &["--trace"],
+        ] {
+            let err = run(&[&mm[..], flags].concat()).unwrap_err().to_string();
+            assert!(err.contains("is not supported for mm"), "{flags:?}: {err}");
+            assert!(err.contains("(it runs outside the"), "{flags:?}: {err}");
+            assert!(err.contains("MapReduce engine)"), "{flags:?}: {err}");
+        }
+        let plain = run(&mm).unwrap();
+        let killed = run(&[&mm[..], &["--gpus", "2", "--fault-plan", "kill:1@1e-5"]].concat());
+        assert_ne!(plain, killed.unwrap(), "the fault plan reaches MM");
+        run(&[
+            &mm[..],
+            &["--scale", "2", "--seed", "7", "--fault-seed", "3"],
+        ]
+        .concat())
+        .unwrap();
+        let err = run(&["run", "--benchmark", "mm", "--size", "65552"]).unwrap_err();
+        assert!(err.to_string().contains("at most 65536"), "{err}");
     }
 
     #[test]
@@ -1427,6 +1403,18 @@ mod tests {
         assert!(err.to_string().contains("--events"), "{err}");
         let err = run(&["analyze", "--benchmark", "mm"]).unwrap_err();
         assert!(err.to_string().contains("analyze supports"), "{err}");
+        // A recording takes no run option: neither form, so neither runs.
+        for option in [
+            &["--benchmark", "sio"][..],
+            &["--gpus", "2"],
+            &["--gpu-direct"],
+        ] {
+            let line = [&["analyze", "--events", "/nonexistent.jsonl"][..], option].concat();
+            let err = run(&line).unwrap_err().to_string();
+            assert!(err.contains("analyze needs exactly one of"), "{err}");
+        }
+        let err = run(&["analyze", "--benchmark", "sio", "--trace"]).unwrap_err();
+        assert_eq!(err.to_string(), "unknown option --trace for `gpmr analyze`");
     }
 
     #[test]
@@ -1661,7 +1649,11 @@ mod tests {
             "0",
         ])
         .unwrap_err();
-        assert!(err.to_string().contains("positive"), "{err}");
+        assert!(
+            err.to_string()
+                .contains("--checkpoint-every must be in 1..="),
+            "{err}"
+        );
         let err = run(&[
             "run",
             "--benchmark",
@@ -1834,6 +1826,14 @@ mod tests {
                 .to_string()
                 .contains("--slo-target")
         );
+        for not_finite in ["NaN", "inf", "-1"] {
+            let err = run(&["serve", "--workload", DEMO_WL, "--batch-window", not_finite]);
+            let err = err.unwrap_err().to_string();
+            assert!(
+                err.starts_with("--batch-window must be in [0, inf)"),
+                "{err}"
+            );
+        }
         assert!(
             run(&["serve", "--workload", DEMO_WL, "--alerts", "nonsense"])
                 .unwrap_err()

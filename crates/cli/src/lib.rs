@@ -17,8 +17,8 @@
 //! JSONL stream). `trace` converts, validates, and summarises those
 //! exports. `analyze` runs the performance-diagnosis layer (critical path,
 //! stragglers, overlap, findings) over a recording or a live run, and
-//! `perf` records/gates the deterministic benchmark baselines. `info`
-//! prints the modelled hardware.
+//! `perf` records/gates the deterministic baselines, `info` prints the
+//! hardware. A subcommand's flags, their ranges and its handler: [`COMMANDS`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,5 +26,5 @@
 pub mod args;
 pub mod commands;
 
-pub use args::{ArgError, Args};
-pub use commands::{dispatch, help, CliError};
+pub use args::{ArgError, Args, Flag, Kind};
+pub use commands::{dispatch, help, CliError, Command, COMMANDS};

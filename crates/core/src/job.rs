@@ -206,12 +206,6 @@ impl Default for PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// Builder: set the map mode.
-    pub fn with_map_mode(mut self, mode: MapMode) -> Self {
-        self.map_mode = mode;
-        self
-    }
-
     /// Builder: enable or disable the global Combine substage.
     pub fn with_combine(mut self, combine: bool) -> Self {
         self.combine = combine;
@@ -415,8 +409,11 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let p = PipelineConfig::default()
-            .with_map_mode(MapMode::PartialReduce)
+        let partial = PipelineConfig {
+            map_mode: MapMode::PartialReduce,
+            ..PipelineConfig::default()
+        };
+        let p = partial
             .with_partition(PartitionMode::None)
             .with_sort(SortMode::Bitonic)
             .map_only();
@@ -425,11 +422,11 @@ mod tests {
         assert_eq!(p.sort, SortMode::Bitonic);
         assert!(!p.sort_and_reduce);
         assert!(p.validate().is_ok());
-        assert!(PipelineConfig::default()
-            .with_map_mode(MapMode::Accumulate)
-            .with_combine(true)
-            .validate()
-            .is_err());
+        let accumulate = PipelineConfig {
+            map_mode: MapMode::Accumulate,
+            ..PipelineConfig::default()
+        };
+        assert!(accumulate.with_combine(true).validate().is_err());
     }
 
     #[test]

@@ -42,11 +42,6 @@ impl KernelCost {
     pub fn effective_bytes(&self, spec: &GpuSpec) -> f64 {
         self.bytes_coalesced as f64 + self.bytes_uncoalesced as f64 * spec.uncoalesced_penalty
     }
-
-    /// True if no work was recorded.
-    pub fn is_zero(&self) -> bool {
-        *self == Self::ZERO
-    }
 }
 
 impl Add for KernelCost {
@@ -180,7 +175,6 @@ mod tests {
         assert_eq!(total.bytes_coalesced, 6);
         assert_eq!(total.bytes_uncoalesced, 9);
         assert_eq!(total.atomic_ops, 12);
-        assert!(!total.is_zero());
-        assert!(KernelCost::ZERO.is_zero());
+        assert_ne!(total, KernelCost::ZERO);
     }
 }

@@ -273,11 +273,6 @@ impl Gpu {
         self.copy_engine.free_at()
     }
 
-    /// Total time the H2D copy engine has been busy.
-    pub fn copy_busy(&self) -> SimDuration {
-        self.copy_engine.busy_time()
-    }
-
     /// The device's PCI-e link handle.
     pub fn link(&self) -> &SharedLink {
         &self.link
@@ -443,10 +438,6 @@ mod tests {
         let r2 = g.h2d(SimTime::ZERO, 1 << 26);
         assert_eq!(r2.start, r1.end);
         assert_eq!(g.copy_free_at(), r2.end);
-        assert_eq!(
-            g.copy_busy().as_secs(),
-            r1.duration().as_secs() + r2.duration().as_secs()
-        );
     }
 
     #[test]

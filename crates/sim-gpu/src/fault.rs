@@ -144,13 +144,6 @@ impl FaultPlan {
             .any(|e| matches!(e, FaultEvent::GpuKill { .. }))
     }
 
-    /// Whether the plan adds any GPU mid-job.
-    pub fn has_adds(&self) -> bool {
-        self.events
-            .iter()
-            .any(|e| matches!(e, FaultEvent::GpuAdd { .. }))
-    }
-
     /// Append an event.
     pub fn push(&mut self, event: FaultEvent) {
         self.events.push(event);
@@ -636,7 +629,6 @@ mod tests {
     #[test]
     fn add_events_are_recorded_parsed_and_queried() {
         let plan = FaultPlan::new().add(4, 2e-3).add(5, 1e-3).add(4, 1.5e-3);
-        assert!(plan.has_adds());
         assert!(!plan.has_kills());
         assert_eq!(plan.add_time(4), Some(SimTime::from_secs(1.5e-3)));
         assert_eq!(plan.add_time(5), Some(SimTime::from_secs(1e-3)));
@@ -665,7 +657,10 @@ mod tests {
             // The base chaos schedule is untouched; only adds are appended.
             assert_eq!(&elastic.events()[..base.events().len()], base.events());
             assert_eq!(elastic.added_ranks(), vec![4, 5]);
-            assert!(!base.has_adds(), "generate must never emit adds");
+            assert!(
+                base.added_ranks().is_empty(),
+                "generate must never emit adds"
+            );
             for r in elastic.added_ranks() {
                 let at = elastic.add_time(r).unwrap();
                 assert!(at >= SimTime::ZERO && at < SimTime::from_secs(5e-3));

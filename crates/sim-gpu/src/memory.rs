@@ -18,7 +18,6 @@ struct MemState {
     capacity: u64,
     used: u64,
     peak: u64,
-    allocations: u64,
 }
 
 /// A capacity-tracked global-memory allocator for one device.
@@ -84,17 +83,6 @@ impl DeviceMemory {
         })
     }
 
-    /// Allocate a buffer taking ownership of `data`.
-    pub fn alloc_from_vec<T>(&self, data: Vec<T>) -> SimGpuResult<DeviceBuffer<T>> {
-        let bytes = (data.len() * std::mem::size_of::<T>()) as u64;
-        self.charge(bytes)?;
-        Ok(DeviceBuffer {
-            data,
-            bytes,
-            mem: self.clone(),
-        })
-    }
-
     fn charge(&self, bytes: u64) -> SimGpuResult<()> {
         let mut st = self.state.lock().unwrap();
         if st.used + bytes > st.capacity {
@@ -105,7 +93,6 @@ impl DeviceMemory {
         }
         st.used += bytes;
         st.peak = st.peak.max(st.used);
-        st.allocations += 1;
         Ok(())
     }
 
@@ -148,11 +135,6 @@ impl DeviceMemory {
         let mut st = self.state.lock().unwrap();
         st.peak = st.peak.max(st.used + bytes);
     }
-
-    /// Number of allocations performed over the allocator's lifetime.
-    pub fn allocation_count(&self) -> u64 {
-        self.state.lock().unwrap().allocations
-    }
 }
 
 /// A typed buffer resident in (simulated) device memory.
@@ -185,11 +167,6 @@ impl<T> DeviceBuffer<T> {
     /// Read-only view of the contents.
     pub fn as_slice(&self) -> &[T] {
         &self.data
-    }
-
-    /// Mutable view of the contents.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
     }
 
     /// Consume the buffer, releasing the device allocation and returning
@@ -235,7 +212,6 @@ mod tests {
         drop(buf);
         assert_eq!(mem.used(), 0);
         assert_eq!(mem.peak(), 256);
-        assert_eq!(mem.allocation_count(), 1);
     }
 
     #[test]
@@ -289,20 +265,11 @@ mod tests {
     }
 
     #[test]
-    fn alloc_from_vec_charges_capacity() {
-        let mem = DeviceMemory::new(16);
-        assert!(mem.alloc_from_vec(vec![0u64; 3]).is_err());
-        let b = mem.alloc_from_vec(vec![7u64, 8]).unwrap();
-        assert_eq!(b.as_slice(), &[7, 8]);
-        assert_eq!(mem.available(), 0);
-    }
-
-    #[test]
     fn mutation_through_deref() {
         let mem = DeviceMemory::new(1024);
         let mut buf = mem.alloc::<u32>(4).unwrap();
         buf[2] = 9;
-        buf.as_mut_slice()[0] = 1;
+        buf[0] = 1;
         assert_eq!(buf.as_slice(), &[1, 0, 9, 0]);
         assert!(!buf.is_empty());
         assert_eq!(buf.size_bytes(), 16);

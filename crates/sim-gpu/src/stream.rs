@@ -26,11 +26,6 @@ impl Stream {
         Self::default()
     }
 
-    /// A stream whose first operation may start at `at`.
-    pub fn starting_at(at: SimTime) -> Self {
-        Stream { cursor: at }
-    }
-
     /// The instant all work issued on this stream has completed — the
     /// analogue of `cudaStreamSynchronize`.
     pub fn completion(&self) -> SimTime {
@@ -156,13 +151,5 @@ mod tests {
         assert_eq!(back, data);
         assert!(s.completion().as_secs() > 0.0);
         assert_eq!(g.mem.used(), 0);
-    }
-
-    #[test]
-    fn starting_at_offsets_the_whole_chain() {
-        let mut g = gpu();
-        let mut s = Stream::starting_at(SimTime::from_secs(1.0));
-        s.d2h(&mut g, 1024);
-        assert!(s.completion().as_secs() > 1.0);
     }
 }

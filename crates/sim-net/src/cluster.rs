@@ -106,12 +106,6 @@ impl Cluster {
         &mut self.fabric
     }
 
-    /// Borrow a GPU and the fabric at once (the engine frequently needs
-    /// both while binning).
-    pub fn gpu_and_fabric(&mut self, rank: u32) -> (&mut Gpu, &mut Fabric) {
-        (&mut self.gpus[rank as usize], &mut self.fabric)
-    }
-
     /// Attach `tel` to every device and the fabric. Track layout: GPU rank
     /// `r` draws on track `r` ("rank {r}"), and node `n`'s NIC draws on
     /// track `ranks + n` ("node {n} NIC"). Attaching a disabled handle
@@ -204,14 +198,5 @@ mod tests {
         assert_eq!(snap.metrics.counter("gpu.rank2.h2d_bytes"), 1 << 10);
         assert_eq!(snap.metrics.counter("fabric.sends"), 1);
         assert_eq!(snap.spans_of("NetSend").count(), 1);
-    }
-
-    #[test]
-    fn gpu_and_fabric_split_borrow() {
-        let mut c = Cluster::accelerator(8, GpuSpec::gt200());
-        let (gpu, fabric) = c.gpu_and_fabric(0);
-        let r = gpu.d2h(SimTime::ZERO, 1 << 20);
-        let arrival = fabric.send(0, 4, r.end, 1 << 20);
-        assert!(arrival > r.end);
     }
 }

@@ -58,16 +58,6 @@ impl Nic {
         self.recv.reserve(at, self.wire_time(bytes))
     }
 
-    /// Instant after which the send engine is idle.
-    pub fn send_free_at(&self) -> SimTime {
-        self.send.free_at()
-    }
-
-    /// Instant after which the receive engine is idle.
-    pub fn recv_free_at(&self) -> SimTime {
-        self.recv.free_at()
-    }
-
     /// Total busy time across both engines.
     pub fn busy_time(&self) -> SimDuration {
         self.send.busy_time() + self.recv.busy_time()
@@ -142,7 +132,7 @@ mod tests {
         let a = nic.reserve_send(SimTime::ZERO, 32 << 20);
         let b = nic.reserve_send(SimTime::ZERO, 32 << 20);
         assert_eq!(b.start, a.end);
-        assert_eq!(nic.send_free_at(), b.end);
+        assert_eq!(nic.reserve_send(SimTime::ZERO, 1).start, b.end);
     }
 
     #[test]
@@ -154,7 +144,7 @@ mod tests {
         assert_eq!(r.start, SimTime::ZERO);
         assert!(nic.busy_time().as_secs() > 0.0);
         nic.reset();
-        assert_eq!(nic.recv_free_at(), SimTime::ZERO);
+        assert_eq!(nic.reserve_recv(SimTime::ZERO, 1).start, SimTime::ZERO);
     }
 
     #[test]

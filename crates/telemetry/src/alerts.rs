@@ -8,8 +8,7 @@
 //! optional hold time. The [`AlertEngine`] is fed the virtual clock at
 //! every event boundary; a rule whose condition has held continuously
 //! for `for_s` seconds fires exactly once per breach episode, emitting a
-//! typed [`Alert`] that converts into the PR 4 findings vocabulary via
-//! [`Alert::to_finding`].
+//! typed [`Alert`].
 //!
 //! Rules have a compact text form for CLI flags and config files:
 //!
@@ -22,7 +21,6 @@
 
 use std::fmt;
 
-use crate::analyze::Finding;
 use crate::json::Value;
 use crate::timeseries::TimeSeriesStore;
 
@@ -219,16 +217,6 @@ pub struct Alert {
 }
 
 impl Alert {
-    /// Convert into the findings vocabulary of [`crate::analyze`].
-    pub fn to_finding(&self) -> Finding {
-        Finding::Alert {
-            rule: self.rule.clone(),
-            at_s: self.at_s,
-            value: self.value,
-            threshold: self.threshold,
-        }
-    }
-
     /// Stable JSON form.
     pub fn to_value(&self) -> Value {
         Value::Obj(vec![
@@ -409,7 +397,7 @@ mod tests {
     }
 
     #[test]
-    fn alerts_convert_to_findings() {
+    fn alerts_render_as_json() {
         let a = Alert {
             rule: "deep".into(),
             at_s: 0.25,
@@ -417,9 +405,6 @@ mod tests {
             threshold: 2.0,
             detail: "deep: last(q) > 2".into(),
         };
-        let f = a.to_finding();
-        assert_eq!(f.code(), "Alert(deep)");
-        assert!(f.describe().contains("5"));
         let v = a.to_value();
         assert_eq!(v.get("rule").and_then(Value::as_str), Some("deep"));
     }

@@ -843,4 +843,16 @@ mod tests {
             .sum();
         assert!((total - 1.0).abs() < 1e-9, "shares sum to 1, got {total}");
     }
+
+    #[test]
+    fn an_alert_finding_names_its_rule_and_evidence() {
+        let f = Finding::Alert {
+            rule: "deep".into(),
+            at_s: 0.25,
+            value: 5.0,
+            threshold: 2.0,
+        };
+        assert_eq!(f.code(), "Alert(deep)");
+        assert!(f.describe().contains("5"));
+    }
 }

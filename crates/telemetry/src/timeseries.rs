@@ -172,11 +172,6 @@ impl Series {
         self.in_window(t).map(|b| b.sum).sum()
     }
 
-    /// Observation count in the window ending at `t`.
-    pub fn window_count(&self, t: f64) -> u64 {
-        self.in_window(t).map(|b| b.n).sum()
-    }
-
     /// Windowed per-second rate (`window_sum / window_width`).
     pub fn rate(&self, t: f64) -> f64 {
         self.window_sum(t) / (self.bucket_w * self.buckets.len() as f64)
@@ -463,7 +458,8 @@ mod tests {
         assert_eq!(ts.sum("service.jobs_completed", 0.2), 3.0);
         assert_eq!(ts.last("service.queue_depth"), 1.0);
         let w = ts.series("service.queue_wait_s").unwrap();
-        assert_eq!(w.window_count(0.2), 2, "histogram deltas, not totals");
+        let observed = w.window_histogram(0.2).count;
+        assert_eq!(observed, 2, "histogram deltas, not totals");
         // Re-collecting the same snapshot adds nothing.
         ts.collect(0.3, &reg.snapshot());
         assert_eq!(ts.sum("service.jobs_completed", 0.3), 3.0);
@@ -474,7 +470,7 @@ mod tests {
         let mut ts = TimeSeriesStore::new(1.0, 4);
         ts.record_gauge("g", 0.1, f64::NAN);
         ts.record_counter("c", 0.1, f64::INFINITY);
-        assert!(ts.series("g").is_none_or(|s| s.window_count(0.1) == 0));
+        assert!(ts.series("g").is_none_or(|s| s.window_min(0.1).is_none()));
         assert_eq!(ts.sum("c", 0.1), 0.0);
     }
 

@@ -1,22 +1,109 @@
-//! No argument value panics the process: commands are driven through
-//! `gpmr_cli::dispatch` exactly as the binary drives them, in the debug
-//! profile, where integer overflow is a panic rather than a wrap.
+//! No argument value panics the process, and no flag is accepted and
+//! ignored: commands are driven through `gpmr_cli::dispatch` exactly as
+//! the binary drives them, in the debug profile, where integer overflow
+//! is a panic rather than a wrap. Every loop here runs over the command
+//! table (`gpmr_cli::COMMANDS`), so a new row or flag is covered by
+//! being declared.
 
-use gpmr_cli::dispatch;
+use std::collections::BTreeSet;
+use std::path::PathBuf;
+use std::sync::OnceLock;
+
+use gpmr_cli::commands::{CLUSTER, JOURNAL, OUTPUTS, RUN, SERVICE};
+use gpmr_cli::{dispatch, help, Command, Flag, Kind, COMMANDS};
+
+const WL: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/workloads/service_demo.wl");
+
+/// A scratch directory holding what the `trace` and `perf diff` rows
+/// read: a recording, its Perfetto export and a baseline set.
+fn fixtures() -> &'static PathBuf {
+    static DIR: OnceLock<PathBuf> = OnceLock::new();
+    DIR.get_or_init(|| {
+        let dir = std::env::temp_dir().join("gpmr_cli_robustness");
+        std::fs::create_dir_all(&dir).unwrap();
+        let at = |file: &str| dir.join(file).display().to_string();
+        for line in [
+            format!(
+                "run --benchmark sio --size 2000 --events-out {} --trace-out {}",
+                at("events.jsonl"),
+                at("trace.json")
+            ),
+            format!(
+                "perf record --scale {} --out {}",
+                1u64 << 62,
+                at("set.json")
+            ),
+        ] {
+            dispatch(line.split(' ')).unwrap_or_else(|e| panic!("{line}: {e}"));
+        }
+        dir
+    })
+}
+
+fn label(row: &Command) -> String {
+    format!("{} {}", row.name, row.mode).trim_end().to_string()
+}
+
+/// Tiny command lines for a row, the cheapest first; files they write are
+/// named after `test` so concurrent tests do not share one. A row without
+/// an arm fails every test here: give it one.
+fn baselines(row: &Command, test: &str) -> Vec<String> {
+    let at = |file: &str| fixtures().join(file).display().to_string();
+    let benchmarks = |sized: &[&str]| {
+        let lines = sized
+            .iter()
+            .map(|b| format!("{} --benchmark {b}", row.name));
+        lines.collect::<Vec<_>>()
+    };
+    let written = at(&format!("{test}.{}.out", row.name));
+    match label(row).as_str() {
+        "run" => benchmarks(&[
+            "sio --size 2000",
+            "wo --size 20000",
+            "kmc --size 10000",
+            "lr --size 2000",
+            "mm --size 64",
+        ]),
+        "analyze" => benchmarks(&["sio --size 2000", "wo --size 20000", "kmc --size 10000"]),
+        "kmeans" => vec![
+            "kmeans --points 100".into(),
+            "kmeans --points 2000 --k 4 --iterations 2".into(),
+        ],
+        "serve" | "slo report" | "metrics export" => {
+            vec![format!("{} --workload {WL}", label(row))]
+        }
+        "info" => vec!["info".into()],
+        "trace export" => vec![format!(
+            "trace export --in {} --out {written}",
+            at("events.jsonl")
+        )],
+        "trace check" => vec![format!("trace check --in {}", at("trace.json"))],
+        "trace summary" => vec![format!("trace summary --in {}", at("events.jsonl"))],
+        "perf record" => vec![format!(
+            "perf record --scale {} --out {written}",
+            1u64 << 62
+        )],
+        "perf diff" => vec![format!(
+            "perf diff --baseline {0} --against {0}",
+            at("set.json")
+        )],
+        other => panic!("`gpmr {other}` has no baseline command line"),
+    }
+}
+
+fn rows_carrying(flag: &str) -> Vec<&'static Command> {
+    let carries = |row: &&Command| row.flags().any(|f| f.name == flag);
+    COMMANDS.iter().filter(carries).collect()
+}
 
 /// WO, KMC, MM and `gpmr kmeans` draw a second random stream from the
 /// seed after `--seed`. At `u64::MAX` that was `seed + 1`: exit 101 in
 /// a debug build, a silent wrap in release.
 #[test]
 fn the_largest_seed_runs_every_command_that_derives_a_second_one() {
-    for command in [
-        "run --benchmark wo --size 20000",
-        "run --benchmark kmc --size 10000",
-        "run --benchmark mm --size 64",
-        "analyze --benchmark wo --size 20000",
-        "analyze --benchmark kmc --size 10000",
-        "kmeans --points 2000 --k 4 --iterations 2",
-    ] {
+    let rows = rows_carrying("seed");
+    assert_eq!(rows.len(), 3, "run, analyze, kmeans");
+    for command in rows.iter().flat_map(|row| baselines(row, "seed")) {
         let line = format!("{command} --gpus 2 --seed {}", u64::MAX);
         let out = dispatch(line.split(' ')).unwrap_or_else(|e| panic!("{command}: {e}"));
         assert!(!out.is_empty(), "{command} printed nothing");
@@ -30,36 +117,28 @@ fn the_largest_seed_runs_every_command_that_derives_a_second_one() {
 /// saturates.
 #[test]
 fn the_largest_scales_run_every_command_that_sizes_chunks() {
-    let recording = std::env::temp_dir().join("gpmr_cli_robustness_scale.json");
+    let rows = rows_carrying("scale");
+    assert_eq!(rows.len(), 3, "run, analyze, perf record");
     for scale in [1u64 << 62, u64::MAX] {
-        for command in [
-            "run --benchmark sio --size 2000".to_string(),
-            "analyze --benchmark sio --size 2000".to_string(),
-            format!("perf record --out {}", recording.display()),
-        ] {
-            let line = format!("{command} --scale {scale}");
+        for row in &rows {
+            let line = format!("{} --scale {scale}", baselines(row, "scale")[0]);
             let out = dispatch(line.split(' ')).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert!(!out.is_empty(), "{line} printed nothing");
         }
     }
-    std::fs::remove_file(&recording).ok();
 }
 
 /// `--gpus` sizes a cluster in seven commands and was range-checked in
 /// two: `kmeans --gpus 0` divided by zero, `serve --gpus 100000` built
-/// 100 000 devices per engine slot. One bound for all of them.
+/// 100 000 devices per engine slot. One bound for all of them, declared
+/// with the flag.
 #[test]
 fn every_command_that_builds_a_cluster_bounds_gpus() {
-    let wl = concat!(env!("CARGO_MANIFEST_DIR"), "/workloads/service_demo.wl");
-    for command in [
-        "run --benchmark sio --size 2000".to_string(),
-        "analyze --benchmark sio --size 2000".to_string(),
-        "kmeans --points 100".to_string(),
-        format!("serve --workload {wl}"),
-        format!("slo report --workload {wl}"),
-        format!("metrics export --workload {wl}"),
-        "info".to_string(),
-    ] {
+    let rows = rows_carrying("gpus");
+    assert_eq!(rows.len(), 7, "the rows that name the cluster group");
+    for row in rows {
+        assert!(row.groups.contains(&CLUSTER), "{}", label(row));
+        let command = &baselines(row, "gpus")[0];
         for gpus in ["0", "1025", "100000"] {
             let line = format!("{command} --gpus {gpus}");
             let err = dispatch(line.split(' ')).expect_err(&line);
@@ -84,4 +163,150 @@ fn no_environment_variable_sizes_a_thread_pool() {
     let line = "run --benchmark wo --size 200000 --gpus 2";
     let out = dispatch(line.split(' ')).unwrap_or_else(|e| panic!("{line}: {e}"));
     assert!(out.contains("simulated time"), "{out}");
+}
+
+/// The five generic subcommands shared one accepted-flag list, so each
+/// took — and ignored — every flag another one read: 96 (subcommand,
+/// flag) pairs (`info --zipf 2`, `kmeans --fault-seed 3`, `serve --seed 9
+/// --resume`), and `perf record --baseline` / `perf diff --scale` among
+/// the moded ones. A row refuses, by name, whatever it does not list.
+#[test]
+fn a_flag_the_row_does_not_list_is_refused_by_name() {
+    let every_flag: Vec<&Flag> = {
+        let mut seen = BTreeSet::new();
+        let all = COMMANDS.iter().flat_map(Command::flags);
+        all.filter(|f| seen.insert(f.name)).collect()
+    };
+    assert_eq!(every_flag.len(), 38, "no flag was added or dropped");
+    // Refused pairs, over the rows without a mode word and with one.
+    let mut pairs = [0, 0];
+    for row in COMMANDS {
+        let listed: BTreeSet<&str> = row.flags().map(|f| f.name).collect();
+        for flag in every_flag.iter().filter(|f| !listed.contains(f.name)) {
+            let value = if flag.kind == Kind::Switch { "" } else { " 1" };
+            let line = format!("{} --{}{value}", baselines(row, "foreign")[0], flag.name);
+            let err = dispatch(line.split(' ')).expect_err(&line).to_string();
+            let refusal = format!("unknown option --{} for `gpmr {}`", flag.name, label(row));
+            assert_eq!(err, refusal, "{line}");
+            pairs[usize::from(!row.mode.is_empty())] += 1;
+        }
+    }
+    // run 18, analyze 19, kmeans 8, serve 12 and info 1 of the 38; the
+    // seven moded rows list 31 between them.
+    assert_eq!(pairs, [5 * 38 - 58, 7 * 38 - 31]);
+    assert!(pairs[0] >= 96);
+}
+
+/// ROADMAP item 2, the CLI half: every numeric flag of every row takes
+/// the hostile values and returns — a report or a typed error, never a
+/// panic. `run --size 2^62`, `run --benchmark lr --size MAX`, `kmeans
+/// --points MAX`, `kmeans --k 2^62` and `serve --engines MAX` each died
+/// with `capacity overflow` (exit 101) before flags declared a range.
+#[test]
+fn no_numeric_flag_value_panics_any_command() {
+    let hostile = [
+        "0".to_string(),
+        "1".to_string(),
+        u64::MAX.to_string(),
+        (u64::MAX - 1).to_string(),
+        (1u64 << 62).to_string(),
+        "NaN".to_string(),
+        "-1".to_string(),
+        String::new(),
+    ];
+    let journal = fixtures().join("hostile.gpj").display().to_string();
+    let mut panicked = Vec::new();
+    let (mut reports, mut refusals) = (0, 0);
+    for row in COMMANDS {
+        let numeric = |f: &&Flag| matches!(f.kind, Kind::Uint(..) | Kind::Float(..));
+        for flag in row.flags().filter(numeric) {
+            for value in &hostile {
+                // Scales 0 and 1 are the paper's full sizes: minutes of
+                // honest work in this profile, not a robustness question.
+                if label(row) == "perf record" && matches!(value.as_str(), "0" | "1") {
+                    continue;
+                }
+                let line = baselines(row, "hostile").swap_remove(0);
+                let mut tokens: Vec<&str> = line.split(' ').collect();
+                if JOURNAL.contains(flag) {
+                    tokens.extend(["--journal", &journal]);
+                }
+                let option = format!("--{}", flag.name);
+                tokens.extend([option.as_str(), value.as_str()]);
+                let shown = tokens.join(" ");
+                let outcome = std::panic::catch_unwind(|| dispatch(tokens.iter().copied()));
+                let never_a_number = matches!(value.as_str(), "NaN" | "-1" | "");
+                match outcome {
+                    Err(_) => panicked.push(shown),
+                    Ok(Ok(_)) if !never_a_number => reports += 1,
+                    Ok(Ok(_)) => panic!("{shown} was accepted"),
+                    Ok(Err(err)) => {
+                        let range = format!("{option} must be in {}", flag.kind.range());
+                        let out_of_range = err.to_string().starts_with(&range);
+                        assert!(out_of_range || !never_a_number, "{shown}: {err}");
+                        refusals += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(panicked.is_empty(), "panicked:\n{}", panicked.join("\n"));
+    // Not vacuous: most in-range values run a job to its report.
+    assert!(
+        reports >= 100 && refusals >= 200,
+        "{reports} reports, {refusals} refusals"
+    );
+}
+
+/// `HELP` is written by hand; its USAGE synopsis names, for each row,
+/// exactly the flags the row lists (`[run options]` and `[serve options]`
+/// stand for the shared groups).
+#[test]
+fn usage_names_exactly_the_flags_each_row_lists() {
+    let text = help();
+    let usage = text.split("USAGE:\n").nth(1).expect("a USAGE section");
+    let usage = usage.split("\n\n").next().unwrap();
+    // An entry starts at `gpmr` and runs over its continuation lines.
+    let entries: Vec<&str> = usage.split("    gpmr ").skip(1).collect();
+    let shared = [
+        ("[run options]", [CLUSTER, RUN, OUTPUTS, JOURNAL].concat()),
+        ("[serve options]", [CLUSTER, SERVICE].concat()),
+    ];
+    let documented = |row: &Command| {
+        let mut flags = BTreeSet::new();
+        for entry in &entries {
+            let mut words = entry.split_whitespace();
+            let named = words.next() == Some(row.name);
+            if !named || (!row.mode.is_empty() && words.next() != Some(row.mode)) {
+                continue;
+            }
+            for (stands_for, group) in &shared {
+                if entry.contains(stands_for) {
+                    flags.extend(group.iter().map(|f| f.name.to_string()));
+                }
+            }
+            for option in entry.split("--").skip(1) {
+                let end = option.find(|c: char| !(c.is_ascii_lowercase() || c == '-'));
+                flags.insert(option[..end.unwrap_or(option.len())].to_string());
+            }
+        }
+        flags
+    };
+    for row in COMMANDS {
+        let listed: BTreeSet<String> = row.flags().map(|f| f.name.to_string()).collect();
+        assert_eq!(
+            documented(row),
+            listed,
+            "USAGE entry of `gpmr {}`",
+            label(row)
+        );
+    }
+    // And USAGE documents no command the table lacks.
+    for entry in &entries {
+        let name = entry.split_whitespace().next().unwrap();
+        assert!(
+            name == "help" || COMMANDS.iter().any(|row| row.name == name),
+            "USAGE documents `gpmr {name}`, which is not a row"
+        );
+    }
 }
