@@ -286,6 +286,12 @@ fn quantize(c: f32) -> u32 {
 }
 
 /// Build round-0 input chunks from raw coordinates.
+///
+/// ```
+/// use gpmr_apps::cpair::{cpair_chunks, generate_coords};
+/// let coords = generate_coords(1000, 1.0e4, 7);
+/// assert_eq!(cpair_chunks(&coords, 256).len(), 4);
+/// ```
 pub fn cpair_chunks(coords: &[f32], chunk_points: usize) -> Vec<PairChunk<u32, f32>> {
     let pairs: KvSet<u32, f32> = coords.iter().map(|&c| (quantize(c), c)).collect();
     PairChunk::split(&pairs, chunk_points.max(1), 0)

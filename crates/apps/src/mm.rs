@@ -494,8 +494,10 @@ pub fn mm_auto_blocks(n_tiles: usize, gpus: u32, capacity_bytes: u64) -> (usize,
         }
     }
     let target = (4 * gpus as usize).max(8);
+    // Compared only against `target`: past `usize` the count saturates.
     let chunks = |side: usize, kb: usize| {
-        n_tiles.div_ceil(side) * n_tiles.div_ceil(side) * n_tiles.div_ceil(kb)
+        let (blocks, slabs) = (n_tiles.div_ceil(side), n_tiles.div_ceil(kb));
+        blocks.saturating_mul(blocks).saturating_mul(slabs)
     };
     while chunks(side, kb) < target && kb > 1 {
         kb /= 2;
@@ -580,6 +582,15 @@ mod tests {
         ] {
             assert!(matches!(result, Err(EngineError::InvalidPipeline(_))));
         }
+    }
+
+    #[test]
+    fn the_largest_orders_size_blocks_without_overflow() {
+        // `gpmr paper fig2 --scale 2^62` sizes MM for 2^33 tiles a side:
+        // the chunk count (2^25)^2 * 2^27 overflowed `usize`, a panic in
+        // debug and a silent wrap in release.
+        let capacity = GpuSpec::gt200().mem_capacity;
+        assert_eq!(mm_auto_blocks(1 << 33, 4, capacity), (256, 256, 64));
     }
 
     fn assert_matrix_close(a: &Matrix, b: &Matrix) {

@@ -75,6 +75,18 @@ impl SioJob {
     /// Cap the number of value sets per reduce kernel (the paper's §4.3
     /// reduce-chunking callback; GPMR keeps issuing it until the last
     /// sequence is processed). Default: all remaining sets in one kernel.
+    ///
+    /// ```
+    /// use gpmr_apps::sio::{generate_integers, sio_chunks, SioJob};
+    /// use gpmr_core::run_job;
+    /// use gpmr_sim_net::Cluster;
+    /// let chunks = sio_chunks(&generate_integers(20_000, 3), 16 << 10);
+    /// let one = |job: &SioJob| {
+    ///     let mut cluster = Cluster::accelerator(2, gpmr_sim_gpu::GpuSpec::gt200());
+    ///     run_job(&mut cluster, job, chunks.clone()).unwrap().merged_output()
+    /// };
+    /// assert_eq!(one(&SioJob::default()), one(&SioJob::default().with_reduce_chunk(100)));
+    /// ```
     pub fn with_reduce_chunk(mut self, sets: usize) -> Self {
         self.reduce_sets = Some(sets.max(1));
         self

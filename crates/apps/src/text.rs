@@ -47,6 +47,12 @@ impl Dictionary {
     /// Build a dictionary from an explicit word list (e.g. loaded from a
     /// system word file). Words must be distinct; duplicates panic during
     /// minimal-perfect-hash construction.
+    ///
+    /// ```
+    /// let words = ["map", "bin", "sort", "reduce"].map(|w| w.as_bytes().to_vec());
+    /// let dict = gpmr_apps::text::Dictionary::from_words(words.to_vec());
+    /// assert_eq!(dict.len(), 4);
+    /// ```
     pub fn from_words(words: Vec<Vec<u8>>) -> Self {
         let refs: Vec<&[u8]> = words.iter().map(Vec::as_slice).collect();
         let mph = MinimalPerfectHash::build(&refs);

@@ -1,59 +1,8 @@
-//! Shared harness configuration: scale parsing and run parameters.
+//! Shared harness parameters: the default scale and chunk sizing.
 
 /// Default workload scale divisor (element counts / 64, matrix orders
 /// / 8). Chosen so the full figure sweeps finish in minutes on a laptop.
 pub const DEFAULT_SCALE: u64 = 64;
-
-/// True if `--flag` appears in the process arguments.
-pub fn parse_flag(flag: &str) -> bool {
-    std::env::args().skip(1).any(|a| a == flag)
-}
-
-/// Parse `--scale N` from the process arguments (or the `GPMR_SCALE`
-/// environment variable); fall back to [`DEFAULT_SCALE`].
-pub fn parse_scale() -> u64 {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--scale" {
-            if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                return v;
-            }
-        } else if let Some(v) = a.strip_prefix("--scale=").and_then(|v| v.parse().ok()) {
-            return v;
-        }
-    }
-    std::env::var("GPMR_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_SCALE)
-}
-
-/// Parameters shared by the harness binaries.
-#[derive(Clone, Debug)]
-pub struct HarnessConfig {
-    /// Workload scale divisor.
-    pub scale: u64,
-    /// Base RNG seed (fixed for reproducibility).
-    pub seed: u64,
-    /// GPU counts used for scaling sweeps (the paper's x-axis).
-    pub gpu_counts: Vec<u32>,
-}
-
-impl HarnessConfig {
-    /// Config from the command line.
-    pub fn from_args() -> Self {
-        HarnessConfig {
-            scale: parse_scale(),
-            seed: 0x47504d52, // "GPMR"
-            gpu_counts: vec![1, 4, 8, 16, 32, 64],
-        }
-    }
-
-    /// The GPU counts for Matrix Multiplication (the paper adds 2).
-    pub fn mm_gpu_counts(&self) -> Vec<u32> {
-        vec![1, 2, 4, 8, 16, 32, 64]
-    }
-}
 
 /// Chunk size in bytes for a workload of `total_bytes` on `gpus` GPUs
 /// under hardware-scale divisor `scale`: a few chunks per GPU, clamped so
@@ -78,15 +27,6 @@ pub fn chunk_bytes_tuned(total_bytes: u64, gpus: u32, scale: u64, depth: u32) ->
     // `--scale` is user input: near `u64::MAX` the product has no `u64`.
     let max = ((64 << 20) / d.saturating_mul(s)).max(min);
     per.clamp(min, max) as usize
-}
-
-/// Unwrap a harness run, or print its error and exit 2 — how the paper
-/// bins report a job the (scaled) cluster cannot run.
-pub fn or_exit<T>(result: gpmr_core::EngineResult<T>) -> T {
-    result.unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2)
-    })
 }
 
 #[cfg(test)]
@@ -135,15 +75,5 @@ mod tests {
                 assert_eq!(chunk_bytes_tuned(1 << 40, 4, scale, depth), 1024);
             }
         }
-    }
-
-    #[test]
-    fn default_config_has_paper_gpu_counts() {
-        let cfg = HarnessConfig {
-            scale: DEFAULT_SCALE,
-            seed: 1,
-            gpu_counts: vec![1, 4, 8, 16, 32, 64],
-        };
-        assert_eq!(cfg.mm_gpu_counts(), vec![1, 2, 4, 8, 16, 32, 64]);
     }
 }

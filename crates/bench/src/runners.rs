@@ -142,8 +142,8 @@ mod tests {
     #[test]
     fn mm_past_its_scaling_range_is_a_typed_error() {
         // Device capacity shrinks by d^2 while phase 2 keeps whole tile
-        // groups per chunk: `fig2_breakdown --scale 128` died in an
-        // `expect` here.
+        // groups per chunk: the Figure 2 harness died in an `expect` here
+        // at `--scale 128`.
         for scale in [128, 4096] {
             let w = gpmr_apps::strong_workload(Benchmark::Mm, 3, scale, 1);
             let result = run_bench(&harness_input(&w, scale), 1, scale);

@@ -1,4 +1,4 @@
-//! Plain-text table rendering for the harness binaries.
+//! Plain-text table rendering for the paper artifacts.
 
 /// Render an aligned text table with a header row.
 pub fn render(headers: &[&str], rows: &[Vec<String>]) -> String {

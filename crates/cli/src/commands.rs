@@ -10,7 +10,8 @@ use gpmr_apps::text::Dictionary;
 use gpmr_apps::{kmc, lr, Benchmark};
 use gpmr_bench::harness::chunk_bytes_tuned;
 use gpmr_bench::perf as perfsuite;
-use gpmr_core::{EngineTuning, JobTimings, Journal, RunOpts};
+use gpmr_bench::{paper, DEFAULT_SCALE};
+use gpmr_core::{EngineError, EngineTuning, JobTimings, Journal, RunOpts};
 use gpmr_sim_gpu::{FaultPlan, GpuSpec, PcieLink};
 use gpmr_sim_net::{Cluster, CpuSpec, Nic, Topology};
 use gpmr_telemetry::analyze;
@@ -84,6 +85,14 @@ USAGE:
                 [--out F]
     gpmr metrics export --workload FILE [serve options]
                 [--format prom|json] [--out F]
+    gpmr paper  table1 [--scale N]
+    gpmr paper  table2 [--scale N]
+    gpmr paper  table3 [--scale N]
+    gpmr paper  table4
+    gpmr paper  fig2 [--scale N] [--csv]
+    gpmr paper  fig3 [--scale N] [--csv]
+    gpmr paper  weak [--scale N] [--full]
+    gpmr paper  ablations [--scale N]
     gpmr info   [--gpus N]
     gpmr help
 
@@ -201,6 +210,17 @@ PERF SUBCOMMAND:
                   live at the baseline's scale. Exits non-zero when the
                   makespan regresses beyond the tolerance (--tolerance,
                   default: the baseline file's, ±10%).
+
+PAPER SUBCOMMAND:
+    Regenerates the paper's evaluation (§6), one artifact per mode:
+    table1 dataset sizes; table2 and table3 GPMR's speedup over Phoenix
+    and Mars at 1 and 4 GPUs; table4 source lines per benchmark; fig2 the
+    runtime breakdown at 1/8/64 GPUs; fig3 parallel efficiency; weak the
+    weak-scaling sweep (--full: all of Table 1 set two, not the mid-range
+    size); ablations the design ablations. --scale N divides element
+    counts by N and matrix orders by about sqrt(N), with the hardware
+    scaled to match [default: 64]; MM runs only up to --scale 80. --csv
+    appends machine-readable rows.
 ";
 
 /// Errors surfaced to the user.
@@ -229,6 +249,12 @@ impl From<ArgError> for CliError {
     }
 }
 
+impl From<EngineError> for CliError {
+    fn from(e: EngineError) -> Self {
+        CliError::Invalid(e.to_string())
+    }
+}
+
 /// The largest element count a size flag accepts: above the paper's
 /// largest input (512 M elements), and small enough that no product with
 /// an element size overflows `isize`.
@@ -246,6 +272,7 @@ const EVENTS: Flag = flag("events", Text);
 const JSON: Flag = flag("json", Switch);
 const IN: Flag = flag("in", Text);
 const OUT: Flag = flag("out", Text);
+const CSV: Flag = flag("csv", Switch);
 
 /// Read by every command that builds a cluster.
 pub const CLUSTER: &[Flag] = &[flag("gpus", Uint(1, SLOTS))];
@@ -370,6 +397,28 @@ pub const COMMANDS: &[Command] = &[
         &[CLUSTER, SERVICE, &[flag("format", Text), OUT]],
         metrics_export,
     ),
+    row("paper", "table1", &[&[SCALE]], |a| {
+        Ok(paper::table1(scale(a)))
+    }),
+    row("paper", "table2", &[&[SCALE]], |a| {
+        Ok(paper::table2(scale(a))?)
+    }),
+    row("paper", "table3", &[&[SCALE]], |a| {
+        Ok(paper::table3(scale(a))?)
+    }),
+    row("paper", "table4", &[], |_| Ok(paper::table4())),
+    row("paper", "fig2", &[&[SCALE, CSV]], |a| {
+        Ok(paper::fig2(scale(a), a.flag("csv"))?)
+    }),
+    row("paper", "fig3", &[&[SCALE, CSV]], |a| {
+        Ok(paper::fig3(scale(a), a.flag("csv"))?)
+    }),
+    row("paper", "weak", &[&[SCALE, flag("full", Switch)]], |a| {
+        Ok(paper::weak(scale(a), a.flag("full"))?)
+    }),
+    row("paper", "ablations", &[&[SCALE]], |a| {
+        Ok(paper::ablations(scale(a))?)
+    }),
 ];
 
 /// Parse tokens and execute; returns the text to print.
@@ -613,10 +662,15 @@ fn cmd_analyze(args: &Args) -> Result<String, CliError> {
     })
 }
 
+/// `--scale` of the paper artifacts and the perf gate.
+fn scale(args: &Args) -> u64 {
+    args.num("scale").unwrap_or(DEFAULT_SCALE)
+}
+
 /// `gpmr perf record`: run the gate suite and write its baseline set.
 fn perf_record(args: &Args) -> Result<String, CliError> {
     let out_path = args.get("out").unwrap_or("BENCH_PR6.json");
-    let scale: u64 = args.num("scale").unwrap_or(gpmr_bench::DEFAULT_SCALE);
+    let scale = scale(args);
     let mut out = format!("recording perf baselines (scale {scale})\n");
     let set = perfsuite::record_suite(scale, |b, a| {
         out.push_str(&format!(
@@ -653,7 +707,7 @@ fn perf_diff(args: &Args) -> Result<String, CliError> {
             let scale = if old.scale > 0 {
                 old.scale
             } else {
-                gpmr_bench::DEFAULT_SCALE
+                DEFAULT_SCALE
             };
             (
                 perfsuite::record_suite(scale, |_, _| {}),
@@ -746,7 +800,6 @@ fn run_benchmark(
             )
         })
     };
-    let fail = |e: gpmr_core::EngineError| CliError::Invalid(e.to_string());
 
     // Refuse what cannot reach MM, and report its two phases.
     if outside_engine(bench) {
@@ -770,8 +823,7 @@ fn run_benchmark(
                 "--size for mm must be a positive multiple of 16, at most {MM_MAX_ORDER}"
             )));
         }
-        let run =
-            table::run(&generate(), &mut cluster, 0, false, RunOpts::default()).map_err(fail)?;
+        let run = table::run(&generate(), &mut cluster, 0, false, RunOpts::default())?;
         let AppOutput::Mm(result) = run.output else {
             unreachable!("MM produces an MM result");
         };
@@ -804,7 +856,7 @@ fn run_benchmark(
         journal: journal.as_mut(),
         ..RunOpts::default()
     };
-    let run = table::run(&input, &mut cluster, chunk_bytes, range_partition, opts).map_err(fail)?;
+    let run = table::run(&input, &mut cluster, chunk_bytes, range_partition, opts)?;
 
     let mut out = report(bench.title(), gpus, size as u64, &run.timings);
     if let Some((splitters, samples)) = run.splitters {
@@ -851,8 +903,7 @@ fn cmd_kmeans(args: &Args) -> Result<String, CliError> {
         iterations,
         1e-4,
         journal.as_mut(),
-    )
-    .map_err(|e| CliError::Invalid(e.to_string()))?;
+    )?;
     let mut out = format!(
         "Iterative K-Means: {points} points, k={k}, {gpus} GPU(s)
          iterations     : {} (tolerance 1e-4, {} device-resident)

@@ -6,6 +6,7 @@
 //! gpmr analyze --events e.jsonl [--json]
 //! gpmr trace export --in e.jsonl --out t.json
 //! gpmr perf  diff --baseline BENCH_PR6.json
+//! gpmr paper fig3 [--scale 64] [--csv]
 //! gpmr info  [--gpus 8]
 //! gpmr help
 //! ```
@@ -17,8 +18,10 @@
 //! JSONL stream). `trace` converts, validates, and summarises those
 //! exports. `analyze` runs the performance-diagnosis layer (critical path,
 //! stragglers, overlap, findings) over a recording or a live run, and
-//! `perf` records/gates the deterministic baselines, `info` prints the
-//! hardware. A subcommand's flags, their ranges and its handler: [`COMMANDS`].
+//! `perf` records/gates the deterministic baselines, `paper` regenerates
+//! the paper's tables and figures ([`gpmr_bench::paper`]), `info` prints
+//! the hardware. A subcommand's flags, their ranges and its handler:
+//! [`COMMANDS`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

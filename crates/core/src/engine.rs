@@ -1808,7 +1808,10 @@ mod tests {
         };
         let combined = {
             let mut cl = Cluster::accelerator(4, GpuSpec::gt200());
-            let cfg = PipelineConfig::default().with_combine(true);
+            let cfg = PipelineConfig {
+                combine: true,
+                ..PipelineConfig::default()
+            };
             run_job(&mut cl, &TestJob::with(cfg), input(8000)).unwrap()
         };
         assert_eq!(counts(&plain), counts(&combined));
@@ -1830,7 +1833,10 @@ mod tests {
     #[test]
     fn map_only_jobs_skip_sort_and_reduce() {
         let mut cl = Cluster::accelerator(2, GpuSpec::gt200());
-        let cfg = PipelineConfig::default().map_only();
+        let cfg = PipelineConfig {
+            sort_and_reduce: false,
+            ..PipelineConfig::default()
+        };
         let result = run_job(&mut cl, &TestJob::with(cfg), input(2000)).unwrap();
         // Raw pairs, not reduced: one pair per input element.
         assert_eq!(result.merged_output().len(), 2000);
@@ -1876,7 +1882,10 @@ mod tests {
         // however late its bucket arrived.
         let job = TestJob {
             emit: |x| (x, x.wrapping_mul(3)),
-            ..TestJob::with(PipelineConfig::default().map_only())
+            ..TestJob::with(PipelineConfig {
+                sort_and_reduce: false,
+                ..PipelineConfig::default()
+            })
         };
         let n = 40_000u32;
         let expect: Vec<KvSet<u32, u32>> = (0..4)
@@ -1922,7 +1931,10 @@ mod tests {
         };
         let bitonic = {
             let mut cl = Cluster::accelerator(3, GpuSpec::gt200());
-            let cfg = PipelineConfig::default().with_sort(SortMode::Bitonic);
+            let cfg = PipelineConfig {
+                sort: SortMode::Bitonic,
+                ..PipelineConfig::default()
+            };
             run_job(&mut cl, &TestJob::with(cfg), input(5000)).unwrap()
         };
         assert_eq!(counts(&radix), counts(&bitonic));
@@ -1959,9 +1971,15 @@ mod tests {
     fn single_rank_cluster_runs_every_pipeline() {
         for cfg in [
             PipelineConfig::default(),
-            PipelineConfig::default().with_combine(true),
+            PipelineConfig {
+                combine: true,
+                ..PipelineConfig::default()
+            },
             PipelineConfig::default().with_partition(PartitionMode::None),
-            PipelineConfig::default().map_only(),
+            PipelineConfig {
+                sort_and_reduce: false,
+                ..PipelineConfig::default()
+            },
         ] {
             let mut cl = Cluster::accelerator(1, GpuSpec::gt200());
             let result = run_job(&mut cl, &TestJob::with(cfg.clone()), input(3000)).unwrap();

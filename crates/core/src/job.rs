@@ -206,27 +206,9 @@ impl Default for PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// Builder: enable or disable the global Combine substage.
-    pub fn with_combine(mut self, combine: bool) -> Self {
-        self.combine = combine;
-        self
-    }
-
     /// Builder: set the partitioning mode.
     pub fn with_partition(mut self, partition: PartitionMode) -> Self {
         self.partition = partition;
-        self
-    }
-
-    /// Builder: set the Sorter.
-    pub fn with_sort(mut self, sort: SortMode) -> Self {
-        self.sort = sort;
-        self
-    }
-
-    /// Builder: bypass Sort and Reduce (the MM configuration).
-    pub fn map_only(mut self) -> Self {
-        self.sort_and_reduce = false;
         self
     }
 
@@ -408,25 +390,19 @@ mod tests {
     }
 
     #[test]
-    fn builders_compose() {
+    fn the_partition_builder_keeps_every_other_field() {
         let partial = PipelineConfig {
             map_mode: MapMode::PartialReduce,
+            sort: SortMode::Bitonic,
+            sort_and_reduce: false,
             ..PipelineConfig::default()
         };
-        let p = partial
-            .with_partition(PartitionMode::None)
-            .with_sort(SortMode::Bitonic)
-            .map_only();
+        let p = partial.with_partition(PartitionMode::None);
         assert_eq!(p.map_mode, MapMode::PartialReduce);
         assert_eq!(p.partition, PartitionMode::None);
         assert_eq!(p.sort, SortMode::Bitonic);
         assert!(!p.sort_and_reduce);
         assert!(p.validate().is_ok());
-        let accumulate = PipelineConfig {
-            map_mode: MapMode::Accumulate,
-            ..PipelineConfig::default()
-        };
-        assert!(accumulate.with_combine(true).validate().is_err());
     }
 
     #[test]

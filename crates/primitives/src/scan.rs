@@ -203,11 +203,12 @@ mod tests {
     fn scan_charges_time_on_compute_timeline() {
         let mut g = gpu();
         let input: Vec<u32> = vec![1; 1 << 20];
-        let before = g.compute_busy();
+        let before = g.compute_free_at();
         let (_, _, _) = exclusive_scan(&mut g, SimTime::ZERO, &input).unwrap();
-        assert!(g.compute_busy() > before);
+        assert!(g.compute_free_at() > before);
         // Should be at least the roofline time for reading+writing 8 MB.
-        assert!(g.compute_busy().as_secs() > (3.0 * (1u64 << 22) as f64) / g.spec.mem_bandwidth);
+        let busy = g.compute_free_at() - SimTime::ZERO;
+        assert!(busy.as_secs() > (3.0 * (1u64 << 22) as f64) / g.spec.mem_bandwidth);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::link::{Direction, SharedLink};
 use crate::memory::{DeviceBuffer, DeviceMemory};
 use crate::occupancy::occupancy;
 use crate::spec::GpuSpec;
-use crate::time::{Reservation, SimDuration, SimTime, Timeline};
+use crate::time::{Reservation, SimTime, Timeline};
 use gpmr_telemetry::{Counter, Gauge, Histogram, Telemetry};
 
 /// Cached telemetry handles for one device (boxed so an uninstrumented
@@ -261,11 +261,6 @@ impl Gpu {
     /// Instant after which the compute engine is idle.
     pub fn compute_free_at(&self) -> SimTime {
         self.compute.free_at()
-    }
-
-    /// Total time the compute engine has been busy.
-    pub fn compute_busy(&self) -> SimDuration {
-        self.compute.busy_time()
     }
 
     /// Instant after which the H2D copy engine is idle.

@@ -137,13 +137,6 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    /// Whether the plan contains any GPU kill.
-    pub fn has_kills(&self) -> bool {
-        self.events
-            .iter()
-            .any(|e| matches!(e, FaultEvent::GpuKill { .. }))
-    }
-
     /// Append an event.
     pub fn push(&mut self, event: FaultEvent) {
         self.events.push(event);
@@ -398,6 +391,11 @@ impl FaultPlan {
     /// seed-deterministic instants inside the horizon. `generate` itself
     /// never emits adds, so existing chaos comparisons against same-size
     /// clean runs stay valid.
+    ///
+    /// ```
+    /// let plan = gpmr_sim_gpu::FaultPlan::generate_elastic(7, 4, 2, 5e-3);
+    /// assert_eq!(plan.added_ranks(), vec![4, 5]);
+    /// ```
     pub fn generate_elastic(seed: u64, ranks: u32, extra: u32, horizon_s: f64) -> Self {
         let mut plan = Self::generate(seed, ranks, horizon_s);
         // A separate stream keeps the base schedule identical to the
@@ -558,7 +556,6 @@ mod tests {
             .transfer_fail(Some(0), Some(3), 0.0, 1.0, 2)
             .transfer_delay(None, Some(1), 0.0, 1.0, 1e-4);
         assert_eq!(plan.events().len(), 4);
-        assert!(plan.has_kills());
         assert_eq!(plan.kill_time(2), Some(SimTime::from_secs(1e-3)));
         assert_eq!(plan.kill_time(0), None);
         assert_eq!(plan.stalls_for(1).len(), 1);
@@ -629,7 +626,7 @@ mod tests {
     #[test]
     fn add_events_are_recorded_parsed_and_queried() {
         let plan = FaultPlan::new().add(4, 2e-3).add(5, 1e-3).add(4, 1.5e-3);
-        assert!(!plan.has_kills());
+        assert_eq!(plan.kill_time(4), None);
         assert_eq!(plan.add_time(4), Some(SimTime::from_secs(1.5e-3)));
         assert_eq!(plan.add_time(5), Some(SimTime::from_secs(1e-3)));
         assert_eq!(plan.add_time(0), None);
@@ -638,7 +635,7 @@ mod tests {
         let parsed = FaultPlan::parse("add:4@2e-3; kill:1@1e-3").unwrap();
         assert_eq!(parsed.add_time(4), Some(SimTime::from_secs(2e-3)));
         assert_eq!(parsed.added_ranks(), vec![4]);
-        assert!(parsed.has_kills());
+        assert_eq!(parsed.kill_time(1), Some(SimTime::from_secs(1e-3)));
         for bad in ["add:4", "add:x@0", "add:4@-1"] {
             assert!(FaultPlan::parse(bad).is_err(), "accepted {bad:?}");
         }
@@ -671,7 +668,7 @@ mod tests {
     #[test]
     fn single_rank_plans_never_kill() {
         for seed in 0..16u64 {
-            assert!(!FaultPlan::generate(seed, 1, 1e-3).has_kills());
+            assert_eq!(FaultPlan::generate(seed, 1, 1e-3).kill_time(0), None);
         }
     }
 

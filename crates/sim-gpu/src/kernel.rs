@@ -189,6 +189,17 @@ impl<'a> BlockCtx<'a> {
     /// derive for it (one warp per 32 addresses; see [`crate::access`]).
     /// The emergent alternative to declaring `charge_read` vs
     /// `charge_read_uncoalesced` by hand.
+    ///
+    /// ```
+    /// use gpmr_sim_gpu::{Gpu, GpuSpec, LaunchConfig, SimTime};
+    /// let mut gpu = Gpu::new(GpuSpec::gt200());
+    /// let scattered: Vec<u64> = (0..32).map(|lane| lane * 4096).collect();
+    /// let (launch, _) = gpu.launch(SimTime::ZERO, &LaunchConfig::grid(1, 32), |ctx| {
+    ///     ctx.charge_addressed::<u32>(&scattered).waste_factor()
+    /// })?;
+    /// assert_eq!(launch.outputs, [8.0]); // a 32-byte segment per 4-byte read
+    /// # Ok::<(), gpmr_sim_gpu::SimGpuError>(())
+    /// ```
     pub fn charge_addressed<T>(&mut self, addresses: &[u64]) -> crate::access::CoalescingSummary {
         let mut total = crate::access::CoalescingSummary::default();
         for warp in addresses.chunks(self.spec.warp_size as usize) {
@@ -226,27 +237,6 @@ impl<'a> BlockCtx<'a> {
     }
 
     // ---- cooperative helpers ----------------------------------------------
-
-    /// Block-wide tree reduction over `items` with `op`, charging
-    /// the log-depth arithmetic a shared-memory reduction would cost.
-    /// Returns `None` for an empty input.
-    pub fn block_reduce<T, F>(&mut self, items: &[T], op: F) -> Option<T>
-    where
-        T: Copy,
-        F: Fn(T, T) -> T,
-    {
-        if items.is_empty() {
-            return None;
-        }
-        // Tree reduction: n-1 combines, executed in ceil(log2 n) steps by
-        // block_threads lanes. Charge the combines as flops.
-        self.cost.flops += (items.len() - 1) as u64;
-        let mut acc = items[0];
-        for &it in &items[1..] {
-            acc = op(acc, it);
-        }
-        Some(acc)
-    }
 
     /// Warp-wide coalesced sum over a strided value range, as used by the
     /// paper's Word Occurrence reducer (one key per warp, lanes summing in
@@ -368,17 +358,6 @@ mod tests {
         assert_eq!(a.len(), 4);
         let err = ctx.shared_alloc::<u32>(1).unwrap_err();
         assert!(matches!(err, SimGpuError::SharedMemExceeded { .. }));
-    }
-
-    #[test]
-    fn block_reduce_computes_and_charges() {
-        let s = spec();
-        let cfg = LaunchConfig::grid(1, 64);
-        let mut ctx = BlockCtx::new(&s, &cfg, 0);
-        let sum = ctx.block_reduce(&[1.0f64, 2.0, 3.0, 4.0], |a, b| a + b);
-        assert_eq!(sum, Some(10.0));
-        assert_eq!(ctx.cost().flops, 3);
-        assert_eq!(ctx.block_reduce::<f64, _>(&[], |a, _| a), None);
     }
 
     #[test]

@@ -24,7 +24,8 @@
 //! tel.span(0, "Map", 0.0, 1.5).attr("chunk", "0").record();
 //! let snap = tel.snapshot();
 //! assert_eq!(snap.metrics.counter("engine.chunks_dispatched"), 1);
-//! assert_eq!(snap.spans.len(), 1);
+//! assert_eq!(snap.spans_on(0).count(), 1);
+//! assert_eq!(snap.spans_of("Map").count(), 1);
 //! let perfetto = gpmr_telemetry::export::to_perfetto_json(&snap);
 //! gpmr_telemetry::export::validate_perfetto(&perfetto).unwrap();
 //! ```

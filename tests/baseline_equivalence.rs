@@ -127,7 +127,7 @@ fn all_three_mm_implementations_agree() {
     // The GPU implementations beat the CPU baseline even at this toy
     // size. (GPMR-beats-Mars needs benchmark-scale matrices where job
     // setup amortizes — that ordering is exercised by the Table 3
-    // harness, `cargo run -p gpmr-bench --bin table3_mars`.)
+    // harness, `gpmr paper table3`.)
     assert!(gpmr.total_time.as_secs() < phoenix_t.as_secs());
     assert!(mars_t.as_secs() < phoenix_t.as_secs());
 }

@@ -4,7 +4,9 @@
 //! one app table in `gpmr-apps` — the way
 //! `journal_bytes_match_the_build_that_introduced_the_format` pins
 //! journals. A digest that drifts means a generator, chunk size, constant
-//! or report line changed under some benchmark.
+//! or report line changed under some benchmark. The paper artifacts are
+//! pinned the same way, to what the binaries `gpmr paper` replaced
+//! printed.
 
 use gpmr::core::journal::fnv1a;
 use gpmr_cli::dispatch;
@@ -130,4 +132,69 @@ fn analyze_runs_the_job_run_runs() {
 
     let err = dispatch("analyze --benchmark mm --size 64".split(' ')).unwrap_err();
     assert!(err.to_string().contains("analyze supports"), "{err}");
+}
+
+/// `gpmr paper` prints, byte for byte, what the eight table and figure
+/// binaries it replaced printed: at a scale small enough for the debug
+/// profile, and at 2^62, where MM's block sizing used to overflow (those
+/// digests are the release binaries', which wrapped silently).
+#[test]
+fn paper_bytes_match_the_binaries_they_replace() {
+    let at = |artifact: &str, scale: u64| format!("paper {artifact} --scale {scale}");
+    let cases = [
+        (at("table1", 1 << 20), (991, 0xb73f_cc49_d96f_03c3)),
+        (at("table2", 1 << 20), (880, 0xc07e_f040_e6ac_b686)),
+        (at("table3", 1 << 20), (725, 0xd9a8_9a98_8409_77c8)),
+        (at("fig2", 1 << 20), (1220, 0x1ffe_7a52_6013_39f5)),
+        (at("fig2 --csv", 1 << 20), (1784, 0x4200_f442_4f7f_438e)),
+        (at("fig3", 1 << 20), (7673, 0xeb57_6bbe_f1f3_caa7)),
+        (at("fig3 --csv", 1 << 20), (11094, 0xd25c_eb58_f230_4617)),
+        (at("weak", 1 << 20), (1346, 0xd373_ff4a_984d_abf6)),
+        (at("weak --full", 1 << 20), (7858, 0xb231_3ba0_ffb2_e83c)),
+        (at("ablations", 1 << 20), (2639, 0x51a0_e0ee_c1a4_ec3c)),
+        (at("fig2", 1 << 62), (1232, 0x861f_b349_29db_e2a6)),
+        (at("fig3", 1 << 62), (7685, 0x1026_3d51_5c11_64fa)),
+        (at("table2", 1 << 62), (1291, 0x2a74_c5af_0738_91e4)),
+        (at("table3", 1 << 62), (1022, 0x9526_a597_8e1c_9589)),
+    ];
+    let mut drifted = Vec::new();
+    for (line, expect) in &cases {
+        let out = dispatch(line.split(' ')).unwrap_or_else(|e| panic!("{line}: {e}"));
+        let got = (out.len(), fnv1a(out.as_bytes()));
+        if got != *expect {
+            drifted.push(format!("{line}: ({}, {:#018x})", got.0, got.1));
+        }
+    }
+    assert!(
+        drifted.is_empty(),
+        "paper output (len, fnv1a) drifted:\n{}",
+        drifted.join("\n")
+    );
+}
+
+/// Table 4 counts this repository's own source lines, which move with
+/// every edit to an app: its rows and columns are pinned, not its bytes.
+#[test]
+fn paper_table4_counts_every_app_beside_the_paper() {
+    let out = dispatch(["paper", "table4"]).unwrap();
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines[0], "Table 4 — benchmark source lines of code");
+    assert_eq!(
+        lines[2],
+        "benchmark  Phoenix (paper)  Mars (paper)  GPMR (paper)  this repo (GPMR port)"
+    );
+    let paper = [
+        ("MM", "317", "235", "214"),
+        ("KMC", "345", "152", "129"),
+        ("WO", "231", "140", "397"),
+        ("SIO", "—", "—", "—"),
+        ("LR", "—", "—", "—"),
+    ];
+    for (line, (name, phoenix, mars, gpmr)) in lines[4..9].iter().zip(paper) {
+        let cells: Vec<&str> = line.split_whitespace().collect();
+        assert_eq!(cells[..4], [name, phoenix, mars, gpmr], "{line}");
+        let ours: usize = cells[4].parse().unwrap_or_else(|_| panic!("{line}"));
+        assert!(ours > 50, "{line}");
+    }
+    assert!(lines[10].starts_with("Counting rule:"), "{out}");
 }
