@@ -15,11 +15,16 @@
 //!    *bypassed*; partial tiles are binned straight to their owner rank.
 //! 2. [`MmSumJob`] — a second Map sums the partial tiles per key
 //!    (again bypassing Sort/Reduce), producing the final tiles.
+//!
+//! [`run_mm`] drives the two as the two rounds of one job on the core
+//! round driver ([`run_rounds`]): round 0 maps the slab products, the
+//! hand-over ([`phase2_chunks`]) regroups its partial tiles by key, and
+//! round 1 sums them.
 
-use gpmr_core::JobTimings;
+use gpmr_core::rounds::{run_rounds, RoundJob, RoundStep};
 use gpmr_core::{
-    Chunk, EngineError, EngineResult, GpmrJob, KvSet, PartitionMode, PipelineConfig, Pod,
-    SliceChunk,
+    Chunk, EngineError, EngineResult, GpmrJob, JobTimings, KvSet, PartitionMode, PipelineConfig,
+    Pod, RunOpts, SliceChunk,
 };
 use gpmr_sim_gpu::SimDuration;
 use gpmr_sim_gpu::{Gpu, LaunchConfig, SimGpuResult, SimTime};
@@ -36,6 +41,9 @@ pub const TILE_ELEMS: usize = TILE * TILE;
 
 /// One 16x16 tile, row-major.
 pub type TileData = [f32; TILE_ELEMS];
+
+/// Tiles by key: a rank's output of either task.
+type Tiles = KvSet<u32, TileData>;
 
 /// A dense square matrix, row-major, order divisible by [`TILE`].
 #[derive(Clone, Debug, PartialEq)]
@@ -212,6 +220,16 @@ fn owner_of(key: u32, n_tiles: u32, ranks: u32) -> u32 {
     (i * n_tiles + j) % ranks.max(1)
 }
 
+/// Both tasks' pipeline: tiles are binned straight to their owner rank
+/// ([`owner_of`]), Sort and Reduce bypassed.
+fn binned_to_owner() -> PipelineConfig {
+    PipelineConfig {
+        partition: PartitionMode::Custom,
+        sort_and_reduce: false,
+        ..PipelineConfig::default()
+    }
+}
+
 /// Phase 1: partial tile products.
 #[derive(Clone, Copy, Debug)]
 pub struct MmMapJob {
@@ -231,23 +249,14 @@ impl GpmrJob for MmMapJob {
     type Value = TileData;
 
     fn pipeline(&self) -> PipelineConfig {
-        PipelineConfig {
-            partition: PartitionMode::Custom,
-            sort_and_reduce: false,
-            ..PipelineConfig::default()
-        }
+        binned_to_owner()
     }
 
     fn partition(&self, key: &u32, ranks: u32) -> u32 {
         owner_of(*key, self.n_tiles, ranks)
     }
 
-    fn map(
-        &self,
-        gpu: &mut Gpu,
-        at: SimTime,
-        chunk: &Self::Chunk,
-    ) -> SimGpuResult<(KvSet<u32, TileData>, SimTime)> {
+    fn map(&self, gpu: &mut Gpu, at: SimTime, chunk: &MmChunk) -> SimGpuResult<(Tiles, SimTime)> {
         let (rows, cols, klen) = (
             chunk.row_len as usize,
             chunk.col_len as usize,
@@ -308,11 +317,7 @@ impl GpmrJob for MmSumJob {
     type Value = TileData;
 
     fn pipeline(&self) -> PipelineConfig {
-        PipelineConfig {
-            partition: PartitionMode::Custom,
-            sort_and_reduce: false,
-            ..PipelineConfig::default()
-        }
+        binned_to_owner()
     }
 
     fn partition(&self, key: &u32, ranks: u32) -> u32 {
@@ -324,9 +329,9 @@ impl GpmrJob for MmSumJob {
         gpu: &mut Gpu,
         at: SimTime,
         chunk: &Self::Chunk,
-    ) -> SimGpuResult<(KvSet<u32, TileData>, SimTime)> {
-        // Chunks contain whole key-groups (guaranteed by `run_mm`'s
-        // grouping); find group boundaries, then one block per group.
+    ) -> SimGpuResult<(Tiles, SimTime)> {
+        // Chunks contain whole key-groups (guaranteed by
+        // `phase2_chunks`); find group boundaries, then one block per group.
         let items = &chunk.items;
         let mut groups: Vec<std::ops::Range<usize>> = Vec::new();
         let mut start = 0usize;
@@ -362,12 +367,120 @@ impl GpmrJob for MmSumJob {
     }
 }
 
+/// Either task's chunk, so that one job type serves both rounds. `Sum` is
+/// tagged in the top bit of the leading `u32`, which neither inner chunk
+/// uses (tile counts are 16-bit, phase-2 chunk ids stay below 2^31): a
+/// part serializes to its inner chunk's length, what a steal or a requeue
+/// is charged.
+#[derive(Clone, Debug, PartialEq)]
+enum MmPart {
+    Product(MmChunk),
+    Sum(SliceChunk<(u32, TileData)>),
+}
+
+const SUM_TAG: u32 = 1 << 31;
+
+impl MmPart {
+    fn inner(&self) -> &dyn Chunk {
+        match self {
+            MmPart::Product(c) => c,
+            MmPart::Sum(c) => c,
+        }
+    }
+}
+
+impl Chunk for MmPart {
+    fn item_count(&self) -> usize {
+        self.inner().item_count()
+    }
+
+    fn size_bytes(&self) -> u64 {
+        self.inner().size_bytes()
+    }
+
+    fn serialize(&self) -> Vec<u8> {
+        let mut bytes = self.inner().serialize();
+        if let MmPart::Sum(c) = self {
+            debug_assert!(c.id < SUM_TAG, "phase-2 chunk ids stay below 2^31");
+            bytes[..4].copy_from_slice(&(c.id | SUM_TAG).to_le_bytes());
+        }
+        bytes
+    }
+
+    fn deserialize(bytes: &[u8]) -> Self {
+        let lead = u32::read_le(bytes);
+        if lead & SUM_TAG == 0 {
+            return MmPart::Product(MmChunk::deserialize(bytes));
+        }
+        let mut c = SliceChunk::deserialize(bytes);
+        c.id = lead & !SUM_TAG;
+        MmPart::Sum(c)
+    }
+}
+
+/// MM's two tasks as one job over [`MmPart`]s (the variant picks the
+/// task's `map`) and its own two-round [`RoundJob`]: round 0 chains into
+/// round 1 through [`phase2_chunks`] with no control state to broadcast,
+/// and phase 2, regrouped across ranks, pays its uploads.
+#[derive(Clone, Copy, Debug)]
+struct MmJob {
+    n_tiles: u32,
+    /// Device memory the phase-2 chunks are sized for.
+    capacity_bytes: u64,
+}
+
+impl GpmrJob for MmJob {
+    type Chunk = MmPart;
+    type Key = u32;
+    type Value = TileData;
+
+    fn pipeline(&self) -> PipelineConfig {
+        binned_to_owner()
+    }
+
+    fn partition(&self, key: &u32, ranks: u32) -> u32 {
+        owner_of(*key, self.n_tiles, ranks)
+    }
+
+    fn map(&self, gpu: &mut Gpu, at: SimTime, chunk: &MmPart) -> SimGpuResult<(Tiles, SimTime)> {
+        match chunk {
+            MmPart::Product(c) => MmMapJob::new(self.n_tiles).map(gpu, at, c),
+            MmPart::Sum(c) => MmSumJob::new(self.n_tiles).map(gpu, at, c),
+        }
+    }
+}
+
+impl RoundJob for MmJob {
+    type Job = Self;
+
+    fn max_rounds(&self) -> u32 {
+        2
+    }
+
+    fn job(&self, _round: u32) -> Self {
+        *self
+    }
+
+    fn absorb(&mut self, round: u32, _outputs: &[Tiles]) -> RoundStep {
+        match round {
+            0 => RoundStep::chain(0),
+            _ => RoundStep::done(),
+        }
+    }
+
+    fn rechunk(&self, _round: u32, outputs: Vec<Tiles>) -> Vec<MmPart> {
+        let chunks = phase2_chunks(&outputs, self.capacity_bytes);
+        chunks.into_iter().map(MmPart::Sum).collect()
+    }
+}
+
 /// Result of a full two-phase GPMR matrix multiplication.
 #[derive(Debug)]
 pub struct MmResult {
     /// The product matrix.
     pub c: Matrix,
-    /// Sum of both phases' makespans.
+    /// The drive's cross-round clock: both phases' makespans (nothing
+    /// is broadcast between them).
     pub total_time: SimDuration,
     /// Phase-1 timing breakdown.
     pub phase1: JobTimings,
@@ -425,9 +538,12 @@ pub fn mm_chunks(
     chunks
 }
 
-/// Run the full two-phase multiplication on a cluster. The block sizes
-/// control chunk granularity in tiles ([`run_mm_auto`] picks them).
-/// Order-0 matrices are rejected with [`EngineError::InvalidPipeline`].
+/// Run the full two-phase multiplication on a cluster: the two tasks as
+/// one [`run_rounds`] drive under `opts`' tuning, telemetry and journal
+/// (its `control` belongs to the job service and is not read). The block
+/// sizes control phase-1 chunk granularity in tiles ([`run_mm_auto`]
+/// picks them). Order-0 matrices are rejected with
+/// [`EngineError::InvalidPipeline`].
 pub fn run_mm(
     cluster: &mut Cluster,
     a: &Matrix,
@@ -435,35 +551,33 @@ pub fn run_mm(
     row_block: usize,
     col_block: usize,
     k_block: usize,
+    opts: RunOpts<'_>,
 ) -> EngineResult<MmResult> {
     if a.n == 0 {
         return Err(EngineError::InvalidPipeline(
             "matrix order must be positive".into(),
         ));
     }
-    let nt = a.n_tiles() as u32;
+    let mut job = MmJob {
+        n_tiles: a.n_tiles() as u32,
+        capacity_bytes: cluster.gpu(0).mem.capacity(),
+    };
     let chunks = mm_chunks(a, b, row_block, col_block, k_block);
+    let parts = chunks.into_iter().map(MmPart::Product).collect();
+    let (tuning, tel) = (&opts.tuning, &opts.tel);
+    let drive = run_rounds(cluster, &mut job, parts, tuning, tel, opts.journal)?;
 
-    // Phase 1: partial products, binned to their owner ranks.
-    let phase1 = gpmr_core::run_job(cluster, &MmMapJob::new(nt), chunks)?;
-
-    // Between the two GPMR tasks: group the ranks' partials by key (GPMR
-    // is storage-agnostic between jobs).
-    let chunks2 = phase2_chunks(&phase1.outputs, cluster.gpu(0).mem.capacity());
-
-    let phase2 = gpmr_core::run_job(cluster, &MmSumJob::new(nt), chunks2)?;
-
-    // Assemble C.
     let mut c = Matrix::zeros(a.n);
-    for out in &phase2.outputs {
+    for out in &drive.outputs {
         for (key, tile) in out.iter() {
             let (ti, tj) = tile_coords(*key);
             c.set_tile(ti as usize, tj as usize, tile);
         }
     }
+    let [phase1, phase2] = drive.per_round.try_into().expect("MM runs both rounds");
     Ok(MmResult {
         c,
-        total_time: phase1.timings.total + phase2.timings.total,
+        total_time: drive.total_time,
         phase1: phase1.timings,
         phase2: phase2.timings,
     })
@@ -513,7 +627,7 @@ pub fn mm_auto_blocks(n_tiles: usize, gpus: u32, capacity_bytes: u64) -> (usize,
 pub fn run_mm_auto(cluster: &mut Cluster, a: &Matrix, b: &Matrix) -> EngineResult<MmResult> {
     let capacity = cluster.gpu(0).mem.capacity();
     let (rb, cb, kb) = mm_auto_blocks(a.n_tiles(), cluster.size(), capacity);
-    run_mm(cluster, a, b, rb, cb, kb)
+    run_mm(cluster, a, b, rb, cb, kb, RunOpts::default())
 }
 
 /// The hand-over between MM's two GPMR tasks: phase 1's per-rank outputs
@@ -577,7 +691,7 @@ mod tests {
         let mut cluster = Cluster::accelerator(2, GpuSpec::gt200());
         let empty = Matrix::zeros(0);
         for result in [
-            run_mm(&mut cluster, &empty, &empty, 1, 1, 1),
+            run_mm(&mut cluster, &empty, &empty, 1, 1, 1, RunOpts::default()),
             run_mm_auto(&mut cluster, &empty, &empty),
         ] {
             assert!(matches!(result, Err(EngineError::InvalidPipeline(_))));
@@ -633,7 +747,7 @@ mod tests {
         let a = Matrix::random(128, 4);
         let b = Matrix::random(128, 5);
         let mut cluster = Cluster::accelerator(1, GpuSpec::gt200());
-        let result = run_mm(&mut cluster, &a, &b, 4, 4, 4).unwrap();
+        let result = run_mm(&mut cluster, &a, &b, 4, 4, 4, RunOpts::default()).unwrap();
         assert_matrix_close(&result.c, &a.multiply_reference(&b));
         assert!(result.total_time.as_secs() > 0.0);
     }
@@ -643,7 +757,7 @@ mod tests {
         let a = Matrix::random(256, 6);
         let b = Matrix::random(256, 7);
         let mut cluster = Cluster::accelerator(8, GpuSpec::gt200());
-        let result = run_mm(&mut cluster, &a, &b, 4, 8, 8).unwrap();
+        let result = run_mm(&mut cluster, &a, &b, 4, 8, 8, RunOpts::default()).unwrap();
         assert_matrix_close(&result.c, &a.multiply_reference(&b));
     }
 
@@ -653,7 +767,7 @@ mod tests {
         let a = Matrix::random(64, 8);
         let b = Matrix::random(64, 9);
         let mut cluster = Cluster::accelerator(2, GpuSpec::gt200());
-        let result = run_mm(&mut cluster, &a, &b, 2, 4, 4).unwrap();
+        let result = run_mm(&mut cluster, &a, &b, 2, 4, 4, RunOpts::default()).unwrap();
         assert_matrix_close(&result.c, &a.multiply_reference(&b));
     }
 
@@ -665,6 +779,19 @@ mod tests {
         let bytes = chunks[1].serialize();
         assert_eq!(MmChunk::deserialize(&bytes), chunks[1]);
         assert!(chunks[0].item_count() > 0);
+
+        // A part of either round costs a migration what its inner chunk
+        // does, and comes back as itself.
+        let sum = SliceChunk::new(7, 0, vec![(tile_key(1, 2), a.tile(0, 0))]);
+        let sum_len = sum.serialize().len();
+        for (part, len) in [
+            (MmPart::Product(chunks[1].clone()), bytes.len()),
+            (MmPart::Sum(sum), sum_len),
+        ] {
+            let wire = part.serialize();
+            assert_eq!(wire.len(), len);
+            assert_eq!(MmPart::deserialize(&wire), part);
+        }
     }
 
     #[test]
@@ -774,7 +901,7 @@ mod tests {
         // so fixed blocks give one product whatever the rank count.
         for ranks in [1, 8, 64] {
             let mut cluster = Cluster::accelerator(ranks, GpuSpec::gt200());
-            let result = run_mm(&mut cluster, &a, &b, 8, 8, 4).unwrap();
+            let result = run_mm(&mut cluster, &a, &b, 8, 8, 4, RunOpts::default()).unwrap();
             assert_eq!(digest(&result.c), 0x7016_dc28_3e0e_dd2f, "{ranks} ranks");
         }
         // `run_mm_auto` cuts slabs to the rank count.
@@ -797,7 +924,7 @@ mod tests {
         let capacity = cluster.gpu(0).mem.capacity();
         let chunks2 = phase2_chunks(&phase1_outputs(240, 8, 1), capacity);
         assert_eq!(chunks2[0].items.len(), 2055);
-        let result = run_mm(&mut cluster, &a, &b, 1, 1, 1).unwrap();
+        let result = run_mm(&mut cluster, &a, &b, 1, 1, 1, RunOpts::default()).unwrap();
         assert_eq!(digest(&result.c), 0x40f9_f313_024a_b4b9, "order 240");
     }
 

@@ -22,7 +22,7 @@ use gpmr_sim_net::Cluster;
 use crate::datasets::{second_seed, Benchmark};
 use crate::kmc::{self, KmcJob, Point};
 use crate::lr::{self, LrJob, Sample};
-use crate::mm::{run_mm_auto, Matrix, MmResult};
+use crate::mm::{mm_auto_blocks, run_mm, Matrix, MmResult};
 use crate::sio::{self, SioJob};
 use crate::text::{
     chunk_text, generate_text, generate_zipf_text, Dictionary, PAPER_DICTIONARY_WORDS,
@@ -168,12 +168,12 @@ pub struct AppRun {
     pub output: AppOutput,
 }
 
-/// Run `input`'s benchmark on `cluster` in chunks of `chunk_bytes`.
+/// Run `input`'s benchmark on `cluster` in chunks of `chunk_bytes` (MM
+/// sizes its tile blocks with [`mm_auto_blocks`] instead) under `opts`.
 /// `range_partition` shuffles SIO and WO through splitters sampled from
 /// the input instead of round-robin (the other benchmarks have no
-/// partitioner to swap). MM runs its two phases through
-/// [`run_mm_auto`], outside the tuned, instrumented, journaled engine
-/// path: `chunk_bytes` and `opts` do not reach it.
+/// partitioner to swap). `opts.control` is the job service's; MM's round
+/// drive does not read it.
 pub fn run(
     input: &AppInput,
     cluster: &mut Cluster,
@@ -191,7 +191,8 @@ pub fn run(
     };
     let (timings, output) = match &input.data {
         AppData::Mm { a, b } => {
-            let result = run_mm_auto(cluster, a, b)?;
+            let (rb, cb, kb) = mm_auto_blocks(a.n_tiles(), gpus, cluster.gpu(0).mem.capacity());
+            let result = run_mm(cluster, a, b, rb, cb, kb, opts)?;
             (result.timings(), AppOutput::Mm(result))
         }
         AppData::Sio(data) => {

@@ -87,7 +87,7 @@ fn run_mm_scaled(a: &Matrix, b: &Matrix, gpus: u32, scale: u64) -> EngineResult<
         mm_scaled_spec(full_spec, d),
         (d as f64).powi(2),
     );
-    Ok(run_mm(&mut cluster, a, b, side, side, kb)?.timings())
+    Ok(run_mm(&mut cluster, a, b, side, side, kb, RunOpts::default())?.timings())
 }
 
 #[cfg(test)]

@@ -21,22 +21,13 @@ use gpmr_telemetry::{export, Telemetry, TelemetrySnapshot};
 use crate::args::Kind::{Float, Switch, Text, Uint};
 use crate::args::{ArgError, Args, Flag, Kind};
 
-/// The one place the CLI asks "is it MM?": MM's two phases run outside
-/// the tuned, instrumented, journaled engine, so it cannot be analyzed,
-/// journaled or exported, and it reports phases instead of stages.
-fn outside_engine(bench: Benchmark) -> bool {
-    bench == Benchmark::Mm
-}
-
 /// The largest MM order: its square is the largest element count.
 const MM_MAX_ORDER: usize = 1 << 16;
 
-/// The benchmarks' `--benchmark` spellings, in table order; `engine_only`
-/// leaves out what `analyze` cannot run.
-fn bench_names(engine_only: bool) -> Vec<String> {
+/// The benchmarks' `--benchmark` spellings, in table order.
+fn bench_names() -> Vec<String> {
     Benchmark::ALL
         .into_iter()
-        .filter(|b| !(engine_only && outside_engine(*b)))
         .map(|b| b.name().to_ascii_lowercase())
         .collect()
 }
@@ -53,8 +44,7 @@ fn or_list(names: &[String]) -> String {
 
 /// The help text.
 pub fn help() -> String {
-    HELP.replace("{benchmarks}", &bench_names(false).join("|"))
-        .replace("{engine_benchmarks}", &bench_names(true).join("|"))
+    HELP.replace("{benchmarks}", &bench_names().join("|"))
 }
 
 const HELP: &str = "\
@@ -71,7 +61,7 @@ USAGE:
     gpmr kmeans [--points N] [--k K] [--gpus N] [--iterations I] [--seed S]
                 [--journal F [--resume] [--checkpoint-every N]]
     gpmr analyze --events events.jsonl [--json]
-    gpmr analyze --benchmark <{engine_benchmarks}> [run options] [--json]
+    gpmr analyze --benchmark <{benchmarks}> [run options] [--json]
     gpmr trace  export --in events.jsonl --out trace.json
     gpmr trace  check  --in trace.json
     gpmr trace  summary --in events.jsonl
@@ -650,7 +640,7 @@ fn cmd_analyze(args: &Args) -> Result<String, CliError> {
         _ => {
             return Err(CliError::Invalid(format!(
                 "analyze needs exactly one of --events <file.jsonl> or --benchmark <{}>",
-                bench_names(true).join("|")
+                bench_names().join("|")
             )))
         }
     };
@@ -769,14 +759,14 @@ fn run_benchmark(
     let name = args.get("benchmark").ok_or_else(|| {
         CliError::Invalid(format!(
             "run needs --benchmark <{}>",
-            bench_names(false).join("|")
+            bench_names().join("|")
         ))
     })?;
     let bench = Benchmark::from_cli_name(name).ok_or_else(|| {
         CliError::Invalid(format!(
             "unknown benchmark {:?}; expected {}",
             name.to_ascii_lowercase(),
-            or_list(&bench_names(analyze))
+            or_list(&bench_names())
         ))
     })?;
     let gpus = gpus_from_args(args);
@@ -789,60 +779,20 @@ fn run_benchmark(
     tuning.gpu_direct = args.flag("gpu-direct");
     check_journal_flags(args)?;
     let (range_partition, zipf) = skew_from_args(args, bench)?;
+    if bench == Benchmark::Mm && (size == 0 || !size.is_multiple_of(16) || size > MM_MAX_ORDER) {
+        return Err(CliError::Invalid(format!(
+            "--size for mm must be a positive multiple of 16, at most {MM_MAX_ORDER}"
+        )));
+    }
     let mut cluster = Cluster::accelerator_scaled(gpus, GpuSpec::gt200(), scale as f64);
     apply_faults(&mut cluster, args, gpus)?;
-    let generate = || {
-        AppInput::generate(bench, size, seed, zipf, || {
-            let words = dictionary_words(scale);
-            (
-                Arc::new(Dictionary::generate(words, seed)),
-                second_seed(seed),
-            )
-        })
-    };
-
-    // Refuse what cannot reach MM, and report its two phases.
-    if outside_engine(bench) {
-        if analyze {
-            return Err(CliError::Invalid(format!(
-                "analyze supports {}; got \"mm\" (mm runs outside the instrumented engine)",
-                or_list(&bench_names(true))
-            )));
-        }
-        // The flags MM's two-phase path cannot honour.
-        let tuned = ["pipeline-depth", "gpu-direct", "trace"];
-        let mut engine_only = (OUTPUTS.iter().chain(JOURNAL).map(|flag| flag.name)).chain(tuned);
-        if let Some(flag) = engine_only.find(|flag| args.flag(flag)) {
-            return Err(CliError::Invalid(format!(
-                "--{flag} is not supported for mm (it runs outside the \
-                 tuned, instrumented, journaled MapReduce engine)"
-            )));
-        }
-        if size == 0 || !size.is_multiple_of(16) || size > MM_MAX_ORDER {
-            return Err(CliError::Invalid(format!(
-                "--size for mm must be a positive multiple of 16, at most {MM_MAX_ORDER}"
-            )));
-        }
-        let run = table::run(&generate(), &mut cluster, 0, false, RunOpts::default())?;
-        let AppOutput::Mm(result) = run.output else {
-            unreachable!("MM produces an MM result");
-        };
-        let out = format!(
-            "{} {size}x{size} on {gpus} GPU(s)\n\
-             simulated time : {}\n\
-             phase 1 (map)  : {}\n\
-             phase 2 (sum)  : {}\n\
-             effective rate : {:.1} simulated GFLOP/s\n",
-            bench.title(),
-            result.total_time,
-            result.phase1.total,
-            result.phase2.total,
-            2.0 * (size as f64).powi(3) / result.total_time.as_secs().max(1e-12) / 1e9,
-        );
-        return Ok((out, None));
-    }
-
-    let input = generate();
+    let input = AppInput::generate(bench, size, seed, zipf, || {
+        let words = dictionary_words(scale);
+        (
+            Arc::new(Dictionary::generate(words, seed)),
+            second_seed(seed),
+        )
+    });
     let chunk_bytes = chunk_bytes_tuned(input.bytes(), gpus, scale, tuning.pipeline_depth);
     let tel = if analyze || want_trace || wants_outputs(args) {
         Telemetry::enabled()
@@ -858,7 +808,12 @@ fn run_benchmark(
     };
     let run = table::run(&input, &mut cluster, chunk_bytes, range_partition, opts)?;
 
-    let mut out = report(bench.title(), gpus, size as u64, &run.timings);
+    // MM's `--size` is the matrix order; each factor holds order² elements.
+    let items = match bench {
+        Benchmark::Mm => (size as u64).pow(2),
+        _ => size as u64,
+    };
+    let mut out = report(bench.title(), gpus, items, &run.timings);
     if let Some((splitters, samples)) = run.splitters {
         out.push_str(&format!(
             "partition      : range ({splitters} splitters from {samples} samples)\n"
@@ -1147,7 +1102,7 @@ mod tests {
             assert!(err.to_string().contains("positive multiple of 16"));
         }
         let out = run(&["run", "--benchmark", "mm", "--size", "64"]).unwrap();
-        assert!(out.contains("phase 1"));
+        assert!(out.contains("simulated time"));
     }
 
     #[test]
@@ -1352,38 +1307,57 @@ mod tests {
             .contains("cannot read"));
     }
 
-    /// MM runs outside the engine: what tunes, instruments or journals
-    /// the engine is refused, not ignored (`--pipeline-depth`,
-    /// `--gpu-direct` and `--trace` printed the same report with and
-    /// without). Faults, scale, seed and GPUs reach it through the cluster.
+    /// MM runs on the round driver, so the nine flags that tune, record or
+    /// journal the engine reach it like any app's (they used to be
+    /// refused: its two phases ran outside the engine).
     #[test]
-    fn mm_refuses_every_flag_that_cannot_reach_it() {
-        let mm = ["run", "--benchmark", "mm", "--size", "64"];
-        for flags in [
-            &["--trace-out", "/tmp/unused.json"][..],
-            &["--metrics-out", "/tmp/unused.json"],
-            &["--events-out", "/tmp/unused.jsonl"],
-            &["--journal", "/tmp/unused.gpj"],
-            &["--journal", "/tmp/unused.gpj", "--resume"],
-            &["--journal", "/tmp/unused.gpj", "--checkpoint-every", "2"],
-            &["--pipeline-depth", "1"],
-            &["--gpu-direct"],
-            &["--trace"],
-        ] {
-            let err = run(&[&mm[..], flags].concat()).unwrap_err().to_string();
-            assert!(err.contains("is not supported for mm"), "{flags:?}: {err}");
-            assert!(err.contains("(it runs outside the"), "{flags:?}: {err}");
-            assert!(err.contains("MapReduce engine)"), "{flags:?}: {err}");
+    fn every_engine_flag_reaches_mm() {
+        let dir = std::env::temp_dir().join("gpmr_cli_mm_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let at = |file: &str| dir.join(file).display().to_string();
+        let mm = ["run", "--benchmark", "mm", "--size", "128", "--gpus", "4"];
+        let with = |flags: &[&str]| run(&[&mm[..], flags].concat()).unwrap();
+        let time = |s: &str| {
+            s.lines()
+                .find(|l| l.starts_with("simulated"))
+                .map(str::to_owned)
+        };
+        let plain = with(&[]);
+        for tuned in [&["--pipeline-depth", "1"][..], &["--gpu-direct"]] {
+            assert_ne!(time(&with(tuned)), time(&plain), "{tuned:?}");
         }
-        let plain = run(&mm).unwrap();
-        let killed = run(&[&mm[..], &["--gpus", "2", "--fault-plan", "kill:1@1e-5"]].concat());
-        assert_ne!(plain, killed.unwrap(), "the fault plan reaches MM");
-        run(&[
-            &mm[..],
-            &["--scale", "2", "--seed", "7", "--fault-seed", "3"],
-        ]
-        .concat())
-        .unwrap();
+        assert!(with(&["--trace"]).contains("rank   3 |"));
+
+        let (trace, metrics, events) = (at("trace.json"), at("metrics.json"), at("events.jsonl"));
+        with(&["--trace-out", &trace, "--metrics-out", &metrics]);
+        with(&["--events-out", &events]);
+        assert!(run(&["trace", "check", "--in", &trace])
+            .unwrap()
+            .contains("OK"));
+        let counters = std::fs::read_to_string(&metrics).unwrap();
+        assert!(counters.contains("engine.chunks_dispatched"), "{counters}");
+        let analysis = run(&["analyze", "--events", &events]).unwrap();
+        assert!(analysis.contains("bounding stage: Setup"), "{analysis}");
+
+        // Journal, crash halfway, resume: the same run and the same bytes.
+        let journal = at("mm.gpj");
+        let journaled = ["--journal", journal.as_str(), "--checkpoint-every", "2"];
+        let fresh = with(&journaled);
+        assert_eq!(time(&fresh), time(&plain));
+        let bytes = std::fs::read(&journal).unwrap();
+        std::fs::write(&journal, &bytes[..bytes.len() / 2]).unwrap();
+        let resumed = with(&[&journaled[..], &["--resume"]].concat());
+        assert!(!resumed.contains(" 0 record(s) replayed"), "{resumed}");
+        let report = |s: &str| s.split("journal ").next().unwrap().to_string();
+        assert_eq!(report(&resumed), report(&plain));
+        assert_eq!(std::fs::read(&journal).unwrap(), bytes);
+        std::fs::remove_dir_all(&dir).ok();
+
+        // Faults, scale and seed reach it through the cluster, as before.
+        // (Each round's pass runs under the plan, so the GPU dies in both.)
+        let killed = with(&["--fault-plan", "kill:1@1e-5"]);
+        assert!(killed.contains("2 GPU(s) lost"), "{killed}");
+        with(&["--scale", "2", "--seed", "7", "--fault-seed", "3"]);
         let err = run(&["run", "--benchmark", "mm", "--size", "65552"]).unwrap_err();
         assert!(err.to_string().contains("at most 65536"), "{err}");
     }
@@ -1452,8 +1426,6 @@ mod tests {
     fn analyze_validates_usage() {
         let err = run(&["analyze"]).unwrap_err();
         assert!(err.to_string().contains("--events"), "{err}");
-        let err = run(&["analyze", "--benchmark", "mm"]).unwrap_err();
-        assert!(err.to_string().contains("analyze supports"), "{err}");
         // A recording takes no run option: neither form, so neither runs.
         for option in [
             &["--benchmark", "sio"][..],
@@ -1705,17 +1677,6 @@ mod tests {
                 .contains("--checkpoint-every must be in 1..="),
             "{err}"
         );
-        let err = run(&[
-            "run",
-            "--benchmark",
-            "mm",
-            "--size",
-            "64",
-            "--journal",
-            "/tmp/j.gpj",
-        ])
-        .unwrap_err();
-        assert!(err.to_string().contains("not supported for mm"), "{err}");
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //! * **Honest cross-round time** — each engine pass restarts simulated
 //!   time at zero; the driver accumulates `makespan + control-broadcast
 //!   tail` per round into one cross-round clock, recorded as per-round
-//!   `Round` telemetry spans.
+//!   `Round` telemetry spans. Each pass records through a handle
+//!   [shifted](Telemetry::shifted) to its round's start, so its engine,
+//!   device and fabric spans sit inside its `Round` span on that clock.
 //! * **Round-granular recovery** — given a [`Journal`], every round is
 //!   bracketed by [`JournalRecord::RoundStart`] (hashing the
 //!   driver's control state) and [`JournalRecord::RoundEnd`] (hashing the
@@ -38,6 +40,7 @@ use crate::error::EngineResult;
 use crate::job::GpmrJob;
 use crate::journal::{hash_pairs, Fnv64, Journal, JournalRecord};
 use crate::pod::Pod;
+use crate::stats::JobTimings;
 use crate::types::KvSet;
 
 /// The per-rank output set a [`RoundJob`]'s round produces — what the
@@ -175,17 +178,16 @@ pub trait RoundJob {
 }
 
 /// Per-round accounting from a [`run_rounds`] drive.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RoundStats {
-    /// The round's engine makespan (its own clock starts at zero).
-    pub makespan: SimDuration,
+    /// The round's engine timings; `timings.total` is its makespan (its
+    /// own clock starts at zero).
+    pub timings: JobTimings,
     /// Tail charged for broadcasting the control state after the round.
     pub broadcast: SimDuration,
     /// Whether the round ran with its inputs device-resident (uploads
     /// skipped for stationary chunks).
     pub resident: bool,
-    /// Input chunks the round dispatched.
-    pub chunks: usize,
 }
 
 /// The outcome of a multi-round drive.
@@ -254,8 +256,9 @@ pub fn rechunk_interleaved<K: Pod + PartialEq, V: Pod>(
 
 /// Drive `driver` through its rounds on `cluster`. The initial `chunks`
 /// are round 0's input; [`RoundDecision::Again`] rounds re-dispatch them
-/// (hence `Chunk: Clone`), [`RoundDecision::Chain`] rounds replace them
-/// via [`RoundJob::rechunk`].
+/// (hence `Chunk: Clone`; the last round [`RoundJob::max_rounds`] allows
+/// cannot be re-run and takes them without a copy),
+/// [`RoundDecision::Chain`] rounds replace them via [`RoundJob::rechunk`].
 ///
 /// With a write-ahead `journal`, round boundaries are journaled as
 /// [`JournalRecord::RoundStart`]/[`JournalRecord::RoundEnd`] around the
@@ -287,16 +290,22 @@ where
         }
         let job = driver.job(round);
         let n_chunks = chunks.len();
+        let round_start = clock;
         let opts = RunOpts {
             tuning: *tuning,
-            tel: tel.clone(),
+            tel: tel.shifted(round_start.as_secs()),
             journal: journal.as_deref_mut(),
             control: RunControl {
                 stop_at: None,
                 inputs_resident: resident,
             },
         };
-        let result = run_job_with(cluster, &job, chunks.clone(), opts)?;
+        let input = if round + 1 >= max_rounds {
+            std::mem::take(&mut chunks)
+        } else {
+            chunks.clone()
+        };
+        let result = run_job_with(cluster, &job, input, opts)?;
         let makespan = result.timings.total;
         let quiet = result.timings.chunks_stolen == 0
             && result.timings.chunks_requeued == 0
@@ -317,13 +326,11 @@ where
                 .fold(end, |a, b| if b > a { b } else { a });
             tail = latest.since(end);
         }
-        let round_start = clock;
         clock += makespan + tail;
         per_round.push(RoundStats {
-            makespan,
+            timings: result.timings,
             broadcast: tail,
             resident,
-            chunks: n_chunks,
         });
         if tel.is_enabled() {
             tel.span(
@@ -370,6 +377,8 @@ where
         // a full re-upload.
         let affine = match step.decision {
             RoundDecision::Chain => {
+                // The spent input goes before the next one is built.
+                chunks.clear();
                 chunks = driver.rechunk(round - 1, result.outputs);
                 driver.rechunk_preserves_affinity()
             }

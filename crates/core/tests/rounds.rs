@@ -149,7 +149,7 @@ fn fingerprint(r: &RoundsResult<u32, u32>) -> Fingerprint {
         r.rounds,
         r.per_round
             .iter()
-            .map(|s| s.makespan.as_secs().to_bits())
+            .map(|s| s.timings.total.as_secs().to_bits())
             .collect(),
     )
 }

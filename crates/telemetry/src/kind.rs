@@ -149,8 +149,10 @@ span_kinds! {
     /// A service job from dispatch to its terminal state. Attributed to
     /// no stage: an analysis of a service recording reports it as `Other`.
     Job = "Job", Other, None, false;
-    /// One pass of a multi-round job, including its control broadcast.
-    Round = "Round", Other, None, false;
+    /// One pass of a multi-round job, including its control broadcast, on
+    /// the cross-round clock; wraps the pass's engine spans, so every
+    /// accounting skips it.
+    Round = "Round", Other, None, true;
 }
 
 impl SpanKind {
@@ -229,9 +231,9 @@ mod tests {
     }
 
     #[test]
-    fn only_chunk_is_a_container_and_unknown_names_are_other() {
+    fn chunk_and_round_are_the_containers_and_unknown_names_are_other() {
         let containers: Vec<SpanKind> = SpanKind::all().filter(|k| k.is_container()).collect();
-        assert_eq!(containers, [SpanKind::Chunk]);
+        assert_eq!(containers, [SpanKind::Chunk, SpanKind::Round]);
         assert_eq!(Stage::of_kind("AccumulateInit"), Stage::Map);
         assert_eq!(Stage::of_kind("NetSend"), Stage::Bin);
         assert_eq!(Stage::of_kind("Job"), Stage::Other);

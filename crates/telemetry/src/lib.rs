@@ -68,12 +68,14 @@ struct Inner {
 #[derive(Clone, Debug, Default)]
 pub struct Telemetry {
     inner: Option<Arc<Inner>>,
+    /// Seconds added to every time recorded ([`Telemetry::shifted`]).
+    origin_s: f64,
 }
 
 impl Telemetry {
     /// A handle that records nothing and hands out no-op metric handles.
     pub fn disabled() -> Self {
-        Telemetry { inner: None }
+        Telemetry::default()
     }
 
     /// An enabled handle with the default span capacity.
@@ -89,6 +91,18 @@ impl Telemetry {
                 metrics: Registry::new(),
                 spans: SpanRecorder::new(capacity),
             })),
+            origin_s: 0.0,
+        }
+    }
+
+    /// This handle's recorder and registry, with every span and sample
+    /// time placed `by_s` seconds later: how a pass whose clock restarts at
+    /// zero records on an enclosing clock (each round of a multi-round
+    /// drive, on the cross-round clock).
+    pub fn shifted(&self, by_s: f64) -> Telemetry {
+        Telemetry {
+            inner: self.inner.clone(),
+            origin_s: self.origin_s + by_s,
         }
     }
 
@@ -152,8 +166,8 @@ impl Telemetry {
                 track,
                 kind: kind.to_string(),
                 name: kind.to_string(),
-                start_s,
-                end_s,
+                start_s: start_s + self.origin_s,
+                end_s: end_s + self.origin_s,
                 attrs: Vec::new(),
             }),
         }
@@ -165,7 +179,7 @@ impl Telemetry {
             i.spans.sample(CounterSample {
                 track,
                 series: series.to_string(),
-                ts_s,
+                ts_s: ts_s + self.origin_s,
                 value,
             });
         }
@@ -296,6 +310,20 @@ mod tests {
         assert_eq!(snap.spans[0].id, child);
         assert_eq!(snap.spans[0].parent, Some(parent));
         assert_eq!(snap.spans[1].name, "chunk 3");
+    }
+
+    #[test]
+    fn a_shifted_handle_records_later_into_the_same_recorder() {
+        let tel = Telemetry::enabled();
+        let round = tel.shifted(2.0);
+        round.shifted(0.5).span(1, "Map", 0.0, 1.0).record();
+        round.sample(1, "queue_depth", 0.25, 3.0);
+        tel.span(0, "Round", 0.0, 4.0).record();
+        let snap = tel.snapshot();
+        let times: Vec<(f64, f64)> = snap.spans.iter().map(|s| (s.start_s, s.end_s)).collect();
+        assert_eq!(times, [(2.5, 3.5), (0.0, 4.0)]);
+        assert_eq!(snap.samples[0].ts_s, 2.25);
+        assert!(!Telemetry::disabled().shifted(1.0).is_enabled());
     }
 
     #[test]

@@ -11,7 +11,7 @@ use gpmr::baselines::{
     mars_mm, phoenix_mm, run_mars, run_phoenix, MarsKmc, MarsWo, PhoenixConfig, PhoenixKmc,
     PhoenixLr, PhoenixSio, PhoenixWo,
 };
-use gpmr::core::JobTimings;
+use gpmr::core::{JobTimings, RunOpts};
 use gpmr::prelude::*;
 use gpmr::sim_gpu::FaultPlan;
 use gpmr::sim_net::CpuSpec;
@@ -119,7 +119,7 @@ fn all_three_mm_implementations_agree() {
     }
 
     let mut cluster = Cluster::accelerator(2, GpuSpec::gt200());
-    let gpmr = gpmr::apps::mm::run_mm(&mut cluster, &a, &b, 3, 3, 3).unwrap();
+    let gpmr = gpmr::apps::mm::run_mm(&mut cluster, &a, &b, 3, 3, 3, RunOpts::default()).unwrap();
     for (x, y) in gpmr.c.data.iter().zip(&reference.data) {
         assert!((x - y).abs() <= 1e-4 * (1.0 + x.abs()));
     }
@@ -235,13 +235,14 @@ fn mm_with_mid_job_kill_matches_reference() {
     let reference = a.multiply_reference(&b);
 
     let mut clean = Cluster::accelerator(4, GpuSpec::gt200());
-    let base = mm::run_mm(&mut clean, &a, &b, 4, 6, 3).expect("fault-free MM");
+    let base = mm::run_mm(&mut clean, &a, &b, 4, 6, 3, RunOpts::default()).expect("fault-free MM");
 
     let mut faulted = Cluster::accelerator(4, GpuSpec::gt200());
     faulted.set_fault_plan(Some(
         FaultPlan::new().kill(1, base.total_time.as_secs() * 0.35),
     ));
-    let result = mm::run_mm(&mut faulted, &a, &b, 4, 6, 3).expect("MM survives the kill");
+    let result = mm::run_mm(&mut faulted, &a, &b, 4, 6, 3, RunOpts::default())
+        .expect("MM survives the kill");
     assert!(
         result.phase1.gpus_lost + result.phase2.gpus_lost >= 1,
         "the mid-job kill never landed"
@@ -252,4 +253,11 @@ fn mm_with_mid_job_kill_matches_reference() {
             "element {i}: {x} vs {y}"
         );
     }
+    // The bits of the two-`run_job` chain MM ran as before the round
+    // driver. A migrating chunk is charged its serialized length, so these
+    // also pin that tagging a chunk with its round adds no byte.
+    let makespan = result.total_time.as_secs().to_bits();
+    assert_eq!(makespan, 0x3f6c_63a3_332d_ebe0, "{}", result.total_time);
+    let product = gpmr::core::journal::hash_pairs::<f32, f32>(&result.c.data, &[]);
+    assert_eq!(product, 0x470d_1501_2494_58cd);
 }

@@ -14,12 +14,13 @@ use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
 use gpmr::core::journal::{fnv1a, scan_bytes, Journal, JournalError, JournalRecord};
-use gpmr::core::{run_job_journaled, run_rounds, EngineError, EngineTuning, JobTimings};
+use gpmr::core::{run_job_journaled, run_rounds, EngineError, EngineTuning, JobTimings, RunOpts};
 use gpmr::prelude::*;
 use gpmr::sim_gpu::FaultPlan;
 use gpmr::telemetry::Telemetry;
 use gpmr_apps::iterative::KmcRounds;
 use gpmr_apps::kmc::{generate_points, initial_centers};
+use gpmr_apps::mm::run_mm;
 use gpmr_apps::sio::{self, sio_chunks, SioMode};
 use gpmr_apps::text::{chunk_text, generate_text};
 use proptest::prelude::*;
@@ -66,6 +67,25 @@ fn run_with_journal(
         journal,
     )?;
     Ok((result.outputs, result.timings))
+}
+
+/// An MM drive's product bits and clock bits.
+type MmBits = (Vec<u32>, u64);
+
+/// One journaled MM drive — order 96 in 2-tile slabs on 2 ranks, rank 1
+/// lost at 1 ms of each round.
+fn run_mm_with_journal(journal: &mut Journal) -> MmBits {
+    let (a, b) = (Matrix::random(96, 40), Matrix::random(96, 41));
+    let mut cl = cluster(2, &Some(FaultPlan::new().kill(1, 1e-3)));
+    let opts = RunOpts {
+        journal: Some(journal),
+        ..RunOpts::default()
+    };
+    let result = run_mm(&mut cl, &a, &b, 2, 2, 2, opts).expect("journaled mm drive");
+    let lost = (result.phase1.gpus_lost, result.phase2.gpus_lost);
+    assert_eq!(lost, (1, 1), "the kill must land in both rounds");
+    let bits = result.c.data.iter().map(|x| x.to_bits()).collect();
+    (bits, result.total_time.as_secs().to_bits())
 }
 
 /// Everything an uninterrupted journaled run leaves behind.
@@ -444,6 +464,12 @@ fn journal_bytes_match_the_build_that_introduced_the_format() {
         assert_eq!(res.rounds, 3);
     });
     assert_eq!(got, (2844, 0xf26f_3c3c_b0a5_9615), "kmeans, 3 rounds");
+
+    // Recorded when MM moved onto the round driver.
+    let got = journal_digest("golden_mm_2_rounds", |journal| {
+        run_mm_with_journal(journal);
+    });
+    assert_eq!(got, (2664, 0xbf9e_3612_8b28_f75f), "mm, 2 rounds");
 }
 
 /// Shared reference for the proptest below (recording it once keeps the
@@ -455,6 +481,19 @@ fn torn_reference() -> &'static (PathBuf, Reference) {
         let plan = Some(FaultPlan::new().kill(1, 5e-4));
         let reference = record_reference(&path, 2, false, &plan, 1);
         (path, reference)
+    })
+}
+
+/// The MM drive's product and clock bits and journal bytes, for the same
+/// proptest.
+fn torn_mm_reference() -> &'static (MmBits, Vec<u8>) {
+    static REF: OnceLock<(MmBits, Vec<u8>)> = OnceLock::new();
+    REF.get_or_init(|| {
+        let path = tmp("torn_prop_mm_ref");
+        let mut journal = Journal::create(&path, 1).expect("create journal");
+        let run = run_mm_with_journal(&mut journal);
+        drop(journal);
+        (run, std::fs::read(&path).unwrap())
     })
 }
 
@@ -489,6 +528,18 @@ proptest! {
             &reference.bytes,
             "journal bytes diverged at cut {}", cut
         );
+        std::fs::remove_file(&path).ok();
+
+        // The same for MM's two-round drive, cut at the same fraction.
+        let (mm_run, mm_bytes) = torn_mm_reference();
+        let cut = (cut_sel % mm_bytes.len() as u64) as usize;
+        let path = tmp(&format!("torn_prop_mm_{cut}"));
+        std::fs::write(&path, &mm_bytes[..cut]).unwrap();
+        let mut journal = Journal::resume(&path, 1).expect("torn mm journal resumes");
+        let resumed = run_mm_with_journal(&mut journal);
+        drop(journal);
+        prop_assert_eq!(&resumed, mm_run, "mm product or clock diverged at cut {}", cut);
+        prop_assert_eq!(&std::fs::read(&path).unwrap(), mm_bytes, "mm journal diverged at cut {}", cut);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -6,7 +6,9 @@
 //! journals. A digest that drifts means a generator, chunk size, constant
 //! or report line changed under some benchmark. The paper artifacts are
 //! pinned the same way, to what the binaries `gpmr paper` replaced
-//! printed.
+//! printed. MM's two digests were re-recorded once, when it moved onto
+//! the round driver and took the common report: its `simulated time`
+//! lines are asserted beside them.
 
 use gpmr::core::journal::fnv1a;
 use gpmr_cli::dispatch;
@@ -27,11 +29,11 @@ fn cli_bytes_match_the_build_before_the_app_table() {
     let cases = [
         (
             "run --benchmark mm --size 64 --gpus 1".to_string(),
-            (154, 0xad41_8c8b_4d3c_2fa4),
+            (222, 0xaa02_f2ea_d452_23ac),
         ),
         (
             "run --benchmark mm --size 128 --gpus 4".to_string(),
-            (156, 0xa50e_2f96_6915_aaef),
+            (223, 0x7ce8_c881_153e_762d),
         ),
         (format!("run {SIO} --gpus 1"), (233, 0xbb6d_97f2_7570_55d4)),
         (format!("run {SIO} --gpus 4"), (232, 0xfbba_2ccb_9d5e_cd70)),
@@ -93,6 +95,20 @@ fn cli_bytes_match_the_build_before_the_app_table() {
         "CLI output (len, fnv1a) drifted:\n{}",
         drifted.join("\n")
     );
+
+    // MM's makespans from before the round driver, at two toy sizes and
+    // at the paper's 64 ranks.
+    for (line, time) in [
+        ("--size 64 --gpus 1", "1.904ms"),
+        ("--size 128 --gpus 4", "3.207ms"),
+        ("--size 512 --gpus 64 --scale 32", "72.776ms"),
+    ] {
+        let out = dispatch(format!("run --benchmark mm {line}").split(' ')).unwrap();
+        let time_line = format!("simulated time : {time}\n");
+        assert!(out.contains(&time_line), "{line}:\n{out}");
+        // The rate counts order² elements, not the order.
+        assert!(!out.contains("throughput     : 0.0 M"), "{line}:\n{out}");
+    }
 }
 
 /// HELP promises `analyze --benchmark` "plus the RUN OPTIONS above":
@@ -130,8 +146,21 @@ fn analyze_runs_the_job_run_runs() {
     }
     std::fs::remove_dir_all(&dir).ok();
 
-    let err = dispatch("analyze --benchmark mm --size 64".split(' ')).unwrap_err();
-    assert!(err.to_string().contains("analyze supports"), "{err}");
+    // MM, on the round driver, is analyzed like the rest: the recording
+    // spans both rounds on one clock and names a stage for all of it.
+    let analyzed = dispatch("analyze --benchmark mm --gpus 4 --size 128 --json".split(' '));
+    let analyzed = analyzed.unwrap();
+    assert_eq!(
+        format!("{:.3}ms", json_makespan(&analyzed) * 1e3),
+        "3.207ms"
+    );
+    let parsed = gpmr::telemetry::json::parse(&analyzed).unwrap();
+    let stages = parsed.get("stages").and_then(|s| s.as_arr()).unwrap();
+    for stage in stages {
+        let name = stage.get("stage").and_then(|n| n.as_str()).unwrap();
+        let share = stage.get("share").and_then(|s| s.as_f64()).unwrap();
+        assert!(name != "Other" || share < 0.01, "{analyzed}");
+    }
 }
 
 /// `gpmr paper` prints, byte for byte, what the eight table and figure

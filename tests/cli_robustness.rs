@@ -9,6 +9,7 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
+use gpmr::apps::Benchmark;
 use gpmr_cli::commands::{CLUSTER, JOURNAL, OUTPUTS, RUN, SERVICE};
 use gpmr_cli::{dispatch, help, Command, Flag, Kind, COMMANDS};
 
@@ -44,27 +45,36 @@ fn label(row: &Command) -> String {
     format!("{} {}", row.name, row.mode).trim_end().to_string()
 }
 
-/// Tiny command lines for a row, the cheapest first; files they write are
-/// named after `test` so concurrent tests do not share one. A row without
-/// an arm fails every test here: give it one.
+/// A tiny `--size` for each app (for MM, a matrix order).
+fn tiny_size(bench: Benchmark) -> u32 {
+    match bench {
+        Benchmark::Mm => 64,
+        Benchmark::Sio | Benchmark::Lr => 2000,
+        Benchmark::Wo => 20000,
+        Benchmark::Kmc => 10000,
+    }
+}
+
+/// Tiny command lines for a row; the first is the one a test runs when it
+/// needs only one. Files they write are named after `test` so concurrent
+/// tests do not share one. A row without an arm fails every test here:
+/// give it one.
 fn baselines(row: &Command, test: &str) -> Vec<String> {
     let at = |file: &str| fixtures().join(file).display().to_string();
-    let benchmarks = |sized: &[&str]| {
-        let lines = sized
-            .iter()
-            .map(|b| format!("{} --benchmark {b}", row.name));
-        lines.collect::<Vec<_>>()
-    };
     let written = at(&format!("{test}.{}.out", row.name));
     match label(row).as_str() {
-        "run" => benchmarks(&[
-            "sio --size 2000",
-            "wo --size 20000",
-            "kmc --size 10000",
-            "lr --size 2000",
-            "mm --size 64",
-        ]),
-        "analyze" => benchmarks(&["sio --size 2000", "wo --size 20000", "kmc --size 10000"]),
+        // Every app of the table, SIO first: a test that runs one line
+        // runs a shuffling app, which reads every flag of the row.
+        "run" | "analyze" => {
+            let rest = Benchmark::ALL.into_iter().filter(|&b| b != Benchmark::Sio);
+            std::iter::once(Benchmark::Sio)
+                .chain(rest)
+                .map(|b| {
+                    let name = b.name().to_ascii_lowercase();
+                    format!("{} --benchmark {name} --size {}", row.name, tiny_size(b))
+                })
+                .collect()
+        }
         "kmeans" => vec![
             "kmeans --points 100".into(),
             "kmeans --points 2000 --k 4 --iterations 2".into(),
@@ -232,8 +242,14 @@ fn no_numeric_flag_value_panics_any_command() {
     let mut panicked = Vec::new();
     let (mut reports, mut refusals) = (0, 0);
     for row in COMMANDS {
+        // The first baseline, and for the benchmark rows MM's as well: its
+        // order check and round drive are what the SIO line never reaches.
+        let lines = baselines(row, "hostile");
+        let mm = lines.iter().skip(1).find(|l| l.contains("--benchmark mm"));
         let numeric = |f: &&Flag| matches!(f.kind, Kind::Uint(..) | Kind::Float(..));
-        for flag in row.flags().filter(numeric) {
+        let flags: Vec<&Flag> = row.flags().filter(numeric).collect();
+        let cases = lines.iter().take(1).chain(mm);
+        for (line, flag) in cases.flat_map(|line| flags.iter().map(move |f| (line, *f))) {
             for value in &hostile {
                 // Scales 0 and 1 are the paper's full sizes: minutes of
                 // honest work in this profile, not a robustness question.
@@ -241,7 +257,6 @@ fn no_numeric_flag_value_panics_any_command() {
                 if full_sizes && matches!(value.as_str(), "0" | "1") {
                     continue;
                 }
-                let line = baselines(row, "hostile").swap_remove(0);
                 let mut tokens: Vec<&str> = line.split(' ').collect();
                 if JOURNAL.contains(flag) {
                     tokens.extend(["--journal", &journal]);

@@ -79,6 +79,24 @@ fn run_wo_with_journal(
     (result.outputs, result.timings)
 }
 
+/// MM's two-round drive on the same 2 x 2 cluster, journaled when given
+/// a journal: the product's bits, the clock's bits and both rounds'
+/// timings.
+fn run_mm_drive(
+    journal: Option<&mut gpmr::core::Journal>,
+) -> (Vec<u32>, u64, [gpmr::core::JobTimings; 2]) {
+    use gpmr::core::RunOpts;
+    let (a, b) = (Matrix::random(128, 5), Matrix::random(128, 6));
+    let mut cluster = Cluster::new(Topology::new(2, 2, 2), GpuSpec::gt200());
+    let opts = RunOpts {
+        journal,
+        ..RunOpts::default()
+    };
+    let r = gpmr::apps::mm::run_mm(&mut cluster, &a, &b, 2, 2, 2, opts).expect("mm drive");
+    let bits = r.c.data.iter().map(|x| x.to_bits()).collect();
+    (bits, r.total_time.as_secs().to_bits(), [r.phase1, r.phase2])
+}
+
 #[test]
 fn outputs_and_times_are_identical_run_to_run() {
     let (base_out, base_times) = run_wo();
@@ -240,6 +258,34 @@ fn interrupted_and_resumed_runs_match_uninterrupted() {
         journals.push(reference);
     }
     assert_eq!(journals[0], journals[1], "journal bytes changed run to run");
+
+    // MM's two-round drive, the same way: journaling changes nothing, and
+    // a drive cut halfway resumes to the same product, clock and journal.
+    let plain = run_mm_drive(None);
+    let path = dir.join("mm.gpj");
+    let mut journal = Journal::create(&path, 1).expect("create journal");
+    assert_eq!(
+        run_mm_drive(Some(&mut journal)),
+        plain,
+        "journaling changed mm"
+    );
+    drop(journal);
+    let reference = std::fs::read(&path).unwrap();
+    let (_, offsets) = scan_bytes(&reference);
+    std::fs::write(&path, &reference[..offsets[offsets.len() / 2] as usize]).unwrap();
+    let mut journal = Journal::resume(&path, 1).expect("resume journal");
+    assert_eq!(
+        run_mm_drive(Some(&mut journal)),
+        plain,
+        "resumed mm diverged"
+    );
+    assert!(journal.replayed() > 0, "half the mm journal must replay");
+    drop(journal);
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        reference,
+        "mm journal diverged"
+    );
 }
 
 #[test]

@@ -13,6 +13,7 @@
 
 use std::sync::Arc;
 
+use gpmr::apps::mm::run_mm_auto;
 use gpmr::apps::{text, wo};
 use gpmr::core::{
     run_job, run_job_instrumented, EngineError, EngineResult, EngineTuning, JobResult, JobTimings,
@@ -411,6 +412,42 @@ fn chaos_sweep_preserves_output_across_seeds() {
             out, base_out,
             "seed {seed} diverged (plan: {:?}, lost {}, requeued {}, retries {}, stalls {})",
             plan, t.gpus_lost, t.chunks_requeued, t.transfer_retries, t.stalls_injected
+        );
+    }
+
+    // MM's two rounds add `f32` partial tiles: a requeue or a retry that
+    // reordered a key's partials would change the product's bits.
+    let a = Matrix::random(128, 50);
+    let b = Matrix::random(128, 51);
+    let bits = |c: &Matrix| c.data.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    for ranks in [RANKS, 2 * RANKS] {
+        let mm = |plan: Option<FaultPlan>| {
+            let mut cluster = Cluster::accelerator(ranks, GpuSpec::gt200());
+            cluster.set_fault_plan(plan);
+            run_mm_auto(&mut cluster, &a, &b).expect("a survivor finishes MM")
+        };
+        let base = mm(None);
+        let horizon = base.total_time.as_secs();
+        let mut recovered = [0; 3];
+        for seed in 0..8u64 {
+            let plan = FaultPlan::generate(seed, ranks, horizon);
+            let r = mm(Some(plan.clone()));
+            let t = r.timings();
+            let (lost, requeued, retries) = (t.gpus_lost, t.chunks_requeued, t.transfer_retries);
+            assert_eq!(
+                bits(&r.c),
+                bits(&base.c),
+                "mm on {ranks} ranks, seed {seed} diverged \
+                 (plan: {plan:?}, lost {lost}, requeued {requeued}, retries {retries})",
+            );
+            for (sum, n) in recovered.iter_mut().zip([lost, requeued, retries]) {
+                *sum += n;
+            }
+        }
+        // Not vacuous: the plans did kill, requeue and retry.
+        assert!(
+            recovered.iter().all(|&n| n > 0),
+            "{ranks} ranks: {recovered:?}"
         );
     }
 }

@@ -6,6 +6,7 @@
 use std::sync::Arc;
 
 use gpmr::apps::{kmc, lr, mm, sio, text, wo};
+use gpmr::core::RunOpts;
 use gpmr::prelude::*;
 
 fn close(a: &[f64], b: &[f64], tol: f64) -> bool {
@@ -90,7 +91,7 @@ fn mm_correct_across_cluster_shapes() {
     let reference = a.multiply_reference(&b);
     for gpus in [1u32, 2, 6] {
         let mut cluster = Cluster::accelerator(gpus, GpuSpec::gt200());
-        let result = mm::run_mm(&mut cluster, &a, &b, 4, 6, 3).unwrap();
+        let result = mm::run_mm(&mut cluster, &a, &b, 4, 6, 3, RunOpts::default()).unwrap();
         for (i, (x, y)) in result.c.data.iter().zip(&reference.data).enumerate() {
             assert!(
                 (x - y).abs() <= 1e-4 * (1.0 + x.abs()),

@@ -36,8 +36,7 @@ fn every_recorded_kind_is_in_the_table_and_every_row_is_recorded() {
         ..RunOpts::default()
     };
 
-    // Every app of the table, fault-free. MM runs outside the
-    // instrumented engine and contributes nothing.
+    // Every app of the table, fault-free; MM's two rounds record `Round`.
     for bench in Benchmark::ALL {
         let size = if bench == Benchmark::Mm { 64 } else { 100_000 };
         let input = AppInput::generate(bench, size, 7, None, || {

@@ -2,9 +2,12 @@
 //! be consistent with the timing result and the pipeline's ordering
 //! rules.
 
-use gpmr::core::{run_job_instrumented, EngineTuning, JobResult};
+use gpmr::core::{run_job_instrumented, run_rounds, EngineTuning, JobResult};
 use gpmr::prelude::*;
+use gpmr::telemetry::analyze::{analyze, Finding, Stage};
 use gpmr::telemetry::{export, SpanKind, Telemetry, TelemetrySnapshot};
+use gpmr_apps::iterative::KmcRounds;
+use gpmr_apps::kmc::{generate_points, initial_centers};
 use gpmr_apps::sio::{generate_integers, sio_chunks};
 use gpmr_apps::wo;
 use std::sync::Arc;
@@ -134,4 +137,60 @@ fn gantt_renders_one_row_per_rank() {
     assert_eq!(rows, 6);
     assert!(chart.contains('M'));
     assert!(chart.contains('S'));
+}
+
+/// Each pass of a multi-round drive restarts the engine's clock at zero;
+/// its spans must still land on the drive's clock, inside the `Round` span
+/// recorded after them. When every pass recorded at zero, the analysis of
+/// a 5-round KMC drive saw a makespan of a fifth of the drive, attributed
+/// it all to `Other` and called rank 0, which holds the `Round` spans, a
+/// straggler.
+#[test]
+fn round_drives_record_every_pass_on_the_cross_round_clock() {
+    let points = generate_points(40_000, 4, 33);
+    let tel = Telemetry::enabled();
+    // Two nodes, so the centers' broadcast after the last round crosses a
+    // NIC and is recorded too: the recording then ends where the clock does.
+    let drive = run_rounds(
+        &mut Cluster::accelerator(8, GpuSpec::gt200()),
+        &mut KmcRounds::new(initial_centers(4, 34), 3, 0.0),
+        SliceChunk::split(&points, 4096),
+        &EngineTuning::default(),
+        &tel,
+        None,
+    )
+    .unwrap();
+    assert_eq!(drive.rounds, 3);
+    let snap = tel.snapshot();
+
+    let eps = 1e-12;
+    let (mut rounds, mut pass) = (0, Vec::new());
+    for span in &snap.spans {
+        if span.kind != SpanKind::Round.name() {
+            pass.push(span);
+            continue;
+        }
+        assert!(!pass.is_empty(), "round {rounds} recorded nothing");
+        for s in pass.drain(..) {
+            let inside = s.start_s >= span.start_s - eps && s.end_s <= span.end_s + eps;
+            assert!(inside, "round {rounds} is {span:?}, but holds {s:?}");
+        }
+        rounds += 1;
+    }
+    assert_eq!((rounds, pass.len()), (3, 0));
+
+    let analysis = analyze(&snap);
+    let total = drive.total_time.as_secs();
+    assert!(
+        (analysis.makespan_s - total).abs() <= eps * total,
+        "analysis {} vs drive {total}",
+        analysis.makespan_s
+    );
+    assert!(
+        !analysis.stage_s.contains_key(&Stage::Other),
+        "{analysis:?}"
+    );
+    let straggler = |f: &&Finding| matches!(f, Finding::Straggler { .. });
+    let stragglers: Vec<&Finding> = analysis.findings.iter().filter(straggler).collect();
+    assert!(stragglers.is_empty(), "{stragglers:?}");
 }
