@@ -8,14 +8,15 @@
 
 use std::path::{Path, PathBuf};
 
-/// Count effective source lines in `src`: everything up to the first
-/// `#[cfg(test)]` module, minus blank lines and `//` comment lines.
-pub fn count_effective_lines(src: &str) -> usize {
-    let body = src.split("#[cfg(test)]").next().unwrap_or(src);
-    body.lines()
+/// The product code of a Rust source file: its lines, trimmed, up to the
+/// first one that *is* `#[cfg(test)]`, minus blank lines and `//` comment
+/// lines. A line that only mentions the attribute, like this one, does
+/// not end the product code.
+pub fn product_code(src: &str) -> impl Iterator<Item = &str> {
+    src.lines()
         .map(str::trim)
+        .take_while(|l| *l != "#[cfg(test)]")
         .filter(|l| !l.is_empty() && !l.starts_with("//"))
-        .count()
 }
 
 /// Locate the repository's `crates/` directory from this crate's
@@ -31,7 +32,7 @@ pub fn crates_dir() -> PathBuf {
 /// relative to `crates/`.
 pub fn count_file(rel: &str) -> std::io::Result<usize> {
     let src = std::fs::read_to_string(crates_dir().join(rel))?;
-    Ok(count_effective_lines(&src))
+    Ok(product_code(&src).count())
 }
 
 #[cfg(test)]
@@ -41,7 +42,11 @@ mod tests {
     #[test]
     fn counts_skip_comments_blanks_and_tests() {
         let src = "// comment\n\nfn a() {}\n  // indented comment\nfn b() {}\n#[cfg(test)]\nmod tests { fn c() {} }\n";
-        assert_eq!(count_effective_lines(src), 2);
+        assert_eq!(product_code(src).count(), 2);
+        // `product_code`'s doc comment names the attribute above every fn.
+        let own: Vec<&str> = product_code(include_str!("loc.rs")).collect();
+        assert!(own.contains(&"pub fn crates_dir() -> PathBuf {"));
+        assert!(!own.contains(&"mod tests {"));
     }
 
     #[test]

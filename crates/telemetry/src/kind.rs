@@ -31,6 +31,8 @@ pub enum Stage {
     /// Time a submitted job sat in the service queue before dispatch
     /// (multi-tenant job service; see the `gpmr-service` crate).
     QueueWait,
+    /// A dispatched service job until its terminal state.
+    Run,
     /// Anything not attributed above.
     Other,
 }
@@ -54,6 +56,7 @@ impl Stage {
             Stage::Reduce => "Reduce",
             Stage::Recovery => "Recovery",
             Stage::QueueWait => "QueueWait",
+            Stage::Run => "Run",
             Stage::Other => "Other",
         }
     }
@@ -146,9 +149,8 @@ span_kinds! {
     NetSend = "NetSend", Bin, None, false;
     /// A submitted job's wait in the service queue, on its tenant's track.
     QueueWait = "QueueWait", QueueWait, None, false;
-    /// A service job from dispatch to its terminal state. Attributed to
-    /// no stage: an analysis of a service recording reports it as `Other`.
-    Job = "Job", Other, None, false;
+    /// A service job from dispatch to its terminal state.
+    Job = "Job", Run, None, false;
     /// One pass of a multi-round job, including its control broadcast, on
     /// the cross-round clock; wraps the pass's engine spans, so every
     /// accounting skips it.
@@ -236,7 +238,7 @@ mod tests {
         assert_eq!(containers, [SpanKind::Chunk, SpanKind::Round]);
         assert_eq!(Stage::of_kind("AccumulateInit"), Stage::Map);
         assert_eq!(Stage::of_kind("NetSend"), Stage::Bin);
-        assert_eq!(Stage::of_kind("Job"), Stage::Other);
+        assert_eq!(Stage::of_kind("Job"), Stage::Run);
         assert_eq!(Stage::of_kind("no such kind"), Stage::Other);
     }
 }

@@ -170,24 +170,12 @@ fn every_command_that_builds_a_cluster_bounds_gpus() {
     }
 }
 
-/// Kernels ran on a process-wide worker pool sized by an environment
-/// variable, one spawned thread per requested worker: at 4 000 000 000
-/// `gpmr run` aborted (exit 134) inside the spawn loop, at 100 000 under
-/// an address-space limit it panicked there. Nothing reads the variable
-/// now and the process spawns no thread.
-#[test]
-fn no_environment_variable_sizes_a_thread_pool() {
-    std::env::set_var("GPMR_WORKER_THREADS", "4000000000");
-    let line = "run --benchmark wo --size 200000 --gpus 2";
-    let out = dispatch(line.split(' ')).unwrap_or_else(|e| panic!("{line}: {e}"));
-    assert!(out.contains("simulated time"), "{out}");
-}
-
 /// The five generic subcommands shared one accepted-flag list, so each
 /// took — and ignored — every flag another one read: 96 (subcommand,
 /// flag) pairs (`info --zipf 2`, `kmeans --fault-seed 3`, `serve --seed 9
 /// --resume`), and `perf record --baseline` / `perf diff --scale` among
-/// the moded ones. A row refuses, by name, whatever it does not list.
+/// the moded ones. A row refuses, by name, whatever it does not list,
+/// and a name no row declares (the paper binaries ran past a `--scael`).
 #[test]
 fn a_flag_the_row_does_not_list_is_refused_by_name() {
     let every_flag: Vec<&Flag> = {
@@ -208,17 +196,15 @@ fn a_flag_the_row_does_not_list_is_refused_by_name() {
             assert_eq!(err, refusal, "{line}");
             pairs[usize::from(!row.mode.is_empty())] += 1;
         }
+        let line = format!("{} --scael 8", baselines(row, "typo")[0]);
+        let err = dispatch(line.split(' ')).expect_err(&line).to_string();
+        let refusal = format!("unknown option --scael for `gpmr {}`", label(row));
+        assert_eq!(err, refusal, "{line}");
     }
     // run 18, analyze 19, kmeans 8, serve 12 and info 1 of the 40; the
     // seven moded rows before `paper` list 31 between them, its eight 10.
     assert_eq!(pairs, [5 * 40 - 58, 15 * 40 - 41]);
     assert!(pairs[0] >= 96);
-    // The paper binaries took any flag; their rows take only their own.
-    let err = dispatch("paper fig2 --gpus 2".split(' ')).unwrap_err();
-    assert_eq!(
-        err.to_string(),
-        "unknown option --gpus for `gpmr paper fig2`"
-    );
 }
 
 /// ROADMAP item 2, the CLI half: every numeric flag of every row takes

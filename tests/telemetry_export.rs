@@ -286,6 +286,9 @@ fn service_telemetry_has_tenant_tracks_queue_wait_and_valid_perfetto() {
         queue_share > 0.0,
         "demo workload queues jobs, so queue wait share must be > 0"
     );
+    // And job execution is a stage too: no share is left to `Other`.
+    let other = analysis.stage_s.get(&analyze::Stage::Other);
+    assert_eq!(other, None, "{shares:?}");
 }
 
 /// An engine-scoped recording to splice: its own zero-based clock, rank
