@@ -190,29 +190,6 @@ impl Chunk for MmChunk {
         gpmr_core::pod::write_slice(&self.b, &mut out);
         out
     }
-
-    fn deserialize(bytes: &[u8]) -> Self {
-        let n_tiles = u32::read_le(bytes);
-        let row_start = u32::read_le(&bytes[4..]);
-        let row_len = u32::read_le(&bytes[8..]);
-        let col_start = u32::read_le(&bytes[12..]);
-        let col_len = u32::read_le(&bytes[16..]);
-        let k_start = u32::read_le(&bytes[20..]);
-        let k_len = u32::read_le(&bytes[24..]);
-        let (a, used) = gpmr_core::pod::read_slice(&bytes[28..]);
-        let (b, _) = gpmr_core::pod::read_slice(&bytes[28 + used..]);
-        MmChunk {
-            n_tiles,
-            row_start,
-            row_len,
-            col_start,
-            col_len,
-            k_start,
-            k_len,
-            a,
-            b,
-        }
-    }
 }
 
 fn owner_of(key: u32, n_tiles: u32, ranks: u32) -> u32 {
@@ -367,12 +344,13 @@ impl GpmrJob for MmSumJob {
     }
 }
 
-/// Either task's chunk, so that one job type serves both rounds. `Sum` is
-/// tagged in the top bit of the leading `u32`, which neither inner chunk
-/// uses (tile counts are 16-bit, phase-2 chunk ids stay below 2^31): a
-/// part serializes to its inner chunk's length, what a steal or a requeue
-/// is charged.
-#[derive(Clone, Debug, PartialEq)]
+/// Either task's chunk, so that one job type serves both rounds. A part
+/// serializes to its inner chunk's length, what a steal or a requeue is
+/// charged. `Sum` sets the top bit of the leading `u32`, which neither
+/// inner chunk uses (tile counts are 16-bit, phase-2 chunk ids stay below
+/// 2^31). Nothing decodes the tag; it stays because these bytes feed the
+/// journal's `JobStart` fingerprint, which the pinned golden journals fix.
+#[derive(Clone, Debug)]
 enum MmPart {
     Product(MmChunk),
     Sum(SliceChunk<(u32, TileData)>),
@@ -405,16 +383,6 @@ impl Chunk for MmPart {
             bytes[..4].copy_from_slice(&(c.id | SUM_TAG).to_le_bytes());
         }
         bytes
-    }
-
-    fn deserialize(bytes: &[u8]) -> Self {
-        let lead = u32::read_le(bytes);
-        if lead & SUM_TAG == 0 {
-            return MmPart::Product(MmChunk::deserialize(bytes));
-        }
-        let mut c = SliceChunk::deserialize(bytes);
-        c.id = lead & !SUM_TAG;
-        MmPart::Sum(c)
     }
 }
 
@@ -772,26 +740,19 @@ mod tests {
     }
 
     #[test]
-    fn mm_chunk_serialization_round_trips() {
+    fn a_part_serializes_to_its_inner_chunks_bytes() {
         let a = Matrix::random(64, 10);
         let b = Matrix::random(64, 11);
         let chunks = mm_chunks(&a, &b, 2, 2, 2);
-        let bytes = chunks[1].serialize();
-        assert_eq!(MmChunk::deserialize(&bytes), chunks[1]);
         assert!(chunks[0].item_count() > 0);
-
         // A part of either round costs a migration what its inner chunk
-        // does, and comes back as itself.
+        // does; a sum part differs only in the tag bit of its leading id.
+        let product = chunks[1].serialize();
+        assert_eq!(MmPart::Product(chunks[1].clone()).serialize(), product);
         let sum = SliceChunk::new(7, 0, vec![(tile_key(1, 2), a.tile(0, 0))]);
-        let sum_len = sum.serialize().len();
-        for (part, len) in [
-            (MmPart::Product(chunks[1].clone()), bytes.len()),
-            (MmPart::Sum(sum), sum_len),
-        ] {
-            let wire = part.serialize();
-            assert_eq!(wire.len(), len);
-            assert_eq!(MmPart::deserialize(&wire), part);
-        }
+        let mut tagged = sum.serialize();
+        tagged[3] |= 0x80;
+        assert_eq!(MmPart::Sum(sum).serialize(), tagged);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Write-ahead job journal: an append-only commit log of the scheduler's
 //! quantized touch-points (chunk dispatch, chunk commit, bin sorted, bin
-//! reduced, GPU loss/add, steal/requeue), with content hashes, plus the
-//! completed-bin manifest derived from it.
+//! reduced, GPU loss/add, steal/requeue), with content hashes.
 //!
 //! The engine is a deterministic simulation, so recovery is *verified
 //! replay*: a resumed run re-executes the job from scratch and checks each
@@ -15,10 +14,12 @@
 //! On-disk format: a flat sequence of frames, each
 //! `[payload_len: u32 LE][checksum: u64 LE][payload]` where the checksum
 //! is FNV-1a over the payload and the payload is a tagged
-//! [`JournalRecord`] encoded with the same little-endian [`Pod`] codec the
-//! chunks use. A torn tail (truncated frame or checksum mismatch — the
-//! crash happened mid-write) is detected on open and trimmed back to the
-//! last whole record; it is never an error.
+//! [`JournalRecord`]: its tag byte, then its fields in order, each in the
+//! little-endian [`Pod`] encoding. Every record's tag, barrier flag and
+//! fields are one row of the `journal_records!` table below. A torn tail
+//! (truncated frame, checksum mismatch, or a payload that is not exactly
+//! one record — the crash happened mid-write) is detected on open and
+//! trimmed back to the last whole record; it is never an error.
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -100,17 +101,68 @@ fn hash_pods<T: Pod>(h: &mut Fnv64, buf: &mut Vec<u8>, items: &[T]) {
     }
 }
 
-/// One commit-log entry. Every variant is written at a scheduler
-/// touch-point the fault harness already quantizes on, so the log orders
-/// identically across runs of the same job.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum JournalRecord {
+/// Declares [`JournalRecord`] and its wire codec from the same rows, so a
+/// record's tag, barrier flag and field order are written once. A row is
+/// the variant's doc, `Name = tag`, whether it is a barrier (flushed
+/// unconditionally), and its fields in wire order.
+macro_rules! journal_records {
+    ($($(#[$doc:meta])* $name:ident = $tag:literal, barrier: $barrier:literal {
+        $($(#[$fdoc:meta])* $field:ident: $ty:ty,)*
+    })*) => {
+        /// One commit-log entry. Every variant is written at a scheduler
+        /// touch-point the fault harness already quantizes on, so the log
+        /// orders identically across runs of the same job.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum JournalRecord {
+            $($(#[$doc])* $name { $($(#[$fdoc])* $field: $ty,)* },)*
+        }
+
+        impl JournalRecord {
+            /// Stage and cluster-membership boundaries flush unconditionally —
+            /// these are the "last consistent point" markers recovery seeks to.
+            fn is_barrier(&self) -> bool {
+                match self {
+                    $(JournalRecord::$name { .. } => $barrier,)*
+                }
+            }
+
+            fn tag(&self) -> u8 {
+                match self {
+                    $(JournalRecord::$name { .. } => $tag,)*
+                }
+            }
+
+            fn encode(&self, out: &mut Vec<u8>) {
+                out.push(self.tag());
+                match self {
+                    $(JournalRecord::$name { $($field),* } => {
+                        $($field.write_le(out);)*
+                    })*
+                }
+            }
+
+            /// The record `payload` holds, or `None` for an unknown tag or a
+            /// body that is not exactly the tag's fields.
+            fn decode(payload: &[u8]) -> Option<JournalRecord> {
+                let (&tag, body) = payload.split_first()?;
+                let mut off = 0;
+                let rec = match tag {
+                    $($tag => JournalRecord::$name { $($field: field(body, &mut off)?,)* },)*
+                    _ => return None,
+                };
+                (off == body.len()).then_some(rec)
+            }
+        }
+    };
+}
+
+journal_records! {
     /// Job admission: a fingerprint over the cluster shape, pipeline
     /// configuration, tuning that affects the schedule, and every input
     /// chunk's content. Always the first record; a resumed run whose
     /// fingerprint differs diverges immediately instead of replaying
     /// garbage.
-    JobStart {
+    JobStart = 1, barrier: true {
         /// FNV-1a over job configuration and input chunk contents.
         fingerprint: u64,
         /// Number of input chunks.
@@ -120,16 +172,16 @@ pub enum JournalRecord {
         /// Reducer count: the ranks present at job start, which own the
         /// partition space for the whole job.
         reducers: u32,
-    },
+    }
     /// A chunk left a queue for a rank's upload pipeline.
-    ChunkDispatch {
+    ChunkDispatch = 2, barrier: false {
         /// Canonical chunk id (original input index).
         chunk_id: u64,
         /// The rank that will map it.
         rank: u32,
-    },
+    }
     /// A chunk's map output was committed (it can never rerun).
-    ChunkCommit {
+    ChunkCommit = 3, barrier: false {
         /// Canonical chunk id.
         chunk_id: u64,
         /// The rank that mapped it.
@@ -140,37 +192,37 @@ pub enum JournalRecord {
         /// Content hash: the emitted pairs ([`hash_pairs`]), or the chunk
         /// bytes in accumulate mode.
         hash: u64,
-    },
+    }
     /// An idle rank stole a queued chunk.
-    Steal {
+    Steal = 4, barrier: false {
         /// Canonical chunk id.
         chunk_id: u64,
         /// The rank it was stolen from.
         victim: u32,
         /// The rank that now owns it.
         thief: u32,
-    },
+    }
     /// A lost rank's chunk migrated to a survivor.
-    Requeue {
+    Requeue = 5, barrier: false {
         /// Canonical chunk id.
         chunk_id: u64,
         /// The dead rank.
         from: u32,
         /// The surviving rank that will rerun it.
         to: u32,
-    },
+    }
     /// A GPU failed fail-stop.
-    GpuLost {
+    GpuLost = 6, barrier: true {
         /// The lost rank.
         rank: u32,
-    },
+    }
     /// A GPU joined the running job (elastic add).
-    GpuAdded {
+    GpuAdded = 7, barrier: true {
         /// The joining rank.
         rank: u32,
-    },
+    }
     /// A reducer's inbound bin finished sorting.
-    BinSorted {
+    BinSorted = 8, barrier: true {
         /// The reducer rank.
         rank: u32,
         /// Sorted pair count.
@@ -179,37 +231,37 @@ pub enum JournalRecord {
         unique: u64,
         /// [`hash_pairs`] over the sorted keys and values.
         hash: u64,
-    },
+    }
     /// A reducer's output was committed (downloaded to the host).
-    BinReduced {
+    BinReduced = 9, barrier: true {
         /// The reducer rank.
         rank: u32,
         /// Output pair count.
         pairs: u64,
         /// [`hash_pairs`] over the output keys and values.
         hash: u64,
-    },
+    }
     /// The job finished.
-    JobEnd {
+    JobEnd = 10, barrier: true {
         /// FNV-1a fold of every rank's output-pair hash, in rank order.
         output_hash: u64,
         /// `f64::to_bits` of the makespan in seconds (bit-exact).
         makespan_bits: u64,
-    },
+    }
     /// A round of a multi-round (chained) job is starting. Written by the
     /// round driver before the round's own `JobStart`, so a resumed run
     /// detects divergence at round granularity — a different convergence
     /// trajectory (changed centers, changed splitters) diverges here, on
     /// the control hash, before any per-chunk record could mislead.
-    RoundStart {
+    RoundStart = 11, barrier: true {
         /// Zero-based round index.
         round: u32,
         /// FNV-1a over the round's control state (the host-visible scalar
         /// the previous round broadcast: centers, splitters, thresholds).
         control_hash: u64,
-    },
+    }
     /// A round of a multi-round job completed.
-    RoundEnd {
+    RoundEnd = 12, barrier: true {
         /// Zero-based round index.
         round: u32,
         /// FNV-1a fold of every rank's round-output hash, in rank order.
@@ -217,209 +269,15 @@ pub enum JournalRecord {
         /// `f64::to_bits` of the driver's accumulated cross-round clock
         /// at the end of this round (bit-exact).
         clock_bits: u64,
-    },
+    }
 }
 
-impl JournalRecord {
-    /// Stage and cluster-membership boundaries flush unconditionally —
-    /// these are the "last consistent point" markers recovery seeks to.
-    fn is_barrier(&self) -> bool {
-        matches!(
-            self,
-            JournalRecord::JobStart { .. }
-                | JournalRecord::GpuLost { .. }
-                | JournalRecord::GpuAdded { .. }
-                | JournalRecord::BinSorted { .. }
-                | JournalRecord::BinReduced { .. }
-                | JournalRecord::JobEnd { .. }
-                | JournalRecord::RoundStart { .. }
-                | JournalRecord::RoundEnd { .. }
-        )
-    }
-
-    fn tag(&self) -> u8 {
-        match self {
-            JournalRecord::JobStart { .. } => 1,
-            JournalRecord::ChunkDispatch { .. } => 2,
-            JournalRecord::ChunkCommit { .. } => 3,
-            JournalRecord::Steal { .. } => 4,
-            JournalRecord::Requeue { .. } => 5,
-            JournalRecord::GpuLost { .. } => 6,
-            JournalRecord::GpuAdded { .. } => 7,
-            JournalRecord::BinSorted { .. } => 8,
-            JournalRecord::BinReduced { .. } => 9,
-            JournalRecord::JobEnd { .. } => 10,
-            JournalRecord::RoundStart { .. } => 11,
-            JournalRecord::RoundEnd { .. } => 12,
-        }
-    }
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(self.tag());
-        match *self {
-            JournalRecord::JobStart {
-                fingerprint,
-                n_chunks,
-                ranks,
-                reducers,
-            } => {
-                fingerprint.write_le(out);
-                n_chunks.write_le(out);
-                ranks.write_le(out);
-                reducers.write_le(out);
-            }
-            JournalRecord::ChunkDispatch { chunk_id, rank } => {
-                chunk_id.write_le(out);
-                rank.write_le(out);
-            }
-            JournalRecord::ChunkCommit {
-                chunk_id,
-                rank,
-                pairs,
-                hash,
-            } => {
-                chunk_id.write_le(out);
-                rank.write_le(out);
-                pairs.write_le(out);
-                hash.write_le(out);
-            }
-            JournalRecord::Steal {
-                chunk_id,
-                victim,
-                thief,
-            } => {
-                chunk_id.write_le(out);
-                victim.write_le(out);
-                thief.write_le(out);
-            }
-            JournalRecord::Requeue { chunk_id, from, to } => {
-                chunk_id.write_le(out);
-                from.write_le(out);
-                to.write_le(out);
-            }
-            JournalRecord::GpuLost { rank } | JournalRecord::GpuAdded { rank } => {
-                rank.write_le(out);
-            }
-            JournalRecord::BinSorted {
-                rank,
-                pairs,
-                unique,
-                hash,
-            } => {
-                rank.write_le(out);
-                pairs.write_le(out);
-                unique.write_le(out);
-                hash.write_le(out);
-            }
-            JournalRecord::BinReduced { rank, pairs, hash } => {
-                rank.write_le(out);
-                pairs.write_le(out);
-                hash.write_le(out);
-            }
-            JournalRecord::JobEnd {
-                output_hash,
-                makespan_bits,
-            } => {
-                output_hash.write_le(out);
-                makespan_bits.write_le(out);
-            }
-            JournalRecord::RoundStart {
-                round,
-                control_hash,
-            } => {
-                round.write_le(out);
-                control_hash.write_le(out);
-            }
-            JournalRecord::RoundEnd {
-                round,
-                output_hash,
-                clock_bits,
-            } => {
-                round.write_le(out);
-                output_hash.write_le(out);
-                clock_bits.write_le(out);
-            }
-        }
-    }
-
-    fn decode(payload: &[u8]) -> Option<JournalRecord> {
-        let (&tag, _) = payload.split_first()?;
-        let mut off = 0usize;
-        let body = &payload[1..];
-        let next_u64 = |off: &mut usize| -> Option<u64> {
-            let v = u64::read_le(body.get(*off..*off + 8)?);
-            *off += 8;
-            Some(v)
-        };
-        let next_u32 = |off: &mut usize| -> Option<u32> {
-            let v = u32::read_le(body.get(*off..*off + 4)?);
-            *off += 4;
-            Some(v)
-        };
-        let rec = match tag {
-            1 => JournalRecord::JobStart {
-                fingerprint: next_u64(&mut off)?,
-                n_chunks: next_u64(&mut off)?,
-                ranks: next_u32(&mut off)?,
-                reducers: next_u32(&mut off)?,
-            },
-            2 => JournalRecord::ChunkDispatch {
-                chunk_id: next_u64(&mut off)?,
-                rank: next_u32(&mut off)?,
-            },
-            3 => JournalRecord::ChunkCommit {
-                chunk_id: next_u64(&mut off)?,
-                rank: next_u32(&mut off)?,
-                pairs: next_u64(&mut off)?,
-                hash: next_u64(&mut off)?,
-            },
-            4 => JournalRecord::Steal {
-                chunk_id: next_u64(&mut off)?,
-                victim: next_u32(&mut off)?,
-                thief: next_u32(&mut off)?,
-            },
-            5 => JournalRecord::Requeue {
-                chunk_id: next_u64(&mut off)?,
-                from: next_u32(&mut off)?,
-                to: next_u32(&mut off)?,
-            },
-            6 => JournalRecord::GpuLost {
-                rank: next_u32(&mut off)?,
-            },
-            7 => JournalRecord::GpuAdded {
-                rank: next_u32(&mut off)?,
-            },
-            8 => JournalRecord::BinSorted {
-                rank: next_u32(&mut off)?,
-                pairs: next_u64(&mut off)?,
-                unique: next_u64(&mut off)?,
-                hash: next_u64(&mut off)?,
-            },
-            9 => JournalRecord::BinReduced {
-                rank: next_u32(&mut off)?,
-                pairs: next_u64(&mut off)?,
-                hash: next_u64(&mut off)?,
-            },
-            10 => JournalRecord::JobEnd {
-                output_hash: next_u64(&mut off)?,
-                makespan_bits: next_u64(&mut off)?,
-            },
-            11 => JournalRecord::RoundStart {
-                round: next_u32(&mut off)?,
-                control_hash: next_u64(&mut off)?,
-            },
-            12 => JournalRecord::RoundEnd {
-                round: next_u32(&mut off)?,
-                output_hash: next_u64(&mut off)?,
-                clock_bits: next_u64(&mut off)?,
-            },
-            _ => return None,
-        };
-        if off != body.len() {
-            return None;
-        }
-        Some(rec)
-    }
+/// Read the `T` at `*off` in `body` and step past it; `None` when the body
+/// ends first.
+fn field<T: Pod>(body: &[u8], off: &mut usize) -> Option<T> {
+    let bytes = body.get(*off..*off + T::SIZE)?;
+    *off += T::SIZE;
+    Some(T::read_le(bytes))
 }
 
 /// Errors raised by journal operations.
@@ -561,7 +419,7 @@ impl Journal {
 
     /// Verify (in replay mode) or append one record. Appends are buffered;
     /// the buffer is flushed every `checkpoint_every` records and at every
-    /// stage barrier (job start/end, bin sorted/reduced, GPU lost/added).
+    /// record the table marks `barrier: true`.
     pub fn record(&mut self, rec: &JournalRecord) -> JournalResult<RecordOutcome> {
         if self.replay_idx < self.replay.len() {
             let expected = self.replay[self.replay_idx];
@@ -635,13 +493,6 @@ impl Journal {
     pub fn path(&self) -> &Path {
         &self.path
     }
-
-    /// The completed-bin manifest derived from the records seen so far
-    /// (replay prefix; appended records are folded in as they are
-    /// written). Call after a run for the final manifest.
-    pub fn summary(&self) -> JournalSummary {
-        JournalSummary::from_records(&self.replay)
-    }
 }
 
 /// Decode the longest valid record prefix of raw journal bytes. Returns
@@ -673,64 +524,6 @@ pub fn scan_bytes(bytes: &[u8]) -> (Vec<JournalRecord>, Vec<u64>) {
         offsets.push(pos as u64);
     }
     (records, offsets)
-}
-
-/// The completed-bin manifest: a summary view of a journal's records
-/// answering "what had durably finished when the run stopped".
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct JournalSummary {
-    /// The job admission record, if the journal got that far.
-    pub started: Option<JournalRecord>,
-    /// Chunk ids with a committed map output, sorted and deduplicated
-    /// (a chunk can legitimately commit twice when its first commit died
-    /// with a GPU's accumulate state).
-    pub committed_chunks: Vec<u64>,
-    /// Dispatch records seen.
-    pub dispatches: u64,
-    /// Steal records seen.
-    pub steals: u64,
-    /// Requeue records seen.
-    pub requeues: u64,
-    /// Ranks recorded as lost.
-    pub gpus_lost: Vec<u32>,
-    /// Ranks recorded as joining mid-job.
-    pub gpus_added: Vec<u32>,
-    /// Reducer ranks whose bin finished sorting.
-    pub bins_sorted: Vec<u32>,
-    /// Reducer ranks whose output was committed.
-    pub bins_reduced: Vec<u32>,
-    /// The job-end record, if the run completed.
-    pub ended: Option<JournalRecord>,
-    /// Round-start records seen (multi-round jobs).
-    pub rounds_started: u64,
-    /// Round indices with a committed `RoundEnd`, in journal order.
-    pub rounds_completed: Vec<u32>,
-}
-
-impl JournalSummary {
-    /// Fold a record sequence into the manifest.
-    pub fn from_records(records: &[JournalRecord]) -> JournalSummary {
-        let mut s = JournalSummary::default();
-        for &rec in records {
-            match rec {
-                JournalRecord::JobStart { .. } => s.started = Some(rec),
-                JournalRecord::ChunkDispatch { .. } => s.dispatches += 1,
-                JournalRecord::ChunkCommit { chunk_id, .. } => s.committed_chunks.push(chunk_id),
-                JournalRecord::Steal { .. } => s.steals += 1,
-                JournalRecord::Requeue { .. } => s.requeues += 1,
-                JournalRecord::GpuLost { rank } => s.gpus_lost.push(rank),
-                JournalRecord::GpuAdded { rank } => s.gpus_added.push(rank),
-                JournalRecord::BinSorted { rank, .. } => s.bins_sorted.push(rank),
-                JournalRecord::BinReduced { rank, .. } => s.bins_reduced.push(rank),
-                JournalRecord::JobEnd { .. } => s.ended = Some(rec),
-                JournalRecord::RoundStart { .. } => s.rounds_started += 1,
-                JournalRecord::RoundEnd { round, .. } => s.rounds_completed.push(round),
-            }
-        }
-        s.committed_chunks.sort_unstable();
-        s.committed_chunks.dedup();
-        s
-    }
 }
 
 #[cfg(test)]
@@ -932,23 +725,6 @@ mod tests {
         let (records, _) = Journal::scan(&path).unwrap();
         assert_eq!(records, recs[..4].to_vec());
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn summary_builds_the_completed_bin_manifest() {
-        let s = JournalSummary::from_records(&sample_records());
-        assert!(s.started.is_some());
-        assert_eq!(s.committed_chunks, vec![0]);
-        assert_eq!(s.dispatches, 1);
-        assert_eq!(s.steals, 1);
-        assert_eq!(s.requeues, 1);
-        assert_eq!(s.gpus_lost, vec![1]);
-        assert_eq!(s.gpus_added, vec![2]);
-        assert_eq!(s.bins_sorted, vec![0]);
-        assert_eq!(s.bins_reduced, vec![0]);
-        assert!(s.ended.is_some());
-        assert_eq!(s.rounds_started, 1);
-        assert_eq!(s.rounds_completed, vec![3]);
     }
 
     #[test]

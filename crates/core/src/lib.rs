@@ -114,9 +114,7 @@ pub use error::{EngineError, EngineResult};
 pub use job::{
     block_partition, derive_splitters, GpmrJob, MapMode, PartitionMode, PipelineConfig, SortMode,
 };
-pub use journal::{
-    scan_bytes, Journal, JournalError, JournalRecord, JournalResult, JournalSummary, RecordOutcome,
-};
+pub use journal::{scan_bytes, Journal, JournalError, JournalRecord, JournalResult, RecordOutcome};
 pub use pod::Pod;
 pub use rounds::{
     max_resident_chunk_bytes, rechunk_interleaved, run_rounds, RoundDecision, RoundJob, RoundStats,

@@ -1,4 +1,4 @@
-//! Property-based tests for the GPMR core: serialization, routing, and
+//! Property-based tests for the GPMR core: chunking, routing, and
 //! pipeline-equivalence invariants on arbitrary inputs.
 
 use gpmr_core::helpers::{combine_pairs, reference_combine, split_buckets};
@@ -8,30 +8,6 @@ use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn slice_chunk_serialization_round_trips(
-        items in prop::collection::vec(any::<u32>(), 0..2000),
-        id in any::<u32>(),
-        offset in any::<u64>(),
-    ) {
-        let c = SliceChunk::new(id, offset, items);
-        let back = SliceChunk::<u32>::deserialize(&c.serialize());
-        prop_assert_eq!(back, c);
-    }
-
-    #[test]
-    fn float_chunk_serialization_round_trips(
-        items in prop::collection::vec(any::<f64>(), 0..500),
-    ) {
-        let c = SliceChunk::new(1, 0, items);
-        let back = SliceChunk::<f64>::deserialize(&c.serialize());
-        // Bit-exact (including NaN payloads is not required; compare bits).
-        prop_assert_eq!(back.items.len(), c.items.len());
-        for (a, b) in back.items.iter().zip(&c.items) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
 
     #[test]
     fn chunk_split_covers_input(

@@ -42,14 +42,6 @@ impl Chunk for BatchChunk {
         out.extend(self.inner.serialize());
         out
     }
-
-    fn deserialize(bytes: &[u8]) -> Self {
-        let slot = u32::from_le_bytes(bytes[..4].try_into().unwrap());
-        BatchChunk {
-            slot,
-            inner: SliceChunk::deserialize(&bytes[4..]),
-        }
-    }
 }
 
 /// Tag a member key with its batch slot.
@@ -197,12 +189,14 @@ mod tests {
     }
 
     #[test]
-    fn batch_chunk_serialization_round_trips() {
+    fn batch_chunk_serializes_as_slot_then_inner_chunk() {
         let c = BatchChunk {
             slot: 2,
             inner: SliceChunk::new(5, 100, vec![1u32, 2, 3]),
         };
-        assert_eq!(BatchChunk::deserialize(&c.serialize()), c);
+        let mut want = 2u32.to_le_bytes().to_vec();
+        want.extend(c.inner.serialize());
+        assert_eq!(c.serialize(), want);
         assert_eq!(c.size_bytes(), 12, "tag must not change transfer size");
     }
 

@@ -8,7 +8,9 @@
 //! engine re-executes from scratch while the journal checks every
 //! would-be record against the stored prefix, so a journal written by a
 //! *different* job (other data, other cluster shape) aborts with a typed
-//! divergence error instead of silently replaying garbage.
+//! divergence error instead of silently replaying garbage. Any bytes at
+//! all — flipped, cut, duplicated or spliced — open as a valid record
+//! prefix plus a torn tail, never a panic.
 
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -24,6 +26,8 @@ use gpmr_apps::mm::run_mm;
 use gpmr_apps::sio::{self, sio_chunks, SioMode};
 use gpmr_apps::text::{chunk_text, generate_text};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 const DATA_N: usize = 12_000;
 const DATA_SEED: u64 = 7;
@@ -542,4 +546,142 @@ proptest! {
         prop_assert_eq!(&std::fs::read(&path).unwrap(), mm_bytes, "mm journal diverged at cut {}", cut);
         std::fs::remove_file(&path).ok();
     }
+}
+
+/// One record of every kind, in tag order.
+fn every_record_kind() -> Vec<JournalRecord> {
+    use JournalRecord::*;
+    #[rustfmt::skip]
+    let records = vec![
+        JobStart { fingerprint: 0xdead_beef, n_chunks: 4, ranks: 3, reducers: 2 },
+        ChunkDispatch { chunk_id: 0, rank: 0 },
+        ChunkCommit { chunk_id: 0, rank: 0, pairs: 17, hash: 42 },
+        Steal { chunk_id: 3, victim: 1, thief: 2 },
+        Requeue { chunk_id: 1, from: 1, to: 2 },
+        GpuLost { rank: 1 },
+        GpuAdded { rank: 2 },
+        BinSorted { rank: 0, pairs: 17, unique: 5, hash: 7 },
+        BinReduced { rank: 0, pairs: 5, hash: 9 },
+        JobEnd { output_hash: 11, makespan_bits: 2.5f64.to_bits() },
+        RoundStart { round: 3, control_hash: 0xc0ff_ee00 },
+        RoundEnd { round: 3, output_hash: 13, clock_bits: 7.25f64.to_bits() },
+    ];
+    records
+}
+
+/// `payload` framed as the journal frames a record: length, FNV-1a, bytes.
+fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut f = (payload.len() as u32).to_le_bytes().to_vec();
+    f.extend(fnv1a(payload).to_le_bytes());
+    f.extend(payload);
+    f
+}
+
+/// The reader's contract on any bytes: `scan_bytes` stops at a frame
+/// boundary, what it accepts re-records to exactly the bytes before that
+/// boundary, and `Journal::resume` trims exactly the rest. Returns the
+/// valid prefix length.
+fn check_reader(path: &PathBuf, bytes: &[u8]) -> usize {
+    let (records, offsets) = scan_bytes(bytes);
+    assert_eq!((offsets.len(), offsets[0]), (records.len() + 1, 0));
+    for w in offsets.windows(2) {
+        let at = w[0] as usize;
+        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        assert_eq!(
+            w[1],
+            w[0] + 12 + u64::from(len),
+            "offset {at} is not a frame boundary"
+        );
+    }
+    let valid = *offsets.last().unwrap() as usize;
+    let mut journal = Journal::create(path, 1).unwrap();
+    for rec in &records {
+        journal.record(rec).unwrap();
+    }
+    drop(journal);
+    assert_eq!(std::fs::read(path).unwrap(), &bytes[..valid]);
+    std::fs::write(path, bytes).unwrap();
+    let journal = Journal::resume(path, 1).expect("any bytes resume");
+    assert_eq!(journal.torn_bytes(), (bytes.len() - valid) as u64);
+    valid
+}
+
+/// One to three seeded mutations of `base`, whose frames start at `offsets`.
+fn mutate(rng: &mut SmallRng, base: &[u8], offsets: &[u64]) -> Vec<u8> {
+    let mut b = base.to_vec();
+    let frame_at = |rng: &mut SmallRng, k: usize| offsets[rng.gen_range(0..k)] as usize;
+    for _ in 0..rng.gen_range(1..=3) {
+        match rng.gen_range(0..5) {
+            0 if !b.is_empty() => {
+                let i = rng.gen_range(0..b.len());
+                b[i] ^= rng.gen_range(1..=255u8);
+            }
+            1 => b.truncate(rng.gen_range(0..=b.len())),
+            2 => {
+                let at = frame_at(rng, offsets.len() - 1);
+                let len = if rng.gen_bool(0.5) { 0 } else { u32::MAX };
+                if at + 4 <= b.len() {
+                    b[at..at + 4].copy_from_slice(&len.to_le_bytes());
+                }
+            }
+            3 => {
+                let k = rng.gen_range(0..offsets.len() - 1);
+                let dup = base[offsets[k] as usize..offsets[k + 1] as usize].to_vec();
+                let at = frame_at(rng, offsets.len()).min(b.len());
+                b.splice(at..at, dup);
+            }
+            _ => {
+                let garbage: Vec<u8> = (0..rng.gen_range(1..=64))
+                    .map(|_| rng.gen_range(0..=255u8))
+                    .collect();
+                let at = rng.gen_range(0..=b.len());
+                b.splice(at..at, garbage);
+            }
+        }
+    }
+    b
+}
+
+#[test]
+fn the_journal_reader_takes_any_bytes() {
+    // Seeded mutations of two bases — a recorded job's journal and one
+    // record of every kind — then hand-framed records the codec refuses.
+    let path = tmp("reader_fuzz");
+    let mut kinds = Journal::create(&path, 1).unwrap();
+    for rec in &every_record_kind() {
+        kinds.record(rec).unwrap();
+    }
+    drop(kinds);
+    let kinds = std::fs::read(&path).unwrap();
+    assert_eq!(scan_bytes(&kinds).0, every_record_kind());
+    let recorded = &torn_reference().1;
+    let mut inputs = 0;
+    for (base, seed) in [(&recorded.bytes, 1), (&kinds, 2)] {
+        let offsets = scan_bytes(base).1;
+        assert_eq!(check_reader(&path, base), base.len());
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for _ in 0..300 {
+            check_reader(&path, &mutate(&mut rng, base, &offsets));
+            inputs += 1;
+        }
+        // A checksummed frame whose tag is unknown or whose payload is one
+        // byte short or long ends the valid prefix where it starts.
+        for k in 0..offsets.len() - 1 {
+            let (at, end) = (offsets[k] as usize, offsets[k + 1] as usize);
+            let payload = &base[at + 12..end];
+            let mut bad: Vec<Vec<u8>> = [0u8, 13, 255]
+                .iter()
+                .map(|&tag| [&[tag], &payload[1..]].concat())
+                .collect();
+            bad.push(payload[..payload.len() - 1].to_vec());
+            bad.push([payload, &[0]].concat());
+            for p in bad {
+                let bytes = [&base[..at], &frame(&p), &base[end..]].concat();
+                assert_eq!(check_reader(&path, &bytes), at, "frame {k}, payload {p:?}");
+                inputs += 1;
+            }
+        }
+    }
+    assert!(inputs >= 512, "{inputs} inputs");
+    std::fs::remove_file(&path).ok();
 }

@@ -109,6 +109,9 @@ const RULES: &[Rule] = &[
         pick: |p| p.starts_with("crates/apps/") || p.ends_with("Cargo.toml") || p.contains(".cargo/config"),
         hits: |l| any(l, &["std::arch", "core::arch", "target_feature", "target-feature", "target-cpu"]),
         reason: "PR 17: the apps' kernels are portable: no intrinsics, CPU features or target CPU", ..ABSENT },
+    Rule { roots: TREE, hits: |l| any(l, &["fn deserialize", "read_slice", "JournalSummary"]),
+        reason: "one journal record table: nothing decodes a chunk's bytes, and no second fold reads the records",
+        example: "fn deserialize(bytes: &[u8]) -> Self {", ..ABSENT },
 ];
 
 /// The files `rule` reads, relative to the package root.
