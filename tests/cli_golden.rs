@@ -201,6 +201,67 @@ fn paper_bytes_match_the_binaries_they_replace() {
     );
 }
 
+/// `gpmr serve` prints, byte for byte, what the job service printed when
+/// it still ran every pass to completion at dispatch and replayed it to
+/// stop it; the demo's flight recorder writes the same postmortem files.
+/// A postmortem is compared by its file, not by stdout, which names the
+/// directory.
+#[test]
+fn serve_bytes_match_the_service_that_replayed_its_stops() {
+    let workload = |name: &str| format!("{}/workloads/{name}", env!("CARGO_MANIFEST_DIR"));
+    let digest = |bytes: &[u8]| (bytes.len(), fnv1a(bytes));
+    let mut drifted = Vec::new();
+    let mut check = |what: String, got: (usize, u64), expect: (usize, u64)| {
+        if got != expect {
+            drifted.push(format!("{what}: ({}, {:#018x})", got.0, got.1));
+        }
+    };
+    for (name, expect) in [
+        ("service_demo.wl", (2490, 0xa66a_fdbe_4aa6_9010)),
+        ("slo_overload.wl", (3261, 0x7af6_02e8_c90c_c886)),
+        ("slo_overload_batch.wl", (3275, 0x6f06_ebb7_7a0e_cf5b)),
+    ] {
+        let out = dispatch(["serve", "--workload", &workload(name)]).unwrap();
+        check(format!("serve {name}"), digest(out.as_bytes()), expect);
+    }
+
+    let dir = std::env::temp_dir().join("gpmr_cli_golden_flight");
+    std::fs::remove_dir_all(&dir).ok();
+    let demo = workload("service_demo.wl");
+    let dir_arg = dir.to_string_lossy().into_owned();
+    dispatch(["serve", "--workload", &demo, "--flight-dir", &dir_arg]).unwrap();
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    let expect = [
+        (
+            "postmortem-0001-cancelled-job1.json",
+            (2360, 0x6b50_fc2f_b221_6f5f),
+        ),
+        (
+            "postmortem-0002-deadline-missed-job6.json",
+            (8375, 0x1260_5c61_6169_e340),
+        ),
+        (
+            "postmortem-0003-gpu-lost-job7.json",
+            (28760, 0xc106_f08d_e0d9_015b),
+        ),
+    ];
+    assert_eq!(files, expect.map(|(f, _)| f), "postmortem files");
+    for (file, expect) in expect {
+        let bytes = std::fs::read(dir.join(file)).unwrap();
+        check(file.to_string(), digest(&bytes), expect);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        drifted.is_empty(),
+        "serve output (len, fnv1a) drifted:\n{}",
+        drifted.join("\n")
+    );
+}
+
 /// Table 4 counts this repository's own source lines, which move with
 /// every edit to an app: its rows and columns are pinned, not its bytes.
 #[test]
