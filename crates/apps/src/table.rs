@@ -172,8 +172,7 @@ pub struct AppRun {
 /// sizes its tile blocks with [`mm_auto_blocks`] instead) under `opts`.
 /// `range_partition` shuffles SIO and WO through splitters sampled from
 /// the input instead of round-robin (the other benchmarks have no
-/// partitioner to swap). `opts.control` is the job service's; MM's round
-/// drive does not read it.
+/// partitioner to swap).
 pub fn run(
     input: &AppInput,
     cluster: &mut Cluster,

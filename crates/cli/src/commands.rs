@@ -899,19 +899,20 @@ fn service_cfg_from_args(args: &Args) -> Result<gpmr_service::ServiceConfig, Cli
     let deadline_target = args
         .num("slo-target")
         .unwrap_or(SloPolicy::default().deadline_target);
+    let default = ServiceConfig::default();
     Ok(ServiceConfig {
         gpus: gpus_from_args(args),
-        engines: args.num("engines").unwrap_or(2),
-        max_queue_depth: args.num("queue-depth").unwrap_or(64),
-        batch_window_s: args.num("batch-window").unwrap_or(0.05),
-        batch_max: args.num("batch-max").unwrap_or(4),
-        tuning: EngineTuning::default(),
+        engines: args.num("engines").unwrap_or(default.engines),
+        max_queue_depth: args.num("queue-depth").unwrap_or(default.max_queue_depth),
+        batch_window_s: args.num("batch-window").unwrap_or(default.batch_window_s),
+        batch_max: args.num("batch-max").unwrap_or(default.batch_max),
         obs: ObsConfig {
             alerts,
             flight_capacity: if args.flag("flight-dir") { 4096 } else { 0 },
             slo: SloPolicy { deadline_target },
             ..ObsConfig::default()
         },
+        ..default
     })
 }
 

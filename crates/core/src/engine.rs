@@ -105,39 +105,6 @@ impl EngineTuning {
     }
 }
 
-/// Caller-side control over a running job ([`RunOpts::control`]). The
-/// default is unrestricted, which is what every `run_job*` convenience
-/// passes.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct RunControl {
-    /// Stop the job at this simulated instant (cancellation, deadline).
-    /// Ranks whose scheduler cursor reaches the instant take no more
-    /// chunks; in-flight chunks finish at their chunk boundary; then the
-    /// engine drains every queue, releases device state, and returns
-    /// [`EngineError::Cancelled`] with conservation accounting instead of
-    /// running Bin/Sort/Reduce.
-    pub stop_at: Option<SimTime>,
-    /// The input chunks are already resident in device memory on the rank
-    /// that dequeues them (the round driver's chained rounds: round k's
-    /// reduce output never left the cluster, so round k+1's map reads it
-    /// in place). Chunks that *move* ranks — steals and fault-plan
-    /// requeues — are displaced from their home device and pay the full
-    /// H2D upload as usual; only stationary chunks skip it. The caller is
-    /// responsible for the claim being true (the driver checks a per-rank
-    /// fit bound before setting this).
-    pub inputs_resident: bool,
-}
-
-impl RunControl {
-    /// Stop (cancel) the job at simulated instant `t`.
-    pub fn stop_at(t: SimTime) -> Self {
-        RunControl {
-            stop_at: Some(t),
-            ..RunControl::default()
-        }
-    }
-}
-
 /// The outcome of one GPMR job.
 #[derive(Debug)]
 pub struct JobResult<K, V> {
@@ -258,7 +225,7 @@ impl<K: crate::types::Key, V: crate::types::Value, C> RankState<K, V, C> {
 
 /// Everything a run takes beyond the cluster, the job and its chunks.
 /// `RunOpts::default()` is what [`run_job`] passes: default tuning,
-/// telemetry off, no journal, unrestricted control.
+/// telemetry off, no journal, every input uploaded.
 #[derive(Default)]
 pub struct RunOpts<'j> {
     /// Scheduler policy and overhead calibration.
@@ -272,8 +239,15 @@ pub struct RunOpts<'j> {
     /// run restarted with [`Journal::resume`] finishes bit-identically.
     /// Journaling charges no simulated time.
     pub journal: Option<&'j mut Journal>,
-    /// Caller-side stop and residency control.
-    pub control: RunControl,
+    /// The input chunks are already resident in device memory on the rank
+    /// that dequeues them (chained rounds of [`run_rounds`](crate::run_rounds): round k's
+    /// reduce output never left the cluster, so round k+1's map reads it
+    /// in place). Chunks that *move* ranks — steals and fault-plan
+    /// requeues — are displaced from their home device and pay the full
+    /// H2D upload as usual; only stationary chunks skip it. The caller is
+    /// responsible for the claim being true (`run_rounds` checks a
+    /// per-rank fit bound before setting this).
+    pub inputs_resident: bool,
 }
 
 /// An `engine.*` counter with its value at job start. Counters are always
@@ -308,10 +282,10 @@ impl JobCounter {
 
 /// Everything a run records without charging simulated time: the
 /// caller's [`Telemetry`] handle (spans and counter samples), the job's
-/// `engine.*` counters, and the journal of a journaled run.
-struct EngineTel<'j> {
+/// `engine.*` counters, and the journal counters of a journaled run.
+struct EngineTel {
     tel: Telemetry,
-    jctx: Option<JournalCtx<'j>>,
+    jctx: Option<JournalCtx>,
     dispatched: JobCounter,
     stolen: JobCounter,
     requeued: JobCounter,
@@ -323,12 +297,11 @@ struct EngineTel<'j> {
     gpus_added: JobCounter,
 }
 
-impl<'j> EngineTel<'j> {
-    fn new(tel: Telemetry, journal: Option<&'j mut Journal>) -> Self {
+impl EngineTel {
+    fn new(tel: Telemetry, journaled: bool) -> Self {
         let reg = tel.registry().cloned().unwrap_or_else(Registry::new);
         EngineTel {
-            jctx: journal.map(|journal| JournalCtx {
-                journal,
+            jctx: journaled.then(|| JournalCtx {
                 records: reg.counter("engine.journal_records"),
                 replayed: reg.counter("engine.journal_replayed"),
                 flushes: reg.counter("engine.journal_flushes"),
@@ -398,6 +371,37 @@ impl<'j> EngineTel<'j> {
         self.tel
             .sample(rank, "queue_depth", at.as_secs(), depth as f64);
     }
+}
+
+/// The `engine.journal_*` counters of a journaled run. Plain runs carry
+/// none, so they do no hashing, no I/O, and no extra counter work —
+/// journal-less runs stay byte-identical in timing and output to an
+/// engine without the journal.
+struct JournalCtx {
+    /// `engine.journal_records` — records verified or appended.
+    records: Counter,
+    /// `engine.journal_replayed` — records verified against the prefix.
+    replayed: Counter,
+    /// `engine.journal_flushes` — disk flushes performed.
+    flushes: Counter,
+}
+
+/// What a [`Run`] borrows for one call and keeps none of between calls:
+/// the cluster it runs on, the job, and the journal of a journaled run.
+struct Cx<'a, J> {
+    cluster: &'a mut Cluster,
+    job: &'a J,
+    journal: Option<&'a mut Journal>,
+}
+
+impl<'a, J> Cx<'a, J> {
+    fn new(cluster: &'a mut Cluster, job: &'a J, journal: Option<&'a mut Journal>) -> Self {
+        Cx {
+            cluster,
+            job,
+            journal,
+        }
+    }
 
     /// Verify-or-append one journal record. `rec` only runs on journaled
     /// runs, so the content hashes inside it cost plain runs nothing. A
@@ -405,41 +409,28 @@ impl<'j> EngineTel<'j> {
     /// commit instant.
     fn journal(
         &mut self,
+        tel: &EngineTel,
         rank: u32,
         at: SimTime,
         rec: impl FnOnce() -> JournalRecord,
     ) -> EngineResult<()> {
-        let Some(ctx) = self.jctx.as_mut() else {
+        let (Some(journal), Some(ctx)) = (self.journal.as_deref_mut(), &tel.jctx) else {
             return Ok(());
         };
-        let outcome = ctx.journal.record(&rec())?;
+        let outcome = journal.record(&rec())?;
         match outcome {
             RecordOutcome::Replayed => ctx.replayed.inc(),
             RecordOutcome::Buffered | RecordOutcome::Flushed => ctx.records.inc(),
         }
         if outcome == RecordOutcome::Flushed {
             ctx.flushes.inc();
-            let on_disk = ctx.journal.replay_len() + ctx.journal.appended();
-            self.event(rank, SpanKind::JournalFlush, at, at, || {
+            let on_disk = journal.replay_len() + journal.appended();
+            tel.event(rank, SpanKind::JournalFlush, at, at, || {
                 format!("{on_disk} record(s) durable")
             });
         }
         Ok(())
     }
-}
-
-/// The journal of a journaled run plus its `engine.journal_*` counters.
-/// Plain runs carry none, so they do no hashing, no I/O, and no extra
-/// counter work — journal-less runs stay byte-identical in timing and
-/// output to an engine without the journal.
-struct JournalCtx<'j> {
-    journal: &'j mut Journal,
-    /// `engine.journal_records` — records verified or appended.
-    records: Counter,
-    /// `engine.journal_replayed` — records verified against the prefix.
-    replayed: Counter,
-    /// `engine.journal_flushes` — disk flushes performed.
-    flushes: Counter,
 }
 
 /// `" (on rank {exec})"` when a lost rank's stage ran elsewhere.
@@ -501,22 +492,14 @@ pub fn run_job_journaled<J: GpmrJob>(
 
 /// The engine's one general entry point; [`run_job`],
 /// [`run_job_instrumented`] and [`run_job_journaled`] are conveniences
-/// over it. With [`RunControl::stop_at`] set the run surfaces as
-/// [`EngineError::Cancelled`] with chunk-conservation accounting, and its
-/// journal holds a consistent prefix of the full run's records: resuming
-/// the same job without the stop finishes bit-identically.
+/// over it, and it is [`Run::new`] followed by [`Run::finish`].
 pub fn run_job_with<J: GpmrJob>(
     cluster: &mut Cluster,
     job: &J,
     chunks: Vec<J::Chunk>,
-    opts: RunOpts<'_>,
+    mut opts: RunOpts<'_>,
 ) -> EngineResult<JobResult<J::Key, J::Value>> {
-    let mut run = Run::new(cluster, job, chunks, opts)?;
-    run.map_loop()?;
-    run.stop()?;
-    run.bin_deferred()?;
-    let outputs = run.sort_reduce()?;
-    run.finish(outputs)
+    Run::new(cluster, job, chunks, &mut opts)?.finish(cluster, job, opts.journal)
 }
 
 /// A dequeued chunk whose upload is reserved: what the map stage needs.
@@ -532,16 +515,21 @@ struct Staged<C> {
     span: u64,
 }
 
-/// The state of one job run. [`run_job_with`] drives it through its
-/// stages in order: [`Run::new`] → [`Run::map_loop`] → [`Run::stop`] →
-/// [`Run::bin_deferred`] → [`Run::sort_reduce`] → [`Run::finish`].
-struct Run<'a, J: GpmrJob> {
-    cluster: &'a mut Cluster,
-    job: &'a J,
+/// One job run that can stop where it stands. [`Run::new`] sets the job
+/// up; [`Run::step_until`] runs the map stage's scheduler picks up to an
+/// instant, as often as the caller likes, without changing what the run
+/// computes; then either [`Run::finish`] runs it to the end or
+/// [`Run::cancel`] stops it at a chunk boundary. A run borrows nothing:
+/// each call takes the cluster, the job and the journal, which must be
+/// the ones it was started with.
+pub struct Run<J: GpmrJob> {
     cfg: PipelineConfig,
     tuning: EngineTuning,
-    tel: EngineTel<'a>,
-    control: RunControl,
+    tel: EngineTel,
+    inputs_resident: bool,
+    /// Where the engine last met the simulated clock: the cursor of the
+    /// latest scheduler pick, or the GPU loss that pick found.
+    clock: SimTime,
     st: Vec<RankState<J::Key, J::Value, J::Chunk>>,
     queues: WorkQueues<(u64, J::Chunk)>,
     /// Everything shuffled so far, one growing arena per reducer
@@ -552,7 +540,7 @@ struct Run<'a, J: GpmrJob> {
     mailbox: Mailbox<Bucket>,
     route_scratch: RouteScratch,
     /// Chunk ids that moved off their home rank (steals, fault-plan
-    /// requeues): under `RunControl::inputs_resident` these still pay the
+    /// requeues): under `RunOpts::inputs_resident` these still pay the
     /// full upload — residency only holds where the chunk was born.
     displaced: HashSet<u64>,
     /// The ranks that started the job (no pending elastic add).
@@ -566,26 +554,28 @@ struct Run<'a, J: GpmrJob> {
     n_chunks: u64,
 }
 
-impl<'a, J: GpmrJob> Run<'a, J> {
+impl<J: GpmrJob> Run<J> {
     /// Validate the job against the cluster, open the journal with the
     /// job fingerprint, distribute the chunks and charge job setup.
-    fn new(
-        cluster: &'a mut Cluster,
-        job: &'a J,
+    /// Clocks are reset, so runs one after another on a cluster are
+    /// independent, and the cluster's devices and fabric record into
+    /// `opts.tel` — or, when it is disabled, into nothing. `opts.journal`
+    /// is borrowed for the fingerprint; every later call takes it again.
+    pub fn new(
+        cluster: &mut Cluster,
+        job: &J,
         chunks: Vec<J::Chunk>,
-        opts: RunOpts<'a>,
+        opts: &mut RunOpts<'_>,
     ) -> EngineResult<Self> {
         let tuning = opts.tuning;
-        let mut tel = EngineTel::new(opts.tel, opts.journal);
+        let tel = EngineTel::new(opts.tel.clone(), opts.journal.is_some());
         let cfg = job.pipeline();
         cfg.validate().map_err(EngineError::InvalidPipeline)?;
         let ranks = cluster.size();
         let gpu_direct = tuning.gpu_direct;
         let depth = tuning.pipeline_depth.max(1) as usize;
         cluster.reset_clocks();
-        if tel.tel.is_enabled() {
-            cluster.attach_telemetry(&tel.tel);
-        }
+        cluster.attach_telemetry(&tel.tel);
 
         let staging_slots = tuning.staging_slots();
         let capacity = cluster.gpu(0).mem.capacity();
@@ -620,7 +610,8 @@ impl<'a, J: GpmrJob> Run<'a, J> {
         // receivers can order inbound buckets identically across fault plans.
         let n_chunks = chunks.len() as u64;
         let ids: Vec<(u64, J::Chunk)> = (0u64..).zip(chunks).collect();
-        tel.journal(0, SimTime::ZERO, || {
+        let mut cx = Cx::new(&mut *cluster, job, opts.journal.as_deref_mut());
+        cx.journal(&tel, 0, SimTime::ZERO, || {
             // Job fingerprint: everything that shapes the schedule and the
             // data. A resume against a journal written by a different job (or
             // the same job on a different cluster shape) diverges on record 0
@@ -690,12 +681,11 @@ impl<'a, J: GpmrJob> Run<'a, J> {
             inbox: reducers.iter().map(|_| KvSet::new()).collect(),
             mailbox: Mailbox::new(ranks),
             route_scratch: RouteScratch::default(),
-            cluster,
-            job,
             cfg,
             tuning,
             tel,
-            control: opts.control,
+            inputs_resident: opts.inputs_resident,
+            clock: SimTime::ZERO,
             st,
             queues,
             displaced: HashSet::new(),
@@ -721,8 +711,27 @@ impl<'a, J: GpmrJob> Run<'a, J> {
             .expect("a live rank exists")
     }
 
-    /// Map stage: drive the earliest-ready active rank until none remain.
-    fn map_loop(&mut self) -> EngineResult<()> {
+    /// Run the map stage's scheduler picks while the earliest active
+    /// rank's cursor is before `t`. The ranks it stops at stay active, so
+    /// a later call continues the same pick sequence: stepping in any
+    /// increments computes what one call to [`Run::finish`] computes.
+    /// Returns whether the map stage is over.
+    pub fn step_until(
+        &mut self,
+        cluster: &mut Cluster,
+        job: &J,
+        journal: Option<&mut Journal>,
+        t: SimTime,
+    ) -> EngineResult<bool> {
+        self.map_until(&mut Cx::new(cluster, job, journal), t)
+    }
+
+    /// [`Run::step_until`] over what one call borrows. Once every pick
+    /// left could only retire its rank, the map stage is over whatever the
+    /// cursors: a caller stepping toward the finish instant learns of it
+    /// from the picks that do work, not from idle ranks' cursors (a job
+    /// with no chunks ends at zero, before any rank's first pick).
+    fn map_until(&mut self, cx: &mut Cx<J>, t: SimTime) -> EngineResult<bool> {
         while let Some(r) = (0..self.ranks())
             .filter(|&r| self.st[r as usize].active)
             .min_by(|&a, &b| {
@@ -733,27 +742,84 @@ impl<'a, J: GpmrJob> Run<'a, J> {
                     .then(a.cmp(&b))
             })
         {
-            self.dispatch(r)?;
+            if self.queues.remaining(r) == 0 && self.idle() {
+                self.st.iter_mut().for_each(|s| s.active = false);
+                break;
+            }
+            if self.st[r as usize].cursor >= t {
+                return Ok(false);
+            }
+            self.dispatch(cx, r)?;
         }
-        Ok(())
+        Ok(true)
     }
 
-    /// One scheduler pick of rank `r`: apply whatever the fault plan and
-    /// the caller's control have due at its cursor, then take one chunk
-    /// through upload and map (or retire the rank when none is left).
-    fn dispatch(&mut self, r: u32) -> EngineResult<()> {
-        let ri = r as usize;
+    /// No chunk is queued anywhere and no active rank has a stall, a GPU
+    /// loss or a join due at its cursor: a pick could only retire a rank.
+    fn idle(&self) -> bool {
+        let due = |s: &RankState<_, _, _>| {
+            s.stalls.front().is_some_and(|&(at, _)| at <= s.cursor)
+                || s.kill_at.is_some_and(|k| k <= s.cursor)
+                || s.join_at.is_some()
+        };
+        self.queues.total_remaining() == 0 && !self.st.iter().any(|s| s.active && due(s))
+    }
 
-        // Caller-requested stop: a rank whose clock has reached the stop
-        // instant dequeues no more work. Its in-flight chunks already
-        // committed (dispatch is synchronous per chunk), so stopping here
-        // is a clean chunk boundary; the leftover queue is drained and
-        // accounted for in `stop`.
-        let cursor = self.st[ri].cursor;
-        if self.control.stop_at.is_some_and(|stop| cursor >= stop) {
-            self.st[ri].active = false;
-            return Ok(());
+    /// Run the job to the end: the rest of the map stage, then Bin, Sort
+    /// and Reduce. Returns per-rank outputs and the timing breakdown.
+    pub fn finish(
+        mut self,
+        cluster: &mut Cluster,
+        job: &J,
+        journal: Option<&mut Journal>,
+    ) -> EngineResult<JobResult<J::Key, J::Value>> {
+        let mut cx = Cx::new(cluster, job, journal);
+        self.map_until(&mut cx, SimTime::from_secs(f64::INFINITY))?;
+        self.bin_deferred(&mut cx)?;
+        let outputs = self.sort_reduce(&mut cx)?;
+        self.close(&mut cx, outputs)
+    }
+
+    /// Stop the run at instant `at`, after [`Run::step_until`]`(at)`: every
+    /// rank halted at a chunk boundary (dispatch is synchronous per chunk,
+    /// so each chunk a rank took has committed). Drain the leftover queues
+    /// so no chunk stays parked in scheduler state, and account for the
+    /// whole input: chunks committed by maps plus chunks released here
+    /// cover every dispatched chunk (fault-plan kills may rerun chunks,
+    /// which only raises the committed count). Device memory holds no
+    /// engine allocations across chunks (working sets are modeled via
+    /// `note_resident`), so dropping the run releases everything. Its
+    /// journal holds a consistent prefix of the full run's records:
+    /// resuming the same job finishes bit-identically.
+    pub fn cancel(mut self, cluster: &mut Cluster, at: SimTime) -> EngineError {
+        let chunks_committed: u32 = self.st.iter().map(|s| s.chunks_done).sum();
+        let chunks_released = self.queues.drain_all().len() as u32;
+        self.tel.event(0, SpanKind::Cancelled, at, at, || {
+            format!(
+                "run stopped: {chunks_committed} chunk(s) committed, {chunks_released} released"
+            )
+        });
+        cluster.flush_telemetry();
+        EngineError::Cancelled {
+            at_ns: (at.as_secs() * 1e9).round() as u64,
+            chunks_committed,
+            chunks_released,
         }
+    }
+
+    /// Where the engine last met the simulated clock: the cursor of the
+    /// latest scheduler pick, or the GPU loss that pick found. After
+    /// [`Run::step_until`] fails, the instant of the failure.
+    pub fn clock(&self) -> SimTime {
+        self.clock
+    }
+
+    /// One scheduler pick of rank `r`: apply whatever the fault plan has
+    /// due at its cursor, then take one chunk through upload and map (or
+    /// retire the rank when none is left).
+    fn dispatch(&mut self, cx: &mut Cx<J>, r: u32) -> EngineResult<()> {
+        let ri = r as usize;
+        self.clock = self.st[ri].cursor;
 
         // Straggler injection: a stall due at or before this dispatch
         // freezes the rank before it takes more work.
@@ -774,23 +840,22 @@ impl<'a, J: GpmrJob> Run<'a, J> {
         // Fail-stop check at dispatch: a GPU whose kill instant has passed
         // takes no more work, and everything it held migrates away.
         if self.st[ri].kill_at.is_some_and(|k| k <= self.st[ri].cursor) {
-            return self.kill_rank(r, self.st[ri].cursor, None);
+            return self.kill_rank(cx, r, self.st[ri].cursor, None);
         }
         if let Some(join) = self.st[ri].join_at.take() {
-            self.join(r, join)?;
+            self.join(cx, r, join)?;
         }
-        let Some((chunk_id, chunk)) = self.obtain_chunk(r)? else {
+        let Some((chunk_id, chunk)) = self.obtain_chunk(cx, r)? else {
             self.st[ri].active = false;
             return Ok(());
         };
 
         self.st[ri].cursor += SimDuration::from_secs(self.tuning.sched_overhead_s);
         let cursor = self.st[ri].cursor;
-        self.tel
-            .journal(r, cursor, || JournalRecord::ChunkDispatch {
-                chunk_id,
-                rank: r,
-            })?;
+        cx.journal(&self.tel, r, cursor, || JournalRecord::ChunkDispatch {
+            chunk_id,
+            rank: r,
+        })?;
         // k-deep upload pipeline: the upload may only start once a staging
         // slot frees — i.e. when the map of the chunk `depth` dispatches
         // back has finished. Until then uploads queue on the copy engine
@@ -805,12 +870,12 @@ impl<'a, J: GpmrJob> Run<'a, J> {
         // written once the chunk's window is known.
         let span = self.tel.tel.reserve_span_id();
 
-        let gpu = self.cluster.gpu(r);
+        let gpu = cx.cluster.gpu(r);
         // Round chaining: a chunk the driver left resident on this device
         // skips its upload entirely — the window collapses to the gated
         // dispatch instant. Displaced chunks (steals, requeues) moved
         // hosts, so they pay the full transfer like any cold chunk.
-        let up = if self.control.inputs_resident && !self.displaced.contains(&chunk_id) {
+        let up = if self.inputs_resident && !self.displaced.contains(&chunk_id) {
             let at = cursor.max(gate);
             Reservation { start: at, end: at }
         } else {
@@ -830,8 +895,8 @@ impl<'a, J: GpmrJob> Run<'a, J> {
             span,
         };
         match self.cfg.map_mode {
-            MapMode::Accumulate => self.map_accumulate(r, staged),
-            MapMode::Plain | MapMode::PartialReduce => self.map_plain(r, staged),
+            MapMode::Accumulate => self.map_accumulate(cx, r, staged),
+            MapMode::Plain | MapMode::PartialReduce => self.map_plain(cx, r, staged),
         }
     }
 
@@ -839,7 +904,7 @@ impl<'a, J: GpmrJob> Run<'a, J> {
     /// at its first scheduler pick. It owns no queued work (the initial
     /// distribution skipped it) and is not a reducer, so it contributes by
     /// stealing map work from loaded survivors.
-    fn join(&mut self, r: u32, join: SimTime) -> EngineResult<()> {
+    fn join(&mut self, cx: &mut Cx<J>, r: u32, join: SimTime) -> EngineResult<()> {
         let ri = r as usize;
         self.tel.gpus_added.inc();
         self.tel.event(r, SpanKind::GpuAdded, join, join, || {
@@ -848,10 +913,9 @@ impl<'a, J: GpmrJob> Run<'a, J> {
         let t0 = self.st[ri].compute_ready;
         self.tel
             .event(r, SpanKind::Setup, join, t0, || "late-join setup".into());
-        self.tel
-            .journal(r, join, || JournalRecord::GpuAdded { rank: r })?;
+        cx.journal(&self.tel, r, join, || JournalRecord::GpuAdded { rank: r })?;
         if self.cfg.map_mode == MapMode::Accumulate {
-            let (state, t) = self.job.accumulate_init(self.cluster.gpu(r), t0)?;
+            let (state, t) = cx.job.accumulate_init(cx.cluster.gpu(r), t0)?;
             self.tel.event(r, SpanKind::AccumulateInit, t0, t, || {
                 "accumulate init".into()
             });
@@ -863,7 +927,7 @@ impl<'a, J: GpmrJob> Run<'a, J> {
 
     /// Rank `r`'s next chunk: its own queue, else a steal; `None` retires
     /// the rank.
-    fn obtain_chunk(&mut self, r: u32) -> EngineResult<Option<(u64, J::Chunk)>> {
+    fn obtain_chunk(&mut self, cx: &mut Cx<J>, r: u32) -> EngineResult<Option<(u64, J::Chunk)>> {
         if let Some(c) = self.queues.pop_local(r) {
             return Ok(Some(c));
         }
@@ -884,12 +948,12 @@ impl<'a, J: GpmrJob> Run<'a, J> {
         // host memory to the thief's.
         let bytes = c.1.serialize().len() as u64;
         let before = self.st[r as usize].cursor;
-        let arrival = self.transfer(victim, r, before, bytes)?;
+        let arrival = self.transfer(cx, victim, r, before, bytes)?;
         self.tel.event(r, SpanKind::Steal, before, arrival, || {
             format!("stole chunk from rank {victim}")
         });
         self.st[r as usize].cursor = arrival;
-        self.tel.journal(r, arrival, || JournalRecord::Steal {
+        cx.journal(&self.tel, r, arrival, || JournalRecord::Steal {
             chunk_id: c.0,
             victim,
             thief: r,
@@ -898,23 +962,22 @@ impl<'a, J: GpmrJob> Run<'a, J> {
     }
 
     /// Map a staged chunk into rank `r`'s GPU-resident accumulate state.
-    fn map_accumulate(&mut self, r: u32, c: Staged<J::Chunk>) -> EngineResult<()> {
+    fn map_accumulate(&mut self, cx: &mut Cx<J>, r: u32, c: Staged<J::Chunk>) -> EngineResult<()> {
         let ri = r as usize;
-        let gpu = self.cluster.gpu(r);
         let mut state = self.st[ri]
             .accum
             .take()
             .expect("accumulate state initialized");
-        let t = self
-            .job
-            .map_accumulate(gpu, c.ready, &c.chunk, &mut state)?;
+        let gpu = cx.cluster.gpu(r);
+        let t = cx.job.map_accumulate(gpu, c.ready, &c.chunk, &mut state)?;
         if self.st[ri].kill_at.is_some_and(|k| k <= t) {
             // The device died before this map finished. The whole
             // accumulate state dies with it, so every chunk it covered —
             // plus this one — reruns on survivors.
             drop(state);
-            return self.kill_rank(r, t, Some((c.id, c.chunk)));
+            return self.kill_rank(cx, r, t, Some((c.id, c.chunk)));
         }
+        gpu.note_resident(self.staging_slots * c.chunk.size_bytes() + state.size_bytes());
         self.tel
             .child_event(r, SpanKind::Map, c.ready, t, c.span, || {
                 "map+accumulate".into()
@@ -922,13 +985,12 @@ impl<'a, J: GpmrJob> Run<'a, J> {
         self.tel.chunk_span(r, c.span, c.id, c.up_start, t);
         // Accumulate folds emissions into device state, so the commit
         // hashes the chunk itself: replay re-folds it.
-        self.tel.journal(r, t, || JournalRecord::ChunkCommit {
+        cx.journal(&self.tel, r, t, || JournalRecord::ChunkCommit {
             chunk_id: c.id,
             rank: r,
             pairs: c.chunk.item_count() as u64,
             hash: fnv1a(&c.chunk.serialize()),
         })?;
-        gpu.note_resident(self.staging_slots * c.chunk.size_bytes() + state.size_bytes());
         self.st[ri].accum = Some(state);
         self.chunk_mapped(r, c.up_start, t);
         if self.st[ri].kill_at.is_some() {
@@ -940,15 +1002,15 @@ impl<'a, J: GpmrJob> Run<'a, J> {
     /// Map a staged chunk to pairs (plus Partial Reduce when configured),
     /// then either park them host-side for the global Combine or bin them
     /// right away.
-    fn map_plain(&mut self, r: u32, c: Staged<J::Chunk>) -> EngineResult<()> {
+    fn map_plain(&mut self, cx: &mut Cx<J>, r: u32, c: Staged<J::Chunk>) -> EngineResult<()> {
         let ri = r as usize;
-        let gpu = self.cluster.gpu(r);
-        let (mut pairs, mut t) = self.job.map(gpu, c.ready, &c.chunk)?;
+        let gpu = cx.cluster.gpu(r);
+        let (mut pairs, mut t) = cx.job.map(gpu, c.ready, &c.chunk)?;
         let map_end = t;
         let map_pairs = pairs.len();
         let mut partial = None;
         if self.cfg.map_mode == MapMode::PartialReduce {
-            let (p, tp) = self.job.partial_reduce(gpu, t, pairs)?;
+            let (p, tp) = cx.job.partial_reduce(gpu, t, pairs)?;
             partial = Some((t, tp, p.len()));
             pairs = p;
             t = tp;
@@ -957,9 +1019,10 @@ impl<'a, J: GpmrJob> Run<'a, J> {
             // Kernels never completed: nothing was emitted, and the chunk
             // reruns on a survivor.
             drop(pairs);
-            return self.kill_rank(r, t, Some((c.id, c.chunk)));
+            return self.kill_rank(cx, r, t, Some((c.id, c.chunk)));
         }
-        self.tel.journal(r, t, || JournalRecord::ChunkCommit {
+        gpu.note_resident(c.chunk.size_bytes() + pairs.size_bytes());
+        cx.journal(&self.tel, r, t, || JournalRecord::ChunkCommit {
             chunk_id: c.id,
             rank: r,
             pairs: pairs.len() as u64,
@@ -976,10 +1039,9 @@ impl<'a, J: GpmrJob> Run<'a, J> {
                 });
         }
         self.tel.pairs_emitted.add(map_pairs as u64);
-        gpu.note_resident(c.chunk.size_bytes() + pairs.size_bytes());
         let chunk_end = if self.cfg.combine {
             // Pairs are stored in CPU memory until all maps finish.
-            let down = gpu.d2h(t, pairs.size_bytes());
+            let down = cx.cluster.gpu(r).d2h(t, pairs.size_bytes());
             let s = &mut self.st[ri];
             s.store.append(pairs);
             s.last_d2h = s.last_d2h.max(down.end);
@@ -987,7 +1049,7 @@ impl<'a, J: GpmrJob> Run<'a, J> {
         } else {
             // Partition on the GPU, download, and bin immediately —
             // overlapped with the next chunk's upload and map.
-            self.ship(r, r, t, pairs, c.id, Some(c.span))?
+            self.ship(cx, r, r, t, pairs, c.id, Some(c.span))?
         };
         self.tel.chunk_span(r, c.span, c.id, c.up_start, chunk_end);
         self.chunk_mapped(r, c.up_start, t);
@@ -1013,9 +1075,9 @@ impl<'a, J: GpmrJob> Run<'a, J> {
     /// per reducer: the inbox range it was given and the largest key radix
     /// in it (the pass touches every key anyway), so the receiver sizes
     /// its radix sort without a max-radix reduction.
-    fn route(&mut self, pairs: &KvSet<J::Key, J::Value>) -> Vec<Bucket> {
+    fn route(&mut self, job: &J, pairs: &KvSet<J::Key, J::Value>) -> Vec<Bucket> {
         let nred = self.reducers.len() as u32;
-        let (job, inbox, scratch) = (self.job, &mut self.inbox, &mut self.route_scratch);
+        let (inbox, scratch) = (&mut self.inbox, &mut self.route_scratch);
         match &self.cfg.partition {
             PartitionMode::None => {
                 let start = inbox[0].len();
@@ -1051,6 +1113,7 @@ impl<'a, J: GpmrJob> Run<'a, J> {
     /// exhausted.
     fn transfer(
         &mut self,
+        cx: &mut Cx<J>,
         from: u32,
         to: u32,
         mut ready: SimTime,
@@ -1059,7 +1122,7 @@ impl<'a, J: GpmrJob> Run<'a, J> {
         let tuning = &self.tuning;
         let mut attempt = 0u32;
         loop {
-            match self
+            match cx
                 .cluster
                 .fabric()
                 .try_send(from, to, ready, bytes, attempt)
@@ -1094,8 +1157,10 @@ impl<'a, J: GpmrJob> Run<'a, J> {
     /// get Download/Partition spans under the chunk's container span; the
     /// deferred whole-rank ones record only their sends. Returns the
     /// instant the last bucket arrived.
+    #[allow(clippy::too_many_arguments)]
     fn ship(
         &mut self,
+        cx: &mut Cx<J>,
         from: u32,
         exec: u32,
         at: SimTime,
@@ -1104,7 +1169,7 @@ impl<'a, J: GpmrJob> Run<'a, J> {
         chunk_span: Option<u64>,
     ) -> EngineResult<SimTime> {
         let parent = chunk_span.unwrap_or(0);
-        let gpu = self.cluster.gpu(exec);
+        let gpu = cx.cluster.gpu(exec);
         let t_part = charge_partition::<J::Key, J::Value>(gpu, at, pairs.len());
         let send_ready = if self.gpu_direct {
             t_part
@@ -1128,13 +1193,13 @@ impl<'a, J: GpmrJob> Run<'a, J> {
         }
         self.tel.pairs_shuffled.add(pairs.len() as u64);
         let mut end = send_ready;
-        for (i, (range, max_radix)) in self.route(&pairs).into_iter().enumerate() {
+        for (i, (range, max_radix)) in self.route(cx.job, &pairs).into_iter().enumerate() {
             if range.is_empty() {
                 continue;
             }
             let dest = self.reducers[i];
             let bytes = pair_bytes::<J>(range.len());
-            let arrival = self.transfer(from, dest, send_ready, bytes)?;
+            let arrival = self.transfer(cx, from, dest, send_ready, bytes)?;
             self.mailbox
                 .deliver(dest, from, seq, arrival, (range, max_radix));
             self.tel
@@ -1157,14 +1222,15 @@ impl<'a, J: GpmrJob> Run<'a, J> {
     /// [`EngineError::GpuLost`] when no rank survives.
     fn kill_rank(
         &mut self,
+        cx: &mut Cx<J>,
         r: u32,
         now: SimTime,
         in_flight: Option<(u64, J::Chunk)>,
     ) -> EngineResult<()> {
         let ri = r as usize;
+        self.clock = now;
         self.tel.gpus_lost.inc();
-        self.tel
-            .journal(r, now, || JournalRecord::GpuLost { rank: r })?;
+        cx.journal(&self.tel, r, now, || JournalRecord::GpuLost { rank: r })?;
         self.st[ri].alive = false;
         self.st[ri].active = false;
         self.st[ri].accum = None;
@@ -1192,11 +1258,11 @@ impl<'a, J: GpmrJob> Run<'a, J> {
             // The chunk leaves its home rank: any device residency is gone.
             self.displaced.insert(id);
             let bytes = chunk.serialize().len() as u64;
-            let arrival = self.transfer(r, dest, now, bytes)?;
+            let arrival = self.transfer(cx, r, dest, now, bytes)?;
             self.tel.event(r, SpanKind::Requeue, now, arrival, || {
                 format!("chunk {id} -> rank {dest}")
             });
-            self.tel.journal(r, arrival, || JournalRecord::Requeue {
+            cx.journal(&self.tel, r, arrival, || JournalRecord::Requeue {
                 chunk_id: id,
                 from: r,
                 to: dest,
@@ -1210,36 +1276,9 @@ impl<'a, J: GpmrJob> Run<'a, J> {
         Ok(())
     }
 
-    /// Caller-requested stop: every rank halted at a chunk boundary at or
-    /// after `stop_at`. Drain the leftover queues so no chunk stays parked
-    /// in scheduler state, and account for the whole input: chunks
-    /// committed by maps plus chunks released here cover every dispatched
-    /// chunk (fault-plan kills may rerun chunks, which only raises the
-    /// committed count). Device memory holds no engine allocations across
-    /// chunks (working sets are modeled via `note_resident`), so dropping
-    /// per-rank state releases everything.
-    fn stop(&mut self) -> EngineResult<()> {
-        let Some(stop) = self.control.stop_at else {
-            return Ok(());
-        };
-        let chunks_committed: u32 = self.st.iter().map(|s| s.chunks_done).sum();
-        let chunks_released = self.queues.drain_all().len() as u32;
-        self.tel.event(0, SpanKind::Cancelled, stop, stop, || {
-            format!(
-                "run stopped: {chunks_committed} chunk(s) committed, {chunks_released} released"
-            )
-        });
-        self.cluster.flush_telemetry();
-        Err(EngineError::Cancelled {
-            at_ns: (stop.as_secs() * 1e9).round() as u64,
-            chunks_committed,
-            chunks_released,
-        })
-    }
-
     /// Deferred binning: Accumulate ships each rank's folded state, the
     /// global Combine ships each rank's combined store.
-    fn bin_deferred(&mut self) -> EngineResult<()> {
+    fn bin_deferred(&mut self, cx: &mut Cx<J>) -> EngineResult<()> {
         match self.cfg.map_mode {
             MapMode::Accumulate => {
                 for r in 0..self.ranks() {
@@ -1258,7 +1297,7 @@ impl<'a, J: GpmrJob> Run<'a, J> {
                     // state that died with its GPU and was rerun elsewhere).
                     self.tel.pairs_emitted.add(state.len() as u64);
                     let at = self.st[ri].last_map_end;
-                    self.ship(r, r, at, state, self.n_chunks + u64::from(r), None)?;
+                    self.ship(cx, r, r, at, state, self.n_chunks + u64::from(r), None)?;
                 }
             }
             MapMode::Plain | MapMode::PartialReduce if self.cfg.combine => {
@@ -1272,15 +1311,16 @@ impl<'a, J: GpmrJob> Run<'a, J> {
                     // loss; a lost rank's combine runs on a surviving GPU.
                     let exec = self.exec_rank(r);
                     let t0 = self.st[ri].last_map_end.max(self.st[ri].last_d2h);
-                    let gpu = self.cluster.gpu(exec);
+                    let gpu = cx.cluster.gpu(exec);
                     // Stream stored pairs back down to the GPU for combination.
                     let up = gpu.h2d(t0, store.size_bytes());
                     let (combined, t1) =
-                        combine_pairs(gpu, up.end, store, |a, b| self.job.combine_op(a, b))?;
+                        combine_pairs(gpu, up.end, store, |a, b| cx.job.combine_op(a, b))?;
                     self.tel.event(r, SpanKind::Combine, up.start, t1, || {
                         format!("-> {} pairs{}", combined.len(), exec_note(r, exec))
                     });
-                    self.ship(r, exec, t1, combined, self.n_chunks + u64::from(r), None)?;
+                    let seq = self.n_chunks + u64::from(r);
+                    self.ship(cx, r, exec, t1, combined, seq, None)?;
                 }
             }
             _ => {}
@@ -1290,7 +1330,7 @@ impl<'a, J: GpmrJob> Run<'a, J> {
 
     /// Sort + Reduce stages: every rank sorts and reduces what it was
     /// sent; returns the per-rank outputs.
-    fn sort_reduce(&mut self) -> EngineResult<Vec<KvSet<J::Key, J::Value>>> {
+    fn sort_reduce(&mut self, cx: &mut Cx<J>) -> EngineResult<Vec<KvSet<J::Key, J::Value>>> {
         // Drain all inbound pairs first: sort-readiness must be known for
         // every rank before lost GPUs are assigned takeover ranks.
         let inbound: Vec<Inbound> = (0..self.ranks()).map(|r| self.drain_inbound(r)).collect();
@@ -1310,8 +1350,9 @@ impl<'a, J: GpmrJob> Run<'a, J> {
                     .event(r, SpanKind::GpuLost, sort_ready, sort_ready, || {
                         "GPU lost before sort".to_string()
                     });
-                self.tel
-                    .journal(r, sort_ready, || JournalRecord::GpuLost { rank: r })?;
+                cx.journal(&self.tel, r, sort_ready, || JournalRecord::GpuLost {
+                    rank: r,
+                })?;
             }
         }
         if self.st.iter().all(|s| !s.alive) {
@@ -1328,11 +1369,11 @@ impl<'a, J: GpmrJob> Run<'a, J> {
         };
         let mut outputs = Vec::with_capacity(inbound.len());
         for (r, inb) in (0..self.ranks()).zip(inbound) {
-            outputs.push(self.sort_reduce_rank(r, inb, &mut bufs)?);
+            outputs.push(self.sort_reduce_rank(cx, r, inb, &mut bufs)?);
         }
         // Job is done: publish each device's memory high-water mark to its
         // `gpu.rank{r}.mem_peak_bytes` gauge (teardown flush).
-        self.cluster.flush_telemetry();
+        cx.cluster.flush_telemetry();
         Ok(outputs)
     }
 
@@ -1365,6 +1406,7 @@ impl<'a, J: GpmrJob> Run<'a, J> {
     /// `r`'s GPU is lost), returning its output.
     fn sort_reduce_rank(
         &mut self,
+        cx: &mut Cx<J>,
         r: u32,
         inb: Inbound,
         bufs: &mut SortBuffers<J::Key, J::Value>,
@@ -1387,25 +1429,24 @@ impl<'a, J: GpmrJob> Run<'a, J> {
             let incoming = gather(&parts);
             self.st[ri].sort_done = sort_ready;
             self.st[ri].reduce_done = sort_ready;
-            self.tel
-                .journal(r, sort_ready, || JournalRecord::BinReduced {
-                    rank: r,
-                    pairs: incoming.len() as u64,
-                    hash: hash_pairs(&incoming.keys, &incoming.vals),
-                })?;
+            cx.journal(&self.tel, r, sort_ready, || JournalRecord::BinReduced {
+                rank: r,
+                pairs: incoming.len() as u64,
+                hash: hash_pairs(&incoming.keys, &incoming.vals),
+            })?;
             return Ok(incoming);
         }
 
         let exec = self.exec_rank(r);
         let bytes = inbox.size_bytes();
-        let device_ready = self.upload_sort_input(r, exec, inb.arrivals, bytes);
+        let device_ready = self.upload_sort_input(cx, r, exec, inb.arrivals, bytes);
 
         // Out-of-core sort: when the pairs (with the sort's ping-pong
         // buffer) exceed device memory, external passes stream the data
         // back and forth across PCI-e. This is what makes SIO's speedup
         // super-linear at the GPU count where the data first fits in core
         // (paper Figure 3).
-        let gpu = self.cluster.gpu(exec);
+        let gpu = cx.cluster.gpu(exec);
         let mut sort_start = device_ready;
         let capacity = gpu.mem.capacity();
         let need = 2 * bytes;
@@ -1460,7 +1501,7 @@ impl<'a, J: GpmrJob> Run<'a, J> {
                 exec_note(r, exec)
             )
         });
-        self.tel.journal(r, t2, || JournalRecord::BinSorted {
+        cx.journal(&self.tel, r, t2, || JournalRecord::BinSorted {
             rank: r,
             pairs: skeys.len() as u64,
             unique: segs.len() as u64,
@@ -1471,14 +1512,13 @@ impl<'a, J: GpmrJob> Run<'a, J> {
         // streamed input upload; Sort is kernel time only.
         self.st[ri].sort_ready = device_ready;
 
-        let out = self.reduce_segments(r, exec, t2, segs, svals)?;
+        let out = self.reduce_segments(cx, r, exec, t2, segs, svals)?;
         let reduce_done = self.st[ri].reduce_done;
-        self.tel
-            .journal(r, reduce_done, || JournalRecord::BinReduced {
-                rank: r,
-                pairs: out.len() as u64,
-                hash: hash_pairs(&out.keys, &out.vals),
-            })?;
+        cx.journal(&self.tel, r, reduce_done, || JournalRecord::BinReduced {
+            rank: r,
+            pairs: out.len() as u64,
+            hash: hash_pairs(&out.keys, &out.vals),
+        })?;
         Ok(out)
     }
 
@@ -1493,6 +1533,7 @@ impl<'a, J: GpmrJob> Run<'a, J> {
     /// memory. Returns the instant the input is on the device.
     fn upload_sort_input(
         &mut self,
+        cx: &mut Cx<J>,
         r: u32,
         exec: u32,
         mut parts: Vec<(SimTime, u64)>,
@@ -1502,7 +1543,7 @@ impl<'a, J: GpmrJob> Run<'a, J> {
         if self.gpu_direct {
             return sort_ready;
         }
-        let gpu = self.cluster.gpu(exec);
+        let gpu = cx.cluster.gpu(exec);
         parts.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
         let mut first_start: Option<SimTime> = None;
         let mut last_end = sort_ready;
@@ -1535,20 +1576,21 @@ impl<'a, J: GpmrJob> Run<'a, J> {
     /// on `exec`'s GPU from instant `at`, and bring the output to the host.
     fn reduce_segments(
         &mut self,
+        cx: &mut Cx<J>,
         r: u32,
         exec: u32,
         at: SimTime,
         segs: &Segments<J::Key>,
         svals: &[J::Value],
     ) -> EngineResult<KvSet<J::Key, J::Value>> {
-        let gpu = self.cluster.gpu(exec);
+        let gpu = cx.cluster.gpu(exec);
         let mut out: KvSet<J::Key, J::Value> = KvSet::new();
         let mut t = at;
         let mut i = 0usize;
         let val_bytes = std::mem::size_of::<J::Value>().max(1);
         let reduce_budget = (gpu.mem.capacity() as usize / 4).max(val_bytes);
         while i < segs.len() {
-            let mut take = self
+            let mut take = cx
                 .job
                 .reduce_sets_per_chunk(segs.len() - i)
                 .clamp(1, segs.len() - i);
@@ -1563,7 +1605,7 @@ impl<'a, J: GpmrJob> Run<'a, J> {
                 // One kernel over everything (what every app asks for by
                 // default): it reads the sorted sets where they are and
                 // its result is the output.
-                (out, t) = self.job.reduce(gpu, t, segs, svals)?;
+                (out, t) = cx.job.reduce(gpu, t, segs, svals)?;
                 break;
             }
             if i == 0 {
@@ -1578,7 +1620,7 @@ impl<'a, J: GpmrJob> Run<'a, J> {
                     .collect(),
             };
             let vals = &svals[segs.offsets[i]..segs.offsets[i + take]];
-            let (part, tn) = self.job.reduce(gpu, t, &sub, vals)?;
+            let (part, tn) = cx.job.reduce(gpu, t, &sub, vals)?;
             out.append(part);
             t = tn;
             i += take;
@@ -1592,8 +1634,9 @@ impl<'a, J: GpmrJob> Run<'a, J> {
     }
 
     /// Close the journal with the job-end manifest and assemble timings.
-    fn finish(
-        mut self,
+    fn close(
+        self,
+        cx: &mut Cx<J>,
         outputs: Vec<KvSet<J::Key, J::Value>>,
     ) -> EngineResult<JobResult<J::Key, J::Value>> {
         let makespan = self
@@ -1601,7 +1644,7 @@ impl<'a, J: GpmrJob> Run<'a, J> {
             .iter()
             .map(|s| s.reduce_done)
             .fold(SimTime::ZERO, SimTime::max);
-        self.tel.journal(0, makespan, || {
+        cx.journal(&self.tel, 0, makespan, || {
             // Job-end manifest: a fold of every rank's output hash plus the
             // exact makespan bits. A resumed run that reaches this record with
             // the same values is bit-identical to the uninterrupted run.

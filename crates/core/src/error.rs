@@ -47,7 +47,7 @@ pub enum EngineError {
     /// diverging from the journal's record prefix (see
     /// [`JournalError::Diverged`]).
     Journal(JournalError),
-    /// The run was stopped by its caller (`RunControl::stop_at`): service
+    /// The run was stopped by its caller (`Run::cancel`): service
     /// cancellation or a missed deadline. Ranks stop dequeuing at the stop
     /// instant, in-flight chunks finish at their chunk boundary, every
     /// queued chunk is drained back out of the work queues, and device

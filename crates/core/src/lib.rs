@@ -24,11 +24,15 @@
 //!
 //! [`run_job_with`] is the engine's one general entry: a cluster, a job,
 //! its chunks, and a [`RunOpts`] carrying [`EngineTuning`], a telemetry
-//! handle, an optional write-ahead [`Journal`] and a [`RunControl`].
-//! [`run_job`] (all defaults), [`run_job_instrumented`] (tuning +
-//! telemetry) and [`run_job_journaled`] (plus a journal) are one-line
-//! conveniences over it; [`run_rounds`] chains passes for multi-round
-//! jobs.
+//! handle, an optional write-ahead [`Journal`] and whether the inputs are
+//! already on the devices. [`run_job`] (all defaults),
+//! [`run_job_instrumented`] (tuning + telemetry) and
+//! [`run_job_journaled`] (plus a journal) are one-line conveniences over
+//! it; [`run_rounds`] chains passes for multi-round jobs. [`Run`] is the
+//! same execution path as a stepper: a caller that must stop a job where
+//! it stands (the job service's cancels and deadlines) steps it with
+//! [`Run::step_until`] and ends it with [`Run::finish`] or
+//! [`Run::cancel`].
 //!
 //! ## Quick start
 //!
@@ -107,8 +111,8 @@ pub mod types;
 
 pub use chunk::{Chunk, PairChunk, SliceChunk};
 pub use engine::{
-    run_job, run_job_instrumented, run_job_journaled, run_job_with, EngineTuning, JobResult,
-    RunControl, RunOpts,
+    run_job, run_job_instrumented, run_job_journaled, run_job_with, EngineTuning, JobResult, Run,
+    RunOpts,
 };
 pub use error::{EngineError, EngineResult};
 pub use job::{

@@ -13,7 +13,7 @@
 //!   ([`RoundDecision::Chain`]), or the original input stays resident for
 //!   re-iteration ([`RoundDecision::Again`]). When a conservative fit
 //!   check holds and the previous round saw no steals, kills, or joins,
-//!   the next round runs under [`RunControl::inputs_resident`] and skips
+//!   the next round runs under [`RunOpts::inputs_resident`] and skips
 //!   every stationary chunk upload; only the control scalar (centers,
 //!   splitters, a convergence flag) crosses to the host and back.
 //! * **Honest cross-round time** — each engine pass restarts simulated
@@ -35,7 +35,7 @@ use gpmr_sim_net::Cluster;
 use gpmr_telemetry::{SpanKind, Telemetry};
 
 use crate::chunk::{Chunk, PairChunk};
-use crate::engine::{run_job_with, EngineTuning, RunControl, RunOpts};
+use crate::engine::{run_job_with, EngineTuning, RunOpts};
 use crate::error::EngineResult;
 use crate::job::GpmrJob;
 use crate::journal::{hash_pairs, Fnv64, Journal, JournalRecord};
@@ -295,10 +295,7 @@ where
             tuning: *tuning,
             tel: tel.shifted(round_start.as_secs()),
             journal: journal.as_deref_mut(),
-            control: RunControl {
-                stop_at: None,
-                inputs_resident: resident,
-            },
+            inputs_resident: resident,
         };
         let input = if round + 1 >= max_rounds {
             std::mem::take(&mut chunks)

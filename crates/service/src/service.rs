@@ -6,22 +6,25 @@
 //! The service owns a clock in simulated seconds (`now`) and a pool of
 //! engine slots, each with its own [`Cluster`] — per-slot isolation is
 //! what keeps a killed or journaled job from corrupting its neighbors.
-//! `submit` admits (or rejects) a job and queues it; dispatch runs the
-//! job's engine pass eagerly through the deterministic simulator to learn
-//! its makespan, then hides the result until the clock passes the finish
-//! instant. `advance_to`/`drain` replay completion and deadline events in
-//! time order, so polling at any instant observes exactly the state a
-//! real service would expose at that moment.
+//! `submit` admits (or rejects) a job and queues it; dispatch starts the
+//! job's engine pass on a free slot as a live [`Run`]. Before it looks
+//! for the next event at or before an instant, `advance_to`/`drain` step
+//! every live pass to that instant (a solo pass no further than its job's
+//! deadline). When a pass's map stage ends the service finishes the run,
+//! which fixes its finish instant, and hides the result until the clock
+//! reaches it. Completion, failure and deadline events are handled in
+//! time order, so polling at any instant, at any granularity, observes
+//! exactly the state a real service would expose at that moment.
 //!
-//! Cancellation and deadlines stop a running job *mid-flight*: the
-//! engine pass is re-run deterministically with
-//! [`RunControl::stop_at`] at the cancel instant, which halts every rank
+//! Cancellation and deadlines stop a running pass where it stands: its
+//! run steps to the stop instant and is cancelled, which halts every rank
 //! at a chunk boundary, drains the work queues, and returns
 //! [`EngineError::Cancelled`] carrying conservation accounting
-//! (committed + released chunks cover the whole input).
+//! (committed + released chunks cover the whole input). A pass whose run
+//! fails mid-flight fails its jobs at the failure's simulated instant
+//! and holds its slot until then.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -29,16 +32,13 @@ use gpmr_apps::datasets::second_seed;
 use gpmr_apps::sio::{generate_integers, sio_chunks};
 use gpmr_apps::text::{chunk_text, generate_text, Dictionary};
 use gpmr_apps::{SioJob, WoJob};
-use gpmr_core::{
-    run_job_with, EngineError, EngineResult, EngineTuning, GpmrJob, JobResult, Journal, KvSet,
-    RunControl, RunOpts,
-};
+use gpmr_core::{EngineError, EngineResult, EngineTuning, GpmrJob, Journal, KvSet, Run, RunOpts};
 use gpmr_sim_gpu::{FaultPlan, GpuSpec, SimTime};
 use gpmr_sim_net::Cluster;
 use gpmr_telemetry::alerts::Alert;
 use gpmr_telemetry::{
     AlertEngine, AlertRule, Counter, FlightRecorder, Postmortem, SpanKind, Telemetry,
-    TelemetrySnapshot, TimeSeriesStore,
+    TimeSeriesStore,
 };
 
 use crate::batch::{split_outputs, tag_chunks, SioBatchJob};
@@ -140,19 +140,98 @@ struct JobRecord {
     outputs: Option<Vec<KvSet<u32, u32>>>,
 }
 
-/// One occupied engine slot: a (possibly batched) cluster pass whose
-/// result is known to the simulator but hidden from the API until the
-/// clock reaches `finish_s`.
+/// One occupied engine slot: a (possibly batched) cluster pass. While
+/// its map stage runs the pass is a live engine run; once the run has
+/// ended, how it ended is known to the simulator but hidden from the API
+/// until the clock reaches the end instant.
 struct Pass {
     members: Vec<JobId>,
     started_s: f64,
-    finish_s: f64,
-    batched: bool,
-    /// Speculative per-member, per-rank outputs, aligned with `members`.
-    results: Vec<Vec<KvSet<u32, u32>>>,
-    /// Engine-scoped telemetry captured for the pass (flight recorder
-    /// enabled and the solo spec injects a fault), for postmortem splice.
-    capture: Option<TelemetrySnapshot>,
+    /// The engine run, while its map stage is in progress.
+    live: Option<Box<dyn LiveRun>>,
+    /// How the run ended, once it has.
+    end: Option<PassEnd>,
+    /// The solo pass's own bounded recording when the flight recorder is
+    /// on, for a postmortem splice; disabled otherwise.
+    capture: Telemetry,
+}
+
+/// How a pass's engine run ended.
+enum PassEnd {
+    /// Completes at `finish_s` with per-member, per-rank outputs (aligned
+    /// with `members`), its map stage having committed `chunks` chunks.
+    Done {
+        finish_s: f64,
+        results: Outputs,
+        chunks: u32,
+    },
+    /// The engine failed at `at_s`.
+    Failed { at_s: f64, error: String },
+}
+
+impl Pass {
+    /// When the run ends, once that is known.
+    fn end_s(&self) -> Option<f64> {
+        self.end.as_ref().map(|end| match end {
+            PassEnd::Done { finish_s, .. } => *finish_s,
+            PassEnd::Failed { at_s, .. } => *at_s,
+        })
+    }
+
+    /// Step the live run to service instant `t`; when its map stage ends
+    /// there, finish it. An error fails the pass at the instant the
+    /// engine met it, which no choice of `t` moves.
+    fn step(&mut self, cluster: &mut Cluster, t: f64) {
+        let Some(run) = self.live.as_mut() else {
+            return;
+        };
+        let ended = match run.step_until(cluster, offset(self.started_s, t)) {
+            Ok(false) => return,
+            Ok(true) => {
+                let n = self.members.len();
+                self.live.take().expect("live run").finish(cluster, n)
+            }
+            Err(e) => Err(e),
+        };
+        self.live = None;
+        self.end = Some(match ended {
+            Ok((results, makespan_s, chunks)) => PassEnd::Done {
+                finish_s: self.started_s + makespan_s,
+                results,
+                chunks,
+            },
+            Err((clock, e)) => PassEnd::Failed {
+                at_s: self.started_s + clock.as_secs(),
+                error: e.to_string(),
+            },
+        });
+    }
+
+    /// Stop the pass at engine instant `at`: a live run steps there and is
+    /// cancelled; a run whose map stage already ended reports the chunks
+    /// it committed and none released; a failed run reports nothing.
+    fn stop(&mut self, cluster: &mut Cluster, at: SimTime) -> (u32, u32) {
+        let Some(mut run) = self.live.take() else {
+            return match self.end {
+                Some(PassEnd::Done { chunks, .. }) => (chunks, 0),
+                _ => (0, 0),
+            };
+        };
+        match run.step_until(cluster, at).map(|_| run.cancel(cluster, at)) {
+            Ok(EngineError::Cancelled {
+                chunks_committed,
+                chunks_released,
+                ..
+            }) => (chunks_committed, chunks_released),
+            _ => (0, 0),
+        }
+    }
+}
+
+/// The engine instant `t` service seconds is at for a pass started at
+/// `started_s`.
+fn offset(started_s: f64, t: f64) -> SimTime {
+    SimTime::from_secs((t - started_s).max(0.0))
 }
 
 /// Plain pass/batch tallies, kept independently of telemetry so reports
@@ -180,7 +259,7 @@ pub struct ServiceStats {
     /// Postmortem traces dumped so far.
     pub postmortems: u64,
     /// WO dictionaries built (words generated, perfect hash constructed);
-    /// dispatches and stop re-runs beyond this count drew from the cache.
+    /// dispatches beyond this count drew from the cache.
     pub dictionaries_built: u64,
 }
 
@@ -223,7 +302,7 @@ impl DictCache {
 
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Event {
-    /// A pass on slot `.0` completes.
+    /// The pass on slot `.0` ends: it completes or fails.
     Finish(usize),
     /// A live job's deadline passes.
     Deadline(JobId),
@@ -417,53 +496,21 @@ impl JobService {
     }
 
     /// Cancel a queued or running job at the current instant. A running
-    /// solo job is stopped mid-flight (its engine pass re-runs
-    /// deterministically with `stop_at`, releasing queued chunks and
-    /// device memory); a batched member is discarded while its pass
-    /// continues for the other members.
+    /// solo job is stopped where it stands (its run is cancelled,
+    /// releasing queued chunks and device memory); a batched member is
+    /// discarded while its pass continues for the other members.
     pub fn cancel(&mut self, id: JobId) -> Result<(), ServiceError> {
         let rec = self.record(id).ok_or(ServiceError::UnknownJob(id))?;
         if !rec.status.is_live() {
             return Err(ServiceError::NotCancellable(id));
         }
-        let at = self.now;
-        match rec.status.clone() {
-            JobStatus::Queued => {
-                self.remove_queued(id);
-                self.finalize(
-                    id,
-                    JobStatus::Cancelled {
-                        at_s: at,
-                        chunks_committed: 0,
-                        chunks_released: 0,
-                    },
-                    None,
-                    0.0,
-                );
-                self.dump_postmortem("cancelled", id, at, None);
-            }
-            JobStatus::Running { started_s } => {
-                let (committed, released, cost, capture) = self.stop_running(id, started_s, at);
-                self.finalize(
-                    id,
-                    JobStatus::Cancelled {
-                        at_s: at,
-                        chunks_committed: committed,
-                        chunks_released: released,
-                    },
-                    Some(started_s),
-                    cost,
-                );
-                self.dump_postmortem(
-                    "cancelled",
-                    id,
-                    at,
-                    capture.as_ref().map(|c| (c, started_s)),
-                );
-                self.try_dispatch();
-            }
-            _ => unreachable!("is_live checked above"),
-        }
+        let cancelled = |at_s, chunks_committed, chunks_released| JobStatus::Cancelled {
+            at_s,
+            chunks_committed,
+            chunks_released,
+        };
+        self.stop(id, self.now, "cancelled", cancelled);
+        self.try_dispatch();
         self.stats.cancelled += 1;
         self.counter("service.jobs_cancelled").inc();
         self.observe_boundary();
@@ -572,10 +619,19 @@ impl JobService {
 
     // --- event loop ------------------------------------------------------
 
-    /// Earliest pending event at or before `t`. Ties break finish before
-    /// deadline (a job finishing exactly at its deadline met it), then by
-    /// slot/job id — fully deterministic.
-    fn next_event_at_or_before(&self, t: f64) -> Option<(f64, Event)> {
+    /// Earliest pending event at or before `t`, once every live pass has
+    /// stepped to `t` (a solo pass no further than its job's deadline, the
+    /// instant its stop needs). Ties break pass end before deadline (a job
+    /// finishing exactly at its deadline met it), then by slot/job id —
+    /// fully deterministic.
+    fn next_event_at_or_before(&mut self, t: f64) -> Option<(f64, Event)> {
+        for (pass, cluster) in self.running.iter_mut().zip(&mut self.clusters) {
+            if let Some(pass) = pass {
+                let rec = &self.jobs[(pass.members[0].0 - 1) as usize];
+                let deadline = rec.spec.deadline_s.filter(|_| pass.members.len() == 1);
+                pass.step(cluster, deadline.map_or(t, |d| t.min(rec.submit_s + d)));
+            }
+        }
         let mut best: Option<(f64, u8, u64, Event)> = None;
         let mut consider = |time: f64, rank: u8, id: u64, ev: Event| {
             if time > t {
@@ -587,16 +643,12 @@ impl JobService {
             }
         };
         for (slot, pass) in self.running.iter().enumerate() {
-            if let Some(p) = pass {
-                consider(p.finish_s, 0, slot as u64, Event::Finish(slot));
+            if let Some(end_s) = pass.as_ref().and_then(Pass::end_s) {
+                consider(end_s, 0, slot as u64, Event::Finish(slot));
             }
         }
-        for (ix, rec) in self.jobs.iter().enumerate() {
-            if !rec.status.is_live() {
-                continue;
-            }
-            if let Some(d) = rec.spec.deadline_s {
-                let id = JobId(ix as u64 + 1);
+        for (id, rec) in (1..).map(JobId).zip(&self.jobs) {
+            if let Some(d) = rec.spec.deadline_s.filter(|_| rec.status.is_live()) {
                 consider(rec.submit_s + d, 1, id.0, Event::Deadline(id));
             }
         }
@@ -612,12 +664,21 @@ impl JobService {
     }
 
     fn finish_pass(&mut self, slot: usize) {
-        let pass = self.running[slot]
+        let mut pass = self.running[slot]
             .take()
             .expect("finish event for empty slot");
+        let (finish_s, results) = match pass.end.take() {
+            Some(PassEnd::Done {
+                finish_s, results, ..
+            }) => (finish_s, results),
+            Some(PassEnd::Failed { error, .. }) => {
+                return self.fail(&pass.members, pass.started_s, &error);
+            }
+            None => unreachable!("a pass ends before its finish event"),
+        };
         let n = pass.members.len() as f64;
-        let pass_cost = (pass.finish_s - pass.started_s) * f64::from(self.cfg.gpus);
-        for (member, outputs) in pass.members.iter().zip(pass.results) {
+        let pass_cost = (finish_s - pass.started_s) * f64::from(self.cfg.gpus);
+        for (member, outputs) in pass.members.iter().zip(results) {
             let rec = self.record(*member).expect("pass member exists");
             // A member cancelled or deadline-missed mid-pass is already
             // terminal; its share of the pass is discarded.
@@ -631,9 +692,9 @@ impl JobService {
                 *member,
                 JobStatus::Completed {
                     started_s: pass.started_s,
-                    finished_s: pass.finish_s,
+                    finished_s: finish_s,
                     wait_s: pass.started_s - submit_s,
-                    batched: pass.batched,
+                    batched: pass.members.len() > 1,
                 },
                 Some(pass.started_s),
                 pass_cost / n,
@@ -643,13 +704,24 @@ impl JobService {
             // The pass survived a GPU fail-stop: the job completed, but
             // the loss itself is postmortem-worthy.
             if lost_gpu {
-                self.dump_postmortem(
-                    "gpu-lost",
-                    *member,
-                    pass.finish_s,
-                    pass.capture.as_ref().map(|c| (c, pass.started_s)),
-                );
+                self.dump_postmortem("gpu-lost", *member, finish_s, Some(&pass));
             }
+        }
+    }
+
+    /// Fail the live members of a pass started at `started_s` with the
+    /// engine's `error`. A failed pass charges nothing.
+    fn fail(&mut self, members: &[JobId], started_s: f64, error: &str) {
+        for &id in members {
+            if !self.jobs[(id.0 - 1) as usize].status.is_live() {
+                continue;
+            }
+            let status = JobStatus::Failed {
+                error: error.to_string(),
+            };
+            self.finalize(id, status, Some(started_s), 0.0);
+            self.stats.failed += 1;
+            self.counter("service.jobs_failed").inc();
         }
     }
 
@@ -657,45 +729,12 @@ impl JobService {
         let rec = self.record(id).expect("deadline event for known job");
         let deadline_s = rec.submit_s + rec.spec.deadline_s.expect("deadline event needs deadline");
         let track = self.tenant_of(id).map(|t| self.tenants[t].track);
-        match rec.status.clone() {
-            JobStatus::Queued => {
-                self.remove_queued(id);
-                self.finalize(
-                    id,
-                    JobStatus::DeadlineMissed {
-                        deadline_s,
-                        chunks_committed: 0,
-                        chunks_released: 0,
-                    },
-                    None,
-                    0.0,
-                );
-                // No engine pass to splice; the service ring already
-                // holds the job's QueueWait span.
-                self.dump_postmortem("deadline-missed", id, deadline_s, None);
-            }
-            JobStatus::Running { started_s } => {
-                let (committed, released, cost, capture) =
-                    self.stop_running(id, started_s, deadline_s);
-                self.finalize(
-                    id,
-                    JobStatus::DeadlineMissed {
-                        deadline_s,
-                        chunks_committed: committed,
-                        chunks_released: released,
-                    },
-                    Some(started_s),
-                    cost,
-                );
-                self.dump_postmortem(
-                    "deadline-missed",
-                    id,
-                    deadline_s,
-                    capture.as_ref().map(|c| (c, started_s)),
-                );
-            }
-            _ => return,
-        }
+        let missed = |deadline_s, chunks_committed, chunks_released| JobStatus::DeadlineMissed {
+            deadline_s,
+            chunks_committed,
+            chunks_released,
+        };
+        self.stop(id, deadline_s, "deadline-missed", missed);
         self.stats.deadline_missed += 1;
         self.counter("service.deadline_missed").inc();
         if let Some(track) = track {
@@ -704,59 +743,34 @@ impl JobService {
         }
     }
 
-    /// Stop a running job at `at` (absolute service seconds). For a solo
-    /// pass the engine re-runs deterministically with `stop_at` and the
-    /// slot frees at the stop instant; a batched member is discarded from
-    /// its pass (which keeps running for the other members). Returns the
-    /// engine's conservation accounting, the GPU-seconds to charge, and —
-    /// when the flight recorder is on — the engine-scoped telemetry of
-    /// the stopped pass for the postmortem splice.
-    fn stop_running(
-        &mut self,
-        id: JobId,
-        started_s: f64,
-        at: f64,
-    ) -> (u32, u32, f64, Option<TelemetrySnapshot>) {
+    /// Stop live job `id` at `at` (absolute service seconds) as
+    /// `status(at, committed, released)` and dump a `reason` postmortem. A
+    /// queued job leaves the queue with nothing to account for. A running
+    /// solo pass stops where it stands, its slot frees at the stop instant
+    /// and the postmortem splices its recording; a batched member is
+    /// discarded from its pass (which keeps running for the other members,
+    /// and whose end skips it). Either pays for the time it ran.
+    fn stop(&mut self, id: JobId, at: f64, reason: &str, status: fn(f64, u32, u32) -> JobStatus) {
+        let JobStatus::Running { started_s } = self.jobs[(id.0 - 1) as usize].status else {
+            self.remove_queued(id);
+            self.finalize(id, status(at, 0, 0), None, 0.0);
+            // No engine pass to splice; the service ring already holds
+            // the job's QueueWait span.
+            return self.dump_postmortem(reason, id, at, None);
+        };
         let slot = self
             .running
             .iter()
             .position(|p| p.as_ref().is_some_and(|p| p.members.contains(&id)))
             .expect("running job has a slot");
-        let elapsed = (at - started_s).max(0.0);
         let members = self.running[slot].as_ref().map_or(1, |p| p.members.len());
-        if members > 1 {
-            let pass = self.running[slot].as_mut().expect("slot occupied");
-            let ix = pass.members.iter().position(|m| *m == id).expect("member");
-            pass.results[ix] = Vec::new();
-            let cost = elapsed * f64::from(self.cfg.gpus) / members as f64;
-            return (0, 0, cost, None);
-        }
-        self.running[slot] = None;
-        let spec = self.jobs[(id.0 - 1) as usize].spec.clone();
-        let control = RunControl::stop_at(SimTime::from_secs(elapsed));
-        let cost = elapsed * f64::from(self.cfg.gpus);
-        let capture = self.engine_capture();
-        let outcome = run_solo(
-            &mut self.clusters[slot],
-            &mut self.dicts,
-            &spec,
-            self.cfg.gpus,
-            &self.cfg.tuning,
-            &capture,
-            &control,
-        );
-        let snap = capture.is_enabled().then(|| capture.snapshot());
-        match outcome {
-            Err(EngineError::Cancelled {
-                chunks_committed,
-                chunks_released,
-                ..
-            }) => (chunks_committed, chunks_released, cost, snap),
-            // The stop instant landed after the job's own completion or
-            // the job failed before reaching it; nothing left to release.
-            Ok(result) => (result.timings.chunks_per_rank.iter().sum(), 0, cost, snap),
-            Err(_) => (0, 0, cost, snap),
-        }
+        let cost = (at - started_s).max(0.0) * f64::from(self.cfg.gpus) / members as f64;
+        let mut pass = (members == 1).then(|| self.running[slot].take()).flatten();
+        let at_engine = offset(started_s, at);
+        let cluster = &mut self.clusters[slot];
+        let (committed, released) = pass.as_mut().map_or((0, 0), |p| p.stop(cluster, at_engine));
+        self.finalize(id, status(at, committed, released), Some(started_s), cost);
+        self.dump_postmortem(reason, id, at, pass.as_ref());
     }
 
     // --- dispatch --------------------------------------------------------
@@ -840,39 +854,9 @@ impl JobService {
             self.remove_queued(id);
         }
         let batched = members.len() > 1;
-        let mut capture = None;
-        let outcome = if batched {
-            let specs: Vec<JobSpec> = members
-                .iter()
-                .map(|id| self.jobs[(id.0 - 1) as usize].spec.clone())
-                .collect();
-            run_batch(&mut self.clusters[slot], &specs, &self.cfg.tuning)
-        } else {
-            let spec = self.jobs[(members[0].0 - 1) as usize].spec.clone();
-            // Capture engine telemetry only for fault-injected passes —
-            // they are the GpuLost postmortem candidates.
-            let tel = if spec.kill.is_some() || spec.stall.is_some() {
-                self.engine_capture()
-            } else {
-                Telemetry::disabled()
-            };
-            let result = run_solo(
-                &mut self.clusters[slot],
-                &mut self.dicts,
-                &spec,
-                self.cfg.gpus,
-                &self.cfg.tuning,
-                &tel,
-                &RunControl::default(),
-            );
-            capture = tel.is_enabled().then(|| tel.snapshot());
-            result.map(|r| {
-                let makespan = r.timings.total.as_secs();
-                (vec![r.outputs], makespan)
-            })
-        };
-        match outcome {
-            Ok((results, makespan_s)) => {
+        let capture = self.engine_capture(!batched);
+        match self.start_pass(slot, &members, &capture) {
+            Ok(run) => {
                 for &id in &members {
                     self.jobs[(id.0 - 1) as usize].status = JobStatus::Running { started_s };
                     if let Some(t) = self.tenant_of(id) {
@@ -895,25 +879,69 @@ impl JobService {
                 self.running[slot] = Some(Pass {
                     members,
                     started_s,
-                    finish_s: started_s + makespan_s,
-                    batched,
-                    results,
+                    live: Some(run),
+                    end: None,
                     capture,
                 });
             }
-            Err(e) => {
-                for &id in &members {
-                    self.finalize(
-                        id,
-                        JobStatus::Failed {
-                            error: e.to_string(),
-                        },
-                        Some(started_s),
-                        0.0,
-                    );
-                    self.stats.failed += 1;
-                    self.counter("service.jobs_failed").inc();
-                }
+            Err(e) => self.fail(&members, started_s, &e.to_string()),
+        }
+    }
+
+    /// Start the engine run of a pass over `members` — one job, or a
+    /// batch of batchable SIO jobs whose chunks are tagged with their batch
+    /// slot — on `slot`'s cluster: generate the input (a WO job's
+    /// dictionary comes from the cache), build the job, install the solo
+    /// job's fault plan (it stays installed for the whole pass), open its
+    /// scratch journal and set the run up, recording into `tel`.
+    fn start_pass(
+        &mut self,
+        slot: usize,
+        members: &[JobId],
+        tel: &Telemetry,
+    ) -> EngineResult<Box<dyn LiveRun>> {
+        let (cluster, gpus, tuning) = (&mut self.clusters[slot], self.cfg.gpus, &self.cfg.tuning);
+        let spec = |id: &JobId| &self.jobs[(id.0 - 1) as usize].spec;
+        let [id] = members else {
+            let mut all = Vec::new();
+            for (slot, id) in members.iter().enumerate() {
+                let JobKind::Sio { n, seed, chunk_kb } = spec(id).kind else {
+                    unreachable!("only SIO jobs are batchable");
+                };
+                let chunks = sio_chunks(&generate_integers(n, seed), chunk_kb * 1024);
+                all.extend(tag_chunks(slot as u32, all.len() as u32, chunks));
+            }
+            cluster.set_fault_plan(None);
+            let split = |o: Vec<_>, n| split_outputs(&o, n);
+            return live(cluster, SioBatchJob, all, tuning, tel, false, split);
+        };
+        let spec = spec(id);
+        let mut plan: Option<FaultPlan> = None;
+        if let Some((rank, at_s)) = spec.kill.filter(|&(rank, _)| rank < gpus) {
+            plan = Some(plan.unwrap_or_default().kill(rank, at_s));
+        }
+        if let Some((rank, at_s, dur_s)) = spec.stall.filter(|&(rank, _, _)| rank < gpus) {
+            plan = Some(plan.unwrap_or_default().stall(rank, at_s, dur_s));
+        }
+        cluster.set_fault_plan(plan);
+        let solo = |o, _| vec![o];
+        match spec.kind {
+            JobKind::Sio { n, seed, chunk_kb } => {
+                let chunks = sio_chunks(&generate_integers(n, seed), chunk_kb * 1024);
+                let job = SioJob::default();
+                live(cluster, job, chunks, tuning, tel, spec.journal, solo)
+            }
+            JobKind::Wo {
+                bytes,
+                dict_words,
+                seed,
+                chunk_kb,
+            } => {
+                let dict = self.dicts.get(dict_words, seed);
+                let text = generate_text(&dict, bytes, second_seed(seed));
+                let chunks = chunk_text(&text, chunk_kb * 1024);
+                let job = WoJob::new(dict, gpus);
+                live(cluster, job, chunks, tuning, tel, spec.journal, solo)
             }
         }
     }
@@ -1012,31 +1040,30 @@ impl JobService {
         }
     }
 
-    /// A bounded telemetry handle for capturing one engine pass when the
-    /// flight recorder is on; disabled otherwise (zero engine overhead).
-    fn engine_capture(&self) -> Telemetry {
+    /// A bounded telemetry handle for capturing a solo engine pass from
+    /// dispatch when the flight recorder is on (any of them may end in a
+    /// postmortem); disabled otherwise (zero engine overhead).
+    fn engine_capture(&self, solo: bool) -> Telemetry {
         match &self.flight {
-            Some(_) => Telemetry::with_capacity(self.cfg.obs.flight_capacity),
-            None => Telemetry::disabled(),
+            Some(_) if solo => Telemetry::with_capacity(self.cfg.obs.flight_capacity),
+            _ => Telemetry::disabled(),
         }
     }
 
-    /// Dump a postmortem for `id`, splicing in the engine telemetry of
-    /// the triggering pass when captured (`started_s` places the engine's
+    /// Dump a postmortem for `id`, splicing in the recording of the
+    /// triggering pass when it has one (its start places the engine's
     /// zero-based clock on the service timeline; engine rank tracks land
     /// past the service track).
-    fn dump_postmortem(
-        &mut self,
-        reason: &str,
-        id: JobId,
-        at_s: f64,
-        engine: Option<(&TelemetrySnapshot, f64)>,
-    ) {
+    fn dump_postmortem(&mut self, reason: &str, id: JobId, at_s: f64, pass: Option<&Pass>) {
         let track_offset = self.service_track + 1;
         let Some(f) = &mut self.flight else {
             return;
         };
-        let engine = engine.map(|(snap, started_s)| (snap, started_s, track_offset));
+        let pass = pass.filter(|p| p.capture.is_enabled());
+        let snap = pass.map(|p| (p.capture.snapshot(), p.started_s));
+        let engine = snap
+            .as_ref()
+            .map(|(s, started_s)| (s, *started_s, track_offset));
         f.dump(reason, &id.to_string(), at_s, engine);
         self.stats.postmortems += 1;
     }
@@ -1058,128 +1085,102 @@ impl JobService {
     }
 }
 
-// --- engine pass helpers -------------------------------------------------
+// --- engine passes -------------------------------------------------------
+
+/// Per-member, per-rank outputs of a pass.
+type Outputs = Vec<Vec<KvSet<u32, u32>>>;
+/// How a job's per-rank outputs split over a pass's `n` members.
+type Split<K, V> = fn(Vec<KvSet<K, V>>, usize) -> Outputs;
+
+/// An engine result whose error carries the instant the engine met it.
+type Met<T> = Result<T, (SimTime, EngineError)>;
+
+/// A pass's engine run, whatever its job type.
+trait LiveRun {
+    fn step_until(&mut self, cluster: &mut Cluster, t: SimTime) -> Met<bool>;
+    /// Run to the end: the outputs of the pass's `n` members, the makespan
+    /// in seconds, and the chunks the map stage committed. It fails at the
+    /// instant the map stage ended.
+    fn finish(self: Box<Self>, cluster: &mut Cluster, n: usize) -> Met<(Outputs, f64, u32)>;
+    fn cancel(self: Box<Self>, cluster: &mut Cluster, at: SimTime) -> EngineError;
+}
+
+/// A [`Run`] with what each of its calls takes — the job and the pass's
+/// scratch journal — and how its outputs split per member.
+struct Live<J: GpmrJob> {
+    run: Run<J>,
+    job: J,
+    journal: Option<Scratch>,
+    split: Split<J::Key, J::Value>,
+}
+
+impl<J: GpmrJob> LiveRun for Live<J> {
+    fn step_until(&mut self, cluster: &mut Cluster, t: SimTime) -> Met<bool> {
+        let journal = self.journal.as_mut().map(|s| &mut s.0);
+        let stepped = self.run.step_until(cluster, &self.job, journal, t);
+        stepped.map_err(|e| (self.run.clock(), e))
+    }
+
+    fn finish(self: Box<Self>, cluster: &mut Cluster, n: usize) -> Met<(Outputs, f64, u32)> {
+        let mut live = *self;
+        let (at, journal) = (live.run.clock(), live.journal.as_mut().map(|s| &mut s.0));
+        let finished = live.run.finish(cluster, &live.job, journal);
+        let r = finished.map_err(|e| (at, e))?;
+        let chunks = r.timings.chunks_per_rank.iter().sum();
+        let makespan_s = r.timings.total.as_secs();
+        Ok(((live.split)(r.outputs, n), makespan_s, chunks))
+    }
+
+    fn cancel(self: Box<Self>, cluster: &mut Cluster, at: SimTime) -> EngineError {
+        self.run.cancel(cluster, at)
+    }
+}
+
+/// The journal of a service-managed job. The journal layer is
+/// file-based, so the pass journals into a throwaway file, removed when
+/// the pass ends or the service is dropped.
+struct Scratch(Journal);
 
 static JOURNAL_SEQ: AtomicU64 = AtomicU64::new(0);
 
-fn journal_temp_path() -> PathBuf {
-    let seq = JOURNAL_SEQ.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("gpmr-service-{}-{}.jnl", std::process::id(), seq))
+impl Scratch {
+    fn create() -> EngineResult<Self> {
+        let seq = JOURNAL_SEQ.fetch_add(1, Ordering::Relaxed);
+        let name = format!("gpmr-service-{}-{}.jnl", std::process::id(), seq);
+        let path = std::env::temp_dir().join(name);
+        Ok(Scratch(Journal::create(path, 1)?))
+    }
 }
 
-fn run_engine<J: GpmrJob>(
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(self.0.path());
+    }
+}
+
+/// Set `job`'s run over `chunks` up, journaled into a scratch file when
+/// asked.
+fn live<J: GpmrJob + 'static>(
     cluster: &mut Cluster,
-    job: &J,
+    job: J,
     chunks: Vec<J::Chunk>,
     tuning: &EngineTuning,
     tel: &Telemetry,
     journaled: bool,
-    control: &RunControl,
-) -> EngineResult<JobResult<J::Key, J::Value>> {
-    // The journal layer is file-based; service-managed jobs journal into
-    // a throwaway path that lives only for the pass.
-    let mut scratch = if journaled {
-        let path = journal_temp_path();
-        Some((Journal::create(&path, 1)?, path))
-    } else {
-        None
-    };
-    let opts = RunOpts {
+    split: Split<J::Key, J::Value>,
+) -> EngineResult<Box<dyn LiveRun>> {
+    let mut journal = journaled.then(Scratch::create).transpose()?;
+    let mut opts = RunOpts {
         tuning: *tuning,
         tel: tel.clone(),
-        journal: scratch.as_mut().map(|(journal, _)| journal),
-        control: *control,
+        journal: journal.as_mut().map(|s| &mut s.0),
+        ..RunOpts::default()
     };
-    let result = run_job_with(cluster, job, chunks, opts);
-    if let Some((journal, path)) = scratch {
-        drop(journal);
-        let _ = std::fs::remove_file(&path);
-    }
-    result
-}
-
-/// Run one job's engine pass on `cluster`, regenerating its input from
-/// the spec (deterministic: a rerun sees bit-identical chunks). A WO
-/// job's dictionary comes from `dicts`.
-fn run_solo(
-    cluster: &mut Cluster,
-    dicts: &mut DictCache,
-    spec: &JobSpec,
-    gpus: u32,
-    tuning: &EngineTuning,
-    tel: &Telemetry,
-    control: &RunControl,
-) -> EngineResult<JobResult<u32, u32>> {
-    let mut plan: Option<FaultPlan> = None;
-    if let Some((rank, at_s)) = spec.kill.filter(|&(rank, _)| rank < gpus) {
-        plan = Some(plan.unwrap_or_default().kill(rank, at_s));
-    }
-    if let Some((rank, at_s, dur_s)) = spec.stall.filter(|&(rank, _, _)| rank < gpus) {
-        plan = Some(plan.unwrap_or_default().stall(rank, at_s, dur_s));
-    }
-    cluster.set_fault_plan(plan);
-    let result = match spec.kind {
-        JobKind::Sio { n, seed, chunk_kb } => {
-            let data = generate_integers(n, seed);
-            let chunks = sio_chunks(&data, chunk_kb * 1024);
-            run_engine(
-                cluster,
-                &SioJob::default(),
-                chunks,
-                tuning,
-                tel,
-                spec.journal,
-                control,
-            )
-        }
-        JobKind::Wo {
-            bytes,
-            dict_words,
-            seed,
-            chunk_kb,
-        } => {
-            let dict = dicts.get(dict_words, seed);
-            let text = generate_text(&dict, bytes, second_seed(seed));
-            let chunks = chunk_text(&text, chunk_kb * 1024);
-            let job = WoJob::new(dict, gpus);
-            run_engine(cluster, &job, chunks, tuning, tel, spec.journal, control)
-        }
-    };
-    cluster.set_fault_plan(None);
-    result
-}
-
-/// Run a batched pass: tag every member's chunks with its batch slot,
-/// run one merged SIO pipeline, and split the outputs back per member.
-/// Returns per-member, per-rank outputs plus the shared makespan.
-#[allow(clippy::type_complexity)]
-fn run_batch(
-    cluster: &mut Cluster,
-    specs: &[JobSpec],
-    tuning: &EngineTuning,
-) -> EngineResult<(Vec<Vec<KvSet<u32, u32>>>, f64)> {
-    let mut all = Vec::new();
-    let mut id_base = 0u32;
-    for (slot, spec) in specs.iter().enumerate() {
-        let JobKind::Sio { n, seed, chunk_kb } = spec.kind else {
-            unreachable!("only SIO jobs are batchable");
-        };
-        let data = generate_integers(n, seed);
-        let chunks = sio_chunks(&data, chunk_kb * 1024);
-        let count = chunks.len() as u32;
-        all.extend(tag_chunks(slot as u32, id_base, chunks));
-        id_base += count;
-    }
-    cluster.set_fault_plan(None);
-    let result = run_engine(
-        cluster,
-        &SioBatchJob,
-        all,
-        tuning,
-        &Telemetry::disabled(),
-        false,
-        &RunControl::default(),
-    )?;
-    let makespan = result.timings.total.as_secs();
-    Ok((split_outputs(&result.outputs, specs.len()), makespan))
+    let run = Run::new(cluster, &job, chunks, &mut opts)?;
+    Ok(Box::new(Live {
+        run,
+        job,
+        journal,
+        split,
+    }))
 }

@@ -26,8 +26,7 @@ impl JobId {
 
 /// What workload a job runs. Both kinds regenerate their input
 /// deterministically from the seed, so a job is fully described by its
-/// spec — reruns (cancellation replay, standalone comparison) see
-/// bit-identical inputs.
+/// spec — a standalone run of the same spec sees bit-identical inputs.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum JobKind {
     /// Sparse-integer-occurrence count (the paper's SIO benchmark):

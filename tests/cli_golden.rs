@@ -203,9 +203,12 @@ fn paper_bytes_match_the_binaries_they_replace() {
 
 /// `gpmr serve` prints, byte for byte, what the job service printed when
 /// it still ran every pass to completion at dispatch and replayed it to
-/// stop it; the demo's flight recorder writes the same postmortem files.
-/// A postmortem is compared by its file, not by stdout, which names the
-/// directory.
+/// stop it; the demo's flight recorder writes the same postmortem files
+/// but one. A postmortem is compared by its file, not by stdout, which
+/// names the directory. job6 misses its deadline after its map stage has
+/// ended: its postmortem now splices the pass's own recording, with the
+/// Bin, Sort and Reduce it was running, where the replay showed a run
+/// stopped with nothing in flight (8375 bytes, `0x1260_5c61_6169_e340`).
 #[test]
 fn serve_bytes_match_the_service_that_replayed_its_stops() {
     let workload = |name: &str| format!("{}/workloads/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -242,7 +245,7 @@ fn serve_bytes_match_the_service_that_replayed_its_stops() {
         ),
         (
             "postmortem-0002-deadline-missed-job6.json",
-            (8375, 0x1260_5c61_6169_e340),
+            (10120, 0xaf5c_bdba_77c4_8ce6),
         ),
         (
             "postmortem-0003-gpu-lost-job7.json",
@@ -253,7 +256,11 @@ fn serve_bytes_match_the_service_that_replayed_its_stops() {
     for (file, expect) in expect {
         let bytes = std::fs::read(dir.join(file)).unwrap();
         check(file.to_string(), digest(&bytes), expect);
+        let trace = String::from_utf8(bytes).unwrap();
+        gpmr::telemetry::export::validate_perfetto(&trace).unwrap();
     }
+    let job6 = std::fs::read_to_string(dir.join(expect[1].0)).unwrap();
+    assert!(job6.contains(r#""name":"job6""#), "{job6}");
     std::fs::remove_dir_all(&dir).ok();
     assert!(
         drifted.is_empty(),

@@ -3,12 +3,12 @@
 //! duplicated, `total_remaining` stays conserved, and `steal_victim`
 //! never picks the thief or a queue too light to be worth robbing.
 //! Plus the engine-level corollary the job service relies on: stopping a
-//! run mid-flight (`RunControl::stop_at`) accounts for every input chunk
-//! as either committed or released, and leaves no device memory resident.
+//! run mid-flight (`Run::cancel`) accounts for every input chunk as
+//! either committed or released, and leaves no device memory resident.
 
 use gpmr::apps::sio::{generate_integers, sio_chunks};
 use gpmr::apps::SioJob;
-use gpmr::core::{run_job, run_job_with, EngineError, RunControl, RunOpts, WorkQueues};
+use gpmr::core::{run_job, EngineError, Run, RunOpts, WorkQueues};
 use gpmr::sim_gpu::{GpuSpec, SimTime};
 use gpmr::sim_net::Cluster;
 use proptest::prelude::*;
@@ -246,13 +246,15 @@ proptest! {
     }
 
     /// Mid-flight cancellation conserves chunks and releases device
-    /// memory: for *any* stop instant, `committed + released` covers the
-    /// whole input and every GPU ends with zero bytes resident.
+    /// memory: for *any* stop instant, reached through any sequence of
+    /// earlier steps, `committed + released` covers the whole input and
+    /// every GPU ends with zero bytes resident.
     #[test]
     fn cancellation_conserves_chunks_and_frees_memory(
         n in 10_000usize..50_000,
         seed in 0u64..100,
         stop_frac in 0.05f64..1.5,
+        mut step_fracs in prop::collection::vec(0.0f64..1.5, 0..6),
     ) {
         let data = generate_integers(n, seed);
         let chunks = sio_chunks(&data, 8 * 1024);
@@ -265,39 +267,33 @@ proptest! {
         let makespan = full.timings.total.as_secs();
         let stop = SimTime::from_secs(makespan * stop_frac);
 
+        let job = SioJob::default();
         let mut cluster = Cluster::accelerator(4, GpuSpec::gt200());
-        let opts = RunOpts {
-            control: RunControl::stop_at(stop),
-            ..RunOpts::default()
+        let mut run = Run::new(&mut cluster, &job, chunks, &mut RunOpts::default()).unwrap();
+        step_fracs.retain(|&f| f < stop_frac);
+        step_fracs.sort_by(f64::total_cmp);
+        for f in step_fracs {
+            let at = SimTime::from_secs(makespan * f);
+            run.step_until(&mut cluster, &job, None, at).unwrap();
+        }
+        run.step_until(&mut cluster, &job, None, stop).unwrap();
+        let EngineError::Cancelled { chunks_committed, chunks_released, .. } =
+            run.cancel(&mut cluster, stop)
+        else {
+            unreachable!("cancel reports the stop");
         };
-        let out = run_job_with(&mut cluster, &SioJob::default(), chunks, opts);
-        match out {
-            Err(EngineError::Cancelled { chunks_committed, chunks_released, .. }) => {
-                prop_assert_eq!(
-                    chunks_committed + chunks_released,
-                    n_chunks,
-                    "cancel must account for every chunk"
-                );
-                for r in 0..4 {
-                    prop_assert_eq!(
-                        cluster.gpu(r).mem.used(),
-                        0,
-                        "rank {} holds device memory after cancel",
-                        r
-                    );
-                }
-            }
-            Ok(done) => {
-                // Stopping at or past the makespan legitimately completes.
-                prop_assert!(
-                    makespan * stop_frac >= makespan - 1e-12,
-                    "run completed despite stop at {} < makespan {}",
-                    makespan * stop_frac,
-                    makespan
-                );
-                prop_assert_eq!(done.outputs, full.outputs);
-            }
-            Err(e) => prop_assert!(false, "unexpected engine error: {}", e),
+        prop_assert_eq!(
+            chunks_committed + chunks_released,
+            n_chunks,
+            "cancel must account for every chunk"
+        );
+        for r in 0..4 {
+            prop_assert_eq!(
+                cluster.gpu(r).mem.used(),
+                0,
+                "rank {} holds device memory after cancel",
+                r
+            );
         }
     }
 }

@@ -10,14 +10,15 @@ use std::sync::Arc;
 use gpmr::apps::sio::{generate_integers, sio_chunks};
 use gpmr::apps::text::{chunk_text, generate_text, Dictionary};
 use gpmr::apps::{SioJob, WoJob};
-use gpmr::core::{run_job, JobResult, KvSet};
+use gpmr::core::{run_job, run_job_instrumented, JobResult, KvSet};
 use gpmr::service::{
-    run_script, JobId, JobKind, JobService, JobSpec, JobStatus, RejectReason, ServiceConfig,
-    TenantConfig, DICT_CACHE_ENTRIES, MAX_DICT_WORDS, MAX_SIO_INTEGERS, MAX_WO_BYTES,
+    run, run_script, Action, JobId, JobKind, JobService, JobSpec, JobStatus, ObsConfig,
+    RejectReason, ServiceConfig, TenantConfig, Workload, DICT_CACHE_ENTRIES, MAX_DICT_WORDS,
+    MAX_SIO_INTEGERS, MAX_WO_BYTES,
 };
 use gpmr::sim_gpu::{FaultPlan, GpuSpec};
 use gpmr::sim_net::Cluster;
-use gpmr::telemetry::Telemetry;
+use gpmr::telemetry::{AlertRule, Telemetry};
 use proptest::prelude::*;
 
 const DEMO: &str = include_str!("../workloads/service_demo.wl");
@@ -482,7 +483,7 @@ fn dictionary_cache_evicts_rebuilds_and_never_mis_shares() {
     // time, so each dictionary is evicted and rebuilt. Pairs share a
     // size or a seed with a neighbour, so a dictionary handed to the
     // wrong job changes that job's output. Some jobs journal, one is
-    // cancelled mid-flight (the stop re-run draws from the cache too).
+    // cancelled mid-flight.
     let distinct = DICT_CACHE_ENTRIES + 5;
     let kind_of = |i: usize| JobKind::Wo {
         bytes: 8_192,
@@ -538,8 +539,8 @@ fn dictionary_cache_evicts_rebuilds_and_never_mis_shares() {
         );
     }
 
-    // Within capacity nothing is rebuilt: the second visit, and a
-    // mid-flight cancel's re-run, are hits.
+    // Within capacity nothing is rebuilt: the second visit, and the job
+    // cancelled mid-flight, are hits.
     let few: Vec<JobKind> = kinds[..4].iter().chain(&kinds[..4]).copied().collect();
     let (mut svc, ids) = run(&few);
     assert_eq!(svc.stats().dictionaries_built, 4);
@@ -704,69 +705,73 @@ fn lcg(state: &mut u64) -> u64 {
     *state >> 33
 }
 
+/// Nine jobs over three tenants, one every 0.3 ms, mixing kills, stalls,
+/// journals, batching, deadlines and cancels of earlier jobs, drawn from
+/// `chaos_seed`.
+fn chaos_workload(chaos_seed: u64) -> Workload {
+    let mut rng = chaos_seed;
+    let tenants = vec![
+        TenantConfig {
+            name: "a".into(),
+            max_concurrent: 2,
+            gpu_seconds: f64::INFINITY,
+            mem_share: 1.0,
+        },
+        TenantConfig {
+            name: "b".into(),
+            max_concurrent: 1,
+            gpu_seconds: f64::INFINITY,
+            mem_share: 1.0,
+        },
+        TenantConfig::unlimited("c"),
+    ];
+    let names = ["a", "b", "c"];
+    let mut events = Vec::new();
+    for i in 0..9 {
+        let at = i as f64 * 0.0003;
+        let kind = if lcg(&mut rng).is_multiple_of(3) {
+            JobKind::Wo {
+                bytes: 16_384 + (lcg(&mut rng) % 3) as usize * 8_192,
+                dict_words: 128,
+                seed: lcg(&mut rng),
+                chunk_kb: 8,
+            }
+        } else {
+            JobKind::Sio {
+                n: 4_000 + (lcg(&mut rng) % 5) as usize * 2_000,
+                seed: lcg(&mut rng),
+                chunk_kb: 4,
+            }
+        };
+        let mut spec = JobSpec::new(names[(lcg(&mut rng) % 3) as usize], kind);
+        match lcg(&mut rng) % 5 {
+            0 => spec.kill = Some(((lcg(&mut rng) % 4) as u32, 0.0002)),
+            1 => spec.stall = Some(((lcg(&mut rng) % 4) as u32, 0.0001, 0.0004)),
+            2 => spec.journal = true,
+            3 => spec.batchable = true,
+            _ => {}
+        }
+        if lcg(&mut rng).is_multiple_of(4) {
+            spec.deadline_s = Some(0.0004 + (lcg(&mut rng) % 20) as f64 * 0.0002);
+        }
+        events.push((at, Action::Submit(spec)));
+        if lcg(&mut rng).is_multiple_of(3) {
+            let victim = (lcg(&mut rng) as usize) % (i + 1);
+            events.push((at, Action::Cancel(JobId(victim as u64 + 1).to_string())));
+        }
+    }
+    Workload { tenants, events }
+}
+
 #[test]
 fn seeded_chaos_preserves_per_job_outputs() {
     for chaos_seed in [1u64, 7, 42] {
-        let mut rng = chaos_seed;
-        let tenants = vec![
-            TenantConfig {
-                name: "a".into(),
-                max_concurrent: 2,
-                gpu_seconds: f64::INFINITY,
-                mem_share: 1.0,
-            },
-            TenantConfig {
-                name: "b".into(),
-                max_concurrent: 1,
-                gpu_seconds: f64::INFINITY,
-                mem_share: 1.0,
-            },
-            TenantConfig::unlimited("c"),
-        ];
-        let mut svc = JobService::new(
-            ServiceConfig {
-                engines: 2,
-                ..ServiceConfig::default()
-            },
-            tenants,
-            Telemetry::disabled(),
-        );
-        let names = ["a", "b", "c"];
-        let mut ids = Vec::new();
-        for i in 0..9 {
-            svc.advance_to(i as f64 * 0.0003);
-            let kind = if lcg(&mut rng).is_multiple_of(3) {
-                JobKind::Wo {
-                    bytes: 16_384 + (lcg(&mut rng) % 3) as usize * 8_192,
-                    dict_words: 128,
-                    seed: lcg(&mut rng),
-                    chunk_kb: 8,
-                }
-            } else {
-                JobKind::Sio {
-                    n: 4_000 + (lcg(&mut rng) % 5) as usize * 2_000,
-                    seed: lcg(&mut rng),
-                    chunk_kb: 4,
-                }
-            };
-            let mut spec = JobSpec::new(names[(lcg(&mut rng) % 3) as usize], kind);
-            match lcg(&mut rng) % 5 {
-                0 => spec.kill = Some(((lcg(&mut rng) % 4) as u32, 0.0002)),
-                1 => spec.stall = Some(((lcg(&mut rng) % 4) as u32, 0.0001, 0.0004)),
-                2 => spec.journal = true,
-                3 => spec.batchable = true,
-                _ => {}
-            }
-            if lcg(&mut rng).is_multiple_of(4) {
-                spec.deadline_s = Some(0.0004 + (lcg(&mut rng) % 20) as f64 * 0.0002);
-            }
-            ids.push(svc.submit(spec));
-            if lcg(&mut rng).is_multiple_of(3) && !ids.is_empty() {
-                let victim = ids[(lcg(&mut rng) as usize) % ids.len()];
-                let _ = svc.cancel(victim);
-            }
-        }
-        svc.drain();
+        let cfg = ServiceConfig {
+            engines: 2,
+            ..ServiceConfig::default()
+        };
+        let (svc, _) = run(&chaos_workload(chaos_seed), cfg, Telemetry::disabled());
+        let ids: Vec<JobId> = svc.job_ids().collect();
         let mut completed = 0;
         for &id in &ids {
             match svc.poll(id).expect("known job") {
@@ -831,4 +836,185 @@ fn seeded_chaos_preserves_per_job_outputs() {
         }
         assert_eq!(words.len(), ids.len());
     }
+}
+
+// --- polling granularity -------------------------------------------------
+
+/// Everything a caller can observe of a service driven through `wl`: each
+/// action's outcome, every job's status and outputs, the tallies, the SLO
+/// report, the alerts and the postmortem documents. With `poll_s`, the
+/// clock is also advanced every `poll_s` seconds before `until_s`, between
+/// and after the script's actions, before the drain. Returns the drained
+/// clock too.
+fn observe(wl: &Workload, poll_s: Option<f64>, until_s: f64) -> (f64, Vec<String>) {
+    let cfg = ServiceConfig {
+        obs: ObsConfig {
+            alerts: AlertRule::parse_list("misses: sum(service.deadline_missed) > 0").unwrap(),
+            flight_capacity: 4096,
+            ..ObsConfig::default()
+        },
+        ..ServiceConfig::default()
+    };
+    let mut svc = JobService::new(cfg, wl.tenants.clone(), Telemetry::enabled());
+    let mut polled = 0.0;
+    let mut poll_to = |svc: &mut JobService, t: f64| {
+        while let Some(step) = poll_s.filter(|_| polled < t) {
+            svc.advance_to(polled);
+            polled += step;
+        }
+    };
+    let mut seen = Vec::new();
+    for (t, action) in &wl.events {
+        poll_to(&mut svc, *t);
+        svc.advance_to(*t);
+        seen.push(match action {
+            Action::Submit(spec) => {
+                let id = svc.submit(spec.clone());
+                format!("{:?}", svc.poll(id))
+            }
+            Action::Cancel(name) => format!("{:?}", svc.cancel(JobId::parse(name).unwrap())),
+        });
+    }
+    poll_to(&mut svc, until_s);
+    let drained_s = svc.drain();
+    for id in svc.job_ids() {
+        let status = svc.poll(id).unwrap();
+        seen.push(format!("{id} {status:?} {:?}", svc.outputs(id)));
+    }
+    seen.push(format!("{:?}", svc.stats()));
+    seen.push(svc.slo_report().render_text());
+    seen.push(format!("{:?}", svc.alerts()));
+    for pm in svc.postmortems() {
+        let mut doc = Vec::new();
+        pm.write_trace(&mut doc).unwrap();
+        seen.push(format!(
+            "{} {}",
+            pm.file_name(),
+            String::from_utf8(doc).unwrap()
+        ));
+    }
+    (drained_s, seen)
+}
+
+/// Passes step only as far as the clock is asked to go, so how often a
+/// caller polls changes nothing a caller sees: the demo workload and the
+/// chaos mixes, with an extra `advance_to` every 50 µs of simulated time,
+/// report the same statuses, outputs, tallies, alerts and postmortems.
+#[test]
+fn polling_granularity_changes_nothing_observable() {
+    let demo = gpmr::service::parse(DEMO).expect("demo parses");
+    for wl in [
+        demo,
+        chaos_workload(1),
+        chaos_workload(7),
+        chaos_workload(42),
+    ] {
+        let (drained_s, plain) = observe(&wl, None, 0.0);
+        let (polled_drained_s, polled) = observe(&wl, Some(50e-6), drained_s);
+        assert_eq!(polled_drained_s, drained_s);
+        assert_eq!(plain.len(), polled.len());
+        for (a, b) in plain.iter().zip(&polled) {
+            assert!(a == b, "polling moved an observation:\n{a}\n---\n{b}");
+        }
+    }
+}
+
+/// A job that loses its only GPU fails at the loss, not at dispatch, and
+/// holds its slot until then: the job queued behind it starts at that
+/// instant, however the clock gets there.
+#[test]
+fn a_job_fails_when_its_last_gpu_is_lost() {
+    let kind = JobKind::Sio {
+        n: 200_000,
+        seed: 3,
+        chunk_kb: 16,
+    };
+    let mut doomed = JobSpec::new("t", kind);
+    doomed.kill = Some((0, 0.001));
+    // When the engine meets the loss, alone on a one-GPU cluster.
+    let mut cluster = Cluster::accelerator(1, GpuSpec::gt200());
+    cluster.set_fault_plan(Some(FaultPlan::new().kill(0, 0.001)));
+    let tel = Telemetry::enabled();
+    let chunks = sio_chunks(&generate_integers(200_000, 3), 16 * 1024);
+    let tuning = gpmr::core::EngineTuning::default();
+    let err = run_job_instrumented(&mut cluster, &SioJob::default(), chunks, &tuning, &tel);
+    assert!(err.is_err(), "the only GPU is lost");
+    let lost_s = tel.snapshot().spans_of("GpuLost").next().unwrap().start_s;
+    assert!(lost_s >= 0.001, "{lost_s}");
+
+    for poll_s in [None, Some(50e-6)] {
+        let cfg = ServiceConfig {
+            gpus: 1,
+            engines: 1,
+            ..ServiceConfig::default()
+        };
+        let mut svc = JobService::new(
+            cfg,
+            vec![TenantConfig::unlimited("t")],
+            Telemetry::disabled(),
+        );
+        let failing = svc.submit(doomed.clone());
+        let behind = svc.submit(JobSpec::new("t", kind));
+        if let Some(step) = poll_s {
+            for i in 0..200 {
+                svc.advance_to(f64::from(i) * step);
+                let failed = matches!(svc.poll(failing), Ok(JobStatus::Failed { .. }));
+                assert_eq!(
+                    failed,
+                    f64::from(i) * step >= lost_s,
+                    "{poll_s:?} at step {i}"
+                );
+            }
+        }
+        svc.drain();
+        let JobStatus::Failed { error } = svc.poll(failing).unwrap() else {
+            panic!("{:?}", svc.poll(failing));
+        };
+        assert!(error.contains("lost"), "{error}");
+        let JobStatus::Completed {
+            started_s, wait_s, ..
+        } = svc.poll(behind).unwrap()
+        else {
+            panic!("{:?}", svc.poll(behind));
+        };
+        assert_eq!(started_s, lost_s, "{poll_s:?}");
+        assert_eq!(wait_s, lost_s, "{poll_s:?}");
+        assert_eq!(svc.stats().failed, 1);
+    }
+}
+
+/// A job with no input has a zero makespan: it completes, and frees its
+/// slot, at its dispatch instant, even when the clock is advanced past
+/// that instant before the end of job setup.
+#[test]
+fn an_empty_job_completes_where_it_starts() {
+    let cfg = ServiceConfig {
+        engines: 1,
+        ..ServiceConfig::default()
+    };
+    let mut svc = JobService::new(
+        cfg,
+        vec![TenantConfig::unlimited("t")],
+        Telemetry::disabled(),
+    );
+    let kind = |n| JobKind::Sio {
+        n,
+        seed: 1,
+        chunk_kb: 16,
+    };
+    let empty = svc.submit(JobSpec::new("t", kind(0)));
+    let behind = svc.submit(JobSpec::new("t", kind(4_000)));
+    svc.advance_to(1e-4);
+    assert!(matches!(
+        svc.poll(empty).unwrap(),
+        JobStatus::Completed {
+            started_s: 0.0,
+            finished_s: 0.0,
+            ..
+        }
+    ));
+    assert!(matches!(
+        svc.poll(behind).unwrap(),
+        JobStatus::Running { started_s: 0.0 }
+    ));
 }

@@ -67,7 +67,7 @@ fn any(line: &str, needles: &[&str]) -> bool {
 const RULES: &[Rule] = &[
     Rule { roots: TREE, example: "let r = sio_journaled(&mut cluster, input, &mut journal);",
         hits: |l| l.contains("run_job_controlled") || (l.contains("_journaled(") && !l.contains("run_job_journaled(")),
-        reason: "PR 13: one engine entry point; a journal or a stop rides in `RunOpts`", ..ABSENT },
+        reason: "one engine entry point; a journal rides in `RunOpts`", ..ABSENT },
     Rule { roots: &["crates", "src", "examples"], text: Code, hits: |l| l.contains("env::var"),
         reason: "PRs 13, 21, 25: no environment variable picks a path, tunes the sort, sizes a pool or scales a run",
         example: r#"std::env::var("GPMR_SCALE")"#, ..ABSENT },
@@ -112,6 +112,15 @@ const RULES: &[Rule] = &[
     Rule { roots: TREE, hits: |l| any(l, &["fn deserialize", "read_slice", "JournalSummary"]),
         reason: "one journal record table: nothing decodes a chunk's bytes, and no second fold reads the records",
         example: "fn deserialize(bytes: &[u8]) -> Self {", ..ABSENT },
+    Rule { roots: &["crates", "src", "tests", "examples"], hits: |l| any(l, &["RunControl", "stop_at"]),
+        reason: "a stop is `Run::step_until` then `Run::cancel` on the live run, not a control the run reads",
+        example: "control: RunControl::stop_at(t),", ..ABSENT },
+    Rule { roots: &["crates/service/src"], text: Code, hits: |l| l.contains("run_job"),
+        reason: "the service keeps every pass live: it runs no job to completion, and re-runs none to stop it",
+        example: "let result = run_job_with(cluster, job, chunks, opts);", ..ABSENT },
+    Rule { roots: &["crates/service/src"], text: Code, hits: |l| l.contains("Run::new("), want: Exactly(1),
+        reason: "one function sets every pass's run up, solo or batched, once, at dispatch",
+        example: "let run = Run::new(cluster, &job, chunks, opts)?;", ..ABSENT },
 ];
 
 /// The files `rule` reads, relative to the package root.

@@ -11,7 +11,7 @@ use gpmr::apps::sio::{generate_integers, sio_chunks, SioMode};
 use gpmr::apps::table::{self, dictionary_words, AppInput};
 use gpmr::apps::Benchmark;
 use gpmr::core::{
-    run_job_with, run_rounds, EngineError, EngineResult, EngineTuning, Journal, RunControl, RunOpts,
+    run_job_with, run_rounds, EngineError, EngineResult, EngineTuning, Journal, Run, RunOpts,
 };
 use gpmr::prelude::*;
 use gpmr::service::{run_script, ServiceConfig};
@@ -61,13 +61,15 @@ fn every_recorded_kind_is_in_the_table_and_every_row_is_recorded() {
     run_sio(8, faults, SioMode::Plain, opts()).expect("survivors finish the job");
     run_sio(5, "add:4@1e-4", SioMode::Plain, opts()).expect("elastic run");
     // A caller's stop.
-    let stopping = RunOpts {
-        control: RunControl::stop_at(SimTime::from_secs(2e-4)),
-        ..opts()
-    };
-    let stopped = run_sio(4, "", SioMode::Plain, stopping);
+    let mut cluster = Cluster::accelerator(4, GpuSpec::gt200());
+    let (job, stop) = (SioJob::default(), SimTime::from_secs(2e-4));
+    let chunks = sio_chunks(&generate_integers(100_000, 7), CHUNK_BYTES / 4);
+    let mut run = Run::new(&mut cluster, &job, chunks, &mut opts()).expect("run starts");
+    run.step_until(&mut cluster, &job, None, stop)
+        .expect("steps");
+    let stopped = run.cancel(&mut cluster, stop);
     assert!(
-        matches!(stopped, Err(EngineError::Cancelled { .. })),
+        matches!(stopped, EngineError::Cancelled { .. }),
         "{stopped:?}"
     );
     // A multi-round job on the round driver.

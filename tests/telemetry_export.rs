@@ -39,6 +39,32 @@ fn run_instrumented(plan: Option<FaultPlan>) -> (TelemetrySnapshot, JobTimings) 
     (tel.snapshot(), result.timings)
 }
 
+/// A run without telemetry detaches the cluster from the previous run's
+/// handle: a recording does not grow when a plain run follows it on the
+/// same cluster (it used to gain the plain run's device and fabric
+/// samples, 43 growing to 81).
+#[test]
+fn a_plain_run_records_nothing_into_the_previous_runs_handle() {
+    let data = sio::generate_integers(20_000, 5);
+    let mut cluster = Cluster::accelerator(RANKS, GpuSpec::gt200());
+    let tel = Telemetry::enabled();
+    let (job, tuning) = (SioJob::default(), EngineTuning::default());
+    run_job_instrumented(
+        &mut cluster,
+        &job,
+        sio_chunks(&data, 16 * 1024),
+        &tuning,
+        &tel,
+    )
+    .expect("instrumented run");
+    let recorded = export::to_jsonl(&tel.snapshot());
+    run_job(&mut cluster, &job, sio_chunks(&data, 16 * 1024)).expect("plain run");
+    assert!(
+        export::to_jsonl(&tel.snapshot()) == recorded,
+        "the plain run recorded into the first run's handle"
+    );
+}
+
 #[test]
 fn every_chunk_has_upload_map_download_spans() {
     let (snap, timings) = run_instrumented(None);
