@@ -18,6 +18,22 @@ const WO: &str = "--benchmark wo --size 60000 --scale 64";
 const KMC: &str = "--benchmark kmc --size 20000";
 const LR: &str = "--benchmark lr --size 30000";
 
+/// What `analyze … --gpus 4 --json` prints for four benchmarks.
+const ANALYZED: [(&str, (usize, u64)); 4] = [
+    (SIO, (1401, 0x618d_364d_7017_c0cc)),
+    (WO, (1383, 0xe1a5_0110_35f7_aadd)),
+    (KMC, (1406, 0xa1e6_bd81_c47d_b1eb)),
+    (LR, (1277, 0x5a81_6805_a346_3c76)),
+];
+
+fn digest(bytes: &[u8]) -> (usize, u64) {
+    (bytes.len(), fnv1a(bytes))
+}
+
+fn workload(name: &str) -> String {
+    format!("{}/workloads/{name}", env!("CARGO_MANIFEST_DIR"))
+}
+
 fn json_makespan(json: &str) -> f64 {
     let parsed = gpmr::telemetry::json::parse(json).expect("analyze --json parses");
     let makespan = parsed.get("makespan_s").and_then(|m| m.as_f64());
@@ -62,31 +78,18 @@ fn cli_bytes_match_the_build_before_the_app_table() {
             format!("run {SIO} --gpus 4 --pipeline-depth 1 --gpu-direct"),
             (232, 0xa5a7_1fa0_568e_d691),
         ),
-        // Without skew flags `analyze` always ran what `run` runs; with
-        // them it ran the unflagged job, so those bytes changed on purpose
-        // and `analyze_runs_the_job_run_runs` pins them instead.
-        (
-            format!("analyze {SIO} --gpus 4 --json"),
-            (1401, 0x618d_364d_7017_c0cc),
-        ),
-        (
-            format!("analyze {WO} --gpus 4 --json"),
-            (1383, 0xe1a5_0110_35f7_aadd),
-        ),
-        (
-            format!("analyze {KMC} --gpus 4 --json"),
-            (1406, 0xa1e6_bd81_c47d_b1eb),
-        ),
-        (
-            format!("analyze {LR} --gpus 4 --json"),
-            (1277, 0x5a81_6805_a346_3c76),
-        ),
     ];
+    // Without skew flags `analyze` always ran what `run` runs; with them
+    // it ran the unflagged job, so those bytes changed on purpose and
+    // `analyze_runs_the_job_run_runs` pins them instead.
+    let cases = cases.into_iter().chain(
+        ANALYZED.map(|(bench, expect)| (format!("analyze {bench} --gpus 4 --json"), expect)),
+    );
     let mut drifted = Vec::new();
-    for (line, expect) in &cases {
+    for (line, expect) in cases {
         let out = dispatch(line.split(' ')).unwrap_or_else(|e| panic!("{line}: {e}"));
         let got = (out.len(), fnv1a(out.as_bytes()));
-        if got != *expect {
+        if got != expect {
             drifted.push(format!("{line}: ({}, {:#018x})", got.0, got.1));
         }
     }
@@ -211,8 +214,6 @@ fn paper_bytes_match_the_binaries_they_replace() {
 /// stopped with nothing in flight (8375 bytes, `0x1260_5c61_6169_e340`).
 #[test]
 fn serve_bytes_match_the_service_that_replayed_its_stops() {
-    let workload = |name: &str| format!("{}/workloads/{name}", env!("CARGO_MANIFEST_DIR"));
-    let digest = |bytes: &[u8]| (bytes.len(), fnv1a(bytes));
     let mut drifted = Vec::new();
     let mut check = |what: String, got: (usize, u64), expect: (usize, u64)| {
         if got != expect {
@@ -265,6 +266,100 @@ fn serve_bytes_match_the_service_that_replayed_its_stops() {
     assert!(
         drifted.is_empty(),
         "serve output (len, fnv1a) drifted:\n{}",
+        drifted.join("\n")
+    );
+}
+
+/// Every view of a run, pinned to the run that wrote it: `analyze` of a
+/// `run --events-out` recording prints what `analyze` of the live run
+/// printed (the `ANALYZED` digests), and the SLO report (text, JSON,
+/// HTML) and the final metrics (Prometheus, JSON) of each committed
+/// workload keep their bytes.
+#[test]
+fn every_view_of_a_run_keeps_its_bytes() {
+    let dir = std::env::temp_dir().join("gpmr_cli_golden_views");
+    std::fs::create_dir_all(&dir).unwrap();
+    let at = |file: &str| dir.join(file).display().to_string();
+    let mut drifted = Vec::new();
+    let mut check = |what: String, got: (usize, u64), expect: (usize, u64)| {
+        if got != expect {
+            drifted.push(format!("{what}: ({}, {:#018x})", got.0, got.1));
+        }
+    };
+    for (bench, expect) in ANALYZED {
+        let events = at("events.jsonl");
+        dispatch(format!("run {bench} --gpus 4 --events-out {events}").split(' ')).unwrap();
+        let out = dispatch(["analyze", "--events", &events, "--json"]).unwrap();
+        check(
+            format!("analyze of {bench}"),
+            digest(out.as_bytes()),
+            expect,
+        );
+    }
+    // slo text, JSON and HTML, then metrics Prometheus and JSON.
+    let views = [
+        (
+            "service_demo.wl",
+            [
+                (636, 0xdada_88b8_9fe4_6e23),
+                (1167, 0xbc14_74cd_0fe4_0f0c),
+                (1137, 0x3ebf_03b1_e805_77cf),
+                (3212, 0xef20_5b6a_ae25_16b9),
+                (594, 0xf441_ac38_b984_6df2),
+            ],
+        ),
+        (
+            "slo_overload.wl",
+            [
+                (421, 0x9d67_fc1d_1ed1_205f),
+                (796, 0xb71d_8ab5_ce4e_6f3f),
+                (958, 0xe16b_be22_5a02_8fcb),
+                (2123, 0x796f_b010_3bad_5e0d),
+                (359, 0xe92b_44e6_a3f9_a871),
+            ],
+        ),
+        (
+            "slo_overload_batch.wl",
+            [
+                (421, 0x413c_3652_3b8e_3da9),
+                (783, 0x0530_b5be_1e96_0ecb),
+                (958, 0x96b0_c4c4_725d_b4e3),
+                (2272, 0xcf6a_eacd_bb57_5248),
+                (411, 0xca22_d23b_a8ce_8b72),
+            ],
+        ),
+    ];
+    for (name, expect) in views {
+        let wl = workload(name);
+        let slo = |form: &[&str]| {
+            dispatch([&["slo", "report", "--workload", &wl][..], form].concat()).unwrap()
+        };
+        let metrics = |format: &str| {
+            let line = ["metrics", "export", "--workload", &wl, "--format", format];
+            dispatch(line).unwrap()
+        };
+        let got = [
+            slo(&[]),
+            slo(&["--json"]),
+            slo(&["--html"]),
+            metrics("prom"),
+            metrics("json"),
+        ];
+        let forms = [
+            "slo text",
+            "slo json",
+            "slo html",
+            "metrics prom",
+            "metrics json",
+        ];
+        for ((form, got), expect) in forms.iter().zip(&got).zip(expect) {
+            check(format!("{name} {form}"), digest(got.as_bytes()), expect);
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        drifted.is_empty(),
+        "views (len, fnv1a) drifted:\n{}",
         drifted.join("\n")
     );
 }
