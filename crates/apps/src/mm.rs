@@ -507,8 +507,9 @@ pub fn mm_chunks(
 }
 
 /// Run the full two-phase multiplication on a cluster: the two tasks as
-/// one [`run_rounds`] drive under `opts`' tuning, telemetry and journal
-/// (its `control` belongs to the job service and is not read). The block
+/// one [`run_rounds`] drive under `opts`' tuning, telemetry and journal.
+/// `opts.inputs_resident` is not read: the round driver decides for each
+/// round whether its inputs are already on the devices. The block
 /// sizes control phase-1 chunk granularity in tiles ([`run_mm_auto`]
 /// picks them). Order-0 matrices are rejected with
 /// [`EngineError::InvalidPipeline`].

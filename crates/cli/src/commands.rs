@@ -12,6 +12,7 @@ use gpmr_bench::harness::chunk_bytes_tuned;
 use gpmr_bench::perf as perfsuite;
 use gpmr_bench::{paper, DEFAULT_SCALE};
 use gpmr_core::{EngineError, EngineTuning, JobTimings, Journal, RunOpts};
+use gpmr_service::{render_prometheus, SloReport};
 use gpmr_sim_gpu::{FaultPlan, GpuSpec, PcieLink};
 use gpmr_sim_net::{Cluster, CpuSpec, Nic, Topology};
 use gpmr_telemetry::analyze;
@@ -61,20 +62,15 @@ USAGE:
     gpmr kmeans [--points N] [--k K] [--gpus N] [--iterations I] [--seed S]
                 [--journal F [--resume] [--checkpoint-every N]]
     gpmr analyze --events events.jsonl [--json]
-    gpmr analyze --benchmark <{benchmarks}> [run options] [--json]
     gpmr trace  export --in events.jsonl --out trace.json
     gpmr trace  check  --in trace.json
     gpmr trace  summary --in events.jsonl
-    gpmr perf   record [--out F] [--scale N]
-    gpmr perf   diff --baseline F [--against F] [--tolerance T] [--json]
+    gpmr perf   record --out F [--scale N]
+    gpmr perf   diff --baseline F --against F [--tolerance T] [--json]
     gpmr serve  --workload FILE [--gpus N] [--engines N] [--queue-depth N]
                 [--batch-window S] [--batch-max N] [--slo-target T]
-                [--alerts RULES] [--flight-dir DIR]
+                [--alerts RULES] [--flight-dir DIR] [--slo-out F]
                 [--metrics-out F] [--trace-out F] [--events-out F]
-    gpmr slo    report --workload FILE [serve options] [--json | --html]
-                [--out F]
-    gpmr metrics export --workload FILE [serve options]
-                [--format prom|json] [--out F]
     gpmr paper  table1 [--scale N]
     gpmr paper  table2 [--scale N]
     gpmr paper  table3 [--scale N]
@@ -105,8 +101,11 @@ RUN OPTIONS:
                   rank; 1 disables pipelining             [default: 4; 1..=64]
     --gpu-direct  shuffle pairs GPU-to-GPU over the fabric instead of
                   bouncing through host staging buffers
-    --metrics-out write a metrics snapshot to F (JSON when F ends in
-                  .json, text otherwise)
+    --metrics-out write a metrics snapshot to F: JSON when F ends in
+                  .json, Prometheus text exposition (counters, gauges,
+                  histogram _bucket/_sum/_count series; under serve also
+                  labeled per-tenant SLO gauges) when it ends in .prom,
+                  text otherwise
     --trace-out   write a Chrome/Perfetto trace-event JSON to F
                   (open in https://ui.perfetto.dev)
     --events-out  write the raw telemetry stream (spans, counter samples,
@@ -136,10 +135,10 @@ ANALYZE:
     Performance diagnosis: critical-path extraction with per-stage
     attribution, per-rank busy/blocked/idle breakdown, imbalance score,
     map/send overlap, and named findings (stragglers, poor overlap,
-    sort-bound jobs, transfer-retry hotspots). Reads a recorded
-    --events-out JSONL stream (--events F) or runs a benchmark live
-    (--benchmark plus the RUN OPTIONS above, --trace aside). --json
-    emits the machine-readable twin of the report.
+    sort-bound jobs, transfer-retry hotspots) of the JSONL stream that
+    `gpmr run --events-out F` or `gpmr serve --events-out F` recorded
+    (--events F, required). --json emits the machine-readable twin of
+    the report.
 
 TRACE SUBCOMMAND:
     export        convert a --events-out JSONL stream to Perfetto JSON
@@ -173,33 +172,23 @@ SERVE:
     --flight-dir  keep a flight-recorder ring and write a Perfetto
                   postmortem trace into DIR on every deadline miss,
                   GPU loss, cancellation, and alert firing
-
-SLO SUBCOMMAND:
-    report        run a workload and print the per-tenant SLO report:
-                  deadline hit/miss/cancel/fail rates, queue-wait and
-                  end-to-end latency percentiles (p50/p95/p99),
-                  GPU-seconds burnt, and the error-budget verdict
-                  against --slo-target. --json emits the machine-
-                  readable twin, --html a self-contained page; --out
-                  writes to a file instead of stdout.
-
-METRICS SUBCOMMAND:
-    export        run a workload and export its final metrics snapshot.
-                  --format prom renders Prometheus text exposition
-                  (counters, gauges, histogram _bucket/_sum/_count
-                  series, and labeled per-tenant SLO gauges); --format
-                  json the raw snapshot                [default: prom]
+    --slo-out     write the per-tenant SLO report to F: deadline
+                  hit/miss/cancel/fail rates, queue-wait and end-to-end
+                  latency percentiles (p50/p95/p99), GPU-seconds burnt,
+                  and the error-budget verdict against --slo-target. JSON
+                  when F ends in .json, a self-contained page for .html,
+                  the text serve prints otherwise
 
 PERF SUBCOMMAND:
     record        run the WO+SIO gate suite — 1/4/8 ranks plus the
                   GPU-direct and pipelining-off variants at 8 ranks —
-                  and write the baseline set (--out, default
-                  BENCH_PR6.json; --scale, default 64)
-    diff          compare against a recorded baseline set. With --against
-                  it diffs two recordings; otherwise it re-runs the suite
-                  live at the baseline's scale. Exits non-zero when the
-                  makespan regresses beyond the tolerance (--tolerance,
-                  default: the baseline file's, ±10%).
+                  and write the baseline set to --out (required;
+                  --scale, default 64)
+    diff          compare two recorded baseline sets, --baseline and
+                  --against. Exits non-zero when the makespan regresses
+                  beyond the tolerance (--tolerance, default: the
+                  baseline file's, ±10%) or the sets were recorded at
+                  different scales.
 
 PAPER SUBCOMMAND:
     Regenerates the paper's evaluation (§6), one artifact per mode:
@@ -258,7 +247,6 @@ const fn flag(name: &'static str, kind: Kind) -> Flag {
 
 const SEED: Flag = flag("seed", Uint(0, u64::MAX));
 const SCALE: Flag = flag("scale", Uint(0, u64::MAX));
-const EVENTS: Flag = flag("events", Text);
 const JSON: Flag = flag("json", Switch);
 const IN: Flag = flag("in", Text);
 const OUT: Flag = flag("out", Text);
@@ -266,7 +254,7 @@ const CSV: Flag = flag("csv", Switch);
 
 /// Read by every command that builds a cluster.
 pub const CLUSTER: &[Flag] = &[flag("gpus", Uint(1, SLOTS))];
-/// `run`'s options, which `analyze` shares: the job and its engine tuning.
+/// `run`'s options: the job and its engine tuning.
 pub const RUN: &[Flag] = &[
     flag("benchmark", Text),
     flag("size", Uint(0, ELEMS)),
@@ -291,7 +279,7 @@ pub const JOURNAL: &[Flag] = &[
     flag("resume", Switch),
     flag("checkpoint-every", Uint(1, u32::MAX as u64)),
 ];
-/// The job service, for `serve`, `slo report` and `metrics export`.
+/// The job service.
 pub const SERVICE: &[Flag] = &[
     flag("workload", Text),
     flag("engines", Uint(0, SLOTS)),
@@ -356,17 +344,17 @@ pub const COMMANDS: &[Command] = &[
         &[CLUSTER, RUN, OUTPUTS, JOURNAL, &[flag("trace", Switch)]],
         cmd_run,
     ),
-    row(
-        "analyze",
-        "",
-        &[CLUSTER, RUN, OUTPUTS, JOURNAL, &[EVENTS, JSON]],
-        cmd_analyze,
-    ),
+    row("analyze", "", &[&[flag("events", Text), JSON]], cmd_analyze),
     row("kmeans", "", &[CLUSTER, JOURNAL, KMEANS], cmd_kmeans),
     row(
         "serve",
         "",
-        &[CLUSTER, SERVICE, OUTPUTS, &[flag("flight-dir", Text)]],
+        &[
+            CLUSTER,
+            SERVICE,
+            OUTPUTS,
+            &[flag("flight-dir", Text), flag("slo-out", Text)],
+        ],
         cmd_serve,
     ),
     row("info", "", &[CLUSTER], cmd_info),
@@ -375,18 +363,6 @@ pub const COMMANDS: &[Command] = &[
     row("trace", "summary", &[&[IN]], trace_summary),
     row("perf", "record", &[&[OUT, SCALE]], perf_record),
     row("perf", "diff", &[PERF_DIFF], perf_diff),
-    row(
-        "slo",
-        "report",
-        &[CLUSTER, SERVICE, &[JSON, flag("html", Switch), OUT]],
-        slo_report,
-    ),
-    row(
-        "metrics",
-        "export",
-        &[CLUSTER, SERVICE, &[flag("format", Text), OUT]],
-        metrics_export,
-    ),
     row("paper", "table1", &[&[SCALE]], |a| {
         Ok(paper::table1(scale(a)))
     }),
@@ -543,10 +519,19 @@ fn journal_line(out: &mut String, journal: &Option<Journal>) {
     }
 }
 
-fn write_outputs(out: &mut String, snap: &TelemetrySnapshot, args: &Args) -> Result<(), CliError> {
+/// Write the `--metrics-out`, `--trace-out` and `--events-out` files of a
+/// run; a `.prom` metrics file carries `slo`'s per-tenant gauges.
+fn write_outputs(
+    out: &mut String,
+    snap: &TelemetrySnapshot,
+    slo: Option<&SloReport>,
+    args: &Args,
+) -> Result<(), CliError> {
     if let Some(path) = args.get("metrics-out") {
         let text = if path.ends_with(".json") {
             snap.metrics.to_json()
+        } else if path.ends_with(".prom") {
+            render_prometheus(&snap.metrics, slo)
         } else {
             snap.metrics.render_text()
         };
@@ -572,14 +557,14 @@ fn required<'a>(args: &'a Args, command: &str, key: &str) -> Result<&'a str, Cli
         .ok_or_else(|| CliError::Invalid(format!("{command} needs --{key} <file>")))
 }
 
-/// The recording a `trace` mode reads from `--in`.
-fn recorded_snapshot(args: &Args) -> Result<TelemetrySnapshot, CliError> {
-    let input = required(args, "trace", "in")?;
+/// The recording `command` reads from the file its flag `key` names.
+fn recorded_snapshot(args: &Args, command: &str, key: &str) -> Result<TelemetrySnapshot, CliError> {
+    let input = required(args, command, key)?;
     export::snapshot_from_jsonl(&read_file(input)?).map_err(CliError::Invalid)
 }
 
 fn trace_export(args: &Args) -> Result<String, CliError> {
-    let snap = recorded_snapshot(args)?;
+    let snap = recorded_snapshot(args, "trace", "in")?;
     let out_path = required(args, "trace export", "out")?;
     write_file(out_path, &export::to_perfetto_json(&snap))?;
     Ok(format!(
@@ -602,7 +587,7 @@ fn trace_check(args: &Args) -> Result<String, CliError> {
 }
 
 fn trace_summary(args: &Args) -> Result<String, CliError> {
-    Ok(export::summary_report(&recorded_snapshot(args)?).render_text())
+    Ok(export::summary_report(&recorded_snapshot(args, "trace", "in")?).render_text())
 }
 
 /// Apply `--fault-plan`/`--fault-seed` to a freshly built cluster.
@@ -623,28 +608,9 @@ fn gpus_from_args(args: &Args) -> u32 {
     args.num("gpus").unwrap_or(4)
 }
 
-/// `gpmr analyze`: performance diagnosis over a recorded JSONL stream or a
-/// live run — `gpmr run`'s own path with telemetry forced on, so every
-/// run option means here what it means there.
+/// `gpmr analyze`: performance diagnosis of a recorded JSONL stream.
 fn cmd_analyze(args: &Args) -> Result<String, CliError> {
-    // The two forms share a row; a recording takes no run option.
-    let mut run_options = [CLUSTER, RUN, OUTPUTS, JOURNAL].into_iter().flatten();
-    let live = run_options.any(|flag| args.flag(flag.name));
-    let snap = match (args.get("events"), args.get("benchmark")) {
-        (Some(path), None) if !live => {
-            export::snapshot_from_jsonl(&read_file(path)?).map_err(CliError::Invalid)?
-        }
-        (None, Some(_)) => run_benchmark(args, true)?
-            .1
-            .expect("an analyzed run records telemetry"),
-        _ => {
-            return Err(CliError::Invalid(format!(
-                "analyze needs exactly one of --events <file.jsonl> or --benchmark <{}>",
-                bench_names().join("|")
-            )))
-        }
-    };
-    let analysis = analyze::analyze(&snap);
+    let analysis = analyze::analyze(&recorded_snapshot(args, "analyze", "events")?);
     Ok(if args.flag("json") {
         analysis.to_json()
     } else {
@@ -659,7 +625,7 @@ fn scale(args: &Args) -> u64 {
 
 /// `gpmr perf record`: run the gate suite and write its baseline set.
 fn perf_record(args: &Args) -> Result<String, CliError> {
-    let out_path = args.get("out").unwrap_or("BENCH_PR6.json");
+    let out_path = required(args, "perf record", "out")?;
     let scale = scale(args);
     let mut out = format!("recording perf baselines (scale {scale})\n");
     let set = perfsuite::record_suite(scale, |b, a| {
@@ -677,40 +643,24 @@ fn perf_record(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `gpmr perf diff`: compare a recorded baseline set against another
-/// recording or a live re-run.
+/// `gpmr perf diff`: compare a recorded baseline set against another.
 fn perf_diff(args: &Args) -> Result<String, CliError> {
     let base_path = required(args, "perf diff", "baseline")?;
-    let old = BaselineSet::from_json(&read_file(base_path)?).map_err(CliError::Invalid)?;
+    let new_path = required(args, "perf diff", "against")?;
+    let read = |path| BaselineSet::from_json(&read_file(path)?).map_err(CliError::Invalid);
+    let (old, new) = (read(base_path)?, read(new_path)?);
     let default_tol = if old.tolerance > 0.0 {
         old.tolerance
     } else {
         perfsuite::DEFAULT_TOLERANCE
     };
     let tolerance: f64 = args.num("tolerance").unwrap_or(default_tol);
-    let (new, provenance) = match args.get("against") {
-        Some(path) => (
-            BaselineSet::from_json(&read_file(path)?).map_err(CliError::Invalid)?,
-            format!("recorded set {path}"),
-        ),
-        None => {
-            let scale = if old.scale > 0 {
-                old.scale
-            } else {
-                DEFAULT_SCALE
-            };
-            (
-                perfsuite::record_suite(scale, |_, _| {}),
-                format!("live re-run at scale {scale}"),
-            )
-        }
-    };
     let report = diff_sets(&old, &new, tolerance);
     let body = if args.flag("json") {
         report.to_json()
     } else {
         format!(
-            "comparing {base_path} against {provenance}\n{}",
+            "comparing {base_path} against recorded set {new_path}\n{}",
             report.render_text()
         )
     };
@@ -720,10 +670,6 @@ fn perf_diff(args: &Args) -> Result<String, CliError> {
     } else {
         Ok(body)
     }
-}
-
-fn cmd_run(args: &Args) -> Result<String, CliError> {
-    Ok(run_benchmark(args, false)?.0)
 }
 
 /// `--partition` and `--zipf`: whether to shuffle through sampled range
@@ -748,14 +694,10 @@ fn skew_from_args(args: &Args, bench: Benchmark) -> Result<(bool, Option<f64>), 
     Ok((range_partition, zipf))
 }
 
-/// Run the benchmark the arguments name: the report `gpmr run` prints,
-/// and the telemetry recording when one was made — always under
-/// `analyze`, otherwise when the Gantt chart or an output file needs it
-/// (telemetry off costs nothing).
-fn run_benchmark(
-    args: &Args,
-    analyze: bool,
-) -> Result<(String, Option<TelemetrySnapshot>), CliError> {
+/// `gpmr run`: run the benchmark the arguments name and report it,
+/// recording telemetry only when the Gantt chart or an output file needs
+/// it (telemetry off costs nothing).
+fn cmd_run(args: &Args) -> Result<String, CliError> {
     let name = args.get("benchmark").ok_or_else(|| {
         CliError::Invalid(format!(
             "run needs --benchmark <{}>",
@@ -794,7 +736,7 @@ fn run_benchmark(
         )
     });
     let chunk_bytes = chunk_bytes_tuned(input.bytes(), gpus, scale, tuning.pipeline_depth);
-    let tel = if analyze || want_trace || wants_outputs(args) {
+    let tel = if want_trace || wants_outputs(args) {
         Telemetry::enabled()
     } else {
         Telemetry::disabled()
@@ -827,15 +769,15 @@ fn run_benchmark(
             model.slope, model.intercept, model.correlation
         ));
     }
-    let snap = tel.is_enabled().then(|| tel.snapshot());
-    if let Some(snap) = &snap {
-        write_outputs(&mut out, snap, args)?;
+    if tel.is_enabled() {
+        let snap = tel.snapshot();
+        write_outputs(&mut out, &snap, None, args)?;
         if want_trace {
             out.push('\n');
-            out.push_str(&export::gantt(snap, gpus, 100));
+            out.push_str(&export::gantt(&snap, gpus, 100));
         }
     }
-    Ok((out, snap))
+    Ok(out)
 }
 
 fn cmd_kmeans(args: &Args) -> Result<String, CliError> {
@@ -886,8 +828,8 @@ fn cmd_kmeans(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// The service + observability config shared by `serve`, `slo report`,
-/// and `metrics export`: cluster/queue/batch knobs plus `--slo-target`,
+/// The service + observability config of `serve`: cluster/queue/batch
+/// knobs plus `--slo-target`,
 /// `--alerts`, and a flight ring when `--flight-dir` is given.
 fn service_cfg_from_args(args: &Args) -> Result<gpmr_service::ServiceConfig, CliError> {
     use gpmr_service::{ObsConfig, ServiceConfig, SloPolicy};
@@ -910,32 +852,24 @@ fn service_cfg_from_args(args: &Args) -> Result<gpmr_service::ServiceConfig, Cli
             alerts,
             flight_capacity: if args.flag("flight-dir") { 4096 } else { 0 },
             slo: SloPolicy { deadline_target },
-            ..ObsConfig::default()
         },
         ..default
     })
 }
 
-/// Run the `--workload` script through a [`gpmr_service::JobService`].
-/// `need_tel` forces an enabled telemetry handle (windowed series and
-/// alert evaluation feed off the metrics registry).
-fn run_service_workload(
-    args: &Args,
-    label: &str,
-    need_tel: bool,
-) -> Result<(gpmr_service::JobService, Vec<String>), CliError> {
-    let script = read_file(required(args, label, "workload")?)?;
+/// `gpmr serve`: run the `--workload` script through a
+/// [`gpmr_service::JobService`], with telemetry on when an output file or
+/// an alert rule (which reads the windowed series) needs it.
+fn cmd_serve(args: &Args) -> Result<String, CliError> {
+    let script = read_file(required(args, "serve", "workload")?)?;
     let cfg = service_cfg_from_args(args)?;
-    let tel = if need_tel || !cfg.obs.alerts.is_empty() {
+    let tel = if wants_outputs(args) || !cfg.obs.alerts.is_empty() {
         Telemetry::enabled()
     } else {
         Telemetry::disabled()
     };
-    gpmr_service::run_script(&script, cfg, tel).map_err(|e| CliError::Invalid(e.to_string()))
-}
-
-fn cmd_serve(args: &Args) -> Result<String, CliError> {
-    let (svc, lines) = run_service_workload(args, "serve", wants_outputs(args))?;
+    let (svc, lines) = gpmr_service::run_script(&script, cfg, tel)
+        .map_err(|e| CliError::Invalid(e.to_string()))?;
     let mut out = String::new();
     for line in lines {
         out.push_str(&line);
@@ -958,52 +892,22 @@ fn cmd_serve(args: &Args) -> Result<String, CliError> {
             out.push_str(&format!("postmortem     : written to {path}\n"));
         }
     }
+    let slo = svc.slo_report();
+    if let Some(path) = args.get("slo-out") {
+        let text = if path.ends_with(".json") {
+            slo.to_json()
+        } else if path.ends_with(".html") {
+            slo.render_html()
+        } else {
+            slo.render_text()
+        };
+        write_file(path, &text)?;
+        out.push_str(&format!("slo            : written to {path}\n"));
+    }
     if wants_outputs(args) {
-        write_outputs(&mut out, &svc.telemetry().snapshot(), args)?;
+        write_outputs(&mut out, &svc.telemetry().snapshot(), Some(&slo), args)?;
     }
     Ok(out)
-}
-
-/// Render to stdout or, with `--out`, to a file.
-fn emit_report(args: &Args, label: &str, body: String) -> Result<String, CliError> {
-    match args.get("out") {
-        Some(path) => {
-            write_file(path, &body)?;
-            Ok(format!("{label} written to {path}\n"))
-        }
-        None => Ok(body),
-    }
-}
-
-/// `gpmr slo report`: per-tenant SLO accounting over a workload.
-fn slo_report(args: &Args) -> Result<String, CliError> {
-    let (svc, _) = run_service_workload(args, "slo report", false)?;
-    let report = svc.slo_report();
-    let body = if args.flag("json") {
-        report.to_json()
-    } else if args.flag("html") {
-        report.render_html()
-    } else {
-        report.render_text()
-    };
-    emit_report(args, "slo report", body)
-}
-
-/// `gpmr metrics export`: the final metrics snapshot of a workload run,
-/// as Prometheus text exposition or raw JSON.
-fn metrics_export(args: &Args) -> Result<String, CliError> {
-    let (svc, _) = run_service_workload(args, "metrics export", true)?;
-    let snap = svc.telemetry().snapshot();
-    let body = match args.get("format").unwrap_or("prom") {
-        "prom" => gpmr_service::render_prometheus(&snap.metrics, Some(&svc.slo_report())),
-        "json" => snap.metrics.to_json(),
-        other => {
-            return Err(CliError::Invalid(format!(
-                "unknown --format {other:?}; expected prom or json"
-            )))
-        }
-    };
-    emit_report(args, "metrics", body)
 }
 
 fn cmd_info(args: &Args) -> Result<String, CliError> {
@@ -1364,48 +1268,12 @@ mod tests {
     }
 
     #[test]
-    fn analyze_live_run_reports_bounding_stage() {
-        let out = run(&[
-            "analyze",
-            "--benchmark",
-            "sio",
-            "--gpus",
-            "2",
-            "--size",
-            "20000",
-        ])
-        .unwrap();
-        assert!(out.contains("performance analysis"), "{out}");
-        assert!(out.contains("bounding stage:"), "{out}");
-        assert!(out.contains("rank 0:"), "{out}");
-        assert!(out.contains("imbalance"), "{out}");
-    }
-
-    #[test]
-    fn analyze_json_output_parses() {
-        let out = run(&[
-            "analyze",
-            "--benchmark",
-            "sio",
-            "--gpus",
-            "2",
-            "--size",
-            "20000",
-            "--json",
-        ])
-        .unwrap();
-        let v = gpmr_telemetry::json::parse(&out).unwrap();
-        assert!(v.get("makespan_s").and_then(|m| m.as_f64()).unwrap() > 0.0);
-        assert!(v.get("bounding_stage").is_some());
-        assert!(v.get("findings").is_some());
-    }
-
-    #[test]
-    fn analyze_events_file_matches_live_schema() {
+    fn analyze_reads_a_recording() {
         let dir = std::env::temp_dir().join("gpmr_cli_analyze_test");
         std::fs::create_dir_all(&dir).unwrap();
         let events = dir.join("events.jsonl");
-        run(&[
+        let events = events.to_str().unwrap();
+        let sio = [
             "run",
             "--benchmark",
             "sio",
@@ -1413,32 +1281,29 @@ mod tests {
             "2",
             "--size",
             "20000",
-            "--events-out",
-            events.to_str().unwrap(),
-        ])
-        .unwrap();
-        let out = run(&["analyze", "--events", events.to_str().unwrap()]).unwrap();
+        ];
+        run(&[&sio[..], &["--events-out", events]].concat()).unwrap();
+        let out = run(&["analyze", "--events", events]).unwrap();
+        assert!(out.contains("performance analysis"), "{out}");
         assert!(out.contains("bounding stage:"), "{out}");
         assert!(out.contains("critical path:"), "{out}");
+        assert!(out.contains("rank 0:"), "{out}");
+        assert!(out.contains("imbalance"), "{out}");
+
+        let json = run(&["analyze", "--events", events, "--json"]).unwrap();
+        let v = gpmr_telemetry::json::parse(&json).unwrap();
+        assert!(v.get("makespan_s").and_then(|m| m.as_f64()).unwrap() > 0.0);
+        assert!(v.get("bounding_stage").is_some());
+        assert!(v.get("findings").is_some());
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn analyze_validates_usage() {
         let err = run(&["analyze"]).unwrap_err();
-        assert!(err.to_string().contains("--events"), "{err}");
-        // A recording takes no run option: neither form, so neither runs.
-        for option in [
-            &["--benchmark", "sio"][..],
-            &["--gpus", "2"],
-            &["--gpu-direct"],
-        ] {
-            let line = [&["analyze", "--events", "/nonexistent.jsonl"][..], option].concat();
-            let err = run(&line).unwrap_err().to_string();
-            assert!(err.contains("analyze needs exactly one of"), "{err}");
-        }
-        let err = run(&["analyze", "--benchmark", "sio", "--trace"]).unwrap_err();
-        assert_eq!(err.to_string(), "unknown option --trace for `gpmr analyze`");
+        assert_eq!(err.to_string(), "analyze needs --events <file>");
+        let err = run(&["analyze", "--events", "/nonexistent/gpmr.jsonl"]).unwrap_err();
+        assert!(err.to_string().contains("cannot read"), "{err}");
     }
 
     #[test]
@@ -1491,23 +1356,15 @@ mod tests {
     }
 
     #[test]
-    fn perf_diff_reruns_live_and_reproduces_exactly() {
-        let dir = std::env::temp_dir().join("gpmr_cli_perf_live_test");
+    fn perf_record_twice_diffs_to_zero() {
+        let dir = std::env::temp_dir().join("gpmr_cli_perf_twice_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let base = dir.join("base.json");
-        run(&[
-            "perf",
-            "record",
-            "--scale",
-            "4096",
-            "--out",
-            base.to_str().unwrap(),
-        ])
-        .unwrap();
-        // No --against: the suite re-runs live at the recorded scale. The
-        // sim is deterministic, so an unchanged tree matches bit-exactly.
-        let diffed = run(&["perf", "diff", "--baseline", base.to_str().unwrap()]).unwrap();
-        assert!(diffed.contains("live re-run at scale 4096"), "{diffed}");
+        let [old, new] = ["old.json", "new.json"].map(|f| dir.join(f).display().to_string());
+        for out in [&old, &new] {
+            run(&["perf", "record", "--scale", "4096", "--out", out]).unwrap();
+        }
+        // The sim is deterministic, so an unchanged tree matches bit-exactly.
+        let diffed = run(&["perf", "diff", "--baseline", &old, "--against", &new]).unwrap();
         assert!(diffed.contains("verdict: PASS"), "{diffed}");
         for line in diffed.lines().filter(|l| l.contains("makespan_ns")) {
             assert!(
@@ -1532,6 +1389,12 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("--baseline"));
+        // Both sides of a diff and the file a recording goes to are named:
+        // nothing re-runs the suite or writes a default file.
+        let err = run(&["perf", "diff", "--baseline", "BENCH_PR6.json"]).unwrap_err();
+        assert_eq!(err.to_string(), "perf diff needs --against <file>");
+        let err = run(&["perf", "record", "--scale", "4096"]).unwrap_err();
+        assert_eq!(err.to_string(), "perf record needs --out <file>");
     }
 
     #[test]
@@ -1748,12 +1611,37 @@ mod tests {
     }
 
     #[test]
-    fn slo_report_text_json_and_html() {
-        let text = run(&["slo", "report", "--workload", DEMO_WL]).unwrap();
+    fn serve_writes_slo_reports_and_metrics() {
+        let dir = std::env::temp_dir().join("gpmr_cli_serve_views_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let at = |file: &str| dir.join(file).display().to_string();
+        let serve = |slo: &str, metrics: &str| {
+            let line = ["serve", "--workload", DEMO_WL, "--slo-out", slo];
+            let out = run(&[&line[..], &["--metrics-out", metrics]].concat()).unwrap();
+            assert!(out.contains(&format!("slo            : written to {slo}")));
+            assert!(out.contains(&format!("metrics        : written to {metrics}")));
+            let read = |path| std::fs::read_to_string(path).unwrap();
+            (read(slo), read(metrics))
+        };
+
+        let (text, prom) = serve(&at("slo.txt"), &at("metrics.prom"));
         assert!(text.contains("slo tenant bob"), "{text}");
         assert!(text.contains("budget="), "{text}");
+        assert!(
+            prom.contains("# TYPE gpmr_service_jobs_completed counter"),
+            "{prom}"
+        );
+        assert!(
+            prom.contains("gpmr_slo_hit_rate{tenant=\"alice\"}"),
+            "{prom}"
+        );
+        assert!(prom.contains("_bucket{le=\"+Inf\"}"), "{prom}");
 
-        let json = run(&["slo", "report", "--workload", DEMO_WL, "--json"]).unwrap();
+        let (json, metrics) = serve(&at("slo.json"), &at("metrics.json"));
+        assert!(gpmr_telemetry::json::parse(&metrics)
+            .unwrap()
+            .get("counters")
+            .is_some());
         let v = gpmr_telemetry::json::parse(&json).unwrap();
         let tenants = v.get("tenants").and_then(|t| t.as_arr()).unwrap();
         assert_eq!(tenants.len(), 3);
@@ -1768,71 +1656,21 @@ mod tests {
                 assert!((sum - 1.0).abs() < 1e-12, "rates sum to {sum}");
             }
         }
+        // A second run writes the same report.
+        assert_eq!(serve(&at("slo.json"), &at("metrics.json")).0, json);
 
-        let html = run(&["slo", "report", "--workload", DEMO_WL, "--html"]).unwrap();
+        let (html, _) = serve(&at("slo.html"), &at("metrics.txt"));
         assert!(html.contains("<html"), "{html}");
         assert!(html.contains("alice"), "{html}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn slo_report_is_deterministic() {
-        let a = run(&["slo", "report", "--workload", DEMO_WL, "--json"]).unwrap();
-        let b = run(&["slo", "report", "--workload", DEMO_WL, "--json"]).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn metrics_export_prom_and_json() {
-        let prom = run(&["metrics", "export", "--workload", DEMO_WL]).unwrap();
-        assert!(
-            prom.contains("# TYPE gpmr_service_jobs_completed counter"),
-            "{prom}"
-        );
-        assert!(
-            prom.contains("gpmr_slo_hit_rate{tenant=\"alice\"}"),
-            "{prom}"
-        );
-        assert!(prom.contains("_bucket{le=\"+Inf\"}"), "{prom}");
-
-        let json = run(&[
-            "metrics",
-            "export",
-            "--workload",
-            DEMO_WL,
-            "--format",
-            "json",
-        ])
-        .unwrap();
-        let v = gpmr_telemetry::json::parse(&json).unwrap();
-        assert!(v.get("counters").is_some());
-    }
-
-    #[test]
-    fn slo_and_metrics_validate_usage() {
-        assert!(run(&["slo"]).unwrap_err().to_string().contains("report"));
-        assert!(run(&["slo", "frob", "--workload", DEMO_WL])
-            .unwrap_err()
-            .to_string()
-            .contains("unknown slo mode"));
-        assert!(run(&["slo", "report"])
+    fn serve_validates_usage() {
+        assert!(run(&["serve"])
             .unwrap_err()
             .to_string()
             .contains("--workload"));
-        assert!(run(&["metrics"])
-            .unwrap_err()
-            .to_string()
-            .contains("export"));
-        assert!(run(&[
-            "metrics",
-            "export",
-            "--workload",
-            DEMO_WL,
-            "--format",
-            "xml"
-        ])
-        .unwrap_err()
-        .to_string()
-        .contains("unknown --format"));
         assert!(
             run(&["serve", "--workload", DEMO_WL, "--slo-target", "1.5"])
                 .unwrap_err()

@@ -95,35 +95,24 @@ impl Default for ServiceConfig {
     }
 }
 
+/// Sliding-window length of the windowed series, simulated seconds.
+const WINDOW_S: f64 = 1.0;
+/// Ring buckets per window (the time resolution of windowed queries).
+const RESOLUTION: usize = 20;
+
 /// Observability configuration. The windowed time-series layer (and with
 /// it the alert engine) is active only when the service's [`Telemetry`]
 /// handle is enabled — disabled telemetry keeps the pre-observability
 /// fast path bit-for-bit. The flight recorder owns its own bounded ring
 /// and works regardless.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ObsConfig {
-    /// Sliding-window length for windowed series, simulated seconds.
-    pub window_s: f64,
-    /// Ring buckets per window (time resolution of windowed queries).
-    pub resolution: usize,
     /// Alert rules evaluated at every event boundary.
     pub alerts: Vec<AlertRule>,
     /// Flight-recorder ring capacity in spans; 0 disables postmortems.
     pub flight_capacity: usize,
     /// Error-budget policy for SLO reports.
     pub slo: SloPolicy,
-}
-
-impl Default for ObsConfig {
-    fn default() -> Self {
-        ObsConfig {
-            window_s: 1.0,
-            resolution: 20,
-            alerts: Vec::new(),
-            flight_capacity: 0,
-            slo: SloPolicy::default(),
-        }
-    }
 }
 
 struct TenantState {
@@ -357,8 +346,9 @@ impl JobService {
         tel.set_track_name(service_track, "service");
         let names: Vec<String> = tenants.iter().map(|t| t.cfg.name.clone()).collect();
         let slo = SloAccountant::new(cfg.obs.slo, &names);
-        let ts = (cfg.obs.window_s > 0.0 && tel.is_enabled())
-            .then(|| TimeSeriesStore::new(cfg.obs.window_s, cfg.obs.resolution));
+        let ts = tel
+            .is_enabled()
+            .then(|| TimeSeriesStore::new(WINDOW_S, RESOLUTION));
         let alert_eng = (ts.is_some() && !cfg.obs.alerts.is_empty())
             .then(|| AlertEngine::new(cfg.obs.alerts.clone()));
         let flight = (cfg.obs.flight_capacity > 0).then(|| {

@@ -238,8 +238,8 @@ fn opt_s(v: Option<f64>) -> String {
 }
 
 impl SloReport {
-    /// Stable one-line-per-tenant text render (the `gpmr serve` /
-    /// `gpmr slo report` format).
+    /// Stable one-line-per-tenant text render (what `gpmr serve` prints
+    /// and its `--slo-out` writes by default).
     pub fn render_text(&self) -> String {
         let mut out = format!(
             "slo report at={:.6} target={:.4}\n",

@@ -258,12 +258,29 @@ pub fn diff(old: &BenchBaseline, new: &BenchBaseline, tolerance: f64) -> DiffRep
 }
 
 /// Compare a whole recorded set against a baseline set, matching scenarios
-/// by name. Scenarios missing on either side warn.
+/// by name. Scenarios missing on either side warn. Sets recorded at two
+/// different (non-zero) scales ran different workloads: that fails, and
+/// no scenario is compared.
 pub fn diff_sets(old: &BaselineSet, new: &BaselineSet, tolerance: f64) -> DiffReport {
     let mut report = DiffReport {
         tolerance,
         ..DiffReport::default()
     };
+    if old.scale > 0 && new.scale > 0 && old.scale != new.scale {
+        report.deltas.push(MetricDelta {
+            scenario: "set".into(),
+            metric: "scale".into(),
+            old: old.scale as f64,
+            new: new.scale as f64,
+            verdict: Verdict::Fail,
+            note: format!(
+                "recorded at scale {} and at scale {}: re-record one side at the other's scale",
+                old.scale, new.scale
+            ),
+        });
+        report.verdict = Verdict::Fail;
+        return report;
+    }
     for ob in &old.baselines {
         match new.get(&ob.name) {
             Some(nb) => diff_into(ob, nb, tolerance, &mut report),

@@ -38,7 +38,6 @@ fn main() {
             slo: SloPolicy {
                 deadline_target: 0.95,
             },
-            ..ObsConfig::default()
         },
         ..ServiceConfig::default()
     };

@@ -1,7 +1,7 @@
-//! Golden CLI bytes: what `gpmr run` and `gpmr analyze --json` print for
-//! every paper benchmark, pinned as `(len, FNV-1a)` pairs recorded on the
-//! commit before the CLI, the perf gate and the paper bins moved onto the
-//! one app table in `gpmr-apps` — the way
+//! Golden CLI bytes: what `gpmr run` and `gpmr analyze --json` of its
+//! recording print for every paper benchmark, pinned as `(len, FNV-1a)`
+//! pairs recorded on the commit before the CLI, the perf gate and the
+//! paper bins moved onto the one app table in `gpmr-apps` — the way
 //! `journal_bytes_match_the_build_that_introduced_the_format` pins
 //! journals. A digest that drifts means a generator, chunk size, constant
 //! or report line changed under some benchmark. The paper artifacts are
@@ -9,6 +9,8 @@
 //! printed. MM's two digests were re-recorded once, when it moved onto
 //! the round driver and took the common report: its `simulated time`
 //! lines are asserted beside them.
+
+use std::path::Path;
 
 use gpmr::core::journal::fnv1a;
 use gpmr_cli::dispatch;
@@ -18,7 +20,8 @@ const WO: &str = "--benchmark wo --size 60000 --scale 64";
 const KMC: &str = "--benchmark kmc --size 20000";
 const LR: &str = "--benchmark lr --size 30000";
 
-/// What `analyze … --gpus 4 --json` prints for four benchmarks.
+/// What `analyze --json` prints for the recording of `run … --gpus 4`, for
+/// four benchmarks: the bytes `analyze` printed when it ran the job itself.
 const ANALYZED: [(&str, (usize, u64)); 4] = [
     (SIO, (1401, 0x618d_364d_7017_c0cc)),
     (WO, (1383, 0xe1a5_0110_35f7_aadd)),
@@ -32,6 +35,15 @@ fn digest(bytes: &[u8]) -> (usize, u64) {
 
 fn workload(name: &str) -> String {
     format!("{}/workloads/{name}", env!("CARGO_MANIFEST_DIR"))
+}
+
+/// `analyze --json` of the recording `run <run> --events-out` writes under `dir`.
+fn analyze_recording(run: &str, dir: &Path) -> String {
+    std::fs::create_dir_all(dir).unwrap();
+    let events = dir.join("events.jsonl").display().to_string();
+    let line = format!("run {run} --events-out {events}");
+    dispatch(line.split(' ')).unwrap_or_else(|e| panic!("{line}: {e}"));
+    dispatch(["analyze", "--events", &events, "--json"]).unwrap()
 }
 
 fn json_makespan(json: &str) -> f64 {
@@ -79,17 +91,11 @@ fn cli_bytes_match_the_build_before_the_app_table() {
             (232, 0xa5a7_1fa0_568e_d691),
         ),
     ];
-    // Without skew flags `analyze` always ran what `run` runs; with them
-    // it ran the unflagged job, so those bytes changed on purpose and
-    // `analyze_runs_the_job_run_runs` pins them instead.
-    let cases = cases.into_iter().chain(
-        ANALYZED.map(|(bench, expect)| (format!("analyze {bench} --gpus 4 --json"), expect)),
-    );
     let mut drifted = Vec::new();
-    for (line, expect) in cases {
+    for (line, expect) in &cases {
         let out = dispatch(line.split(' ')).unwrap_or_else(|e| panic!("{line}: {e}"));
         let got = (out.len(), fnv1a(out.as_bytes()));
-        if got != expect {
+        if got != *expect {
             drifted.push(format!("{line}: ({}, {:#018x})", got.0, got.1));
         }
     }
@@ -114,14 +120,12 @@ fn cli_bytes_match_the_build_before_the_app_table() {
     }
 }
 
-/// HELP promises `analyze --benchmark` "plus the RUN OPTIONS above":
-/// under `--zipf`/`--partition` it analyzes the skewed, range-partitioned
-/// job `run` times (it used to run the uniform round-robin one), and
-/// `--journal` writes the journal `run` writes.
+/// `analyze` of `run`'s recording analyzes the job `run` timed: under
+/// `--zipf`/`--partition`, the skewed, range-partitioned one (when
+/// `analyze` ran jobs itself it once ran the uniform round-robin one).
 #[test]
 fn analyze_runs_the_job_run_runs() {
     let dir = std::env::temp_dir().join("gpmr_cli_golden_analyze");
-    std::fs::create_dir_all(&dir).unwrap();
     for (bench, run_time) in [
         ("--benchmark sio --size 200000", "2.040ms"),
         ("--benchmark wo --size 200000 --scale 64", "2.760ms"),
@@ -131,28 +135,18 @@ fn analyze_runs_the_job_run_runs() {
         let time_line = format!("simulated time : {run_time}\n");
         assert!(ran.contains(&time_line), "{bench}:\n{ran}");
 
-        let analyzed = dispatch(format!("analyze {skewed} --json").split(' ')).unwrap();
+        let analyzed = analyze_recording(&skewed, &dir);
         let makespan_ms = json_makespan(&analyzed) * 1e3;
         assert_eq!(format!("{makespan_ms:.3}ms"), run_time, "{bench}");
-        // The unflagged job is a different one: the flags reached analyze.
-        let plain = dispatch(format!("analyze {bench} --gpus 4 --json").split(' ')).unwrap();
+        // The unflagged job is a different one: the flags reached the run.
+        let plain = analyze_recording(&format!("{bench} --gpus 4"), &dir);
         assert_ne!(json_makespan(&plain), json_makespan(&analyzed), "{bench}");
-
-        let journals = ["run", "analyze"].map(|command| {
-            let path = dir.join(format!("{command}.gpj"));
-            let line = format!("{command} {skewed} --journal {}", path.display());
-            dispatch(line.split(' ')).unwrap();
-            std::fs::read(&path).unwrap()
-        });
-        assert!(!journals[0].is_empty(), "{bench}");
-        assert_eq!(journals[0], journals[1], "{bench}: journals differ");
     }
-    std::fs::remove_dir_all(&dir).ok();
 
     // MM, on the round driver, is analyzed like the rest: the recording
     // spans both rounds on one clock and names a stage for all of it.
-    let analyzed = dispatch("analyze --benchmark mm --gpus 4 --size 128 --json".split(' '));
-    let analyzed = analyzed.unwrap();
+    let analyzed = analyze_recording("--benchmark mm --gpus 4 --size 128", &dir);
+    std::fs::remove_dir_all(&dir).ok();
     assert_eq!(
         format!("{:.3}ms", json_makespan(&analyzed) * 1e3),
         "3.207ms"
@@ -270,15 +264,15 @@ fn serve_bytes_match_the_service_that_replayed_its_stops() {
     );
 }
 
-/// Every view of a run, pinned to the run that wrote it: `analyze` of a
-/// `run --events-out` recording prints what `analyze` of the live run
-/// printed (the `ANALYZED` digests), and the SLO report (text, JSON,
-/// HTML) and the final metrics (Prometheus, JSON) of each committed
-/// workload keep their bytes.
+/// Every view of a run is an output of that run, and keeps the bytes of
+/// the command that used to re-run it: `analyze` of a `run --events-out`
+/// recording prints what `analyze --benchmark` printed (the `ANALYZED`
+/// digests), and `serve --slo-out` (text, JSON, HTML) and `serve
+/// --metrics-out` (Prometheus, JSON) write, for each committed workload,
+/// what `slo report` and `metrics export` printed.
 #[test]
 fn every_view_of_a_run_keeps_its_bytes() {
     let dir = std::env::temp_dir().join("gpmr_cli_golden_views");
-    std::fs::create_dir_all(&dir).unwrap();
     let at = |file: &str| dir.join(file).display().to_string();
     let mut drifted = Vec::new();
     let mut check = |what: String, got: (usize, u64), expect: (usize, u64)| {
@@ -287,16 +281,14 @@ fn every_view_of_a_run_keeps_its_bytes() {
         }
     };
     for (bench, expect) in ANALYZED {
-        let events = at("events.jsonl");
-        dispatch(format!("run {bench} --gpus 4 --events-out {events}").split(' ')).unwrap();
-        let out = dispatch(["analyze", "--events", &events, "--json"]).unwrap();
+        let out = analyze_recording(&format!("{bench} --gpus 4"), &dir);
         check(
             format!("analyze of {bench}"),
             digest(out.as_bytes()),
             expect,
         );
     }
-    // slo text, JSON and HTML, then metrics Prometheus and JSON.
+    // In the order of `forms` below.
     let views = [
         (
             "service_demo.wl",
@@ -329,31 +321,36 @@ fn every_view_of_a_run_keeps_its_bytes() {
             ],
         ),
     ];
+    // Each `serve` writes one SLO form, the first two beside a metrics
+    // file (telemetry on), the third alone (telemetry off).
+    let serves = [
+        &["--slo-out", "slo.txt", "--metrics-out", "metrics.prom"][..],
+        &["--slo-out", "slo.json", "--metrics-out", "metrics.json"],
+        &["--slo-out", "slo.html"],
+    ];
+    let forms = [
+        "slo.txt",
+        "slo.json",
+        "slo.html",
+        "metrics.prom",
+        "metrics.json",
+    ];
     for (name, expect) in views {
-        let wl = workload(name);
-        let slo = |form: &[&str]| {
-            dispatch([&["slo", "report", "--workload", &wl][..], form].concat()).unwrap()
-        };
-        let metrics = |format: &str| {
-            let line = ["metrics", "export", "--workload", &wl, "--format", format];
-            dispatch(line).unwrap()
-        };
-        let got = [
-            slo(&[]),
-            slo(&["--json"]),
-            slo(&["--html"]),
-            metrics("prom"),
-            metrics("json"),
-        ];
-        let forms = [
-            "slo text",
-            "slo json",
-            "slo html",
-            "metrics prom",
-            "metrics json",
-        ];
-        for ((form, got), expect) in forms.iter().zip(&got).zip(expect) {
-            check(format!("{name} {form}"), digest(got.as_bytes()), expect);
+        for sinks in serves {
+            let mut line = vec!["serve".to_string(), "--workload".into(), workload(name)];
+            let file_at = |w: &&str| {
+                if w.starts_with("--") {
+                    w.to_string()
+                } else {
+                    at(w)
+                }
+            };
+            line.extend(sinks.iter().map(file_at));
+            dispatch(line).unwrap_or_else(|e| panic!("{name}: {e}"));
+        }
+        for (form, expect) in forms.into_iter().zip(expect) {
+            let got = digest(&std::fs::read(at(form)).unwrap());
+            check(format!("{name} {form}"), got, expect);
         }
     }
     std::fs::remove_dir_all(&dir).ok();

@@ -10,13 +10,13 @@ use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use gpmr::apps::Benchmark;
-use gpmr_cli::commands::{CLUSTER, JOURNAL, OUTPUTS, RUN, SERVICE};
+use gpmr_cli::commands::{CLUSTER, JOURNAL};
 use gpmr_cli::{dispatch, help, Command, Flag, Kind, COMMANDS};
 
 const WL: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/workloads/service_demo.wl");
 
-/// A scratch directory holding what the `trace` and `perf diff` rows
-/// read: a recording, its Perfetto export and a baseline set.
+/// A scratch directory holding what the `trace`, `analyze` and `perf diff`
+/// rows read: a recording, its Perfetto export and a baseline set.
 fn fixtures() -> &'static PathBuf {
     static DIR: OnceLock<PathBuf> = OnceLock::new();
     DIR.get_or_init(|| {
@@ -65,13 +65,13 @@ fn baselines(row: &Command, test: &str) -> Vec<String> {
     match label(row).as_str() {
         // Every app of the table, SIO first: a test that runs one line
         // runs a shuffling app, which reads every flag of the row.
-        "run" | "analyze" => {
+        "run" => {
             let rest = Benchmark::ALL.into_iter().filter(|&b| b != Benchmark::Sio);
             std::iter::once(Benchmark::Sio)
                 .chain(rest)
                 .map(|b| {
                     let name = b.name().to_ascii_lowercase();
-                    format!("{} --benchmark {name} --size {}", row.name, tiny_size(b))
+                    format!("run --benchmark {name} --size {}", tiny_size(b))
                 })
                 .collect()
         }
@@ -79,9 +79,8 @@ fn baselines(row: &Command, test: &str) -> Vec<String> {
             "kmeans --points 100".into(),
             "kmeans --points 2000 --k 4 --iterations 2".into(),
         ],
-        "serve" | "slo report" | "metrics export" => {
-            vec![format!("{} --workload {WL}", label(row))]
-        }
+        "analyze" => vec![format!("analyze --events {}", at("events.jsonl"))],
+        "serve" => vec![format!("serve --workload {WL}")],
         "info" => vec!["info".into()],
         "trace export" => vec![format!(
             "trace export --in {} --out {written}",
@@ -114,7 +113,7 @@ fn rows_carrying(flag: &str) -> Vec<&'static Command> {
 #[test]
 fn the_largest_seed_runs_every_command_that_derives_a_second_one() {
     let rows = rows_carrying("seed");
-    assert_eq!(rows.len(), 3, "run, analyze, kmeans");
+    assert_eq!(rows.len(), 2, "run, kmeans");
     for command in rows.iter().flat_map(|row| baselines(row, "seed")) {
         let line = format!("{command} --gpus 2 --seed {}", u64::MAX);
         let out = dispatch(line.split(' ')).unwrap_or_else(|e| panic!("{command}: {e}"));
@@ -125,18 +124,14 @@ fn the_largest_seed_runs_every_command_that_derives_a_second_one() {
 /// The chunk autotuner multiplied pipeline depth by `--scale`: at 2^62
 /// the product wrapped to zero (a division by zero, in release too), at
 /// `u64::MAX` it overflowed. The CLI had its own copy of the function;
-/// now `run`, `analyze` and `perf record` all reach the harness's, which
+/// now `run` and `perf record` both reach the harness's, which
 /// saturates. MM's block sizing multiplied tile counts: from 2^56 on,
 /// `paper fig2`, `fig3`, `table2` and `table3` died in a debug build.
 #[test]
 fn the_largest_scales_run_every_command_that_sizes_chunks() {
     let rows = rows_carrying("scale");
     let paper = rows.iter().filter(|row| row.name == "paper").count();
-    assert_eq!(
-        (rows.len(), paper),
-        (10, 7),
-        "run, analyze, perf record, paper"
-    );
+    assert_eq!((rows.len(), paper), (9, 7), "run, perf record, paper");
     for scale in [1u64 << 62, u64::MAX] {
         for row in &rows {
             let line = format!("{} --scale {scale}", baselines(row, "scale")[0]);
@@ -146,14 +141,14 @@ fn the_largest_scales_run_every_command_that_sizes_chunks() {
     }
 }
 
-/// `--gpus` sizes a cluster in seven commands and was range-checked in
+/// `--gpus` sizes a cluster in four commands and was range-checked in
 /// two: `kmeans --gpus 0` divided by zero, `serve --gpus 100000` built
 /// 100 000 devices per engine slot. One bound for all of them, declared
 /// with the flag.
 #[test]
 fn every_command_that_builds_a_cluster_bounds_gpus() {
     let rows = rows_carrying("gpus");
-    assert_eq!(rows.len(), 7, "the rows that name the cluster group");
+    assert_eq!(rows.len(), 4, "the rows that name the cluster group");
     for row in rows {
         assert!(row.groups.contains(&CLUSTER), "{}", label(row));
         let command = &baselines(row, "gpus")[0];
@@ -183,7 +178,7 @@ fn a_flag_the_row_does_not_list_is_refused_by_name() {
         let all = COMMANDS.iter().flat_map(Command::flags);
         all.filter(|f| seen.insert(f.name)).collect()
     };
-    assert_eq!(every_flag.len(), 40, "no flag was added or dropped");
+    assert_eq!(every_flag.len(), 39, "no flag was added or dropped");
     // Refused pairs, over the rows without a mode word and with one.
     let mut pairs = [0, 0];
     for row in COMMANDS {
@@ -201,9 +196,9 @@ fn a_flag_the_row_does_not_list_is_refused_by_name() {
         let refusal = format!("unknown option --scael for `gpmr {}`", label(row));
         assert_eq!(err, refusal, "{line}");
     }
-    // run 18, analyze 19, kmeans 8, serve 12 and info 1 of the 40; the
-    // seven moded rows before `paper` list 31 between them, its eight 10.
-    assert_eq!(pairs, [5 * 40 - 58, 15 * 40 - 41]);
+    // run 18, analyze 2, kmeans 8, serve 13 and info 1 of the 39; the
+    // five moded rows before `paper` list 10 between them, its eight 10.
+    assert_eq!(pairs, [5 * 39 - 42, 13 * 39 - 20]);
     assert!(pairs[0] >= 96);
 }
 
@@ -267,16 +262,17 @@ fn no_numeric_flag_value_panics_any_command() {
         }
     }
     assert!(panicked.is_empty(), "panicked:\n{}", panicked.join("\n"));
-    // Not vacuous: most in-range values run a job to its report.
-    assert!(
-        reports >= 100 && refusals >= 200,
+    // Not vacuous, and exact: the outcomes move only when a row, a flag or
+    // a range does.
+    assert_eq!(
+        (reports, refusals),
+        (97, 191),
         "{reports} reports, {refusals} refusals"
     );
 }
 
 /// `HELP` is written by hand; its USAGE synopsis names, for each row,
-/// exactly the flags the row lists (`[run options]` and `[serve options]`
-/// stand for the shared groups).
+/// exactly the flags the row lists.
 #[test]
 fn usage_names_exactly_the_flags_each_row_lists() {
     let text = help();
@@ -284,10 +280,6 @@ fn usage_names_exactly_the_flags_each_row_lists() {
     let usage = usage.split("\n\n").next().unwrap();
     // An entry starts at `gpmr` and runs over its continuation lines.
     let entries: Vec<&str> = usage.split("    gpmr ").skip(1).collect();
-    let shared = [
-        ("[run options]", [CLUSTER, RUN, OUTPUTS, JOURNAL].concat()),
-        ("[serve options]", [CLUSTER, SERVICE].concat()),
-    ];
     let documented = |row: &Command| {
         let mut flags = BTreeSet::new();
         let mut found = false;
@@ -298,11 +290,6 @@ fn usage_names_exactly_the_flags_each_row_lists() {
                 continue;
             }
             found = true;
-            for (stands_for, group) in &shared {
-                if entry.contains(stands_for) {
-                    flags.extend(group.iter().map(|f| f.name.to_string()));
-                }
-            }
             for option in entry.split("--").skip(1) {
                 let end = option.find(|c: char| !(c.is_ascii_lowercase() || c == '-'));
                 flags.insert(option[..end.unwrap_or(option.len())].to_string());

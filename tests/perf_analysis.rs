@@ -1,36 +1,55 @@
 //! Acceptance tests for the performance-diagnosis layer, end to end
 //! through the CLI:
 //!
-//! * `gpmr analyze` on a faulted 8-rank SIO run names the bounding stage
-//!   and surfaces at least one finding, and its critical-path stage
-//!   attribution reconciles with the makespan within 1%;
+//! * `gpmr analyze` of a faulted 8-rank SIO run's recording names the
+//!   bounding stage and surfaces at least one finding, and its
+//!   critical-path stage attribution reconciles with the makespan within
+//!   1%;
 //! * `gpmr perf diff` exits non-zero (an `Err` from dispatch, which the
-//!   binary maps to exit code 2) on a synthetic 2x regression and zero on
-//!   an identical recording.
+//!   binary maps to exit code 2) on a synthetic 2x regression and on two
+//!   sets recorded at different scales, and zero on an identical
+//!   recording.
+
+use std::path::PathBuf;
+use std::sync::OnceLock;
 
 use gpmr::telemetry::json;
 use gpmr_cli::dispatch;
-use gpmr_telemetry::baseline::{diff, BaselineSet, Verdict};
+use gpmr_telemetry::baseline::{diff, diff_sets, BaselineSet, Verdict};
 
 fn run(tokens: &[&str]) -> Result<String, gpmr_cli::CliError> {
     dispatch(tokens.iter().copied())
 }
 
-const FAULTED_SIO: &[&str] = &[
-    "analyze",
-    "--benchmark",
-    "sio",
-    "--gpus",
-    "8",
-    "--size",
-    "200000",
-    "--fault-plan",
-    "xfail:0->1@0..1*6",
-];
+/// The recording of an 8-rank SIO run with six forced transfer failures.
+fn faulted_sio() -> &'static str {
+    static EVENTS: OnceLock<PathBuf> = OnceLock::new();
+    let events = EVENTS.get_or_init(|| {
+        let dir = std::env::temp_dir().join("gpmr_perf_analysis_faulted");
+        std::fs::create_dir_all(&dir).unwrap();
+        let events = dir.join("events.jsonl");
+        run(&[
+            "run",
+            "--benchmark",
+            "sio",
+            "--gpus",
+            "8",
+            "--size",
+            "200000",
+            "--fault-plan",
+            "xfail:0->1@0..1*6",
+            "--events-out",
+            events.to_str().unwrap(),
+        ])
+        .unwrap();
+        events
+    });
+    events.to_str().unwrap()
+}
 
 #[test]
 fn faulted_analyze_names_bounding_stage_and_findings() {
-    let out = run(FAULTED_SIO).unwrap();
+    let out = run(&["analyze", "--events", faulted_sio()]).unwrap();
     assert!(out.contains("bounding stage:"), "{out}");
     // Six forced transfer failures exceed the retry-hotspot threshold, so
     // the report must carry at least one named finding.
@@ -47,7 +66,7 @@ fn faulted_analyze_names_bounding_stage_and_findings() {
 
 #[test]
 fn critical_path_attribution_reconciles_with_makespan() {
-    let json_out = run(&[FAULTED_SIO, &["--json"]].concat()).unwrap();
+    let json_out = run(&["analyze", "--events", faulted_sio(), "--json"]).unwrap();
     let v = json::parse(&json_out).expect("analyze --json emits valid JSON");
     let makespan = v.get("makespan_s").and_then(json::Value::as_f64).unwrap();
     assert!(makespan > 0.0);
@@ -123,5 +142,49 @@ fn perf_gate_fails_on_regression_and_passes_on_identical() {
     ])
     .unwrap_err();
     assert!(err.to_string().contains("FAIL"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A set recorded at another scale ran other workloads. The diff used to
+/// compare them scenario by scenario and exit 0 (here: WARN, "makespan
+/// improved -49.9%").
+#[test]
+fn a_diff_across_scales_fails_and_names_both_scales() {
+    let sc = gpmr_bench::perf::scenario("sio_4rank").unwrap();
+    let set = |scale| BaselineSet {
+        scale,
+        tolerance: 0.10,
+        baselines: vec![gpmr_bench::perf::run_scenario(&sc, scale).0],
+    };
+    let (at_8192, at_4096) = (set(8192), set(4096));
+    let report = diff_sets(&at_8192, &at_4096, 0.10);
+    assert_eq!(report.verdict, Verdict::Fail, "{}", report.render_text());
+    // An unrecorded scale (0, from a set without the field) is not refused.
+    let unscaled = BaselineSet {
+        scale: 0,
+        ..at_8192.clone()
+    };
+    assert_eq!(diff_sets(&unscaled, &at_8192, 0.10).verdict, Verdict::Pass);
+
+    let dir = std::env::temp_dir().join("gpmr_perf_scale_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let [old, new] = ["old.json", "new.json"].map(|f| dir.join(f));
+    std::fs::write(&old, at_8192.to_json()).unwrap();
+    std::fs::write(&new, at_4096.to_json()).unwrap();
+    let err = run(&[
+        "perf",
+        "diff",
+        "--baseline",
+        old.to_str().unwrap(),
+        "--against",
+        new.to_str().unwrap(),
+    ])
+    .unwrap_err()
+    .to_string();
+    assert!(err.contains("verdict: FAIL"), "{err}");
+    assert!(
+        err.contains("scale 8192") && err.contains("scale 4096"),
+        "{err}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

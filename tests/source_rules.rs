@@ -121,6 +121,15 @@ const RULES: &[Rule] = &[
     Rule { roots: &["crates/service/src"], text: Code, hits: |l| l.contains("Run::new("), want: Exactly(1),
         reason: "one function sets every pass's run up, solo or batched, once, at dispatch",
         example: "let run = Run::new(cluster, &job, chunks, opts)?;", ..ABSENT },
+    Rule { roots: &["crates/cli/src"], text: Code, hits: |l| l.contains("run_script("), want: Exactly(1),
+        reason: "a view of a run is an output of that run: only `serve` runs a workload (no `slo report` re-run)",
+        example: "let (svc, _) = gpmr_service::run_script(&script, cfg, tel)?;", ..ABSENT },
+    Rule { roots: &["crates/cli/src"], text: Code, hits: |l| l.contains("record_suite("), want: Exactly(1),
+        reason: "a view of a run is an output of that run: only `perf record` runs the gate suite (no live `perf diff`)",
+        example: "let new = perfsuite::record_suite(scale, |_, _| {});", ..ABSENT },
+    Rule { roots: &["crates/cli/src"], text: Code, hits: |l| any(l, &["\"slo\"", "\"metrics\""]),
+        reason: "a view of a run is an output of that run: `serve --slo-out`/`--metrics-out`, not `slo report`/`metrics export`",
+        example: r#"row("slo", "report", &[CLUSTER, SERVICE], slo_report),"#, ..ABSENT },
 ];
 
 /// The files `rule` reads, relative to the package root.
