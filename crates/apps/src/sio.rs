@@ -384,6 +384,71 @@ mod tests {
         );
     }
 
+    /// The reference before it counted in one sweep, kept verbatim.
+    fn hash_map_reference(data: &[u32]) -> HashMap<u32, u32> {
+        let mut counts = HashMap::new();
+        for &x in data {
+            *counts.entry(x).or_insert(0) += 1;
+        }
+        counts
+    }
+
+    /// The reference's pairs in ascending key order.
+    fn sorted_reference(data: &[u32]) -> Vec<(u32, u32)> {
+        let mut counts: Vec<(u32, u32)> = cpu_reference(data).into_iter().collect();
+        counts.sort_unstable();
+        counts
+    }
+
+    fn reference_digest(data: &[u32]) -> u64 {
+        let (keys, counts): (Vec<u32>, Vec<u32>) = sorted_reference(data).into_iter().unzip();
+        gpmr_core::journal::hash_pairs(&keys, &counts)
+    }
+
+    #[test]
+    fn reference_digests_are_the_recorded_ones() {
+        let uniform = generate_integers(1_000_000, 1);
+        assert_eq!(reference_digest(&uniform), 0x4f738bad3bf8f505);
+        let zipf = generate_zipf_integers(200_000, 1 << 20, 1.1, 3);
+        assert_eq!(reference_digest(&zipf), 0x74b120ac8c6bc6dd);
+    }
+
+    #[test]
+    fn reference_equals_the_hash_map_definition() {
+        let sparse = generate_zipf_integers(20_000, 1 << 20, 1.1, 4);
+        let max = sparse.iter().copied().max().unwrap_or(0);
+        assert!(
+            max as usize >= 2 * sparse.len(),
+            "the sparse Zipf input has max {max}"
+        );
+        let cases = [
+            ("empty", vec![]),
+            ("one key", vec![7]),
+            ("all keys equal", vec![3; 1_000]),
+            ("0 and u32::MAX", vec![u32::MAX, 0, u32::MAX]),
+            ("uniform, 16", generate_integers(16, 1)),
+            ("uniform, 20 000", generate_integers(20_000, 2)),
+            ("uniform, 1 M", generate_integers(1_000_000, 3)),
+            ("Zipf, space above n", sparse),
+            (
+                "Zipf, space below n",
+                generate_zipf_integers(50_000, 1_000, 1.1, 5),
+            ),
+        ];
+        for (what, data) in cases {
+            let got = sorted_reference(&data);
+            assert!(
+                got.windows(2).all(|w| w[0].0 < w[1].0),
+                "{what}: keys ascend"
+            );
+            let total: usize = got.iter().map(|&(_, c)| c as usize).sum();
+            assert_eq!(total, data.len(), "{what}");
+            let mut want: Vec<(u32, u32)> = hash_map_reference(&data).into_iter().collect();
+            want.sort_unstable();
+            assert_eq!(got, want, "{what}");
+        }
+    }
+
     #[test]
     fn generator_is_deterministic_and_sparse() {
         let a = generate_integers(10_000, 7);
