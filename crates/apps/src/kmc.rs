@@ -58,9 +58,10 @@ impl KmcJob {
 }
 
 /// Nearest center by squared Euclidean distance (ties to the lower
-/// index; a NaN distance is never nearer). The scalar definition: the map
-/// kernel's block tails, [`cpu_reference`] and the CPU baselines call it,
-/// and the kernel's eight-point step is checked against it.
+/// index; a NaN distance is never nearer). The scalar definition: the CPU
+/// baselines call it, the map kernel's block tails and [`cpu_reference`]'s
+/// last `len % 8` points go through it, and the eight-point step both use
+/// is checked against it.
 pub fn nearest_center(centers: &[Point], p: &Point) -> usize {
     let mut best = 0usize;
     let mut best_d = f32::INFINITY;
@@ -285,16 +286,20 @@ pub fn initial_centers(k: usize, seed: u64) -> Vec<Point> {
         .collect()
 }
 
-/// Sequential reference: per-key (center-major) sums and counts.
+/// Sequential reference: per-key (center-major) sums and counts, the
+/// points added in order. Full steps are assigned eight at a time by
+/// `nearest_centers`, which every lane ties to [`nearest_center`]; the
+/// last `len % 8` points go through [`nearest_center`] itself.
 pub fn cpu_reference(centers: &[Point], points: &[Point]) -> Vec<f64> {
     let mut sums = vec![0.0f64; centers.len() * (DIMS + 1)];
-    for p in points {
-        let c = nearest_center(centers, p);
-        let base = c * (DIMS + 1);
-        for dim in 0..DIMS {
-            sums[base + dim] += f64::from(p[dim]);
+    let (steps, tail) = points.as_chunks::<LANES>();
+    for step in steps {
+        for (p, c) in step.iter().zip(nearest_centers(centers, step)) {
+            add_point(&mut sums, c as usize, p);
         }
-        sums[base + DIMS] += 1.0;
+    }
+    for p in tail {
+        add_point(&mut sums, nearest_center(centers, p), p);
     }
     sums
 }
@@ -488,6 +493,48 @@ mod tests {
         };
         assert!(failures(&ties_go_up) > 64, "`<=` for `<` goes unnoticed");
         assert!(failures(&reversed) > 64, "reversed centers go unnoticed");
+    }
+
+    /// The reference before it took eight points per step, kept verbatim.
+    fn scalar_reference(centers: &[Point], points: &[Point]) -> Vec<f64> {
+        let mut sums = vec![0.0f64; centers.len() * (DIMS + 1)];
+        for p in points {
+            let c = nearest_center(centers, p);
+            let base = c * (DIMS + 1);
+            for dim in 0..DIMS {
+                sums[base + dim] += f64::from(p[dim]);
+            }
+            sums[base + DIMS] += 1.0;
+        }
+        sums
+    }
+
+    fn same_bits(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    #[test]
+    fn reference_equals_the_scalar_loop_bit_for_bit() {
+        let centers = initial_centers(16, 3);
+        let all = generate_points(4099, 16, 4);
+        for n in [0, 7, 8, 9, 4099] {
+            let points = &all[..n];
+            let (got, want) = (
+                cpu_reference(&centers, points),
+                scalar_reference(&centers, points),
+            );
+            assert!(same_bits(&got, &want), "n = {n}");
+        }
+        // The tie cases: duplicated centers, signed zeros, infinities, NaN.
+        for seed in 0..256 {
+            let (centers, step) = assignment_case(seed);
+            let points: Vec<Point> = step.iter().chain(&step[..3]).copied().collect();
+            let (got, want) = (
+                cpu_reference(&centers, &points),
+                scalar_reference(&centers, &points),
+            );
+            assert!(same_bits(&got, &want), "seed {seed}");
+        }
     }
 
     fn digest(out: &KvSet<u32, f64>) -> u64 {

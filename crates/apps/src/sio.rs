@@ -10,8 +10,6 @@
 //! per thread with a serial value sum (block-per-key performed worse on
 //! sparse data — most keys have fewer than five values).
 
-use std::collections::HashMap;
-
 use gpmr_core::{GpmrJob, KvSet, PipelineConfig, SliceChunk};
 use gpmr_primitives::Segments;
 use gpmr_sim_gpu::{Gpu, LaunchConfig, SimGpuResult, SimTime};
@@ -223,8 +221,14 @@ impl GpmrJob for SioJob {
 /// possible keys (most keys occur a handful of times, as in the paper).
 pub fn generate_integers(n: usize, seed: u64) -> Vec<u32> {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x53494f);
-    let space = (n as u32).max(16);
+    let space = key_space(n);
     (0..n).map(|_| rng.gen_range(0..space)).collect()
+}
+
+/// The keys [`generate_integers`] draws from, `0..key_space(n)`: `n`, at
+/// least 16, and saturating at `u32::MAX` rather than wrapping at 2³².
+fn key_space(n: usize) -> u32 {
+    u32::try_from(n).unwrap_or(u32::MAX).max(16)
 }
 
 /// Split input into chunks of `chunk_bytes` bytes each.
@@ -257,12 +261,37 @@ pub fn generate_zipf_integers(n: usize, space: u32, s: f64, seed: u64) -> Vec<u3
         .collect()
 }
 
-/// Sequential reference: occurrence counts per integer.
-pub fn cpu_reference(data: &[u32]) -> HashMap<u32, u32> {
-    let mut counts = HashMap::new();
-    for &x in data {
-        *counts.entry(x).or_insert(0) += 1;
+/// Sequential reference: occurrence counts per integer, as `(key, count)`
+/// pairs in ascending key order, each key once. One counting sweep with
+/// no hashing and nothing from the engine: a dense table of `max + 1`
+/// counts when the largest key is below twice the input length (every
+/// [`generate_integers`] input of 16 keys or more), otherwise a sorted
+/// copy counted run by run.
+pub fn cpu_reference(data: &[u32]) -> Vec<(u32, u32)> {
+    let Some(&max) = data.iter().max() else {
+        return Vec::new();
+    };
+    if (max as usize) < 2 * data.len() {
+        let mut table = vec![0u32; max as usize + 1];
+        for &x in data {
+            table[x as usize] += 1;
+        }
+        (0..=max).zip(table).filter(|&(_, c)| c > 0).collect()
+    } else {
+        let mut sorted = data.to_vec();
+        sorted.sort_unstable();
+        sorted
+            .chunk_by(|a, b| a == b)
+            .map(|run| (run[0], run.len() as u32))
+            .collect()
     }
+}
+
+/// The `(key, count)` pairs of a job's output in ascending key order, as
+/// [`cpu_reference`] gives them; a key reduced twice appears twice.
+pub fn counts_from_output(output: &KvSet<u32, u32>) -> Vec<(u32, u32)> {
+    let mut counts: Vec<(u32, u32)> = output.iter().map(|(k, v)| (*k, *v)).collect();
+    counts.sort_unstable();
     counts
 }
 
@@ -272,14 +301,7 @@ mod tests {
     use gpmr_core::run_job;
     use gpmr_sim_gpu::GpuSpec;
     use gpmr_sim_net::Cluster;
-
-    fn check_counts(result: &KvSet<u32, u32>, expect: &HashMap<u32, u32>) {
-        let mut got: HashMap<u32, u32> = HashMap::new();
-        for (k, v) in result.iter() {
-            assert!(got.insert(*k, *v).is_none(), "duplicate key {k}");
-        }
-        assert_eq!(&got, expect);
-    }
+    use std::collections::HashMap;
 
     #[test]
     fn sio_matches_reference_on_one_gpu() {
@@ -291,7 +313,10 @@ mod tests {
             sio_chunks(&data, 16 * 1024),
         )
         .unwrap();
-        check_counts(&result.merged_output(), &cpu_reference(&data));
+        assert_eq!(
+            counts_from_output(&result.merged_output()),
+            cpu_reference(&data)
+        );
     }
 
     #[test]
@@ -304,7 +329,10 @@ mod tests {
             sio_chunks(&data, 8 * 1024),
         )
         .unwrap();
-        check_counts(&result.merged_output(), &cpu_reference(&data));
+        assert_eq!(
+            counts_from_output(&result.merged_output()),
+            cpu_reference(&data)
+        );
         // Round-robin partitioning: every rank holds only keys ≡ rank (mod 8).
         for (r, out) in result.outputs.iter().enumerate() {
             assert!(out.keys.iter().all(|k| k % 8 == r as u32));
@@ -339,7 +367,7 @@ mod tests {
             let mut cluster = Cluster::accelerator(4, GpuSpec::gt200());
             let job = SioJob::with_mode(mode);
             let result = run_job(&mut cluster, &job, sio_chunks(&data, 16 * 1024)).unwrap();
-            check_counts(&result.merged_output(), &expect);
+            assert_eq!(counts_from_output(&result.merged_output()), expect);
         }
     }
 
@@ -358,7 +386,10 @@ mod tests {
         )
         .unwrap();
         assert!(pr.timings.pairs_shuffled < plain.timings.pairs_shuffled / 10);
-        check_counts(&pr.merged_output(), &cpu_reference(&data));
+        assert_eq!(
+            counts_from_output(&pr.merged_output()),
+            cpu_reference(&data)
+        );
     }
 
     #[test]
@@ -374,8 +405,8 @@ mod tests {
             sio_chunks(&data, 32 * 1024),
         )
         .unwrap();
-        check_counts(&radix.merged_output(), &expect);
-        check_counts(&bitonic.merged_output(), &expect);
+        assert_eq!(counts_from_output(&radix.merged_output()), expect);
+        assert_eq!(counts_from_output(&bitonic.merged_output()), expect);
         assert!(
             bitonic.total_time().as_secs() > radix.total_time().as_secs(),
             "bitonic {} should be slower than radix {}",
@@ -436,7 +467,7 @@ mod tests {
             ),
         ];
         for (what, data) in cases {
-            let got = sorted_reference(&data);
+            let got = cpu_reference(&data);
             assert!(
                 got.windows(2).all(|w| w[0].0 < w[1].0),
                 "{what}: keys ascend"
@@ -446,6 +477,15 @@ mod tests {
             let mut want: Vec<(u32, u32)> = hash_map_reference(&data).into_iter().collect();
             want.sort_unstable();
             assert_eq!(got, want, "{what}");
+        }
+    }
+
+    #[test]
+    fn key_space_saturates_at_u32_max() {
+        assert_eq!(key_space(0), 16);
+        assert_eq!(key_space(20_000), 20_000);
+        for n in [(1usize << 32) - 1, 1 << 32, (1 << 32) + 1] {
+            assert_eq!(key_space(n), u32::MAX, "n = {n}");
         }
     }
 

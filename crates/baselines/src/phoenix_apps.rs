@@ -252,11 +252,9 @@ mod tests {
     fn phoenix_sio_matches_reference() {
         let data = sio::generate_integers(20_000, 1);
         let result = run_phoenix(&cfg(), &PhoenixSio, &data);
-        let expect = sio::cpu_reference(&data);
-        assert_eq!(result.pairs.len(), expect.len());
-        for &(k, v) in &result.pairs {
-            assert_eq!(v, expect[&k]);
-        }
+        let mut got = result.pairs;
+        got.sort_unstable();
+        assert_eq!(got, sio::cpu_reference(&data));
     }
 
     #[test]

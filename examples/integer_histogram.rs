@@ -6,7 +6,9 @@
 //!
 //! Run with: `cargo run --release --example integer_histogram`
 
-use gpmr::apps::sio::{cpu_reference, generate_integers, sio_chunks, SioJob, SioMode};
+use gpmr::apps::sio::{
+    counts_from_output, cpu_reference, generate_integers, sio_chunks, SioJob, SioMode,
+};
 use gpmr::prelude::*;
 
 fn run_one(label: &str, data: &[u32], mode: SioMode) {
@@ -16,12 +18,10 @@ fn run_one(label: &str, data: &[u32], mode: SioMode) {
     let result = run_job(&mut cluster, &job, chunks).expect("SIO job failed");
 
     // Verify counts.
-    let expect = cpu_reference(data);
-    let output = result.merged_output();
-    assert_eq!(output.len(), expect.len());
-    for (k, v) in output.iter() {
-        assert_eq!(*v, expect[k]);
-    }
+    assert_eq!(
+        counts_from_output(&result.merged_output()),
+        cpu_reference(data)
+    );
     println!(
         "  {label:<18} {}  ({} pairs shuffled)",
         result.total_time(),

@@ -2,17 +2,12 @@
 //! GPMR pipeline on arbitrary cluster shapes must match the sequential
 //! reference, in every pipeline configuration.
 
-use gpmr::apps::sio::{cpu_reference, sio_chunks, SioMode};
+use gpmr::apps::sio::{counts_from_output, cpu_reference, sio_chunks, SioMode};
 use gpmr::prelude::*;
 use proptest::prelude::*;
 
 fn counts_match(result: &KvSet<u32, u32>, data: &[u32]) -> Result<(), TestCaseError> {
-    let expect = cpu_reference(data);
-    let mut seen = std::collections::HashMap::new();
-    for (k, v) in result.iter() {
-        prop_assert!(seen.insert(*k, *v).is_none(), "duplicate key {}", k);
-    }
-    prop_assert_eq!(seen, expect);
+    prop_assert_eq!(counts_from_output(result), cpu_reference(data));
     Ok(())
 }
 

@@ -130,6 +130,9 @@ const RULES: &[Rule] = &[
     Rule { roots: &["crates/cli/src"], text: Code, hits: |l| any(l, &["\"slo\"", "\"metrics\""]),
         reason: "a view of a run is an output of that run: `serve --slo-out`/`--metrics-out`, not `slo report`/`metrics export`",
         example: r#"row("slo", "report", &[CLUSTER, SERVICE], slo_report),"#, ..ABSENT },
+    Rule { roots: &["crates/apps/src/sio.rs"], text: Code, hits: |l| l.contains("HashMap"),
+        reason: "the SIO oracle counts in one sweep, with no hash table", example: "let mut counts = HashMap::new();",
+        ..ABSENT },
 ];
 
 /// The files `rule` reads, relative to the package root.
