@@ -21,7 +21,7 @@
 //! hand-over ([`phase2_chunks`]) regroups its partial tiles by key, and
 //! round 1 sums them.
 
-use gpmr_core::rounds::{run_rounds, RoundJob, RoundStep};
+use gpmr_core::rounds::{max_resident_chunk_bytes, run_rounds, RoundJob, RoundStep};
 use gpmr_core::{
     Chunk, EngineError, EngineResult, GpmrJob, JobTimings, KvSet, PartitionMode, PipelineConfig,
     Pod, RunOpts, SliceChunk,
@@ -395,6 +395,8 @@ struct MmJob {
     n_tiles: u32,
     /// Device memory the phase-2 chunks are sized for.
     capacity_bytes: u64,
+    /// The largest chunk the engine admits under the run's tuning.
+    max_chunk_bytes: u64,
 }
 
 impl GpmrJob for MmJob {
@@ -437,7 +439,7 @@ impl RoundJob for MmJob {
     }
 
     fn rechunk(&self, _round: u32, outputs: Vec<Tiles>) -> Vec<MmPart> {
-        let chunks = phase2_chunks(&outputs, self.capacity_bytes);
+        let chunks = phase2_chunks(&outputs, self.capacity_bytes, self.max_chunk_bytes);
         chunks.into_iter().map(MmPart::Sum).collect()
     }
 }
@@ -530,6 +532,7 @@ pub fn run_mm(
     let mut job = MmJob {
         n_tiles: a.n_tiles() as u32,
         capacity_bytes: cluster.gpu(0).mem.capacity(),
+        max_chunk_bytes: max_resident_chunk_bytes(cluster, &opts.tuning),
     };
     let chunks = mm_chunks(a, b, row_block, col_block, k_block);
     let parts = chunks.into_iter().map(MmPart::Product).collect();
@@ -601,25 +604,32 @@ pub fn run_mm_auto(cluster: &mut Cluster, a: &Matrix, b: &Matrix) -> EngineResul
 
 /// The hand-over between MM's two GPMR tasks: phase 1's per-rank outputs
 /// regrouped by tile key into phase-2 chunks for a device with
-/// `capacity_bytes` of memory. Inside a key the partials keep rank, then
-/// position, order — the order phase 2 adds them in. Only 12-byte
-/// handles are sorted; each 1 KiB tile is copied once, from where phase 1
-/// left it into its chunk.
+/// `capacity_bytes` of memory whose engine admits chunks of at most
+/// `max_chunk_bytes` ([`max_resident_chunk_bytes`]). Inside a key the
+/// partials keep rank, then position, order — the order phase 2 adds
+/// them in. Only 12-byte handles are sorted; each 1 KiB tile is copied
+/// once, from where phase 1 left it into its chunk.
 pub fn phase2_chunks(
     outputs: &[KvSet<u32, TileData>],
     capacity_bytes: u64,
+    max_chunk_bytes: u64,
 ) -> Vec<SliceChunk<(u32, TileData)>> {
     // A quarter of device memory (double buffer + output headroom).
-    let pair_bytes = 4 + TILE_ELEMS * 4;
+    let pair_bytes = <(u32, TileData)>::SIZE;
     let max_items = (capacity_bytes as usize / 4 / pair_bytes).clamp(16, 2048);
-    group_chunks(outputs, max_items)
+    let limit = (max_chunk_bytes / pair_bytes as u64) as usize;
+    group_chunks(outputs, max_items, limit)
 }
 
-/// Pack the partial tiles of `outputs`, ordered by key, into chunks of at
-/// most `max_items` without splitting a key-group across chunks.
+/// Pack the partial tiles of `outputs`, ordered by key, into chunks of
+/// `max_items` grown to the end of their last key-group, so no group is
+/// split across chunks. A chunk that growth would take past `limit`
+/// items closes at its last group boundary instead; a single group
+/// larger than `limit` stays whole (the engine refuses it).
 fn group_chunks(
     outputs: &[KvSet<u32, TileData>],
     max_items: usize,
+    limit: usize,
 ) -> Vec<SliceChunk<(u32, TileData)>> {
     // (key, rank, position) of every partial; the sort is stable, so
     // equal keys stay in rank-then-position order.
@@ -633,12 +643,19 @@ fn group_chunks(
     handles.sort_by_key(|&(key, ..)| key);
 
     let mut chunks = Vec::new();
+    let splits_group = |at: usize| handles[at].0 == handles[at - 1].0;
     let mut start = 0usize;
     while start < handles.len() {
         let mut end = (start + max_items).min(handles.len());
         // Extend to the end of the current key-group.
-        while end < handles.len() && handles[end].0 == handles[end - 1].0 {
+        while end < handles.len() && splits_group(end) {
             end += 1;
+        }
+        if end - start > limit {
+            let boundary = (start + 1..=start + limit)
+                .rev()
+                .find(|&at| !splits_group(at));
+            end = boundary.unwrap_or(end);
         }
         let items = handles[start..end]
             .iter()
@@ -767,7 +784,7 @@ mod tests {
     fn group_chunks_never_split_groups() {
         let t = [0.0f32; TILE_ELEMS];
         let pairs: KvSet<u32, TileData> = (0..100).map(|i| (i / 10, t)).collect();
-        let chunks = group_chunks(&[pairs], 15);
+        let chunks = group_chunks(&[pairs], 15, usize::MAX);
         for c in &chunks {
             // Each group (10 items) stays whole.
             let first = c.items.first().unwrap().0;
@@ -776,6 +793,61 @@ mod tests {
         }
         let total: usize = chunks.iter().map(|c| c.items.len()).sum();
         assert_eq!(total, 100);
+    }
+
+    /// Phase 1's outputs as the hand-over reads them: `keys` tile keys
+    /// with `partials` partial tiles each, spread over `ranks`.
+    fn partial_tiles(keys: u32, partials: u32, ranks: u32) -> Vec<KvSet<u32, TileData>> {
+        let mut outputs = vec![KvSet::new(); ranks as usize];
+        for key in 0..keys {
+            for p in 0..partials {
+                outputs[((key + p) % ranks) as usize].push(key, [p as f32; TILE_ELEMS]);
+            }
+        }
+        outputs
+    }
+
+    #[test]
+    fn phase2_chunks_fit_the_staging_bound_at_every_capacity_and_order() {
+        // `gpmr paper fig2 --scale 128` ran MM on 4 MiB devices, where a
+        // quarter of memory is 1 020 partial tiles: single-tile k-slabs
+        // of order 1024 give 64 partials a key, the chunk grew to the end
+        // of its group, 1 024 tiles, and the engine refused the job.
+        const PAIR: u64 = <(u32, TileData)>::SIZE as u64;
+        for capacity in [1u64 << 20, 4 << 20, 8 << 20, 1 << 30] {
+            for order in [48u32, 240, 1024, 2048, 4096] {
+                // Single-tile k-slabs: every output tile has one partial
+                // per tile of the order, the largest groups MM makes.
+                let partials = order / TILE as u32;
+                let per_chunk = (capacity / 4 / PAIR).clamp(16, 2048) as u32;
+                let keys = 3 * per_chunk / partials + 2;
+                let outputs = partial_tiles(keys, partials, 3);
+                let total = (keys * partials) as usize;
+                let before = group_chunks(&outputs, per_chunk as usize, usize::MAX);
+                for slots in [1u64, 4, 5] {
+                    let bound = capacity / slots;
+                    let at = format!("{capacity} B, order {order}, {slots} slots");
+                    let chunks = phase2_chunks(&outputs, capacity, bound);
+                    let admitted = |c: &SliceChunk<(u32, TileData)>| c.size_bytes() <= bound;
+                    if before.iter().all(admitted) {
+                        assert_eq!(chunks, before, "{at}: an admitted chunking changed");
+                    }
+                    let group_fits = u64::from(partials) * PAIR <= bound;
+                    for c in &chunks {
+                        let (first, last) = (c.items[0].0, c.items.last().unwrap().0);
+                        assert!(admitted(c) || (!group_fits && first == last), "{at}");
+                    }
+                    for pair in chunks.windows(2) {
+                        let (last, first) = (pair[0].items.last(), pair[1].items.first());
+                        assert!(
+                            last.unwrap().0 < first.unwrap().0,
+                            "{at}: a group was split"
+                        );
+                    }
+                    assert_eq!(chunks.iter().map(|c| c.items.len()).sum::<usize>(), total);
+                }
+            }
+        }
     }
 
     /// The hand-over as it was before handles: concatenate every rank's
@@ -829,7 +901,7 @@ mod tests {
             let outputs = phase1_outputs(96, ranks, 2);
             assert_eq!(outputs.iter().map(KvSet::len).sum::<usize>(), 108);
             for max_items in [1, 15, 16, 40, 100, 108, 2048] {
-                let chunks = group_chunks(&outputs, max_items);
+                let chunks = group_chunks(&outputs, max_items, usize::MAX);
                 assert_eq!(
                     chunks,
                     concat_sort_group(&outputs, max_items),
@@ -840,10 +912,10 @@ mod tests {
                     assert!(last.unwrap().0 < first.unwrap().0, "a key-group was split");
                 }
             }
-            assert!(group_chunks(&outputs, 16)[0].items.len() > 16);
+            assert!(group_chunks(&outputs, 16, usize::MAX)[0].items.len() > 16);
         }
-        assert!(group_chunks(&[], 16).is_empty());
-        assert!(group_chunks(&[KvSet::new(), KvSet::new()], 16).is_empty());
+        assert!(group_chunks(&[], 16, 16).is_empty());
+        assert!(group_chunks(&[KvSet::new(), KvSet::new()], 16, 16).is_empty());
     }
 
     fn digest(m: &Matrix) -> u64 {
@@ -884,7 +956,8 @@ mod tests {
         let b = Matrix::random(240, 33);
         let mut cluster = Cluster::accelerator(8, GpuSpec::gt200());
         let capacity = cluster.gpu(0).mem.capacity();
-        let chunks2 = phase2_chunks(&phase1_outputs(240, 8, 1), capacity);
+        let bound = max_resident_chunk_bytes(&mut cluster, &Default::default());
+        let chunks2 = phase2_chunks(&phase1_outputs(240, 8, 1), capacity, bound);
         assert_eq!(chunks2[0].items.len(), 2055);
         let result = run_mm(&mut cluster, &a, &b, 1, 1, 1, RunOpts::default()).unwrap();
         assert_eq!(digest(&result.c), 0x40f9_f313_024a_b4b9, "order 240");

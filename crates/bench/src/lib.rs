@@ -21,7 +21,7 @@
 //! you have the time and memory. Simulated times scale with the workload,
 //! so speedup and efficiency *shapes* are preserved; EXPERIMENTS.md
 //! records results at the default scale. A job the scaled cluster cannot
-//! hold (MM above `--scale 80`) is the engine's typed error.
+//! hold is the engine's typed error.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,7 +1,7 @@
 //! The paper's evaluation artifacts, one function per `gpmr paper` mode.
 //! Each runs its sweep at workload scale divisor `scale` and returns the
-//! report it prints; a job the scaled cluster cannot hold (MM above
-//! `--scale 80`) is the engine's typed error and no report.
+//! report it prints; a job the scaled cluster cannot hold is the engine's
+//! typed error and no report.
 
 use gpmr_apps::datasets::{mm_dim_factor, second_seed};
 use gpmr_apps::kmc::{self, KmcJob};

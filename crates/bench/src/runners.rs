@@ -94,7 +94,6 @@ fn run_mm_scaled(a: &Matrix, b: &Matrix, gpus: u32, scale: u64) -> EngineResult<
 mod tests {
     use super::*;
     use gpmr_apps::Benchmark;
-    use gpmr_core::EngineError;
 
     fn input(benchmark: Benchmark, size: u64, seed: u64) -> AppInput {
         let w = Workload {
@@ -140,17 +139,15 @@ mod tests {
     }
 
     #[test]
-    fn mm_past_its_scaling_range_is_a_typed_error() {
+    fn mm_runs_where_its_key_groups_straddle_the_staging_bound() {
         // Device capacity shrinks by d^2 while phase 2 keeps whole tile
-        // groups per chunk: the Figure 2 harness died in an `expect` here
-        // at `--scale 128`.
+        // groups per chunk: at `--scale 128` a chunk grew past its group
+        // boundary to 1 024 tiles, more than a 4 MiB device stages four
+        // times, and `gpmr paper fig2` failed with `ChunkTooLarge`.
         for scale in [128, 4096] {
             let w = gpmr_apps::strong_workload(Benchmark::Mm, 3, scale, 1);
-            let result = run_bench(&harness_input(&w, scale), 1, scale);
-            assert!(
-                matches!(result, Err(EngineError::ChunkTooLarge { .. })),
-                "scale {scale}: {result:?}"
-            );
+            let timings = run_bench(&harness_input(&w, scale), 1, scale).unwrap();
+            assert!(timings.total.as_secs() > 0.0, "scale {scale}");
         }
     }
 }

@@ -64,7 +64,6 @@ USAGE:
     gpmr analyze --events events.jsonl [--json]
     gpmr trace  export --in events.jsonl --out trace.json
     gpmr trace  check  --in trace.json
-    gpmr trace  summary --in events.jsonl
     gpmr perf   record --out F [--scale N]
     gpmr perf   diff --baseline F --against F [--tolerance T] [--json]
     gpmr serve  --workload FILE [--gpus N] [--engines N] [--queue-depth N]
@@ -143,7 +142,6 @@ ANALYZE:
 TRACE SUBCOMMAND:
     export        convert a --events-out JSONL stream to Perfetto JSON
     check         validate a Perfetto JSON file (structure, monotonic ts)
-    summary       print per-track busy-time/utilization from a JSONL stream
 
 SERVE:
     Multi-tenant job service over a scripted workload in simulated time.
@@ -198,8 +196,7 @@ PAPER SUBCOMMAND:
     weak-scaling sweep (--full: all of Table 1 set two, not the mid-range
     size); ablations the design ablations. --scale N divides element
     counts by N and matrix orders by about sqrt(N), with the hardware
-    scaled to match [default: 64]; MM runs only up to --scale 80. --csv
-    appends machine-readable rows.
+    scaled to match [default: 64]. --csv appends machine-readable rows.
 ";
 
 /// Errors surfaced to the user.
@@ -360,7 +357,6 @@ pub const COMMANDS: &[Command] = &[
     row("info", "", &[CLUSTER], cmd_info),
     row("trace", "export", &[&[IN, OUT]], trace_export),
     row("trace", "check", &[&[IN]], trace_check),
-    row("trace", "summary", &[&[IN]], trace_summary),
     row("perf", "record", &[&[OUT, SCALE]], perf_record),
     row("perf", "diff", &[PERF_DIFF], perf_diff),
     row("paper", "table1", &[&[SCALE]], |a| {
@@ -584,10 +580,6 @@ fn trace_check(args: &Args) -> Result<String, CliError> {
          {} named track(s), ends at {:.1} us\n",
         stats.complete_events, stats.counter_events, stats.named_tracks, stats.end_ts_us,
     ))
-}
-
-fn trace_summary(args: &Args) -> Result<String, CliError> {
-    Ok(export::summary_report(&recorded_snapshot(args, "trace", "in")?).render_text())
 }
 
 /// Apply `--fault-plan`/`--fault-seed` to a freshly built cluster.
@@ -1187,8 +1179,8 @@ mod tests {
         assert!(exported.contains("exported"), "{exported}");
         let checked = run(&["trace", "check", "--in", trace2.to_str().unwrap()]).unwrap();
         assert!(checked.contains("OK"), "{checked}");
-        let summary = run(&["trace", "summary", "--in", events.to_str().unwrap()]).unwrap();
-        assert!(summary.contains("rank 0"), "{summary}");
+        let analysis = run(&["analyze", "--events", events.to_str().unwrap()]).unwrap();
+        assert!(analysis.contains("rank 0: busy"), "{analysis}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1197,7 +1189,7 @@ mod tests {
         assert!(run(&["trace"])
             .unwrap_err()
             .to_string()
-            .contains("export, check, or summary"));
+            .contains("export or check"));
         assert!(run(&["trace", "frob", "--in", "x"])
             .unwrap_err()
             .to_string()

@@ -16,8 +16,8 @@
 //! ## Rank accounting
 //!
 //! Busy/blocked time is computed as the length of the *union* of span
-//! intervals per track (unlike [`crate::export::summary_report`], which sums
-//! durations and can double-count overlapping spans). Busy covers pipeline
+//! intervals per track, so overlapping spans (an upload under the previous
+//! chunk's map) count once. Busy covers pipeline
 //! work (Upload/Map/Bin/Sort/Reduce...), blocked covers recovery and fault
 //! spans (Retry/Stall/Requeue/Steal/GpuLost); the remainder of the makespan
 //! is idle. By construction `busy + blocked + idle == makespan` per rank.

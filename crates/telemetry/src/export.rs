@@ -1,6 +1,6 @@
-//! Exporters: Chrome trace-event / Perfetto JSON, a JSONL event stream,
-//! a per-track utilization summary and an ASCII Gantt chart — plus a
-//! structural validator used by tests and CI.
+//! Exporters: Chrome trace-event / Perfetto JSON, a JSONL event stream
+//! and an ASCII Gantt chart — plus a structural validator used by tests
+//! and CI.
 //!
 //! ## Perfetto mapping
 //!
@@ -372,89 +372,6 @@ fn field_str(v: &Value, key: &str, lineno: usize) -> Result<String, String> {
         .ok_or_else(|| format!("line {}: missing string field {key:?}", lineno + 1))
 }
 
-/// Per-track, per-kind busy-time summary derived from a snapshot.
-#[derive(Clone, Debug, Default)]
-pub struct SummaryReport {
-    /// (track, display name, kind → busy seconds, utilization in `[0, 1]`).
-    pub tracks: Vec<TrackSummary>,
-    /// Latest span end time (simulated seconds).
-    pub end_s: f64,
-}
-
-/// Summary for one track.
-#[derive(Clone, Debug, Default)]
-pub struct TrackSummary {
-    /// Track index.
-    pub track: u32,
-    /// Display name (empty when unnamed).
-    pub name: String,
-    /// Busy seconds per span kind, sorted by kind.
-    pub busy_by_kind: BTreeMap<String, f64>,
-    /// Total busy seconds / snapshot end time. Overlapping spans (an
-    /// upload under the previous chunk's map) can push this above 1.
-    pub utilization: f64,
-}
-
-/// Compute a per-track utilization summary. Container spans are ignored
-/// so wrappers don't double count their children.
-pub fn summary_report(snap: &TelemetrySnapshot) -> SummaryReport {
-    let end_s = snap.end_s();
-    let mut by_track: BTreeMap<u32, BTreeMap<String, f64>> = BTreeMap::new();
-    for &track in snap.tracks.keys() {
-        by_track.entry(track).or_default();
-    }
-    for s in &snap.spans {
-        if SpanKind::from_name(&s.kind).is_some_and(SpanKind::is_container) {
-            continue;
-        }
-        *by_track
-            .entry(s.track)
-            .or_default()
-            .entry(s.kind.clone())
-            .or_insert(0.0) += s.duration_s();
-    }
-    let tracks = by_track
-        .into_iter()
-        .map(|(track, busy_by_kind)| {
-            // fold from +0.0: `Iterator::sum` starts from -0.0, which an
-            // empty track would render as "-0.0% busy".
-            let busy: f64 = busy_by_kind.values().fold(0.0, |a, b| a + b);
-            TrackSummary {
-                track,
-                name: snap.tracks.get(&track).cloned().unwrap_or_default(),
-                busy_by_kind,
-                utilization: if end_s > 0.0 { busy / end_s } else { 0.0 },
-            }
-        })
-        .collect();
-    SummaryReport { tracks, end_s }
-}
-
-impl SummaryReport {
-    /// Stable text render, one track per line plus a header.
-    pub fn render_text(&self) -> String {
-        let mut out = format!("span summary (end = {:.6}s)\n", self.end_s);
-        for t in &self.tracks {
-            let label = if t.name.is_empty() {
-                format!("track {}", t.track)
-            } else {
-                t.name.clone()
-            };
-            out.push_str(&format!("  {label}: {:5.1}% busy", t.utilization * 100.0));
-            let mut kinds: Vec<String> = t
-                .busy_by_kind
-                .iter()
-                .map(|(k, v)| format!("{k} {v:.6}s"))
-                .collect();
-            if kinds.is_empty() {
-                kinds.push("idle".into());
-            }
-            out.push_str(&format!("  [{}]\n", kinds.join(", ")));
-        }
-        out
-    }
-}
-
 /// Render an ASCII Gantt chart of the spans whose [`SpanKind`] has a
 /// tag in the table, one row per track `0..ranks`, `width` columns of
 /// simulated time. Later spans overwrite earlier ones in a cell; kernels
@@ -770,28 +687,6 @@ mod tests {
             restored.metrics.gauge("gpu.rank0.mem_peak_bytes"),
             snap.metrics.gauge("gpu.rank0.mem_peak_bytes")
         );
-    }
-
-    #[test]
-    fn summary_report_excludes_container_kinds() {
-        let mut snap = sample_snapshot();
-        snap.spans.push(SpanRecord {
-            id: 99,
-            parent: None,
-            track: 0,
-            kind: "Chunk".into(),
-            name: "chunk 0".into(),
-            start_s: 0.0,
-            end_s: 1.0,
-            attrs: vec![],
-        });
-        let report = summary_report(&snap);
-        let t0 = report.tracks.iter().find(|t| t.track == 0).unwrap();
-        assert!(!t0.busy_by_kind.contains_key("Chunk"));
-        assert!((t0.busy_by_kind["Upload"] - 0.25).abs() < 1e-12);
-        let text = report.render_text();
-        assert!(text.contains("rank 0"));
-        assert!(text.contains("Upload"));
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! event), the [`Stage`] the analyzer attributes it to, the tag and legend
 //! label the Gantt chart draws it with, and whether it is a container.
 //! Recorders pass [`SpanKind::name`] to [`Telemetry::span`](crate::Telemetry::span);
-//! the analyzer, the summary and the chart look kinds up here and nowhere
-//! else.
+//! the analyzer and the chart look kinds up here and nowhere else.
 
 use std::fmt;
 

@@ -1,10 +1,9 @@
-//! Edge-case and property tests for the summary/analysis layer:
+//! Edge-case and property tests for the analysis layer:
 //! degenerate recordings (no spans, one track, zero-duration spans) must
 //! produce well-formed reports, and the union-based per-track activity
 //! accounting must never attribute more busy time than wall time.
 
 use gpmr_telemetry::analyze::analyze;
-use gpmr_telemetry::export::summary_report;
 use gpmr_telemetry::metrics::MetricsSnapshot;
 use gpmr_telemetry::span::{SpanRecord, SpanRecorder};
 use gpmr_telemetry::TelemetrySnapshot;
@@ -33,13 +32,7 @@ fn snap_of(spans: Vec<SpanRecord>) -> TelemetrySnapshot {
 
 #[test]
 fn zero_span_recorder_yields_empty_reports() {
-    let snap = snap_of(vec![]);
-    let report = summary_report(&snap);
-    assert_eq!(report.end_s, 0.0);
-    assert!(report.tracks.is_empty());
-    assert!(report.render_text().contains("span summary"));
-
-    let a = analyze(&snap);
+    let a = analyze(&snap_of(vec![]));
     assert_eq!(a.makespan_s, 0.0);
     assert!(a.critical_path.is_empty());
     assert!(a.ranks.is_empty());
@@ -49,18 +42,12 @@ fn zero_span_recorder_yields_empty_reports() {
 }
 
 #[test]
-fn single_track_job_summarizes_and_analyzes() {
+fn single_track_job_analyzes() {
     let snap = snap_of(vec![
         span(0, "Upload", 0.0, 1.0),
         span(0, "Map", 1.0, 3.0),
         span(0, "Sort", 3.0, 4.0),
     ]);
-    let report = summary_report(&snap);
-    assert_eq!(report.tracks.len(), 1);
-    let t = &report.tracks[0];
-    assert!((t.utilization - 1.0).abs() < 1e-12, "{}", t.utilization);
-    assert_eq!(t.busy_by_kind.len(), 3);
-
     let a = analyze(&snap);
     assert_eq!(a.ranks.len(), 1);
     assert!((a.ranks[0].busy_s - 4.0).abs() < 1e-12);
@@ -79,9 +66,6 @@ fn identical_start_and_end_spans_are_harmless() {
         span(0, "Requeue", 1.0, 1.0),
         span(0, "Map", 0.0, 2.0),
     ]);
-    let report = summary_report(&snap);
-    assert!((report.tracks[0].utilization - 1.0).abs() < 1e-12);
-
     let a = analyze(&snap);
     assert_eq!(a.makespan_s, 2.0);
     assert!((a.ranks[0].busy_s - 2.0).abs() < 1e-12);
@@ -93,11 +77,6 @@ fn identical_start_and_end_spans_are_harmless() {
 #[test]
 fn all_zero_duration_spans_do_not_blow_up() {
     let snap = snap_of(vec![span(0, "Map", 1.0, 1.0), span(1, "Sort", 1.0, 1.0)]);
-    let report = summary_report(&snap);
-    assert_eq!(report.end_s, 1.0);
-    for t in &report.tracks {
-        assert_eq!(t.utilization, 0.0);
-    }
     let a = analyze(&snap);
     assert_eq!(a.makespan_s, 1.0);
     for r in &a.ranks {

@@ -8,7 +8,7 @@
 
 use gpmr::core::{run_job_instrumented, EngineTuning};
 use gpmr::prelude::*;
-use gpmr::telemetry::{export, SpanKind, Telemetry};
+use gpmr::telemetry::{analyze::analyze, export, Telemetry};
 use gpmr_apps::sio::{generate_integers, sio_chunks};
 
 fn main() {
@@ -44,25 +44,11 @@ fn main() {
         snap.metrics.counters.len(),
     );
 
-    // Quantify the overlap the chart shows: how much upload time hides
-    // under map kernels.
-    let summary = export::summary_report(&snap);
-    for t in summary.tracks.iter().take(gpus as usize) {
-        let busy = |kind: SpanKind| {
-            SimDuration::from_secs(t.busy_by_kind.get(kind.name()).copied().unwrap_or(0.0))
-        };
-        println!(
-            "rank {}: upload busy {}, map busy {}, sort busy {}",
-            t.track,
-            busy(SpanKind::Upload),
-            busy(SpanKind::Map),
-            busy(SpanKind::Sort)
-        );
-    }
-
-    // Per-track utilization from the same summary (container spans are
-    // left out so they don't double-count their children).
-    println!("\n{}", summary.render_text());
+    // The same recording, analyzed: the critical path's stage shares,
+    // each rank's busy/blocked/idle time (interval unions, so an upload
+    // under the previous chunk's map counts once) and how much send time
+    // hides behind map kernels.
+    println!("\n{}", analyze(&snap).render_text());
 
     // Key counters from the metrics registry.
     for key in [

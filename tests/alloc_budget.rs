@@ -31,6 +31,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use gpmr::core::rounds::max_resident_chunk_bytes;
 use gpmr::prelude::*;
 use gpmr_apps::mm::{mm_auto_blocks, mm_chunks, phase2_chunks, MmMapJob};
 use gpmr_apps::sio::{generate_integers, sio_chunks};
@@ -289,7 +290,8 @@ fn mm_regroup_allocations() -> (u64, u64, u64) {
     let phase1 = run_job(&mut cluster, &job, mm_chunks(&a, &b, rb, cb, kb)).unwrap();
 
     COUNTED.with(|c| c.set(Some((0, 0))));
-    let chunks = phase2_chunks(&phase1.outputs, capacity);
+    let bound = max_resident_chunk_bytes(&mut cluster, &Default::default());
+    let chunks = phase2_chunks(&phase1.outputs, capacity, bound);
     let (bytes, calls) = COUNTED.with(|c| c.take()).expect("counting was on");
     assert_eq!(
         chunks.iter().map(|c| c.items.len() as u64).sum::<u64>(),

@@ -21,6 +21,11 @@ const SELF: &str = "tests/source_rules.rs";
 /// Everywhere a deleted name could come back.
 #[rustfmt::skip]
 const TREE: &[&str] = &["crates", "src", "tests", "examples", "README.md", "DESIGN.md"];
+/// Everywhere a deleted instrument could be named again: the tree, the
+/// manifests, the docs and CI.
+#[rustfmt::skip]
+const EVERYWHERE: &[&str] = &["crates", "src", "tests", "examples", "shims", "Cargo.toml", "Cargo.lock",
+    "README.md", "DESIGN.md", "EXPERIMENTS.md", "CONTRIBUTING.md", ".github", ".claude"];
 #[rustfmt::skip]
 const GENERATORS: &[&str] = &["generate_integers", "generate_zipf_integers", "generate_samples",
     "generate_points", "initial_centers", "generate_text", "generate_zipf_text", "Matrix::random"];
@@ -133,6 +138,15 @@ const RULES: &[Rule] = &[
     Rule { roots: &["crates/apps/src/sio.rs"], text: Code, hits: |l| l.contains("HashMap"),
         reason: "the SIO oracle counts in one sweep, with no hash table", example: "let mut counts = HashMap::new();",
         ..ABSENT },
+    Rule { roots: EVERYWHERE, hits: |l| any(l, &["criterion", "hot_path"]),
+        reason: "host cost has one instrument, `benchmark/`; no microbench suite and no shim to run one",
+        example: r#"criterion = { path = "shims/criterion" }"#, ..ABSENT },
+    Rule { roots: EVERYWHERE, hits: |l| any(l, &["summary_report", "SummaryReport", "TrackSummary"]),
+        reason: "per-rank busy time has one account, `analyze`'s interval unions, not a sum of overlapping spans",
+        example: "let summary = export::summary_report(&snap);", ..ABSENT },
+    Rule { roots: EVERYWHERE, hits: |l| any(l, &["trace summary", r#""trace", "summary""#]),
+        reason: "`gpmr analyze --events` reads a recording's per-rank time; `gpmr trace` exports and checks",
+        example: r#"row("trace", "summary", &[&[IN]], trace_summary),"#, ..ABSENT },
 ];
 
 /// The files `rule` reads, relative to the package root.
