@@ -164,31 +164,31 @@ pub fn run_kmeans(
     })
 }
 
-/// Sequential reference K-Means (same update rule) for verification.
-pub fn reference_kmeans(
-    points: &[Point],
-    initial_centers: Vec<Point>,
-    max_iterations: usize,
-    tolerance: f64,
-) -> (Vec<Point>, usize) {
-    let mut centers = initial_centers;
-    for iter in 0..max_iterations {
-        let sums = crate::kmc::cpu_reference(&centers, points);
-        let updated = centers_from_sums(&centers, &sums);
-        let moved = total_movement(&centers, &updated);
-        centers = updated;
-        if moved < tolerance {
-            return (centers, iter + 1);
-        }
-    }
-    (centers, max_iterations)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kmc::{generate_points, initial_centers};
     use gpmr_sim_gpu::GpuSpec;
+
+    /// Sequential reference K-Means (same update rule) for verification.
+    fn reference_kmeans(
+        points: &[Point],
+        initial_centers: Vec<Point>,
+        max_iterations: usize,
+        tolerance: f64,
+    ) -> (Vec<Point>, usize) {
+        let mut centers = initial_centers;
+        for iter in 0..max_iterations {
+            let sums = crate::kmc::cpu_reference(&centers, points);
+            let updated = centers_from_sums(&centers, &sums);
+            let moved = total_movement(&centers, &updated);
+            centers = updated;
+            if moved < tolerance {
+                return (centers, iter + 1);
+            }
+        }
+        (centers, max_iterations)
+    }
 
     #[test]
     fn iterative_kmeans_matches_sequential_reference() {

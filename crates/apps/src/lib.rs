@@ -21,7 +21,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cpair;
 pub mod datasets;
 pub mod iterative;
 pub mod kmc;
@@ -29,12 +28,10 @@ pub mod lr;
 pub mod mm;
 pub mod mph;
 pub mod sio;
-pub mod ssort;
 pub mod table;
 pub mod text;
 pub mod wo;
 
-pub use cpair::{CpairJob, CpairRounds};
 pub use datasets::{strong_workload, Benchmark, Workload};
 pub use iterative::{run_kmeans, KmcRounds, KmeansResult};
 pub use kmc::KmcJob;
@@ -42,7 +39,6 @@ pub use lr::LrJob;
 pub use mm::{run_mm, Matrix, MmMapJob, MmResult, MmSumJob};
 pub use mph::MinimalPerfectHash;
 pub use sio::SioJob;
-pub use ssort::{SsortJob, SsortRounds};
 pub use table::{AppData, AppInput, AppOutput, AppRun};
 pub use text::Dictionary;
 pub use wo::WoJob;

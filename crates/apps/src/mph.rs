@@ -8,8 +8,6 @@
 //! equivalent modern hash-and-displace scheme (CHD), which handles 43 k
 //! words comfortably.
 
-use std::collections::HashMap;
-
 /// A minimal perfect hash over a fixed word list: maps each word to a
 /// unique index in `0..n`, and any non-dictionary string to an arbitrary
 /// index (callers that need exactness keep the word list for verification).
@@ -174,25 +172,18 @@ impl MinimalPerfectHash {
     }
 }
 
-/// Verify perfection on a word list (test/diagnostic helper): returns the
-/// inverse mapping index → word if the hash is perfect and minimal.
-pub fn verify_perfect<'a>(
-    mph: &MinimalPerfectHash,
-    words: &[&'a [u8]],
-) -> Option<HashMap<u32, &'a [u8]>> {
-    let mut seen = HashMap::with_capacity(words.len());
-    for &w in words {
-        let i = mph.index(w);
-        if i as usize >= words.len() || seen.insert(i, w).is_some() {
-            return None;
-        }
-    }
-    Some(seen)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Whether `mph` maps `words` one-to-one onto `0..words.len()`.
+    fn verify_perfect(mph: &MinimalPerfectHash, words: &[&[u8]]) -> bool {
+        let mut seen = vec![false; words.len()];
+        words.iter().all(|w| {
+            let i = mph.index(w) as usize;
+            i < seen.len() && !std::mem::replace(&mut seen[i], true)
+        })
+    }
 
     fn words(n: usize) -> Vec<Vec<u8>> {
         // Deterministic distinct pseudo-words.
@@ -205,7 +196,7 @@ mod tests {
         let refs: Vec<&[u8]> = ws.iter().map(Vec::as_slice).collect();
         let mph = MinimalPerfectHash::build(&refs);
         assert_eq!(mph.len(), 100);
-        assert!(verify_perfect(&mph, &refs).is_some());
+        assert!(verify_perfect(&mph, &refs));
     }
 
     #[test]
@@ -213,7 +204,7 @@ mod tests {
         let ws = words(43_000);
         let refs: Vec<&[u8]> = ws.iter().map(Vec::as_slice).collect();
         let mph = MinimalPerfectHash::build(&refs);
-        assert!(verify_perfect(&mph, &refs).is_some());
+        assert!(verify_perfect(&mph, &refs));
         // The paper's observation: the table is small (< 350 kB).
         assert!(mph.table_bytes() < 350 * 1024);
     }

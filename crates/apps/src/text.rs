@@ -44,21 +44,6 @@ impl Dictionary {
         Dictionary { words, mph }
     }
 
-    /// Build a dictionary from an explicit word list (e.g. loaded from a
-    /// system word file). Words must be distinct; duplicates panic during
-    /// minimal-perfect-hash construction.
-    ///
-    /// ```
-    /// let words = ["map", "bin", "sort", "reduce"].map(|w| w.as_bytes().to_vec());
-    /// let dict = gpmr_apps::text::Dictionary::from_words(words.to_vec());
-    /// assert_eq!(dict.len(), 4);
-    /// ```
-    pub fn from_words(words: Vec<Vec<u8>>) -> Self {
-        let refs: Vec<&[u8]> = words.iter().map(Vec::as_slice).collect();
-        let mph = MinimalPerfectHash::build(&refs);
-        Dictionary { words, mph }
-    }
-
     /// Number of words.
     pub fn len(&self) -> usize {
         self.words.len()
@@ -174,21 +159,6 @@ mod tests {
         let set: std::collections::HashSet<_> = d.words.iter().collect();
         assert_eq!(set.len(), 500);
         assert!(!d.is_empty());
-    }
-
-    #[test]
-    fn dictionary_from_words() {
-        let words: Vec<Vec<u8>> = ["alpha", "beta", "gamma", "delta"]
-            .iter()
-            .map(|w| w.as_bytes().to_vec())
-            .collect();
-        let d = Dictionary::from_words(words.clone());
-        assert_eq!(d.len(), 4);
-        assert!(crate::mph::verify_perfect(
-            &d.mph,
-            &words.iter().map(Vec::as_slice).collect::<Vec<_>>()
-        )
-        .is_some());
     }
 
     #[test]

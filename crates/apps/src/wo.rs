@@ -385,8 +385,7 @@ mod tests {
         // corpus — heavy enough to unbalance round-robin, but still small
         // enough that key-granularity splitters *can* reach balance. (At
         // s >= 1.2 the hot key alone exceeds the 1/8 fair share and no
-        // key-level partitioner can bound the ratio; ssort's test covers
-        // that regime.)
+        // key-level partitioner can bound the ratio.)
         let dict = Arc::new(Dictionary::generate(5_000, 21));
         let text = crate::text::generate_zipf_text(&dict, 200_000, 1.05, 22);
         let expect = cpu_reference(&dict, &text);

@@ -77,62 +77,6 @@ impl<T: Pod> Chunk for SliceChunk<T> {
     }
 }
 
-/// A chunk of key-value pairs: the round driver's chained-input type. A
-/// round's per-rank reduce output becomes the next round's map input
-/// without a host-side re-encode — the pairs stay pairs.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PairChunk<K, V> {
-    /// Identifier of this chunk within its job (stable across migration).
-    pub id: u32,
-    /// The pairs.
-    pub pairs: crate::types::KvSet<K, V>,
-}
-
-impl<K: Pod + PartialEq, V: Pod> PairChunk<K, V> {
-    /// Create a chunk.
-    pub fn new(id: u32, pairs: crate::types::KvSet<K, V>) -> Self {
-        PairChunk { id, pairs }
-    }
-
-    /// Split one pair set into chunks of at most `chunk_pairs` pairs,
-    /// numbering them from `first_id`.
-    pub fn split(pairs: &crate::types::KvSet<K, V>, chunk_pairs: usize, first_id: u32) -> Vec<Self>
-    where
-        K: Clone,
-        V: Clone,
-    {
-        let chunk_pairs = chunk_pairs.max(1);
-        pairs
-            .keys
-            .chunks(chunk_pairs)
-            .zip(pairs.vals.chunks(chunk_pairs))
-            .enumerate()
-            .map(|(i, (k, v))| PairChunk {
-                id: first_id + i as u32,
-                pairs: crate::types::KvSet::from_parts(k.to_vec(), v.to_vec()),
-            })
-            .collect()
-    }
-}
-
-impl<K: Pod + PartialEq, V: Pod> Chunk for PairChunk<K, V> {
-    fn item_count(&self) -> usize {
-        self.pairs.len()
-    }
-
-    fn size_bytes(&self) -> u64 {
-        self.pairs.size_bytes()
-    }
-
-    fn serialize(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + self.pairs.len() * (K::SIZE + V::SIZE));
-        self.id.write_le(&mut out);
-        write_slice(&self.pairs.keys, &mut out);
-        write_slice(&self.pairs.vals, &mut out);
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,23 +117,5 @@ mod tests {
         let data = vec![1u8, 2, 3];
         let chunks = SliceChunk::split(&data, 0);
         assert_eq!(chunks.len(), 3);
-    }
-
-    #[test]
-    fn pair_chunk_serializes_and_splits() {
-        let pairs: crate::types::KvSet<u32, f32> =
-            (0..10u32).map(|i| (i, i as f32 * 0.5)).collect();
-        let c = PairChunk::new(7, pairs.clone());
-        assert_eq!(c.item_count(), 10);
-        assert_eq!(c.size_bytes(), 80);
-        assert_eq!(c.serialize().len(), 4 + (8 + 40) * 2);
-
-        let parts = PairChunk::split(&pairs, 4, 100);
-        assert_eq!(parts.len(), 3);
-        assert_eq!(parts[0].id, 100);
-        assert_eq!(parts[2].id, 102);
-        assert_eq!(parts[2].pairs.len(), 2);
-        let total: usize = parts.iter().map(Chunk::item_count).sum();
-        assert_eq!(total, 10);
     }
 }

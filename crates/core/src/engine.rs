@@ -591,10 +591,11 @@ impl<J: GpmrJob> Run<J> {
 
         let plan = cluster.fault_plan().cloned();
         let join_at = |r: u32| plan.as_ref().and_then(|p| p.add_time(r));
-        if let Some(p) = plan.as_ref() {
-            if let Some(r) = p.added_ranks().into_iter().find(|&r| r >= ranks) {
+        for event in plan.iter().flat_map(FaultPlan::events) {
+            let (verb, named) = event.ranks();
+            if let Some(r) = named.into_iter().flatten().find(|&r| r >= ranks) {
                 return Err(EngineError::InvalidPipeline(format!(
-                    "fault plan adds rank {r} but the cluster has only {ranks} GPUs"
+                    "fault plan {verb} rank {r} but the cluster has only {ranks} GPUs"
                 )));
             }
         }

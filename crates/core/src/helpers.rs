@@ -1,6 +1,5 @@
 //! Engine-internal GPU helpers shared by pipeline stages.
 
-use std::collections::HashMap;
 use std::ops::Range;
 
 use gpmr_primitives::{extract_segments, sort_pairs, RadixKey};
@@ -165,25 +164,6 @@ where
     Ok((out, res.end))
 }
 
-/// CPU-reference grouping for tests: fold like-keyed values with `op`,
-/// returning pairs sorted by key radix.
-pub fn reference_combine<K, V, F>(pairs: &KvSet<K, V>, op: F) -> Vec<(K, V)>
-where
-    K: Key + RadixKey,
-    V: Value,
-    F: Fn(V, V) -> V,
-{
-    let mut map: HashMap<u64, (K, V)> = HashMap::new();
-    for (k, v) in pairs.iter() {
-        map.entry(k.radix())
-            .and_modify(|e| e.1 = op(e.1, *v))
-            .or_insert((*k, *v));
-    }
-    let mut out: Vec<(K, V)> = map.into_values().collect();
-    out.sort_by_key(|(k, _)| k.radix());
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,7 +235,10 @@ mod tests {
     fn combine_pairs_matches_reference() {
         let mut g = gpu();
         let pairs: KvSet<u32, u64> = (0..10_000u32).map(|i| (i % 37, 1u64)).collect();
-        let expect = reference_combine(&pairs, |a, b| a + b);
+        // Key k occurs once for each i < 10 000 with i % 37 == k.
+        let expect: Vec<(u32, u64)> = (0..37u32)
+            .map(|k| (k, u64::from(10_000 - k).div_ceil(37)))
+            .collect();
         let (combined, t) = combine_pairs(&mut g, SimTime::ZERO, pairs, |a, b| a + b).unwrap();
         let mut got: Vec<(u32, u64)> = combined.iter().map(|(k, v)| (*k, *v)).collect();
         got.sort_by_key(|(k, _)| *k);

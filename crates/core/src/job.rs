@@ -85,20 +85,6 @@ impl PartitionMode {
             PartitionMode::Range { .. } => 3,
         }
     }
-
-    /// Route a key radix under this mode's host-side rules. `Custom`
-    /// cannot be resolved here (it needs the job); callers handle it
-    /// before falling through. Returns `None` for `Custom`.
-    pub fn route_radix(&self, radix: u64, ranks: u32) -> Option<u32> {
-        match self {
-            PartitionMode::None => Some(0),
-            PartitionMode::RoundRobin => Some((radix % u64::from(ranks.max(1))) as u32),
-            PartitionMode::Custom => None,
-            PartitionMode::Range { splitters } => {
-                Some(splitters.partition_point(|&s| s <= radix) as u32)
-            }
-        }
-    }
 }
 
 /// Derive range splitters from a sample of key radixes, minimizing the
@@ -378,6 +364,12 @@ pub trait GpmrJob: Send + Sync {
 mod tests {
     use super::*;
 
+    /// The band [`PartitionMode::Range`] routes key radix `k` to: the
+    /// count of splitters at or below it (the engine's routing rule).
+    fn band(splitters: &[u64], k: u64) -> u32 {
+        splitters.partition_point(|&s| s <= k) as u32
+    }
+
     #[test]
     fn default_pipeline_is_plain_round_robin_radix() {
         let p = PipelineConfig::default();
@@ -486,10 +478,9 @@ mod tests {
         assert_eq!(splitters.len(), 3);
         assert!(splitters.windows(2).all(|w| w[0] < w[1]));
         // Each quarter of the sample mass lands in its own range.
-        let mode = PartitionMode::Range { splitters };
         let mut counts = [0u32; 4];
         for k in 0..1000u64 {
-            counts[mode.route_radix(k, 4).unwrap() as usize] += 1;
+            counts[band(&splitters, k) as usize] += 1;
         }
         for &c in &counts {
             assert!((200..=300).contains(&c), "imbalanced: {counts:?}");
@@ -505,13 +496,10 @@ mod tests {
         let splitters = derive_splitters(&samples, 8);
         assert!(splitters.len() <= 7);
         assert!(splitters.windows(2).all(|w| w[0] < w[1]));
-        let mode = PartitionMode::Range {
-            splitters: splitters.clone(),
-        };
-        let heavy = mode.route_radix(7, 8).unwrap();
+        let heavy = band(&splitters, 7);
         for k in (0..100u64).filter(|&k| k != 7) {
             assert_ne!(
-                mode.route_radix(k, 8).unwrap(),
+                band(&splitters, k),
                 heavy,
                 "key {k} shares a band with the heavy key ({splitters:?})"
             );
@@ -527,15 +515,12 @@ mod tests {
 
     #[test]
     fn range_mode_routes_by_partition_point() {
-        let mode = PartitionMode::Range {
-            splitters: vec![10, 20],
-        };
-        assert_eq!(mode.route_radix(0, 3), Some(0));
-        assert_eq!(mode.route_radix(10, 3), Some(1)); // <= goes right
-        assert_eq!(mode.route_radix(15, 3), Some(1));
-        assert_eq!(mode.route_radix(20, 3), Some(2));
-        assert_eq!(mode.route_radix(u64::MAX, 3), Some(2));
-        assert_eq!(mode.discriminant(), 3);
-        assert_eq!(PartitionMode::Custom.route_radix(5, 3), None);
+        let splitters = vec![10, 20];
+        assert_eq!(band(&splitters, 0), 0);
+        assert_eq!(band(&splitters, 10), 1); // <= goes right
+        assert_eq!(band(&splitters, 15), 1);
+        assert_eq!(band(&splitters, 20), 2);
+        assert_eq!(band(&splitters, u64::MAX), 2);
+        assert_eq!(PartitionMode::Range { splitters }.discriminant(), 3);
     }
 }

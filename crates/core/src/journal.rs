@@ -157,11 +157,13 @@ macro_rules! journal_records {
 }
 
 journal_records! {
-    /// Job admission: a fingerprint over the cluster shape, pipeline
-    /// configuration, tuning that affects the schedule, and every input
-    /// chunk's content. Always the first record; a resumed run whose
-    /// fingerprint differs diverges immediately instead of replaying
-    /// garbage.
+    /// Job admission: a fingerprint over the cluster size, the starting
+    /// reducer ranks, the chunk count, two fields of
+    /// [`EngineTuning`](crate::EngineTuning) — `pipeline_depth` (at least
+    /// 1) and `gpu_direct` — the pipeline configuration, and every input
+    /// chunk's serialized bytes. No other tuning field is hashed. Always
+    /// the first record; a resumed run whose fingerprint differs diverges
+    /// immediately instead of replaying garbage.
     JobStart = 1, barrier: true {
         /// FNV-1a over job configuration and input chunk contents.
         fingerprint: u64,

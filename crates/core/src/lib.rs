@@ -109,7 +109,7 @@ pub mod scheduler;
 pub mod stats;
 pub mod types;
 
-pub use chunk::{Chunk, PairChunk, SliceChunk};
+pub use chunk::{Chunk, SliceChunk};
 pub use engine::{
     run_job, run_job_instrumented, run_job_journaled, run_job_with, EngineTuning, JobResult, Run,
     RunOpts,
@@ -121,8 +121,8 @@ pub use job::{
 pub use journal::{scan_bytes, Journal, JournalError, JournalRecord, JournalResult, RecordOutcome};
 pub use pod::Pod;
 pub use rounds::{
-    max_resident_chunk_bytes, rechunk_interleaved, run_rounds, RoundDecision, RoundJob, RoundStats,
-    RoundStep, RoundsResult,
+    max_resident_chunk_bytes, run_rounds, RoundDecision, RoundJob, RoundStats, RoundStep,
+    RoundsResult,
 };
 pub use scheduler::WorkQueues;
 pub use stats::{efficiency, speedup, JobTimings, StageTimes};

@@ -8,14 +8,15 @@
 //! single-round engine, with three properties the hand-rolled host loops
 //! (the old k-means example) did not have:
 //!
-//! * **Cluster-resident chaining** — per-rank outputs stay on the device
-//!   that produced them and become the next round's input chunks
-//!   ([`RoundDecision::Chain`]), or the original input stays resident for
-//!   re-iteration ([`RoundDecision::Again`]). When a conservative fit
+//! * **Cluster-resident iteration** — the original input stays resident
+//!   for re-iteration ([`RoundDecision::Again`]). When a conservative fit
 //!   check holds and the previous round saw no steals, kills, or joins,
 //!   the next round runs under [`RunOpts::inputs_resident`] and skips
-//!   every stationary chunk upload; only the control scalar (centers,
-//!   splitters, a convergence flag) crosses to the host and back.
+//!   every stationary chunk upload; only the control scalar (centers, a
+//!   convergence flag) crosses to the host and back. A round's outputs
+//!   may instead become the next round's input chunks
+//!   ([`RoundDecision::Chain`]); those are new chunks, so a chained round
+//!   pays its uploads.
 //! * **Honest cross-round time** — each engine pass restarts simulated
 //!   time at zero; the driver accumulates `makespan + control-broadcast
 //!   tail` per round into one cross-round clock, recorded as per-round
@@ -34,12 +35,11 @@ use gpmr_sim_gpu::{SimDuration, SimTime};
 use gpmr_sim_net::Cluster;
 use gpmr_telemetry::{SpanKind, Telemetry};
 
-use crate::chunk::{Chunk, PairChunk};
+use crate::chunk::Chunk;
 use crate::engine::{run_job_with, EngineTuning, RunOpts};
 use crate::error::EngineResult;
 use crate::job::GpmrJob;
 use crate::journal::{hash_pairs, Fnv64, Journal, JournalRecord};
-use crate::pod::Pod;
 use crate::stats::JobTimings;
 use crate::types::KvSet;
 
@@ -62,15 +62,14 @@ pub enum RoundDecision {
     /// refinement: k-means re-maps the dataset under updated centers).
     Again,
     /// Run another round over the round's *outputs*, re-chunked by
-    /// [`RoundJob::rechunk`] (pipelined rounds: sample-sort's sampling
-    /// pass feeds its partitioned sort pass).
+    /// [`RoundJob::rechunk`] (pipelined rounds: MM's products feed its
+    /// summing pass). A chained round always pays its uploads.
     Chain,
 }
 
 /// [`RoundJob::absorb`]'s verdict: the control decision plus the size of
 /// the control state the host must broadcast to every rank before the
-/// next round (updated centers, derived splitters — zero when nothing
-/// crosses).
+/// next round (updated centers — zero when nothing crosses).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RoundStep {
     /// Continue, repeat, or chain.
@@ -113,7 +112,7 @@ impl RoundStep {
 /// plus the host-side control logic between rounds.
 ///
 /// The driver owns the loop; the implementation owns the state that
-/// evolves across rounds (centers, splitters, thresholds) and surfaces it
+/// evolves across rounds (centers, thresholds) and surfaces it
 /// through three hooks: [`RoundJob::job`] builds the round's job from the
 /// current state, [`RoundJob::absorb`] folds a round's outputs back into
 /// the state and decides what happens next, and [`RoundJob::rechunk`]
@@ -126,8 +125,8 @@ pub trait RoundJob {
     type Job: GpmrJob;
 
     /// Hard cap on rounds; the driver stops here even without
-    /// [`RoundDecision::Done`] (Lloyd's iterations cap, a fixed
-    /// two-round sample-sort).
+    /// [`RoundDecision::Done`] (Lloyd's iterations cap, MM's fixed two
+    /// phases).
     fn max_rounds(&self) -> u32;
 
     /// Build round `round`'s job from the current control state.
@@ -135,9 +134,8 @@ pub trait RoundJob {
 
     /// Hash of the current control state, journaled in
     /// [`JournalRecord::RoundStart`] before each round. A resumed run
-    /// whose control trajectory differs (changed centers, changed
-    /// splitters) diverges here, at the round boundary. Default: 0
-    /// (stateless drivers).
+    /// whose control trajectory differs (changed centers) diverges here,
+    /// at the round boundary. Default: 0 (stateless drivers).
     fn control_hash(&self) -> u64 {
         0
     }
@@ -149,14 +147,8 @@ pub trait RoundJob {
     fn absorb(&mut self, round: u32, outputs: &[RoundOutputs<Self::Job>]) -> RoundStep;
 
     /// Turn round `round`'s outputs into the next round's input chunks
-    /// (consumed — the data does not move, it is re-labelled). Required
-    /// when [`RoundJob::absorb`] returns [`RoundDecision::Chain`].
-    ///
-    /// Contract: preserve rank affinity — chunk `i` is dispatched to
-    /// reducer `i % reducers`, so emitting outputs interleaved by source
-    /// rank (see [`rechunk_interleaved`]) keeps every stationary chunk on
-    /// the device that produced it, which is what lets the next round run
-    /// resident. Implementations must also respect the engine's
+    /// (consumed). Required when [`RoundJob::absorb`] returns
+    /// [`RoundDecision::Chain`]. Implementations must respect the engine's
     /// [`ChunkTooLarge`](crate::error::EngineError::ChunkTooLarge)
     /// admission bound (split with [`max_resident_chunk_bytes`]).
     fn rechunk(
@@ -165,15 +157,6 @@ pub trait RoundJob {
         _outputs: Vec<RoundOutputs<Self::Job>>,
     ) -> Vec<<Self::Job as GpmrJob>::Chunk> {
         unimplemented!("RoundJob::absorb returned Chain but rechunk is not implemented")
-    }
-
-    /// Whether [`RoundJob::rechunk`] preserves rank affinity (chunk `i`
-    /// holds only data that rank `i % ranks` already has, as
-    /// [`rechunk_interleaved`] arranges). Only then may a chained round
-    /// run device-resident; the default is `false` — a rechunk that
-    /// concentrates or reshuffles data across ranks must pay its uploads.
-    fn rechunk_preserves_affinity(&self) -> bool {
-        false
     }
 }
 
@@ -213,45 +196,6 @@ pub struct RoundsResult<K, V> {
 /// outputs to stay under this.
 pub fn max_resident_chunk_bytes(cluster: &mut Cluster, tuning: &EngineTuning) -> u64 {
     cluster.gpu(0).mem.capacity() / tuning.staging_slots().max(1)
-}
-
-/// Split per-rank outputs into [`PairChunk`]s interleaved by source rank:
-/// chunk `i` holds pairs produced by rank `i % ranks`, so the engine's
-/// round-robin distribution sends every chunk back to the device already
-/// holding its data. Oversized outputs split into multiple slices, each
-/// at most `max_bytes` (clamped to one pair).
-pub fn rechunk_interleaved<K: Pod + PartialEq, V: Pod>(
-    outputs: Vec<KvSet<K, V>>,
-    max_bytes: u64,
-) -> Vec<PairChunk<K, V>> {
-    let pair_bytes = (K::SIZE + V::SIZE) as u64;
-    let max_pairs = (max_bytes / pair_bytes.max(1)).max(1) as usize;
-    let mut per_rank: Vec<Vec<PairChunk<K, V>>> = outputs
-        .iter()
-        .map(|o| PairChunk::split(o, max_pairs, 0))
-        .collect();
-    let ranks = per_rank.len();
-    let total: usize = per_rank.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    let mut layer = 0usize;
-    while out.len() < total {
-        for rank_chunks in per_rank.iter_mut() {
-            if layer < rank_chunks.len() {
-                let mut c =
-                    std::mem::replace(&mut rank_chunks[layer], PairChunk::new(0, KvSet::new()));
-                c.id = out.len() as u32;
-                out.push(c);
-            } else {
-                // Keep the interleave aligned: a rank with nothing left
-                // this layer contributes an empty chunk so chunk i still
-                // lands on rank i % ranks.
-                out.push(PairChunk::new(out.len() as u32, KvSet::new()));
-            }
-        }
-        layer += 1;
-    }
-    debug_assert!(out.len() % ranks.max(1) == 0 || ranks == 0);
-    out
 }
 
 /// Drive `driver` through its rounds on `cluster`. The initial `chunks`
@@ -366,24 +310,22 @@ where
             });
         }
 
-        // Residency for the next round: only claimed when the dataset
-        // conservatively fits on one device alongside the working set
-        // (2x bound: pairs plus sort/scratch room) AND the finished round
-        // moved nothing between ranks — a steal, requeue, loss, or join
-        // displaces data from its home device, so the honest fallback is
-        // a full re-upload.
-        let affine = match step.decision {
-            RoundDecision::Chain => {
-                // The spent input goes before the next one is built.
-                chunks.clear();
-                chunks = driver.rechunk(round - 1, result.outputs);
-                driver.rechunk_preserves_affinity()
-            }
-            // `Again` re-runs the unchanged chunks: trivially affine.
-            _ => true,
-        };
+        // Residency for the next round: only an `Again` round, which
+        // re-runs the unchanged chunks on the devices that already hold
+        // them, skips its uploads, and only when the dataset conservatively
+        // fits on one device alongside the working set (2x bound: pairs
+        // plus sort/scratch room) AND the finished round moved nothing
+        // between ranks — a steal, requeue, loss, or join displaces data
+        // from its home device, so the honest fallback is a full
+        // re-upload. A chained round's chunks are new: it pays its uploads.
+        let again = step.decision == RoundDecision::Again;
+        if !again {
+            // The spent input goes before the next one is built.
+            chunks.clear();
+            chunks = driver.rechunk(round - 1, result.outputs);
+        }
         let total_bytes: u64 = chunks.iter().map(Chunk::size_bytes).sum();
         let capacity = cluster.gpu(0).mem.capacity();
-        resident = quiet && affine && total_bytes.saturating_mul(2) <= capacity;
+        resident = quiet && again && total_bytes.saturating_mul(2) <= capacity;
     }
 }

@@ -1,10 +1,21 @@
 //! Property-based tests for the GPMR core: chunking, routing, and
 //! pipeline-equivalence invariants on arbitrary inputs.
 
-use gpmr_core::helpers::{combine_pairs, reference_combine, split_buckets};
+use std::collections::BTreeMap;
+
+use gpmr_core::helpers::{combine_pairs, split_buckets};
 use gpmr_core::{Chunk, KvSet, SliceChunk, WorkQueues};
 use gpmr_sim_gpu::{Gpu, GpuSpec, SimTime};
 use proptest::prelude::*;
+
+/// CPU-reference grouping: the sum of each key's values, in key order.
+fn reference_combine(pairs: &[(u32, u64)]) -> Vec<(u32, u64)> {
+    let mut sums = BTreeMap::new();
+    for &(k, v) in pairs {
+        *sums.entry(k).or_insert(0) += v;
+    }
+    sums.into_iter().collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -54,7 +65,7 @@ proptest! {
         pairs in prop::collection::vec((0u32..100, 0u64..1000), 0..1500),
     ) {
         let set: KvSet<u32, u64> = pairs.iter().copied().collect();
-        let expect = reference_combine(&set, |a, b| a + b);
+        let expect = reference_combine(&pairs);
         let mut gpu = Gpu::new(GpuSpec::gt200());
         let (combined, _) = combine_pairs(&mut gpu, SimTime::ZERO, set, |a, b| a + b).unwrap();
         let mut got: Vec<(u32, u64)> = combined.iter().map(|(k, v)| (*k, *v)).collect();
@@ -93,8 +104,14 @@ proptest! {
 // Range-partitioner properties: splitter shape, routing totality, and
 // the balanced-partition load guarantee (including under Zipf skew).
 mod range_partitioning {
-    use gpmr_core::{derive_splitters, PartitionMode};
+    use gpmr_core::derive_splitters;
     use proptest::prelude::*;
+
+    /// The band `PartitionMode::Range` routes key radix `k` to: the count
+    /// of splitters at or below it (the engine's routing rule).
+    fn band(splitters: &[u64], k: u64) -> u32 {
+        splitters.partition_point(|&s| s <= k) as u32
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
@@ -110,10 +127,8 @@ mod range_partitioning {
             let splitters = derive_splitters(&samples, reducers);
             prop_assert!(splitters.len() < reducers.max(1) as usize);
             prop_assert!(splitters.windows(2).all(|w| w[0] < w[1]));
-            let mode = PartitionMode::Range { splitters };
             for k in samples.iter().chain(probes.iter()) {
-                let band = mode.route_radix(*k, reducers).unwrap();
-                prop_assert!(band < reducers.max(1));
+                prop_assert!(band(&splitters, *k) < reducers.max(1));
             }
             // Routing is monotone in the key: bands partition the key
             // space into ascending contiguous ranges.
@@ -121,7 +136,7 @@ mod range_partitioning {
             sorted.sort_unstable();
             let bands: Vec<u32> = sorted
                 .iter()
-                .map(|k| mode.route_radix(*k, reducers).unwrap())
+                .map(|k| band(&splitters, *k))
                 .collect();
             prop_assert!(bands.windows(2).all(|w| w[0] <= w[1]));
         }
@@ -134,11 +149,10 @@ mod range_partitioning {
             reducers in 2u32..16,
         ) {
             let splitters = derive_splitters(&samples, reducers);
-            let mode = PartitionMode::Range { splitters };
             let mut loads = vec![0usize; reducers as usize];
             let mut runs = std::collections::HashMap::new();
             for &k in &samples {
-                loads[mode.route_radix(k, reducers).unwrap() as usize] += 1;
+                loads[band(&splitters, k) as usize] += 1;
                 *runs.entry(k).or_insert(0usize) += 1;
             }
             let max_run = runs.values().copied().max().unwrap_or(0);
@@ -177,10 +191,9 @@ mod range_partitioning {
                 samples.extend(std::iter::repeat_n(u64::from(key), count));
             }
             let splitters = derive_splitters(&samples, REDUCERS);
-            let mode = PartitionMode::Range { splitters };
             let mut loads = vec![0u64; REDUCERS as usize];
             for &k in &samples {
-                loads[mode.route_radix(k, REDUCERS).unwrap() as usize] += 1;
+                loads[band(&splitters, k) as usize] += 1;
             }
             let max = *loads.iter().max().unwrap() as f64;
             let mean = samples.len() as f64 / f64::from(REDUCERS);

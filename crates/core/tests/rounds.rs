@@ -250,3 +250,82 @@ fn interrupted_drive_resumes_bit_identically_at_any_truncation() {
     }
     std::fs::remove_file(&full_path).ok();
 }
+
+/// MM's shape: a stateless two-round drive whose second round runs over
+/// the first round's outputs ([`RoundStep::chain`]) with no control state
+/// to broadcast.
+struct ChainRounds;
+
+impl RoundJob for ChainRounds {
+    type Job = HistJob;
+
+    fn max_rounds(&self) -> u32 {
+        2
+    }
+
+    fn job(&self, _round: u32) -> HistJob {
+        HistJob { salt: 0 }
+    }
+
+    fn absorb(&mut self, round: u32, _outputs: &[KvSet<u32, u32>]) -> RoundStep {
+        if round == 0 {
+            RoundStep::chain(0)
+        } else {
+            RoundStep::done()
+        }
+    }
+
+    fn rechunk(&self, _round: u32, outputs: Vec<KvSet<u32, u32>>) -> Vec<SliceChunk<u32>> {
+        (0u32..)
+            .zip(outputs)
+            .map(|(id, o)| SliceChunk::new(id, 0, o.keys))
+            .collect()
+    }
+}
+
+/// Only an `Again` round runs resident: a chained round's chunks are new,
+/// so it pays its uploads even when the round before was quiet and its
+/// chunks fit on one device — and with nothing broadcast, the drive's
+/// clock is exactly its two passes.
+#[test]
+fn a_quiet_fitting_chained_round_pays_its_uploads() {
+    let (tuning, tel) = (EngineTuning::default(), Telemetry::disabled());
+    let mut cluster = Cluster::accelerator(2, GpuSpec::gt200());
+    let chained = run_rounds(
+        &mut cluster,
+        &mut ChainRounds,
+        input_chunks(20_000),
+        &tuning,
+        &tel,
+        None,
+    )
+    .expect("chained drive failed");
+    assert_eq!(chained.rounds, 2);
+    let first = &chained.per_round[0].timings;
+    let quiet =
+        first.chunks_stolen + first.chunks_requeued == 0 && first.gpus_lost + first.gpus_added == 0;
+    assert!(quiet, "round 0 must be quiet: {first:?}");
+    assert!(
+        !chained.per_round[1].resident,
+        "a chained round ran resident"
+    );
+    let passes = chained.per_round[0].timings.total + chained.per_round[1].timings.total;
+    assert_eq!(
+        chained.total_time.as_secs().to_bits(),
+        passes.as_secs().to_bits()
+    );
+
+    // The same input re-run by `Again` does fit and run resident.
+    let mut again = HistRounds { rounds: 2, salt: 1 };
+    let mut cluster = Cluster::accelerator(2, GpuSpec::gt200());
+    let repeated = run_rounds(
+        &mut cluster,
+        &mut again,
+        input_chunks(20_000),
+        &tuning,
+        &tel,
+        None,
+    )
+    .expect("repeated drive failed");
+    assert!(repeated.per_round[1].resident, "an Again round re-uploaded");
+}

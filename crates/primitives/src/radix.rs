@@ -124,27 +124,19 @@ where
     K: RadixKey,
     V: Copy + Send + Sync + 'static,
 {
-    sort_pairs_config(gpu, at, keys, vals, &SortConfig::default())
-}
-
-/// [`sort_pairs`] with explicit [`SortConfig`] tuning.
-pub fn sort_pairs_config<K, V>(
-    gpu: &mut Gpu,
-    at: SimTime,
-    keys: &[K],
-    vals: &[V],
-    cfg: &SortConfig,
-) -> SimGpuResult<(Vec<K>, Vec<V>, SimTime)>
-where
-    K: RadixKey,
-    V: Copy + Send + Sync + 'static,
-{
     // Charge the max-reduction kernels that bound the number of passes;
     // the host finds the real max in the pass-0 histogram sweep the sort
     // needs anyway — one read of the keys instead of two.
     let t = charge_max_radix(gpu, at, keys)?;
     let mut s = SortScratch::default();
-    let t = sort_parts(gpu, t, &[(keys, vals)], None, cfg, &mut s)?;
+    let t = sort_parts(
+        gpu,
+        t,
+        &[(keys, vals)],
+        None,
+        &SortConfig::default(),
+        &mut s,
+    )?;
     Ok((s.keys, s.vals, t))
 }
 
@@ -481,18 +473,6 @@ where
     Ok(t)
 }
 
-/// Sort keys only (values are implicit indices nobody needs).
-pub fn sort_keys<K: RadixKey>(
-    gpu: &mut Gpu,
-    at: SimTime,
-    keys: &[K],
-) -> SimGpuResult<(Vec<K>, SimTime)> {
-    // Carry zero-sized values: unit type costs nothing to move.
-    let vals = vec![(); keys.len()];
-    let (k, _, t) = sort_pairs(gpu, at, keys, &vals)?;
-    Ok((k, t))
-}
-
 /// Digit width of the host sweeps. Wide 16-bit digits halve the
 /// sweep count for 32-bit keys once the input is big enough to amortize
 /// the 64K-entry counter tables; small inputs keep the configured width.
@@ -538,6 +518,12 @@ mod tests {
         Gpu::new(GpuSpec::gt200())
     }
 
+    /// Sort keys alone: [`sort_pairs`] carrying zero-sized values.
+    fn sort_only<K: RadixKey>(g: &mut Gpu, keys: &[K]) -> (Vec<K>, SimTime) {
+        let (k, _, t) = sort_pairs(g, SimTime::ZERO, keys, &vec![(); keys.len()]).unwrap();
+        (k, t)
+    }
+
     fn pseudo_random(n: usize, seed: u64) -> Vec<u32> {
         let mut x = seed.max(1);
         (0..n)
@@ -555,7 +541,7 @@ mod tests {
     fn sorts_random_u32_keys() {
         let mut g = gpu();
         let keys = pseudo_random(50_000, 42);
-        let (sorted, end) = sort_keys(&mut g, SimTime::ZERO, &keys).unwrap();
+        let (sorted, end) = sort_only(&mut g, &keys);
         let mut expect = keys.clone();
         expect.sort_unstable();
         assert_eq!(sorted, expect);
@@ -593,7 +579,7 @@ mod tests {
         let mut g = gpu();
         let keys: Vec<u32> = (0..30_000u32).map(|i| (i * 37) % 200).collect();
         let k1 = g.stats().kernels;
-        let (sorted, _) = sort_keys(&mut g, SimTime::ZERO, &keys).unwrap();
+        let (sorted, _) = sort_only(&mut g, &keys);
         let launches_narrow = g.stats().kernels - k1;
         let mut expect = keys.clone();
         expect.sort_unstable();
@@ -602,7 +588,7 @@ mod tests {
         // Full-width keys need three 11-bit passes; 8-bit keys only one.
         let wide = pseudo_random(30_000, 3);
         let k2 = g.stats().kernels;
-        sort_keys(&mut g, SimTime::ZERO, &wide).unwrap();
+        sort_only(&mut g, &wide);
         let launches_wide = g.stats().kernels - k2;
         assert!(launches_wide > launches_narrow);
     }
@@ -693,7 +679,7 @@ mod tests {
     fn signed_keys_sort_correctly() {
         let mut g = gpu();
         let keys: Vec<i32> = vec![5, -3, 0, -100, 88, -1, i32::MIN, i32::MAX];
-        let (sorted, _) = sort_keys(&mut g, SimTime::ZERO, &keys).unwrap();
+        let (sorted, _) = sort_only(&mut g, &keys);
         let mut expect = keys.clone();
         expect.sort_unstable();
         assert_eq!(sorted, expect);
@@ -702,10 +688,10 @@ mod tests {
     #[test]
     fn trivial_inputs() {
         let mut g = gpu();
-        let (empty, t) = sort_keys::<u32>(&mut g, SimTime::ZERO, &[]).unwrap();
+        let (empty, t) = sort_only::<u32>(&mut g, &[]);
         assert!(empty.is_empty());
         assert_eq!(t, SimTime::ZERO);
-        let (one, _) = sort_keys(&mut g, SimTime::ZERO, &[9u32]).unwrap();
+        let (one, _) = sort_only(&mut g, &[9u32]);
         assert_eq!(one, vec![9]);
     }
 

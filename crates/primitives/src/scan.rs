@@ -95,49 +95,6 @@ pub fn exclusive_scan<T: AddElem>(
     Ok((out, total, r3.end))
 }
 
-/// Inclusive scan: `out[i] = sum(input[..=i])`.
-pub fn inclusive_scan<T: AddElem>(
-    gpu: &mut Gpu,
-    at: SimTime,
-    input: &[T],
-) -> SimGpuResult<(Vec<T>, T, SimTime)> {
-    let (mut ex, total, end) = exclusive_scan(gpu, at, input)?;
-    for (o, &v) in ex.iter_mut().zip(input) {
-        *o = T::add(*o, v);
-    }
-    Ok((ex, total, end))
-}
-
-/// Device-wide reduction (sum). Returns the total and completion time.
-pub fn reduce<T: AddElem>(gpu: &mut Gpu, at: SimTime, input: &[T]) -> SimGpuResult<(T, SimTime)> {
-    if input.is_empty() {
-        return Ok((T::ZERO, at));
-    }
-    let cfg = scan_cfg(input.len());
-    let (partials, r1) = gpu.launch(at, &cfg, |ctx| {
-        let range = ctx.item_range(input.len());
-        ctx.charge_read::<T>(range.len());
-        ctx.charge_flops(range.len() as u64);
-        let mut acc = T::ZERO;
-        for &v in &input[range] {
-            acc = T::add(acc, v);
-        }
-        acc
-    })?;
-    let n = partials.outputs.len();
-    let final_cost = KernelCost {
-        flops: n as u64,
-        bytes_coalesced: (n * std::mem::size_of::<T>()) as u64,
-        ..KernelCost::ZERO
-    };
-    let r2 = gpu.charge_compute(r1.end, &final_cost, 1.0);
-    let mut total = T::ZERO;
-    for &p in &partials.outputs {
-        total = T::add(total, p);
-    }
-    Ok((total, r2.end))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,16 +119,6 @@ mod tests {
     }
 
     #[test]
-    fn inclusive_scan_matches_reference() {
-        let mut g = gpu();
-        let input: Vec<u32> = (1..=5000).collect();
-        let (out, total, _) = inclusive_scan(&mut g, SimTime::ZERO, &input).unwrap();
-        assert_eq!(out[0], 1);
-        assert_eq!(out[4999], 5000 * 5001 / 2);
-        assert_eq!(total, 5000 * 5001 / 2);
-    }
-
-    #[test]
     fn empty_scan_is_free() {
         let mut g = gpu();
         let (out, total, end) = exclusive_scan::<u32>(&mut g, SimTime::ZERO, &[]).unwrap();
@@ -186,17 +133,6 @@ mod tests {
         let (out, total, _) = exclusive_scan(&mut g, SimTime::ZERO, &[42u32]).unwrap();
         assert_eq!(out, vec![0]);
         assert_eq!(total, 42);
-    }
-
-    #[test]
-    fn reduce_matches_sum() {
-        let mut g = gpu();
-        let input: Vec<u64> = (0..100_000).collect();
-        let (total, end) = reduce(&mut g, SimTime::ZERO, &input).unwrap();
-        assert_eq!(total, 99_999 * 100_000 / 2);
-        assert!(end > SimTime::ZERO);
-        let (zero, _) = reduce::<u32>(&mut g, SimTime::ZERO, &[]).unwrap();
-        assert_eq!(zero, 0);
     }
 
     #[test]
@@ -215,7 +151,8 @@ mod tests {
     fn float_scan_works() {
         let mut g = gpu();
         let input = vec![0.5f64; 1000];
-        let (_, total, _) = inclusive_scan(&mut g, SimTime::ZERO, &input).unwrap();
+        let (out, total, _) = exclusive_scan(&mut g, SimTime::ZERO, &input).unwrap();
+        assert!((out[999] - 499.5).abs() < 1e-9);
         assert!((total - 500.0).abs() < 1e-9);
     }
 }

@@ -2,8 +2,8 @@
 //! CUDPP guarantees, checked on arbitrary inputs.
 
 use gpmr_primitives::{
-    bitonic_sort_pairs_by, compact, exclusive_scan, extract_segments, histogram, inclusive_scan,
-    reduce, sort_pairs, sort_pairs_with_bits_config, RadixKey, SortConfig,
+    bitonic_sort_pairs_by, exclusive_scan, extract_segments, sort_pairs,
+    sort_pairs_with_bits_config, RadixKey, SortConfig,
 };
 use gpmr_sim_gpu::{Gpu, GpuSpec, SimTime};
 use proptest::prelude::*;
@@ -25,23 +25,6 @@ proptest! {
             acc += v;
         }
         prop_assert_eq!(total, acc);
-    }
-
-    #[test]
-    fn inclusive_scan_is_exclusive_plus_element(input in prop::collection::vec(0u32..1000, 1..1500)) {
-        let mut g = gpu();
-        let (ex, _, _) = exclusive_scan(&mut g, SimTime::ZERO, &input).unwrap();
-        let (inc, _, _) = inclusive_scan(&mut g, SimTime::ZERO, &input).unwrap();
-        for i in 0..input.len() {
-            prop_assert_eq!(inc[i], ex[i].wrapping_add(input[i]));
-        }
-    }
-
-    #[test]
-    fn reduce_equals_sum(input in prop::collection::vec(0u64..1_000_000, 0..3000)) {
-        let mut g = gpu();
-        let (total, _) = reduce(&mut g, SimTime::ZERO, &input).unwrap();
-        prop_assert_eq!(total, input.iter().sum::<u64>());
     }
 
     #[test]
@@ -80,25 +63,6 @@ proptest! {
         radixes.sort_unstable();
         let resorted: Vec<u64> = sorted.iter().map(|k| k.radix()).collect();
         prop_assert_eq!(radixes, resorted);
-    }
-
-    #[test]
-    fn compact_preserves_order_and_predicate(input in prop::collection::vec(any::<u16>(), 0..2000)) {
-        let mut g = gpu();
-        let (out, _) = compact(&mut g, SimTime::ZERO, &input, |_, &v| v % 3 == 0).unwrap();
-        let expect: Vec<u16> = input.iter().copied().filter(|v| v % 3 == 0).collect();
-        prop_assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn histogram_counts_every_element(input in prop::collection::vec(0u32..64, 0..3000)) {
-        let mut g = gpu();
-        let (counts, _) = histogram(&mut g, SimTime::ZERO, &input, 64, |&v| v as usize).unwrap();
-        prop_assert_eq!(counts.iter().sum::<u64>(), input.len() as u64);
-        for (bin, &c) in counts.iter().enumerate() {
-            let expect = input.iter().filter(|&&v| v as usize == bin).count() as u64;
-            prop_assert_eq!(c, expect);
-        }
     }
 
     #[test]
@@ -338,61 +302,6 @@ mod pair_path {
             let t_into = extract_segments_into(&mut g, SimTime::ZERO, &keys, &mut reused).unwrap();
             prop_assert_eq!(&reused, &expect);
             prop_assert_eq!(t_into, t);
-        }
-    }
-}
-
-mod segmented_props {
-    use gpmr_primitives::{
-        extract_segments, flags_from_segments, segmented_inclusive_scan, segmented_reduce,
-    };
-    use gpmr_sim_gpu::{Gpu, GpuSpec, SimTime};
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        #[test]
-        fn segmented_scan_matches_reference(
-            values in prop::collection::vec(0u64..1000, 0..3000),
-            starts in prop::collection::vec(any::<bool>(), 0..3000),
-        ) {
-            let n = values.len().min(starts.len());
-            let (values, flags) = (&values[..n], &starts[..n]);
-            let mut gpu = Gpu::new(GpuSpec::gt200());
-            let (out, _) =
-                segmented_inclusive_scan(&mut gpu, SimTime::ZERO, values, flags).unwrap();
-            let mut acc = 0u64;
-            for i in 0..n {
-                if flags[i] { acc = 0; }
-                acc += values[i];
-                prop_assert_eq!(out[i], acc, "index {}", i);
-            }
-        }
-
-        #[test]
-        fn segmented_reduce_agrees_with_per_segment_sums(
-            mut keys in prop::collection::vec(0u32..40, 1..2000),
-        ) {
-            keys.sort_unstable();
-            let values: Vec<u64> = (0..keys.len() as u64).collect();
-            let mut gpu = Gpu::new(GpuSpec::gt200());
-            let (segs, _) = extract_segments(&mut gpu, SimTime::ZERO, &keys).unwrap();
-            let (sums, _) = segmented_reduce(&mut gpu, SimTime::ZERO, &segs, &values).unwrap();
-            prop_assert_eq!(sums.len(), segs.len());
-            for i in 0..segs.len() {
-                let expect: u64 = values[segs.range(i)].iter().sum();
-                prop_assert_eq!(sums[i], expect);
-            }
-            // Scan with flags built from the same segments ends each
-            // segment at its reduce sum.
-            let flags = flags_from_segments(&segs, values.len());
-            let (scan, _) =
-                segmented_inclusive_scan(&mut gpu, SimTime::ZERO, &values, &flags).unwrap();
-            for (i, &sum) in sums.iter().enumerate() {
-                let r = segs.range(i);
-                prop_assert_eq!(scan[r.end - 1], sum);
-            }
         }
     }
 }

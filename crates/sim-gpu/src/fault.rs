@@ -79,6 +79,21 @@ pub enum FaultEvent {
     },
 }
 
+impl FaultEvent {
+    /// What the event does to the ranks it names, and those ranks: the
+    /// victim of a kill, stall or add, or the endpoints of a transfer rule
+    /// (a `*` endpoint names none).
+    pub fn ranks(&self) -> (&'static str, [Option<u32>; 2]) {
+        match *self {
+            FaultEvent::GpuKill { rank, .. } => ("kills", [Some(rank), None]),
+            FaultEvent::RankStall { rank, .. } => ("stalls", [Some(rank), None]),
+            FaultEvent::GpuAdd { rank, .. } => ("adds", [Some(rank), None]),
+            FaultEvent::TransferFail { from, to, .. } => ("fails transfers of", [from, to]),
+            FaultEvent::TransferDelay { from, to, .. } => ("delays transfers of", [from, to]),
+        }
+    }
+}
+
 /// What the fault plan decrees for one transfer attempt.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum TransferOutcome {
@@ -234,21 +249,6 @@ impl FaultPlan {
             .reduce(SimTime::min)
     }
 
-    /// Ranks with a scheduled add event, sorted and deduplicated.
-    pub fn added_ranks(&self) -> Vec<u32> {
-        let mut ranks: Vec<u32> = self
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                FaultEvent::GpuAdd { rank, .. } => Some(*rank),
-                _ => None,
-            })
-            .collect();
-        ranks.sort_unstable();
-        ranks.dedup();
-        ranks
-    }
-
     /// All stalls scheduled for `rank`, sorted by start instant.
     pub fn stalls_for(&self, rank: u32) -> Vec<(SimTime, SimDuration)> {
         let mut stalls: Vec<(SimTime, SimDuration)> = self
@@ -381,31 +381,6 @@ impl FaultPlan {
             plan = plan.transfer_delay(Some(from), Some(to), start, until, extra);
         }
 
-        plan
-    }
-
-    /// [`FaultPlan::generate`] for an elastic cluster: the chaos schedule
-    /// of `generate(seed, ranks, horizon_s)` (kills, stalls, transfer
-    /// faults confined to the first `ranks` ranks), plus one add event for
-    /// each of the `extra` trailing ranks `ranks..ranks + extra`, at
-    /// seed-deterministic instants inside the horizon. `generate` itself
-    /// never emits adds, so existing chaos comparisons against same-size
-    /// clean runs stay valid.
-    ///
-    /// ```
-    /// let plan = gpmr_sim_gpu::FaultPlan::generate_elastic(7, 4, 2, 5e-3);
-    /// assert_eq!(plan.added_ranks(), vec![4, 5]);
-    /// ```
-    pub fn generate_elastic(seed: u64, ranks: u32, extra: u32, horizon_s: f64) -> Self {
-        let mut plan = Self::generate(seed, ranks, horizon_s);
-        // A separate stream keeps the base schedule identical to the
-        // inelastic plan for the same seed.
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-        let horizon = horizon_s.max(1e-6);
-        for r in ranks..ranks.saturating_add(extra) {
-            let at = rng.gen_range(0.0..0.6 * horizon);
-            plan = plan.add(r, at);
-        }
         plan
     }
 
@@ -630,38 +605,12 @@ mod tests {
         assert_eq!(plan.add_time(4), Some(SimTime::from_secs(1.5e-3)));
         assert_eq!(plan.add_time(5), Some(SimTime::from_secs(1e-3)));
         assert_eq!(plan.add_time(0), None);
-        assert_eq!(plan.added_ranks(), vec![4, 5]);
 
         let parsed = FaultPlan::parse("add:4@2e-3; kill:1@1e-3").unwrap();
         assert_eq!(parsed.add_time(4), Some(SimTime::from_secs(2e-3)));
-        assert_eq!(parsed.added_ranks(), vec![4]);
         assert_eq!(parsed.kill_time(1), Some(SimTime::from_secs(1e-3)));
         for bad in ["add:4", "add:x@0", "add:4@-1"] {
             assert!(FaultPlan::parse(bad).is_err(), "accepted {bad:?}");
-        }
-    }
-
-    #[test]
-    fn elastic_plans_extend_the_base_schedule_deterministically() {
-        for seed in 0..16u64 {
-            let base = FaultPlan::generate(seed, 4, 5e-3);
-            let elastic = FaultPlan::generate_elastic(seed, 4, 2, 5e-3);
-            assert_eq!(
-                elastic,
-                FaultPlan::generate_elastic(seed, 4, 2, 5e-3),
-                "seed {seed} not reproducible"
-            );
-            // The base chaos schedule is untouched; only adds are appended.
-            assert_eq!(&elastic.events()[..base.events().len()], base.events());
-            assert_eq!(elastic.added_ranks(), vec![4, 5]);
-            assert!(
-                base.added_ranks().is_empty(),
-                "generate must never emit adds"
-            );
-            for r in elastic.added_ranks() {
-                let at = elastic.add_time(r).unwrap();
-                assert!(at >= SimTime::ZERO && at < SimTime::from_secs(5e-3));
-            }
         }
     }
 

@@ -184,34 +184,6 @@ impl<'a> BlockCtx<'a> {
         self.cost.flops += accesses as u64 * degree;
     }
 
-    /// Record a memory operation by the *actual byte addresses* each lane
-    /// touches and charge the bus traffic the GT200 coalescing rules
-    /// derive for it (one warp per 32 addresses; see [`crate::access`]).
-    /// The emergent alternative to declaring `charge_read` vs
-    /// `charge_read_uncoalesced` by hand.
-    ///
-    /// ```
-    /// use gpmr_sim_gpu::{Gpu, GpuSpec, LaunchConfig, SimTime};
-    /// let mut gpu = Gpu::new(GpuSpec::gt200());
-    /// let scattered: Vec<u64> = (0..32).map(|lane| lane * 4096).collect();
-    /// let (launch, _) = gpu.launch(SimTime::ZERO, &LaunchConfig::grid(1, 32), |ctx| {
-    ///     ctx.charge_addressed::<u32>(&scattered).waste_factor()
-    /// })?;
-    /// assert_eq!(launch.outputs, [8.0]); // a 32-byte segment per 4-byte read
-    /// # Ok::<(), gpmr_sim_gpu::SimGpuError>(())
-    /// ```
-    pub fn charge_addressed<T>(&mut self, addresses: &[u64]) -> crate::access::CoalescingSummary {
-        let mut total = crate::access::CoalescingSummary::default();
-        for warp in addresses.chunks(self.spec.warp_size as usize) {
-            total.merge(crate::access::coalesce_warp(
-                warp,
-                std::mem::size_of::<T>() as u64,
-            ));
-        }
-        self.cost.bytes_coalesced += total.bytes_moved;
-        total
-    }
-
     /// Cost recorded by this block so far.
     pub fn cost(&self) -> KernelCost {
         self.cost
@@ -407,35 +379,6 @@ mod tests {
         let mut ctx = BlockCtx::new(&s, &cfg, 0);
         ctx.charge_shared::<f64>(100, 1);
         assert_eq!(ctx.cost().flops, 200);
-    }
-
-    #[test]
-    fn addressed_charges_agree_with_declared_model_at_the_extremes() {
-        let s = spec();
-        let cfg = LaunchConfig::grid(1, 32);
-
-        // Perfectly sequential addresses: derived traffic equals the
-        // declared coalesced charge.
-        let mut auto = BlockCtx::new(&s, &cfg, 0);
-        let seq: Vec<u64> = (0..256).map(|i| i * 4).collect();
-        let summary = auto.charge_addressed::<u32>(&seq);
-        let mut declared = BlockCtx::new(&s, &cfg, 0);
-        declared.charge_read::<u32>(256);
-        assert_eq!(auto.cost().bytes_coalesced, declared.cost().bytes_coalesced);
-        assert!((summary.waste_factor() - 1.0).abs() < 1e-12);
-
-        // Full scatter: derived traffic equals the declared uncoalesced
-        // charge times the penalty (8x for 4-byte elements on GT200).
-        let mut auto = BlockCtx::new(&s, &cfg, 0);
-        let scattered: Vec<u64> = (0..256).map(|i| i * 4096).collect();
-        auto.charge_addressed::<u32>(&scattered);
-        let mut declared = BlockCtx::new(&s, &cfg, 0);
-        declared.charge_read_uncoalesced::<u32>(256);
-        let declared_effective = declared.cost().effective_bytes(&s);
-        assert!(
-            (auto.cost().bytes_coalesced as f64 - declared_effective).abs()
-                < 1e-9 * declared_effective
-        );
     }
 
     #[test]

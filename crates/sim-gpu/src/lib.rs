@@ -23,7 +23,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod access;
 pub mod cost;
 pub mod device;
 pub mod error;
@@ -36,7 +35,6 @@ pub mod spec;
 pub mod stream;
 pub mod time;
 
-pub use access::{coalesce_block, coalesce_warp, CoalescingSummary};
 pub use cost::{kernel_time, KernelCost};
 pub use device::{Gpu, GpuStats};
 pub use error::{SimGpuError, SimGpuResult};

@@ -2,10 +2,9 @@
 //!
 //! GPMR itself only needs point-to-point Bin sends, but jobs composed
 //! *around* GPMR do: iterative K-Means broadcasts updated centers to every
-//! rank each iteration, and a shuffle-heavy job's Bin stage is effectively
-//! an all-to-all. These helpers time such patterns faithfully (tree
-//! broadcast, pairwise all-to-all) without carrying payloads — callers
-//! pair them with their own data movement.
+//! rank each iteration. [`broadcast`] times that pattern faithfully (a
+//! binomial tree) without carrying payloads — callers pair it with their
+//! own data movement.
 
 use crate::fabric::Fabric;
 use gpmr_sim_gpu::SimTime;
@@ -50,24 +49,6 @@ pub fn broadcast(fabric: &mut Fabric, root: u32, at: SimTime, bytes: u64) -> Vec
         .into_iter()
         .map(|t| t.expect("all ranks reached"))
         .collect()
-}
-
-/// Pairwise all-to-all: every rank sends `bytes_per_pair` to every other
-/// rank, all transfers requested at `at`. Returns, per rank, the instant
-/// it has received from everyone.
-pub fn all_to_all(fabric: &mut Fabric, at: SimTime, bytes_per_pair: u64) -> Vec<SimTime> {
-    let ranks = fabric.topology().total_gpus;
-    let mut done = vec![at; ranks as usize];
-    // Round-robin pairing (each round r, rank i sends to (i + r) % ranks)
-    // spreads load over senders like MPI's pairwise exchange.
-    for round in 1..ranks {
-        for src in 0..ranks {
-            let dst = (src + round) % ranks;
-            let arrival = fabric.send(src, dst, at, bytes_per_pair);
-            done[dst as usize] = done[dst as usize].max(arrival);
-        }
-    }
-    done
 }
 
 #[cfg(test)]
@@ -125,24 +106,41 @@ mod tests {
         assert_eq!(ready, vec![SimTime::ZERO]);
     }
 
+    /// Pairwise exchange: in round `r`, rank `i` sends `bytes` to rank
+    /// `(i + r) % ranks`, every send requested at zero. Returns, per rank,
+    /// the instant it has received from everyone.
+    fn all_to_all(f: &mut Fabric, bytes: u64) -> Vec<SimTime> {
+        let ranks = f.topology().total_gpus;
+        let mut done = vec![SimTime::ZERO; ranks as usize];
+        for round in 1..ranks {
+            for src in 0..ranks {
+                let dst = (src + round) % ranks;
+                let arrival = f.send(src, dst, SimTime::ZERO, bytes);
+                done[dst as usize] = done[dst as usize].max(arrival);
+            }
+        }
+        done
+    }
+
     #[test]
     fn all_to_all_completes_everywhere() {
         let mut f = fabric(8);
-        let done = all_to_all(&mut f, SimTime::ZERO, 1 << 20);
+        let done = all_to_all(&mut f, 1 << 20);
         assert_eq!(done.len(), 8);
         assert!(done.iter().all(|t| t.as_secs() > 0.0));
-        // Cross-node traffic exists.
-        assert!(f.network_busy().as_secs() > 0.0);
+        // The exchange crossed nodes: a cross-node send queued behind it
+        // lands later than the same send on an idle fabric.
+        let queued = f.send(0, 4, SimTime::ZERO, 1 << 20);
+        let idle = fabric(8).send(0, 4, SimTime::ZERO, 1 << 20);
+        assert!(queued > idle, "queued {queued} idle {idle}");
     }
 
     #[test]
     fn all_to_all_scales_with_message_size() {
-        let mut f1 = fabric(8);
-        let small = all_to_all(&mut f1, SimTime::ZERO, 1 << 16)
+        let small = all_to_all(&mut fabric(8), 1 << 16)
             .into_iter()
             .fold(SimTime::ZERO, SimTime::max);
-        let mut f2 = fabric(8);
-        let large = all_to_all(&mut f2, SimTime::ZERO, 1 << 24)
+        let large = all_to_all(&mut fabric(8), 1 << 24)
             .into_iter()
             .fold(SimTime::ZERO, SimTime::max);
         assert!(large.as_secs() > small.as_secs() * 10.0);

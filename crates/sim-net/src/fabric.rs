@@ -218,11 +218,6 @@ impl Fabric {
         }
     }
 
-    /// Total NIC busy time over the whole fabric (for utilization stats).
-    pub fn network_busy(&self) -> SimDuration {
-        self.nics.iter().map(|n| n.busy_time()).sum()
-    }
-
     /// Reset all timelines to idle.
     pub fn reset(&mut self) {
         for n in &mut self.nics {
@@ -331,12 +326,17 @@ mod tests {
         Fabric::new(Topology::accelerator(gpus))
     }
 
+    /// Total NIC busy time over the whole fabric.
+    fn network_busy(f: &Fabric) -> SimDuration {
+        f.nics.iter().map(|n| n.busy_time()).sum()
+    }
+
     #[test]
     fn self_send_is_free() {
         let mut f = fabric(4);
         let t = f.send(1, 1, SimTime::from_secs(1.0), 1 << 30);
         assert_eq!(t.as_secs(), 1.0);
-        assert_eq!(f.network_busy(), SimDuration::ZERO);
+        assert_eq!(network_busy(&f), SimDuration::ZERO);
     }
 
     #[test]
@@ -349,8 +349,8 @@ mod tests {
         assert!(local < remote, "local {local} remote {remote}");
         // Large messages still never touch the NICs when staying local.
         f.send(0, 1, SimTime::ZERO, 64 << 20);
-        assert_eq!(f.network_busy(), SimDuration::ZERO);
-        assert!(f2.network_busy().as_secs() > 0.0);
+        assert_eq!(network_busy(&f), SimDuration::ZERO);
+        assert!(network_busy(&f2).as_secs() > 0.0);
     }
 
     #[test]
@@ -403,7 +403,7 @@ mod tests {
             f.try_send(0, 4, t, 1 << 10, 0),
             Err(TransferFault { from: 0, to: 4 })
         );
-        assert_eq!(f.network_busy(), SimDuration::ZERO, "failed send used wire");
+        assert_eq!(network_busy(&f), SimDuration::ZERO, "failed send used wire");
         assert_eq!(
             f.try_send(0, 4, t, 1 << 10, 1),
             Err(TransferFault { from: 0, to: 4 })
@@ -491,6 +491,6 @@ mod tests {
         let mut f = fabric(8);
         f.send(0, 4, SimTime::ZERO, 1 << 20);
         f.reset();
-        assert_eq!(f.network_busy(), SimDuration::ZERO);
+        assert_eq!(network_busy(&f), SimDuration::ZERO);
     }
 }

@@ -22,7 +22,7 @@ pub mod nic;
 pub mod topology;
 
 pub use cluster::Cluster;
-pub use collectives::{all_to_all, broadcast};
+pub use collectives::broadcast;
 pub use fabric::{Delivery, Fabric, Mailbox, TransferFault};
 pub use nic::{CpuSpec, Nic};
 pub use topology::Topology;

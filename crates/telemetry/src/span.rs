@@ -176,11 +176,6 @@ pub struct TelemetrySnapshot {
 }
 
 impl TelemetrySnapshot {
-    /// Spans on `track`, in record order.
-    pub fn spans_on(&self, track: u32) -> impl Iterator<Item = &SpanRecord> {
-        self.spans.iter().filter(move |s| s.track == track)
-    }
-
     /// Spans of the given kind, in record order.
     pub fn spans_of(&self, kind: &str) -> impl Iterator<Item = &SpanRecord> + '_ {
         let kind = kind.to_string();
@@ -256,7 +251,7 @@ mod tests {
             value: 4.0,
         });
         let snap = rec.snapshot(MetricsSnapshot::default());
-        assert_eq!(snap.spans_on(0).count(), 2);
+        assert_eq!(snap.spans.iter().filter(|s| s.track == 0).count(), 2);
         assert_eq!(snap.spans_of("Map").count(), 2);
         assert_eq!(snap.end_s(), 3.0);
         assert_eq!(snap.tracks[&1], "rank 1");

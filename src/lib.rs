@@ -12,7 +12,8 @@
 //!   links);
 //! * [`sim_net`] — the cluster simulator (node topology, QDR InfiniBand
 //!   NICs, timed messaging);
-//! * [`primitives`] — CUDPP-equivalent scan/sort/compact/histogram;
+//! * [`primitives`] — CUDPP-equivalent scan, radix sort and segment
+//!   extraction, plus a bitonic fallback sort;
 //! * [`core`] — GPMR itself: the chunked MapReduce pipeline with Partial
 //!   Reduction, Accumulation, Combine, partitioning, and dynamic load
 //!   balancing;

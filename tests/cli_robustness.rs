@@ -164,6 +164,31 @@ fn every_command_that_builds_a_cluster_bounds_gpus() {
     }
 }
 
+/// A fault event naming a rank outside the cluster was dropped: `run
+/// --gpus 2 --fault-plan kill:7@0.0001` exited 0 with the fault-free
+/// report. Every event kind that names such a rank is now refused — an
+/// error from `dispatch`, which the binary exits 2 on — naming the rank
+/// and the cluster's size.
+#[test]
+fn a_fault_event_outside_the_cluster_is_refused() {
+    for (plan, rank) in [
+        ("kill:7@0.0001", 7),
+        ("stall:9@0.0001+0.001", 9),
+        ("xfail:0->5@0..1", 5),
+        ("delay:3->1@0..1+0.001", 3),
+        ("add:2@0.0001", 2),
+    ] {
+        let line = format!("run --benchmark sio --gpus 2 --size 200000 --fault-plan {plan}");
+        let err = dispatch(line.split(' ')).expect_err(&line).to_string();
+        assert!(
+            err.contains(&format!("rank {rank} ")) && err.contains("only 2 GPUs"),
+            "{line}: {err}"
+        );
+    }
+    let line = "run --benchmark sio --gpus 2 --size 200000 --fault-plan xfail:*->1@0..1";
+    dispatch(line.split(' ')).unwrap_or_else(|e| panic!("{line}: {e}"));
+}
+
 /// The five generic subcommands shared one accepted-flag list, so each
 /// took — and ignored — every flag another one read: 96 (subcommand,
 /// flag) pairs (`info --zipf 2`, `kmeans --fault-seed 3`, `serve --seed 9

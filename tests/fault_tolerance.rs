@@ -19,10 +19,12 @@ use gpmr::core::{
     run_job, run_job_instrumented, EngineError, EngineResult, EngineTuning, JobResult, JobTimings,
 };
 use gpmr::prelude::*;
-use gpmr::sim_gpu::FaultPlan;
+use gpmr::sim_gpu::{FaultEvent, FaultPlan};
 use gpmr::sim_net::TransferFault;
 use gpmr::telemetry::{SpanKind, Telemetry, TelemetrySnapshot};
 use gpmr_apps::sio::{self, sio_chunks};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 /// A job result with the recording of the run.
 type Recorded<J> = (
@@ -377,6 +379,39 @@ fn accumulate_mode_absorbs_a_mid_job_add() {
     );
 }
 
+/// [`FaultPlan::generate`] for an elastic cluster: the chaos schedule of
+/// `generate(seed, ranks, horizon_s)` (kills, stalls, transfer faults
+/// confined to the first `ranks` ranks), plus one add event for each of
+/// the `extra` trailing ranks `ranks..ranks + extra`, at seed-deterministic
+/// instants inside the horizon. A separate stream keeps the base schedule
+/// identical to the inelastic plan for the same seed.
+fn elastic_plan(seed: u64, ranks: u32, extra: u32, horizon_s: f64) -> FaultPlan {
+    let mut plan = FaultPlan::generate(seed, ranks, horizon_s);
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
+    let horizon = horizon_s.max(1e-6);
+    for r in ranks..ranks.saturating_add(extra) {
+        plan = plan.add(r, rng.gen_range(0.0..0.6 * horizon));
+    }
+    plan
+}
+
+#[test]
+fn elastic_plans_extend_the_base_schedule_deterministically() {
+    for seed in 0..16u64 {
+        let base = FaultPlan::generate(seed, 4, 5e-3);
+        let elastic = elastic_plan(seed, 4, 2, 5e-3);
+        assert_eq!(elastic, elastic_plan(seed, 4, 2, 5e-3), "seed {seed}");
+        // The base chaos schedule is untouched; only adds are appended.
+        assert_eq!(&elastic.events()[..base.events().len()], base.events());
+        let is_add = |e: &FaultEvent| matches!(e, FaultEvent::GpuAdd { .. });
+        assert!(!base.events().iter().any(is_add), "generate emitted an add");
+        for r in 4..6 {
+            let at = elastic.add_time(r).unwrap();
+            assert!(at >= SimTime::ZERO && at < SimTime::from_secs(5e-3));
+        }
+    }
+}
+
 #[test]
 fn elastic_chaos_sweep_preserves_output_across_seeds() {
     // Kills, stalls, transfer faults AND joins, all at once, across
@@ -384,7 +419,7 @@ fn elastic_chaos_sweep_preserves_output_across_seeds() {
     let (base_out, base_t) = run_sio(None);
     let horizon = base_t.total.as_secs();
     for seed in 0..6u64 {
-        let plan = FaultPlan::generate_elastic(seed, RANKS, 2, horizon);
+        let plan = elastic_plan(seed, RANKS, 2, horizon);
         let (out, t) = run_sio_on(RANKS + 2, Some(plan.clone()));
         assert_eq!(
             &out[..RANKS as usize],

@@ -12,6 +12,7 @@ use gpmr::core::EngineTuning;
 use gpmr::primitives::SortConfig;
 use gpmr::telemetry::SpanKind;
 use gpmr_bench::loc::product_code;
+use Need::{Example, Oracle, Paper};
 use Text::{All, Code, CodeBefore};
 use Want::{Absent, Exactly, InEveryFile};
 
@@ -147,6 +148,11 @@ const RULES: &[Rule] = &[
     Rule { roots: EVERYWHERE, hits: |l| any(l, &["trace summary", r#""trace", "summary""#]),
         reason: "`gpmr analyze --events` reads a recording's per-rank time; `gpmr trace` exports and checks",
         example: r#"row("trace", "summary", &[&[IN]], trace_summary),"#, ..ABSENT },
+    Rule { roots: TREE, example: "pub use ssort::{SsortJob, SsortRounds};",
+        hits: |l| any(l, &["ssort", "cpair", "PairChunk", "rechunk_interleaved", "rechunk_preserves_affinity",
+            "segmented_", "inclusive_scan", "sort_keys"]),
+        reason: "no front door reached sample-sort, closest-pair, the chained-affinity path only they used, \
+            or the primitives nothing called; a chained round pays its uploads", ..ABSENT },
 ];
 
 /// The files `rule` reads, relative to the package root.
@@ -220,4 +226,175 @@ fn the_tuning_structs_keep_their_fields() {
     let EngineTuning { allow_stealing: _, sched_overhead_s: _, setup_base_s: _, setup_per_rank_s: _,
         max_transfer_retries: _, pipeline_depth: _, gpu_direct: _ } = EngineTuning::default();
     let SortConfig { digit_bits: _, fuse_final: _ } = SortConfig::default();
+}
+
+/// Why a product `pub fn` that no product code calls stays.
+enum Need {
+    /// The example of that name (under `examples/`) calls it.
+    Example(&'static str),
+    /// The test file compares the product against it, and it reads state
+    /// private to its crate, so it cannot move into the test.
+    Oracle(&'static str),
+    /// It is the one way into a feature of the paper; the text names the
+    /// paper's section.
+    Paper(&'static str),
+}
+
+/// Every product `pub fn` that no product code calls, and what needs it.
+#[rustfmt::skip]
+const UNCALLED: &[(&str, Need)] = &[
+    ("completion", Example("custom_hardware")),
+    ("trace_json", Example("slo_observability")),
+    ("table_bytes", Example("word_occurrence")),
+    ("snapshot_for", Oracle("tests/telemetry_export.rs")),
+    ("with_reduce_chunk", Paper("the reduce-chunking callback (section 4.3): a reducer folds its value sets \
+        in bounded kernels")),
+    ("shared_alloc", Paper("block-shared memory, which KMC's kernel reads its centers from (section 5.3.4): \
+        the allocator held to the launch's declaration, the one source of `SharedMemExceeded`")),
+];
+
+/// The product's source files: what [`product_code`] counts.
+const PRODUCT: &[&str] = &["crates", "src"];
+/// Where product code lives: the product and the benchmark harness.
+const CALLERS: &[&str] = &["crates", "src", "benchmark/src"];
+
+/// The `.rs` files under `roots` outside a crate's `tests/`, `benches/`
+/// and `examples/`, relative to the package root.
+fn sources(roots: &[&str]) -> Vec<String> {
+    let mut todo: Vec<String> = roots.iter().map(|r| r.to_string()).collect();
+    let mut out = Vec::new();
+    while let Some(rel) = todo.pop() {
+        let path = Path::new(ROOT).join(&rel);
+        if path.is_dir() {
+            for entry in fs::read_dir(path).unwrap() {
+                let child = format!("{rel}/{}", entry.unwrap().file_name().to_string_lossy());
+                let below = child.split('/').nth(2);
+                if !child.starts_with("crates/") || below.is_none() || below == Some("src") {
+                    todo.push(child);
+                }
+            }
+        } else if rel.ends_with(".rs") {
+            out.push(rel);
+        }
+    }
+    out
+}
+
+/// The lines of `src` that can call a function: its product code less
+/// `use` declarations (a re-export calls nothing).
+fn calling_lines(src: &str) -> Vec<&str> {
+    let mut in_use = false;
+    product_code(src)
+        .filter(|l| {
+            let decl = l
+                .trim_start_matches("pub ")
+                .trim_start_matches("pub(crate) ");
+            let skip = in_use || decl.starts_with("use ");
+            if skip {
+                in_use = !l.ends_with(';');
+            }
+            !skip
+        })
+        .collect()
+}
+
+/// The name a `pub fn` line defines, if it is one.
+fn defines(line: &str) -> Option<&str> {
+    let rest = line
+        .strip_prefix("pub fn ")
+        .or(line.strip_prefix("pub const fn "))?;
+    let end = rest.find(|c: char| !(c.is_alphanumeric() || c == '_'))?;
+    Some(&rest[..end])
+}
+
+/// Whether `line` names `name` as a whole word.
+fn mentions(line: &str, name: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    line.match_indices(name).any(|(i, _)| {
+        let before = line[..i].chars().next_back();
+        let after = line[i + name.len()..].chars().next();
+        !before.is_some_and(ident) && !after.is_some_and(ident)
+    })
+}
+
+/// The `pub fn`s defined in `product` (file, source) that no line of
+/// `code` calls, as `(file, name)`. Names are matched as words, so a name
+/// another function shares counts as called: the rule catches what
+/// nothing names at all.
+fn uncalled<'a>(product: &'a [(String, String)], code: &[&str]) -> Vec<(&'a str, &'a str)> {
+    let called = |name: &str| {
+        code.iter()
+            .any(|l| mentions(l, name) && defines(l) != Some(name))
+    };
+    product
+        .iter()
+        .flat_map(|(file, src)| {
+            let names = calling_lines(src).into_iter().filter_map(defines);
+            names
+                .filter(|n| !called(n))
+                .map(move |n| (file.as_str(), n))
+        })
+        .collect()
+}
+
+/// `(file, source)` of every file [`sources`] finds under `roots`.
+fn read_sources(roots: &[&str]) -> Vec<(String, String)> {
+    let read = |f: String| {
+        let src = fs::read_to_string(Path::new(ROOT).join(&f)).unwrap();
+        (f, src)
+    };
+    sources(roots).into_iter().map(read).collect()
+}
+
+#[test]
+fn every_product_pub_fn_has_a_product_caller_or_a_stated_need() {
+    // The rule sees a function nothing calls, and not one that is called.
+    let probe = [(
+        "probe.rs".to_string(),
+        "pub fn never_called() {}\npub fn called() {}\nfn f() { called() }\n".to_string(),
+    )];
+    assert_eq!(
+        uncalled(&probe, &calling_lines(&probe[0].1)),
+        [("probe.rs", "never_called")]
+    );
+
+    let callers = read_sources(CALLERS);
+    let code: Vec<&str> = callers
+        .iter()
+        .flat_map(|(_, src)| calling_lines(src))
+        .collect();
+    let product = read_sources(PRODUCT);
+    assert!(product.iter().any(|(f, _)| f == "src/lib.rs"));
+    assert!(callers.iter().any(|(f, _)| f == "benchmark/src/lib.rs"));
+    let found = uncalled(&product, &code);
+    let unexplained: Vec<_> = found
+        .iter()
+        .filter(|(_, name)| !UNCALLED.iter().any(|(n, _)| n == name))
+        .collect();
+    assert!(
+        unexplained.is_empty(),
+        "no product code calls these; call them, delete them or state the need: {unexplained:#?}"
+    );
+    for (name, need) in UNCALLED {
+        assert!(
+            found.iter().any(|(_, n)| n == name),
+            "{name} has a product caller now"
+        );
+        let user = match need {
+            Example(e) => format!("examples/{e}.rs"),
+            Oracle(t) => t.to_string(),
+            Paper(feature) => {
+                assert!(
+                    feature.contains("section "),
+                    "{name}: name the paper's section"
+                );
+                continue;
+            }
+        };
+        let src = fs::read_to_string(Path::new(ROOT).join(&user)).unwrap();
+        assert!(
+            src.lines().any(|l| mentions(l, name)),
+            "{user} does not call {name}"
+        );
+    }
 }

@@ -5,7 +5,7 @@
 use gpmr::core::{run_job_instrumented, run_rounds, EngineTuning, JobResult};
 use gpmr::prelude::*;
 use gpmr::telemetry::analyze::{analyze, Finding, Stage};
-use gpmr::telemetry::{export, SpanKind, Telemetry, TelemetrySnapshot};
+use gpmr::telemetry::{export, SpanKind, SpanRecord, Telemetry, TelemetrySnapshot};
 use gpmr_apps::iterative::KmcRounds;
 use gpmr_apps::kmc::{generate_points, initial_centers};
 use gpmr_apps::sio::{generate_integers, sio_chunks};
@@ -25,9 +25,14 @@ fn run_recorded<J: GpmrJob>(
     (result, tel.snapshot())
 }
 
+/// The spans on `track`, in record order.
+fn spans_on(snap: &TelemetrySnapshot, track: u32) -> impl Iterator<Item = &SpanRecord> {
+    snap.spans.iter().filter(move |s| s.track == track)
+}
+
 /// When the last span of `kind` on `rank` ends.
 fn last_end(snap: &TelemetrySnapshot, rank: u32, kind: SpanKind) -> f64 {
-    snap.spans_on(rank)
+    spans_on(snap, rank)
         .filter(|s| s.kind == kind.name())
         .map(|s| s.end_s)
         .fold(0.0, f64::max)
@@ -75,7 +80,7 @@ fn trace_covers_every_stage_and_respects_the_makespan() {
     // Per rank: the first map starts no earlier than the first upload
     // ends, and sort starts after the last map ends.
     for r in 0..4 {
-        let first = |kind: SpanKind| snap.spans_on(r).find(|e| e.kind == kind.name());
+        let first = |kind: SpanKind| spans_on(&snap, r).find(|e| e.kind == kind.name());
         let first_upload = first(SpanKind::Upload).unwrap();
         let first_map = first(SpanKind::Map).unwrap();
         assert!(first_map.start_s >= first_upload.end_s);
@@ -114,7 +119,7 @@ fn accumulate_jobs_trace_init_and_deferred_sends() {
     assert_eq!(snap.spans_of(SpanKind::AccumulateInit.name()).count(), 4);
     for r in 0..4 {
         let last_map = last_end(&snap, r, SpanKind::Map);
-        for send in snap.spans_on(r).filter(|e| e.kind == SpanKind::Send.name()) {
+        for send in spans_on(&snap, r).filter(|e| e.kind == SpanKind::Send.name()) {
             assert!(
                 send.start_s >= last_map,
                 "accumulate-mode send before maps finished"
