@@ -907,10 +907,10 @@ impl JobService {
         };
         let spec = spec(id);
         let mut plan: Option<FaultPlan> = None;
-        if let Some((rank, at_s)) = spec.kill.filter(|&(rank, _)| rank < gpus) {
+        if let Some((rank, at_s)) = spec.kill {
             plan = Some(plan.unwrap_or_default().kill(rank, at_s));
         }
-        if let Some((rank, at_s, dur_s)) = spec.stall.filter(|&(rank, _, _)| rank < gpus) {
+        if let Some((rank, at_s, dur_s)) = spec.stall {
             plan = Some(plan.unwrap_or_default().stall(rank, at_s, dur_s));
         }
         cluster.set_fault_plan(plan);

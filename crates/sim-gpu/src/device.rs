@@ -1,7 +1,8 @@
 //! The simulated GPU device.
 //!
-//! A [`Gpu`] ties together a hardware spec, a capacity-enforced memory
-//! allocator, a compute timeline, and a (possibly shared) PCI-e link.
+//! A [`Gpu`] ties together a hardware spec, its global memory (a capacity
+//! and a high-water mark), a compute timeline, and a (possibly shared)
+//! PCI-e link.
 //! All operations are *timed*: they take an earliest-start instant and
 //! return when they finish on the simulated clock, so a caller (the GPMR
 //! engine) can express overlap — e.g. uploading the next chunk while the
@@ -11,7 +12,7 @@ use crate::cost::{kernel_time, KernelCost};
 use crate::error::SimGpuResult;
 use crate::kernel::{run_blocks, BlockCtx, Launch, LaunchConfig};
 use crate::link::{Direction, SharedLink};
-use crate::memory::{DeviceBuffer, DeviceMemory};
+use crate::memory::DeviceMemory;
 use crate::occupancy::occupancy;
 use crate::spec::GpuSpec;
 use crate::time::{Reservation, SimTime, Timeline};
@@ -70,7 +71,8 @@ pub struct GpuStats {
 pub struct Gpu {
     /// Hardware description.
     pub spec: GpuSpec,
-    /// Global-memory allocator for this device.
+    /// Global memory: the capacity chunks are admitted against, and the
+    /// high-water mark of the working sets noted resident.
     pub mem: DeviceMemory,
     compute: Timeline,
     copy_engine: Timeline,
@@ -208,42 +210,8 @@ impl Gpu {
         self.link.transfer(Direction::DeviceToHost, at, bytes)
     }
 
-    /// Allocate a zeroed device buffer.
-    pub fn alloc<T: Clone + Default>(&self, len: usize) -> SimGpuResult<DeviceBuffer<T>> {
-        self.mem.alloc(len)
-    }
-
-    /// Allocate a device buffer holding a copy of `src` *without* charging
-    /// transfer time (callers pair this with [`Gpu::h2d`] when the copy
-    /// should be timed).
-    pub fn alloc_from_slice<T: Clone>(&self, src: &[T]) -> SimGpuResult<DeviceBuffer<T>> {
-        self.mem.alloc_from_slice(src)
-    }
-
-    /// Upload `src` to a new device buffer, charging PCI-e time. Returns
-    /// the buffer and the transfer reservation.
-    pub fn upload<T: Clone>(
-        &mut self,
-        at: SimTime,
-        src: &[T],
-    ) -> SimGpuResult<(DeviceBuffer<T>, Reservation)> {
-        let buf = self.mem.alloc_from_slice(src)?;
-        let res = self.h2d(at, buf.size_bytes());
-        Ok((buf, res))
-    }
-
-    /// Download a device buffer to host memory, charging PCI-e time and
-    /// freeing the device allocation. Returns the data and the transfer
-    /// reservation.
-    pub fn download<T>(&mut self, at: SimTime, buf: DeviceBuffer<T>) -> (Vec<T>, Reservation) {
-        let bytes = buf.size_bytes();
-        let res = self.d2h(at, bytes);
-        (buf.into_vec(), res)
-    }
-
     /// Note a modeled working set resident in device memory (raises the
-    /// allocator's high-water mark without charging capacity; see
-    /// [`DeviceMemory::note_resident`]).
+    /// high-water mark; see [`DeviceMemory::note_resident`]).
     pub fn note_resident(&mut self, bytes: u64) {
         self.mem.note_resident(bytes);
     }
@@ -268,18 +236,13 @@ impl Gpu {
         self.copy_engine.free_at()
     }
 
-    /// The device's PCI-e link handle.
-    pub fn link(&self) -> &SharedLink {
-        &self.link
-    }
-
     /// Activity counters.
     pub fn stats(&self) -> GpuStats {
         self.stats
     }
 
     /// Reset the clock state (compute timeline and link) without touching
-    /// allocations. Used between jobs on a persistent device.
+    /// the memory high-water mark. Used between jobs on a persistent device.
     pub fn reset_clock(&mut self) {
         self.compute.reset();
         self.copy_engine.reset();
@@ -316,18 +279,32 @@ mod tests {
     }
 
     #[test]
-    fn upload_download_round_trip_times_and_data() {
+    fn operations_issued_in_sequence_serialize() {
         let mut g = gpu();
-        let data: Vec<u32> = (0..1024).collect();
-        let (buf, up) = g.upload(SimTime::ZERO, &data).unwrap();
-        assert_eq!(g.mem.used(), 4096);
-        assert!(up.duration().as_secs() > 0.0);
-        let (back, down) = g.download(up.end, buf);
-        assert_eq!(back, data);
-        assert_eq!(g.mem.used(), 0);
-        assert!(down.start >= up.end);
-        assert_eq!(g.stats().h2d_bytes, 4096);
-        assert_eq!(g.stats().d2h_bytes, 4096);
+        let up = g.h2d(SimTime::ZERO, 1 << 24);
+        let (_, k) = g
+            .launch(up.end, &LaunchConfig::grid(30, 256), |ctx| {
+                ctx.charge_flops(1 << 20);
+            })
+            .unwrap();
+        assert!(k.end > up.end);
+    }
+
+    #[test]
+    fn independent_copy_and_compute_overlap() {
+        let mut g = gpu();
+        // A long upload and a kernel, both issued at t=0. They use
+        // different engines, so the kernel must not wait for the copy.
+        let up = g.h2d(SimTime::ZERO, 256 << 20); // ~80 ms on gen-1 PCI-e
+        let (_, k) = g
+            .launch(SimTime::ZERO, &LaunchConfig::grid(30, 256), |ctx| {
+                ctx.charge_flops(1 << 10);
+            })
+            .unwrap();
+        assert!(
+            k.end < up.end,
+            "kernel should finish while the copy is still in flight"
+        );
     }
 
     #[test]
@@ -377,7 +354,7 @@ mod tests {
         let cfg = LaunchConfig::grid(30, 256);
         g.launch(SimTime::ZERO, &cfg, |ctx| ctx.charge_flops(1000))
             .unwrap();
-        let _buf = g.alloc::<u8>(2048).unwrap();
+        g.note_resident(2048);
         g.h2d(SimTime::ZERO, 4096);
         g.d2h(SimTime::ZERO, 128);
         let snap = tel.snapshot();
@@ -399,14 +376,16 @@ mod tests {
         let tel = Telemetry::enabled();
         let mut g = gpu();
         g.attach_telemetry(&tel, 0);
-        // Known allocation pattern: peak 256 + 1024 = 1280, then shrink...
-        let a = g.alloc::<u8>(256).unwrap();
-        let b = g.alloc::<u8>(1024).unwrap();
-        drop(b);
-        let _c = g.alloc::<u8>(512).unwrap();
-        drop(a);
-        // ...then a modeled working set on top of the 512 still allocated.
-        g.note_resident(4096);
+        // A working set of 1280 bytes reaches the gauge at the launch...
+        g.note_resident(1280);
+        g.launch(SimTime::ZERO, &LaunchConfig::grid(1, 32), |_| ())
+            .unwrap();
+        let snap = tel.snapshot();
+        assert_eq!(snap.metrics.gauge("gpu.rank0.mem_peak_bytes"), 1280.0);
+        // ...a larger one, noted after the last launch, reaches it only at
+        // the flush, and a smaller one never lowers it.
+        g.note_resident(4608);
+        g.note_resident(512);
         g.flush_telemetry();
         let snap = tel.snapshot();
         assert_eq!(snap.metrics.gauge("gpu.rank0.mem_peak_bytes"), 4608.0);
@@ -415,13 +394,13 @@ mod tests {
     #[test]
     fn reset_clock_clears_time_but_not_memory() {
         let mut g = gpu();
-        let _buf = g.alloc::<u8>(128).unwrap();
+        g.note_resident(128);
         g.h2d(SimTime::ZERO, 1 << 20);
         g.reset_clock();
         assert_eq!(g.compute_free_at(), SimTime::ZERO);
         assert_eq!(g.copy_free_at(), SimTime::ZERO);
         assert_eq!(g.stats().h2d_bytes, 0);
-        assert_eq!(g.mem.used(), 128);
+        assert_eq!(g.mem.peak(), 128);
     }
 
     #[test]

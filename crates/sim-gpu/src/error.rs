@@ -5,11 +5,12 @@ use std::fmt;
 /// Errors raised by the simulated device.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SimGpuError {
-    /// A device-memory allocation exceeded remaining capacity.
+    /// A working set that must stay in core exceeds the device's capacity
+    /// (Mars, which cannot chunk, checks its need against it).
     OutOfMemory {
-        /// Bytes requested by the allocation.
+        /// Bytes the working set needs.
         requested: u64,
-        /// Bytes still available on the device.
+        /// Bytes the device holds.
         available: u64,
     },
     /// A kernel requested more shared memory than its launch configuration

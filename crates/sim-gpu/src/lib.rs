@@ -7,14 +7,16 @@
 //!
 //! * [`GpuSpec`] — hardware presets (the paper's GT200/Tesla S1070, plus a
 //!   Fermi-class device for ablations);
-//! * [`DeviceMemory`]/[`DeviceBuffer`] — capacity-enforced global memory
-//!   (chunking and out-of-core behaviour depend on real OOM errors);
+//! * [`DeviceMemory`] — global memory as a capacity and a high-water mark
+//!   (the engine admits chunks against the capacity and charges
+//!   out-of-core passes; Mars checks its in-core need against it);
 //! * [`LaunchConfig`]/[`BlockCtx`] — kernels written at block granularity,
 //!   executed for real on the calling thread, charging a [`KernelCost`];
 //! * a roofline timing model ([`kernel_time`], [`occupancy()`]) converting
 //!   costs to simulated time;
-//! * [`Timeline`]s for the compute engine and [`PcieLink`]s, so callers can
-//!   express stream-style overlap of copies and kernels.
+//! * [`Timeline`]s for the compute engine and [`PcieLink`]s: every
+//!   [`Gpu`] operation takes the instant it may start, so callers express
+//!   the overlap of copies and kernels by the instants they pass.
 //!
 //! Computation is bit-exact and testable; *time* is simulated. See the
 //! repository `DESIGN.md` for the calibration used to reproduce the
@@ -32,7 +34,6 @@ pub mod link;
 pub mod memory;
 pub mod occupancy;
 pub mod spec;
-pub mod stream;
 pub mod time;
 
 pub use cost::{kernel_time, KernelCost};
@@ -41,10 +42,9 @@ pub use error::{SimGpuError, SimGpuResult};
 pub use fault::{FaultEvent, FaultPlan, FaultPlanParseError, TransferOutcome};
 pub use kernel::{BlockCtx, Launch, LaunchConfig};
 pub use link::{Direction, PcieLink, SharedLink};
-pub use memory::{DeviceBuffer, DeviceMemory};
+pub use memory::DeviceMemory;
 pub use occupancy::{occupancy, Occupancy};
 pub use spec::GpuSpec;
-pub use stream::Stream;
 pub use time::{Reservation, SimDuration, SimTime, Timeline};
 
 /// `f(0), f(1), … f(n - 1)`, in that order, on the calling thread. This

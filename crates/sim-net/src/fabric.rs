@@ -244,7 +244,7 @@ pub struct Delivery<T> {
     /// Sender rank.
     pub from: u32,
     /// Canonical sequence number assigned by the sender (the chunk's
-    /// global index, for the engine). Zero for plain [`Mailbox::send`].
+    /// global index, for the engine).
     pub seq: u64,
     /// Simulated arrival instant at the receiver.
     pub arrival: SimTime,
@@ -260,26 +260,9 @@ impl<T> Mailbox<T> {
         }
     }
 
-    /// Send `payload` from `from` to `to` over `fabric`; the payload is
-    /// `bytes` long on the wire and ready at `ready`. Returns the arrival
-    /// instant.
-    pub fn send(
-        &mut self,
-        fabric: &mut Fabric,
-        from: u32,
-        to: u32,
-        ready: SimTime,
-        bytes: u64,
-        payload: T,
-    ) -> SimTime {
-        let arrival = fabric.send(from, to, ready, bytes);
-        self.deliver(to, from, 0, arrival, payload);
-        arrival
-    }
-
-    /// Enqueue an already-timed delivery for `to`. Used by callers that
-    /// time the transfer themselves (e.g. via [`Fabric::try_send`] with
-    /// retries) and want a canonical `seq` attached.
+    /// Enqueue an already-timed delivery for `to`: the caller times the
+    /// transfer itself (via [`Fabric::try_send`] with retries) and attaches
+    /// the canonical `seq`.
     pub fn deliver(&mut self, to: u32, from: u32, seq: u64, arrival: SimTime, payload: T) {
         self.queues[to as usize].push(Delivery {
             from,
@@ -287,19 +270,6 @@ impl<T> Mailbox<T> {
             arrival,
             payload,
         });
-    }
-
-    /// Drain everything delivered to `rank`, in arrival order
-    /// (ties broken by sender rank for determinism).
-    pub fn drain(&mut self, rank: u32) -> Vec<Delivery<T>> {
-        let mut msgs = std::mem::take(&mut self.queues[rank as usize]);
-        msgs.sort_by(|a, b| {
-            a.arrival
-                .partial_cmp(&b.arrival)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.from.cmp(&b.from))
-        });
-        msgs
     }
 
     /// Drain everything delivered to `rank` in *canonical* order —
@@ -310,11 +280,6 @@ impl<T> Mailbox<T> {
         let mut msgs = std::mem::take(&mut self.queues[rank as usize]);
         msgs.sort_by(|a, b| a.seq.cmp(&b.seq).then(a.from.cmp(&b.from)));
         msgs
-    }
-
-    /// Number of undelivered messages queued for `rank`.
-    pub fn pending(&self, rank: u32) -> usize {
-        self.queues[rank as usize].len()
     }
 }
 
@@ -371,22 +336,6 @@ mod tests {
         let t1 = f.send(4, 0, SimTime::ZERO, 32 << 20);
         let t2 = f.send(8, 0, SimTime::ZERO, 32 << 20);
         assert!(t2 > t1);
-    }
-
-    #[test]
-    fn mailbox_delivers_in_arrival_order() {
-        let mut f = fabric(12);
-        let mut mb: Mailbox<&'static str> = Mailbox::new(12);
-        // The receiver NIC serializes: first-requested is first-delivered,
-        // and a big message delays everything queued behind it.
-        mb.send(&mut f, 4, 0, SimTime::ZERO, 1 << 10, "small");
-        mb.send(&mut f, 8, 0, SimTime::ZERO, 256 << 20, "big");
-        assert_eq!(mb.pending(0), 2);
-        let got = mb.drain(0);
-        assert_eq!(got[0].payload, "small");
-        assert_eq!(got[1].payload, "big");
-        assert!(got[1].arrival > got[0].arrival);
-        assert_eq!(mb.pending(0), 0);
     }
 
     #[test]
@@ -452,7 +401,10 @@ mod tests {
         assert_eq!(got[0].payload, "early-seq-late-arrival");
         assert_eq!(got[1].payload, "early-seq-mid-arrival");
         assert_eq!(got[2].payload, "late-seq-early-arrival");
-        assert_eq!(mb.pending(0), 0);
+        assert!(
+            mb.drain_canonical(0).is_empty(),
+            "a drain empties the queue"
+        );
     }
 
     #[test]

@@ -313,6 +313,24 @@ impl HistogramSnapshot {
         })
     }
 
+    /// The mass observed since `earlier` (this capture itself when there
+    /// is none): bucket counts and the count are subtracted, saturating,
+    /// when the bounds match. Like the counts, a restarted registry (or a
+    /// NaN that leaked into a sum) must not produce a nonsensical negative
+    /// interval, so the sum's difference clamps to zero.
+    pub fn since(&self, earlier: Option<&HistogramSnapshot>) -> HistogramSnapshot {
+        let mut h = self.clone();
+        if let Some(e) = earlier.filter(|e| e.bounds == h.bounds) {
+            for (c, &ec) in h.counts.iter_mut().zip(&e.counts) {
+                *c = c.saturating_sub(ec);
+            }
+            h.count = h.count.saturating_sub(e.count);
+            let d = h.sum - e.sum;
+            h.sum = if d.is_finite() { d.max(0.0) } else { 0.0 };
+        }
+        h
+    }
+
     /// Fold another capture into this one (windowed time series merge
     /// bucket rings this way). An empty receiver adopts `other` wholesale;
     /// matching bounds add per-bucket counts; mismatched bounds (distinct
@@ -358,9 +376,10 @@ impl MetricsSnapshot {
         self.gauges.get(name).copied().unwrap_or(0.0)
     }
 
-    /// The change from `earlier` to `self`: counters and histogram counts
-    /// are subtracted (saturating, so a restarted registry never yields
-    /// negative deltas); gauges keep the later value.
+    /// The change from `earlier` to `self`: counters are subtracted
+    /// (saturating, so a restarted registry never yields negative deltas),
+    /// histograms by [`HistogramSnapshot::since`]; gauges keep the later
+    /// value.
     pub fn diff(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
         let counters = self
             .counters
@@ -370,23 +389,7 @@ impl MetricsSnapshot {
         let histograms = self
             .histograms
             .iter()
-            .map(|(k, h)| {
-                let mut h = h.clone();
-                if let Some(e) = earlier.histograms.get(k) {
-                    if e.bounds == h.bounds {
-                        for (c, &ec) in h.counts.iter_mut().zip(&e.counts) {
-                            *c = c.saturating_sub(ec);
-                        }
-                        h.count = h.count.saturating_sub(e.count);
-                        // Like the counts: a restarted registry (or a NaN
-                        // that leaked into a sum) must not produce a
-                        // nonsensical negative interval.
-                        let d = h.sum - e.sum;
-                        h.sum = if d.is_finite() { d.max(0.0) } else { 0.0 };
-                    }
-                }
-                (k.clone(), h)
-            })
+            .map(|(k, h)| (k.clone(), h.since(earlier.histograms.get(k))))
             .collect();
         MetricsSnapshot {
             counters,

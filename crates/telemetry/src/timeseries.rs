@@ -283,17 +283,7 @@ impl TimeSeriesStore {
             self.record_gauge(name, t, v);
         }
         for (name, h) in &snap.histograms {
-            let mut delta = h.clone();
-            if let Some(e) = self.prev.histograms.get(name) {
-                if e.bounds == delta.bounds {
-                    for (c, &ec) in delta.counts.iter_mut().zip(&e.counts) {
-                        *c = c.saturating_sub(ec);
-                    }
-                    delta.count = delta.count.saturating_sub(e.count);
-                    let d = delta.sum - e.sum;
-                    delta.sum = if d.is_finite() { d.max(0.0) } else { 0.0 };
-                }
-            }
+            let delta = h.since(self.prev.histograms.get(name));
             if delta.count > 0 || self.series.contains_key(name) {
                 self.record_histogram(name, t, &delta);
             }

@@ -3,13 +3,12 @@
 //! unfortunately depends on the characteristics of the task at hand").
 //!
 //! Runs the same shuffle-heavy SIO job on four hardware variants and uses
-//! the low-level Stream API directly to show overlap on a single device.
+//! the low-level device API directly to show overlap on a single device.
 //!
 //! Run with: `cargo run --release --example custom_hardware`
 
 use gpmr::core::{run_job_with, EngineTuning, RunOpts};
 use gpmr::prelude::*;
-use gpmr::sim_gpu::Stream;
 use gpmr_apps::sio::{generate_integers, sio_chunks, SioJob};
 
 fn main() {
@@ -61,31 +60,25 @@ fn main() {
         t_paired.as_secs() / t_base.as_secs()
     );
 
-    // --- Stream API: overlap on one device --------------------------------
+    // --- Device API: overlap on one device --------------------------------
+    // Every operation takes the instant it may start: issuing the kernel at
+    // the copy's end serializes them, issuing both at zero lets the copy
+    // engine and the compute engine overlap.
     println!("\nStream-level overlap on a single GT200:");
     let mut gpu = gpmr::sim_gpu::Gpu::new(GpuSpec::gt200());
+    let cfg = LaunchConfig::grid(120, 256);
+    let kernel = |ctx: &mut gpmr::sim_gpu::BlockCtx| ctx.charge_flops(1 << 24);
 
     // Serial: upload, then compute.
-    let mut serial = Stream::new();
-    serial.h2d(&mut gpu, 64 << 20);
-    serial
-        .launch(&mut gpu, &LaunchConfig::grid(120, 256), |ctx| {
-            ctx.charge_flops(1 << 24);
-        })
-        .unwrap();
-    let t_serial = serial.completion();
+    let copy = gpu.h2d(SimTime::ZERO, 64 << 20);
+    let (_, compute) = gpu.launch(copy.end, &cfg, kernel).unwrap();
+    let t_serial = compute.end;
 
-    // Overlapped: copy on one stream, independent compute on another.
+    // Overlapped: the copy and an independent kernel, both issued at zero.
     gpu.reset_clock();
-    let mut copy = Stream::new();
-    copy.h2d(&mut gpu, 64 << 20);
-    let mut compute = Stream::new();
-    compute
-        .launch(&mut gpu, &LaunchConfig::grid(120, 256), |ctx| {
-            ctx.charge_flops(1 << 24);
-        })
-        .unwrap();
-    let t_overlap = copy.completion().max(compute.completion());
+    let copy = gpu.h2d(SimTime::ZERO, 64 << 20);
+    let (_, compute) = gpu.launch(SimTime::ZERO, &cfg, kernel).unwrap();
+    let t_overlap = copy.end.max(compute.end);
     println!("  serial copy+kernel   : {}", t_serial);
     println!("  overlapped streams   : {}", t_overlap);
 }

@@ -8,7 +8,7 @@
 //! This facade crate re-exports the whole workspace:
 //!
 //! * [`sim_gpu`] — the deterministic GPU device simulator (GT200-class
-//!   hardware model, roofline timing, capacity-enforced memory, PCI-e
+//!   hardware model, roofline timing, memory capacity and peak, PCI-e
 //!   links);
 //! * [`sim_net`] — the cluster simulator (node topology, QDR InfiniBand
 //!   NICs, timed messaging);

@@ -1018,3 +1018,32 @@ fn an_empty_job_completes_where_it_starts() {
         JobStatus::Running { started_s: 0.0 }
     ));
 }
+
+/// A kill or stall of a rank outside the cluster fails its job with the
+/// engine's typed error, naming the rank and the GPU count, instead of
+/// running it fault-free; a plain job behind them still completes.
+#[test]
+fn a_fault_outside_the_cluster_fails_its_job() {
+    let script = "tenant alice\n\
+                  at 0.000 submit alice sio n=40000 seed=77 chunk_kb=16 kill=9@0.0005\n\
+                  at 0.000 submit alice sio n=40000 seed=77 chunk_kb=16 stall=7@0.0001+0.001\n\
+                  at 0.000 submit alice sio n=40000 seed=77 chunk_kb=16\n";
+    let (svc, _) =
+        run_script(script, ServiceConfig::default(), Telemetry::disabled()).expect("script runs");
+    for (id, verb, rank) in [(JobId(1), "kills", 9), (JobId(2), "stalls", 7)] {
+        let JobStatus::Failed { error } = svc.poll(id).unwrap() else {
+            panic!("{id}: {:?}", svc.poll(id));
+        };
+        assert_eq!(
+            error,
+            format!(
+                "invalid pipeline: fault plan {verb} rank {rank} but the cluster has only 4 GPUs"
+            )
+        );
+    }
+    assert!(matches!(
+        svc.poll(JobId(3)).unwrap(),
+        JobStatus::Completed { .. }
+    ));
+    assert_eq!(svc.stats().failed, 2);
+}

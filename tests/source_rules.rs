@@ -153,6 +153,10 @@ const RULES: &[Rule] = &[
             "segmented_", "inclusive_scan", "sort_keys"]),
         reason: "no front door reached sample-sort, closest-pair, the chained-affinity path only they used, \
             or the primitives nothing called; a chained round pays its uploads", ..ABSENT },
+    Rule { roots: TREE, hits: |l| any(l, &["DeviceBuffer", "alloc_from_slice", "Stream::", "mem.used()"]),
+        reason: "one model per simulated resource: device memory is a capacity and a high-water mark, and \
+            device work is sequenced by the instants passed to `Gpu`", example: "let buf = gpu.alloc_from_slice(&keys)?;",
+        ..ABSENT },
 ];
 
 /// The files `rule` reads, relative to the package root.
@@ -243,7 +247,6 @@ enum Need {
 /// Every product `pub fn` that no product code calls, and what needs it.
 #[rustfmt::skip]
 const UNCALLED: &[(&str, Need)] = &[
-    ("completion", Example("custom_hardware")),
     ("trace_json", Example("slo_observability")),
     ("table_bytes", Example("word_occurrence")),
     ("snapshot_for", Oracle("tests/telemetry_export.rs")),
