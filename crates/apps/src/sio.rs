@@ -9,8 +9,12 @@
 //! per thread for efficient memory access; the best reducer is one key
 //! per thread with a serial value sum (block-per-key performed worse on
 //! sparse data — most keys have fewer than five values).
+//!
+//! Those two kernels, [`count_map`] and [`sum_reduce`], are generic over
+//! the key type: the job service's batched pass runs them on slot-tagged
+//! `u64` keys rather than keeping a copy of its own.
 
-use gpmr_core::{GpmrJob, KvSet, PipelineConfig, SliceChunk};
+use gpmr_core::{GpmrJob, Key, KvSet, PipelineConfig, SliceChunk};
 use gpmr_primitives::Segments;
 use gpmr_sim_gpu::{Gpu, LaunchConfig, SimGpuResult, SimTime};
 use rand::rngs::SmallRng;
@@ -163,20 +167,7 @@ impl GpmrJob for SioJob {
         at: SimTime,
         chunk: &Self::Chunk,
     ) -> SimGpuResult<(KvSet<u32, u32>, SimTime)> {
-        let n = chunk.items.len();
-        let cfg = LaunchConfig::for_items(n, ITEMS_PER_MAP_BLOCK, 256);
-        // The launch charges each block's cost; the pairs it emits are
-        // written once below, into one set, not block by block.
-        let (_, res) = gpu.launch(at, &cfg, |ctx| {
-            let range = ctx.item_range(n);
-            // Two integers per thread: one fully-coalesced read of the
-            // range, one coalesced write of each emitted (key, 1) pair.
-            ctx.charge_read::<u32>(range.len());
-            ctx.charge_write::<u32>(2 * range.len());
-            ctx.charge_flops(range.len() as u64);
-        })?;
-        let pairs = KvSet::from_parts(chunk.items.clone(), vec![1; n]);
-        Ok((pairs, res.end))
+        count_map(gpu, at, chunk.items.clone())
     }
 
     fn reduce_sets_per_chunk(&self, remaining: usize) -> usize {
@@ -193,28 +184,62 @@ impl GpmrJob for SioJob {
         segs: &Segments<u32>,
         vals: &[u32],
     ) -> SimGpuResult<(KvSet<u32, u32>, SimTime)> {
-        if segs.is_empty() {
-            return Ok((KvSet::new(), at));
-        }
-        // One key per thread; each thread serially sums its values
-        // (uncoalesced reads — the paper's final, fastest variant). A
-        // block's cost follows from how many values its keys own; the sums
-        // themselves are written once below, into one set.
-        let cfg = LaunchConfig::for_items(segs.len(), 2048, 256);
-        let (_, res) = gpu.launch(at, &cfg, |ctx| {
-            let range = ctx.item_range(segs.len());
-            let values = segs.offsets[range.end] - segs.offsets[range.start];
-            ctx.charge_read_uncoalesced::<u32>(values);
-            ctx.charge_flops(values as u64);
-            ctx.charge_write::<u32>(2 * range.len());
-        })?;
-        let sums = segs
-            .offsets
-            .windows(2)
-            .map(|w| vals[w[0]..w[1]].iter().sum())
-            .collect();
-        Ok((KvSet::from_parts(segs.keys.clone(), sums), res.end))
+        sum_reduce(gpu, at, segs, vals)
     }
+}
+
+/// SIO's map kernel: emit `(key, 1)` for every input integer, in input
+/// order. Two integers per thread: one fully-coalesced read of the range
+/// and one coalesced write of each emitted pair, `size_of::<K>()` plus 4
+/// bytes wide. `keys` are the chunk's integers, already carrying whatever
+/// tag the caller routes by (the job service's batched pass widens them
+/// to `u64`), so the read stays one `u32` per item. The launch charges
+/// each block's cost; the pairs are written once, into one set.
+pub fn count_map<K: Key>(
+    gpu: &mut Gpu,
+    at: SimTime,
+    keys: Vec<K>,
+) -> SimGpuResult<(KvSet<K, u32>, SimTime)> {
+    let n = keys.len();
+    let cfg = LaunchConfig::for_items(n, ITEMS_PER_MAP_BLOCK, 256);
+    let (_, res) = gpu.launch(at, &cfg, |ctx| {
+        let range = ctx.item_range(n);
+        ctx.charge_read::<u32>(range.len());
+        ctx.charge_write::<K>(range.len());
+        ctx.charge_write::<u32>(range.len());
+        ctx.charge_flops(range.len() as u64);
+    })?;
+    Ok((KvSet::from_parts(keys, vec![1; n]), res.end))
+}
+
+/// SIO's reduce kernel: one key per thread, each thread serially summing
+/// its values (uncoalesced reads — the paper's final, fastest variant).
+/// A block's cost follows from how many values its keys own; the sums
+/// are written once, into one set.
+pub fn sum_reduce<K: Key>(
+    gpu: &mut Gpu,
+    at: SimTime,
+    segs: &Segments<K>,
+    vals: &[u32],
+) -> SimGpuResult<(KvSet<K, u32>, SimTime)> {
+    if segs.is_empty() {
+        return Ok((KvSet::new(), at));
+    }
+    let cfg = LaunchConfig::for_items(segs.len(), 2048, 256);
+    let (_, res) = gpu.launch(at, &cfg, |ctx| {
+        let range = ctx.item_range(segs.len());
+        let values = segs.offsets[range.end] - segs.offsets[range.start];
+        ctx.charge_read_uncoalesced::<u32>(values);
+        ctx.charge_flops(values as u64);
+        ctx.charge_write::<K>(range.len());
+        ctx.charge_write::<u32>(range.len());
+    })?;
+    let sums = segs
+        .offsets
+        .windows(2)
+        .map(|w| vals[w[0]..w[1]].iter().sum())
+        .collect();
+    Ok((KvSet::from_parts(segs.keys.clone(), sums), res.end))
 }
 
 /// Generate `n` random integers over a sparse key space of `n` distinct

@@ -183,7 +183,6 @@ pub fn record_suite(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpmr_telemetry::baseline::{diff, Verdict};
 
     #[test]
     fn scenario_reruns_are_bit_identical() {
@@ -192,7 +191,6 @@ mod tests {
         let (a, _) = run_scenario(&sc, 2048);
         let (b, _) = run_scenario(&sc, 2048);
         assert_eq!(a, b, "deterministic sim must reproduce exactly");
-        assert_eq!(diff(&a, &b, DEFAULT_TOLERANCE).verdict, Verdict::Pass);
     }
 
     #[test]

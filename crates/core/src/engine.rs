@@ -876,11 +876,11 @@ impl<J: GpmrJob> Run<J> {
         // skips its upload entirely — the window collapses to the gated
         // dispatch instant. Displaced chunks (steals, requeues) moved
         // hosts, so they pay the full transfer like any cold chunk.
+        let at = cursor.max(gate);
         let up = if self.inputs_resident && !self.displaced.contains(&chunk_id) {
-            let at = cursor.max(gate);
             Reservation { start: at, end: at }
         } else {
-            gpu.h2d_gated(cursor, gate, chunk.size_bytes())
+            gpu.h2d(at, chunk.size_bytes())
         };
         gpu.note_resident(self.staging_slots * chunk.size_bytes());
         self.tel
@@ -1902,8 +1902,13 @@ mod tests {
                 reduce_chunk,
                 ..TestJob::with(PipelineConfig::default())
             };
-            let result = run_job(&mut cl, &job, input(8000)).unwrap();
-            let kernels: u64 = (0..4).map(|r| cl.gpu(r).stats().kernels).sum();
+            let tel = Telemetry::enabled();
+            let tuning = EngineTuning::default();
+            let result = run_job_instrumented(&mut cl, &job, input(8000), &tuning, &tel).unwrap();
+            let m = tel.snapshot().metrics;
+            let kernels: u64 = (0..4)
+                .map(|r| m.counter(&format!("gpu.rank{r}.kernels")))
+                .sum();
             (result, kernels)
         };
         let (whole, whole_kernels) = run_with(None);
@@ -1992,14 +1997,11 @@ mod tests {
         let large = GpuSpec::gt200();
         let run_with = |spec: GpuSpec| {
             let mut cl = Cluster::new(gpmr_sim_net::Topology::new(1, 1, 1), spec);
-            let r = run_job(
-                &mut cl,
-                &TestJob::with(PipelineConfig::default()),
-                input(4000),
-            )
-            .unwrap();
-            let stats = cl.gpu(0).stats();
-            (r, stats.h2d_bytes)
+            let tel = Telemetry::enabled();
+            let job = TestJob::with(PipelineConfig::default());
+            let tuning = EngineTuning::default();
+            let r = run_job_instrumented(&mut cl, &job, input(4000), &tuning, &tel).unwrap();
+            (r, tel.snapshot().metrics.counter("gpu.rank0.h2d_bytes"))
         };
         let (r_small, h2d_small) = run_with(small);
         let (r_large, h2d_large) = run_with(large);

@@ -513,9 +513,18 @@ fn charge_max_radix<K: RadixKey>(gpu: &mut Gpu, at: SimTime, keys: &[K]) -> SimG
 mod tests {
     use super::*;
     use gpmr_sim_gpu::GpuSpec;
+    use gpmr_telemetry::{Counter, Telemetry};
 
     fn gpu() -> Gpu {
         Gpu::new(GpuSpec::gt200())
+    }
+
+    /// A device with an enabled registry attached, and its kernel count.
+    fn counted_gpu() -> (Gpu, Counter) {
+        let tel = Telemetry::enabled();
+        let mut g = gpu();
+        g.attach_telemetry(&tel, 0);
+        (g, tel.counter("gpu.rank0.kernels"))
     }
 
     /// Sort keys alone: [`sort_pairs`] carrying zero-sized values.
@@ -576,20 +585,20 @@ mod tests {
 
     #[test]
     fn narrow_keys_use_fewer_passes() {
-        let mut g = gpu();
+        let (mut g, kernels) = counted_gpu();
         let keys: Vec<u32> = (0..30_000u32).map(|i| (i * 37) % 200).collect();
-        let k1 = g.stats().kernels;
+        let k1 = kernels.get();
         let (sorted, _) = sort_only(&mut g, &keys);
-        let launches_narrow = g.stats().kernels - k1;
+        let launches_narrow = kernels.get() - k1;
         let mut expect = keys.clone();
         expect.sort_unstable();
         assert_eq!(sorted, expect);
 
         // Full-width keys need three 11-bit passes; 8-bit keys only one.
         let wide = pseudo_random(30_000, 3);
-        let k2 = g.stats().kernels;
+        let k2 = kernels.get();
         sort_only(&mut g, &wide);
-        let launches_wide = g.stats().kernels - k2;
+        let launches_wide = kernels.get() - k2;
         assert!(launches_wide > launches_narrow);
     }
 
@@ -602,10 +611,10 @@ mod tests {
         let vals: Vec<u32> = (0..keys.len() as u32).collect();
         let mut runs = Vec::new();
         for cfg in [SortConfig::reference(), SortConfig::default()] {
-            let mut g = gpu();
+            let (mut g, kernels) = counted_gpu();
             let (sk, sv, t) =
                 sort_pairs_with_bits_config(&mut g, SimTime::ZERO, &keys, &vals, 32, &cfg).unwrap();
-            runs.push((sk, sv, t, g.stats().kernels));
+            runs.push((sk, sv, t, kernels.get()));
         }
         let (ref_k, ref_v, ref_t, ref_kernels) = runs.remove(0);
         let (wide_k, wide_v, wide_t, wide_kernels) = runs.remove(0);
@@ -629,11 +638,11 @@ mod tests {
             fuse_final: false,
             ..SortConfig::default()
         };
-        let mut g1 = gpu();
+        let (mut g1, kernels1) = counted_gpu();
         let (k1, _, t1) =
             sort_pairs_with_bits_config(&mut g1, SimTime::ZERO, &keys, &vals, 32, &cfg_plain)
                 .unwrap();
-        let mut g2 = gpu();
+        let (mut g2, kernels2) = counted_gpu();
         let (k2, _, t2) = sort_pairs_with_bits_config(
             &mut g2,
             SimTime::ZERO,
@@ -644,7 +653,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(k1, k2);
-        assert!(g2.stats().kernels < g1.stats().kernels);
+        assert!(kernels2.get() < kernels1.get());
         assert!(t2 < t1, "fused ({t2}) should beat unfused ({t1})");
     }
 

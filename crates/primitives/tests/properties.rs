@@ -138,7 +138,16 @@ mod pair_path {
         SortScratch,
     };
     use gpmr_sim_gpu::{Gpu, GpuSpec, SimTime};
+    use gpmr_telemetry::{Counter, Telemetry};
     use proptest::prelude::*;
+
+    /// A device with an enabled registry attached, and its kernel count.
+    fn counted_gpu() -> (Gpu, Counter) {
+        let tel = Telemetry::enabled();
+        let mut g = Gpu::new(GpuSpec::gt200());
+        g.attach_telemetry(&tel, 0);
+        (g, tel.counter("gpu.rank0.kernels"))
+    }
 
     /// `n` keys of `width` significant bits from a xorshift stream.
     fn keys_from(seed: u64, n: usize, width: u32) -> Vec<u32> {
@@ -200,7 +209,7 @@ mod pair_path {
                 (Some(SortConfig::reference()), reference),
                 (None, max_radix),
             ] {
-                let mut g = Gpu::new(GpuSpec::gt200());
+                let (mut g, kernels) = counted_gpu();
                 let (k, v, t) = match cfg {
                     Some(cfg) => {
                         sort_pairs_with_bits_config(&mut g, SimTime::ZERO, &keys, &vals, bits, &cfg)
@@ -210,7 +219,7 @@ mod pair_path {
                 .unwrap();
                 let case = format!("n {n}, bits {bits}, {cfg:?}");
                 assert_eq!(fnv1a(&k, &v), digest, "{case}");
-                assert_eq!((t.as_secs().to_bits(), g.stats().kernels), expect, "{case}");
+                assert_eq!((t.as_secs().to_bits(), kernels.get()), expect, "{case}");
             }
         }
     }
@@ -243,10 +252,10 @@ mod pair_path {
                 .map(|w| (&keys[w[0]..w[1]], &vals[w[0]..w[1]]))
                 .collect();
 
-            let mut g = Gpu::new(GpuSpec::gt200());
+            let (mut g, kernels) = counted_gpu();
             let (ref_k, ref_v, ref_t) =
                 sort_pairs_with_bits(&mut g, SimTime::ZERO, &keys, &vals, width).unwrap();
-            let ref_kernels = g.stats().kernels;
+            let ref_kernels = kernels.get();
 
             // A scratch that already served a different, longer sort.
             let mut scratch = SortScratch::default();
@@ -254,14 +263,14 @@ mod pair_path {
             sort_parts_with_bits(&mut g, SimTime::ZERO, &[(&other, &other)], 32, &mut scratch)
                 .unwrap();
 
-            let mut g = Gpu::new(GpuSpec::gt200());
+            let (mut g, kernels) = counted_gpu();
             let t = sort_parts_with_bits(&mut g, SimTime::ZERO, &parts, width, &mut scratch)
                 .unwrap();
             prop_assert_eq!(&scratch.keys, &ref_k);
             prop_assert_eq!(&scratch.vals, &ref_v);
             // Same simulated kernels, so the same simulated time.
             prop_assert_eq!(t, ref_t);
-            prop_assert_eq!(g.stats().kernels, ref_kernels);
+            prop_assert_eq!(kernels.get(), ref_kernels);
         }
 
         #[test]

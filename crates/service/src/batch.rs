@@ -11,10 +11,16 @@
 //! byte for byte: same keys in the same order with the same sums.
 //! (Simulated *times* differ — a shared pass amortizes setup across
 //! members — which is the point of batching.)
+//!
+//! The pass launches no kernel of its own: it runs SIO's map and reduce
+//! kernels, which are generic over the key type, on the tagged keys.
+//! This module owns only the tagging, the low-bit partition and the split
+//! back into members.
 
+use gpmr_apps::sio;
 use gpmr_core::{Chunk, GpmrJob, KvSet, PartitionMode, PipelineConfig, SliceChunk};
 use gpmr_primitives::Segments;
-use gpmr_sim_gpu::{Gpu, LaunchConfig, SimGpuResult, SimTime};
+use gpmr_sim_gpu::{Gpu, SimGpuResult, SimTime};
 
 /// A member's chunk wrapped with its batch slot. Transfer size equals the
 /// inner chunk's so scheduling weight and memory admission match the
@@ -59,14 +65,11 @@ pub fn slot_of(tagged: u64) -> u32 {
     (tagged >> 32) as u32
 }
 
-/// The shared-pass SIO job: plain map over tagged keys, low-bit
-/// partitioning, radix sort, serial-sum reduce — the per-member pipeline
-/// of [`gpmr_apps::SioJob`] lifted into the tagged key space.
+/// The shared-pass SIO job: SIO's own map and reduce kernels
+/// ([`gpmr_apps::sio::count_map`], [`gpmr_apps::sio::sum_reduce`]) over
+/// tagged keys, with low-bit partitioning and the default radix sort.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SioBatchJob;
-
-/// Items handled per map block (matches `SioJob`).
-const ITEMS_PER_MAP_BLOCK: usize = 4096;
 
 impl GpmrJob for SioBatchJob {
     type Chunk = BatchChunk;
@@ -90,27 +93,8 @@ impl GpmrJob for SioBatchJob {
         at: SimTime,
         chunk: &Self::Chunk,
     ) -> SimGpuResult<(KvSet<u64, u32>, SimTime)> {
-        let slot = chunk.slot;
-        let n = chunk.inner.items.len();
-        let cfg = LaunchConfig::for_items(n, ITEMS_PER_MAP_BLOCK, 256);
-        let (launch, res) = gpu.launch(at, &cfg, |ctx| {
-            let range = ctx.item_range(n);
-            // Same read pattern as standalone SIO; the emitted pair is 4
-            // bytes wider (u64 key + u32 value), charged honestly.
-            ctx.charge_read::<u32>(range.len());
-            ctx.charge_write::<u32>(3 * range.len());
-            ctx.charge_flops(range.len() as u64);
-            let mut out: KvSet<u64, u32> = KvSet::with_capacity(range.len());
-            for &x in &chunk.inner.items[range] {
-                out.push(tag_key(slot, x), 1);
-            }
-            out
-        })?;
-        let mut pairs = KvSet::with_capacity(n);
-        for p in launch.outputs {
-            pairs.append(p);
-        }
-        Ok((pairs, res.end))
+        let keys = chunk.inner.items.iter().map(|&x| tag_key(chunk.slot, x));
+        sio::count_map(gpu, at, keys.collect())
     }
 
     fn reduce(
@@ -120,28 +104,7 @@ impl GpmrJob for SioBatchJob {
         segs: &Segments<u64>,
         vals: &[u32],
     ) -> SimGpuResult<(KvSet<u64, u32>, SimTime)> {
-        if segs.is_empty() {
-            return Ok((KvSet::new(), at));
-        }
-        let cfg = LaunchConfig::for_items(segs.len(), 2048, 256);
-        let (launch, res) = gpu.launch(at, &cfg, |ctx| {
-            let range = ctx.item_range(segs.len());
-            let mut out: KvSet<u64, u32> = KvSet::with_capacity(range.len());
-            for s in range {
-                let r = segs.range(s);
-                ctx.charge_read_uncoalesced::<u32>(r.len());
-                ctx.charge_flops(r.len() as u64);
-                let sum = vals[r].iter().sum::<u32>();
-                out.push(segs.keys[s], sum);
-            }
-            ctx.charge_write::<u32>(3 * out.len());
-            out
-        })?;
-        let mut out = KvSet::new();
-        for p in launch.outputs {
-            out.append(p);
-        }
-        Ok((out, res.end))
+        sio::sum_reduce(gpu, at, segs, vals)
     }
 }
 

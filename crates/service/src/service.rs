@@ -119,7 +119,6 @@ struct TenantState {
     cfg: TenantConfig,
     track: u32,
     running: u32,
-    gpu_seconds_spent: f64,
 }
 
 struct JobRecord {
@@ -223,8 +222,10 @@ fn offset(started_s: f64, t: f64) -> SimTime {
     SimTime::from_secs((t - started_s).max(0.0))
 }
 
-/// Plain pass/batch tallies, kept independently of telemetry so reports
-/// work with a disabled registry too.
+/// Pass and batch tallies, and job outcomes, independent of telemetry so
+/// reports work with a disabled registry too. Only the pass and batch
+/// tallies are stored; [`JobService::stats`] counts the outcomes from the
+/// job statuses, alerts and postmortems that record them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Cluster passes dispatched (a batch counts once).
@@ -311,6 +312,8 @@ pub struct JobService {
     dicts: DictCache,
     running: Vec<Option<Pass>>,
     service_track: u32,
+    /// The stored tallies: `cluster_passes`, `batches_formed` and
+    /// `batched_jobs`.
     stats: ServiceStats,
     slo: SloAccountant,
     ts: Option<TimeSeriesStore>,
@@ -338,7 +341,6 @@ impl JobService {
                     cfg,
                     track: i as u32,
                     running: 0,
-                    gpu_seconds_spent: 0.0,
                 }
             })
             .collect();
@@ -380,9 +382,18 @@ impl JobService {
         }
     }
 
-    /// Pass and batching tallies.
+    /// Pass and batching tallies, and job outcomes counted from the
+    /// statuses, alerts and postmortems that record them.
     pub fn stats(&self) -> ServiceStats {
+        let count = |word: &str| self.jobs.iter().filter(|r| r.status.word() == word).count();
         ServiceStats {
+            completed: count("completed") as u64,
+            cancelled: count("cancelled") as u64,
+            deadline_missed: count("deadline-missed") as u64,
+            failed: count("failed") as u64,
+            rejected: count("rejected") as u64,
+            alerts_fired: self.alerts().len() as u64,
+            postmortems: self.postmortems().len() as u64,
             dictionaries_built: self.dicts.built,
             ..self.stats
         }
@@ -405,9 +416,7 @@ impl JobService {
 
     /// GPU-seconds charged to a tenant so far.
     pub fn tenant_spent(&self, name: &str) -> Option<f64> {
-        self.tenant_ix
-            .get(name)
-            .map(|&i| self.tenants[i].gpu_seconds_spent)
+        self.tenant_ix.get(name).map(|&i| self.spent(i))
     }
 
     /// The service's telemetry handle (counters, spans, tracks).
@@ -471,7 +480,6 @@ impl JobService {
             self.sample_queue_depth();
             self.try_dispatch();
         } else {
-            self.stats.rejected += 1;
             self.counter("service.jobs_rejected").inc();
         }
         self.observe_boundary();
@@ -501,7 +509,6 @@ impl JobService {
         };
         self.stop(id, self.now, "cancelled", cancelled);
         self.try_dispatch();
-        self.stats.cancelled += 1;
         self.counter("service.jobs_cancelled").inc();
         self.observe_boundary();
         Ok(())
@@ -598,9 +605,10 @@ impl JobService {
                 budget_bytes,
             });
         }
-        if tenant.gpu_seconds_spent >= tenant.cfg.gpu_seconds {
+        let spent_s = self.spent(tix);
+        if spent_s >= tenant.cfg.gpu_seconds {
             return Err(RejectReason::BudgetExhausted {
-                spent_s: tenant.gpu_seconds_spent,
+                spent_s,
                 budget_s: tenant.cfg.gpu_seconds,
             });
         }
@@ -689,7 +697,6 @@ impl JobService {
                 Some(pass.started_s),
                 pass_cost / n,
             );
-            self.stats.completed += 1;
             self.counter("service.jobs_completed").inc();
             // The pass survived a GPU fail-stop: the job completed, but
             // the loss itself is postmortem-worthy.
@@ -710,7 +717,6 @@ impl JobService {
                 error: error.to_string(),
             };
             self.finalize(id, status, Some(started_s), 0.0);
-            self.stats.failed += 1;
             self.counter("service.jobs_failed").inc();
         }
     }
@@ -725,7 +731,6 @@ impl JobService {
             chunks_released,
         };
         self.stop(id, deadline_s, "deadline-missed", missed);
-        self.stats.deadline_missed += 1;
         self.counter("service.deadline_missed").inc();
         if let Some(track) = track {
             self.counter(&format!("service.tenant{track}.deadline_missed"))
@@ -773,7 +778,7 @@ impl JobService {
         };
         let t = &self.tenants[tix];
         let running = t.running + extra_running.get(&tix).copied().unwrap_or(0);
-        running < t.cfg.max_concurrent && t.gpu_seconds_spent < t.cfg.gpu_seconds
+        running < t.cfg.max_concurrent && self.spent(tix) < t.cfg.gpu_seconds
     }
 
     fn try_dispatch(&mut self) {
@@ -955,7 +960,6 @@ impl JobService {
         if was_running {
             self.tenants[t].running = self.tenants[t].running.saturating_sub(1);
         }
-        self.tenants[t].gpu_seconds_spent += gpu_seconds;
         let track = self.tenants[t].track;
         let end_s = match status {
             JobStatus::Completed { finished_s, .. } => finished_s,
@@ -1022,10 +1026,8 @@ impl JobService {
             return;
         };
         for alert in eng.eval(self.now, ts) {
-            self.stats.alerts_fired += 1;
             if let Some(f) = &mut self.flight {
                 f.dump("alert", &alert.rule, alert.at_s, None);
-                self.stats.postmortems += 1;
             }
         }
     }
@@ -1055,7 +1057,12 @@ impl JobService {
             .as_ref()
             .map(|(s, started_s)| (s, *started_s, track_offset));
         f.dump(reason, &id.to_string(), at_s, engine);
-        self.stats.postmortems += 1;
+    }
+
+    /// GPU-seconds charged to tenant `t`: its SLO tally, which `finalize`
+    /// charges.
+    fn spent(&self, t: usize) -> f64 {
+        self.slo.tenant(t).map_or(0.0, |s| s.gpu_seconds)
     }
 
     fn counter(&self, name: &str) -> Counter {

@@ -17,11 +17,19 @@
 //!
 //! Flags: `batch` opts a job into small-job batching, `journal` runs it
 //! through the write-ahead journal, `kill=R@T` fail-stops GPU `R` at `T`
-//! seconds into the job, `deadline=D` cancels it `D` seconds after
-//! submission if unfinished, `priority=P` orders the queue.
+//! seconds into the job, `stall=R@T+D` freezes it for `D` seconds,
+//! `deadline=D` cancels it `D` seconds after submission if unfinished,
+//! `priority=P` orders the queue.
+//!
+//! Every time is read by the fault-plan grammar's rule
+//! ([`gpmr_sim_gpu::fault::parse_secs`]): finite and non-negative.
+//! `gpu_seconds` may be `inf` (unlimited) but not NaN or negative, and
+//! `mem_share` lies in `[0, 1]`. Anything else is refused, naming the
+//! line.
 
 use std::fmt;
 
+use gpmr_sim_gpu::fault::parse_secs;
 use gpmr_telemetry::Telemetry;
 
 use crate::service::{JobService, ServiceConfig};
@@ -74,6 +82,12 @@ fn parse_num<T: std::str::FromStr>(line: usize, key: &str, val: &str) -> Result<
         .map_err(|_| err(line, format!("bad value for {key}: {val:?}")))
 }
 
+/// A time in seconds, by the fault-plan grammar's rule.
+fn parse_time(line: usize, key: &str, val: &str) -> Result<f64, WorkloadError> {
+    let want = "want finite seconds >= 0";
+    parse_secs(val).ok_or_else(|| err(line, format!("bad time for {key}: {val:?} ({want})")))
+}
+
 /// Parse a workload script. Comments (`#`) and blank lines are ignored.
 pub fn parse(text: &str) -> Result<Workload, WorkloadError> {
     let mut tenants: Vec<TenantConfig> = Vec::new();
@@ -102,10 +116,16 @@ pub fn parse(text: &str) -> Result<Workload, WorkloadError> {
                         _ => return Err(err(lineno, format!("unknown tenant key {k:?}"))),
                     }
                 }
+                let (budget, share) = (cfg.gpu_seconds, cfg.mem_share);
+                if budget.is_nan() || budget < 0.0 || !(0.0..=1.0).contains(&share) {
+                    let want = "want gpu_seconds >= 0 (inf: unlimited) and mem_share in [0, 1]";
+                    let got = format!("gpu_seconds={budget} mem_share={share}");
+                    return Err(err(lineno, format!("{got}: {want}")));
+                }
                 tenants.push(cfg);
             }
             "at" => {
-                let t: f64 = parse_num(
+                let t = parse_time(
                     lineno,
                     "at",
                     toks.get(1).ok_or_else(|| err(lineno, "at needs a time"))?,
@@ -177,14 +197,14 @@ fn parse_submit(lineno: usize, toks: &[&str]) -> Result<JobSpec, WorkloadError> 
             "seed" => seed = parse_num(lineno, k, v)?,
             "chunk_kb" => chunk_kb = parse_num(lineno, k, v)?,
             "priority" => priority = parse_num(lineno, k, v)?,
-            "deadline" => deadline = Some(parse_num(lineno, k, v)?),
+            "deadline" => deadline = Some(parse_time(lineno, k, v)?),
             "kill" => {
                 let (r, at) = v
                     .split_once('@')
                     .ok_or_else(|| err(lineno, format!("kill needs rank@time, got {v:?}")))?;
                 kill = Some((
                     parse_num(lineno, "kill rank", r)?,
-                    parse_num(lineno, "kill time", at)?,
+                    parse_time(lineno, "kill time", at)?,
                 ));
             }
             "stall" => {
@@ -196,8 +216,8 @@ fn parse_submit(lineno: usize, toks: &[&str]) -> Result<JobSpec, WorkloadError> 
                     .ok_or_else(|| err(lineno, format!("stall needs rank@time+dur, got {v:?}")))?;
                 stall = Some((
                     parse_num(lineno, "stall rank", r)?,
-                    parse_num(lineno, "stall time", at)?,
-                    parse_num(lineno, "stall duration", dur)?,
+                    parse_time(lineno, "stall time", at)?,
+                    parse_time(lineno, "stall duration", dur)?,
                 ));
             }
             _ => return Err(err(lineno, format!("unknown submit key {k:?}"))),

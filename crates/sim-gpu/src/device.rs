@@ -56,17 +56,6 @@ impl GpuTelemetry {
     }
 }
 
-/// Cumulative activity counters for one device.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct GpuStats {
-    /// Kernels launched.
-    pub kernels: u64,
-    /// Bytes uploaded host-to-device.
-    pub h2d_bytes: u64,
-    /// Bytes downloaded device-to-host.
-    pub d2h_bytes: u64,
-}
-
 /// One simulated GPU.
 pub struct Gpu {
     /// Hardware description.
@@ -77,7 +66,6 @@ pub struct Gpu {
     compute: Timeline,
     copy_engine: Timeline,
     link: SharedLink,
-    stats: GpuStats,
     telem: Option<Box<GpuTelemetry>>,
 }
 
@@ -96,7 +84,6 @@ impl Gpu {
             compute: Timeline::new(),
             copy_engine: Timeline::new(),
             link,
-            stats: GpuStats::default(),
             telem: None,
         }
     }
@@ -142,12 +129,7 @@ impl Gpu {
     {
         let (outputs, cost) = run_blocks(&self.spec, cfg, &f)?;
         let occ = occupancy(&self.spec, cfg);
-        let dur = kernel_time(&self.spec, occ.fraction, &cost);
-        let res = self.compute.reserve(at, dur);
-        self.stats.kernels += 1;
-        if let Some(t) = &self.telem {
-            t.kernel(res.start, occ.fraction, self.mem.peak());
-        }
+        let res = self.charge_compute(at, &cost, occ.fraction);
         Ok((
             Launch {
                 outputs,
@@ -163,7 +145,6 @@ impl Gpu {
     /// computed analytically).
     pub fn charge_compute(&mut self, at: SimTime, cost: &KernelCost, occ: f64) -> Reservation {
         let dur = kernel_time(&self.spec, occ, cost);
-        self.stats.kernels += 1;
         let res = self.compute.reserve(at, dur);
         if let Some(t) = &self.telem {
             t.kernel(res.start, occ, self.mem.peak());
@@ -179,7 +160,6 @@ impl Gpu {
     /// calls on a single copy stream. The returned reservation reflects
     /// both constraints.
     pub fn h2d(&mut self, at: SimTime, bytes: u64) -> Reservation {
-        self.stats.h2d_bytes += bytes;
         if let Some(t) = &self.telem {
             t.h2d_bytes.add(bytes);
         }
@@ -192,18 +172,8 @@ impl Gpu {
         res
     }
 
-    /// Queue a host-to-device transfer on the copy engine at `issue`, but
-    /// no earlier than `gate` (typically the instant the destination
-    /// staging buffer frees up). This is the k-deep upload pipeline's
-    /// primitive: the engine issues uploads for chunks N+1..N+k while
-    /// chunk N's map runs, gating each on its staging slot.
-    pub fn h2d_gated(&mut self, issue: SimTime, gate: SimTime, bytes: u64) -> Reservation {
-        self.h2d(issue.max(gate), bytes)
-    }
-
     /// Reserve a device-to-host transfer of `bytes` on the PCI-e link.
     pub fn d2h(&mut self, at: SimTime, bytes: u64) -> Reservation {
-        self.stats.d2h_bytes += bytes;
         if let Some(t) = &self.telem {
             t.d2h_bytes.add(bytes);
         }
@@ -236,18 +206,12 @@ impl Gpu {
         self.copy_engine.free_at()
     }
 
-    /// Activity counters.
-    pub fn stats(&self) -> GpuStats {
-        self.stats
-    }
-
     /// Reset the clock state (compute timeline and link) without touching
     /// the memory high-water mark. Used between jobs on a persistent device.
     pub fn reset_clock(&mut self) {
         self.compute.reset();
         self.copy_engine.reset();
         self.link.reset();
-        self.stats = GpuStats::default();
     }
 }
 
@@ -261,7 +225,9 @@ mod tests {
 
     #[test]
     fn launch_times_accumulate_on_compute_timeline() {
+        let tel = Telemetry::enabled();
         let mut g = gpu();
+        g.attach_telemetry(&tel, 0);
         let cfg = LaunchConfig::grid(30, 256);
         let (l1, r1) = g
             .launch(SimTime::ZERO, &cfg, |ctx| {
@@ -274,7 +240,7 @@ mod tests {
         let (_, r2) = g.launch(SimTime::ZERO, &cfg, |_| ()).unwrap();
         // Second kernel waits for the first even though requested at t=0.
         assert_eq!(r2.start, r1.end);
-        assert_eq!(g.stats().kernels, 2);
+        assert_eq!(tel.snapshot().metrics.counter("gpu.rank0.kernels"), 2);
         assert_eq!(g.compute_free_at(), r2.end);
     }
 
@@ -393,14 +359,18 @@ mod tests {
 
     #[test]
     fn reset_clock_clears_time_but_not_memory() {
+        let tel = Telemetry::enabled();
         let mut g = gpu();
+        g.attach_telemetry(&tel, 0);
         g.note_resident(128);
         g.h2d(SimTime::ZERO, 1 << 20);
         g.reset_clock();
         assert_eq!(g.compute_free_at(), SimTime::ZERO);
         assert_eq!(g.copy_free_at(), SimTime::ZERO);
-        assert_eq!(g.stats().h2d_bytes, 0);
         assert_eq!(g.mem.peak(), 128);
+        // The byte count is the registry's, cumulative across jobs.
+        let snap = tel.snapshot();
+        assert_eq!(snap.metrics.counter("gpu.rank0.h2d_bytes"), 1 << 20);
     }
 
     #[test]
@@ -412,17 +382,6 @@ mod tests {
         let r2 = g.h2d(SimTime::ZERO, 1 << 26);
         assert_eq!(r2.start, r1.end);
         assert_eq!(g.copy_free_at(), r2.end);
-    }
-
-    #[test]
-    fn gated_upload_waits_for_the_later_of_issue_and_gate() {
-        let mut g = gpu();
-        let gate = SimTime::from_secs(2.0);
-        let r = g.h2d_gated(SimTime::from_secs(1.0), gate, 1 << 20);
-        assert_eq!(r.start, gate);
-        // With the gate in the past, the issue time wins.
-        let r2 = g.h2d_gated(SimTime::from_secs(5.0), SimTime::ZERO, 1 << 20);
-        assert_eq!(r2.start, SimTime::from_secs(5.0));
     }
 
     #[test]

@@ -123,12 +123,7 @@ impl std::error::Error for FaultPlanParseError {}
 /// A deterministic schedule of injected faults.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
-    seed: u64,
     events: Vec<FaultEvent>,
-}
-
-fn forever() -> SimTime {
-    SimTime::from_secs(f64::INFINITY)
 }
 
 impl FaultPlan {
@@ -137,29 +132,14 @@ impl FaultPlan {
         Self::default()
     }
 
-    /// The seed the plan was generated from (0 for hand-built plans).
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// All scheduled events.
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
     }
 
-    /// Whether the plan injects nothing.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Append an event.
-    pub fn push(&mut self, event: FaultEvent) {
-        self.events.push(event);
-    }
-
     /// Builder: kill `rank` at `at_s` simulated seconds.
     pub fn kill(mut self, rank: u32, at_s: f64) -> Self {
-        self.push(FaultEvent::GpuKill {
+        self.events.push(FaultEvent::GpuKill {
             rank,
             at: SimTime::from_secs(at_s),
         });
@@ -169,7 +149,7 @@ impl FaultPlan {
     /// Builder: add `rank`'s GPU to the running job at `at_s` simulated
     /// seconds (elastic scale-out; see [`FaultEvent::GpuAdd`]).
     pub fn add(mut self, rank: u32, at_s: f64) -> Self {
-        self.push(FaultEvent::GpuAdd {
+        self.events.push(FaultEvent::GpuAdd {
             rank,
             at: SimTime::from_secs(at_s),
         });
@@ -178,7 +158,7 @@ impl FaultPlan {
 
     /// Builder: stall `rank` for `duration_s` seconds starting at `at_s`.
     pub fn stall(mut self, rank: u32, at_s: f64, duration_s: f64) -> Self {
-        self.push(FaultEvent::RankStall {
+        self.events.push(FaultEvent::RankStall {
             rank,
             at: SimTime::from_secs(at_s),
             duration: SimDuration::from_secs(duration_s),
@@ -196,7 +176,7 @@ impl FaultPlan {
         until_s: f64,
         fails: u32,
     ) -> Self {
-        self.push(FaultEvent::TransferFail {
+        self.events.push(FaultEvent::TransferFail {
             from,
             to,
             start: SimTime::from_secs(start_s),
@@ -216,7 +196,7 @@ impl FaultPlan {
         until_s: f64,
         extra_s: f64,
     ) -> Self {
-        self.push(FaultEvent::TransferDelay {
+        self.events.push(FaultEvent::TransferDelay {
             from,
             to,
             start: SimTime::from_secs(start_s),
@@ -327,10 +307,7 @@ impl FaultPlan {
     /// survivor to recover onto.
     pub fn generate(seed: u64, ranks: u32, horizon_s: f64) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut plan = FaultPlan {
-            seed,
-            events: Vec::new(),
-        };
+        let mut plan = FaultPlan::new();
         let horizon = horizon_s.max(1e-6);
         let ranks = ranks.max(1);
 
@@ -407,33 +384,15 @@ impl FaultPlan {
             let (target, timing) = body
                 .split_once('@')
                 .ok_or_else(|| FaultPlanParseError(format!("missing `@` in {part:?}")))?;
-            match kind {
-                "kill" => {
-                    let rank = parse_rank(target, part)?;
-                    let at = parse_secs(timing, part)?;
-                    plan.push(FaultEvent::GpuKill {
-                        rank,
-                        at: SimTime::from_secs(at),
-                    });
-                }
-                "add" => {
-                    let rank = parse_rank(target, part)?;
-                    let at = parse_secs(timing, part)?;
-                    plan.push(FaultEvent::GpuAdd {
-                        rank,
-                        at: SimTime::from_secs(at),
-                    });
-                }
+            plan = match kind {
+                "kill" => plan.kill(parse_rank(target, part)?, secs(timing, part)?),
+                "add" => plan.add(parse_rank(target, part)?, secs(timing, part)?),
                 "stall" => {
                     let rank = parse_rank(target, part)?;
                     let (at, dur) = timing
                         .split_once('+')
                         .ok_or_else(|| FaultPlanParseError(format!("missing `+` in {part:?}")))?;
-                    plan.push(FaultEvent::RankStall {
-                        rank,
-                        at: SimTime::from_secs(parse_secs(at, part)?),
-                        duration: SimDuration::from_secs(parse_secs(dur, part)?),
-                    });
+                    plan.stall(rank, secs(at, part)?, secs(dur, part)?)
                 }
                 "xfail" => {
                     let (from, to) = parse_route(target, part)?;
@@ -447,13 +406,7 @@ impl FaultPlan {
                         None => (timing, 1),
                     };
                     let (start, until) = parse_window(window, part)?;
-                    plan.push(FaultEvent::TransferFail {
-                        from,
-                        to,
-                        start,
-                        until,
-                        fails,
-                    });
+                    plan.transfer_fail(from, to, start, until, fails)
                 }
                 "delay" => {
                     let (from, to) = parse_route(target, part)?;
@@ -461,31 +414,30 @@ impl FaultPlan {
                         .rsplit_once('+')
                         .ok_or_else(|| FaultPlanParseError(format!("missing `+` in {part:?}")))?;
                     let (start, until) = parse_window(window, part)?;
-                    plan.push(FaultEvent::TransferDelay {
-                        from,
-                        to,
-                        start,
-                        until,
-                        extra: SimDuration::from_secs(parse_secs(extra, part)?),
-                    });
+                    plan.transfer_delay(from, to, start, until, secs(extra, part)?)
                 }
                 other => {
                     return Err(FaultPlanParseError(format!(
                         "unknown fault kind {other:?} (expected kill, add, stall, xfail, or delay)"
                     )));
                 }
-            }
+            };
         }
         Ok(plan)
     }
 }
 
-fn parse_secs(s: &str, ctx: &str) -> Result<f64, FaultPlanParseError> {
+/// A time in seconds as the fault-plan and service workload grammars read
+/// it: a number, finite and non-negative, or `None`.
+pub fn parse_secs(s: &str) -> Option<f64> {
     s.trim()
         .parse::<f64>()
         .ok()
         .filter(|v| v.is_finite() && *v >= 0.0)
-        .ok_or_else(|| FaultPlanParseError(format!("bad time {s:?} in {ctx:?}")))
+}
+
+fn secs(s: &str, ctx: &str) -> Result<f64, FaultPlanParseError> {
+    parse_secs(s).ok_or_else(|| FaultPlanParseError(format!("bad time {s:?} in {ctx:?}")))
 }
 
 fn parse_rank(s: &str, ctx: &str) -> Result<u32, FaultPlanParseError> {
@@ -509,13 +461,11 @@ fn parse_route(s: &str, ctx: &str) -> Result<(Option<u32>, Option<u32>), FaultPl
     Ok((side(f)?, side(t)?))
 }
 
-fn parse_window(s: &str, ctx: &str) -> Result<(SimTime, SimTime), FaultPlanParseError> {
+/// A transfer window `S..U` in seconds; a bare `S` leaves it open.
+fn parse_window(s: &str, ctx: &str) -> Result<(f64, f64), FaultPlanParseError> {
     match s.split_once("..") {
-        Some((a, b)) => Ok((
-            SimTime::from_secs(parse_secs(a, ctx)?),
-            SimTime::from_secs(parse_secs(b, ctx)?),
-        )),
-        None => Ok((SimTime::from_secs(parse_secs(s, ctx)?), forever())),
+        Some((a, b)) => Ok((secs(a, ctx)?, secs(b, ctx)?)),
+        None => Ok((secs(s, ctx)?, f64::INFINITY)),
     }
 }
 
@@ -642,8 +592,8 @@ mod tests {
             other => panic!("expected delay, got {other:?}"),
         }
         // Empty pieces are tolerated.
-        assert!(FaultPlan::parse("").unwrap().is_empty());
-        assert!(FaultPlan::parse(" ; ").unwrap().is_empty());
+        assert!(FaultPlan::parse("").unwrap().events().is_empty());
+        assert!(FaultPlan::parse(" ; ").unwrap().events().is_empty());
     }
 
     #[test]

@@ -16,7 +16,14 @@
 //!   costs to simulated time;
 //! * [`Timeline`]s for the compute engine and [`PcieLink`]s: every
 //!   [`Gpu`] operation takes the instant it may start, so callers express
-//!   the overlap of copies and kernels by the instants they pass.
+//!   the overlap of copies and kernels by the instants they pass (a gated
+//!   upload is [`Gpu::h2d`] at the later of its issue and its gate);
+//! * [`FaultPlan`] — the one schedule of injected faults, built by its
+//!   builders, which [`FaultPlan::parse`] calls too.
+//!
+//! A device counts its activity once: kernels launched and bytes moved
+//! each way are the `gpu.rank{r}.*` counters of the registry attached
+//! with [`Gpu::attach_telemetry`]; the `Gpu` keeps no second tally.
 //!
 //! Computation is bit-exact and testable; *time* is simulated. See the
 //! repository `DESIGN.md` for the calibration used to reproduce the
@@ -37,7 +44,7 @@ pub mod spec;
 pub mod time;
 
 pub use cost::{kernel_time, KernelCost};
-pub use device::{Gpu, GpuStats};
+pub use device::Gpu;
 pub use error::{SimGpuError, SimGpuResult};
 pub use fault::{FaultEvent, FaultPlan, FaultPlanParseError, TransferOutcome};
 pub use kernel::{BlockCtx, Launch, LaunchConfig};

@@ -15,7 +15,6 @@ pub struct Cluster {
     topology: Topology,
     gpus: Vec<Gpu>,
     fabric: Fabric,
-    fault_plan: Option<FaultPlan>,
 }
 
 impl Cluster {
@@ -69,21 +68,19 @@ impl Cluster {
             topology,
             gpus,
             fabric: Fabric::scaled(topology, scale),
-            fault_plan: None,
         }
     }
 
     /// Install (or clear) a fault plan for jobs run on this cluster. The
-    /// plan is forwarded to the fabric (transfer faults) and read by the
-    /// engine (GPU kills, rank stalls).
+    /// fabric keeps it (transfer faults) and the engine reads it from
+    /// there (GPU kills, rank stalls).
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
-        self.fabric.set_fault_plan(plan.clone());
-        self.fault_plan = plan;
+        self.fabric.set_fault_plan(plan);
     }
 
-    /// The active fault plan, if any.
+    /// The active fault plan, if any: the fabric's.
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault_plan.as_ref()
+        self.fabric.fault_plan()
     }
 
     /// The cluster shape.

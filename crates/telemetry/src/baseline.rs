@@ -1,6 +1,6 @@
 //! Benchmark baselines and the regression gate: a JSON schema for "what a
 //! scenario cost" ([`BenchBaseline`]: makespan, per-stage critical-path
-//! nanoseconds, counters, imbalance) plus [`diff`]/[`diff_sets`] producing
+//! nanoseconds, counters, imbalance) plus [`diff_sets`] producing
 //! pass/warn/fail verdicts under a relative tolerance.
 //!
 //! The simulator is deterministic and machine-independent, so a re-run of an
@@ -236,27 +236,6 @@ pub struct DiffReport {
     pub verdict: Verdict,
 }
 
-/// Compare one scenario's new measurement against its baseline.
-///
-/// Rules: makespan above `old * (1 + tolerance)` fails; makespan below
-/// `old * (1 - tolerance)` warns (improvement — refresh the baseline);
-/// stage times that shift more than the tolerance *and* amount to at least
-/// 2% of the makespan warn; counter or bounding-stage changes warn.
-pub fn diff(old: &BenchBaseline, new: &BenchBaseline, tolerance: f64) -> DiffReport {
-    let mut report = DiffReport {
-        tolerance,
-        ..DiffReport::default()
-    };
-    diff_into(old, new, tolerance, &mut report);
-    report.verdict = report
-        .deltas
-        .iter()
-        .map(|d| d.verdict)
-        .max()
-        .unwrap_or(Verdict::Pass);
-    report
-}
-
 /// Compare a whole recorded set against a baseline set, matching scenarios
 /// by name. Scenarios missing on either side warn. Sets recorded at two
 /// different (non-zero) scales ran different workloads: that fails, and
@@ -325,6 +304,12 @@ fn rel_change(old: f64, new: f64) -> f64 {
     }
 }
 
+/// Compare one scenario's new measurement against its baseline.
+///
+/// Rules: makespan above `old * (1 + tolerance)` fails; makespan below
+/// `old * (1 - tolerance)` warns (improvement — refresh the baseline);
+/// stage times that shift more than the tolerance *and* amount to at least
+/// 2% of the makespan warn; counter or bounding-stage changes warn.
 fn diff_into(old: &BenchBaseline, new: &BenchBaseline, tolerance: f64, report: &mut DiffReport) {
     let scenario = &old.name;
 
@@ -467,10 +452,20 @@ mod tests {
         }
     }
 
+    /// [`diff_sets`] over one scenario on each side.
+    fn diff(old: &BenchBaseline, new: &BenchBaseline) -> DiffReport {
+        let set = |b: &BenchBaseline| BaselineSet {
+            scale: 64,
+            tolerance: 0.15,
+            baselines: vec![b.clone()],
+        };
+        diff_sets(&set(old), &set(new), 0.15)
+    }
+
     #[test]
     fn identical_baselines_pass() {
         let b = baseline("sio_4rank", 1_000_000);
-        let report = diff(&b, &b, 0.15);
+        let report = diff(&b, &b);
         assert_eq!(report.verdict, Verdict::Pass);
         assert!(report.render_text().contains("verdict: PASS"));
     }
@@ -480,7 +475,7 @@ mod tests {
         let old = baseline("sio_4rank", 1_000_000);
         let mut new = baseline("sio_4rank", 2_000_000);
         new.stage_ns = old.stage_ns.clone(); // isolate the makespan signal
-        let report = diff(&old, &new, 0.15);
+        let report = diff(&old, &new);
         assert_eq!(report.verdict, Verdict::Fail);
         assert!(report.render_text().contains("regressed"));
     }
@@ -489,7 +484,7 @@ mod tests {
     fn improvement_warns_but_does_not_fail() {
         let old = baseline("sio_4rank", 1_000_000);
         let new = baseline("sio_4rank", 500_000);
-        let report = diff(&old, &new, 0.15);
+        let report = diff(&old, &new);
         assert_eq!(report.verdict, Verdict::Warn);
     }
 
@@ -498,7 +493,7 @@ mod tests {
         let old = baseline("wo_1rank", 1_000_000);
         let mut new = old.clone();
         new.counters.insert("engine.chunks_dispatched".into(), 9);
-        let report = diff(&old, &new, 0.15);
+        let report = diff(&old, &new);
         assert_eq!(report.verdict, Verdict::Warn);
         assert!(report
             .deltas

@@ -8,8 +8,9 @@
 //! off-switching near-free.
 //!
 //! [`Registry::snapshot`] captures every metric into a [`MetricsSnapshot`]
-//! that supports [`MetricsSnapshot::diff`] (per-interval deltas), a stable
-//! text render, and a stable JSON render.
+//! with a stable text render and a stable JSON render. The one delta rule
+//! is [`HistogramSnapshot::since`], which the windowed time series apply
+//! per interval.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -376,28 +377,6 @@ impl MetricsSnapshot {
         self.gauges.get(name).copied().unwrap_or(0.0)
     }
 
-    /// The change from `earlier` to `self`: counters are subtracted
-    /// (saturating, so a restarted registry never yields negative deltas),
-    /// histograms by [`HistogramSnapshot::since`]; gauges keep the later
-    /// value.
-    pub fn diff(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        let counters = self
-            .counters
-            .iter()
-            .map(|(k, &v)| (k.clone(), v.saturating_sub(earlier.counter(k))))
-            .collect();
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|(k, h)| (k.clone(), h.since(earlier.histograms.get(k))))
-            .collect();
-        MetricsSnapshot {
-            counters,
-            gauges: self.gauges.clone(),
-            histograms,
-        }
-    }
-
     /// Stable, human-readable text render (one metric per line, sorted by
     /// name).
     pub fn render_text(&self) -> String {
@@ -527,43 +506,22 @@ mod tests {
     }
 
     #[test]
-    fn diff_subtracts_counters_and_histograms() {
+    fn since_subtracts_histograms() {
         let reg = Registry::new();
-        let c = reg.counter("sends");
         let h = reg.histogram("lat", &[1.0]);
-        c.add(3);
         h.observe(0.5);
         let before = reg.snapshot();
-        c.add(2);
         h.observe(2.0);
-        let d = reg.snapshot().diff(&before);
-        assert_eq!(d.counter("sends"), 2);
-        assert_eq!(d.histograms["lat"].count, 1);
-        assert_eq!(d.histograms["lat"].counts, vec![0, 1]);
+        let d = reg.snapshot().histograms["lat"].since(before.histograms.get("lat"));
+        assert_eq!(d.count, 1);
+        assert_eq!(d.counts, vec![0, 1]);
+        // With no earlier capture the interval is the capture itself.
+        let whole = &reg.snapshot().histograms["lat"];
+        assert_eq!(&whole.since(None), whole);
     }
 
     #[test]
-    fn diff_keeps_gauges_as_last_value_not_deltas() {
-        // Regression: gauges are last-value, not monotonic. Diffing them
-        // as deltas would report negative "drift" for any gauge that went
-        // down between snapshots (queue depth, memory in use).
-        let reg = Registry::new();
-        let g = reg.gauge("service.queue_depth");
-        g.set(7.0);
-        let before = reg.snapshot();
-        g.set(3.0);
-        let d = reg.snapshot().diff(&before);
-        assert_eq!(d.gauge("service.queue_depth"), 3.0, "last value, not -4");
-        // A gauge that rose keeps its later value too.
-        g.set(9.0);
-        let d2 = reg.snapshot().diff(&before);
-        assert_eq!(d2.gauge("service.queue_depth"), 9.0);
-        // And the render never shows a negative delta for it.
-        assert!(!d.render_text().contains("-4"));
-    }
-
-    #[test]
-    fn diff_guards_histogram_sums_like_counts() {
+    fn since_guards_histogram_sums_like_counts() {
         // A "later" snapshot from a restarted registry has smaller sums;
         // the interval must clamp to zero, not go negative.
         let old_reg = Registry::new();
@@ -571,9 +529,9 @@ mod tests {
         let earlier = old_reg.snapshot();
         let new_reg = Registry::new();
         new_reg.histogram("lat", &[1.0]).observe(0.5);
-        let d = new_reg.snapshot().diff(&earlier);
-        assert_eq!(d.histograms["lat"].count, 0);
-        assert_eq!(d.histograms["lat"].sum, 0.0, "sum clamps like counts");
+        let d = new_reg.snapshot().histograms["lat"].since(earlier.histograms.get("lat"));
+        assert_eq!(d.count, 0);
+        assert_eq!(d.sum, 0.0, "sum clamps like counts");
     }
 
     #[test]
@@ -687,6 +645,5 @@ mod tests {
                 .and_then(Value::as_f64),
             Some(2.0)
         );
-        assert_eq!(snap, snap.diff(&MetricsSnapshot::default()));
     }
 }

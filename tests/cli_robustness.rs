@@ -10,8 +10,11 @@ use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use gpmr::apps::Benchmark;
+use gpmr::sim_gpu::{FaultEvent, FaultPlan};
 use gpmr_cli::commands::{CLUSTER, JOURNAL};
 use gpmr_cli::{dispatch, help, Command, Flag, Kind, COMMANDS};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 const WL: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/workloads/service_demo.wl");
 
@@ -292,6 +295,183 @@ fn no_numeric_flag_value_panics_any_command() {
         (reports, refusals),
         (97, 191),
         "{reports} reports, {refusals} refusals"
+    );
+}
+
+/// The byte offsets of each value in a workload line, before its comment:
+/// a run of digits and dots that opens a token or follows `=`, `@` or `+`
+/// (so `job1` and `t1` are names, not values).
+fn value_spans(line: &str) -> Vec<std::ops::Range<usize>> {
+    let code = line.split('#').next().unwrap_or("").as_bytes();
+    let mut spans = Vec::new();
+    let mut i = 0;
+    while i < code.len() {
+        let opens = i == 0 || matches!(code[i - 1], b' ' | b'=' | b'@' | b'+');
+        if opens && code[i].is_ascii_digit() {
+            let end = (i..code.len())
+                .find(|&j| !(code[j].is_ascii_digit() || code[j] == b'.'))
+                .unwrap_or(code.len());
+            spans.push(i..end);
+            i = end;
+        } else {
+            i += 1;
+        }
+    }
+    spans
+}
+
+/// ROADMAP item 2, defect 18: `gpmr serve` took a non-finite or negative
+/// time, quota or share and read it as something else. `kill=1@nan`
+/// killed GPU 1 at 0, `deadline=nan` set no deadline, `at inf` and a
+/// stall of `+inf` left a job running after the drain, `deadline=-1`
+/// missed before submission, `gpu_seconds=nan` queued the tenant's jobs
+/// forever and `mem_share=2` was clamped without a word. Every value of
+/// every committed workload takes each hostile value in turn: the script
+/// is refused, naming the line (an error from `dispatch`, which the
+/// binary exits 2 on), except an infinite `gpu_seconds`, which is an
+/// unlimited budget and must run and drain.
+#[test]
+fn a_non_finite_or_negative_workload_value_is_refused_naming_its_line() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/workloads");
+    let mut scripts: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "wl"))
+        .collect();
+    scripts.sort();
+    assert_eq!(scripts.len(), 3, "the committed workloads");
+    let variant = fixtures().join("hostile.wl");
+    let (mut refused, mut ran) = (0, 0);
+    for script in &scripts {
+        let text = std::fs::read_to_string(script).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        for (ix, line) in lines.iter().enumerate() {
+            for span in value_spans(line) {
+                let budget = line[..span.start].ends_with("gpu_seconds=");
+                for value in ["nan", "inf", "-inf", "-1", "1e309"] {
+                    let mut hostile = lines.clone();
+                    let edited = format!("{}{value}{}", &line[..span.start], &line[span.end..]);
+                    hostile[ix] = &edited;
+                    std::fs::write(&variant, hostile.join("\n")).unwrap();
+                    let command = format!("serve --workload {}", variant.display());
+                    let shown = format!("{}:{}: {edited}", script.display(), ix + 1);
+                    let outcome = dispatch(command.split(' '));
+                    if budget && matches!(value, "inf" | "1e309") {
+                        let report = outcome.unwrap_or_else(|e| panic!("{shown}: {e}"));
+                        assert!(!report.contains("status=running"), "{shown}:\n{report}");
+                        ran += 1;
+                        continue;
+                    }
+                    let err = outcome.expect_err(&shown).to_string();
+                    let named = format!("workload line {}: ", ix + 1);
+                    assert!(err.starts_with(&named), "{shown}: {err}");
+                    refused += 1;
+                }
+            }
+        }
+    }
+    // Not vacuous, and exact: 180 values, five variants each; bob's budget
+    // is the one `gpu_seconds` of the three scripts.
+    assert_eq!((ran, refused), (2, 898), "{ran} ran, {refused} refused");
+}
+
+/// The `--fault-plan` specs that README, CI and the tests pass.
+#[rustfmt::skip]
+const FAULT_SPECS: &[&str] = &["kill:1@2e-3; xfail:0->2@0..1e-2*2", "kill:1@2e-3", "kill:1@2e-3; add:7@1e-3",
+    "kill:1@1e-3; xfail:0->2@0..1e-2*2", "kill:1@1e-4;xfail:0->2@0..1e-2*2;stall:2@1e-4+1e-4",
+    "kill:1@9e-4;stall:2@6e-4+3e-4", "xfail:0->1@0..1*6", "xfail:0->1@0..1*2", "kill:1@1e-3", "kill:7@0.0001",
+    "stall:9@0.0001+0.001", "xfail:0->5@0..1", "delay:3->1@0..1+0.001", "add:2@0.0001", "xfail:*->1@0..1"];
+
+/// What a mutation splices in: the grammar's separators, and numbers no
+/// time may be.
+#[rustfmt::skip]
+const FAULT_TOKENS: &[&str] = &["nan", "inf", "-inf", "-1", "-0", "1e309", "1e-400", "4294967296", "..", "+",
+    "*", "@", "->", ":", ";", " "];
+
+/// One to three seeded mutations of `base`: a flipped byte, a cut, a
+/// grammar token or another spec's event spliced in, or garbage bytes.
+fn mutate_spec(rng: &mut SmallRng, base: &str) -> String {
+    let mut b = base.as_bytes().to_vec();
+    for _ in 0..rng.gen_range(1..=3) {
+        let at = rng.gen_range(0..=b.len());
+        let insert: Vec<u8> = match rng.gen_range(0..5) {
+            0 if !b.is_empty() => {
+                let i = rng.gen_range(0..b.len());
+                b[i] ^= rng.gen_range(1..=255u8);
+                continue;
+            }
+            1 => {
+                b.truncate(at);
+                continue;
+            }
+            2 => FAULT_TOKENS[rng.gen_range(0..FAULT_TOKENS.len())].into(),
+            3 => {
+                let other = FAULT_SPECS[rng.gen_range(0..FAULT_SPECS.len())];
+                let events: Vec<&str> = other.split(';').collect();
+                events[rng.gen_range(0..events.len())].into()
+            }
+            _ => (0..rng.gen_range(1..=16))
+                .map(|_| rng.gen_range(0..=255u8))
+                .collect(),
+        };
+        b.splice(at..at, insert);
+    }
+    String::from_utf8_lossy(&b).into_owned()
+}
+
+/// ROADMAP item 2, the `FaultPlan::parse` part: seeded mutations of every
+/// spec in use either fail with a typed error or parse to a plan whose
+/// every instant and duration is finite and non-negative (an open
+/// transfer window's end is the one infinity), and none panics.
+#[test]
+fn a_mutated_fault_plan_is_refused_or_finite() {
+    let mut rng = SmallRng::seed_from_u64(0xfa17);
+    let ok = |s: f64| s.is_finite() && s >= 0.0;
+    let (mut plans, mut refusals) = (0, 0);
+    for base in FAULT_SPECS {
+        let plan = FaultPlan::parse(base).unwrap_or_else(|e| panic!("{base}: {e}"));
+        assert!(!plan.events().is_empty(), "{base}");
+        for _ in 0..400 {
+            let spec = mutate_spec(&mut rng, base);
+            let parsed = std::panic::catch_unwind(|| FaultPlan::parse(&spec));
+            let plan = match parsed.unwrap_or_else(|_| panic!("{spec:?} panicked")) {
+                Ok(plan) => plan,
+                Err(e) => {
+                    assert!(!e.0.is_empty(), "{spec:?}");
+                    refusals += 1;
+                    continue;
+                }
+            };
+            for event in plan.events() {
+                let (instants, duration) = match *event {
+                    FaultEvent::GpuKill { at, .. } | FaultEvent::GpuAdd { at, .. } => {
+                        ([at, at], None)
+                    }
+                    FaultEvent::RankStall { at, duration, .. } => ([at, at], Some(duration)),
+                    FaultEvent::TransferFail { start, until, .. } => ([start, until], None),
+                    FaultEvent::TransferDelay {
+                        start,
+                        until,
+                        extra,
+                        ..
+                    } => ([start, until], Some(extra)),
+                };
+                let [start, end] = instants.map(|t| t.as_secs());
+                let open = end == f64::INFINITY;
+                assert!(ok(start) && (ok(end) || open), "{spec:?}: {event:?}");
+                assert!(
+                    duration.is_none_or(|d| ok(d.as_secs())),
+                    "{spec:?}: {event:?}"
+                );
+            }
+            plans += 1;
+        }
+    }
+    // Not vacuous, and exact: the outcomes move only when the grammar does.
+    assert_eq!(
+        (plans, refusals),
+        (278, 5722),
+        "{plans} plans, {refusals} refusals"
     );
 }
 

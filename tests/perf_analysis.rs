@@ -15,7 +15,7 @@ use std::sync::OnceLock;
 
 use gpmr::telemetry::json;
 use gpmr_cli::dispatch;
-use gpmr_telemetry::baseline::{diff, diff_sets, BaselineSet, Verdict};
+use gpmr_telemetry::baseline::{diff_sets, BaselineSet, Verdict};
 
 fn run(tokens: &[&str]) -> Result<String, gpmr_cli::CliError> {
     dispatch(tokens.iter().copied())
@@ -99,25 +99,28 @@ fn perf_gate_fails_on_regression_and_passes_on_identical() {
     let sc = gpmr_bench::perf::scenario("sio_4rank").unwrap();
     let (baseline, _) = gpmr_bench::perf::run_scenario(&sc, 4096);
 
+    let set = |b| BaselineSet {
+        scale: 4096,
+        tolerance: 0.15,
+        baselines: vec![b],
+    };
+
     // Identical re-measurement: PASS.
     let (same, _) = gpmr_bench::perf::run_scenario(&sc, 4096);
-    assert_eq!(diff(&baseline, &same, 0.15).verdict, Verdict::Pass);
+    let verdict = diff_sets(&set(baseline.clone()), &set(same), 0.15).verdict;
+    assert_eq!(verdict, Verdict::Pass);
 
     // Synthetic 2x makespan regression: FAIL.
     let mut worse = baseline.clone();
     worse.makespan_ns *= 2;
-    assert_eq!(diff(&baseline, &worse, 0.15).verdict, Verdict::Fail);
+    let verdict = diff_sets(&set(baseline.clone()), &set(worse.clone()), 0.15).verdict;
+    assert_eq!(verdict, Verdict::Fail);
 
     // And through the CLI: dispatch must return Err (the binary exits 2).
     let dir = std::env::temp_dir().join("gpmr_perf_gate_test");
     std::fs::create_dir_all(&dir).unwrap();
     let base_path = dir.join("base.json");
     let worse_path = dir.join("worse.json");
-    let set = |b| BaselineSet {
-        scale: 4096,
-        tolerance: 0.15,
-        baselines: vec![b],
-    };
     std::fs::write(&base_path, set(baseline.clone()).to_json()).unwrap();
     std::fs::write(&worse_path, set(worse).to_json()).unwrap();
 

@@ -148,7 +148,6 @@ fn deadline_miss_dumps_a_valid_postmortem_with_the_jobs_span() {
         pm.trace_json().contains(&format!("\"{id}\"")),
         "postmortem must contain the triggering job's span"
     );
-    assert_eq!(svc.stats().postmortems, pms.len() as u64);
 
     // The stable file name round-trips the trigger.
     assert!(pm.file_name().contains("deadline-missed"));
@@ -193,7 +192,6 @@ fn alerts_fire_deterministically_on_the_demo_workload() {
     assert_eq!(traces_a, traces_b, "flight traces must be bit-identical");
     assert_eq!(lines_a, lines_b, "report lines must be bit-identical");
 
-    // The stats counters agree with the typed accessors.
     let (svc, _) = run_script(
         DEMO,
         ServiceConfig {
@@ -203,8 +201,6 @@ fn alerts_fire_deterministically_on_the_demo_workload() {
         Telemetry::enabled(),
     )
     .unwrap();
-    assert_eq!(svc.stats().alerts_fired, svc.alerts().len() as u64);
-    assert_eq!(svc.stats().postmortems, svc.postmortems().len() as u64);
     // Cancel, deadline miss, GPU loss, and the alert all dump.
     let reasons: Vec<&str> = svc
         .postmortems()

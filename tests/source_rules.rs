@@ -157,6 +157,14 @@ const RULES: &[Rule] = &[
         reason: "one model per simulated resource: device memory is a capacity and a high-water mark, and \
             device work is sequenced by the instants passed to `Gpu`", example: "let buf = gpu.alloc_from_slice(&keys)?;",
         ..ABSENT },
+    Rule { roots: &["crates/service/src"], hits: |l| any(l, &[".launch(", "charge_"]),
+        reason: "one copy of each kernel: the job service runs the apps' kernels (a batched pass runs SIO's on \
+            tagged keys) and charges no device work of its own", example: "let (_, res) = gpu.launch(at, &cfg, |ctx| {",
+        ..ABSENT },
+    Rule { roots: TREE, hits: |l| any(l, &["GpuStats", "h2d_gated", "gpu_seconds_spent", "fn seed("]),
+        reason: "one copy of each fact: GPU activity is the `gpu.rank{r}.*` counters, a tenant's GPU-seconds its \
+            SLO tally, and a gated upload `h2d` at the later instant", example: "self.stats.kernels += 1; // GpuStats",
+        ..ABSENT },
 ];
 
 /// The files `rule` reads, relative to the package root.
