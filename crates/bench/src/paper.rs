@@ -17,13 +17,13 @@ use gpmr_baselines::phoenix::{run_phoenix, PhoenixConfig};
 use gpmr_baselines::phoenix_apps::{phoenix_mm, PhoenixKmc, PhoenixLr, PhoenixSio, PhoenixWo};
 use gpmr_core::{efficiency, run_job, run_job_with, EngineResult, EngineTuning, RunOpts};
 use gpmr_core::{EngineError, SliceChunk};
-use gpmr_sim_gpu::{Gpu, GpuSpec, PcieLink, SharedLink, SimDuration, SimGpuError};
+use gpmr_sim_gpu::{Gpu, GpuSpec, PcieLink, ScaleLaw, SharedLink, SimDuration, SimGpuError};
 use gpmr_sim_net::{Cluster, CpuSpec, Topology};
 
 use crate::harness::chunk_bytes;
 use crate::loc::count_file;
 use crate::plot::{render_chart, Series};
-use crate::runners::{harness_input, mm_scaled_spec, run_bench, scaled_cluster, shared_dictionary};
+use crate::runners::{harness_input, run_bench, scaled_cluster, shared_dictionary};
 use crate::table::{efficiency_cell, percent_cell, render, speedup_cell};
 
 /// Base RNG seed of every artifact (fixed for reproducibility).
@@ -107,7 +107,7 @@ pub fn table2(scale: u64) -> EngineResult<String> {
     );
 
     // Phoenix runs on one node with hardware scaled like the GPMR side.
-    let cpu = CpuSpec::dual_opteron_2216().scaled(scale as f64);
+    let cpu = CpuSpec::dual_opteron_2216().scaled(ScaleLaw::uniform(scale as f64));
     let phx = PhoenixConfig {
         cpu,
         task_items: 16 * 1024,
@@ -124,11 +124,10 @@ pub fn table2(scale: u64) -> EngineResult<String> {
     let table = speedup_table(scale, "Phoenix", &entries, |data| {
         Ok(match data {
             AppData::Mm { a, b } => {
-                // Phoenix MM scales uniformly by d^3 (compute and naive
-                // vector-vector traffic are both n^3).
-                let d = mm_dim_factor(scale) as f64;
-                let mm_cpu = CpuSpec::dual_opteron_2216().scaled(d * d * d);
-                phoenix_mm(&mm_cpu, a, b).1
+                // Not `ScaleLaw::mm`: Phoenix's naive vector-vector
+                // traffic is n^3 like its compute, so both shrink by d^3.
+                let law = ScaleLaw::uniform(ScaleLaw::mm(mm_dim_factor(scale)).compute);
+                phoenix_mm(&CpuSpec::dual_opteron_2216().scaled(law), a, b).1
             }
             AppData::Sio(data) => run_phoenix(&phx, &PhoenixSio, data).time,
             AppData::Wo { dict, text } => {
@@ -150,19 +149,12 @@ pub fn table2(scale: u64) -> EngineResult<String> {
 /// restriction; Mars needs the head-room to hold its intermediate pairs).
 const MARS_CAPACITY: u64 = 4 << 30;
 
-/// A standalone Mars GPU with uniformly scaled hardware and the full 4 GB.
-fn mars_gpu(scale: f64) -> Gpu {
+/// A standalone Mars GPU with the full 4 GB, scaled down by `law`.
+fn mars_gpu(law: ScaleLaw) -> Gpu {
     let spec = GpuSpec::gt200()
         .with_mem_capacity(MARS_CAPACITY)
-        .scaled(scale);
-    Gpu::with_link(spec, SharedLink::new(PcieLink::gen1_x16().scaled(scale)))
-}
-
-/// A Mars GPU under the MM scaling law (compute d^3, traffic/capacity d^2).
-fn mars_gpu_mm(d: u64) -> Gpu {
-    let spec = mm_scaled_spec(GpuSpec::gt200().with_mem_capacity(MARS_CAPACITY), d);
-    let link = PcieLink::gen1_x16().scaled((d as f64).powi(2));
-    Gpu::with_link(spec, SharedLink::new(link))
+        .scaled(law);
+    Gpu::with_link(spec, SharedLink::new(PcieLink::gen1_x16().scaled(law)))
 }
 
 /// A Mars job that does not fit in core is out of device memory.
@@ -196,16 +188,16 @@ pub fn table3(scale: u64) -> EngineResult<String> {
     ];
     let table = speedup_table(scale, "Mars", &entries, |data| match data {
         AppData::Mm { a, b } => {
-            let mut gpu = mars_gpu_mm(mm_dim_factor(scale));
+            let mut gpu = mars_gpu(ScaleLaw::mm(mm_dim_factor(scale)));
             Ok(mars_mm(&mut gpu, a, b).map_err(in_core)?.1)
         }
         AppData::Kmc { centers, points } => {
-            let mut gpu = mars_gpu(scale as f64);
+            let mut gpu = mars_gpu(ScaleLaw::uniform(scale as f64));
             let run = run_mars(&mut gpu, &MarsKmc::new(centers.clone()), points);
             Ok(run.map_err(in_core)?.time)
         }
         AppData::Wo { dict, text } => {
-            let mut gpu = mars_gpu(scale as f64);
+            let mut gpu = mars_gpu(ScaleLaw::uniform(scale as f64));
             let run = run_mars(&mut gpu, &MarsWo::new(dict.clone()), text);
             Ok(run.map_err(in_core)?.time)
         }
@@ -641,11 +633,8 @@ pub fn ablations(scale: u64) -> EngineResult<String> {
             ("GT200 (per-block pools)", GpuSpec::gt200()),
             ("Fermi (FP atomics)", GpuSpec::fermi()),
         ] {
-            let mut cl = Cluster::custom_scaled(
-                Topology::accelerator(1),
-                spec.scaled(scale as f64),
-                scale as f64,
-            );
+            let law = ScaleLaw::uniform(scale as f64);
+            let mut cl = Cluster::scaled(Topology::accelerator(1), spec, law);
             let r = run_job(&mut cl, &KmcJob::new(centers.clone()), chunks.clone())?;
             rows.push(vec![label.to_string(), format!("{}", r.timings.total)]);
         }
@@ -796,8 +785,7 @@ pub fn ablations(scale: u64) -> EngineResult<String> {
         let mut rows = Vec::new();
         for (label, links) in [("dedicated links", 4u32), ("S1070 paired links", 2)] {
             let topo = Topology::new(1, 4, links);
-            let mut cl =
-                Cluster::custom_scaled(topo, GpuSpec::gt200().scaled(scale as f64), scale as f64);
+            let mut cl = Cluster::scaled(topo, GpuSpec::gt200(), ScaleLaw::uniform(scale as f64));
             let r = run_job(&mut cl, &LrJob, chunks.clone())?;
             rows.push(vec![label.to_string(), format!("{}", r.timings.total)]);
         }

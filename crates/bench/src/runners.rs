@@ -3,12 +3,13 @@
 //! breakdown. Which generator, chunker and job a benchmark means is
 //! [`gpmr_apps::table`]'s business; this module owns what is the
 //! harness's — the shared dictionary, the double-buffer chunk sizing and
-//! the hardware-scaling laws.
+//! the scale law each run's hardware takes.
 //!
 //! Workload-scaling: element counts are divided by `scale` and every
 //! hardware throughput is divided by `scale` too (latencies unchanged),
 //! so the simulated times approximate full-scale runs — see
-//! [`gpmr_sim_gpu::GpuSpec::scaled`].
+//! [`gpmr_sim_gpu::GpuSpec::scaled`]. MM's matrix order shrinks by
+//! [`mm_dim_factor`] and its hardware by [`ScaleLaw::mm`].
 
 use std::sync::Arc;
 
@@ -17,7 +18,7 @@ use gpmr_apps::mm::{mm_auto_blocks, run_mm, Matrix, TILE};
 use gpmr_apps::table::{self, dictionary_words, AppData, AppInput};
 use gpmr_apps::text::Dictionary;
 use gpmr_core::{EngineResult, JobTimings, RunOpts};
-use gpmr_sim_gpu::GpuSpec;
+use gpmr_sim_gpu::{GpuSpec, ScaleLaw};
 use gpmr_sim_net::{Cluster, Topology};
 
 use crate::harness::chunk_bytes;
@@ -56,37 +57,18 @@ pub fn run_bench(input: &AppInput, gpus: u32, scale: u64) -> EngineResult<JobTim
     Ok(run.timings)
 }
 
-/// `spec` under the MM scaling law for matrix orders divided by `d`:
-/// total compute shrinks by `d^3` but PCI-e/network traffic and resident
-/// working sets shrink by `d^2`, so GPU compute and memory bandwidth
-/// scale by `d^3` and device capacity by `d^2`. Pair it with a transfer
-/// fabric scaled by `d^2`.
-pub fn mm_scaled_spec(mut spec: GpuSpec, d: u64) -> GpuSpec {
-    let d2 = (d as f64).powi(2);
-    let d3 = d2 * d as f64;
-    spec.clock_ghz /= d3;
-    spec.mem_bandwidth /= d3;
-    spec.atomic_throughput /= d3;
-    spec.mem_capacity = ((spec.mem_capacity as f64 / d2) as u64).max(1 << 20);
-    spec
-}
-
-/// MM under its own scaling law ([`mm_scaled_spec`]): the matrix order
+/// MM under its own scaling law ([`ScaleLaw::mm`]): the matrix order
 /// was already divided by [`mm_dim_factor`], the chunk blocks shrink by
 /// the same `d` — making the scaled run time-equivalent to the full-order
 /// run (up to fixed latencies). Both GPMR phases are included.
 fn run_mm_scaled(a: &Matrix, b: &Matrix, gpus: u32, scale: u64) -> EngineResult<JobTimings> {
     let d = mm_dim_factor(scale);
-    let full_spec = GpuSpec::gt200();
     let nt_full = a.n * d as usize / TILE;
-    let (side_f, _, kb_f) = mm_auto_blocks(nt_full, gpus, full_spec.mem_capacity);
+    let (side_f, _, kb_f) = mm_auto_blocks(nt_full, gpus, GpuSpec::gt200().mem_capacity);
     let side = (side_f / d as usize).max(1);
     let kb = (kb_f / d as usize).max(1);
-    let mut cluster = Cluster::custom_scaled(
-        Topology::accelerator(gpus),
-        mm_scaled_spec(full_spec, d),
-        (d as f64).powi(2),
-    );
+    let topology = Topology::accelerator(gpus);
+    let mut cluster = Cluster::scaled(topology, GpuSpec::gt200(), ScaleLaw::mm(d));
     Ok(run_mm(&mut cluster, a, b, side, side, kb, RunOpts::default())?.timings())
 }
 

@@ -21,16 +21,15 @@
 //! `deadline=D` cancels it `D` seconds after submission if unfinished,
 //! `priority=P` orders the queue.
 //!
-//! Every time is read by the fault-plan grammar's rule
-//! ([`gpmr_sim_gpu::fault::parse_secs`]): finite and non-negative.
+//! Every time is read by the rule the fault-plan and alert grammars share
+//! ([`gpmr_telemetry::parse_secs`]): finite and non-negative.
 //! `gpu_seconds` may be `inf` (unlimited) but not NaN or negative, and
 //! `mem_share` lies in `[0, 1]`. Anything else is refused, naming the
 //! line.
 
 use std::fmt;
 
-use gpmr_sim_gpu::fault::parse_secs;
-use gpmr_telemetry::Telemetry;
+use gpmr_telemetry::{parse_secs, Telemetry};
 
 use crate::service::{JobService, ServiceConfig};
 use crate::spec::{JobId, JobKind, JobSpec, JobStatus, TenantConfig};

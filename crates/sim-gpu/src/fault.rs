@@ -11,6 +11,7 @@
 
 use std::fmt;
 
+use gpmr_telemetry::parse_secs;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -425,15 +426,6 @@ impl FaultPlan {
         }
         Ok(plan)
     }
-}
-
-/// A time in seconds as the fault-plan and service workload grammars read
-/// it: a number, finite and non-negative, or `None`.
-pub fn parse_secs(s: &str) -> Option<f64> {
-    s.trim()
-        .parse::<f64>()
-        .ok()
-        .filter(|v| v.is_finite() && *v >= 0.0)
 }
 
 fn secs(s: &str, ctx: &str) -> Result<f64, FaultPlanParseError> {

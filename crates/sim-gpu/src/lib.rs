@@ -6,7 +6,8 @@
 //! pure Rust:
 //!
 //! * [`GpuSpec`] — hardware presets (the paper's GT200/Tesla S1070, plus a
-//!   Fermi-class device for ablations);
+//!   Fermi-class device for ablations), shrunk along with a workload by a
+//!   [`ScaleLaw`];
 //! * [`DeviceMemory`] — global memory as a capacity and a high-water mark
 //!   (the engine admits chunks against the capacity and charges
 //!   out-of-core passes; Mars checks its in-core need against it);
@@ -51,7 +52,7 @@ pub use kernel::{BlockCtx, Launch, LaunchConfig};
 pub use link::{Direction, PcieLink, SharedLink};
 pub use memory::DeviceMemory;
 pub use occupancy::{occupancy, Occupancy};
-pub use spec::GpuSpec;
+pub use spec::{GpuSpec, ScaleLaw};
 pub use time::{Reservation, SimDuration, SimTime, Timeline};
 
 /// `f(0), f(1), … f(n - 1)`, in that order, on the calling thread. This

@@ -51,10 +51,10 @@ impl PcieLink {
         Self::new(3.2e9, 10.0e-6)
     }
 
-    /// Scale bandwidth down by `s`, keeping the initiation latency (see
-    /// [`crate::GpuSpec::scaled`] for the workload-scaling rationale).
-    pub fn scaled(mut self, s: f64) -> Self {
-        self.bandwidth /= s.max(1.0);
+    /// Scale bandwidth down by `law.data`, keeping the initiation latency
+    /// (see [`crate::GpuSpec::scaled`] for the workload-scaling rationale).
+    pub fn scaled(mut self, law: crate::ScaleLaw) -> Self {
+        self.bandwidth /= law.data;
         self
     }
 

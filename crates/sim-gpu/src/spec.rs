@@ -115,22 +115,60 @@ impl GpuSpec {
         self
     }
 
-    /// Scale every throughput and the memory capacity down by `s`, keeping
-    /// fixed latencies (kernel launch overhead) unchanged.
+    /// Scale the device down by `law`, keeping fixed latencies (kernel
+    /// launch overhead) unchanged: the clock, memory bandwidth and atomics
+    /// by `law.compute`, the memory capacity by `law.data` (never below
+    /// 1 MiB).
     ///
     /// This is the simulator's workload-scaling trick: a workload shrunk
-    /// by `s` on hardware scaled by `s` produces the *same* simulated
-    /// times as the full workload on full hardware — per-chunk work,
-    /// transfer times, and capacity pressure all shrink together while
-    /// fixed overheads keep their real weight. The harness uses it so
-    /// laptop-feasible runs reproduce the paper's full-scale curves.
-    pub fn scaled(mut self, s: f64) -> Self {
-        let s = s.max(1.0);
-        self.clock_ghz /= s;
-        self.mem_bandwidth /= s;
-        self.atomic_throughput /= s;
-        self.mem_capacity = ((self.mem_capacity as f64 / s) as u64).max(1 << 20);
+    /// by `s` on hardware scaled by [`ScaleLaw::uniform`]`(s)` produces
+    /// the *same* simulated times as the full workload on full hardware —
+    /// per-chunk work, transfer times, and capacity pressure all shrink
+    /// together while fixed overheads keep their real weight. The harness
+    /// uses it so laptop-feasible runs reproduce the paper's full-scale
+    /// curves; matrix multiplication shrinks by [`ScaleLaw::mm`].
+    pub fn scaled(mut self, law: ScaleLaw) -> Self {
+        self.clock_ghz /= law.compute;
+        self.mem_bandwidth /= law.compute;
+        self.atomic_throughput /= law.compute;
+        self.mem_capacity = ((self.mem_capacity as f64 / law.data) as u64).max(1 << 20);
         self
+    }
+}
+
+/// How a workload shrinks, and so how far the hardware running it is
+/// scaled down: every `scaled` in the simulator takes one.
+///
+/// `compute` divides the GPU and host clocks, GPU memory bandwidth and
+/// atomics; `data` divides device capacity and the PCI-e, NIC and
+/// host-memory bandwidths. No law scales a latency.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ScaleLaw {
+    /// Divisor of compute throughput.
+    pub compute: f64,
+    /// Divisor of capacity and transfer bandwidth.
+    pub data: f64,
+}
+
+impl ScaleLaw {
+    /// Element counts divided by `s` (at least 1): compute and data both
+    /// shrink by `s`.
+    pub fn uniform(s: f64) -> Self {
+        let s = s.max(1.0);
+        ScaleLaw {
+            compute: s,
+            data: s,
+        }
+    }
+
+    /// Matrix orders divided by `d`: compute shrinks by `d³`, traffic and
+    /// resident working sets by `d²`.
+    pub fn mm(d: u64) -> Self {
+        let d = d as f64;
+        ScaleLaw {
+            compute: d * d * d,
+            data: d * d,
+        }
     }
 }
 
@@ -153,6 +191,24 @@ mod tests {
     #[test]
     fn fermi_has_fp_atomics() {
         assert!(GpuSpec::fermi().has_fp_atomics);
+    }
+
+    #[test]
+    fn mm_law_matches_its_closed_form() {
+        // The closed form, written out as the oracle: compute
+        // and memory bandwidth by d^3, capacity by d^2.
+        let full = GpuSpec::gt200().with_mem_capacity(4 << 30);
+        for k in 0..=32 {
+            let d = 1u64 << k;
+            let d2 = (d as f64).powi(2);
+            let d3 = d2 * d as f64;
+            let mut want = full.clone();
+            want.clock_ghz /= d3;
+            want.mem_bandwidth /= d3;
+            want.atomic_throughput /= d3;
+            want.mem_capacity = ((want.mem_capacity as f64 / d2) as u64).max(1 << 20);
+            assert_eq!(full.clone().scaled(ScaleLaw::mm(d)), want, "d = {d}");
+        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! arbitrary inputs.
 
 use gpmr_sim_gpu::{
-    kernel_time, occupancy, GpuSpec, KernelCost, LaunchConfig, SimDuration, SimTime, Timeline,
+    kernel_time, occupancy, Direction, GpuSpec, KernelCost, LaunchConfig, PcieLink, ScaleLaw,
+    SimDuration, SimTime, Timeline,
 };
 use proptest::prelude::*;
 
@@ -125,7 +126,7 @@ proptest! {
         scale in 2.0f64..128.0,
     ) {
         let base = spec();
-        let slow = spec().scaled(scale);
+        let slow = spec().scaled(ScaleLaw::uniform(scale));
         let cost = KernelCost {
             flops,
             bytes_coalesced: bytes,
@@ -135,5 +136,36 @@ proptest! {
         let t_base = kernel_time(&base, 1.0, &cost).as_secs() - base.kernel_launch_overhead_s;
         let t_slow = kernel_time(&slow, 1.0, &cost).as_secs() - slow.kernel_launch_overhead_s;
         prop_assert!((t_slow / t_base - scale).abs() / scale < 1e-9);
+    }
+
+    #[test]
+    fn mm_law_stretches_compute_by_d_cubed_and_transfers_by_d_squared(
+        flops in 1u64..1 << 36,
+        bytes in 1u64..1 << 30,
+        log_d in 1u32..8,
+    ) {
+        let d = 1u64 << log_d;
+        let law = ScaleLaw::mm(d);
+        let (base, slow) = (spec(), spec().scaled(law));
+        prop_assert_eq!(slow.kernel_launch_overhead_s, base.kernel_launch_overhead_s);
+        let d3 = (d * d * d) as f64;
+        for cost in [
+            KernelCost { flops, ..KernelCost::ZERO },
+            KernelCost { bytes_coalesced: bytes, ..KernelCost::ZERO },
+        ] {
+            let t_base = kernel_time(&base, 1.0, &cost).as_secs() - base.kernel_launch_overhead_s;
+            let t_slow = kernel_time(&slow, 1.0, &cost).as_secs() - slow.kernel_launch_overhead_s;
+            prop_assert!((t_slow / t_base - d3).abs() / d3 < 1e-9, "{:?}", cost);
+        }
+        let (mut fast_link, mut slow_link) =
+            (PcieLink::gen1_x16(), PcieLink::gen1_x16().scaled(law));
+        prop_assert_eq!(slow_link.latency_s, fast_link.latency_s);
+        let latency = fast_link.latency_s;
+        let wire = |link: &mut PcieLink| {
+            let r = link.transfer(Direction::HostToDevice, SimTime::ZERO, bytes);
+            r.duration().as_secs() - latency
+        };
+        let d2 = (d * d) as f64;
+        prop_assert!((wire(&mut slow_link) / wire(&mut fast_link) - d2).abs() / d2 < 1e-9);
     }
 }

@@ -7,7 +7,7 @@
 
 use crate::fabric::Fabric;
 use crate::topology::Topology;
-use gpmr_sim_gpu::{FaultPlan, Gpu, GpuSpec, PcieLink, SharedLink};
+use gpmr_sim_gpu::{FaultPlan, Gpu, GpuSpec, PcieLink, ScaleLaw, SharedLink};
 use gpmr_telemetry::Telemetry;
 
 /// A simulated cluster of GPUs.
@@ -23,34 +23,33 @@ impl Cluster {
         Self::new(Topology::accelerator(gpu_count), spec)
     }
 
-    /// Build a cluster with an explicit topology.
+    /// Build a cluster with an explicit topology and full-scale hardware.
     pub fn new(topology: Topology, spec: GpuSpec) -> Self {
-        Self::build(topology, spec, 1.0)
+        // The spec stays as given: scaling it, even by 1, would lift a
+        // small device's capacity to the 1 MiB floor.
+        Self::build(topology, spec, ScaleLaw::uniform(1.0))
     }
 
     /// Build the paper's cluster shape with every hardware throughput
-    /// scaled down by `scale` (workload-scaling mode: run workloads
-    /// shrunk by `scale` and obtain full-scale simulated times; see
-    /// [`GpuSpec::scaled`]). The GPU spec is scaled too.
+    /// scaled down by `scale` ([`ScaleLaw::uniform`]).
     pub fn accelerator_scaled(gpu_count: u32, spec: GpuSpec, scale: f64) -> Self {
-        Self::build(Topology::accelerator(gpu_count), spec.scaled(scale), scale)
+        let law = ScaleLaw::uniform(scale);
+        Self::scaled(Topology::accelerator(gpu_count), spec, law)
     }
 
-    /// Build with an explicitly pre-scaled GPU spec and a separate scale
-    /// for the transfer fabric (PCI-e links, NICs, host memory). Used by
-    /// workloads whose compute and traffic scale differently — Matrix
-    /// Multiplication scales compute by `d^3` but traffic by `d^2` when
-    /// matrix order shrinks by `d`.
-    pub fn custom_scaled(topology: Topology, spec: GpuSpec, transfer_scale: f64) -> Self {
-        Self::build(topology, spec, transfer_scale)
+    /// Build with the GPUs, PCI-e links, NICs and hosts all scaled down by
+    /// `law` (workload-scaling mode: run workloads shrunk by `law` and
+    /// obtain full-scale simulated times; see [`GpuSpec::scaled`]).
+    pub fn scaled(topology: Topology, spec: GpuSpec, law: ScaleLaw) -> Self {
+        Self::build(topology, spec.scaled(law), law)
     }
 
-    fn build(topology: Topology, spec: GpuSpec, scale: f64) -> Self {
+    fn build(topology: Topology, spec: GpuSpec, law: ScaleLaw) -> Self {
         // One shared PCI-e link per (node, link-slot) pair.
         let mut links: Vec<Vec<SharedLink>> = (0..topology.nodes)
             .map(|_| {
                 (0..topology.pcie_links_per_node)
-                    .map(|_| SharedLink::new(PcieLink::gen1_x16().scaled(scale)))
+                    .map(|_| SharedLink::new(PcieLink::gen1_x16().scaled(law)))
                     .collect()
             })
             .collect();
@@ -67,7 +66,7 @@ impl Cluster {
         Cluster {
             topology,
             gpus,
-            fabric: Fabric::scaled(topology, scale),
+            fabric: Fabric::scaled(topology, law),
         }
     }
 

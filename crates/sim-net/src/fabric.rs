@@ -12,7 +12,7 @@ use std::fmt;
 
 use crate::nic::{CpuSpec, Nic};
 use crate::topology::Topology;
-use gpmr_sim_gpu::{FaultPlan, SimDuration, SimTime, Timeline, TransferOutcome};
+use gpmr_sim_gpu::{FaultPlan, ScaleLaw, SimDuration, SimTime, Timeline, TransferOutcome};
 use gpmr_telemetry::{Counter, Histogram, SpanKind, Telemetry};
 
 /// Cached telemetry handles for the fabric (boxed so an uninstrumented
@@ -86,13 +86,13 @@ impl Fabric {
         Self::with_hardware(topology, Nic::qdr_infiniband, CpuSpec::dual_opteron_2216())
     }
 
-    /// Build with every throughput scaled down by `s` (workload-scaling
-    /// mode; see `gpmr_sim_gpu::GpuSpec::scaled`).
-    pub fn scaled(topology: Topology, s: f64) -> Self {
+    /// Build with the NICs and hosts scaled down by `law`
+    /// (workload-scaling mode; see `gpmr_sim_gpu::GpuSpec::scaled`).
+    pub fn scaled(topology: Topology, law: ScaleLaw) -> Self {
         Self::with_hardware(
             topology,
-            || Nic::qdr_infiniband().scaled(s),
-            CpuSpec::dual_opteron_2216().scaled(s),
+            || Nic::qdr_infiniband().scaled(law),
+            CpuSpec::dual_opteron_2216().scaled(law),
         )
     }
 

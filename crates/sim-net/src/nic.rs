@@ -6,7 +6,7 @@
 //! either side delays delivery. The preset matches the paper's QDR
 //! InfiniBand fabric.
 
-use gpmr_sim_gpu::{Reservation, SimDuration, SimTime, Timeline};
+use gpmr_sim_gpu::{Reservation, ScaleLaw, SimDuration, SimTime, Timeline};
 
 /// A full-duplex network interface.
 #[derive(Debug)]
@@ -36,10 +36,10 @@ impl Nic {
         Self::new(3.2e9, 2.0e-6)
     }
 
-    /// Scale bandwidth down by `s`, keeping latency (workload-scaling
-    /// mode; see `GpuSpec::scaled`).
-    pub fn scaled(mut self, s: f64) -> Self {
-        self.bandwidth /= s.max(1.0);
+    /// Scale bandwidth down by `law.data`, keeping latency
+    /// (workload-scaling mode; see `GpuSpec::scaled`).
+    pub fn scaled(mut self, law: ScaleLaw) -> Self {
+        self.bandwidth /= law.data;
         self
     }
 
@@ -106,12 +106,11 @@ impl CpuSpec {
         self.cores as f64 * self.clock_ghz * 1e9 * self.ops_per_cycle
     }
 
-    /// Scale clock and memory bandwidth down by `s` (workload-scaling
-    /// mode; see `GpuSpec::scaled`).
-    pub fn scaled(mut self, s: f64) -> Self {
-        let s = s.max(1.0);
-        self.clock_ghz /= s;
-        self.mem_bandwidth /= s;
+    /// Scale the clock down by `law.compute` and memory bandwidth by
+    /// `law.data` (workload-scaling mode; see `GpuSpec::scaled`).
+    pub fn scaled(mut self, law: ScaleLaw) -> Self {
+        self.clock_ghz /= law.compute;
+        self.mem_bandwidth /= law.data;
         self
     }
 }

@@ -22,6 +22,7 @@
 use std::fmt;
 
 use crate::json::Value;
+use crate::parse_secs;
 use crate::timeseries::TimeSeriesStore;
 
 /// The windowed quantity a rule compares.
@@ -171,14 +172,18 @@ impl AlertRule {
         let (threshold, rest_tail) = match rest_tail.split_first() {
             Some((v, r)) => (
                 v.parse::<f64>()
-                    .map_err(|_| format!("bad threshold {v:?}"))?,
+                    .ok()
+                    .filter(|t| t.is_finite())
+                    .ok_or_else(|| format!("bad threshold {v:?} (a finite number) in {text:?}"))?,
                 r,
             ),
             None => return Err("missing threshold".into()),
         };
         let for_s = match rest_tail {
             [] => 0.0,
-            ["for", v] => v.parse().map_err(|_| format!("bad hold time {v:?}"))?,
+            ["for", v] => parse_secs(v).ok_or_else(|| {
+                format!("bad hold time {v:?} (finite seconds, at least 0) in {text:?}")
+            })?,
             other => return Err(format!("trailing tokens {other:?}")),
         };
         Ok(AlertRule {
@@ -339,6 +344,13 @@ mod tests {
             "a: p200(x) > 1",
             "a: last(x) > 1 for",
             "a: last(x > 1",
+            "a: last(x) > nan",
+            "a: last(x) > inf",
+            "a: last(x) < -inf",
+            "a: last(x) > 1 for nan",
+            "a: last(x) > 1 for inf",
+            "a: last(x) > 1 for 1e309",
+            "a: last(x) > 1 for -5",
         ] {
             assert!(AlertRule::parse(bad).is_err(), "accepted {bad:?}");
         }

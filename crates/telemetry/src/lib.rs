@@ -53,6 +53,15 @@ pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot,
 pub use span::{CounterSample, SpanRecord, SpanRecorder, TelemetrySnapshot};
 pub use timeseries::TimeSeriesStore;
 
+/// A time in seconds as the fault-plan, service workload and alert-rule
+/// grammars read it: a number, finite and non-negative, or `None`.
+pub fn parse_secs(s: &str) -> Option<f64> {
+    s.trim()
+        .parse::<f64>()
+        .ok()
+        .filter(|v| v.is_finite() && *v >= 0.0)
+}
+
 /// Default ring-buffer capacity for spans and counter samples.
 pub const DEFAULT_SPAN_CAPACITY: usize = 65_536;
 

@@ -11,6 +11,7 @@ use std::sync::OnceLock;
 
 use gpmr::apps::Benchmark;
 use gpmr::sim_gpu::{FaultEvent, FaultPlan};
+use gpmr::telemetry::AlertRule;
 use gpmr_cli::commands::{CLUSTER, JOURNAL};
 use gpmr_cli::{dispatch, help, Command, Flag, Kind, COMMANDS};
 use rand::rngs::SmallRng;
@@ -388,9 +389,10 @@ const FAULT_SPECS: &[&str] = &["kill:1@2e-3; xfail:0->2@0..1e-2*2", "kill:1@2e-3
 const FAULT_TOKENS: &[&str] = &["nan", "inf", "-inf", "-1", "-0", "1e309", "1e-400", "4294967296", "..", "+",
     "*", "@", "->", ":", ";", " "];
 
-/// One to three seeded mutations of `base`: a flipped byte, a cut, a
-/// grammar token or another spec's event spliced in, or garbage bytes.
-fn mutate_spec(rng: &mut SmallRng, base: &str) -> String {
+/// One to three seeded mutations of `base`: a flipped byte, a cut, one of
+/// the grammar's `tokens` or a `;`-separated part of one of its `specs`
+/// spliced in, or garbage bytes.
+fn mutate_spec(rng: &mut SmallRng, base: &str, specs: &[&str], tokens: &[&str]) -> String {
     let mut b = base.as_bytes().to_vec();
     for _ in 0..rng.gen_range(1..=3) {
         let at = rng.gen_range(0..=b.len());
@@ -404,9 +406,9 @@ fn mutate_spec(rng: &mut SmallRng, base: &str) -> String {
                 b.truncate(at);
                 continue;
             }
-            2 => FAULT_TOKENS[rng.gen_range(0..FAULT_TOKENS.len())].into(),
+            2 => tokens[rng.gen_range(0..tokens.len())].into(),
             3 => {
-                let other = FAULT_SPECS[rng.gen_range(0..FAULT_SPECS.len())];
+                let other = specs[rng.gen_range(0..specs.len())];
                 let events: Vec<&str> = other.split(';').collect();
                 events[rng.gen_range(0..events.len())].into()
             }
@@ -432,7 +434,7 @@ fn a_mutated_fault_plan_is_refused_or_finite() {
         let plan = FaultPlan::parse(base).unwrap_or_else(|e| panic!("{base}: {e}"));
         assert!(!plan.events().is_empty(), "{base}");
         for _ in 0..400 {
-            let spec = mutate_spec(&mut rng, base);
+            let spec = mutate_spec(&mut rng, base, FAULT_SPECS, FAULT_TOKENS);
             let parsed = std::panic::catch_unwind(|| FaultPlan::parse(&spec));
             let plan = match parsed.unwrap_or_else(|_| panic!("{spec:?} panicked")) {
                 Ok(plan) => plan,
@@ -472,6 +474,84 @@ fn a_mutated_fault_plan_is_refused_or_finite() {
         (plans, refusals),
         (278, 5722),
         "{plans} plans, {refusals} refusals"
+    );
+}
+
+/// The `--alerts` rule lists that README, CI, the benchmark harness, the
+/// examples, the tests and the `alerts` module docs pass.
+#[rustfmt::skip]
+const ALERT_SPECS: &[&str] = &["misses: sum(service.deadline_missed) > 0",
+    "backlog: last(service.queue_depth) > 12 for 0.002; misses: sum(service.deadline_missed) > 20",
+    "misses: sum(service.deadline_missed) > 0; deep: last(service.queue_depth) > 4 for 0.0005",
+    "misses: sum(service.deadline_missed) > 0; deep: last(service.queue_depth) > 8 for 0.0005",
+    "deep_queue: last(service.queue_depth) > 3; slow_p99: p99(service.queue_wait_s) > 0.004 for 0.001; \
+     miss_burn: ratio(service.deadline_missed, service.jobs_finished) > 0.05; stalled: rate(service.jobs_completed) < 100"];
+
+/// What a mutation splices into an alert rule: its separators and
+/// keywords, numbers no threshold or hold time may be, and hold times
+/// that, spliced after a threshold, complete a rule.
+#[rustfmt::skip]
+const ALERT_TOKENS: &[&str] = &["nan", "inf", "-inf", "-1", "-0", "1e309", "1e-400", " for nan", " for -5",
+    " for inf", "for", ">", "<", "(", ")", ",", ":", ";", " ", "p99", "p200", "ratio("];
+
+/// ROADMAP item 2, defects 19 and 20: `serve --alerts` refuses a rule
+/// whose threshold is not finite or whose hold time is not finite and
+/// non-negative (an error from `dispatch`, which the binary exits 2 on),
+/// naming the rule; the same rule with finite values runs.
+#[test]
+fn a_non_finite_alert_threshold_or_hold_time_is_refused_naming_the_rule() {
+    let wl = concat!(env!("CARGO_MANIFEST_DIR"), "/workloads/slo_overload.wl");
+    let serve = |rule: &str| dispatch(["serve", "--workload", wl, "--alerts", rule]);
+    let report = serve("m: p95(service.queue_wait_s) > 0.001").unwrap();
+    assert_eq!(report.matches("alert fired rule=m ").count(), 1, "{report}");
+    for rule in [
+        "m: p95(service.queue_wait_s) > nan",
+        "m: p95(service.queue_wait_s) > inf",
+        "m: p95(service.queue_wait_s) > 0.001 for nan",
+        "m: p95(service.queue_wait_s) > 0.001 for inf",
+        "m: p95(service.queue_wait_s) > 0.001 for 1e309",
+        "m: p95(service.queue_wait_s) > 0.001 for -5",
+    ] {
+        let err = serve(rule).expect_err(rule).to_string();
+        assert!(err.starts_with("invalid --alerts: "), "{rule}: {err}");
+        assert!(err.contains(&format!("{rule:?}")), "{rule}: {err}");
+    }
+}
+
+/// ROADMAP item 2, the `AlertRule::parse_list` part: seeded mutations of
+/// every committed rule list either fail with a message or parse to rules
+/// whose every threshold is finite and every hold time finite and
+/// non-negative, and none panics.
+#[test]
+fn a_mutated_alert_rule_list_is_refused_or_finite() {
+    let mut rng = SmallRng::seed_from_u64(0xa1e7);
+    let (mut lists, mut refusals) = (0, 0);
+    for base in ALERT_SPECS {
+        let rules = AlertRule::parse_list(base).unwrap_or_else(|e| panic!("{base}: {e}"));
+        assert!(!rules.is_empty(), "{base}");
+        for _ in 0..4000 {
+            let spec = mutate_spec(&mut rng, base, ALERT_SPECS, ALERT_TOKENS);
+            let parsed = std::panic::catch_unwind(|| AlertRule::parse_list(&spec));
+            match parsed.unwrap_or_else(|_| panic!("{spec:?} panicked")) {
+                Ok(rules) => {
+                    for r in &rules {
+                        assert!(r.threshold.is_finite(), "{spec:?}: {r}");
+                        assert!(r.for_s.is_finite() && r.for_s >= 0.0, "{spec:?}: {r}");
+                    }
+                    lists += 1;
+                }
+                Err(e) => {
+                    assert!(!e.is_empty(), "{spec:?}");
+                    refusals += 1;
+                }
+            }
+        }
+    }
+    // Not vacuous, and exact: the outcomes move only when the grammar does.
+    assert_eq!(
+        (lists, refusals),
+        (4344, 15656),
+        "{lists} lists, {refusals} refusals"
     );
 }
 

@@ -165,6 +165,13 @@ const RULES: &[Rule] = &[
         reason: "one copy of each fact: GPU activity is the `gpu.rank{r}.*` counters, a tenant's GPU-seconds its \
             SLO tally, and a gated upload `h2d` at the later instant", example: "self.stats.kernels += 1; // GpuStats",
         ..ABSENT },
+    Rule { roots: TREE, hits: |l| any(l, &["custom_scaled", "mm_scaled_spec", "mars_gpu_mm"]),
+        reason: "one scale law: a scaled cluster, device, link or host takes one `ScaleLaw`, and MM's is \
+            `ScaleLaw::mm`", example: "let mut cl = Cluster::custom_scaled(topo, mm_scaled_spec(spec, d), d2);",
+        ..ABSENT },
+    Rule { roots: &["crates/bench/src"], hits: |l| l.contains("powi("), example: "let d2 = (d as f64).powi(2);",
+        reason: "one scale law: the harness names a `ScaleLaw` and raises no scale factor to a power itself",
+        ..ABSENT },
 ];
 
 /// The files `rule` reads, relative to the package root.
