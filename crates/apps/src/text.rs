@@ -59,27 +59,9 @@ impl Dictionary {
 /// spaces, newline about every 64 bytes. An empty dictionary has no words
 /// to draw, so its text is empty.
 pub fn generate_text(dict: &Dictionary, total_bytes: usize, seed: u64) -> Vec<u8> {
-    if dict.is_empty() {
-        return Vec::new();
-    }
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x7465_7874);
-    let mut out = Vec::with_capacity(total_bytes + 16);
-    let mut line = 0usize;
-    while out.len() < total_bytes {
-        let w = &dict.words[rng.gen_range(0..dict.words.len())];
-        out.extend_from_slice(w);
-        line += w.len() + 1;
-        if line >= 64 {
-            out.push(b'\n');
-            line = 0;
-        } else {
-            out.push(b' ');
-        }
-    }
-    if *out.last().unwrap_or(&b'\n') != b'\n' {
-        out.push(b'\n');
-    }
-    out
+    let n = dict.words.len();
+    emit(&dict.words, total_bytes, || rng.gen_range(0..n))
 }
 
 /// Generate roughly `total_bytes` of *skewed* text: words drawn from the
@@ -88,9 +70,6 @@ pub fn generate_text(dict: &Dictionary, total_bytes: usize, seed: u64) -> Vec<u8
 /// for: a handful of words dominate the corpus, so their keys dominate
 /// the pair stream. Empty for an empty dictionary, like [`generate_text`].
 pub fn generate_zipf_text(dict: &Dictionary, total_bytes: usize, s: f64, seed: u64) -> Vec<u8> {
-    if dict.is_empty() {
-        return Vec::new();
-    }
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x7a69_7066);
     // Inverse-CDF table over word ranks.
     let mut cdf = Vec::with_capacity(dict.words.len());
@@ -100,20 +79,63 @@ pub fn generate_zipf_text(dict: &Dictionary, total_bytes: usize, s: f64, seed: u
         cdf.push(acc);
     }
     let total = acc;
-    let mut out = Vec::with_capacity(total_bytes + 16);
-    let mut line = 0usize;
-    while out.len() < total_bytes {
+    emit(&dict.words, total_bytes, || {
         let u = rng.gen_range(0.0..total);
-        let w = &dict.words[cdf.partition_point(|&c| c < u)];
-        out.extend_from_slice(w);
-        line += w.len() + 1;
-        if line >= 64 {
-            out.push(b'\n');
-            line = 0;
-        } else {
-            out.push(b' ');
-        }
+        cdf.partition_point(|&c| c < u)
+    })
+}
+
+/// Bytes in a word slot: a word of at most `SLOT - 1` bytes, zero-padded,
+/// so that the byte after the word is free for its separator.
+const SLOT: usize = 16;
+
+/// The emit loop both generators share. Appends `words[draw()]` and a
+/// separator until the text reaches `total_bytes`, breaking the line once
+/// it reaches 64 bytes, and ends the text with a newline. Empty for no
+/// words (`draw` is never called).
+///
+/// Each word is packed once into a slot, so a draw is one fixed-size
+/// `SLOT`-byte copy, the separator store and a cursor bump past both; the
+/// padding the copy writes beyond the separator is overwritten by the next
+/// word or cut off at the end. A word of `SLOT` bytes or more leaves no
+/// room for its separator in a slot, so it takes the general arm: a copy
+/// of its own length. The buffer is sized for the longest write either
+/// arm can make from below `total_bytes`, plus the closing newline.
+fn emit(words: &[Vec<u8>], total_bytes: usize, mut draw: impl FnMut() -> usize) -> Vec<u8> {
+    if words.is_empty() {
+        return Vec::new();
     }
+    let slots: Vec<([u8; SLOT], usize)> = words
+        .iter()
+        .map(|w| {
+            let mut slot = [0u8; SLOT];
+            if w.len() < SLOT {
+                slot[..w.len()].copy_from_slice(w);
+            }
+            (slot, w.len())
+        })
+        .collect();
+    let longest = words.iter().map(Vec::len).max().unwrap_or(0);
+    let mut out = vec![0u8; total_bytes + SLOT.max(longest + 1)];
+    let (mut end, mut line) = (0usize, 0usize);
+    while end < total_bytes {
+        let i = draw();
+        let (slot, len) = slots[i];
+        if len < SLOT {
+            out[end..end + SLOT].copy_from_slice(&slot);
+        } else {
+            out[end..end + len].copy_from_slice(&words[i]);
+        }
+        line += len + 1;
+        out[end + len] = if line >= 64 {
+            line = 0;
+            b'\n'
+        } else {
+            b' '
+        };
+        end += len + 1;
+    }
+    out.truncate(end);
     if *out.last().unwrap_or(&b'\n') != b'\n' {
         out.push(b'\n');
     }
