@@ -21,7 +21,7 @@
 //!   time at zero; the driver accumulates `makespan + control-broadcast
 //!   tail` per round into one cross-round clock, recorded as per-round
 //!   `Round` telemetry spans. Each pass records through a handle
-//!   [shifted](Telemetry::shifted) to its round's start, so its engine,
+//!   [placed](Telemetry::placed) at its round's start, so its engine,
 //!   device and fabric spans sit inside its `Round` span on that clock.
 //! * **Round-granular recovery** — given a [`Journal`], every round is
 //!   bracketed by [`JournalRecord::RoundStart`] (hashing the
@@ -237,7 +237,7 @@ where
         let round_start = clock;
         let opts = RunOpts {
             tuning: *tuning,
-            tel: tel.shifted(round_start.as_secs()),
+            tel: tel.placed(round_start.as_secs(), 0, ""),
             journal: journal.as_deref_mut(),
             inputs_resident: resident,
         };

@@ -103,13 +103,16 @@ const RESOLUTION: usize = 20;
 /// Observability configuration. The windowed time-series layer (and with
 /// it the alert engine) is active only when the service's [`Telemetry`]
 /// handle is enabled — disabled telemetry keeps the pre-observability
-/// fast path bit-for-bit. The flight recorder owns its own bounded ring
-/// and works regardless.
+/// fast path bit-for-bit. The flight recorder works regardless: with the
+/// handle disabled, the service records its spans and samples into a
+/// ring of its own.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ObsConfig {
     /// Alert rules evaluated at every event boundary.
     pub alerts: Vec<AlertRule>,
-    /// Flight-recorder ring capacity in spans; 0 disables postmortems.
+    /// Spans (and samples) of the service's recording a postmortem
+    /// covers, and the capacity of each solo pass's capture; 0 disables
+    /// postmortems.
     pub flight_capacity: usize,
     /// Error-budget policy for SLO reports.
     pub slo: SloPolicy,
@@ -140,7 +143,7 @@ struct Pass {
     /// How the run ended, once it has.
     end: Option<PassEnd>,
     /// The solo pass's own bounded recording when the flight recorder is
-    /// on, for a postmortem splice; disabled otherwise.
+    /// on, placed on the service clock and tracks; disabled otherwise.
     capture: Telemetry,
 }
 
@@ -302,6 +305,9 @@ enum Event {
 pub struct JobService {
     cfg: ServiceConfig,
     tel: Telemetry,
+    /// Where the service's own spans and samples go: `tel` when enabled,
+    /// else a ring of `flight_capacity` when the flight recorder is on.
+    rec: Telemetry,
     now: f64,
     tenants: Vec<TenantState>,
     tenant_ix: HashMap<String, usize>,
@@ -326,6 +332,10 @@ impl JobService {
     /// track `i` (named `tenant <name>`); the service's own samples go to
     /// the track after the last tenant.
     pub fn new(cfg: ServiceConfig, tenants: Vec<TenantConfig>, tel: Telemetry) -> Self {
+        let rec = match cfg.obs.flight_capacity {
+            cap if cap > 0 && !tel.is_enabled() => Telemetry::with_capacity(cap),
+            _ => tel.clone(),
+        };
         let engines = cfg.engines.max(1);
         let clusters = (0..engines)
             .map(|_| Cluster::accelerator(cfg.gpus.max(1), GpuSpec::gt200()))
@@ -335,7 +345,7 @@ impl JobService {
             .into_iter()
             .enumerate()
             .map(|(i, cfg)| {
-                tel.set_track_name(i as u32, &format!("tenant {}", cfg.name));
+                rec.set_track_name(i as u32, &format!("tenant {}", cfg.name));
                 tenant_ix.insert(cfg.name.clone(), i);
                 TenantState {
                     cfg,
@@ -345,7 +355,7 @@ impl JobService {
             })
             .collect();
         let service_track = tenants.len() as u32;
-        tel.set_track_name(service_track, "service");
+        rec.set_track_name(service_track, "service");
         let names: Vec<String> = tenants.iter().map(|t| t.cfg.name.clone()).collect();
         let slo = SloAccountant::new(cfg.obs.slo, &names);
         let ts = tel
@@ -353,18 +363,12 @@ impl JobService {
             .then(|| TimeSeriesStore::new(WINDOW_S, RESOLUTION));
         let alert_eng = (ts.is_some() && !cfg.obs.alerts.is_empty())
             .then(|| AlertEngine::new(cfg.obs.alerts.clone()));
-        let flight = (cfg.obs.flight_capacity > 0).then(|| {
-            let fr = FlightRecorder::new(cfg.obs.flight_capacity);
-            for t in &tenants {
-                fr.ring()
-                    .set_track_name(t.track, &format!("tenant {}", t.cfg.name));
-            }
-            fr.ring().set_track_name(service_track, "service");
-            fr
-        });
+        let flight = (cfg.obs.flight_capacity > 0)
+            .then(|| FlightRecorder::new(&rec, cfg.obs.flight_capacity));
         JobService {
             cfg,
             tel,
+            rec,
             now: 0.0,
             tenants,
             tenant_ix,
@@ -583,8 +587,8 @@ impl JobService {
         if matches!(spec.kind, JobKind::Wo { dict_words: 0, .. }) {
             return Err(RejectReason::EmptyDictionary);
         }
-        if let Some(too_large) = spec.kind.input_too_large() {
-            return Err(too_large);
+        if let Some(refusal) = spec.out_of_range().or_else(|| spec.kind.input_too_large()) {
+            return Err(refusal);
         }
         if self.queue.len() >= self.cfg.max_queue_depth {
             return Err(RejectReason::QueueFull {
@@ -742,15 +746,15 @@ impl JobService {
     /// `status(at, committed, released)` and dump a `reason` postmortem. A
     /// queued job leaves the queue with nothing to account for. A running
     /// solo pass stops where it stands, its slot frees at the stop instant
-    /// and the postmortem splices its recording; a batched member is
+    /// and the postmortem carries its capture; a batched member is
     /// discarded from its pass (which keeps running for the other members,
     /// and whose end skips it). Either pays for the time it ran.
     fn stop(&mut self, id: JobId, at: f64, reason: &str, status: fn(f64, u32, u32) -> JobStatus) {
         let JobStatus::Running { started_s } = self.jobs[(id.0 - 1) as usize].status else {
             self.remove_queued(id);
             self.finalize(id, status(at, 0, 0), None, 0.0);
-            // No engine pass to splice; the service ring already holds
-            // the job's QueueWait span.
+            // No engine pass to capture; the service's recording already
+            // holds the job's QueueWait span.
             return self.dump_postmortem(reason, id, at, None);
         };
         let slot = self
@@ -849,7 +853,7 @@ impl JobService {
             self.remove_queued(id);
         }
         let batched = members.len() > 1;
-        let capture = self.engine_capture(!batched);
+        let capture = self.engine_capture(&members, started_s);
         match self.start_pass(slot, &members, &capture) {
             Ok(run) => {
                 for &id in &members {
@@ -970,28 +974,23 @@ impl JobService {
         self.slo
             .record_terminal(t, &status, submit_s, started_s, end_s, gpu_seconds);
         // Queue wait is a first-class stage: `gpmr analyze` attributes it
-        // separately from engine execution time. The same spans are
-        // mirrored into the flight ring so a postmortem dump always
-        // carries the triggering job.
+        // separately from engine execution time. A postmortem dumped next
+        // covers both spans, so it always carries the triggering job.
         let wait_end = started_s.unwrap_or(end_s).max(submit_s);
-        let emit = |tel: &Telemetry| {
-            tel.span(track, SpanKind::QueueWait.name(), submit_s, wait_end)
-                .name(format!("{id} wait"))
+        self.rec
+            .span(track, SpanKind::QueueWait.name(), submit_s, wait_end)
+            .name(format!("{id} wait"))
+            .attr("job", id.to_string())
+            .attr("kind", kind)
+            .record();
+        if let Some(s) = started_s {
+            self.rec
+                .span(track, SpanKind::Job.name(), s.min(end_s), end_s)
+                .name(id.to_string())
                 .attr("job", id.to_string())
                 .attr("kind", kind)
+                .attr("outcome", status.word())
                 .record();
-            if let Some(s) = started_s {
-                tel.span(track, SpanKind::Job.name(), s.min(end_s), end_s)
-                    .name(id.to_string())
-                    .attr("job", id.to_string())
-                    .attr("kind", kind)
-                    .attr("outcome", status.word())
-                    .record();
-            }
-        };
-        emit(&self.tel);
-        if let Some(f) = &self.flight {
-            emit(f.ring());
         }
     }
 
@@ -1003,12 +1002,8 @@ impl JobService {
     fn sample_queue_depth(&self) {
         let depth = self.queue.len() as f64;
         self.tel.gauge("service.queue_depth").set(depth);
-        self.tel
+        self.rec
             .sample(self.service_track, "service.queue_depth", self.now, depth);
-        if let Some(f) = &self.flight {
-            f.ring()
-                .sample(self.service_track, "service.queue_depth", self.now, depth);
-        }
     }
 
     /// Feed the windowed time series from the registry and evaluate the
@@ -1034,29 +1029,26 @@ impl JobService {
 
     /// A bounded telemetry handle for capturing a solo engine pass from
     /// dispatch when the flight recorder is on (any of them may end in a
-    /// postmortem); disabled otherwise (zero engine overhead).
-    fn engine_capture(&self, solo: bool) -> Telemetry {
-        match &self.flight {
-            Some(_) if solo => Telemetry::with_capacity(self.cfg.obs.flight_capacity),
+    /// postmortem), placed where a postmortem draws it: at the dispatch
+    /// instant on the service clock, on tracks past the service track,
+    /// under the job's name. Disabled otherwise (zero engine overhead).
+    fn engine_capture(&self, members: &[JobId], started_s: f64) -> Telemetry {
+        match (&self.flight, members) {
+            (Some(_), [id]) => Telemetry::with_capacity(self.cfg.obs.flight_capacity).placed(
+                started_s,
+                self.service_track + 1,
+                &id.to_string(),
+            ),
             _ => Telemetry::disabled(),
         }
     }
 
-    /// Dump a postmortem for `id`, splicing in the recording of the
-    /// triggering pass when it has one (its start places the engine's
-    /// zero-based clock on the service timeline; engine rank tracks land
-    /// past the service track).
+    /// Dump a postmortem for `id`, followed by the capture of the
+    /// triggering pass when it has one.
     fn dump_postmortem(&mut self, reason: &str, id: JobId, at_s: f64, pass: Option<&Pass>) {
-        let track_offset = self.service_track + 1;
-        let Some(f) = &mut self.flight else {
-            return;
-        };
-        let pass = pass.filter(|p| p.capture.is_enabled());
-        let snap = pass.map(|p| (p.capture.snapshot(), p.started_s));
-        let engine = snap
-            .as_ref()
-            .map(|(s, started_s)| (s, *started_s, track_offset));
-        f.dump(reason, &id.to_string(), at_s, engine);
+        if let Some(f) = &mut self.flight {
+            f.dump(reason, &id.to_string(), at_s, pass.map(|p| &p.capture));
+        }
     }
 
     /// GPU-seconds charged to tenant `t`: its SLO tally, which `finalize`

@@ -159,6 +159,34 @@ impl JobSpec {
         }
     }
 
+    /// The refusal for a spec no run can honour: a deadline, kill instant,
+    /// stall instant or stall duration that is not finite and
+    /// non-negative (the workload parser's rule for times), or a chunk of
+    /// zero KiB, which would make every input element its own chunk.
+    pub fn out_of_range(&self) -> Option<RejectReason> {
+        let times = [
+            ("deadline", self.deadline_s),
+            ("kill time", self.kill.map(|(_, at_s)| at_s)),
+            ("stall time", self.stall.map(|(_, at_s, _)| at_s)),
+            ("stall duration", self.stall.map(|(_, _, dur_s)| dur_s)),
+        ];
+        let bad_time = times.into_iter().find_map(|(field, t)| {
+            t.filter(|t| !(t.is_finite() && *t >= 0.0))
+                .map(|value| RejectReason::OutOfRange {
+                    field,
+                    value,
+                    want: "finite and non-negative",
+                })
+        });
+        bad_time.or_else(|| {
+            (self.kind.chunk_bytes() == 0).then_some(RejectReason::OutOfRange {
+                field: "chunk_kb",
+                value: 0.0,
+                want: "at least 1",
+            })
+        })
+    }
+
     /// Whether the job may share a cluster pass with other jobs: the kind
     /// must be batchable, the spec must opt in, and fault injection or
     /// journaling (both per-job concerns) must be off.
@@ -233,6 +261,17 @@ pub enum RejectReason {
     /// A WO job over a dictionary of zero words: there is no text to
     /// generate and nothing to count.
     EmptyDictionary,
+    /// A time or size in the spec that no run can honour (see
+    /// [`JobSpec::out_of_range`]).
+    OutOfRange {
+        /// The workload-script name of the field (`deadline`, `kill time`,
+        /// `stall time`, `stall duration` or `chunk_kb`).
+        field: &'static str,
+        /// The value given.
+        value: f64,
+        /// What the field must be.
+        want: &'static str,
+    },
     /// The job asks for a generated input beyond the service's fixed
     /// bounds (see [`JobKind::input_too_large`]).
     InputTooLarge {
@@ -269,6 +308,9 @@ impl fmt::Display for RejectReason {
                 )
             }
             RejectReason::EmptyDictionary => write!(f, "wo job over an empty dictionary"),
+            RejectReason::OutOfRange { field, value, want } => {
+                write!(f, "{field} {value} out of range: must be {want}")
+            }
             RejectReason::InputTooLarge { field, value, max } => {
                 write!(f, "input too large: {field}={value} exceeds {max}")
             }

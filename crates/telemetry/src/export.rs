@@ -50,11 +50,8 @@ pub fn to_perfetto_json(snap: &TelemetrySnapshot) -> String {
     for (_, i) in timed {
         out.push(',');
         match snap.spans.get(i) {
-            Some(s) => write_span_event(s, &SpanPlace::of(s), &mut out),
-            None => {
-                let c = &snap.samples[i - snap.spans.len()];
-                write_counter_event(c, c.track, c.ts_s, &mut out);
-            }
+            Some(s) => write_span_event(s, 0, &mut out),
+            None => write_counter_event(&snap.samples[i - snap.spans.len()], &mut out),
         }
     }
     out.push_str(PERFETTO_CLOSE);
@@ -90,50 +87,27 @@ pub(crate) fn name_used_tracks(
     }
 }
 
-/// Where and when a span is drawn — the fields a splice into another
-/// trace rewrites, apart from what the span says.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct SpanPlace {
-    pub id: u64,
-    pub parent: Option<u64>,
-    pub track: u32,
-    pub start_s: f64,
-    pub end_s: f64,
-}
-
-impl SpanPlace {
-    /// The span's own placement.
-    pub(crate) fn of(s: &SpanRecord) -> SpanPlace {
-        SpanPlace {
-            id: s.id,
-            parent: s.parent,
-            track: s.track,
-            start_s: s.start_s,
-            end_s: s.end_s,
-        }
-    }
-}
-
-/// One complete (`ph:"X"`) event: `s`'s kind, name and attributes, drawn
-/// at `at`.
-pub(crate) fn write_span_event(s: &SpanRecord, at: &SpanPlace, out: &mut String) {
+/// One complete (`ph:"X"`) event: span `s`, its id and parent id
+/// `id_base` higher (a postmortem's capture numbers its spans past its
+/// window's).
+pub(crate) fn write_span_event(s: &SpanRecord, id_base: u64, out: &mut String) {
     out.push_str(r#"{"name":"#);
     render_string(&s.name, out);
     out.push_str(r#","cat":"#);
     render_string(&s.kind, out);
     out.push_str(r#","ph":"X","pid":0,"tid":"#);
-    render_num(f64::from(at.track), out);
+    render_num(f64::from(s.track), out);
     out.push_str(r#","ts":"#);
-    render_num(at.start_s * US_PER_S, out);
+    render_num(s.start_s * US_PER_S, out);
     out.push_str(r#","dur":"#);
-    render_num((at.end_s - at.start_s).max(0.0) * US_PER_S, out);
+    render_num(s.duration_s() * US_PER_S, out);
     out.push_str(r#","id":"#);
-    render_num(at.id as f64, out);
+    render_num((s.id + id_base) as f64, out);
     out.push_str(r#","args":{"kind":"#);
     render_string(&s.kind, out);
-    if let Some(p) = at.parent {
+    if let Some(p) = s.parent {
         out.push_str(r#","parent_span":"#);
-        render_num(p as f64, out);
+        render_num((p + id_base) as f64, out);
     }
     for (k, v) in &s.attrs {
         out.push(',');
@@ -144,15 +118,14 @@ pub(crate) fn write_span_event(s: &SpanRecord, at: &SpanPlace, out: &mut String)
     out.push_str("}}");
 }
 
-/// One counter (`ph:"C"`) event: `c`'s series and value on `track` at
-/// `ts_s`.
-pub(crate) fn write_counter_event(c: &CounterSample, track: u32, ts_s: f64, out: &mut String) {
+/// One counter (`ph:"C"`) event: sample `c`.
+pub(crate) fn write_counter_event(c: &CounterSample, out: &mut String) {
     out.push_str(r#"{"name":"#);
     render_string(&c.series, out);
     out.push_str(r#","ph":"C","pid":0,"tid":"#);
-    render_num(f64::from(track), out);
+    render_num(f64::from(c.track), out);
     out.push_str(r#","ts":"#);
-    render_num(ts_s * US_PER_S, out);
+    render_num(c.ts_s * US_PER_S, out);
     out.push_str(r#","args":{"value":"#);
     render_num(c.value, out);
     out.push_str("}}");

@@ -1,38 +1,38 @@
-//! Crash-scoped flight recorder: a small bounded ring of recent spans and
-//! samples that is dumped as a Perfetto-valid postmortem trace when
+//! Crash-scoped flight recorder: postmortem traces of a recording's most
+//! recent spans and samples, dumped as Perfetto-valid documents when
 //! something goes wrong (a missed deadline, a lost GPU, a cancel, an
 //! alert firing).
 //!
-//! The recorder owns a bounded [`Telemetry`] ring; the host mirrors the
-//! spans and samples it cares about into [`FlightRecorder::ring`] as it
-//! emits them. On a trigger, [`FlightRecorder::dump`] lists what the ring
-//! holds, optionally splices in an engine-scoped snapshot of the
-//! triggering job (offset onto the service clock and onto tracks past the
-//! service's own), and keeps the result as a [`Postmortem`]. Dumps are
-//! kept in firing order with stable sequence numbers so a run's
-//! postmortem set is bit-identical across repeats.
+//! The recorder keeps no records of its own. It reads a recording the
+//! host writes anyway; its *window* is that recording's newest `capacity`
+//! spans and samples. On a trigger, [`FlightRecorder::dump`] lists the
+//! window, optionally followed by a capture of the triggering job that
+//! recorded already placed on the host's clock and tracks
+//! ([`Telemetry::placed`]), whose span ids it numbers past the window's,
+//! and keeps the result as a [`Postmortem`]. Dumps are kept in firing
+//! order with stable sequence numbers so a run's postmortem set is
+//! bit-identical across repeats.
 //!
 //! ## What a dump costs
 //!
-//! Consecutive dumps cover nearly the same ring, so each ring record is
-//! rendered to its Perfetto event **once**, into a shared fragment. A dump
-//! renders only what was recorded since the previous dump plus the spliced
-//! engine snapshot, sorts the fragments into document order and keeps that
-//! list with the document's track preamble. The document itself exists
-//! only while someone reads it ([`Postmortem::trace_json`],
+//! Consecutive dumps cover nearly the same window, so each window record
+//! is rendered to its Perfetto event **once**, into a shared fragment. A
+//! dump renders only what was recorded since the previous dump plus the
+//! capture, sorts the fragments into document order and keeps that list
+//! with the document's track preamble. The document itself exists only
+//! while someone reads it ([`Postmortem::trace_json`],
 //! [`Postmortem::write_trace`]); its bytes equal
-//! [`to_perfetto_json`](crate::export::to_perfetto_json) of
-//! [`FlightRecorder::snapshot_for`] at the moment of the dump.
+//! [`to_perfetto_json`](crate::export::to_perfetto_json) of the window
+//! and the capture taken as one snapshot at the moment of the dump.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::io;
 use std::sync::Arc;
 
 use crate::export::{
-    name_used_tracks, write_counter_event, write_preamble, write_span_event, SpanPlace,
-    PERFETTO_CLOSE,
+    name_used_tracks, write_counter_event, write_preamble, write_span_event, PERFETTO_CLOSE,
 };
-use crate::span::{CounterSample, SpanRecord, TelemetrySnapshot};
+use crate::span::{CounterSample, SpanRecord};
 use crate::Telemetry;
 
 /// One postmortem dump: why it fired, what it covers, and the Perfetto
@@ -105,89 +105,6 @@ fn sanitize(s: &str) -> String {
     out
 }
 
-/// How a spliced snapshot's records move onto the host trace: times shift
-/// by `time_offset_s`, tracks by `track_offset`, span ids (and parents)
-/// past the host's largest id.
-#[derive(Clone, Copy)]
-struct Splice {
-    time_offset_s: f64,
-    track_offset: u32,
-    id_base: u64,
-}
-
-impl Splice {
-    fn span(&self, s: &SpanRecord) -> SpanPlace {
-        SpanPlace {
-            id: s.id + self.id_base,
-            parent: s.parent.map(|p| p + self.id_base),
-            track: s.track + self.track_offset,
-            start_s: s.start_s + self.time_offset_s,
-            end_s: s.end_s + self.time_offset_s,
-        }
-    }
-
-    /// A sample's shifted track and timestamp.
-    fn sample(&self, c: &CounterSample) -> (u32, f64) {
-        (c.track + self.track_offset, c.ts_s + self.time_offset_s)
-    }
-
-    /// Add `extra`'s shifted track names to `tracks`, prefixed with
-    /// `label` so the merged trace reads unambiguously.
-    fn name_tracks(
-        &self,
-        extra: &BTreeMap<u32, String>,
-        label: &str,
-        tracks: &mut BTreeMap<u32, String>,
-    ) {
-        for (&track, name) in extra {
-            let name = if label.is_empty() {
-                name.clone()
-            } else {
-                format!("{label} {name}")
-            };
-            tracks.insert(track + self.track_offset, name);
-        }
-    }
-}
-
-/// Splice `extra` into `base`: span/sample times shift by
-/// `time_offset_s`, tracks shift by `track_offset`, span ids are rebased
-/// past `base`'s largest id (parents follow), and shifted track names are
-/// prefixed with `label` so the merged trace reads unambiguously.
-pub fn splice_snapshot(
-    base: &mut TelemetrySnapshot,
-    extra: &TelemetrySnapshot,
-    time_offset_s: f64,
-    track_offset: u32,
-    label: &str,
-) {
-    let splice = Splice {
-        time_offset_s,
-        track_offset,
-        id_base: base.spans.iter().map(|s| s.id).max().unwrap_or(0),
-    };
-    for s in &extra.spans {
-        let at = splice.span(s);
-        base.spans.push(SpanRecord {
-            id: at.id,
-            parent: at.parent,
-            track: at.track,
-            start_s: at.start_s,
-            end_s: at.end_s,
-            ..s.clone()
-        });
-    }
-    for c in &extra.samples {
-        let (track, ts_s) = splice.sample(c);
-        base.samples.push(CounterSample {
-            track,
-            ts_s,
-            ..c.clone()
-        });
-    }
-    splice.name_tracks(&extra.tracks, label, &mut base.tracks);
-}
-
 /// One rendered event and what a dump needs to place it.
 #[derive(Clone, Debug)]
 struct Fragment {
@@ -199,59 +116,64 @@ struct Fragment {
 }
 
 impl Fragment {
-    fn span(s: &SpanRecord, at: &SpanPlace, scratch: &mut String) -> Fragment {
+    /// Span `s`, its ids `id_base` higher.
+    fn span(s: &SpanRecord, id_base: u64, scratch: &mut String) -> Fragment {
         scratch.clear();
-        write_span_event(s, at, scratch);
+        write_span_event(s, id_base, scratch);
         Fragment {
-            ts_s: at.start_s,
-            track: at.track,
-            id: at.id,
+            ts_s: s.start_s,
+            track: s.track,
+            id: s.id + id_base,
             json: Arc::from(scratch.as_str()),
         }
     }
 
-    fn sample(c: &CounterSample, track: u32, ts_s: f64, scratch: &mut String) -> Fragment {
+    fn sample(c: &CounterSample, scratch: &mut String) -> Fragment {
         scratch.clear();
-        write_counter_event(c, track, ts_s, scratch);
+        write_counter_event(c, scratch);
         Fragment {
-            ts_s,
-            track,
+            ts_s: c.ts_s,
+            track: c.track,
             id: 0,
             json: Arc::from(scratch.as_str()),
         }
     }
 }
 
-/// The fragments of one of the ring's two queues, oldest first.
+/// The fragments of one of the window's two queues, oldest first.
 #[derive(Clone, Debug, Default)]
 struct Rendered {
     frags: VecDeque<Fragment>,
-    /// How many records the ring had dropped when `frags[0]` was its
-    /// oldest, i.e. that record's position among all ever recorded.
+    /// The position of `frags[0]`'s record among all ever recorded.
     base: u64,
 }
 
 impl Rendered {
-    /// Bring the fragments in step with the ring: forget what it dropped,
-    /// render what it gained.
-    fn sync<'a, T: 'a>(
+    /// Bring the fragments in step with the newest `capacity` records of
+    /// `queue`, whose oldest is the `dropped`-th ever recorded: forget
+    /// what left the window, render what entered it.
+    fn sync<'a, T>(
         &mut self,
+        queue: &'a VecDeque<T>,
         dropped: u64,
-        held: impl Iterator<Item = &'a T>,
+        capacity: usize,
         render: impl FnMut(&'a T) -> Fragment,
     ) {
-        let evicted = (dropped - self.base).min(self.frags.len() as u64) as usize;
+        let older = queue.len().saturating_sub(capacity);
+        let first = dropped + older as u64;
+        let evicted = (first - self.base).min(self.frags.len() as u64) as usize;
         self.frags.drain(..evicted);
-        self.base = dropped;
+        self.base = first;
         let have = self.frags.len();
-        self.frags.extend(held.skip(have).map(render));
+        self.frags.extend(queue.range(older + have..).map(render));
     }
 }
 
-/// Bounded ring of recent telemetry plus the postmortems dumped from it.
+/// A window onto a recording, plus the postmortems dumped from it.
 #[derive(Clone, Debug)]
 pub struct FlightRecorder {
-    ring: Telemetry,
+    recording: Telemetry,
+    capacity: usize,
     spans: Rendered,
     samples: Rendered,
     /// Rendering buffer, so a fragment costs one allocation.
@@ -261,11 +183,12 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// A recorder whose ring holds at most `capacity` spans (and as many
-    /// samples).
-    pub fn new(capacity: usize) -> FlightRecorder {
+    /// A recorder whose window is the newest `capacity` spans (and as many
+    /// samples) of `recording`, an enabled handle.
+    pub fn new(recording: &Telemetry, capacity: usize) -> FlightRecorder {
         FlightRecorder {
-            ring: Telemetry::with_capacity(capacity),
+            recording: recording.clone(),
+            capacity,
             spans: Rendered::default(),
             samples: Rendered::default(),
             scratch: String::new(),
@@ -274,102 +197,73 @@ impl FlightRecorder {
         }
     }
 
-    /// The ring to mirror spans and samples into. Cloning the handle is
-    /// cheap and shares the same ring.
-    pub fn ring(&self) -> &Telemetry {
-        &self.ring
-    }
-
     /// Postmortems dumped so far, in firing order.
     pub fn postmortems(&self) -> &[Postmortem] {
         &self.dumps
     }
 
-    /// What a [`FlightRecorder::dump`] for `subject` would cover right
-    /// now, as a snapshot: the ring, the spliced `engine` snapshot, every
-    /// used track named. The reference for the dump's document, and the
-    /// form the analysis passes read.
-    pub fn snapshot_for(
-        &self,
-        subject: &str,
-        engine: Option<(&TelemetrySnapshot, f64, u32)>,
-    ) -> TelemetrySnapshot {
-        let mut snap = self.ring.snapshot();
-        if let Some((extra, time_offset_s, track_offset)) = engine {
-            splice_snapshot(&mut snap, extra, time_offset_s, track_offset, subject);
-        }
-        let used: Vec<u32> = snap
-            .spans
-            .iter()
-            .map(|s| s.track)
-            .chain(snap.samples.iter().map(|c| c.track))
-            .collect();
-        name_used_tracks(used.into_iter(), &mut snap.tracks);
-        snap
-    }
-
-    /// List what the ring holds, optionally splice in an engine-scoped
-    /// snapshot of the triggering job (`(snapshot, time_offset_s,
-    /// track_offset)` — the engine records on its own zero-based clock
-    /// and rank tracks), and keep the result as a [`Postmortem`].
-    /// Every track used by a timed event is guaranteed a name, so the
-    /// document always passes [`crate::export::validate_perfetto`].
+    /// List the window and, when given an enabled one, the triggering
+    /// job's `capture` after it (recorded already placed; its span ids
+    /// are numbered past the window's), and keep the result as a
+    /// [`Postmortem`]. Every track used by a timed event is guaranteed a
+    /// name, so the document always passes
+    /// [`crate::export::validate_perfetto`].
     pub fn dump(
         &mut self,
         reason: &str,
         subject: &str,
         at_s: f64,
-        engine: Option<(&TelemetrySnapshot, f64, u32)>,
+        capture: Option<&Telemetry>,
     ) -> &Postmortem {
         let FlightRecorder {
-            ring,
+            recording,
+            capacity,
             spans,
             samples,
             scratch,
             ..
         } = self;
-        let mut tracks = ring
+        let mut tracks = recording
             .with_ring(|ring| {
-                spans.sync(ring.dropped_spans, ring.spans.iter(), |s| {
-                    Fragment::span(s, &SpanPlace::of(s), scratch)
+                spans.sync(&ring.spans, ring.dropped_spans, *capacity, |s| {
+                    Fragment::span(s, 0, scratch)
                 });
-                samples.sync(ring.dropped_samples, ring.samples.iter(), |c| {
-                    Fragment::sample(c, c.track, c.ts_s, scratch)
+                samples.sync(&ring.samples, ring.dropped_samples, *capacity, |c| {
+                    Fragment::sample(c, scratch)
                 });
                 ring.tracks.clone()
             })
-            .expect("the flight ring is an enabled handle");
+            .expect("the recording is an enabled handle");
 
-        let mut engine_spans = Vec::new();
-        let mut engine_samples = Vec::new();
-        if let Some((extra, time_offset_s, track_offset)) = engine {
-            let splice = Splice {
-                time_offset_s,
-                track_offset,
-                id_base: spans.frags.iter().map(|f| f.id).max().unwrap_or(0),
-            };
-            engine_spans.extend(
-                extra
-                    .spans
-                    .iter()
-                    .map(|s| Fragment::span(s, &splice.span(s), scratch)),
-            );
-            engine_samples.extend(extra.samples.iter().map(|c| {
-                let (track, ts_s) = splice.sample(c);
-                Fragment::sample(c, track, ts_s, scratch)
-            }));
-            splice.name_tracks(&extra.tracks, subject, &mut tracks);
-        }
+        let id_base = spans.frags.iter().map(|f| f.id).max().unwrap_or(0);
+        let (capture_spans, capture_samples) = capture
+            .and_then(|c| {
+                c.with_ring(|ring| {
+                    tracks.extend(ring.tracks.iter().map(|(&t, name)| (t, name.clone())));
+                    let spans: Vec<Fragment> = ring
+                        .spans
+                        .iter()
+                        .map(|s| Fragment::span(s, id_base, scratch))
+                        .collect();
+                    let samples: Vec<Fragment> = ring
+                        .samples
+                        .iter()
+                        .map(|c| Fragment::sample(c, scratch))
+                        .collect();
+                    (spans, samples)
+                })
+            })
+            .unwrap_or_default();
 
         // Document order is `to_perfetto_json`'s over the equivalent
-        // snapshot: a stable sort by timestamp of the spans (ring, then
-        // splice) followed by the samples (ring, then splice).
+        // snapshot: a stable sort by timestamp of the spans (window, then
+        // capture) followed by the samples (window, then capture).
         let mut order: Vec<&Fragment> = spans
             .frags
             .iter()
-            .chain(&engine_spans)
+            .chain(&capture_spans)
             .chain(&samples.frags)
-            .chain(&engine_samples)
+            .chain(&capture_samples)
             .collect();
         name_used_tracks(order.iter().map(|f| f.track), &mut tracks);
         order.sort_by(|a, b| {
@@ -396,23 +290,26 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::export::{to_perfetto_json, validate_perfetto};
+    use crate::export::validate_perfetto;
 
-    fn engine_snapshot() -> TelemetrySnapshot {
-        let tel = Telemetry::enabled();
+    /// A capture placed `at_s` later and `tracks` higher under `label`:
+    /// a rank track, a parent recorded after its child, a sample.
+    fn capture(at_s: f64, tracks: u32, label: &str) -> Telemetry {
+        let tel = Telemetry::enabled().placed(at_s, tracks, label);
         tel.set_track_name(0, "rank 0");
         let parent = tel.reserve_span_id();
         tel.span(0, "Map", 0.0, 0.5).parent(parent).record();
         tel.span(0, "Chunk", 0.0, 0.5).id(parent).record();
         tel.sample(0, "queue_depth", 0.25, 2.0);
-        tel.snapshot()
+        tel
     }
 
     #[test]
-    fn dump_is_perfetto_valid_and_contains_the_ring() {
-        let mut fr = FlightRecorder::new(64);
-        fr.ring().set_track_name(0, "tenant alice");
-        fr.ring().span(0, "Job", 1.0, 2.0).name("job3 sio").record();
+    fn dump_is_perfetto_valid_and_contains_the_window() {
+        let rec = Telemetry::enabled();
+        let mut fr = FlightRecorder::new(&rec, 64);
+        rec.set_track_name(0, "tenant alice");
+        rec.span(0, "Job", 1.0, 2.0).name("job3 sio").record();
         let pm = fr.dump("deadline-missed", "job3", 2.0, None).clone();
         assert_eq!(pm.seq, 1);
         assert_eq!(pm.file_name(), "postmortem-0001-deadline-missed-job3.json");
@@ -422,74 +319,55 @@ mod tests {
     }
 
     #[test]
-    fn splice_offsets_time_tracks_and_ids() {
-        let mut fr = FlightRecorder::new(64);
-        fr.ring().set_track_name(0, "service");
-        fr.ring().span(0, "QueueWait", 0.5, 1.5).record();
-        let eng = engine_snapshot();
+    fn a_capture_keeps_its_placement_and_numbers_its_ids_past_the_window() {
+        let rec = Telemetry::enabled();
+        let mut fr = FlightRecorder::new(&rec, 64);
+        rec.set_track_name(0, "service");
+        rec.span(0, "QueueWait", 0.5, 1.5).record();
         let pm = fr
-            .dump("gpu-lost", "job7", 1.5, Some((&eng, 1.5, 4)))
+            .dump("gpu-lost", "job7", 1.5, Some(&capture(1.5, 4, "job7")))
             .clone();
-        let stats = validate_perfetto(&pm.trace_json()).expect("valid trace");
+        let doc = pm.trace_json();
+        let stats = validate_perfetto(&doc).expect("valid trace");
         assert_eq!(stats.complete_events, 3);
         assert_eq!(stats.counter_events, 1);
-        // Engine spans moved onto the service clock: 1.5 + 0.5 = 2.0s end.
+        // The capture recorded on the service clock: 1.5 + 0.5 = 2.0s end.
         assert!((stats.end_ts_us - 2.0e6).abs() < 1e-6);
-        assert!(pm.trace_json().contains("job7 rank 0"));
+        assert!(doc.contains(r#""tid":4,"args":{"name":"job7 rank 0"}"#));
+        // Map (id 2, parent 1) lands past the window's one span.
+        assert!(doc.contains(r#""id":3,"args":{"kind":"Map","parent_span":2}"#));
+        // A disabled capture adds nothing.
+        let plain = fr.dump("cancelled", "job8", 2.0, Some(&Telemetry::disabled()));
+        assert_eq!(
+            validate_perfetto(&plain.trace_json())
+                .unwrap()
+                .complete_events,
+            1
+        );
     }
 
     #[test]
     fn unnamed_tracks_are_named_before_render() {
-        let mut fr = FlightRecorder::new(64);
-        fr.ring().span(9, "Job", 0.0, 1.0).record();
+        let rec = Telemetry::enabled();
+        let mut fr = FlightRecorder::new(&rec, 64);
+        rec.span(9, "Job", 0.0, 1.0).record();
         let pm = fr.dump("cancelled", "job1", 1.0, None).clone();
         validate_perfetto(&pm.trace_json()).expect("auto-named track");
         assert!(pm.trace_json().contains("track 9"));
     }
 
     #[test]
-    fn every_dump_equals_the_reference_as_the_ring_wraps() {
-        // Fragments are rendered once and shared between dumps; whatever
-        // the ring dropped or gained in between, each document must be
-        // the one the whole-snapshot exporter writes.
-        let mut fr = FlightRecorder::new(8);
-        fr.ring().set_track_name(0, "svc");
-        let eng = engine_snapshot();
-        let mut written = Vec::new();
-        for round in 0..6u32 {
-            // 3, 6, 9, ... records between dumps: less than, then more
-            // than, the ring holds.
-            for i in 0..3 * (round + 1) {
-                let t = f64::from((i * 7 + round) % 5);
-                fr.ring().span(i % 3, "Job", t, t + 0.5).record();
-                fr.ring().sample(2, "depth", t, f64::from(i));
-            }
-            let engine = (round % 2 == 1).then_some((&eng, 1.5, 4));
-            let want = to_perfetto_json(&fr.snapshot_for("job9", engine));
-            let pm = fr.dump("cancelled", "job9", 9.0, engine);
-            assert_eq!(pm.trace_json(), want, "dump {round}");
-            let mut bytes = Vec::new();
-            pm.write_trace(&mut bytes).unwrap();
-            assert_eq!(bytes, want.as_bytes());
-            written.push(want);
-        }
-        // Later dumps leave earlier postmortems as they were.
-        for (pm, want) in fr.postmortems().iter().zip(&written) {
-            assert_eq!(&pm.trace_json(), want);
-        }
-    }
-
-    #[test]
-    fn sequence_numbers_and_ring_bound() {
-        let mut fr = FlightRecorder::new(2);
-        fr.ring().set_track_name(0, "svc");
+    fn sequence_numbers_and_window_bound() {
+        let rec = Telemetry::with_capacity(3);
+        let mut fr = FlightRecorder::new(&rec, 2);
+        rec.set_track_name(0, "svc");
         for i in 0..5 {
-            fr.ring().span(0, "Job", i as f64, i as f64 + 1.0).record();
+            rec.span(0, "Job", i as f64, i as f64 + 1.0).record();
         }
         let pm = fr.dump("alert:deep", "deep", 5.0, None).clone();
         assert_eq!(pm.seq, 1);
         let stats = validate_perfetto(&pm.trace_json()).unwrap();
-        assert_eq!(stats.complete_events, 2, "ring kept only the newest 2");
+        assert_eq!(stats.complete_events, 2, "the window is the newest 2");
         fr.dump("cancelled", "job2", 6.0, None);
         assert_eq!(fr.postmortems().len(), 2);
         assert_eq!(fr.postmortems()[1].seq, 2);

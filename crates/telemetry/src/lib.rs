@@ -71,14 +71,24 @@ struct Inner {
     spans: SpanRecorder,
 }
 
+/// Where a handle's records land in its recorder ([`Telemetry::placed`]).
+#[derive(Clone, Debug, Default)]
+struct Placement {
+    /// Seconds added to every time recorded.
+    origin_s: f64,
+    /// Added to every track recorded or named.
+    track: u32,
+    /// Prefixed, with a space, to every track name set.
+    label: Option<Arc<str>>,
+}
+
 /// Handle to the telemetry subsystem. `Default`/[`Telemetry::disabled`]
 /// produces a no-op handle; [`Telemetry::enabled`] records everything.
 /// Clones share the same underlying registry and recorder.
 #[derive(Clone, Debug, Default)]
 pub struct Telemetry {
     inner: Option<Arc<Inner>>,
-    /// Seconds added to every time recorded ([`Telemetry::shifted`]).
-    origin_s: f64,
+    at: Placement,
 }
 
 impl Telemetry {
@@ -100,18 +110,30 @@ impl Telemetry {
                 metrics: Registry::new(),
                 spans: SpanRecorder::new(capacity),
             })),
-            origin_s: 0.0,
+            at: Placement::default(),
         }
     }
 
-    /// This handle's recorder and registry, with every span and sample
-    /// time placed `by_s` seconds later: how a pass whose clock restarts at
-    /// zero records on an enclosing clock (each round of a multi-round
-    /// drive, on the cross-round clock).
-    pub fn shifted(&self, by_s: f64) -> Telemetry {
+    /// This handle's recorder and registry, with every record placed in
+    /// an enclosing recording: times `by_s` seconds later, tracks `tracks`
+    /// higher, and track names prefixed with `label` (unless it is
+    /// empty). How a pass whose clock restarts at zero on rank tracks
+    /// from 0 records in place: each round of a multi-round drive on the
+    /// cross-round clock, a service pass on the service clock past the
+    /// service's own tracks.
+    pub fn placed(&self, by_s: f64, tracks: u32, label: &str) -> Telemetry {
+        let label = match (&self.at.label, label) {
+            (outer, "") => outer.clone(),
+            (None, inner) => Some(Arc::from(inner)),
+            (Some(outer), inner) => Some(Arc::from(format!("{outer} {inner}"))),
+        };
         Telemetry {
             inner: self.inner.clone(),
-            origin_s: self.origin_s + by_s,
+            at: Placement {
+                origin_s: self.at.origin_s + by_s,
+                track: self.at.track + tracks,
+                label,
+            },
         }
     }
 
@@ -153,7 +175,11 @@ impl Telemetry {
     /// Name a track (Perfetto thread name). No-op when disabled.
     pub fn set_track_name(&self, track: u32, name: &str) {
         if let Some(i) = &self.inner {
-            i.spans.set_track_name(track, name);
+            let track = track + self.at.track;
+            match &self.at.label {
+                Some(label) => i.spans.set_track_name(track, &format!("{label} {name}")),
+                None => i.spans.set_track_name(track, name),
+            }
         }
     }
 
@@ -172,11 +198,11 @@ impl Telemetry {
             span: self.inner.as_ref().map(|_| SpanRecord {
                 id: 0,
                 parent: None,
-                track,
+                track: track + self.at.track,
                 kind: kind.to_string(),
                 name: kind.to_string(),
-                start_s: start_s + self.origin_s,
-                end_s: end_s + self.origin_s,
+                start_s: start_s + self.at.origin_s,
+                end_s: end_s + self.at.origin_s,
                 attrs: Vec::new(),
             }),
         }
@@ -186,9 +212,9 @@ impl Telemetry {
     pub fn sample(&self, track: u32, series: &str, ts_s: f64, value: f64) {
         if let Some(i) = &self.inner {
             i.spans.sample(CounterSample {
-                track,
+                track: track + self.at.track,
                 series: series.to_string(),
-                ts_s: ts_s + self.origin_s,
+                ts_s: ts_s + self.at.origin_s,
                 value,
             });
         }
@@ -322,17 +348,27 @@ mod tests {
     }
 
     #[test]
-    fn a_shifted_handle_records_later_into_the_same_recorder() {
+    fn a_placed_handle_records_in_place_into_the_same_recorder() {
         let tel = Telemetry::enabled();
-        let round = tel.shifted(2.0);
-        round.shifted(0.5).span(1, "Map", 0.0, 1.0).record();
+        let round = tel.placed(2.0, 0, "");
+        round.placed(0.5, 0, "").span(1, "Map", 0.0, 1.0).record();
         round.sample(1, "queue_depth", 0.25, 3.0);
         tel.span(0, "Round", 0.0, 4.0).record();
+        let pass = tel.placed(1.0, 3, "job2").placed(0.0, 1, "try");
+        pass.set_track_name(0, "rank 0");
+        pass.span(0, "Map", 0.0, 0.5).record();
+        pass.sample(1, "queue_depth", 0.0, 1.0);
         let snap = tel.snapshot();
-        let times: Vec<(f64, f64)> = snap.spans.iter().map(|s| (s.start_s, s.end_s)).collect();
-        assert_eq!(times, [(2.5, 3.5), (0.0, 4.0)]);
-        assert_eq!(snap.samples[0].ts_s, 2.25);
-        assert!(!Telemetry::disabled().shifted(1.0).is_enabled());
+        let placed: Vec<(u32, f64, f64)> = snap
+            .spans
+            .iter()
+            .map(|s| (s.track, s.start_s, s.end_s))
+            .collect();
+        assert_eq!(placed, [(1, 2.5, 3.5), (0, 0.0, 4.0), (4, 1.0, 1.5)]);
+        assert_eq!((snap.samples[0].track, snap.samples[0].ts_s), (1, 2.25));
+        assert_eq!((snap.samples[1].track, snap.samples[1].ts_s), (5, 1.0));
+        assert_eq!(snap.tracks[&4], "job2 try rank 0");
+        assert!(!Telemetry::disabled().placed(1.0, 1, "x").is_enabled());
     }
 
     #[test]

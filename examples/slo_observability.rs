@@ -25,8 +25,9 @@ fn main() {
     ];
 
     // Observability: a 95% deadline-hit objective, two declarative
-    // alert rules evaluated at every event boundary, and a 1024-event
-    // flight ring that dumps a postmortem trace on every incident.
+    // alert rules evaluated at every event boundary, and a flight
+    // recorder that dumps the newest 1024 spans and samples as a
+    // postmortem trace on every incident.
     let cfg = ServiceConfig {
         obs: ObsConfig {
             alerts: AlertRule::parse_list(
@@ -76,7 +77,7 @@ fn main() {
     }
 
     // Every incident (the deadline miss and the alert breaches) left a
-    // Perfetto-valid postmortem spliced from the flight ring.
+    // Perfetto-valid postmortem of the service's recording.
     std::fs::create_dir_all("target/postmortems").expect("mkdir");
     for pm in svc.postmortems() {
         let trace = pm.trace_json();

@@ -264,16 +264,18 @@ fn serve_path_stays_inside_its_allocation_budget() {
     );
 }
 
-/// A tenth above the measured 201 allocations per job, and 504 more per
+/// A tenth above the measured 201 allocations per job, and 413 more per
 /// job with the recorder on: every solo pass records from dispatch, so
-/// any of them can splice its own recording into a postmortem, and each
-/// of the 20 dumps adds its own. When a stop re-ran its pass to record
-/// it, the same run took 252 per job and 464 more per postmortem (232 per
-/// job); with a dictionary built per WO dispatch and per re-run, and the
-/// whole ring copied and serialised again by every dump, 1 251 per job
-/// and 921 per postmortem.
+/// any of them can carry its own capture into a postmortem, and each of
+/// the 20 dumps adds its own. While the service mirrored each of its
+/// spans and samples into a ring of the recorder's own, the recorder
+/// cost 499 more per job. When a stop re-ran its pass to record it, the
+/// same run took 252 per job and 464 more per postmortem (232 per job);
+/// with a dictionary built per WO dispatch and per re-run, and the whole
+/// ring copied and serialised again by every dump, 1 251 per job and 921
+/// per postmortem.
 const SERVE_JOB_ALLOCATION_CEILING: u64 = 221;
-const RECORDED_JOB_ALLOCATION_CEILING: u64 = 555;
+const RECORDED_JOB_ALLOCATION_CEILING: u64 = 455;
 
 const MM_ORDER: usize = 256;
 

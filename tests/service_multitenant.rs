@@ -357,6 +357,75 @@ fn empty_dictionary_is_rejected_not_dispatched() {
     ));
 }
 
+/// Every time the API takes is finite and non-negative, and every chunk
+/// at least 1 KiB, as the workload parser requires of a script. A NaN or
+/// infinite deadline was ignored, a negative one missed before the
+/// submission, a NaN or negative fault instant fired at job start, a NaN
+/// or negative stall did nothing, an infinite one finished the job at
+/// `inf` and poisoned the drained clock, and `chunk_kb = 0` made one chunk
+/// per input integer. Each is refused naming its field; zero is a valid
+/// time.
+#[test]
+fn hostile_times_and_chunk_sizes_are_refused_naming_the_field() {
+    let sio = |chunk_kb| JobKind::Sio {
+        n: 20_000,
+        seed: 5,
+        chunk_kb,
+    };
+    let with_time = |field: &str, t: f64| {
+        let mut spec = JobSpec::new("t", sio(16));
+        match field {
+            "deadline" => spec.deadline_s = Some(t),
+            "kill time" => spec.kill = Some((1, t)),
+            "stall time" => spec.stall = Some((1, t, 0.0005)),
+            "stall duration" => spec.stall = Some((1, 0.0002, t)),
+            _ => unreachable!("{field}"),
+        }
+        spec
+    };
+    let mut svc = JobService::new(
+        ServiceConfig::default(),
+        vec![TenantConfig::unlimited("t")],
+        Telemetry::disabled(),
+    );
+    let mut refused = Vec::new();
+    let mut admitted = Vec::new();
+    for field in ["deadline", "kill time", "stall time", "stall duration"] {
+        for t in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            refused.push((field, svc.submit(with_time(field, t))));
+        }
+        admitted.push(svc.submit(with_time(field, 0.0)));
+    }
+    refused.push(("chunk_kb", svc.submit(JobSpec::new("t", sio(0)))));
+    admitted.push(svc.submit(JobSpec::new("t", sio(1))));
+    let drained_s = svc.drain();
+    assert!(drained_s.is_finite(), "the clock stays finite: {drained_s}");
+    let assert_refused = |svc: &JobService, id: JobId, field: &str| match svc.poll(id).unwrap() {
+        JobStatus::Rejected(RejectReason::OutOfRange { field: named, .. }) => {
+            assert_eq!(named, field, "{id}")
+        }
+        other => panic!("{id} {field}: {other:?}"),
+    };
+    for (field, id) in refused {
+        assert_refused(&svc, id, field);
+    }
+    for id in admitted {
+        let status = svc.poll(id).unwrap();
+        assert!(
+            matches!(
+                status,
+                JobStatus::Completed { .. } | JobStatus::DeadlineMissed { .. }
+            ),
+            "{id}: {status:?}"
+        );
+    }
+    // The same refusal reaches a script, whose parser reads `chunk_kb=0`.
+    let script = "tenant t\nat 0 submit t sio n=2000 seed=1 chunk_kb=0\n";
+    let (scripted, _) = run_script(script, ServiceConfig::default(), Telemetry::disabled())
+        .expect("the script parses");
+    assert_refused(&scripted, JobId(1), "chunk_kb");
+}
+
 #[test]
 fn oversized_generated_inputs_are_rejected_not_allocated() {
     // `dict=18446744073709551615` used to reach `HashSet::with_capacity`
@@ -840,22 +909,43 @@ fn seeded_chaos_preserves_per_job_outputs() {
 
 // --- polling granularity -------------------------------------------------
 
+/// How `observe` watches a service: whether the caller's handle is
+/// enabled, the alert rules and the flight window.
+#[derive(Clone, Copy)]
+struct Watch {
+    telemetry: bool,
+    alerts: &'static str,
+    flight_capacity: usize,
+}
+
+const MISSES: &str = "misses: sum(service.deadline_missed) > 0";
+
 /// Everything a caller can observe of a service driven through `wl`: each
 /// action's outcome, every job's status and outputs, the tallies, the SLO
 /// report, the alerts and the postmortem documents. With `poll_s`, the
 /// clock is also advanced every `poll_s` seconds before `until_s`, between
 /// and after the script's actions, before the drain. Returns the drained
-/// clock too.
-fn observe(wl: &Workload, poll_s: Option<f64>, until_s: f64) -> (f64, Vec<String>) {
+/// service too.
+fn observe(
+    wl: &Workload,
+    poll_s: Option<f64>,
+    until_s: f64,
+    watch: Watch,
+) -> (JobService, Vec<String>) {
     let cfg = ServiceConfig {
         obs: ObsConfig {
-            alerts: AlertRule::parse_list("misses: sum(service.deadline_missed) > 0").unwrap(),
-            flight_capacity: 4096,
+            alerts: AlertRule::parse_list(watch.alerts).unwrap(),
+            flight_capacity: watch.flight_capacity,
             ..ObsConfig::default()
         },
         ..ServiceConfig::default()
     };
-    let mut svc = JobService::new(cfg, wl.tenants.clone(), Telemetry::enabled());
+    let tel = if watch.telemetry {
+        Telemetry::enabled()
+    } else {
+        Telemetry::disabled()
+    };
+    let mut svc = JobService::new(cfg, wl.tenants.clone(), tel);
     let mut polled = 0.0;
     let mut poll_to = |svc: &mut JobService, t: f64| {
         while let Some(step) = poll_s.filter(|_| polled < t) {
@@ -876,7 +966,7 @@ fn observe(wl: &Workload, poll_s: Option<f64>, until_s: f64) -> (f64, Vec<String
         });
     }
     poll_to(&mut svc, until_s);
-    let drained_s = svc.drain();
+    svc.drain();
     for id in svc.job_ids() {
         let status = svc.poll(id).unwrap();
         seen.push(format!("{id} {status:?} {:?}", svc.outputs(id)));
@@ -893,29 +983,57 @@ fn observe(wl: &Workload, poll_s: Option<f64>, until_s: f64) -> (f64, Vec<String
             String::from_utf8(doc).unwrap()
         ));
     }
-    (drained_s, seen)
+    (svc, seen)
 }
 
 /// Passes step only as far as the clock is asked to go, so how often a
 /// caller polls changes nothing a caller sees: the demo workload and the
 /// chaos mixes, with an extra `advance_to` every 50 µs of simulated time,
 /// report the same statuses, outputs, tallies, alerts and postmortems.
+/// That holds as well when the flight window and the passes' captures
+/// are small enough to evict (8 spans), and, without alert rules, whether the caller's handle is
+/// enabled (the window reads it) or disabled (the window reads the
+/// service's own ring).
 #[test]
 fn polling_granularity_changes_nothing_observable() {
     let demo = gpmr::service::parse(DEMO).expect("demo parses");
+    let watch = |telemetry, alerts, flight_capacity| Watch {
+        telemetry,
+        alerts,
+        flight_capacity,
+    };
     for wl in [
         demo,
         chaos_workload(1),
         chaos_workload(7),
         chaos_workload(42),
     ] {
-        let (drained_s, plain) = observe(&wl, None, 0.0);
-        let (polled_drained_s, polled) = observe(&wl, Some(50e-6), drained_s);
-        assert_eq!(polled_drained_s, drained_s);
-        assert_eq!(plain.len(), polled.len());
-        for (a, b) in plain.iter().zip(&polled) {
-            assert!(a == b, "polling moved an observation:\n{a}\n---\n{b}");
+        let mut unalerted = Vec::new();
+        for w in [
+            watch(true, MISSES, 4096),
+            watch(true, MISSES, 8),
+            watch(true, "", 8),
+            watch(false, "", 8),
+        ] {
+            let (svc, plain) = observe(&wl, None, 0.0, w);
+            let (polled_svc, polled) = observe(&wl, Some(50e-6), svc.now(), w);
+            assert_eq!(polled_svc.now(), svc.now());
+            assert_eq!(plain.len(), polled.len());
+            for (a, b) in plain.iter().zip(&polled) {
+                assert!(a == b, "polling moved an observation:\n{a}\n---\n{b}");
+            }
+            if w.telemetry && w.flight_capacity == 8 {
+                let recorded = svc.telemetry().snapshot().spans.len();
+                assert!(recorded > 8, "the window evicts ({recorded} spans)");
+            }
+            if w.alerts.is_empty() {
+                unalerted.push(plain);
+            }
         }
+        assert!(
+            unalerted[0] == unalerted[1],
+            "the caller's handle moved an observation"
+        );
     }
 }
 

@@ -12,7 +12,7 @@ use gpmr::core::EngineTuning;
 use gpmr::primitives::SortConfig;
 use gpmr::telemetry::SpanKind;
 use gpmr_bench::loc::product_code;
-use Need::{Example, Oracle, Paper};
+use Need::{Example, Paper};
 use Text::{All, Code, CodeBefore};
 use Want::{Absent, Exactly, InEveryFile};
 
@@ -172,6 +172,11 @@ const RULES: &[Rule] = &[
     Rule { roots: &["crates/bench/src"], hits: |l| l.contains("powi("), example: "let d2 = (d as f64).powi(2);",
         reason: "one scale law: the harness names a `ScaleLaw` and raises no scale factor to a power itself",
         ..ABSENT },
+    Rule { roots: &["crates", "src"], text: Code, example: "emit(f.ring());",
+        hits: |l| any(l, &[".ring()", "splice_snapshot", "struct Splice", ".shifted("]),
+        reason: "one record per span: the service writes each span and sample once, into the recording a \
+            flight window reads, and a pass's capture records already placed (`Telemetry::placed`), so no \
+            dump mirrors, re-times or re-tracks a record", ..ABSENT },
 ];
 
 /// The files `rule` reads, relative to the package root.
@@ -251,9 +256,6 @@ fn the_tuning_structs_keep_their_fields() {
 enum Need {
     /// The example of that name (under `examples/`) calls it.
     Example(&'static str),
-    /// The test file compares the product against it, and it reads state
-    /// private to its crate, so it cannot move into the test.
-    Oracle(&'static str),
     /// It is the one way into a feature of the paper; the text names the
     /// paper's section.
     Paper(&'static str),
@@ -264,7 +266,6 @@ enum Need {
 const UNCALLED: &[(&str, Need)] = &[
     ("trace_json", Example("slo_observability")),
     ("table_bytes", Example("word_occurrence")),
-    ("snapshot_for", Oracle("tests/telemetry_export.rs")),
     ("with_reduce_chunk", Paper("the reduce-chunking callback (section 4.3): a reducer folds its value sets \
         in bounded kernels")),
     ("shared_alloc", Paper("block-shared memory, which KMC's kernel reads its centers from (section 5.3.4): \
@@ -400,7 +401,6 @@ fn every_product_pub_fn_has_a_product_caller_or_a_stated_need() {
         );
         let user = match need {
             Example(e) => format!("examples/{e}.rs"),
-            Oracle(t) => t.to_string(),
             Paper(feature) => {
                 assert!(
                     feature.contains("section "),

@@ -9,13 +9,14 @@
 //! * the Perfetto export passes the structural validator and the JSONL
 //!   stream round-trips losslessly;
 //! * a flight recorder's postmortems, assembled from fragments rendered
-//!   once and shared between dumps, equal the whole-snapshot export byte
-//!   for byte (a property over record/dump interleavings).
+//!   once and shared between dumps, equal the whole-snapshot export of
+//!   their window and capture byte for byte (a property over record/dump
+//!   interleavings).
 
 use gpmr::core::{run_job_instrumented, EngineTuning, JobTimings};
 use gpmr::prelude::*;
 use gpmr::sim_gpu::FaultPlan;
-use gpmr::telemetry::{export, FlightRecorder, Telemetry, TelemetrySnapshot};
+use gpmr::telemetry::{export, FlightRecorder, SpanRecord, Telemetry, TelemetrySnapshot};
 use gpmr_apps::sio::{self, sio_chunks};
 use proptest::prelude::*;
 
@@ -317,10 +318,11 @@ fn service_telemetry_has_tenant_tracks_queue_wait_and_valid_perfetto() {
     assert_eq!(other, None, "{shares:?}");
 }
 
-/// An engine-scoped recording to splice: its own zero-based clock, rank
-/// tracks, a parent recorded after its child, and a counter series.
-fn engine_recording(ranks: u32) -> TelemetrySnapshot {
-    let tel = Telemetry::enabled();
+/// An engine-scoped capture placed as the service places a pass: `at_s`
+/// later, `tracks` higher and under `label`. It has rank tracks, a parent
+/// recorded after its child, and a counter series.
+fn engine_capture(ranks: u32, at_s: f64, tracks: u32, label: &str) -> Telemetry {
+    let tel = Telemetry::enabled().placed(at_s, tracks, label);
     for r in 0..ranks {
         tel.set_track_name(r, &format!("rank {r}"));
         let parent = tel.reserve_span_id();
@@ -331,34 +333,62 @@ fn engine_recording(ranks: u32) -> TelemetrySnapshot {
         tel.span(r, "Chunk", 0.0, 0.5).id(parent).record();
         tel.sample(r, "queue_depth", 0.25, f64::from(r));
     }
-    tel.snapshot()
+    tel
+}
+
+/// The snapshot a dump is equivalent to: the newest `capacity` spans and
+/// samples of `recording`, then `capture`'s, with the capture's span ids
+/// numbered past the window's. The reference every postmortem's bytes
+/// must equal.
+fn snapshot_for(
+    recording: &Telemetry,
+    capacity: usize,
+    capture: Option<&Telemetry>,
+) -> TelemetrySnapshot {
+    let mut snap = recording.snapshot();
+    let older = |n: usize| n.saturating_sub(capacity);
+    snap.spans.drain(..older(snap.spans.len()));
+    snap.samples.drain(..older(snap.samples.len()));
+    if let Some(capture) = capture {
+        let extra = capture.snapshot();
+        let id_base = snap.spans.iter().map(|s| s.id).max().unwrap_or(0);
+        snap.spans
+            .extend(extra.spans.into_iter().map(|s| SpanRecord {
+                id: s.id + id_base,
+                parent: s.parent.map(|p| p + id_base),
+                ..s
+            }));
+        snap.samples.extend(extra.samples);
+        snap.tracks.extend(extra.tracks);
+    }
+    snap
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Whatever is recorded between dumps — fewer or more records than
-    /// the ring holds, spans and samples interleaved, timestamps tied and
-    /// out of order, explicit span ids above and below the automatic
-    /// ones, tracks named late or never, with and without a spliced
-    /// engine recording — every postmortem's assembled document is the
-    /// one `to_perfetto_json` writes for the equivalent snapshot, and
-    /// later dumps leave it that way.
+    /// the window or the recording holds, spans and samples interleaved,
+    /// timestamps tied and out of order, explicit span ids above and
+    /// below the automatic ones, tracks named late or never, with and
+    /// without a placed engine capture — every postmortem's assembled
+    /// document is the one `to_perfetto_json` writes for the equivalent
+    /// snapshot, and later dumps leave it that way.
     #[test]
     fn postmortems_equal_the_whole_snapshot_export(
         capacity in 1usize..20,
+        held in 1usize..40,
         ops in prop::collection::vec((0u8..10, 0u32..16, 0u32..5, 0u64..4000), 1..160),
     ) {
-        let mut fr = FlightRecorder::new(capacity);
-        let recordings = [engine_recording(2), engine_recording(4)];
+        let recording = Telemetry::with_capacity(held);
+        let mut fr = FlightRecorder::new(&recording, capacity);
         let mut written: Vec<String> = Vec::new();
         for (op, tick, track, x) in ops {
             // A coarse grid, so timestamps tie; -0.0 ties with 0.0.
             let t = if tick == 0 && x % 2 == 1 { -0.0 } else { f64::from(tick) * 0.125 };
             match op {
                 0..=3 => {
-                    let mut span = fr
-                        .ring()
+                    let mut span = recording
                         .span(track, ["Job", "QueueWait"][(x % 2) as usize], t, t + (x % 7) as f64 * 0.0625 - 0.125)
                         .name(format!("job{x} \"q\"\n"))
                         .attr("job", format!("job{x}"));
@@ -367,15 +397,14 @@ proptest! {
                     }
                     span.record();
                 }
-                4..=6 => fr.ring().sample(track, "service.queue_depth", t, (x % 9) as f64),
-                7 => fr.ring().set_track_name(track, &format!("tenant {x}")),
+                4..=6 => recording.sample(track, "service.queue_depth", t, (x % 9) as f64),
+                7 => recording.set_track_name(track, &format!("tenant {x}")),
                 _ => {
-                    let engine = (op == 9).then(|| {
-                        (&recordings[(x % 2) as usize], t, track + 1)
-                    });
                     let subject = format!("job{x}");
-                    let want = export::to_perfetto_json(&fr.snapshot_for(&subject, engine));
-                    let pm = fr.dump("deadline-missed", &subject, t, engine);
+                    let capture = (op == 9)
+                        .then(|| engine_capture(2 + 2 * (x % 2) as u32, t, track + 1, &subject));
+                    let want = export::to_perfetto_json(&snapshot_for(&recording, capacity, capture.as_ref()));
+                    let pm = fr.dump("deadline-missed", &subject, t, capture.as_ref());
                     prop_assert!(pm.trace_json() == want, "dump {} differs", pm.seq);
                     let mut bytes = Vec::new();
                     pm.write_trace(&mut bytes).expect("write to a Vec");
