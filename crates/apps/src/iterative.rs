@@ -76,11 +76,6 @@ impl KmcRounds {
             movement: Vec::new(),
         }
     }
-
-    /// The current (after a run: final) centers.
-    pub fn centers(&self) -> &[Point] {
-        &self.centers
-    }
 }
 
 impl RoundJob for KmcRounds {

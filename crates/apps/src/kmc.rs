@@ -45,11 +45,6 @@ impl KmcJob {
         KmcJob { centers }
     }
 
-    /// The centers.
-    pub fn centers(&self) -> &[Point] {
-        &self.centers
-    }
-
     /// Number of keys the job emits: `k * (DIMS + 1)` — per-dimension sums
     /// plus one count per center.
     pub fn key_count(&self) -> usize {

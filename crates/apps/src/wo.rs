@@ -76,11 +76,6 @@ impl WoJob {
         self
     }
 
-    /// The dictionary in use.
-    pub fn dictionary(&self) -> &Dictionary {
-        &self.dict
-    }
-
     /// The dictionary ids of the words starting within `range` of `text`,
     /// in text order: what one map block hands back. Words *starting* in
     /// the range belong to it; the last one may run past the range end.
@@ -372,7 +367,7 @@ mod tests {
         let dict = Arc::new(Dictionary::generate(10, 1));
         let job = WoJob::new(dict, 4).with_crossover(2);
         assert_eq!(job.pipeline().partition, PartitionMode::RoundRobin);
-        assert_eq!(job.dictionary().len(), 10);
+        assert_eq!(job.dict.len(), 10);
     }
 
     #[test]

@@ -123,11 +123,6 @@ pub const SCENARIOS: [PerfScenario; 11] = [
     },
 ];
 
-/// Scenario by name.
-pub fn scenario(name: &str) -> Option<PerfScenario> {
-    SCENARIOS.iter().copied().find(|s| s.name == name)
-}
-
 /// Run one scenario instrumented at the given inverse scale, returning its
 /// baseline record and the full analysis behind it. Inputs never shrink
 /// below 64 KiB, and WO reads the harness's shared dictionary.
@@ -184,9 +179,16 @@ pub fn record_suite(
 mod tests {
     use super::*;
 
+    fn scenario(name: &str) -> PerfScenario {
+        *SCENARIOS
+            .iter()
+            .find(|s| s.name == name)
+            .expect("a gate scenario")
+    }
+
     #[test]
     fn scenario_reruns_are_bit_identical() {
-        let sc = scenario("sio_4rank").unwrap();
+        let sc = scenario("sio_4rank");
         // A large scale keeps the test fast; determinism is scale-blind.
         let (a, _) = run_scenario(&sc, 2048);
         let (b, _) = run_scenario(&sc, 2048);
@@ -195,7 +197,7 @@ mod tests {
 
     #[test]
     fn stage_attribution_reconciles_with_makespan() {
-        let sc = scenario("wo_4rank").unwrap();
+        let sc = scenario("wo_4rank");
         let (baseline, analysis) = run_scenario(&sc, 2048);
         assert!(baseline.makespan_ns > 0);
         let stage_sum: u64 = baseline.stage_ns.values().sum();

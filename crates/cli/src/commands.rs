@@ -154,9 +154,9 @@ SERVE:
     journal), kill=R@T (fail-stop GPU R at T seconds into the job),
     deadline=D (cancel D seconds after submission), priority=P.
     --gpus GPUs per engine slot [default: 4; 1..=1024]; --engines
-    concurrent jobs [default: 2; 0..=1024]; --queue-depth admission limit
+    concurrent jobs [default: 2; 1..=1024]; --queue-depth admission limit
     [default: 64; 0..=1024]; --batch-window seconds [default: 0.05; >= 0];
-    --batch-max members [default: 4; 0..=1024]. Prints one line per action
+    --batch-max members [default: 4; 1..=1024]. Prints one line per action
     and per job, then tenant and service summaries, the per-tenant SLO
     report, and any alert and postmortem lines; per-tenant activity exports
     as separate Perfetto tracks via --trace-out/--events-out.
@@ -279,10 +279,10 @@ pub const JOURNAL: &[Flag] = &[
 /// The job service.
 pub const SERVICE: &[Flag] = &[
     flag("workload", Text),
-    flag("engines", Uint(0, SLOTS)),
+    flag("engines", Uint(1, SLOTS)),
     flag("queue-depth", Uint(0, SLOTS)),
     flag("batch-window", Float(Included(0.0), f64::INFINITY)),
-    flag("batch-max", Uint(0, SLOTS)),
+    flag("batch-max", Uint(1, SLOTS)),
     flag("slo-target", Float(Included(0.0), 1.0)),
     flag("alerts", Text),
 ];
@@ -845,7 +845,6 @@ fn service_cfg_from_args(args: &Args) -> Result<gpmr_service::ServiceConfig, Cli
             flight_capacity: if args.flag("flight-dir") { 4096 } else { 0 },
             slo: SloPolicy { deadline_target },
         },
-        ..default
     })
 }
 

@@ -35,33 +35,38 @@ use crate::stats::{JobTimings, StageTimes};
 use crate::types::KvSet;
 use crate::Chunk;
 
-/// Engine policy knobs: scheduler behaviour and fixed-cost calibration.
+/// CPU-side scheduler overhead charged per chunk dequeue (queue
+/// management, callback dispatch), in seconds.
+pub const SCHED_OVERHEAD_S: f64 = 30.0e-6;
+/// One-time job setup (context creation, scheduler initialization),
+/// charged before the first chunk on every rank, in seconds.
+pub const SETUP_BASE_S: f64 = 0.5e-3;
+/// Per-rank share of cluster-wide job setup (MPI-style collective startup
+/// and the final barrier grow with the communicator size), in seconds.
+/// Together with the base cost this is the paper's "GPMR internal /
+/// scheduler" floor that erodes efficiency at 64 GPUs on light jobs.
+pub const SETUP_PER_RANK_S: f64 = 0.25e-3;
+/// How many times a failing fabric transfer is retried (with capped
+/// exponential backoff) before the job aborts with
+/// [`EngineError::TransferFailed`].
+pub const MAX_TRANSFER_RETRIES: u32 = 8;
+/// First retry backoff of a failing fabric transfer, in seconds; each
+/// further retry doubles it.
+const RETRY_BACKOFF_BASE_S: f64 = 50.0e-6;
+/// Ceiling on the exponential backoff, in seconds.
+const RETRY_BACKOFF_CAP_S: f64 = 5.0e-3;
+
+/// Engine policy knobs: the scheduler and the upload path.
 ///
-/// These are *software* parameters (the hardware lives in the cluster);
-/// the defaults reproduce the paper's measured overheads. Research uses:
-/// disable stealing to measure what the dynamic scheduler buys, or zero
-/// the overheads to see the ideal-software ceiling.
+/// These are *software* parameters (the hardware lives in the cluster).
+/// The engine's fixed costs are not settings: they are the constants
+/// above, which reproduce the paper's measured overheads. Research use:
+/// disable stealing to measure what the dynamic scheduler buys.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EngineTuning {
     /// Dynamic load balancing: idle ranks steal chunks from loaded queues
     /// (paper §4.1). Off = static round-robin assignment only.
     pub allow_stealing: bool,
-    /// CPU-side scheduler overhead charged per chunk dequeue (queue
-    /// management, callback dispatch), in seconds.
-    pub sched_overhead_s: f64,
-    /// One-time job setup (context creation, scheduler initialization),
-    /// charged before the first chunk on every rank, in seconds.
-    pub setup_base_s: f64,
-    /// Per-rank share of cluster-wide job setup (MPI-style collective
-    /// startup and the final barrier grow with the communicator size), in
-    /// seconds. Together with the base cost this is the paper's "GPMR
-    /// internal / scheduler" floor that erodes efficiency at 64 GPUs on
-    /// light jobs.
-    pub setup_per_rank_s: f64,
-    /// How many times a failing fabric transfer is retried (with capped
-    /// exponential backoff) before the job aborts with
-    /// [`EngineError::TransferFailed`].
-    pub max_transfer_retries: u32,
     /// Depth of the chunk upload pipeline: how many chunk staging buffers
     /// each rank keeps resident. `1` serializes upload behind the previous
     /// map (no overlap), `2` is the classic double buffer, and deeper
@@ -84,10 +89,6 @@ impl Default for EngineTuning {
     fn default() -> Self {
         EngineTuning {
             allow_stealing: true,
-            sched_overhead_s: 30.0e-6,
-            setup_base_s: 0.5e-3,
-            setup_per_rank_s: 0.25e-3,
-            max_transfer_retries: 8,
             pipeline_depth: 4,
             gpu_direct: false,
         }
@@ -228,7 +229,7 @@ impl<K: crate::types::Key, V: crate::types::Value, C> RankState<K, V, C> {
 /// telemetry off, no journal, every input uploaded.
 #[derive(Default)]
 pub struct RunOpts<'j> {
-    /// Scheduler policy and overhead calibration.
+    /// Scheduler policy and the upload path.
     pub tuning: EngineTuning,
     /// Where chunk and stage spans, queue-depth samples and `engine.*`
     /// counters go; the cluster's devices and fabric are attached for
@@ -638,14 +639,13 @@ impl<J: GpmrJob> Run<J> {
             }
         })?;
         let queues = WorkQueues::distribute_on(ids, ranks, &reducers);
-        let setup =
-            SimTime::from_secs(tuning.setup_base_s + tuning.setup_per_rank_s * f64::from(ranks));
+        let setup = SimTime::from_secs(SETUP_BASE_S + SETUP_PER_RANK_S * f64::from(ranks));
         // Uploads are host-driven DMA enqueues: with a pipelined engine they
         // start once the local context exists (base setup), overlapping the
         // cluster-wide collective startup. Kernels still wait for full setup
         // (`compute_ready`). Depth 1 keeps the legacy serialized start.
         let upload_ready = if depth >= 2 {
-            SimTime::from_secs(tuning.setup_base_s)
+            SimTime::from_secs(SETUP_BASE_S)
         } else {
             setup
         };
@@ -656,7 +656,7 @@ impl<J: GpmrJob> Run<J> {
                     None => (upload_ready, setup),
                     // Elastic adds pay only their local context creation, starting
                     // at the join instant; the collective already happened.
-                    Some(join) => (join, join + SimDuration::from_secs(tuning.setup_base_s)),
+                    Some(join) => (join, join + SimDuration::from_secs(SETUP_BASE_S)),
                 };
                 RankState::new(cursor, setup_end, plan.as_ref(), r)
             })
@@ -851,7 +851,7 @@ impl<J: GpmrJob> Run<J> {
             return Ok(());
         };
 
-        self.st[ri].cursor += SimDuration::from_secs(self.tuning.sched_overhead_s);
+        self.st[ri].cursor += SimDuration::from_secs(SCHED_OVERHEAD_S);
         let cursor = self.st[ri].cursor;
         cx.journal(&self.tel, r, cursor, || JournalRecord::ChunkDispatch {
             chunk_id,
@@ -1102,12 +1102,6 @@ impl<J: GpmrJob> Run<J> {
         }
     }
 
-    /// First retry backoff of [`Run::transfer`], in seconds; each further
-    /// retry doubles it.
-    const RETRY_BACKOFF_BASE_S: f64 = 50.0e-6;
-    /// Ceiling on the exponential backoff, in seconds.
-    const RETRY_BACKOFF_CAP_S: f64 = 5.0e-3;
-
     /// Time a transfer through the fabric, retrying plan-injected failures
     /// with capped exponential backoff. Returns the arrival instant at
     /// `to`, or [`EngineError::TransferFailed`] once the retry budget is
@@ -1120,7 +1114,6 @@ impl<J: GpmrJob> Run<J> {
         mut ready: SimTime,
         bytes: u64,
     ) -> EngineResult<SimTime> {
-        let tuning = &self.tuning;
         let mut attempt = 0u32;
         loop {
             match cx
@@ -1132,12 +1125,12 @@ impl<J: GpmrJob> Run<J> {
                 Err(fault) => {
                     attempt += 1;
                     self.tel.retries.inc();
-                    if attempt > tuning.max_transfer_retries {
+                    if attempt > MAX_TRANSFER_RETRIES {
                         return Err(EngineError::TransferFailed { attempt, fault });
                     }
                     let backoff = SimDuration::from_secs(
-                        (Self::RETRY_BACKOFF_BASE_S * f64::from(1u32 << (attempt - 1).min(31)))
-                            .min(Self::RETRY_BACKOFF_CAP_S),
+                        (RETRY_BACKOFF_BASE_S * f64::from(1u32 << (attempt - 1).min(31)))
+                            .min(RETRY_BACKOFF_CAP_S),
                     );
                     self.tel
                         .event(from, SpanKind::Retry, ready, ready + backoff, || {

@@ -36,7 +36,7 @@ pub enum EngineError {
         rank: u32,
     },
     /// A fabric transfer kept failing past the engine's retry budget
-    /// (`EngineTuning::max_transfer_retries`).
+    /// ([`MAX_TRANSFER_RETRIES`](crate::MAX_TRANSFER_RETRIES)).
     TransferFailed {
         /// Number of attempts made (initial try plus retries).
         attempt: u32,

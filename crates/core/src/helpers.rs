@@ -30,28 +30,9 @@ pub fn split_buckets<K: Key + RadixKey, V: Value>(
     ranks: u32,
     route: impl Fn(&K) -> u32,
 ) -> Vec<KvSet<K, V>> {
-    split_buckets_bounded(pairs, ranks, route)
-        .into_iter()
-        .map(|(bucket, _)| bucket)
-        .collect()
-}
-
-/// [`split_buckets`], additionally returning each bucket's maximum key
-/// radix (0 for an empty bucket). The partition pass reads every key to
-/// route it, so the bound is free — receivers use it to size their radix
-/// sorts without paying a max-radix reduction.
-pub fn split_buckets_bounded<K: Key + RadixKey, V: Value>(
-    pairs: KvSet<K, V>,
-    ranks: u32,
-    route: impl Fn(&K) -> u32,
-) -> Vec<(KvSet<K, V>, u64)> {
     let mut buckets: Vec<KvSet<K, V>> = (0..ranks).map(|_| KvSet::new()).collect();
-    let routed = route_into(&pairs, route, &mut buckets, &mut RouteScratch::default());
+    route_into(&pairs, route, &mut buckets, &mut RouteScratch::default());
     buckets
-        .into_iter()
-        .zip(routed)
-        .map(|(bucket, (_, bound))| (bucket, bound))
-        .collect()
 }
 
 /// The per-pair destinations of one [`route_into`] call, kept by the
@@ -206,9 +187,10 @@ mod tests {
         // beyond; a truncated 300 would land in bucket 44.
         for ranks in [255u32, 256, 257, 300, 70_000] {
             let pairs: KvSet<u32, u32> = (0..3 * ranks).map(|i| (i, !i)).collect();
-            let buckets = split_buckets_bounded(pairs, ranks, |k| k % ranks);
-            assert_eq!(buckets.len(), ranks as usize);
-            for (r, (b, bound)) in buckets.iter().enumerate() {
+            let mut buckets = vec![KvSet::new(); ranks as usize];
+            let mut scratch = RouteScratch::default();
+            let routed = route_into(&pairs, |k| k % ranks, &mut buckets, &mut scratch);
+            for (r, (b, (_, bound))) in buckets.iter().zip(&routed).enumerate() {
                 let r = r as u32;
                 assert_eq!(b.keys, [r, r + ranks, r + 2 * ranks], "{ranks} ranks");
                 assert!(b.iter().all(|(k, v)| *v == !*k));

@@ -410,15 +410,6 @@ impl Journal {
         })
     }
 
-    /// Decode the valid record prefix of the journal at `path`, returning
-    /// the records and the byte offset of every record boundary (starting
-    /// at 0, ending at the valid prefix length). The crash-point test
-    /// matrix truncates at exactly these offsets.
-    pub fn scan(path: impl AsRef<Path>) -> JournalResult<(Vec<JournalRecord>, Vec<u64>)> {
-        let bytes = std::fs::read(path.as_ref())?;
-        Ok(scan_bytes(&bytes))
-    }
-
     /// Verify (in replay mode) or append one record. Appends are buffered;
     /// the buffer is flushed every `checkpoint_every` records and at every
     /// record the table marks `barrier: true`.
@@ -621,7 +612,7 @@ mod tests {
             j.record(&rec).unwrap();
         }
         j.flush().unwrap();
-        let (records, offsets) = Journal::scan(&path).unwrap();
+        let (records, offsets) = scan_bytes(&std::fs::read(&path).unwrap());
         assert_eq!(records, sample_records());
         assert_eq!(offsets.len(), records.len() + 1);
         assert_eq!(offsets[0], 0);
@@ -647,7 +638,7 @@ mod tests {
             j.record(&JournalRecord::GpuLost { rank: 0 }).unwrap(),
             RecordOutcome::Flushed
         );
-        let (records, _) = Journal::scan(&path).unwrap();
+        let (records, _) = scan_bytes(&std::fs::read(&path).unwrap());
         assert_eq!(records.len(), 2);
         assert_eq!(j.flushes(), 1);
         std::fs::remove_file(&path).ok();
@@ -724,7 +715,7 @@ mod tests {
         assert_eq!(j2.record(&recs[3]).unwrap(), RecordOutcome::Flushed);
         assert_eq!(j2.replayed(), 3);
         assert_eq!(j2.appended(), 1);
-        let (records, _) = Journal::scan(&path).unwrap();
+        let (records, _) = scan_bytes(&std::fs::read(&path).unwrap());
         assert_eq!(records, recs[..4].to_vec());
         std::fs::remove_file(&path).ok();
     }

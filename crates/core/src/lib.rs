@@ -112,7 +112,7 @@ pub mod types;
 pub use chunk::{Chunk, SliceChunk};
 pub use engine::{
     run_job, run_job_instrumented, run_job_journaled, run_job_with, EngineTuning, JobResult, Run,
-    RunOpts,
+    RunOpts, MAX_TRANSFER_RETRIES, SCHED_OVERHEAD_S, SETUP_BASE_S, SETUP_PER_RANK_S,
 };
 pub use error::{EngineError, EngineResult};
 pub use job::{

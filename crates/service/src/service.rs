@@ -64,7 +64,8 @@ const DICT_CACHE_WORDS: usize = MAX_DICT_WORDS;
 pub struct ServiceConfig {
     /// GPUs per engine slot (every job sees a cluster of this size).
     pub gpus: u32,
-    /// Engine-pool size: jobs running concurrently.
+    /// Engine-pool size: jobs running concurrently. [`JobService::new`]
+    /// runs at least one engine (`engines.max(1)`).
     pub engines: usize,
     /// Maximum queued (admitted, not yet running) jobs; submissions
     /// beyond this are rejected with [`RejectReason::QueueFull`].
@@ -74,8 +75,6 @@ pub struct ServiceConfig {
     pub batch_window_s: f64,
     /// Maximum members in one batched pass.
     pub batch_max: usize,
-    /// Engine tuning shared by every pass.
-    pub tuning: EngineTuning,
     /// Continuous-observability layer: time series, alerts, SLO policy,
     /// flight recorder.
     pub obs: ObsConfig,
@@ -89,7 +88,6 @@ impl Default for ServiceConfig {
             max_queue_depth: 64,
             batch_window_s: 0.05,
             batch_max: 4,
-            tuning: EngineTuning::default(),
             obs: ObsConfig::default(),
         }
     }
@@ -100,12 +98,12 @@ const WINDOW_S: f64 = 1.0;
 /// Ring buckets per window (the time resolution of windowed queries).
 const RESOLUTION: usize = 20;
 
-/// Observability configuration. The windowed time-series layer (and with
-/// it the alert engine) is active only when the service's [`Telemetry`]
-/// handle is enabled — disabled telemetry keeps the pre-observability
-/// fast path bit-for-bit. The flight recorder works regardless: with the
-/// handle disabled, the service records its spans and samples into a
-/// ring of its own.
+/// Observability configuration. The windowed time-series store and the
+/// alert engine that reads it exist only when there are alert rules and
+/// the service's [`Telemetry`] handle is enabled — otherwise no event
+/// boundary snapshots the registry. The flight recorder works
+/// regardless: with the handle disabled, the service records its spans
+/// and samples into a ring of its own.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ObsConfig {
     /// Alert rules evaluated at every event boundary.
@@ -322,8 +320,8 @@ pub struct JobService {
     /// `batched_jobs`.
     stats: ServiceStats,
     slo: SloAccountant,
-    ts: Option<TimeSeriesStore>,
-    alert_eng: Option<AlertEngine>,
+    /// The windowed series the alert rules read, and the rules' engine.
+    alerting: Option<(TimeSeriesStore, AlertEngine)>,
     flight: Option<FlightRecorder>,
 }
 
@@ -358,11 +356,12 @@ impl JobService {
         rec.set_track_name(service_track, "service");
         let names: Vec<String> = tenants.iter().map(|t| t.cfg.name.clone()).collect();
         let slo = SloAccountant::new(cfg.obs.slo, &names);
-        let ts = tel
-            .is_enabled()
-            .then(|| TimeSeriesStore::new(WINDOW_S, RESOLUTION));
-        let alert_eng = (ts.is_some() && !cfg.obs.alerts.is_empty())
-            .then(|| AlertEngine::new(cfg.obs.alerts.clone()));
+        let alerting = (tel.is_enabled() && !cfg.obs.alerts.is_empty()).then(|| {
+            (
+                TimeSeriesStore::new(WINDOW_S, RESOLUTION),
+                AlertEngine::new(cfg.obs.alerts.clone()),
+            )
+        });
         let flight = (cfg.obs.flight_capacity > 0)
             .then(|| FlightRecorder::new(&rec, cfg.obs.flight_capacity));
         JobService {
@@ -380,8 +379,7 @@ impl JobService {
             service_track,
             stats: ServiceStats::default(),
             slo,
-            ts,
-            alert_eng,
+            alerting,
             flight,
         }
     }
@@ -435,7 +433,7 @@ impl JobService {
 
     /// Alerts fired so far, in firing order (empty when no rules).
     pub fn alerts(&self) -> &[Alert] {
-        self.alert_eng.as_ref().map_or(&[], AlertEngine::fired)
+        self.alerting.as_ref().map_or(&[], |(_, eng)| eng.fired())
     }
 
     /// Postmortem traces dumped so far (empty when the flight recorder
@@ -444,11 +442,6 @@ impl JobService {
         self.flight
             .as_ref()
             .map_or(&[], FlightRecorder::postmortems)
-    }
-
-    /// The windowed time-series store, when observability is active.
-    pub fn timeseries(&self) -> Option<&TimeSeriesStore> {
-        self.ts.as_ref()
     }
 
     /// Submit a job. Always returns an id; rejected submissions surface
@@ -551,15 +544,7 @@ impl JobService {
     /// Advance the clock to `t`, replaying completion and deadline events
     /// in time order.
     pub fn advance_to(&mut self, t: f64) {
-        while let Some((te, ev)) = self.next_event_at_or_before(t) {
-            self.now = self.now.max(te);
-            self.handle(ev);
-            // Sample at every event boundary, not just on transitions:
-            // the queue-depth series must integrate to the total queue
-            // wait (Little's law) rather than going stale between events.
-            self.sample_queue_depth();
-            self.observe_boundary();
-        }
+        self.replay_through(t);
         self.now = self.now.max(t);
     }
 
@@ -568,12 +553,7 @@ impl JobService {
     /// cap stay `Queued` (they are reported, not dropped). Returns the
     /// final clock.
     pub fn drain(&mut self) -> f64 {
-        while let Some((te, ev)) = self.next_event_at_or_before(f64::INFINITY) {
-            self.now = self.now.max(te);
-            self.handle(ev);
-            self.sample_queue_depth();
-            self.observe_boundary();
-        }
+        self.replay_through(f64::INFINITY);
         self.now
     }
 
@@ -598,7 +578,7 @@ impl JobService {
         }
         // The engine's ChunkTooLarge staging formula, against the
         // tenant's memory share instead of raw capacity.
-        let slots = self.cfg.tuning.staging_slots();
+        let slots = EngineTuning::default().staging_slots();
         let budget_bytes =
             (GpuSpec::gt200().mem_capacity as f64 * tenant.cfg.mem_share.clamp(0.0, 1.0)) as u64;
         let chunk_bytes = spec.kind.chunk_bytes();
@@ -620,6 +600,20 @@ impl JobService {
     }
 
     // --- event loop ------------------------------------------------------
+
+    /// Replay every completion and deadline event at or before `t` in
+    /// time order, moving the clock to each.
+    fn replay_through(&mut self, t: f64) {
+        while let Some((te, ev)) = self.next_event_at_or_before(t) {
+            self.now = self.now.max(te);
+            self.handle(ev);
+            // Sample at every event boundary, not just on transitions:
+            // the queue-depth series must integrate to the total queue
+            // wait (Little's law) rather than going stale between events.
+            self.sample_queue_depth();
+            self.observe_boundary();
+        }
+    }
 
     /// Earliest pending event at or before `t`, once every live pass has
     /// stepped to `t` (a solo pass no further than its job's deadline, the
@@ -899,7 +893,7 @@ impl JobService {
         members: &[JobId],
         tel: &Telemetry,
     ) -> EngineResult<Box<dyn LiveRun>> {
-        let (cluster, gpus, tuning) = (&mut self.clusters[slot], self.cfg.gpus, &self.cfg.tuning);
+        let (cluster, gpus) = (&mut self.clusters[slot], self.cfg.gpus);
         let spec = |id: &JobId| &self.jobs[(id.0 - 1) as usize].spec;
         let [id] = members else {
             let mut all = Vec::new();
@@ -912,7 +906,7 @@ impl JobService {
             }
             cluster.set_fault_plan(None);
             let split = |o: Vec<_>, n| split_outputs(&o, n);
-            return live(cluster, SioBatchJob, all, tuning, tel, false, split);
+            return live(cluster, SioBatchJob, all, tel, false, split);
         };
         let spec = spec(id);
         let mut plan: Option<FaultPlan> = None;
@@ -928,7 +922,7 @@ impl JobService {
             JobKind::Sio { n, seed, chunk_kb } => {
                 let chunks = sio_chunks(&generate_integers(n, seed), chunk_kb * 1024);
                 let job = SioJob::default();
-                live(cluster, job, chunks, tuning, tel, spec.journal, solo)
+                live(cluster, job, chunks, tel, spec.journal, solo)
             }
             JobKind::Wo {
                 bytes,
@@ -940,7 +934,7 @@ impl JobService {
                 let text = generate_text(&dict, bytes, second_seed(seed));
                 let chunks = chunk_text(&text, chunk_kb * 1024);
                 let job = WoJob::new(dict, gpus);
-                live(cluster, job, chunks, tuning, tel, spec.journal, solo)
+                live(cluster, job, chunks, tel, spec.journal, solo)
             }
         }
     }
@@ -1011,15 +1005,12 @@ impl JobService {
     /// each replayed completion/deadline event), so windows and alert
     /// firings are a deterministic function of the virtual clock.
     fn observe_boundary(&mut self) {
-        let Some(ts) = &mut self.ts else {
+        let Some((ts, eng)) = &mut self.alerting else {
             return;
         };
         if let Some(reg) = self.tel.registry() {
             ts.collect(self.now, &reg.snapshot());
         }
-        let Some(eng) = &mut self.alert_eng else {
-            return;
-        };
         for alert in eng.eval(self.now, ts) {
             if let Some(f) = &mut self.flight {
                 f.dump("alert", &alert.rule, alert.at_s, None);
@@ -1153,14 +1144,12 @@ fn live<J: GpmrJob + 'static>(
     cluster: &mut Cluster,
     job: J,
     chunks: Vec<J::Chunk>,
-    tuning: &EngineTuning,
     tel: &Telemetry,
     journaled: bool,
     split: Split<J::Key, J::Value>,
 ) -> EngineResult<Box<dyn LiveRun>> {
     let mut journal = journaled.then(Scratch::create).transpose()?;
     let mut opts = RunOpts {
-        tuning: *tuning,
         tel: tel.clone(),
         journal: journal.as_mut().map(|s| &mut s.0),
         ..RunOpts::default()

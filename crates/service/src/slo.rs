@@ -159,11 +159,6 @@ impl SloAccountant {
         }
     }
 
-    /// The active policy.
-    pub fn policy(&self) -> &SloPolicy {
-        &self.policy
-    }
-
     /// A tenant's tallies, by index.
     pub fn tenant(&self, ix: usize) -> Option<&TenantSlo> {
         self.tenants.get(ix)
@@ -569,7 +564,7 @@ mod tests {
         );
         let t = acc.tenant(0).unwrap();
         // 2 of 10 missed against a 10% allowance: budget exactly spent ×2.
-        assert!((t.budget_burn(acc.policy()) - 2.0).abs() < 1e-12);
+        assert!((t.budget_burn(&acc.policy) - 2.0).abs() < 1e-12);
         let report = acc.report(1.0);
         assert!(report.render_text().contains("budget=violated"));
         let zero_allow = SloPolicy {

@@ -300,22 +300,17 @@ pub fn run(wl: &Workload, cfg: ServiceConfig, tel: Telemetry) -> (JobService, Ve
             svc.tenant_running(&t.name).unwrap_or(0),
         ));
     }
-    let by_word = |word: &str| {
-        svc.job_ids()
-            .filter(|&id| svc.poll(id).map(|s| s.word() == word).unwrap_or(false))
-            .count()
-    };
     let stats = svc.stats();
     lines.push(format!(
         "service passes={} batches={} batched_jobs={} completed={} cancelled={} deadline_missed={} failed={} rejected={} queued={} final_t={:.6}",
         stats.cluster_passes,
         stats.batches_formed,
         stats.batched_jobs,
-        by_word("completed"),
-        by_word("cancelled"),
-        by_word("deadline-missed"),
-        by_word("failed"),
-        by_word("rejected"),
+        stats.completed,
+        stats.cancelled,
+        stats.deadline_missed,
+        stats.failed,
+        stats.rejected,
         svc.queue_depth(),
         final_t,
     ));

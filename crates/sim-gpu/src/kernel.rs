@@ -113,16 +113,6 @@ impl<'a> BlockCtx<'a> {
         }
     }
 
-    /// SIMD width of a warp on this device.
-    pub fn warp_size(&self) -> u32 {
-        self.spec.warp_size
-    }
-
-    /// Number of warps in this block.
-    pub fn warps_per_block(&self) -> u32 {
-        self.block_threads.div_ceil(self.spec.warp_size)
-    }
-
     /// Device description (for kernels that adapt to hardware, e.g. the
     /// paper's K-Means choosing per-block pools when FP atomics are
     /// missing).

@@ -68,14 +68,6 @@ impl PcieLink {
         }
     }
 
-    /// Instant after which direction `dir` is idle.
-    pub fn free_at(&self, dir: Direction) -> SimTime {
-        match dir {
-            Direction::HostToDevice => self.h2d.free_at(),
-            Direction::DeviceToHost => self.d2h.free_at(),
-        }
-    }
-
     /// Total busy time across both directions.
     pub fn busy_time(&self) -> SimDuration {
         self.h2d.busy_time() + self.d2h.busy_time()
@@ -102,11 +94,6 @@ impl SharedLink {
     /// Reserve a transfer; see [`PcieLink::transfer`].
     pub fn transfer(&self, dir: Direction, at: SimTime, bytes: u64) -> Reservation {
         self.0.lock().unwrap().transfer(dir, at, bytes)
-    }
-
-    /// See [`PcieLink::free_at`].
-    pub fn free_at(&self, dir: Direction) -> SimTime {
-        self.0.lock().unwrap().free_at(dir)
     }
 
     /// See [`PcieLink::busy_time`].
@@ -153,7 +140,7 @@ mod tests {
         let a = link.transfer(Direction::HostToDevice, SimTime::ZERO, 1 << 20);
         let b = link.transfer(Direction::HostToDevice, SimTime::ZERO, 1 << 20);
         assert_eq!(b.start, a.end);
-        assert_eq!(link.free_at(Direction::HostToDevice), b.end);
+        assert_eq!(link.h2d.free_at(), b.end);
     }
 
     #[test]

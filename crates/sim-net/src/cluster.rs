@@ -82,11 +82,6 @@ impl Cluster {
         self.fabric.fault_plan()
     }
 
-    /// The cluster shape.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
     /// Number of ranks (GPUs).
     pub fn size(&self) -> u32 {
         self.topology.total_gpus
@@ -145,7 +140,7 @@ mod tests {
     fn cluster_builds_all_ranks() {
         let mut c = Cluster::accelerator(8, GpuSpec::gt200());
         assert_eq!(c.size(), 8);
-        assert_eq!(c.topology().nodes, 2);
+        assert_eq!(c.topology.nodes, 2);
         assert_eq!(c.gpu(7).spec.sm_count, 30);
     }
 

@@ -17,7 +17,6 @@
 /// assert_eq!(t.nodes, 3);
 /// assert_eq!(t.node_of(9), 2);
 /// assert!(t.same_node(4, 7));
-/// assert_eq!(t.imbalance(), 2); // last node only half used
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Topology {
@@ -90,16 +89,6 @@ impl Topology {
     pub fn ranks(&self) -> impl Iterator<Item = u32> {
         0..self.total_gpus
     }
-
-    /// Number of ranks on the busiest node minus the emptiest used node —
-    /// nonzero when a run does not fill nodes evenly.
-    pub fn imbalance(&self) -> u32 {
-        if self.total_gpus.is_multiple_of(self.gpus_per_node) || self.nodes == 1 {
-            0
-        } else {
-            self.gpus_per_node - self.total_gpus % self.gpus_per_node
-        }
-    }
 }
 
 #[cfg(test)]
@@ -111,13 +100,11 @@ mod tests {
         let t = Topology::accelerator(64);
         assert_eq!(t.nodes, 16);
         assert_eq!(t.total_gpus, 64);
-        assert_eq!(t.imbalance(), 0);
 
         let t = Topology::accelerator(6);
         assert_eq!(t.nodes, 2);
         assert_eq!(t.node_of(5), 1);
         assert_eq!(t.local_of(5), 1);
-        assert_eq!(t.imbalance(), 2);
     }
 
     #[test]
@@ -152,6 +139,5 @@ mod tests {
         let t = Topology::accelerator(1);
         assert_eq!(t.nodes, 1);
         assert_eq!(t.total_gpus, 1);
-        assert_eq!(t.imbalance(), 0);
     }
 }

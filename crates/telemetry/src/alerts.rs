@@ -257,11 +257,6 @@ impl AlertEngine {
         }
     }
 
-    /// The rule set.
-    pub fn rules(&self) -> &[AlertRule] {
-        &self.rules
-    }
-
     /// Every alert fired so far, in firing order.
     pub fn fired(&self) -> &[Alert] {
         &self.fired

@@ -193,6 +193,21 @@ fn a_fault_event_outside_the_cluster_is_refused() {
     dispatch(line.split(' ')).unwrap_or_else(|e| panic!("{line}: {e}"));
 }
 
+/// `serve --engines 0` ran one engine and `serve --batch-max 0` batched
+/// as `--batch-max 1`: each printed, byte for byte, what the value 1
+/// prints. Both ranges start at 1, so 0 is refused naming the flag.
+#[test]
+fn serve_refuses_zero_engines_and_zero_batch_members() {
+    for flag in ["engines", "batch-max"] {
+        let line = format!("serve --workload {WL} --{flag} 0");
+        let err = dispatch(line.split(' ')).expect_err(&line).to_string();
+        let refusal = format!("--{flag} must be in 1..=1024");
+        assert!(err.starts_with(&refusal), "{line}: {err}");
+        let line = format!("serve --workload {WL} --{flag} 1");
+        dispatch(line.split(' ')).unwrap_or_else(|e| panic!("{line}: {e}"));
+    }
+}
+
 /// The five generic subcommands shared one accepted-flag list, so each
 /// took — and ignored — every flag another one read: 96 (subcommand,
 /// flag) pairs (`info --zipf 2`, `kmeans --fault-seed 3`, `serve --seed 9
@@ -294,7 +309,7 @@ fn no_numeric_flag_value_panics_any_command() {
     // a range does.
     assert_eq!(
         (reports, refusals),
-        (97, 191),
+        (95, 193),
         "{reports} reports, {refusals} refusals"
     );
 }

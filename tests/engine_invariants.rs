@@ -256,29 +256,6 @@ fn dynamic_scheduling_beats_static_on_skewed_work() {
 }
 
 #[test]
-fn zeroed_overheads_form_the_software_ceiling() {
-    use gpmr::core::{run_job_with, EngineTuning, RunOpts};
-    let data = generate_integers(100_000, 32);
-    let chunks = sio_chunks(&data, 16 * 1024);
-    let ideal = EngineTuning {
-        sched_overhead_s: 0.0,
-        setup_base_s: 0.0,
-        setup_per_rank_s: 0.0,
-        ..EngineTuning::default()
-    };
-    let mut c1 = Cluster::accelerator(8, GpuSpec::gt200());
-    let real = run_job(&mut c1, &SioJob::default(), chunks.clone()).unwrap();
-    let mut c2 = Cluster::accelerator(8, GpuSpec::gt200());
-    let opts = RunOpts {
-        tuning: ideal,
-        ..RunOpts::default()
-    };
-    let ceiling = run_job_with(&mut c2, &SioJob::default(), chunks, opts).unwrap();
-    assert_eq!(real.merged_output(), ceiling.merged_output());
-    assert!(ceiling.total_time().as_secs() < real.total_time().as_secs());
-}
-
-#[test]
 fn more_ranks_than_chunks_leaves_idle_ranks_harmless() {
     let data = generate_integers(6_000, 41);
     // Three chunks on a 16-GPU cluster: 13 ranks never map anything.

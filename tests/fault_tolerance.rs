@@ -17,6 +17,7 @@ use gpmr::apps::mm::run_mm_auto;
 use gpmr::apps::{text, wo};
 use gpmr::core::{
     run_job, run_job_instrumented, EngineError, EngineResult, EngineTuning, JobResult, JobTimings,
+    MAX_TRANSFER_RETRIES,
 };
 use gpmr::prelude::*;
 use gpmr::sim_gpu::{FaultEvent, FaultPlan};
@@ -197,7 +198,7 @@ fn transient_transfer_failures_retry_and_converge() {
 #[test]
 fn permanent_transfer_failure_aborts_with_source_chain() {
     // More consecutive failures than the engine will ever retry.
-    let budget = EngineTuning::default().max_transfer_retries;
+    let budget = MAX_TRANSFER_RETRIES;
     let plan = FaultPlan::new().transfer_fail(Some(0), Some(1), 0.0, f64::INFINITY, budget + 100);
 
     let data = sio_data();

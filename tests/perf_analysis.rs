@@ -14,11 +14,20 @@ use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use gpmr::telemetry::json;
+use gpmr_bench::perf::{PerfScenario, SCENARIOS};
 use gpmr_cli::dispatch;
 use gpmr_telemetry::baseline::{diff_sets, BaselineSet, Verdict};
 
 fn run(tokens: &[&str]) -> Result<String, gpmr_cli::CliError> {
     dispatch(tokens.iter().copied())
+}
+
+/// The gate's 4-rank SIO scenario.
+fn sio_4rank() -> PerfScenario {
+    *SCENARIOS
+        .iter()
+        .find(|s| s.name == "sio_4rank")
+        .expect("a gate scenario")
 }
 
 /// The recording of an 8-rank SIO run with six forced transfer failures.
@@ -96,7 +105,7 @@ fn critical_path_attribution_reconciles_with_makespan() {
 #[test]
 fn perf_gate_fails_on_regression_and_passes_on_identical() {
     // One real scenario measurement stands in for the committed baseline.
-    let sc = gpmr_bench::perf::scenario("sio_4rank").unwrap();
+    let sc = sio_4rank();
     let (baseline, _) = gpmr_bench::perf::run_scenario(&sc, 4096);
 
     let set = |b| BaselineSet {
@@ -153,7 +162,7 @@ fn perf_gate_fails_on_regression_and_passes_on_identical() {
 /// improved -49.9%").
 #[test]
 fn a_diff_across_scales_fails_and_names_both_scales() {
-    let sc = gpmr_bench::perf::scenario("sio_4rank").unwrap();
+    let sc = sio_4rank();
     let set = |scale| BaselineSet {
         scale,
         tolerance: 0.10,

@@ -101,10 +101,6 @@ fn queue_depth_series_integrates_to_measured_waits() {
         (integral - wait_sum).abs() < 1e-9,
         "∫depth dt = {integral:.9} but Σ waits = {wait_sum:.9}"
     );
-
-    // The same series is queryable through the windowed store.
-    let ts = svc.timeseries().expect("enabled telemetry keeps a store");
-    assert!(ts.names().any(|n| n == "service.queue_depth"));
 }
 
 // --- flight recorder -----------------------------------------------------

@@ -10,6 +10,7 @@ use std::path::Path;
 
 use gpmr::core::EngineTuning;
 use gpmr::primitives::SortConfig;
+use gpmr::service::ServiceConfig;
 use gpmr::telemetry::SpanKind;
 use gpmr_bench::loc::product_code;
 use Need::{Example, Paper};
@@ -177,6 +178,15 @@ const RULES: &[Rule] = &[
         reason: "one record per span: the service writes each span and sample once, into the recording a \
             flight window reads, and a pass's capture records already placed (`Telemetry::placed`), so no \
             dump mirrors, re-times or re-tracks a record", ..ABSENT },
+    Rule { roots: &["crates", "src"], text: Code, want: Exactly(1), example: "pub fn timeseries(&self) -> Option<&TimeSeriesStore> {",
+        hits: |l| any(l, &["sched_overhead_s", "setup_base_s", "setup_per_rank_s", "max_transfer_retries", "cfg.tuning",
+            "fn timeseries(", "SeriesKind", "fn window_min(", "fn window_max(", "fn window_s(", "fn names(", "pub fn series(",
+            "fn to_value(&self, t", "fn total(&self) -> f64", "b.min = ", "b.max = ", "b.last = ", "b.n += ", "fn rules(",
+            "fn policy(", "fn imbalance(", "fn topology(", "fn warp_size(", "fn warps_per_block(", "fn free_at(&self, dir",
+            "fn scan(", "fn centers(", "fn dictionary(", "pub fn scenario(", "split_buckets_bounded"]),
+        reason: "one value, no setting: the engine's fixed costs are constants and the service runs the default \
+            tuning; only alert rules read the service's windowed store; no accessor only a test called comes \
+            back (the one hit is `Fabric::topology`, which the collectives read)", ..ABSENT },
 ];
 
 /// The files `rule` reads, relative to the package root.
@@ -242,13 +252,15 @@ fn every_rule_flags_its_example_and_holds_over_the_tree() {
     assert!(broken.is_empty(), "{}", broken.join("\n"));
 }
 
-/// PR 18 took `EngineTuning` from nine fields to seven, PR 13 the knobs out
-/// of `SortConfig`: a new field stops this file compiling, so is on purpose.
+/// `EngineTuning` keeps the three settings a caller varies (its fixed costs
+/// are constants), `ServiceConfig` no tuning of its own and `SortConfig` no
+/// knobs: a new field stops this file compiling, so is on purpose.
 #[test]
 #[rustfmt::skip]
 fn the_tuning_structs_keep_their_fields() {
-    let EngineTuning { allow_stealing: _, sched_overhead_s: _, setup_base_s: _, setup_per_rank_s: _,
-        max_transfer_retries: _, pipeline_depth: _, gpu_direct: _ } = EngineTuning::default();
+    let EngineTuning { allow_stealing: _, pipeline_depth: _, gpu_direct: _ } = EngineTuning::default();
+    let ServiceConfig { gpus: _, engines: _, max_queue_depth: _, batch_window_s: _, batch_max: _, obs: _ } =
+        ServiceConfig::default();
     let SortConfig { digit_bits: _, fuse_final: _ } = SortConfig::default();
 }
 
