@@ -155,16 +155,6 @@ impl MinimalPerfectHash {
         (hash_with_seed(word, seed) % self.n as u64) as u32
     }
 
-    /// Number of dictionary words.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True for an empty dictionary.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// Approximate device-side table size in bytes (the paper: "43 k
     /// integer-integer pairs requires less than 350 kB").
     pub fn table_bytes(&self) -> u64 {
@@ -195,7 +185,7 @@ mod tests {
         let ws = words(100);
         let refs: Vec<&[u8]> = ws.iter().map(Vec::as_slice).collect();
         let mph = MinimalPerfectHash::build(&refs);
-        assert_eq!(mph.len(), 100);
+        assert_eq!(mph.n, 100);
         assert!(verify_perfect(&mph, &refs));
     }
 
@@ -212,11 +202,11 @@ mod tests {
     #[test]
     fn empty_and_singleton() {
         let mph = MinimalPerfectHash::build(&[]);
-        assert!(mph.is_empty());
+        assert_eq!(mph.n, 0);
         assert_eq!(mph.index(b"anything"), 0);
 
         let mph = MinimalPerfectHash::build(&[b"only".as_slice()]);
-        assert_eq!(mph.len(), 1);
+        assert_eq!(mph.n, 1);
         assert_eq!(mph.index(b"only"), 0);
     }
 

@@ -84,12 +84,6 @@ pub struct MarsResult<K, V> {
     pub pairs: Vec<(K, V)>,
     /// Total modelled runtime.
     pub time: SimDuration,
-    /// Map time (count pass + scan + emit pass).
-    pub map_time: SimDuration,
-    /// Bitonic sort time.
-    pub sort_time: SimDuration,
-    /// Reduce time.
-    pub reduce_time: SimDuration,
 }
 
 /// One thread per item, 256-thread blocks.
@@ -109,9 +103,6 @@ pub fn run_mars<A: MarsApp>(
         return Ok(MarsResult {
             pairs: Vec::new(),
             time: SimDuration::ZERO,
-            map_time: SimDuration::ZERO,
-            sort_time: SimDuration::ZERO,
-            reduce_time: SimDuration::ZERO,
         });
     }
 
@@ -163,13 +154,11 @@ pub fn run_mars<A: MarsApp>(
             vals.push(v);
         }
     }
-    let map_time = r2.end.since(t0);
 
     // Bitonic sort (Mars's sorter).
     let (skeys, svals, t_sorted) =
         bitonic_sort_pairs_by(gpu, r2.end, &keys, &vals, |a, b| a.radix().cmp(&b.radix()))?;
     let (segs, t_segs) = extract_segments(gpu, t_sorted, &skeys)?;
-    let sort_time = t_segs.since(r2.end);
 
     // Reduce: one thread per key.
     let rcfg = mars_cfg(segs.len().max(1));
@@ -188,14 +177,10 @@ pub fn run_mars<A: MarsApp>(
     }
     let out_bytes = pairs.len() as u64 * pair_bytes;
     let down = gpu.d2h(r3.end, out_bytes);
-    let reduce_time = down.end.since(t_segs);
 
     Ok(MarsResult {
         pairs,
         time: down.end.since(t0),
-        map_time,
-        sort_time,
-        reduce_time,
     })
 }
 
@@ -234,9 +219,6 @@ mod tests {
         }
         assert!(result.pairs.windows(2).all(|w| w[0].0 < w[1].0));
         assert!(result.time.as_secs() > 0.0);
-        assert!(result.map_time.as_secs() > 0.0);
-        assert!(result.sort_time.as_secs() > 0.0);
-        assert!(result.reduce_time.as_secs() > 0.0);
     }
 
     #[test]

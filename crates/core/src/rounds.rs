@@ -180,9 +180,6 @@ pub struct RoundsResult<K, V> {
     pub outputs: Vec<KvSet<K, V>>,
     /// Rounds executed.
     pub rounds: u32,
-    /// Whether the driver said [`RoundDecision::Done`] (as opposed to
-    /// hitting [`RoundJob::max_rounds`]).
-    pub converged: bool,
     /// Honest cross-round simulated time: every round's makespan plus
     /// every control-broadcast tail, accumulated.
     pub total_time: SimDuration,
@@ -304,7 +301,6 @@ where
             return Ok(RoundsResult {
                 outputs: result.outputs,
                 rounds: round,
-                converged: step.decision == RoundDecision::Done,
                 total_time: clock,
                 per_round,
             });

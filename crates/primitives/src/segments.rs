@@ -46,19 +46,6 @@ impl<K> Segments<K> {
     pub fn range(&self, i: usize) -> std::ops::Range<usize> {
         self.offsets[i]..self.offsets[i + 1]
     }
-
-    /// Number of values in segment `i`.
-    pub fn count(&self, i: usize) -> usize {
-        self.offsets[i + 1] - self.offsets[i]
-    }
-
-    /// Iterate `(key, value_range)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, std::ops::Range<usize>)> {
-        self.keys
-            .iter()
-            .enumerate()
-            .map(|(i, k)| (k, self.range(i)))
-    }
 }
 
 /// Extract unique keys and value segments from `sorted_keys` (which must
@@ -165,7 +152,7 @@ mod tests {
         let (segs, end) = extract_segments(&mut g, SimTime::ZERO, &keys).unwrap();
         assert_eq!(segs.keys, vec![1, 4, 9, 12]);
         assert_eq!(segs.offsets, vec![0, 3, 5, 9, 10]);
-        assert_eq!(segs.count(2), 4);
+        assert_eq!(segs.range(2).len(), 4);
         assert_eq!(segs.range(1), 3..5);
         assert!(end > SimTime::ZERO);
     }
@@ -176,7 +163,7 @@ mod tests {
         let keys: Vec<u32> = (0..10_000).collect();
         let (segs, _) = extract_segments(&mut g, SimTime::ZERO, &keys).unwrap();
         assert_eq!(segs.len(), 10_000);
-        assert!(segs.iter().all(|(_, r)| r.len() == 1));
+        assert!((0..segs.len()).all(|i| segs.range(i).len() == 1));
     }
 
     #[test]
@@ -208,7 +195,7 @@ mod tests {
         let (segs, _) = extract_segments(&mut g, SimTime::ZERO, &keys).unwrap();
         assert_eq!(segs.len(), 10);
         for i in 0..10 {
-            assert_eq!(segs.count(i), SEGMENT_ITEMS_PER_BLOCK);
+            assert_eq!(segs.range(i).len(), SEGMENT_ITEMS_PER_BLOCK);
         }
     }
 }

@@ -62,7 +62,9 @@ const DICT_CACHE_WORDS: usize = MAX_DICT_WORDS;
 /// Service-wide configuration.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServiceConfig {
-    /// GPUs per engine slot (every job sees a cluster of this size).
+    /// GPUs per engine slot (every job sees a cluster of this size, and
+    /// a pass charges its tenant this many GPU-seconds per second).
+    /// [`JobService::new`] runs at least one (`gpus.max(1)`).
     pub gpus: u32,
     /// Engine-pool size: jobs running concurrently. [`JobService::new`]
     /// runs at least one engine (`engines.max(1)`).
@@ -334,9 +336,13 @@ impl JobService {
             cap if cap > 0 && !tel.is_enabled() => Telemetry::with_capacity(cap),
             _ => tel.clone(),
         };
+        let cfg = ServiceConfig {
+            gpus: cfg.gpus.max(1),
+            ..cfg
+        };
         let engines = cfg.engines.max(1);
         let clusters = (0..engines)
-            .map(|_| Cluster::accelerator(cfg.gpus.max(1), GpuSpec::gt200()))
+            .map(|_| Cluster::accelerator(cfg.gpus, GpuSpec::gt200()))
             .collect();
         let mut tenant_ix = HashMap::new();
         let tenants: Vec<TenantState> = tenants

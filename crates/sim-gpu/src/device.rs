@@ -130,14 +130,7 @@ impl Gpu {
         let (outputs, cost) = run_blocks(&self.spec, cfg, &f)?;
         let occ = occupancy(&self.spec, cfg);
         let res = self.charge_compute(at, &cost, occ.fraction);
-        Ok((
-            Launch {
-                outputs,
-                cost,
-                occupancy: occ.fraction,
-            },
-            res,
-        ))
+        Ok((Launch { outputs, cost }, res))
     }
 
     /// Charge compute time directly (for modelled device work that is not

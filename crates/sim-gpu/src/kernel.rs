@@ -92,8 +92,6 @@ pub struct BlockCtx<'a> {
     pub block_idx: u32,
     /// Number of blocks in the grid.
     pub grid_blocks: u32,
-    /// Threads per block.
-    pub block_threads: u32,
     spec: &'a GpuSpec,
     shared_declared: u32,
     shared_used: u32,
@@ -105,19 +103,11 @@ impl<'a> BlockCtx<'a> {
         BlockCtx {
             block_idx,
             grid_blocks: cfg.grid_blocks,
-            block_threads: cfg.block_threads,
             spec,
             shared_declared: cfg.shared_bytes,
             shared_used: 0,
             cost: KernelCost::ZERO,
         }
-    }
-
-    /// Device description (for kernels that adapt to hardware, e.g. the
-    /// paper's K-Means choosing per-block pools when FP atomics are
-    /// missing).
-    pub fn spec(&self) -> &GpuSpec {
-        self.spec
     }
 
     /// Range of items `[start, end)` owned by this block when `total`
@@ -174,11 +164,6 @@ impl<'a> BlockCtx<'a> {
         self.cost.flops += accesses as u64 * degree;
     }
 
-    /// Cost recorded by this block so far.
-    pub fn cost(&self) -> KernelCost {
-        self.cost
-    }
-
     // ---- shared memory ---------------------------------------------------
 
     /// Allocate `len` elements of block-shared scratch memory.
@@ -225,8 +210,6 @@ pub struct Launch<R> {
     pub outputs: Vec<R>,
     /// Aggregate cost over all blocks.
     pub cost: KernelCost,
-    /// Occupancy fraction achieved by the configuration.
-    pub occupancy: f64,
 }
 
 /// Execute `f` for every block of `cfg`, in block order on the calling
@@ -329,8 +312,8 @@ mod tests {
         let mut ctx = BlockCtx::new(&s, &cfg, 0);
         let total = ctx.warp_sum_u32(&[5, 6, 7]);
         assert_eq!(total, 18);
-        assert_eq!(ctx.cost().bytes_coalesced, 12);
-        assert!(ctx.cost().flops >= 3);
+        assert_eq!(ctx.cost.bytes_coalesced, 12);
+        assert!(ctx.cost.flops >= 3);
     }
 
     #[test]
@@ -352,23 +335,23 @@ mod tests {
         // Stride 1 (f32): conflict-free — one cycle per access.
         let mut ctx = BlockCtx::new(&s, &cfg, 0);
         ctx.charge_shared::<f32>(100, 1);
-        assert_eq!(ctx.cost().flops, 100);
+        assert_eq!(ctx.cost.flops, 100);
         // Stride 2: 2-way conflicts.
         let mut ctx = BlockCtx::new(&s, &cfg, 0);
         ctx.charge_shared::<f32>(100, 2);
-        assert_eq!(ctx.cost().flops, 200);
+        assert_eq!(ctx.cost.flops, 200);
         // Stride 16: fully serialized 16-way conflicts.
         let mut ctx = BlockCtx::new(&s, &cfg, 0);
         ctx.charge_shared::<f32>(100, 16);
-        assert_eq!(ctx.cost().flops, 1600);
+        assert_eq!(ctx.cost.flops, 1600);
         // Odd strides are conflict-free.
         let mut ctx = BlockCtx::new(&s, &cfg, 0);
         ctx.charge_shared::<f32>(100, 17);
-        assert_eq!(ctx.cost().flops, 100);
+        assert_eq!(ctx.cost.flops, 100);
         // 8-byte elements double the word stride.
         let mut ctx = BlockCtx::new(&s, &cfg, 0);
         ctx.charge_shared::<f64>(100, 1);
-        assert_eq!(ctx.cost().flops, 200);
+        assert_eq!(ctx.cost.flops, 200);
     }
 
     #[test]
@@ -381,7 +364,7 @@ mod tests {
         ctx.charge_read_uncoalesced::<u8>(3);
         ctx.charge_write_uncoalesced::<u16>(2);
         ctx.charge_atomics(7);
-        let c = ctx.cost();
+        let c = ctx.cost;
         assert_eq!(c.bytes_coalesced, 40 + 40);
         assert_eq!(c.bytes_uncoalesced, 3 + 4);
         assert_eq!(c.atomic_ops, 7);

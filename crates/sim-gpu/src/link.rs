@@ -68,12 +68,7 @@ impl PcieLink {
         }
     }
 
-    /// Total busy time across both directions.
-    pub fn busy_time(&self) -> SimDuration {
-        self.h2d.busy_time() + self.d2h.busy_time()
-    }
-
-    /// Reset both directions to idle, clearing statistics.
+    /// Reset both directions to idle.
     pub fn reset(&mut self) {
         self.h2d.reset();
         self.d2h.reset();
@@ -94,11 +89,6 @@ impl SharedLink {
     /// Reserve a transfer; see [`PcieLink::transfer`].
     pub fn transfer(&self, dir: Direction, at: SimTime, bytes: u64) -> Reservation {
         self.0.lock().unwrap().transfer(dir, at, bytes)
-    }
-
-    /// See [`PcieLink::busy_time`].
-    pub fn busy_time(&self) -> SimDuration {
-        self.0.lock().unwrap().busy_time()
     }
 
     /// See [`PcieLink::reset`].
@@ -150,8 +140,10 @@ mod tests {
         let a = shared.transfer(Direction::HostToDevice, SimTime::ZERO, 1 << 25);
         let b = other.transfer(Direction::HostToDevice, SimTime::ZERO, 1 << 25);
         assert_eq!(b.start, a.end);
-        assert!(shared.busy_time().as_secs() > 0.0);
+        // Either handle's next transfer waits for both; a reset frees both.
+        let next = |l: &SharedLink| l.transfer(Direction::HostToDevice, SimTime::ZERO, 1).start;
+        assert_eq!(next(&shared), b.end);
         shared.reset();
-        assert_eq!(other.busy_time(), SimDuration::ZERO);
+        assert_eq!(next(&other), SimTime::ZERO);
     }
 }

@@ -179,8 +179,7 @@ impl Reservation {
 /// A `Timeline` models a GPU's compute engine, one direction of a PCI-e
 /// link, or a NIC. Callers ask to start no earlier than `earliest`; the
 /// timeline grants the later of that and its own availability, then marks
-/// itself busy for the duration. Total busy time is accumulated for
-/// utilization statistics.
+/// itself busy for the duration.
 ///
 /// ```
 /// use gpmr_sim_gpu::{SimDuration, SimTime, Timeline};
@@ -190,12 +189,11 @@ impl Reservation {
 /// // A second request at t=0 waits for the first to finish.
 /// let b = engine.reserve(SimTime::ZERO, SimDuration::from_secs(0.5));
 /// assert_eq!(b.start, a.end);
-/// assert_eq!(engine.busy_time().as_secs(), 1.5);
+/// assert_eq!(b.end.as_secs(), 1.5);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Timeline {
     free_at: SimTime,
-    busy: SimDuration,
 }
 
 impl Timeline {
@@ -210,7 +208,6 @@ impl Timeline {
         let start = earliest.max(self.free_at);
         let end = start + dur;
         self.free_at = end;
-        self.busy += dur;
         Reservation { start, end }
     }
 
@@ -219,12 +216,7 @@ impl Timeline {
         self.free_at
     }
 
-    /// Total time this resource has spent serving reservations.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
-    }
-
-    /// Reset to the free-from-zero state, clearing statistics.
+    /// Reset to the free-from-zero state.
     pub fn reset(&mut self) {
         *self = Self::default();
     }
@@ -268,7 +260,7 @@ mod tests {
         // A request after the timeline is idle starts immediately.
         let r3 = tl.reserve(SimTime::from_secs(3.0), SimDuration::from_secs(0.25));
         assert_eq!(r3.start.as_secs(), 3.0);
-        assert_eq!(tl.busy_time().as_secs(), 1.75);
+        assert_eq!(tl.free_at().as_secs(), 3.25);
     }
 
     #[test]
@@ -277,7 +269,6 @@ mod tests {
         tl.reserve(SimTime::ZERO, SimDuration::from_secs(2.0));
         tl.reset();
         assert_eq!(tl.free_at(), SimTime::ZERO);
-        assert_eq!(tl.busy_time(), SimDuration::ZERO);
     }
 
     #[test]

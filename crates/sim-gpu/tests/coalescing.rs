@@ -214,16 +214,13 @@ fn derived(addresses: &[u64]) -> CoalescingSummary {
     total
 }
 
-/// The cost one block records for `charge`.
+/// The cost a one-block launch records for `charge`.
 fn declared(charge: fn(&mut BlockCtx)) -> KernelCost {
     let mut gpu = Gpu::new(GpuSpec::gt200());
     let (launch, _) = gpu
-        .launch(SimTime::ZERO, &LaunchConfig::grid(1, 32), |ctx| {
-            charge(ctx);
-            ctx.cost()
-        })
+        .launch(SimTime::ZERO, &LaunchConfig::grid(1, 32), charge)
         .unwrap();
-    launch.outputs[0]
+    launch.cost
 }
 
 #[test]

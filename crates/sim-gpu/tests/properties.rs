@@ -66,7 +66,7 @@ proptest! {
     ) {
         let mut tl = Timeline::new();
         let mut reservations = Vec::new();
-        for (earliest, dur) in requests {
+        for &(earliest, dur) in &requests {
             reservations.push(
                 tl.reserve(SimTime::from_secs(earliest), SimDuration::from_secs(dur)),
             );
@@ -76,9 +76,13 @@ proptest! {
         for w in reservations.windows(2) {
             prop_assert!(w[1].start >= w[0].end);
         }
-        // Busy time equals the sum of durations.
-        let total: f64 = reservations.iter().map(|r| r.duration().as_secs()).sum();
-        prop_assert!((tl.busy_time().as_secs() - total).abs() < 1e-9);
+        // Each window starts no earlier than asked and lasts as long as
+        // asked; the timeline is free when the last one ends.
+        for (r, &(earliest, dur)) in reservations.iter().zip(&requests) {
+            prop_assert!(r.start.as_secs() >= earliest);
+            prop_assert!((r.duration().as_secs() - dur).abs() < 1e-9);
+        }
+        prop_assert_eq!(tl.free_at(), reservations.last().unwrap().end);
     }
 
     #[test]

@@ -15,9 +15,9 @@ use gpmr_sim_gpu::SimTime;
 ///
 /// ```
 /// use gpmr_sim_net::{broadcast, Fabric, Topology};
-/// use gpmr_sim_gpu::SimTime;
+/// use gpmr_sim_gpu::{ScaleLaw, SimTime};
 ///
-/// let mut fabric = Fabric::new(Topology::accelerator(8));
+/// let mut fabric = Fabric::scaled(Topology::accelerator(8), ScaleLaw::uniform(1.0));
 /// let ready = broadcast(&mut fabric, 0, SimTime::ZERO, 1 << 20);
 /// assert_eq!(ready[0], SimTime::ZERO);
 /// assert!(ready[7] > SimTime::ZERO);
@@ -55,9 +55,10 @@ pub fn broadcast(fabric: &mut Fabric, root: u32, at: SimTime, bytes: u64) -> Vec
 mod tests {
     use super::*;
     use crate::topology::Topology;
+    use gpmr_sim_gpu::ScaleLaw;
 
     fn fabric(gpus: u32) -> Fabric {
-        Fabric::new(Topology::accelerator(gpus))
+        Fabric::scaled(Topology::accelerator(gpus), ScaleLaw::uniform(1.0))
     }
 
     #[test]

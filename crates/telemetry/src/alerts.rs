@@ -21,7 +21,6 @@
 
 use std::fmt;
 
-use crate::json::Value;
 use crate::parse_secs;
 use crate::timeseries::TimeSeriesStore;
 
@@ -221,19 +220,6 @@ pub struct Alert {
     pub detail: String,
 }
 
-impl Alert {
-    /// Stable JSON form.
-    pub fn to_value(&self) -> Value {
-        Value::Obj(vec![
-            ("rule".into(), Value::str(self.rule.clone())),
-            ("at_s".into(), Value::Num(self.at_s)),
-            ("value".into(), Value::Num(self.value)),
-            ("threshold".into(), Value::Num(self.threshold)),
-            ("detail".into(), Value::str(self.detail.clone())),
-        ])
-    }
-}
-
 /// Evaluates a rule set against a [`TimeSeriesStore`] at event
 /// boundaries, tracking per-rule breach episodes.
 #[derive(Clone, Debug, Default)]
@@ -401,18 +387,5 @@ mod tests {
         let ts = TimeSeriesStore::new(1.0, 10);
         let mut eng = AlertEngine::new(vec![AlertRule::parse("burn: ratio(a, b) > 0.1").unwrap()]);
         assert!(eng.eval(0.1, &ts).is_empty(), "no traffic, no burn");
-    }
-
-    #[test]
-    fn alerts_render_as_json() {
-        let a = Alert {
-            rule: "deep".into(),
-            at_s: 0.25,
-            value: 5.0,
-            threshold: 2.0,
-            detail: "deep: last(q) > 2".into(),
-        };
-        let v = a.to_value();
-        assert_eq!(v.get("rule").and_then(Value::as_str), Some("deep"));
     }
 }

@@ -111,17 +111,6 @@ pub enum Finding {
         /// Retry spans on that track.
         worst_track_retries: u64,
     },
-    /// A declarative alert rule fired (see [`crate::alerts`]).
-    Alert {
-        /// Name of the rule that fired.
-        rule: String,
-        /// Virtual instant it fired.
-        at_s: f64,
-        /// The breaching value.
-        value: f64,
-        /// The rule's threshold.
-        threshold: f64,
-    },
 }
 
 impl Finding {
@@ -132,7 +121,6 @@ impl Finding {
             Finding::PoorOverlap { .. } => "PoorOverlap".to_string(),
             Finding::SortBound { .. } => "SortBound".to_string(),
             Finding::TransferRetryHotspot { .. } => "TransferRetryHotspot".to_string(),
-            Finding::Alert { rule, .. } => format!("Alert({rule})"),
         }
     }
 
@@ -164,15 +152,6 @@ impl Finding {
             } => format!(
                 "{retries} transfer retries ({worst_track_retries} on track \
                  {worst_track}) — the fabric is lossy or contended"
-            ),
-            Finding::Alert {
-                rule,
-                at_s,
-                value,
-                threshold,
-            } => format!(
-                "alert rule {rule} fired at {at_s:.6}s: observed {value} \
-                 against threshold {threshold}"
             ),
         }
     }
@@ -842,17 +821,5 @@ mod tests {
             .filter_map(|s| s.get("share").and_then(Value::as_f64))
             .sum();
         assert!((total - 1.0).abs() < 1e-9, "shares sum to 1, got {total}");
-    }
-
-    #[test]
-    fn an_alert_finding_names_its_rule_and_evidence() {
-        let f = Finding::Alert {
-            rule: "deep".into(),
-            at_s: 0.25,
-            value: 5.0,
-            threshold: 2.0,
-        };
-        assert_eq!(f.code(), "Alert(deep)");
-        assert!(f.describe().contains("5"));
     }
 }

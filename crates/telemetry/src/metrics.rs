@@ -95,20 +95,6 @@ impl Gauge {
             f64_fetch_max(c, v);
         }
     }
-
-    /// Add `v` to the value.
-    pub fn add(&self, v: f64) {
-        if let Some(c) = &self.0 {
-            f64_fetch_add(c, v);
-        }
-    }
-
-    /// Current value (zero for no-op handles).
-    pub fn get(&self) -> f64 {
-        self.0
-            .as_ref()
-            .map_or(0.0, |c| f64::from_bits(c.load(Ordering::Relaxed)))
-    }
 }
 
 #[derive(Debug)]
@@ -141,13 +127,6 @@ impl Histogram {
             h.count.fetch_add(1, Ordering::Relaxed);
             f64_fetch_add(&h.sum, v);
         }
-    }
-
-    /// Number of observations so far (zero for no-op handles).
-    pub fn count(&self) -> u64 {
-        self.0
-            .as_ref()
-            .map_or(0, |h| h.count.load(Ordering::Relaxed))
     }
 }
 
@@ -472,10 +451,7 @@ mod tests {
         let g = Gauge::noop();
         g.set(9.0);
         g.set_max(100.0);
-        assert_eq!(g.get(), 0.0);
-        let h = Histogram::noop();
-        h.observe(1.0);
-        assert_eq!(h.count(), 0);
+        Histogram::noop().observe(1.0);
     }
 
     #[test]
@@ -484,11 +460,9 @@ mod tests {
         let g = reg.gauge("peak");
         g.set_max(3.0);
         g.set_max(1.0);
-        assert_eq!(g.get(), 3.0);
+        assert_eq!(reg.snapshot().gauge("peak"), 3.0);
         g.set_max(7.5);
-        assert_eq!(g.get(), 7.5);
-        g.add(0.5);
-        assert_eq!(g.get(), 8.0);
+        assert_eq!(reg.snapshot().gauge("peak"), 7.5);
     }
 
     #[test]

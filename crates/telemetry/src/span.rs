@@ -181,13 +181,6 @@ impl TelemetrySnapshot {
         let kind = kind.to_string();
         self.spans.iter().filter(move |s| s.kind == kind)
     }
-
-    /// Latest end time across all spans and samples (simulated seconds).
-    pub fn end_s(&self) -> f64 {
-        let span_end = self.spans.iter().map(|s| s.end_s).fold(0.0, f64::max);
-        let sample_end = self.samples.iter().map(|s| s.ts_s).fold(0.0, f64::max);
-        span_end.max(sample_end)
-    }
 }
 
 #[cfg(test)]
@@ -237,23 +230,16 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_filters_and_end_time() {
+    fn snapshot_filters_by_track_and_kind() {
         let rec = SpanRecorder::new(16);
         rec.set_track_name(0, "rank 0");
         rec.set_track_name(1, "rank 1");
         rec.record(span(0, "Map", 0.0, 1.5));
         rec.record(span(1, "Map", 0.0, 2.5));
         rec.record(span(0, "Sort", 1.5, 2.0));
-        rec.sample(CounterSample {
-            track: 0,
-            series: "queue_depth".into(),
-            ts_s: 3.0,
-            value: 4.0,
-        });
         let snap = rec.snapshot(MetricsSnapshot::default());
         assert_eq!(snap.spans.iter().filter(|s| s.track == 0).count(), 2);
         assert_eq!(snap.spans_of("Map").count(), 2);
-        assert_eq!(snap.end_s(), 3.0);
         assert_eq!(snap.tracks[&1], "rank 1");
     }
 

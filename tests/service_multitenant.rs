@@ -286,6 +286,54 @@ fn concurrency_cap_queues_but_eventually_runs() {
     assert!(wait_s > 0.0, "the capped job must have waited");
 }
 
+/// A service asked for no GPUs runs one per engine, and charges for it:
+/// `gpus: 0` is `gpus: 1` in the tallies, every job's status and the
+/// tenant's spend, so a GPU-second budget still runs out.
+#[test]
+fn zero_gpus_serve_and_charge_as_one() {
+    let served = |gpus| {
+        let cfg = ServiceConfig {
+            gpus,
+            engines: 1,
+            ..ServiceConfig::default()
+        };
+        let tenant = TenantConfig {
+            name: "t".into(),
+            max_concurrent: 1,
+            gpu_seconds: 1e-4,
+            mem_share: 1.0,
+        };
+        let mut svc = JobService::new(cfg, vec![tenant], Telemetry::disabled());
+        let kind = JobKind::Sio {
+            n: 200_000,
+            seed: 3,
+            chunk_kb: 64,
+        };
+        let ids: Vec<JobId> = (0..20)
+            .map(|_| svc.submit(JobSpec::new("t", kind)))
+            .collect();
+        svc.drain();
+        let statuses: Vec<String> = ids
+            .iter()
+            .map(|&id| format!("{:?}", svc.poll(id).unwrap()))
+            .collect();
+        (
+            format!("{:?}", svc.stats()),
+            statuses,
+            svc.tenant_spent("t").unwrap(),
+        )
+    };
+    let one = served(1);
+    let completed = one.1.iter().filter(|s| s.starts_with("Completed")).count();
+    assert_eq!(
+        completed, 1,
+        "the first pass spends the budget: {:?}",
+        one.1
+    );
+    assert!(one.2 > 1e-4);
+    assert_eq!(served(0), one);
+}
+
 #[test]
 fn queue_full_rejects_with_depth() {
     let cfg = ServiceConfig {

@@ -7,13 +7,15 @@
 
 use std::fs;
 use std::path::Path;
+use std::process::Command;
 
 use gpmr::core::EngineTuning;
 use gpmr::primitives::SortConfig;
 use gpmr::service::ServiceConfig;
+use gpmr::telemetry::json::{self, Value};
 use gpmr::telemetry::SpanKind;
 use gpmr_bench::loc::product_code;
-use Need::{Example, Paper};
+use Need::{Beside, Example, Paper, Test};
 use Text::{All, Code, CodeBefore};
 use Want::{Absent, Exactly, InEveryFile};
 
@@ -187,6 +189,18 @@ const RULES: &[Rule] = &[
         reason: "one value, no setting: the engine's fixed costs are constants and the service runs the default \
             tuning; only alert rules read the service's windowed store; no accessor only a test called comes \
             back (the one hit is `Fabric::topology`, which the collectives read)", ..ABSENT },
+    Rule { roots: &["crates", "src"], text: Code, example: "pub fn busy_time(&self) -> SimDuration {",
+        hits: |l| any(l, &["impl Alert {", "fn add(&self, v: f64)", "fn get(&self) -> f64", "fn count(&self) -> u64",
+            "pub fn end_s(&self) -> f64", "fn spec(&self)", "fn cost(&self)", "busy_time", "busy: SimDuration",
+            "self.busy +=", "Fabric::new(", "pub fn new(topology: Topology)", "fn count(&self, i: usize)",
+            "fn iter(&self) -> impl Iterator<Item = (&K, std::ops::Range", "pub converged", "pub map_time",
+            "pub sort_time", "pub group_time", "pub reduce_time", "pub occupancy", "block_threads: cfg.block_threads",
+            "Finding::Alert"]),
+        reason: "callers that rustc resolves: no public fn only tests called (the census's first finds), no \
+            busy sum nothing read, no result field nothing read and no finding nothing built comes back", ..ABSENT },
+    Rule { roots: &["crates/apps/src/mph.rs"], text: Code, hits: |l| any(l, &["fn len(", "fn is_empty("]),
+        reason: "callers that rustc resolves: the hash's size is its dictionary's (`Dictionary::len`)",
+        example: "pub fn len(&self) -> usize {", ..ABSENT },
 ];
 
 /// The files `rule` reads, relative to the package root.
@@ -271,17 +285,29 @@ enum Need {
     /// It is the one way into a feature of the paper; the text names the
     /// paper's section.
     Paper(&'static str),
+    /// The test file (from the package root) calls it: the path tests hold
+    /// the product to, or the one way they can read what it returns.
+    Test(&'static str),
+    /// Clippy's `len_without_is_empty` asks for it beside the named method
+    /// of its type, which product code calls.
+    Beside(&'static str),
 }
 
-/// Every product `pub fn` that no product code calls, and what needs it.
+/// Every product `pub fn` that no product code calls, as `Type::name` (a
+/// method) or `name` (a free fn), and what needs it.
 #[rustfmt::skip]
 const UNCALLED: &[(&str, Need)] = &[
-    ("trace_json", Example("slo_observability")),
-    ("table_bytes", Example("word_occurrence")),
-    ("with_reduce_chunk", Paper("the reduce-chunking callback (section 4.3): a reducer folds its value sets \
+    ("Postmortem::trace_json", Example("slo_observability")),
+    ("MinimalPerfectHash::table_bytes", Example("word_occurrence")),
+    ("SioJob::with_reduce_chunk", Paper("the reduce-chunking callback (section 4.3): a reducer folds its value sets \
         in bounded kernels")),
-    ("shared_alloc", Paper("block-shared memory, which KMC's kernel reads its centers from (section 5.3.4): \
+    ("BlockCtx::shared_alloc", Paper("block-shared memory, which KMC's kernel reads its centers from (section 5.3.4): \
         the allocator held to the launch's declaration, the one source of `SharedMemExceeded`")),
+    // The 8-bit, unfused plan every digit width and fusion is held to.
+    ("SortConfig::reference", Test("crates/primitives/tests/properties.rs")),
+    // The event table's rows are private; this is how tests enumerate it.
+    ("SpanKind::all", Test("tests/span_vocabulary.rs")),
+    ("Dictionary::is_empty", Beside("len")),
 ];
 
 /// The product's source files: what [`product_code`] counts.
@@ -329,13 +355,71 @@ fn calling_lines(src: &str) -> Vec<&str> {
         .collect()
 }
 
-/// The name a `pub fn` line defines, if it is one.
+/// The name a `pub fn` line (trimmed) defines, if it is one.
 fn defines(line: &str) -> Option<&str> {
     let rest = line
         .strip_prefix("pub fn ")
         .or(line.strip_prefix("pub const fn "))?;
     let end = rest.find(|c: char| !(c.is_alphanumeric() || c == '_'))?;
     Some(&rest[..end])
+}
+
+/// The type an `impl` line implements, if it is one.
+fn impl_type(line: &str) -> Option<&str> {
+    let rest = line.strip_prefix("impl")?;
+    let rest = if rest.starts_with('<') {
+        let mut depth = 0;
+        let (end, _) = rest.char_indices().find(|&(_, c)| {
+            depth += (c == '<') as i32 - (c == '>') as i32;
+            depth == 0
+        })?;
+        &rest[end + 1..]
+    } else {
+        rest.strip_prefix(' ')?
+    };
+    let rest = rest.trim_start();
+    let end = rest
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(rest.len());
+    (end > 0).then(|| &rest[..end])
+}
+
+/// The file stem of `file`, which keys its free fns.
+fn stem(file: &str) -> &str {
+    Path::new(file).file_stem().unwrap().to_str().unwrap()
+}
+
+/// The product `pub fn`s of `file`, whose text is `src`: each one's line
+/// index and key, `Type::name` inside an `impl Type` block, else
+/// `stem::name` (`sio::counts_from_output`).
+fn pub_fns(file: &str, src: &str) -> Vec<(usize, String)> {
+    let lines: Vec<&str> = src
+        .lines()
+        .take_while(|l| l.trim() != "#[cfg(test)]")
+        .collect();
+    let indent = |l: &str| l.len() - l.trim_start().len();
+    let enclosing = |i: usize| {
+        lines[..i]
+            .iter()
+            .rev()
+            .map(|l| (indent(l), l.trim()))
+            .filter(|&(n, l)| n < indent(lines[i]) && !l.is_empty())
+            .find(|(_, l)| !l.starts_with("where") && !l.starts_with('{'))
+    };
+    let key = |i: usize, name: &str| match enclosing(i).and_then(|(_, l)| impl_type(l)) {
+        Some(ty) => format!("{ty}::{name}"),
+        None => format!("{}::{name}", stem(file)),
+    };
+    lines
+        .iter()
+        .enumerate()
+        .filter_map(|(i, l)| Some((i, key(i, defines(l.trim())?))))
+        .collect()
+}
+
+/// The fn name a key names.
+fn name_of(key: &str) -> &str {
+    key.rsplit("::").next().unwrap()
 }
 
 /// Whether `line` names `name` as a whole word.
@@ -348,23 +432,20 @@ fn mentions(line: &str, name: &str) -> bool {
     })
 }
 
-/// The `pub fn`s defined in `product` (file, source) that no line of
-/// `code` calls, as `(file, name)`. Names are matched as words, so a name
+/// The keys of the `pub fn`s defined in `product` (file, source) whose
+/// name no line of `code` names. Names are matched as words, so a name
 /// another function shares counts as called: the rule catches what
-/// nothing names at all.
-fn uncalled<'a>(product: &'a [(String, String)], code: &[&str]) -> Vec<(&'a str, &'a str)> {
+/// nothing names at all, and [`census`] the rest.
+fn uncalled(product: &[(String, String)], code: &[&str]) -> Vec<String> {
     let called = |name: &str| {
         code.iter()
             .any(|l| mentions(l, name) && defines(l) != Some(name))
     };
     product
         .iter()
-        .flat_map(|(file, src)| {
-            let names = calling_lines(src).into_iter().filter_map(defines);
-            names
-                .filter(|n| !called(n))
-                .map(move |n| (file.as_str(), n))
-        })
+        .flat_map(|(file, src)| pub_fns(file, src))
+        .map(|(_, key)| key)
+        .filter(|key| !called(name_of(key)))
         .collect()
 }
 
@@ -379,15 +460,18 @@ fn read_sources(roots: &[&str]) -> Vec<(String, String)> {
 
 #[test]
 fn every_product_pub_fn_has_a_product_caller_or_a_stated_need() {
-    // The rule sees a function nothing calls, and not one that is called.
+    // The rule sees a function nothing calls, and not one that is called;
+    // a key names the type whose `impl` defines the method.
     let probe = [(
         "probe.rs".to_string(),
         "pub fn never_called() {}\npub fn called() {}\nfn f() { called() }\n".to_string(),
     )];
     assert_eq!(
         uncalled(&probe, &calling_lines(&probe[0].1)),
-        [("probe.rs", "never_called")]
+        ["probe::never_called"]
     );
+    let src = "impl<T: Ord> Foo<T>\nwhere\n    T: Copy,\n{\n    pub fn get(&self) {}\n}\n";
+    assert_eq!(pub_fns("foo.rs", src), [(4, "Foo::get".to_string())]);
 
     let callers = read_sources(CALLERS);
     let code: Vec<&str> = callers
@@ -400,31 +484,260 @@ fn every_product_pub_fn_has_a_product_caller_or_a_stated_need() {
     let found = uncalled(&product, &code);
     let unexplained: Vec<_> = found
         .iter()
-        .filter(|(_, name)| !UNCALLED.iter().any(|(n, _)| n == name))
+        .filter(|key| !UNCALLED.iter().any(|(k, _)| k == key))
         .collect();
     assert!(
         unexplained.is_empty(),
         "no product code calls these; call them, delete them or state the need: {unexplained:#?}"
     );
-    for (name, need) in UNCALLED {
-        assert!(
-            found.iter().any(|(_, n)| n == name),
-            "{name} has a product caller now"
-        );
+    let keys: Vec<String> = product
+        .iter()
+        .flat_map(|(file, src)| pub_fns(file, src))
+        .map(|(_, key)| key)
+        .collect();
+    for (key, need) in UNCALLED {
+        assert!(keys.iter().any(|k| k == key), "{key} is no product pub fn");
         let user = match need {
-            Example(e) => format!("examples/{e}.rs"),
+            Example(e) => {
+                let found = found.iter().any(|k| k == key);
+                assert!(found, "{key} has a product caller now");
+                format!("examples/{e}.rs")
+            }
             Paper(feature) => {
                 assert!(
                     feature.contains("section "),
-                    "{name}: name the paper's section"
+                    "{key}: name the paper's section"
                 );
+                continue;
+            }
+            Test(file) => file.to_string(),
+            Beside(other) => {
+                let (ty, _) = key.rsplit_once("::").expect("a method");
+                let other = format!("{ty}::{other}");
+                assert!(keys.contains(&other), "{key}: no {other}");
                 continue;
             }
         };
         let src = fs::read_to_string(Path::new(ROOT).join(&user)).unwrap();
         assert!(
-            src.lines().any(|l| mentions(l, name)),
-            "{user} does not call {name}"
+            src.lines().any(|l| mentions(l, name_of(key))),
+            "{user} does not call {key}"
         );
     }
+}
+
+/// A compiler message of one `cargo check`: its level, lint or error code,
+/// the `(file, line)` of every span it and its notes point at (files
+/// relative to the census's copy of the tree), and its text.
+struct Diag {
+    level: String,
+    code: String,
+    at: Vec<(String, usize)>,
+    message: String,
+}
+
+/// `cargo check` with `args` in `tree`, building into `target`: its
+/// compiler messages and whether it built.
+fn check(tree: &Path, target: &Path, args: &[&str]) -> (Vec<Diag>, bool) {
+    let out = Command::new(env!("CARGO"))
+        .current_dir(tree)
+        .env("CARGO_TARGET_DIR", target)
+        .args(["check", "--offline", "--keep-going"])
+        .arg("--message-format=json")
+        .args(args)
+        .output()
+        .unwrap();
+    let prefix = format!("{}/", tree.display());
+    fn spans(m: &Value, prefix: &str, at: &mut Vec<(String, usize)>) {
+        for s in m.get("spans").and_then(Value::as_arr).unwrap_or(&[]) {
+            let file = s.get("file_name").and_then(Value::as_str).unwrap();
+            let line = s.get("line_start").and_then(Value::as_f64).unwrap() as usize;
+            at.push((file.strip_prefix(prefix).unwrap_or(file).to_string(), line));
+        }
+        for c in m.get("children").and_then(Value::as_arr).unwrap_or(&[]) {
+            spans(c, prefix, at);
+        }
+    }
+    let field = |m: &Value, k: &str| m.get(k).and_then(Value::as_str).unwrap_or("").to_string();
+    let diags: Vec<Diag> = String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .filter_map(|l| json::parse(l).ok())
+        .filter(|v| v.get("reason").and_then(Value::as_str) == Some("compiler-message"))
+        .map(|v| {
+            let m = v.get("message").unwrap();
+            let mut at = Vec::new();
+            spans(m, &prefix, &mut at);
+            let code = m.get("code").map_or(String::new(), |c| field(c, "code"));
+            Diag {
+                level: field(m, "level"),
+                code,
+                at,
+                message: field(m, "rendered"),
+            }
+        })
+        .collect();
+    let built = out.status.success();
+    let errors = diags.iter().any(|d| d.level == "error");
+    assert!(
+        built || errors,
+        "cargo check {args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    (diags, built)
+}
+
+/// Copy `from` to `to`, recursively, leaving out `target` directories.
+fn copy(from: &Path, to: &Path) {
+    if from.is_dir() {
+        fs::create_dir_all(to).unwrap();
+        for entry in fs::read_dir(from).unwrap() {
+            let name = entry.unwrap().file_name();
+            if name != "target" {
+                copy(&from.join(&name), &to.join(&name));
+            }
+        }
+    } else {
+        fs::create_dir_all(to.parent().unwrap()).unwrap();
+        fs::copy(from, to).unwrap();
+    }
+}
+
+/// The errors that name a private function at a call or a re-export.
+const PRIVACY: &[&str] = &["E0603", "E0624", "E0364"];
+
+/// rustc's answer to which product `pub fn`s only tests call. In a copy of
+/// the tree every product `pub fn` becomes `pub(crate) fn`; then `cargo
+/// check` builds the workspace's libraries, binaries and examples and the
+/// benchmark harness, and every fn a privacy error names is made `pub`
+/// again, until both build. The fns left private that rustc warns are never used are
+/// the census, resolved per type. Returns their keys, sorted, and the
+/// rounds it took.
+fn census() -> (Vec<String>, usize) {
+    let scratch = Path::new(env!("CARGO_TARGET_TMPDIR")).join("census");
+    let (tree, target) = (scratch.join("tree"), scratch.join("target"));
+    let _ = fs::remove_dir_all(&tree);
+    for part in [
+        "Cargo.toml",
+        "Cargo.lock",
+        "crates",
+        "src",
+        "examples",
+        "shims",
+    ] {
+        copy(&Path::new(ROOT).join(part), &tree.join(part));
+    }
+    for part in ["Cargo.toml", "Cargo.lock", "src"] {
+        let part = Path::new("benchmark").join(part);
+        copy(&Path::new(ROOT).join(&part), &tree.join(&part));
+    }
+    // (file, line index, key) of every fn made private, and the files' lines.
+    let mut private = Vec::new();
+    let mut files = std::collections::HashMap::new();
+    let write =
+        |file: &str, lines: &[String]| fs::write(tree.join(file), lines.join("\n") + "\n").unwrap();
+    for (file, src) in read_sources(PRODUCT) {
+        let mut lines: Vec<String> = src.lines().map(String::from).collect();
+        for (i, key) in pub_fns(&file, &src) {
+            lines[i] = lines[i].replacen("pub ", "pub(crate) ", 1);
+            private.push((file.clone(), i, key));
+        }
+        write(&file, &lines);
+        files.insert(file, lines);
+    }
+    let builds: [&[&str]; 2] = [
+        &["--workspace", "--lib", "--bins", "--examples"],
+        &["--manifest-path", "benchmark/Cargo.toml"],
+    ];
+    let mut rounds = 0;
+    loop {
+        rounds += 1;
+        let mut warnings = Vec::new();
+        let mut errors = None;
+        for args in builds {
+            match check(&tree, &target, args) {
+                (diags, true) => warnings.extend(diags),
+                (diags, false) => {
+                    errors = Some(diags);
+                    break;
+                }
+            }
+        }
+        let Some(errors) = errors else {
+            let mut dead: Vec<String> = warnings
+                .iter()
+                .filter(|d| d.code == "dead_code")
+                .flat_map(|d| &d.at)
+                .filter_map(|(f, l)| private.iter().find(|(pf, pi, _)| pf == f && pi + 1 == *l))
+                .map(|(_, _, key)| key.clone())
+                .collect();
+            dead.sort();
+            dead.dedup();
+            return (dead, rounds);
+        };
+        let named = |(file, i, key): &(String, usize, String), d: &Diag| match d.code.as_str() {
+            // A re-export points at the `use`: the free fns of that name in its crate.
+            "E0364" => {
+                let name = name_of(key);
+                let free = *key == format!("{}::{name}", stem(file));
+                let in_crate = |f: &String| {
+                    let krate = &f[..f.find("src/").unwrap_or(0)];
+                    file.starts_with(&format!("{krate}src/"))
+                };
+                free && d.message.contains(&format!("`{name}`"))
+                    && d.at.iter().any(|(f, _)| in_crate(f))
+            }
+            _ => d.at.iter().any(|(f, l)| f == file && *l == i + 1),
+        };
+        let privacy: Vec<&Diag> = errors
+            .iter()
+            .filter(|d| PRIVACY.contains(&d.code.as_str()))
+            .collect();
+        let (public, still): (Vec<_>, Vec<_>) = private
+            .into_iter()
+            .partition(|p| privacy.iter().any(|d| named(p, d)));
+        let rendered: Vec<&str> = errors.iter().map(|d| d.message.as_str()).collect();
+        assert!(
+            !public.is_empty(),
+            "the census names no fn in: {}",
+            rendered.join("\n")
+        );
+        let mut touched = Vec::new();
+        for (file, i, _) in public {
+            let line = &mut files.get_mut(&file).unwrap()[i];
+            *line = line.replacen("pub(crate) ", "pub ", 1);
+            touched.push(file);
+        }
+        touched.dedup();
+        for file in touched {
+            write(&file, &files[&file]);
+        }
+        private = still;
+    }
+}
+
+/// The census is `UNCALLED` less the examples' rows (the census builds the
+/// examples): every fn it finds has a stated need, and every other stated
+/// need is for a fn with no caller. Slow (two `cargo check`s a round), so
+/// CI runs it:
+/// `cargo test --test source_rules -- --ignored`.
+#[test]
+#[ignore]
+fn rustc_finds_no_pub_fn_only_tests_call() {
+    let start = std::time::Instant::now();
+    let (found, rounds) = census();
+    let secs = start.elapsed().as_secs_f64();
+    println!(
+        "census: {} fns in {rounds} rounds, {secs:.0} s: {found:#?}",
+        found.len()
+    );
+    let mut stated: Vec<String> = UNCALLED
+        .iter()
+        .filter(|(_, need)| !matches!(need, Example(_)))
+        .map(|(key, _)| key.to_string())
+        .collect();
+    stated.sort();
+    assert_eq!(
+        found, stated,
+        "the census (left) against UNCALLED's needs (right)"
+    );
 }
