@@ -18,9 +18,11 @@
 
 use gpmr_core::{GpmrJob, KvSet, MapMode, PartitionMode, PipelineConfig, SliceChunk};
 use gpmr_primitives::Segments;
-use gpmr_sim_gpu::{Gpu, KernelCost, LaunchConfig, SimGpuResult, SimTime};
+use gpmr_sim_gpu::{Gpu, LaunchConfig, SimGpuResult, SimTime};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+use crate::accum;
 
 /// Point dimensionality: 16-byte input elements (Table 1) = 4 x f32.
 pub const DIMS: usize = 4;
@@ -147,13 +149,7 @@ impl GpmrJob for KmcJob {
         gpu: &mut Gpu,
         at: SimTime,
     ) -> SimGpuResult<(KvSet<u32, f64>, SimTime)> {
-        let n = self.key_count();
-        let cfg = LaunchConfig::grid(1, 256);
-        let (_, res) = gpu.launch(at, &cfg, |ctx| {
-            ctx.charge_write::<f32>(n);
-        })?;
-        let state: KvSet<u32, f64> = (0..n as u32).map(|k| (k, 0.0)).collect();
-        Ok((state, res.end))
+        accum::zeroed(gpu, at, self.key_count(), &LaunchConfig::grid(1, 256))
     }
 
     fn map_accumulate(
@@ -192,33 +188,7 @@ impl GpmrJob for KmcJob {
             sums
         })?;
 
-        // Atomic-free accumulation: per-block pools flushed to global
-        // memory, then reduced by a second kernel (GT200 path). With FP
-        // atomics (Fermi) the pools are skipped and atomics are charged
-        // instead.
-        let blocks = locals.outputs.len() as u64;
-        if gpu.spec.has_fp_atomics {
-            let cost = KernelCost {
-                atomic_ops: blocks * keys as u64,
-                ..KernelCost::ZERO
-            };
-            gpu.charge_compute(res.end, &cost, 1.0);
-        } else {
-            let pool_cost = KernelCost {
-                flops: blocks * keys as u64,
-                bytes_coalesced: 2 * blocks * keys as u64 * 4,
-                ..KernelCost::ZERO
-            };
-            gpu.charge_compute(res.end, &pool_cost, 1.0);
-        }
-        let t_end = gpu.compute_free_at();
-
-        for block in locals.outputs {
-            for (i, s) in block.into_iter().enumerate() {
-                state.vals[i] += s;
-            }
-        }
-        Ok(t_end)
+        Ok(accum::flush(gpu, res.end, locals.outputs, keys, state))
     }
 
     fn partition(&self, key: &u32, ranks: u32) -> u32 {
@@ -233,29 +203,10 @@ impl GpmrJob for KmcJob {
         segs: &Segments<u32>,
         vals: &[f64],
     ) -> SimGpuResult<(KvSet<u32, f64>, SimTime)> {
-        if segs.is_empty() {
-            return Ok((KvSet::new(), at));
-        }
         // Thread-per-key sum; few centers and dimensions keep this
         // negligible (paper: "full Reduce time negligible").
         let cfg = LaunchConfig::for_items(segs.len(), 1024, 256);
-        let (launch, res) = gpu.launch(at, &cfg, |ctx| {
-            let range = ctx.item_range(segs.len());
-            let mut out: KvSet<u32, f64> = KvSet::with_capacity(range.len());
-            for s in range {
-                let r = segs.range(s);
-                ctx.charge_read_uncoalesced::<f64>(r.len());
-                ctx.charge_flops(r.len() as u64);
-                out.push(segs.keys[s], vals[r].iter().sum());
-            }
-            ctx.charge_write::<f64>(out.len());
-            out
-        })?;
-        let mut out = KvSet::new();
-        for p in launch.outputs {
-            out.append(p);
-        }
-        Ok((out, res.end))
+        accum::segment_sums(gpu, at, segs, vals, &cfg)
     }
 }
 

@@ -21,6 +21,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod accum;
 pub mod datasets;
 pub mod iterative;
 pub mod kmc;

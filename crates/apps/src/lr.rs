@@ -12,9 +12,11 @@
 
 use gpmr_core::{GpmrJob, KvSet, MapMode, PartitionMode, PipelineConfig, SliceChunk};
 use gpmr_primitives::Segments;
-use gpmr_sim_gpu::{Gpu, KernelCost, LaunchConfig, SimGpuResult, SimTime};
+use gpmr_sim_gpu::{Gpu, LaunchConfig, SimGpuResult, SimTime};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+use crate::accum;
 
 /// The six statistic keys, in emission order.
 pub const STAT_KEYS: usize = 6;
@@ -63,12 +65,7 @@ impl GpmrJob for LrJob {
         gpu: &mut Gpu,
         at: SimTime,
     ) -> SimGpuResult<(KvSet<u32, f64>, SimTime)> {
-        let cfg = LaunchConfig::grid(1, 32);
-        let (_, res) = gpu.launch(at, &cfg, |ctx| {
-            ctx.charge_write::<f32>(STAT_KEYS);
-        })?;
-        let state: KvSet<u32, f64> = (0..STAT_KEYS as u32).map(|k| (k, 0.0)).collect();
-        Ok((state, res.end))
+        accum::zeroed(gpu, at, STAT_KEYS, &LaunchConfig::grid(1, 32))
     }
 
     fn map_accumulate(
@@ -100,26 +97,7 @@ impl GpmrJob for LrJob {
             s
         })?;
         // Per-block pools (no FP atomics on GT200), same as KMC.
-        let blocks = locals.outputs.len() as u64;
-        let pool_cost = if gpu.spec.has_fp_atomics {
-            KernelCost {
-                atomic_ops: blocks * STAT_KEYS as u64,
-                ..KernelCost::ZERO
-            }
-        } else {
-            KernelCost {
-                flops: blocks * STAT_KEYS as u64,
-                bytes_coalesced: 2 * blocks * STAT_KEYS as u64 * 4,
-                ..KernelCost::ZERO
-            }
-        };
-        let r2 = gpu.charge_compute(res.end, &pool_cost, 1.0);
-        for block in locals.outputs {
-            for (i, v) in block.into_iter().enumerate() {
-                state.vals[i] += v;
-            }
-        }
-        Ok(r2.end)
+        Ok(accum::flush(gpu, res.end, locals.outputs, STAT_KEYS, state))
     }
 
     fn reduce(
@@ -129,27 +107,8 @@ impl GpmrJob for LrJob {
         segs: &Segments<u32>,
         vals: &[f64],
     ) -> SimGpuResult<(KvSet<u32, f64>, SimTime)> {
-        if segs.is_empty() {
-            return Ok((KvSet::new(), at));
-        }
         // Key-per-thread; reduction time is "virtually nil" (paper).
-        let cfg = LaunchConfig::grid(1, 32);
-        let (launch, res) = gpu.launch(at, &cfg, |ctx| {
-            let mut out: KvSet<u32, f64> = KvSet::with_capacity(segs.len());
-            for s in 0..segs.len() {
-                let r = segs.range(s);
-                ctx.charge_read_uncoalesced::<f64>(r.len());
-                ctx.charge_flops(r.len() as u64);
-                out.push(segs.keys[s], vals[r].iter().sum());
-            }
-            ctx.charge_write::<f64>(out.len());
-            out
-        })?;
-        let mut out = KvSet::new();
-        for p in launch.outputs {
-            out.append(p);
-        }
-        Ok((out, res.end))
+        accum::segment_sums(gpu, at, segs, vals, &LaunchConfig::grid(1, 32))
     }
 }
 

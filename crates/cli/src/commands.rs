@@ -738,7 +738,6 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
         tuning,
         tel: tel.clone(),
         journal: journal.as_mut(),
-        ..RunOpts::default()
     };
     let run = table::run(&input, &mut cluster, chunk_bytes, range_partition, opts)?;
 

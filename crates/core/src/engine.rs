@@ -226,7 +226,7 @@ impl<K: crate::types::Key, V: crate::types::Value, C> RankState<K, V, C> {
 
 /// Everything a run takes beyond the cluster, the job and its chunks.
 /// `RunOpts::default()` is what [`run_job`] passes: default tuning,
-/// telemetry off, no journal, every input uploaded.
+/// telemetry off, no journal.
 #[derive(Default)]
 pub struct RunOpts<'j> {
     /// Scheduler policy and the upload path.
@@ -240,15 +240,6 @@ pub struct RunOpts<'j> {
     /// run restarted with [`Journal::resume`] finishes bit-identically.
     /// Journaling charges no simulated time.
     pub journal: Option<&'j mut Journal>,
-    /// The input chunks are already resident in device memory on the rank
-    /// that dequeues them (chained rounds of [`run_rounds`](crate::run_rounds): round k's
-    /// reduce output never left the cluster, so round k+1's map reads it
-    /// in place). Chunks that *move* ranks — steals and fault-plan
-    /// requeues — are displaced from their home device and pay the full
-    /// H2D upload as usual; only stationary chunks skip it. The caller is
-    /// responsible for the claim being true (`run_rounds` checks a
-    /// per-rank fit bound before setting this).
-    pub inputs_resident: bool,
 }
 
 /// An `engine.*` counter with its value at job start. Counters are always
@@ -486,7 +477,6 @@ pub fn run_job_journaled<J: GpmrJob>(
         tuning: *tuning,
         tel: tel.clone(),
         journal: Some(journal),
-        ..RunOpts::default()
     };
     run_job_with(cluster, job, chunks, opts)
 }
@@ -527,7 +517,15 @@ pub struct Run<J: GpmrJob> {
     cfg: PipelineConfig,
     tuning: EngineTuning,
     tel: EngineTel,
-    inputs_resident: bool,
+    /// The input chunks are already resident in device memory on the rank
+    /// that dequeues them: an `Again` round of
+    /// [`run_rounds`](crate::run_rounds) re-runs the chunks the previous
+    /// round left on the devices. Chunks that *move* ranks — steals and
+    /// fault-plan requeues — are displaced from their home device and pay
+    /// the full H2D upload as usual; only stationary chunks skip it.
+    /// `run_rounds` sets it, between [`Run::new`] and [`Run::finish`],
+    /// once a per-rank fit bound holds; a new run uploads every input.
+    pub(crate) inputs_resident: bool,
     /// Where the engine last met the simulated clock: the cursor of the
     /// latest scheduler pick, or the GPU loss that pick found.
     clock: SimTime,
@@ -541,7 +539,7 @@ pub struct Run<J: GpmrJob> {
     mailbox: Mailbox<Bucket>,
     route_scratch: RouteScratch,
     /// Chunk ids that moved off their home rank (steals, fault-plan
-    /// requeues): under `RunOpts::inputs_resident` these still pay the
+    /// requeues): under `inputs_resident` these still pay the
     /// full upload — residency only holds where the chunk was born.
     displaced: HashSet<u64>,
     /// The ranks that started the job (no pending elastic add).
@@ -685,7 +683,7 @@ impl<J: GpmrJob> Run<J> {
             cfg,
             tuning,
             tel,
-            inputs_resident: opts.inputs_resident,
+            inputs_resident: false,
             clock: SimTime::ZERO,
             st,
             queues,

@@ -11,7 +11,7 @@
 //! * **Cluster-resident iteration** — the original input stays resident
 //!   for re-iteration ([`RoundDecision::Again`]). When a conservative fit
 //!   check holds and the previous round saw no steals, kills, or joins,
-//!   the next round runs under [`RunOpts::inputs_resident`] and skips
+//!   the next round's run is marked inputs-resident and skips
 //!   every stationary chunk upload; only the control scalar (centers, a
 //!   convergence flag) crosses to the host and back. A round's outputs
 //!   may instead become the next round's input chunks
@@ -36,7 +36,7 @@ use gpmr_sim_net::Cluster;
 use gpmr_telemetry::{SpanKind, Telemetry};
 
 use crate::chunk::Chunk;
-use crate::engine::{run_job_with, EngineTuning, RunOpts};
+use crate::engine::{EngineTuning, Run, RunOpts};
 use crate::error::EngineResult;
 use crate::job::GpmrJob;
 use crate::journal::{hash_pairs, Fnv64, Journal, JournalRecord};
@@ -232,18 +232,20 @@ where
         let job = driver.job(round);
         let n_chunks = chunks.len();
         let round_start = clock;
-        let opts = RunOpts {
+        let mut opts = RunOpts {
             tuning: *tuning,
             tel: tel.placed(round_start.as_secs(), 0, ""),
             journal: journal.as_deref_mut(),
-            inputs_resident: resident,
         };
         let input = if round + 1 >= max_rounds {
             std::mem::take(&mut chunks)
         } else {
             chunks.clone()
         };
-        let result = run_job_with(cluster, &job, input, opts)?;
+        // `run_job_with`, with the round's residency set on its run.
+        let mut run = Run::new(cluster, &job, input, &mut opts)?;
+        run.inputs_resident = resident;
+        let result = run.finish(cluster, &job, opts.journal)?;
         let makespan = result.timings.total;
         let quiet = result.timings.chunks_stolen == 0
             && result.timings.chunks_requeued == 0

@@ -8,9 +8,8 @@
 //! * [`exclusive_scan`] — Harris-style three-phase device-wide prefix
 //!   sum;
 //! * [`sort_pairs`]/[`sort_pairs_with_bits`] — Satish-style LSD radix sort
-//!   over configurable-width digits (default 11-bit with a fused final
-//!   pass; see [`SortConfig`]) with CUDPP-like significant-bit detection
-//!   (GPMR's default Sorter for integer keys);
+//!   over 11-bit digits with a fused final pass and CUDPP-like
+//!   significant-bit detection (GPMR's default Sorter for integer keys);
 //! * [`extract_segments`] — unique keys + contiguous value ranges from a
 //!   sorted sequence (GPMR's post-sort key dedup);
 //! * [`bitonic_sort_pairs_by`] — comparator-network fallback for
@@ -27,8 +26,7 @@ pub mod segments;
 pub use bitonic::bitonic_sort_pairs_by;
 pub use elem::{AddElem, RadixKey};
 pub use radix::{
-    bits_for_radix, sort_pairs, sort_pairs_with_bits, sort_pairs_with_bits_config,
-    sort_parts_with_bits, SortConfig, SortPart, SortScratch,
+    bits_for_radix, sort_pairs, sort_pairs_with_bits, sort_parts_with_bits, SortPart, SortScratch,
 };
 pub use scan::exclusive_scan;
 pub use segments::{extract_segments, extract_segments_into, Segments};

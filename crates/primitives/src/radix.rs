@@ -1,16 +1,16 @@
 //! GPU radix sort, after Satish/Harris/Garland — the CUDPP sort GPMR uses
 //! as its default Sorter for integer-based keys.
 //!
-//! Least-significant-digit counting sort over configurable-width digits
-//! (default 11 bits, so 32-bit keys take 3 passes instead of 4 — the
-//! wide-digit trick from the Xeon Phi MapReduce work). Each pass runs two
-//! kernels (per-block digit histograms, then a stable scatter) plus a
-//! digit-major scan of the histogram matrix; the final pass can instead
-//! run as one fused histogram+scatter kernel that keeps its histogram in
-//! shared memory and skips the separate global-memory histogram read and
-//! scan launch. The scatter's writes are inherently uncoalesced and are
-//! charged as such — this is why Sort is a visible slice of the paper's
-//! Figure 2 runtime breakdown.
+//! Least-significant-digit counting sort over 11-bit digits, so 32-bit
+//! keys take 3 passes instead of 4 — the wide-digit trick from the Xeon
+//! Phi MapReduce work. Each pass runs two kernels (per-block digit
+//! histograms, then a stable scatter) plus a digit-major scan of the
+//! histogram matrix; the final pass instead runs as one fused
+//! histogram+scatter kernel that keeps its histogram in shared memory and
+//! skips the separate global-memory histogram read and scan launch. The
+//! scatter's writes are inherently uncoalesced and are charged as such —
+//! this is why Sort is a visible slice of the paper's Figure 2 runtime
+//! breakdown.
 
 use gpmr_sim_gpu::{occupancy, Gpu, KernelCost, LaunchConfig, SimGpuResult, SimTime};
 
@@ -19,51 +19,10 @@ use crate::elem::RadixKey;
 /// Items processed per sort block.
 pub const SORT_ITEMS_PER_BLOCK: usize = 4096;
 
-/// Sort tuning knobs (digit width and final-pass fusion). The defaults are
-/// the fast path; [`SortConfig::reference()`] is the classic 8-bit
-/// two-kernel CUDPP layout kept as the bit-identical baseline for tests.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SortConfig {
-    /// Bits per counting-sort pass. Wider digits mean fewer passes but a
-    /// bigger shared-memory histogram (`4 << digit_bits` bytes, which must
-    /// fit in the device's per-SM shared memory). Clamped to 1..=12.
-    pub digit_bits: u32,
-    /// Run the last pass as a single fused histogram+scatter kernel: the
-    /// histogram lives in shared memory, so the pass reads the pairs from
-    /// global memory once and skips the standalone scan launch.
-    pub fuse_final: bool,
-}
-
-impl Default for SortConfig {
-    fn default() -> Self {
-        SortConfig {
-            digit_bits: 11,
-            fuse_final: true,
-        }
-    }
-}
-
-impl SortConfig {
-    /// The pre-optimization CUDPP layout: 8-bit digits, no fusion. Every
-    /// other configuration must produce bit-identical output to this one.
-    pub fn reference() -> Self {
-        SortConfig {
-            digit_bits: 8,
-            fuse_final: false,
-        }
-    }
-
-    /// Clamp the digit width to what the histogram's shared-memory
-    /// footprint allows.
-    pub fn normalized(mut self) -> Self {
-        self.digit_bits = self.digit_bits.clamp(1, 12);
-        self
-    }
-
-    fn digits(&self) -> usize {
-        1usize << self.digit_bits
-    }
-}
+/// Bits per simulated counting-sort pass: 32-bit keys take 3 passes
+/// instead of 8-bit digits' 4, and the pass's shared-memory histogram is
+/// `4 << SORT_DIGIT_BITS` bytes (8 KiB).
+const SORT_DIGIT_BITS: u32 = 11;
 
 /// One contiguous run of a sort's input: parallel key and value slices.
 /// A sort over several parts sorts their concatenation, in list order.
@@ -129,14 +88,7 @@ where
     // needs anyway — one read of the keys instead of two.
     let t = charge_max_radix(gpu, at, keys)?;
     let mut s = SortScratch::default();
-    let t = sort_parts(
-        gpu,
-        t,
-        &[(keys, vals)],
-        None,
-        &SortConfig::default(),
-        &mut s,
-    )?;
+    let t = sort_parts(gpu, t, &[(keys, vals)], None, &mut s)?;
     Ok((s.keys, s.vals, t))
 }
 
@@ -163,38 +115,8 @@ where
     K: RadixKey,
     V: Copy + Send + Sync + 'static,
 {
-    sort_pairs_with_bits_config(
-        gpu,
-        at,
-        keys,
-        vals,
-        significant_bits,
-        &SortConfig::default(),
-    )
-}
-
-/// [`sort_pairs_with_bits`] with explicit [`SortConfig`] tuning.
-pub fn sort_pairs_with_bits_config<K, V>(
-    gpu: &mut Gpu,
-    at: SimTime,
-    keys: &[K],
-    vals: &[V],
-    significant_bits: u32,
-    cfg: &SortConfig,
-) -> SimGpuResult<(Vec<K>, Vec<V>, SimTime)>
-where
-    K: RadixKey,
-    V: Copy + Send + Sync + 'static,
-{
     let mut s = SortScratch::default();
-    let t = sort_parts(
-        gpu,
-        at,
-        &[(keys, vals)],
-        Some(significant_bits),
-        cfg,
-        &mut s,
-    )?;
+    let t = sort_parts(gpu, at, &[(keys, vals)], Some(significant_bits), &mut s)?;
     Ok((s.keys, s.vals, t))
 }
 
@@ -214,14 +136,7 @@ where
     K: RadixKey,
     V: Copy + Send + Sync + 'static,
 {
-    sort_parts(
-        gpu,
-        at,
-        parts,
-        Some(significant_bits),
-        &SortConfig::default(),
-        scratch,
-    )
+    sort_parts(gpu, at, parts, Some(significant_bits), scratch)
 }
 
 const LENGTH_MISMATCH: &str = "keys and values must have equal length";
@@ -242,7 +157,6 @@ fn sort_parts<K, V>(
     at: SimTime,
     parts: &[SortPart<'_, K, V>],
     significant_bits: Option<u32>,
-    cfg: &SortConfig,
     s: &mut SortScratch<K, V>,
 ) -> SimGpuResult<SimTime>
 where
@@ -262,11 +176,9 @@ where
         }
         return Ok(at);
     }
-    let cfg = cfg.normalized();
-
-    let max = pass0_histogram(parts, host_digit_bits(n, &cfg), &mut s.hist);
+    let max = pass0_histogram(parts, host_sweep_bits(n), &mut s.hist);
     let bits = significant_bits.unwrap_or_else(|| bits_for_radix(max));
-    serial_sort(gpu, at, parts, n, bits, &cfg, s)
+    serial_sort(gpu, at, parts, n, bits, s)
 }
 
 /// Digit counts of the host's pass 0 (shift 0, `hbits` wide) into
@@ -368,35 +280,36 @@ fn scatter_split<K: RadixKey, V: Copy>(
 /// already touching, and the final pass scatters straight into the split
 /// output vectors, so no standalone histogram or unzip passes remain. Pass
 /// 0 reads the `parts` where they lie. The simulated kernels charged are
-/// those of the configured [`SortConfig`] plan whatever digits the host
-/// sweeps with; the stable output is unique.
+/// those of the one plan ([`SORT_DIGIT_BITS`]-wide passes, the last fused)
+/// whatever digits the host sweeps with; the stable output is unique.
 fn serial_sort<K, V>(
     gpu: &mut Gpu,
     at: SimTime,
     parts: &[SortPart<'_, K, V>],
     n: usize,
     bits: u32,
-    cfg: &SortConfig,
     s: &mut SortScratch<K, V>,
 ) -> SimGpuResult<SimTime>
 where
     K: RadixKey,
     V: Copy + Send + Sync + 'static,
 {
-    let digits = cfg.digits();
+    let digits = 1usize << SORT_DIGIT_BITS;
     let pair_bytes = std::mem::size_of::<K>() + std::mem::size_of::<V>();
     let launch_cfg = LaunchConfig::for_items(n, SORT_ITEMS_PER_BLOCK, 256)
         .with_shared_bytes((digits * 4) as u32);
     let blocks = n.div_ceil(SORT_ITEMS_PER_BLOCK);
 
-    // Simulated kernels: exactly the configured plan (`cfg.digit_bits`-wide
-    // passes, optionally a fused final), with charge-only launch closures
-    // — how the host reproduces the output is its own business (below).
-    let sim_passes = bits.clamp(1, K::BITS).div_ceil(cfg.digit_bits);
+    // Simulated kernels: exactly the plan, with charge-only launch
+    // closures — how the host reproduces the output is its own business
+    // (below).
+    let sim_passes = bits.clamp(1, K::BITS).div_ceil(SORT_DIGIT_BITS);
     let mut t = at;
     for pass in 0..sim_passes {
-        let fused = cfg.fuse_final && pass + 1 == sim_passes;
-        t = if fused {
+        t = if pass + 1 == sim_passes {
+            // The last pass runs as one fused histogram+scatter kernel: its
+            // histogram lives in shared memory, so the pass reads the pairs
+            // from global memory once and skips the standalone scan launch.
             let cost = KernelCost {
                 flops: 5 * n as u64 + (digits * blocks) as u64,
                 bytes_coalesced: (n * pair_bytes) as u64,
@@ -429,9 +342,9 @@ where
     }
 
     // Host sweeps, possibly on wider digits than the simulated kernels
-    // (see [`host_digit_bits`]) — fewer sweeps over the data, same unique
+    // (see [`host_sweep_bits`]) — fewer sweeps over the data, same unique
     // stable output.
-    let hbits = host_digit_bits(n, cfg);
+    let hbits = host_sweep_bits(n);
     let hpasses = bits.clamp(1, K::BITS).div_ceil(hbits);
     let SortScratch {
         keys,
@@ -475,15 +388,15 @@ where
 
 /// Digit width of the host sweeps. Wide 16-bit digits halve the
 /// sweep count for 32-bit keys once the input is big enough to amortize
-/// the 64K-entry counter tables; small inputs keep the configured width.
+/// the 64K-entry counter tables; small inputs sweep the plan's width.
 /// Purely a host-execution choice: the simulated kernels always charge
-/// the configured [`SortConfig`] plan, and the stable sort output is
-/// unique, so results are bit-identical regardless of digit width.
-fn host_digit_bits(n: usize, cfg: &SortConfig) -> u32 {
+/// the plan, and the stable sort output is unique, so results are
+/// bit-identical regardless of digit width.
+fn host_sweep_bits(n: usize) -> u32 {
     if n >= (1 << 16) {
         16
     } else {
-        cfg.digit_bits
+        SORT_DIGIT_BITS
     }
 }
 
@@ -603,58 +516,17 @@ mod tests {
     }
 
     #[test]
-    fn wide_digits_cut_pass_count_and_time() {
-        // 32-bit keys: 8-bit digits need 4 passes, 11-bit digits 3, and
-        // the fused final pass removes two launches more. Fewer, cheaper
-        // passes must show up as less simulated time.
-        let keys = pseudo_random(60_000, 17);
+    fn the_plan_is_11_bit_passes_with_a_fused_final() {
+        // Each unfused pass is a histogram launch, a scan and a scatter;
+        // the last pass is one fused kernel. 32-bit keys: 3 passes.
+        let keys = pseudo_random(5000, 17);
         let vals: Vec<u32> = (0..keys.len() as u32).collect();
-        let mut runs = Vec::new();
-        for cfg in [SortConfig::reference(), SortConfig::default()] {
+        for bits in 1..=32u32 {
             let (mut g, kernels) = counted_gpu();
-            let (sk, sv, t) =
-                sort_pairs_with_bits_config(&mut g, SimTime::ZERO, &keys, &vals, 32, &cfg).unwrap();
-            runs.push((sk, sv, t, kernels.get()));
+            sort_pairs_with_bits(&mut g, SimTime::ZERO, &keys, &vals, bits).unwrap();
+            let passes = u64::from(bits.div_ceil(11));
+            assert_eq!(kernels.get(), 3 * (passes - 1) + 1, "{bits} bits");
         }
-        let (ref_k, ref_v, ref_t, ref_kernels) = runs.remove(0);
-        let (wide_k, wide_v, wide_t, wide_kernels) = runs.remove(0);
-        assert_eq!(ref_k, wide_k, "output must not depend on digit width");
-        assert_eq!(ref_v, wide_v, "value order must not depend on digit width");
-        assert!(
-            wide_kernels < ref_kernels,
-            "{wide_kernels} vs {ref_kernels}"
-        );
-        assert!(
-            wide_t < ref_t,
-            "wide-digit fused sort ({wide_t}) should beat 8-bit ({ref_t})"
-        );
-    }
-
-    #[test]
-    fn fused_final_pass_saves_launches() {
-        let keys = pseudo_random(40_000, 23);
-        let vals: Vec<u32> = (0..keys.len() as u32).collect();
-        let cfg_plain = SortConfig {
-            fuse_final: false,
-            ..SortConfig::default()
-        };
-        let (mut g1, kernels1) = counted_gpu();
-        let (k1, _, t1) =
-            sort_pairs_with_bits_config(&mut g1, SimTime::ZERO, &keys, &vals, 32, &cfg_plain)
-                .unwrap();
-        let (mut g2, kernels2) = counted_gpu();
-        let (k2, _, t2) = sort_pairs_with_bits_config(
-            &mut g2,
-            SimTime::ZERO,
-            &keys,
-            &vals,
-            32,
-            &SortConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(k1, k2);
-        assert!(kernels2.get() < kernels1.get());
-        assert!(t2 < t1, "fused ({t2}) should beat unfused ({t1})");
     }
 
     #[test]
@@ -666,22 +538,6 @@ mod tests {
         assert_eq!(sk[0], 0);
         assert_eq!(sk[4999], 4999);
         assert_eq!(sv[0], (4999 % 256) as u8);
-    }
-
-    #[test]
-    fn normalized_clamps_digit_width() {
-        let clamped = SortConfig {
-            digit_bits: 40,
-            fuse_final: true,
-        }
-        .normalized();
-        assert_eq!(clamped.digit_bits, 12);
-        let floor = SortConfig {
-            digit_bits: 0,
-            fuse_final: false,
-        }
-        .normalized();
-        assert_eq!(floor.digit_bits, 1);
     }
 
     #[test]

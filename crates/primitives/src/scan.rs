@@ -139,11 +139,12 @@ mod tests {
     fn scan_charges_time_on_compute_timeline() {
         let mut g = gpu();
         let input: Vec<u32> = vec![1; 1 << 20];
-        let before = g.compute_free_at();
-        let (_, _, _) = exclusive_scan(&mut g, SimTime::ZERO, &input).unwrap();
-        assert!(g.compute_free_at() > before);
+        let (_, _, end) = exclusive_scan(&mut g, SimTime::ZERO, &input).unwrap();
+        // The compute engine stays reserved until the scan's end.
+        let next = g.charge_compute(SimTime::ZERO, &KernelCost::ZERO, 1.0);
+        assert_eq!(next.start, end);
         // Should be at least the roofline time for reading+writing 8 MB.
-        let busy = g.compute_free_at() - SimTime::ZERO;
+        let busy = end - SimTime::ZERO;
         assert!(busy.as_secs() > (3.0 * (1u64 << 22) as f64) / g.spec.mem_bandwidth);
     }
 

@@ -189,11 +189,6 @@ impl Gpu {
         }
     }
 
-    /// Instant after which the compute engine is idle.
-    pub fn compute_free_at(&self) -> SimTime {
-        self.compute.free_at()
-    }
-
     /// Instant after which the H2D copy engine is idle.
     pub fn copy_free_at(&self) -> SimTime {
         self.copy_engine.free_at()
@@ -234,7 +229,7 @@ mod tests {
         // Second kernel waits for the first even though requested at t=0.
         assert_eq!(r2.start, r1.end);
         assert_eq!(tel.snapshot().metrics.counter("gpu.rank0.kernels"), 2);
-        assert_eq!(g.compute_free_at(), r2.end);
+        assert_eq!(g.compute.free_at(), r2.end);
     }
 
     #[test]
@@ -358,7 +353,7 @@ mod tests {
         g.note_resident(128);
         g.h2d(SimTime::ZERO, 1 << 20);
         g.reset_clock();
-        assert_eq!(g.compute_free_at(), SimTime::ZERO);
+        assert_eq!(g.compute.free_at(), SimTime::ZERO);
         assert_eq!(g.copy_free_at(), SimTime::ZERO);
         assert_eq!(g.mem.peak(), 128);
         // The byte count is the registry's, cumulative across jobs.

@@ -171,7 +171,7 @@ mod tests {
         c.gpu(0).h2d(SimTime::ZERO, 1 << 20);
         c.fabric().send(0, 4 - 1, SimTime::ZERO, 1 << 20);
         c.reset_clocks();
-        assert_eq!(c.gpu(0).compute_free_at(), SimTime::ZERO);
+        assert_eq!(c.gpu(0).h2d(SimTime::ZERO, 1 << 20).start, SimTime::ZERO);
     }
 
     #[test]

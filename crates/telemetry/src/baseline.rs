@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::analyze::Analysis;
-use crate::json::{parse, Value};
+use crate::json::{field, field_map, field_str, field_uint, non_negative, parse, uint, Value};
 
 const NS_PER_S: f64 = 1e9;
 
@@ -101,39 +101,22 @@ impl BenchBaseline {
         ])
     }
 
-    /// Parse a baseline from its JSON object form. `stage_share` is
-    /// derived output and ignored on input.
+    /// Parse a baseline from its JSON object form: every field
+    /// [`BenchBaseline::to_value`] writes, with the type and range it
+    /// writes. `stage_share` is derived output and ignored on input.
     pub fn from_value(v: &Value) -> Result<Self, String> {
-        let name = v
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or("baseline: missing name")?
-            .to_string();
-        let makespan_ns =
-            v.get("makespan_ns")
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("baseline {name}: missing makespan_ns"))? as u64;
-        let map_u64 = |key: &str| -> BTreeMap<String, u64> {
-            match v.get(key) {
-                Some(Value::Obj(fields)) => fields
-                    .iter()
-                    .filter_map(|(k, val)| val.as_f64().map(|n| (k.clone(), n as u64)))
-                    .collect(),
-                _ => BTreeMap::new(),
-            }
+        let name = field_str(v, "name").map_err(|e| format!("scenario: {e}"))?;
+        let read = || {
+            Ok(BenchBaseline {
+                name: name.to_string(),
+                makespan_ns: field_uint(v, "makespan_ns", u64::MAX)?,
+                stage_ns: field_map(v, "stage_ns", |n| uint(n, u64::MAX))?,
+                bounding_stage: field_str(v, "bounding_stage")?.to_string(),
+                imbalance_cv: field(v, "imbalance_cv", non_negative)?,
+                counters: field_map(v, "counters", |n| uint(n, u64::MAX))?,
+            })
         };
-        Ok(BenchBaseline {
-            makespan_ns,
-            stage_ns: map_u64("stage_ns"),
-            bounding_stage: v
-                .get("bounding_stage")
-                .and_then(Value::as_str)
-                .unwrap_or_default()
-                .to_string(),
-            imbalance_cv: v.get("imbalance_cv").and_then(Value::as_f64).unwrap_or(0.0),
-            counters: map_u64("counters"),
-            name,
-        })
+        read().map_err(|e: String| format!("scenario {name:?}: {e}"))
     }
 }
 
@@ -167,21 +150,24 @@ impl BaselineSet {
         .render()
     }
 
-    /// Parse a baseline set from JSON text.
+    /// Parse a baseline set from JSON text: every field
+    /// [`BaselineSet::to_json`] writes, with the type and range it writes.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let v = parse(text).map_err(|e| format!("baseline set: invalid JSON: {e}"))?;
-        let scenarios = v
-            .get("scenarios")
-            .and_then(Value::as_arr)
-            .ok_or("baseline set: missing scenarios array")?;
-        Ok(BaselineSet {
-            scale: v.get("scale").and_then(Value::as_f64).unwrap_or(0.0) as u64,
-            tolerance: v.get("tolerance").and_then(Value::as_f64).unwrap_or(0.0),
-            baselines: scenarios
-                .iter()
-                .map(BenchBaseline::from_value)
-                .collect::<Result<_, _>>()?,
-        })
+        let set = |v: &Value| {
+            let Some(Value::Arr(scenarios)) = v.get("scenarios") else {
+                return Err("missing array field \"scenarios\"".to_string());
+            };
+            Ok(BaselineSet {
+                scale: field_uint(v, "scale", u64::MAX)?,
+                tolerance: field(v, "tolerance", non_negative)?,
+                baselines: scenarios
+                    .iter()
+                    .map(BenchBaseline::from_value)
+                    .collect::<Result<_, _>>()?,
+            })
+        };
+        set(&v).map_err(|e| format!("baseline set: {e}"))
     }
 }
 

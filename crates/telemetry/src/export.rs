@@ -11,8 +11,12 @@
 
 use std::collections::BTreeMap;
 
-use crate::json::{parse, render_num, render_string, Value};
+use crate::json::{
+    field, field_arr, field_map, field_num, field_str, field_time, field_uint, finite, parse,
+    render_num, render_string, uint, Value,
+};
 use crate::kind::SpanKind;
+use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
 use crate::span::{CounterSample, SpanRecord, TelemetrySnapshot};
 
 const US_PER_S: f64 = 1e6;
@@ -201,148 +205,93 @@ pub fn to_jsonl(snap: &TelemetrySnapshot) -> String {
 }
 
 /// Rebuild a [`TelemetrySnapshot`] from a JSONL event stream produced by
-/// [`to_jsonl`]. Metrics inside the `summary` line are restored for
-/// counters and gauges; histogram buckets are restored verbatim.
+/// [`to_jsonl`]. Every field is read with the type and range `to_jsonl`
+/// writes — the `summary` line's counters, gauges and histograms too — and
+/// anything else is an error naming the line and the field.
 pub fn snapshot_from_jsonl(text: &str) -> Result<TelemetrySnapshot, String> {
     let mut snap = TelemetrySnapshot::default();
     for (lineno, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let v = parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let ty = v
-            .get("type")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("line {}: missing type", lineno + 1))?;
-        match ty {
-            "track" => {
-                let track = field_uint(&v, "track", U32_LIMIT, lineno)? as u32;
-                let name = field_str(&v, "name", lineno)?;
-                snap.tracks.insert(track, name);
-            }
-            "span" => {
-                let attrs = match v.get("attrs") {
-                    Some(Value::Obj(fields)) => fields
-                        .iter()
-                        .map(|(k, val)| (k.clone(), val.as_str().unwrap_or_default().to_string()))
-                        .collect(),
-                    _ => Vec::new(),
-                };
-                snap.spans.push(SpanRecord {
-                    id: field_uint(&v, "id", U64_LIMIT, lineno)?,
-                    parent: v
-                        .get("parent")
-                        .map(|_| field_uint(&v, "parent", U64_LIMIT, lineno))
-                        .transpose()?,
-                    track: field_uint(&v, "track", U32_LIMIT, lineno)? as u32,
-                    kind: field_str(&v, "kind", lineno)?,
-                    name: field_str(&v, "name", lineno)?,
-                    start_s: field_time(&v, "start_s", lineno)?,
-                    end_s: field_time(&v, "end_s", lineno)?,
-                    attrs,
-                });
-            }
-            "sample" => {
-                snap.samples.push(CounterSample {
-                    track: field_uint(&v, "track", U32_LIMIT, lineno)? as u32,
-                    series: field_str(&v, "series", lineno)?,
-                    ts_s: field_time(&v, "ts_s", lineno)?,
-                    value: field_num(&v, "value", lineno)?,
-                });
-            }
-            "summary" => {
-                snap.dropped_spans = field_uint(&v, "dropped_spans", U64_LIMIT, lineno)?;
-                snap.dropped_samples = field_uint(&v, "dropped_samples", U64_LIMIT, lineno)?;
-                if let Some(metrics) = v.get("metrics") {
-                    restore_metrics(metrics, &mut snap);
-                }
-            }
-            other => return Err(format!("line {}: unknown type {other:?}", lineno + 1)),
-        }
+        read_line(line, &mut snap).map_err(|e| format!("line {}: {e}", lineno + 1))?;
     }
     Ok(snap)
 }
 
-fn restore_metrics(metrics: &Value, snap: &mut TelemetrySnapshot) {
-    if let Some(Value::Obj(fields)) = metrics.get("counters").cloned().as_ref() {
-        for (k, v) in fields {
-            if let Some(n) = v.as_f64() {
-                snap.metrics.counters.insert(k.clone(), n as u64);
-            }
+/// Add one JSONL line to `snap`.
+fn read_line(line: &str, snap: &mut TelemetrySnapshot) -> Result<(), String> {
+    let v = parse(line)?;
+    match field_str(&v, "type")? {
+        "track" => {
+            let track = field_uint(&v, "track", u32::MAX.into())? as u32;
+            snap.tracks
+                .insert(track, field_str(&v, "name")?.to_string());
         }
-    }
-    if let Some(Value::Obj(fields)) = metrics.get("gauges").cloned().as_ref() {
-        for (k, v) in fields {
-            if let Some(n) = v.as_f64() {
-                snap.metrics.gauges.insert(k.clone(), n);
-            }
-        }
-    }
-    if let Some(Value::Obj(fields)) = metrics.get("histograms").cloned().as_ref() {
-        for (k, h) in fields {
-            let nums = |key: &str| -> Vec<f64> {
-                h.get(key)
-                    .and_then(Value::as_arr)
-                    .map(|a| a.iter().filter_map(Value::as_f64).collect())
-                    .unwrap_or_default()
+        "span" => {
+            let attrs = match v.get("attrs") {
+                Some(Value::Obj(fields)) => fields
+                    .iter()
+                    .map(|(k, val)| (k.clone(), val.as_str().unwrap_or_default().to_string()))
+                    .collect(),
+                _ => Vec::new(),
             };
-            snap.metrics.histograms.insert(
-                k.clone(),
-                crate::metrics::HistogramSnapshot {
-                    bounds: nums("bounds"),
-                    counts: nums("counts").into_iter().map(|c| c as u64).collect(),
-                    count: h.get("count").and_then(Value::as_f64).unwrap_or(0.0) as u64,
-                    sum: h.get("sum").and_then(Value::as_f64).unwrap_or(0.0),
-                },
-            );
+            snap.spans.push(SpanRecord {
+                id: field_uint(&v, "id", u64::MAX)?,
+                parent: v
+                    .get("parent")
+                    .map(|_| field_uint(&v, "parent", u64::MAX))
+                    .transpose()?,
+                track: field_uint(&v, "track", u32::MAX.into())? as u32,
+                kind: field_str(&v, "kind")?.to_string(),
+                name: field_str(&v, "name")?.to_string(),
+                start_s: field_time(&v, "start_s")?,
+                end_s: field_time(&v, "end_s")?,
+                attrs,
+            });
         }
+        "sample" => {
+            snap.samples.push(CounterSample {
+                track: field_uint(&v, "track", u32::MAX.into())? as u32,
+                series: field_str(&v, "series")?.to_string(),
+                ts_s: field_time(&v, "ts_s")?,
+                value: field_num(&v, "value")?,
+            });
+        }
+        "summary" => {
+            snap.dropped_spans = field_uint(&v, "dropped_spans", u64::MAX)?;
+            snap.dropped_samples = field_uint(&v, "dropped_samples", u64::MAX)?;
+            let metrics = v.get("metrics").ok_or("missing field \"metrics\"")?;
+            snap.metrics = MetricsSnapshot {
+                counters: field_map(metrics, "counters", |c| uint(c, u64::MAX))?,
+                gauges: field_map(metrics, "gauges", finite)?,
+                histograms: field_map(metrics, "histograms", histogram)?,
+            };
+        }
+        other => return Err(format!("unknown type {other:?}")),
     }
+    Ok(())
 }
 
-fn field_num(v: &Value, key: &str, lineno: usize) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("line {}: missing numeric field {key:?}", lineno + 1))
-}
-
-/// One past `u32::MAX` / `u64::MAX`, as `f64`.
-const U32_LIMIT: f64 = 4_294_967_296.0;
-const U64_LIMIT: f64 = 18_446_744_073_709_551_616.0;
-
-/// A whole number in `0..limit`. A cast would turn `-1`, `0.5` and `1e30`
-/// into some other track or id without a word.
-fn field_uint(v: &Value, key: &str, limit: f64, lineno: usize) -> Result<u64, String> {
-    let n = field_num(v, key, lineno)?;
-    if n >= 0.0 && n < limit && n.fract() == 0.0 {
-        Ok(n as u64)
-    } else {
-        Err(format!(
-            "line {}: field {key:?} is not an integer in range: {n:?}",
-            lineno + 1
-        ))
+/// A histogram as [`MetricsSnapshot::to_value`] writes it: finite bounds,
+/// one count per bucket plus the overflow bucket, the total count and a
+/// finite sum.
+fn histogram(h: &Value) -> Result<HistogramSnapshot, String> {
+    let bounds = field_arr(h, "bounds", finite)?;
+    let counts = field_arr(h, "counts", |c| uint(c, u64::MAX))?;
+    if counts.len() != bounds.len() + 1 {
+        return Err(format!(
+            "has {} counts for {} bounds (one more is the overflow bucket)",
+            counts.len(),
+            bounds.len()
+        ));
     }
-}
-
-/// A simulated time in seconds: not negative, and finite in the
-/// microseconds [`to_perfetto_json`] writes — anything else would export
-/// to a document [`validate_perfetto`] rejects.
-fn field_time(v: &Value, key: &str, lineno: usize) -> Result<f64, String> {
-    let t = field_num(v, key, lineno)?;
-    if t >= 0.0 && (t * US_PER_S).is_finite() {
-        Ok(t)
-    } else {
-        Err(format!(
-            "line {}: field {key:?} is not a time: {t:?}",
-            lineno + 1
-        ))
-    }
-}
-
-fn field_str(v: &Value, key: &str, lineno: usize) -> Result<String, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("line {}: missing string field {key:?}", lineno + 1))
+    Ok(HistogramSnapshot {
+        bounds,
+        counts,
+        count: field_uint(h, "count", u64::MAX)?,
+        sum: field(h, "sum", finite)?,
+    })
 }
 
 /// Render an ASCII Gantt chart of the spans whose [`SpanKind`] has a

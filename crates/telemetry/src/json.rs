@@ -5,6 +5,7 @@
 //! is a small recursive-descent implementation sufficient for round-tripping
 //! our own exports and validating Perfetto files in tests/CI.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// A JSON value.
@@ -133,6 +134,115 @@ pub(crate) fn render_string(s: &str, out: &mut String) {
         }
     }
     out.push('"');
+}
+
+// The one field reader: what the recording and baseline readers take from
+// a document they did not write. Each value reader checks the type and
+// range its writer writes and says what is wrong; each field reader adds
+// the field's name. A cast or a default would turn `-1`, `2.5`, `1e30`,
+// `"7"` or a missing field into some other value without a word.
+
+/// `v` as a number.
+pub(crate) fn num(v: &Value) -> Result<f64, String> {
+    v.as_f64()
+        .ok_or_else(|| format!("is not a number: {}", v.render()))
+}
+
+/// `v` as a number that `holds`, which `what` names.
+fn num_that(v: &Value, what: &str, holds: impl Fn(f64) -> bool) -> Result<f64, String> {
+    let n = num(v)?;
+    holds(n)
+        .then_some(n)
+        .ok_or_else(|| format!("is not {what}: {n:?}"))
+}
+
+/// `v` as a finite number.
+pub(crate) fn finite(v: &Value) -> Result<f64, String> {
+    num_that(v, "finite", f64::is_finite)
+}
+
+/// `v` as a finite number not below zero.
+pub(crate) fn non_negative(v: &Value) -> Result<f64, String> {
+    num_that(v, "finite and non-negative", |n| n.is_finite() && n >= 0.0)
+}
+
+/// `v` as a whole number from 0 to `max` as a writer renders it: a
+/// `u64` goes through `f64`, so `u64::MAX` is written as 2^64, which reads
+/// back as `u64::MAX`.
+pub(crate) fn uint(v: &Value, max: u64) -> Result<u64, String> {
+    let whole = |n: f64| n >= 0.0 && n <= max as f64 && n.fract() == 0.0;
+    num_that(v, "an integer in range", whole).map(|n| (n as u64).min(max))
+}
+
+/// Field `key` of object `v`, read by `read`.
+pub(crate) fn field<'a, T>(
+    v: &'a Value,
+    key: &str,
+    read: impl FnOnce(&'a Value) -> Result<T, String>,
+) -> Result<T, String> {
+    let x = v.get(key).ok_or_else(|| format!("missing field {key:?}"))?;
+    read(x).map_err(|e| format!("field {key:?} {e}"))
+}
+
+/// Number field `key` of `v`.
+pub(crate) fn field_num(v: &Value, key: &str) -> Result<f64, String> {
+    field(v, key, num)
+}
+
+/// Whole-number field `key` of `v`, from 0 to `max` (see [`uint`]).
+pub(crate) fn field_uint(v: &Value, key: &str, max: u64) -> Result<u64, String> {
+    field(v, key, |x| uint(x, max))
+}
+
+/// Field `key` of `v` as a simulated time in seconds: not negative, and
+/// finite in microseconds (what a Perfetto document holds).
+pub(crate) fn field_time(v: &Value, key: &str) -> Result<f64, String> {
+    field(v, key, |x| {
+        num_that(x, "a time", |t| t >= 0.0 && (t * 1e6).is_finite())
+    })
+}
+
+/// String field `key` of `v`.
+pub(crate) fn field_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
+    field(v, key, |x| {
+        x.as_str()
+            .ok_or_else(|| format!("is not a string: {}", x.render()))
+    })
+}
+
+/// Array field `key` of `v`, each element read by `read`.
+pub(crate) fn field_arr<T>(
+    v: &Value,
+    key: &str,
+    read: impl Fn(&Value) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    field(v, key, |x| match x {
+        Value::Arr(items) => items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| read(item).map_err(|e| format!("element {i} {e}")))
+            .collect(),
+        other => Err(format!("is not an array: {}", other.render())),
+    })
+}
+
+/// Object field `key` of `v`, each entry's value read by `read`; an
+/// entry's error names it as field `key.name`.
+pub(crate) fn field_map<T>(
+    v: &Value,
+    key: &str,
+    read: impl Fn(&Value) -> Result<T, String>,
+) -> Result<BTreeMap<String, T>, String> {
+    match v.get(key) {
+        Some(Value::Obj(entries)) => entries
+            .iter()
+            .map(|(name, x)| match read(x) {
+                Ok(t) => Ok((name.clone(), t)),
+                Err(e) => Err(format!("field {:?} {e}", format!("{key}.{name}"))),
+            })
+            .collect(),
+        _ => field(v, key, |x| Err(format!("is not an object: {}", x.render()))),
+    }
 }
 
 /// Parse a JSON document. Returns a descriptive error on malformed input.

@@ -6,8 +6,9 @@
 //!   critical-path stage attribution reconciles with the makespan within
 //!   1%;
 //! * `gpmr perf diff` exits non-zero (an `Err` from dispatch, which the
-//!   binary maps to exit code 2) on a synthetic 2x regression and on two
-//!   sets recorded at different scales, and zero on an identical
+//!   binary maps to exit code 2) on a synthetic 2x regression, on two
+//!   sets recorded at different scales and on a set whose fields do not
+//!   have the types `perf record` writes, and zero on an identical
 //!   recording.
 
 use std::path::PathBuf;
@@ -171,7 +172,7 @@ fn a_diff_across_scales_fails_and_names_both_scales() {
     let (at_8192, at_4096) = (set(8192), set(4096));
     let report = diff_sets(&at_8192, &at_4096, 0.10);
     assert_eq!(report.verdict, Verdict::Fail, "{}", report.render_text());
-    // An unrecorded scale (0, from a set without the field) is not refused.
+    // A zero scale is not compared.
     let unscaled = BaselineSet {
         scale: 0,
         ..at_8192.clone()
@@ -198,5 +199,94 @@ fn a_diff_across_scales_fails_and_names_both_scales() {
         err.contains("scale 8192") && err.contains("scale 4096"),
         "{err}"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A JSON object's fields.
+type Fields = Vec<(String, json::Value)>;
+
+/// An edit of a baseline set's fields.
+type Edit = fn(&mut Fields);
+
+/// `BENCH_PR6.json` with `edit` applied to its parsed tree.
+fn edited_bench(edit: impl FnOnce(&mut Fields)) -> String {
+    let text =
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_PR6.json")).unwrap();
+    let mut set = json::parse(&text).unwrap();
+    let json::Value::Obj(fields) = &mut set else {
+        panic!("a set is an object")
+    };
+    edit(fields);
+    set.render()
+}
+
+/// The fields of the set's first scenario, `wo_1rank`.
+fn first_scenario(set: &mut Fields) -> &mut Fields {
+    let (_, json::Value::Arr(scenarios)) = set.iter_mut().find(|(k, _)| k == "scenarios").unwrap()
+    else {
+        panic!("scenarios is an array")
+    };
+    let json::Value::Obj(first) = &mut scenarios[0] else {
+        panic!("a scenario is an object")
+    };
+    first
+}
+
+/// Set field `key` of `fields` to the JSON text `raw`.
+fn set_field(fields: &mut [(String, json::Value)], key: &str, raw: &str) {
+    fields.iter_mut().find(|(k, _)| k == key).unwrap().1 = json::parse(raw).unwrap();
+}
+
+/// A baseline set's fields used to be read through `unwrap_or` and `as
+/// u64`: a string scale read as 0, so the scale guard was skipped and the
+/// diff passed; a makespan of -5 read as 0 ("makespan improved -100.0%");
+/// a counter given as a string was dropped. Each is now an error naming
+/// the scenario and the field, and `perf diff` exits 2 on it.
+#[test]
+fn a_baseline_set_is_read_with_the_types_perf_record_writes() {
+    let bench = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_PR6.json");
+    let same = run(&["perf", "diff", "--baseline", bench, "--against", bench]).unwrap();
+    assert_eq!(same.matches("(makespan +0.00%)").count(), 11, "{same}");
+    assert!(BaselineSet::from_json(&edited_bench(|_| {})).is_ok());
+
+    let cases: [(&str, Edit); 7] = [
+        ("\"scale\"", |s| set_field(s, "scale", "\"128\"")),
+        ("\"scale\"", |s| set_field(s, "scale", "-64")),
+        ("\"tolerance\"", |s| s.retain(|(k, _)| k != "tolerance")),
+        ("\"makespan_ns\"", |s| {
+            set_field(first_scenario(s), "makespan_ns", "-5")
+        }),
+        ("\"imbalance_cv\"", |s| {
+            set_field(first_scenario(s), "imbalance_cv", "null")
+        }),
+        ("\"bounding_stage\"", |s| {
+            first_scenario(s).retain(|(k, _)| k != "bounding_stage")
+        }),
+        ("\"counters.engine.chunks_dispatched\"", |s| {
+            let (_, json::Value::Obj(counters)) = first_scenario(s)
+                .iter_mut()
+                .find(|(k, _)| k == "counters")
+                .unwrap()
+            else {
+                panic!("counters is an object")
+            };
+            set_field(counters, "engine.chunks_dispatched", "\"16\"");
+        }),
+    ];
+    let dir = std::env::temp_dir().join("gpmr_perf_strict_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let copy = dir.join("copy.json");
+    for (i, (field, edit)) in cases.into_iter().enumerate() {
+        let text = edited_bench(edit);
+        let err = BaselineSet::from_json(&text).expect_err(field);
+        assert!(err.contains(field), "case {i}: {err}");
+        if i >= 3 {
+            assert!(err.contains("scenario \"wo_1rank\""), "case {i}: {err}");
+        }
+        std::fs::write(&copy, &text).unwrap();
+        let path = copy.to_str().unwrap();
+        let err = run(&["perf", "diff", "--baseline", bench, "--against", path]).unwrap_err();
+        assert!(err.to_string().contains(field), "case {i}: {err}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -9,8 +9,7 @@ use std::fs;
 use std::path::Path;
 use std::process::Command;
 
-use gpmr::core::EngineTuning;
-use gpmr::primitives::SortConfig;
+use gpmr::core::{EngineTuning, RunOpts};
 use gpmr::service::ServiceConfig;
 use gpmr::telemetry::json::{self, Value};
 use gpmr::telemetry::SpanKind;
@@ -195,9 +194,17 @@ const RULES: &[Rule] = &[
             "self.busy +=", "Fabric::new(", "pub fn new(topology: Topology)", "fn count(&self, i: usize)",
             "fn iter(&self) -> impl Iterator<Item = (&K, std::ops::Range", "pub converged", "pub map_time",
             "pub sort_time", "pub group_time", "pub reduce_time", "pub occupancy", "block_threads: cfg.block_threads",
-            "Finding::Alert"]),
+            "Finding::Alert", "fn compute_free_at("]),
         reason: "callers that rustc resolves: no public fn only tests called (the census's first finds), no \
             busy sum nothing read, no result field nothing read and no finding nothing built comes back", ..ABSENT },
+    Rule { roots: &["crates", "src"], text: Code, example: "let cfg = SortConfig::reference();",
+        hits: |l| any(l, &["SortConfig", "sort_pairs_with_bits_config", "digit_bits", "fuse_final"]),
+        reason: "one sort plan: 11-bit digits and a fused final pass, and the sort's tests hold it \
+            to the standard library's stable sort, not to a second plan", ..ABSENT },
+    Rule { roots: &["crates", "src"], text: Code, example: "pub inputs_resident: bool,",
+        hits: |l| l.contains("pub inputs_resident"),
+        reason: "residency is the round driver's claim, set on its `Run`, not an option a caller hands a run",
+        ..ABSENT },
     Rule { roots: &["crates/apps/src/mph.rs"], text: Code, hits: |l| any(l, &["fn len(", "fn is_empty("]),
         reason: "callers that rustc resolves: the hash's size is its dictionary's (`Dictionary::len`)",
         example: "pub fn len(&self) -> usize {", ..ABSENT },
@@ -267,15 +274,16 @@ fn every_rule_flags_its_example_and_holds_over_the_tree() {
 }
 
 /// `EngineTuning` keeps the three settings a caller varies (its fixed costs
-/// are constants), `ServiceConfig` no tuning of its own and `SortConfig` no
-/// knobs: a new field stops this file compiling, so is on purpose.
+/// are constants), `ServiceConfig` no tuning of its own and `RunOpts` what
+/// a caller hands a run: a new field stops this file compiling, so is on
+/// purpose.
 #[test]
 #[rustfmt::skip]
 fn the_tuning_structs_keep_their_fields() {
     let EngineTuning { allow_stealing: _, pipeline_depth: _, gpu_direct: _ } = EngineTuning::default();
     let ServiceConfig { gpus: _, engines: _, max_queue_depth: _, batch_window_s: _, batch_max: _, obs: _ } =
         ServiceConfig::default();
-    let SortConfig { digit_bits: _, fuse_final: _ } = SortConfig::default();
+    let RunOpts { tuning: _, tel: _, journal: _ } = RunOpts::default();
 }
 
 /// Why a product `pub fn` that no product code calls stays.
@@ -303,8 +311,6 @@ const UNCALLED: &[(&str, Need)] = &[
         in bounded kernels")),
     ("BlockCtx::shared_alloc", Paper("block-shared memory, which KMC's kernel reads its centers from (section 5.3.4): \
         the allocator held to the launch's declaration, the one source of `SharedMemExceeded`")),
-    // The 8-bit, unfused plan every digit width and fusion is held to.
-    ("SortConfig::reference", Test("crates/primitives/tests/properties.rs")),
     // The event table's rows are private; this is how tests enumerate it.
     ("SpanKind::all", Test("tests/span_vocabulary.rs")),
     ("Dictionary::is_empty", Beside("len")),

@@ -7,7 +7,8 @@
 //! * recovery work appears as counter increments that reconcile exactly
 //!   with [`JobTimings`] (also as a property over generated fault plans);
 //! * the Perfetto export passes the structural validator and the JSONL
-//!   stream round-trips losslessly;
+//!   stream round-trips losslessly, its reader refusing metrics of a type
+//!   or range the writer does not write;
 //! * a flight recorder's postmortems, assembled from fragments rendered
 //!   once and shared between dumps, equal the whole-snapshot export of
 //!   their window and capture byte for byte (a property over record/dump
@@ -16,6 +17,7 @@
 use gpmr::core::{run_job_instrumented, EngineTuning, JobTimings};
 use gpmr::prelude::*;
 use gpmr::sim_gpu::FaultPlan;
+use gpmr::telemetry::json::{self, Value};
 use gpmr::telemetry::{export, FlightRecorder, SpanRecord, Telemetry, TelemetrySnapshot};
 use gpmr_apps::sio::{self, sio_chunks};
 use proptest::prelude::*;
@@ -189,6 +191,103 @@ fn jsonl_stream_round_trips() {
         assert_eq!(a.parent, b.parent);
         assert_eq!(a.start_s.to_bits(), b.start_s.to_bits());
         assert_eq!(a.end_s.to_bits(), b.end_s.to_bits());
+    }
+}
+
+/// `jsonl` with `edit` applied to the summary line's metrics object.
+fn with_metrics(jsonl: &str, edit: impl FnOnce(&mut Vec<(String, Value)>)) -> String {
+    let (body, summary) = jsonl.trim_end().rsplit_once('\n').unwrap();
+    let mut summary = json::parse(summary).unwrap();
+    let Value::Obj(fields) = &mut summary else {
+        panic!("summary is an object")
+    };
+    let (_, metrics) = fields.iter_mut().find(|(k, _)| k == "metrics").unwrap();
+    let Value::Obj(metrics) = metrics else {
+        panic!("metrics is an object")
+    };
+    edit(metrics);
+    format!("{body}\n{}\n", summary.render())
+}
+
+/// The entries of group `group` (`counters`, `gauges`, `histograms`).
+fn group<'a>(metrics: &'a mut [(String, Value)], group: &str) -> &'a mut Vec<(String, Value)> {
+    match metrics.iter_mut().find(|(k, _)| k == group) {
+        Some((_, Value::Obj(entries))) => entries,
+        _ => panic!("no {group} object"),
+    }
+}
+
+/// The summary's metrics used to be cast (`1e30` read as 2^64 - 1 transfer
+/// retries, `-3` as 0, `2.5` as 2) or dropped (`"7"`), and a histogram
+/// without its `count` read as one with none. Each is now an error naming
+/// the summary's line and the field.
+#[test]
+fn a_recordings_metrics_are_read_with_the_types_to_jsonl_writes() {
+    let (snap, _) = run_instrumented(None);
+    let jsonl = export::to_jsonl(&snap);
+    let summary_line = format!("line {}: ", jsonl.lines().count());
+    let read = |text: String| export::snapshot_from_jsonl(&text);
+    assert!(read(with_metrics(&jsonl, |_| {})).is_ok());
+
+    let retries = "counters.engine.transfer_retries";
+    for bad in ["1e30", "-3", "\"7\"", "2.5", "null"] {
+        let text = with_metrics(&jsonl, |m| {
+            let counters = group(m, "counters");
+            let (_, v) = counters
+                .iter_mut()
+                .find(|(k, _)| k == "engine.transfer_retries")
+                .unwrap();
+            *v = json::parse(bad).unwrap();
+        });
+        let err = read(text).expect_err(bad);
+        assert!(
+            err.starts_with(&summary_line) && err.contains(retries),
+            "{bad}: {err}"
+        );
+    }
+
+    let gauge = snap.metrics.gauges.keys().next().expect("a gauge").clone();
+    let text = with_metrics(&jsonl, |m| {
+        group(m, "gauges")[0].1 = json::parse("1e999").unwrap()
+    });
+    let err = read(text).unwrap_err();
+    assert!(
+        err.starts_with(&summary_line) && err.contains(&gauge),
+        "{err}"
+    );
+
+    let hist = snap
+        .metrics
+        .histograms
+        .keys()
+        .next()
+        .expect("a histogram")
+        .clone();
+    for (field, edit) in [
+        (
+            "count",
+            (|h: &mut Vec<(String, Value)>| h.retain(|(k, _)| k != "count")) as fn(&mut _),
+        ),
+        ("sum", |h| h.retain(|(k, _)| k != "sum")),
+        ("counts", |h| {
+            let (_, Value::Arr(counts)) = h.iter_mut().find(|(k, _)| k == "counts").unwrap() else {
+                panic!("counts is an array")
+            };
+            counts.pop();
+        }),
+    ] {
+        let text = with_metrics(&jsonl, |m| {
+            let Value::Obj(h) = &mut group(m, "histograms")[0].1 else {
+                panic!("histogram object")
+            };
+            edit(h);
+        });
+        let err = read(text).unwrap_err();
+        assert!(
+            err.starts_with(&summary_line) && err.contains(&hist),
+            "{field}: {err}"
+        );
+        assert!(err.contains(field), "{field}: {err}");
     }
 }
 
