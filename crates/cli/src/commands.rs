@@ -243,7 +243,7 @@ const fn flag(name: &'static str, kind: Kind) -> Flag {
 }
 
 const SEED: Flag = flag("seed", Uint(0, u64::MAX));
-const SCALE: Flag = flag("scale", Uint(0, u64::MAX));
+const SCALE: Flag = flag("scale", Uint(1, u64::MAX));
 const JSON: Flag = flag("json", Switch);
 const IN: Flag = flag("in", Text);
 const OUT: Flag = flag("out", Text);

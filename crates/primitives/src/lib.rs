@@ -26,7 +26,7 @@ pub mod segments;
 pub use bitonic::bitonic_sort_pairs_by;
 pub use elem::{AddElem, RadixKey};
 pub use radix::{
-    bits_for_radix, sort_pairs, sort_pairs_with_bits, sort_parts_with_bits, SortPart, SortScratch,
+    bits_for_radix, charge_sort, sort_in_place, sort_pairs, sort_pairs_with_bits, SortScratch,
 };
 pub use scan::exclusive_scan;
 pub use segments::{extract_segments, extract_segments_into, Segments};

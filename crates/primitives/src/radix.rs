@@ -12,6 +12,8 @@
 //! this is why Sort is a visible slice of the paper's Figure 2 runtime
 //! breakdown.
 
+use std::ops::Range;
+
 use gpmr_sim_gpu::{occupancy, Gpu, KernelCost, LaunchConfig, SimGpuResult, SimTime};
 
 use crate::elem::RadixKey;
@@ -24,32 +26,28 @@ pub const SORT_ITEMS_PER_BLOCK: usize = 4096;
 /// `4 << SORT_DIGIT_BITS` bytes (8 KiB).
 const SORT_DIGIT_BITS: u32 = 11;
 
-/// One contiguous run of a sort's input: parallel key and value slices.
-/// A sort over several parts sorts their concatenation, in list order.
-pub type SortPart<'a, K, V> = (&'a [K], &'a [V]);
-
-/// The buffers a sort works in, kept by the caller so that consecutive
-/// sorts (one per reducer rank, say) reuse them instead of mapping and
-/// faulting in fresh ones: the sorted output, the packed ping-pong pair
-/// buffers and the digit counters.
+/// The host buffers a sort works in, kept by the caller so that
+/// consecutive sorts (one per reducer rank, say) reuse them instead of
+/// mapping and faulting in fresh ones: one packed pair buffer, which the
+/// sort ping-pongs with the pairs' own slices, and the digit counters.
 pub struct SortScratch<K, V> {
-    /// Sorted keys of the most recent sort.
-    pub keys: Vec<K>,
-    /// The values carried along; `vals[i]` belongs to `keys[i]`.
-    pub vals: Vec<V>,
-    a: Vec<(K, V)>,
-    b: Vec<(K, V)>,
+    packed: Vec<(K, V)>,
     hist: Vec<usize>,
     next: Vec<usize>,
 }
 
 impl<K, V> Default for SortScratch<K, V> {
     fn default() -> Self {
+        SortScratch::with_capacity(0)
+    }
+}
+
+impl<K, V> SortScratch<K, V> {
+    /// A scratch whose packed buffer holds `pairs` pairs, so no sort of
+    /// up to that many pairs grows it.
+    pub fn with_capacity(pairs: usize) -> Self {
         SortScratch {
-            keys: Vec::new(),
-            vals: Vec::new(),
-            a: Vec::new(),
-            b: Vec::new(),
+            packed: Vec::with_capacity(pairs),
             hist: Vec::new(),
             next: Vec::new(),
         }
@@ -81,15 +79,13 @@ pub fn sort_pairs<K, V>(
 ) -> SimGpuResult<(Vec<K>, Vec<V>, SimTime)>
 where
     K: RadixKey,
-    V: Copy + Send + Sync + 'static,
+    V: Copy,
 {
     // Charge the max-reduction kernels that bound the number of passes;
     // the host finds the real max in the pass-0 histogram sweep the sort
     // needs anyway — one read of the keys instead of two.
     let t = charge_max_radix(gpu, at, keys)?;
-    let mut s = SortScratch::default();
-    let t = sort_parts(gpu, t, &[(keys, vals)], None, &mut s)?;
-    Ok((s.keys, s.vals, t))
+    sort_copy(gpu, t, keys, vals, None)
 }
 
 /// Significant bits needed to represent `max_radix` (at least 1).
@@ -113,197 +109,56 @@ pub fn sort_pairs_with_bits<K, V>(
 ) -> SimGpuResult<(Vec<K>, Vec<V>, SimTime)>
 where
     K: RadixKey,
-    V: Copy + Send + Sync + 'static,
+    V: Copy,
 {
-    let mut s = SortScratch::default();
-    let t = sort_parts(gpu, at, &[(keys, vals)], Some(significant_bits), &mut s)?;
-    Ok((s.keys, s.vals, t))
+    sort_copy(gpu, at, keys, vals, Some(significant_bits))
 }
 
-/// [`sort_pairs_with_bits`] over an input that lies in several pieces:
-/// sorts the concatenation of `parts` (in list order, so the sort is
-/// stable across parts too) without the caller having to build it, into
-/// `scratch.keys` / `scratch.vals`. Returns the completion time. The
-/// simulated kernels, and so the time, are those of the one-piece sort.
-pub fn sort_parts_with_bits<K, V>(
+/// The sort of a copy of the input: the two halves below, on one thread.
+fn sort_copy<K: RadixKey, V: Copy>(
     gpu: &mut Gpu,
     at: SimTime,
-    parts: &[SortPart<'_, K, V>],
-    significant_bits: u32,
-    scratch: &mut SortScratch<K, V>,
-) -> SimGpuResult<SimTime>
-where
-    K: RadixKey,
-    V: Copy + Send + Sync + 'static,
-{
-    sort_parts(gpu, at, parts, Some(significant_bits), scratch)
+    keys: &[K],
+    vals: &[V],
+    significant_bits: Option<u32>,
+) -> SimGpuResult<(Vec<K>, Vec<V>, SimTime)> {
+    assert_eq!(keys.len(), vals.len(), "{LENGTH_MISMATCH}");
+    let (mut k, mut v) = (keys.to_vec(), vals.to_vec());
+    let mut s = SortScratch::default();
+    let bits = sort_within(
+        &mut k,
+        &mut v,
+        std::slice::from_ref(&(0..keys.len())),
+        significant_bits,
+        &mut s,
+    );
+    let t = charge_sort::<K, V>(gpu, at, keys.len(), bits)?;
+    Ok((k, v, t))
 }
 
 const LENGTH_MISMATCH: &str = "keys and values must have equal length";
 
-/// Every pair of `parts`, in order.
-fn pairs_of<'a, K: Copy, V: Copy>(
-    parts: &'a [SortPart<'a, K, V>],
-) -> impl Iterator<Item = (K, V)> + 'a {
-    parts
-        .iter()
-        .flat_map(|&(k, v)| k.iter().copied().zip(v.iter().copied()))
-}
-
-/// The sort behind every entry point above. `significant_bits` of `None`
-/// means as many as the largest key needs.
-fn sort_parts<K, V>(
+/// The simulated half of a sort of `n` pairs of `K` and `V` over
+/// `significant_bits`: charges exactly the plan's kernels (11-bit passes,
+/// the last one fused) on `gpu` from `at`, touching no pair, and returns
+/// their completion time. How the host reproduces the output is
+/// [`sort_in_place`]'s business: a stable sort has one output, whatever
+/// digits the host sweeps with, on whatever thread.
+pub fn charge_sort<K: RadixKey, V>(
     gpu: &mut Gpu,
     at: SimTime,
-    parts: &[SortPart<'_, K, V>],
-    significant_bits: Option<u32>,
-    s: &mut SortScratch<K, V>,
-) -> SimGpuResult<SimTime>
-where
-    K: RadixKey,
-    V: Copy + Send + Sync + 'static,
-{
-    for (k, v) in parts {
-        assert_eq!(k.len(), v.len(), "{LENGTH_MISMATCH}");
-    }
-    let n: usize = parts.iter().map(|(k, _)| k.len()).sum();
+    n: usize,
+    significant_bits: u32,
+) -> SimGpuResult<SimTime> {
     if n <= 1 {
-        s.keys.clear();
-        s.vals.clear();
-        for (k, v) in pairs_of(parts) {
-            s.keys.push(k);
-            s.vals.push(v);
-        }
         return Ok(at);
     }
-    let max = pass0_histogram(parts, host_sweep_bits(n), &mut s.hist);
-    let bits = significant_bits.unwrap_or_else(|| bits_for_radix(max));
-    serial_sort(gpu, at, parts, n, bits, s)
-}
-
-/// Digit counts of the host's pass 0 (shift 0, `hbits` wide) into
-/// `hist`, and the largest key radix seen in the same sweep.
-fn pass0_histogram<K: RadixKey, V>(
-    parts: &[SortPart<'_, K, V>],
-    hbits: u32,
-    hist: &mut Vec<usize>,
-) -> u64 {
-    let mask = (1u64 << hbits) - 1;
-    hist.clear();
-    hist.resize(1 << hbits, 0);
-    let mut max = 0u64;
-    for (keys, _) in parts {
-        for k in *keys {
-            let r = k.radix();
-            max = max.max(r);
-            hist[(r & mask) as usize] += 1;
-        }
-    }
-    max
-}
-
-/// Stable scatter of `src` (`n` pairs) into the packed `dst` by the digit
-/// at `shift`, counting the next digit of every pair on the way. `cursors`
-/// must be the exclusive scan of exactly `src`'s counts of that digit, so
-/// that each slot in `0..n` is written exactly once — into spare capacity,
-/// with no zero/fill pass over memory the scatter is about to overwrite
-/// anyway.
-fn scatter_packed<K: RadixKey, V: Copy>(
-    src: impl Iterator<Item = (K, V)>,
-    n: usize,
-    dst: &mut Vec<(K, V)>,
-    cursors: &mut [usize],
-    next: &mut [usize],
-    shift: u32,
-    hbits: u32,
-) {
-    let mask = (1u64 << hbits) - 1;
-    dst.clear();
-    dst.reserve(n);
-    let out = &mut dst.spare_capacity_mut()[..n];
-    let mut written = 0usize;
-    src.for_each(|(k, v)| {
-        let pos = &mut cursors[((k.radix() >> shift) & mask) as usize];
-        out[*pos].write((k, v));
-        *pos += 1;
-        next[((k.radix() >> (shift + hbits)) & mask) as usize] += 1;
-        written += 1;
-    });
-    assert_eq!(written, n, "scatter source shorter than its digit counts");
-    // SAFETY: `n` pairs were written, each at its digit's cursor inside
-    // `out[..n]` (an out-of-range cursor panics on the index). Cursors
-    // scanned from `src`'s own counts never meet, so the `n` writes hit
-    // `n` distinct slots: all of `dst[..n]` is initialized. `(K, V)` is
-    // `Copy`.
-    unsafe { dst.set_len(n) };
-}
-
-/// [`scatter_packed`] for the last pass: straight into the split output
-/// vectors, so no unzip pass remains.
-fn scatter_split<K: RadixKey, V: Copy>(
-    src: impl Iterator<Item = (K, V)>,
-    n: usize,
-    keys: &mut Vec<K>,
-    vals: &mut Vec<V>,
-    cursors: &mut [usize],
-    shift: u32,
-    hbits: u32,
-) {
-    let mask = (1u64 << hbits) - 1;
-    keys.clear();
-    keys.reserve(n);
-    vals.clear();
-    vals.reserve(n);
-    let ok = &mut keys.spare_capacity_mut()[..n];
-    let ov = &mut vals.spare_capacity_mut()[..n];
-    let mut written = 0usize;
-    src.for_each(|(k, v)| {
-        let pos = &mut cursors[((k.radix() >> shift) & mask) as usize];
-        ok[*pos].write(k);
-        ov[*pos].write(v);
-        *pos += 1;
-        written += 1;
-    });
-    assert_eq!(written, n, "scatter source shorter than its digit counts");
-    // SAFETY: as in `scatter_packed` — `n` writes at `n` distinct
-    // positions inside `[..n]` of both buffers. `K` and `V` are `Copy`.
-    unsafe {
-        keys.set_len(n);
-        vals.set_len(n);
-    }
-}
-
-/// The whole sort: one histogram read of the input up front (`s.hist`, see
-/// [`pass0_histogram`] — by the caller, which folds the max reduction into
-/// the same sweep), then one combined scatter-plus-next-histogram sweep
-/// per digit — the next pass's counts fall out of the keys the scatter is
-/// already touching, and the final pass scatters straight into the split
-/// output vectors, so no standalone histogram or unzip passes remain. Pass
-/// 0 reads the `parts` where they lie. The simulated kernels charged are
-/// those of the one plan ([`SORT_DIGIT_BITS`]-wide passes, the last fused)
-/// whatever digits the host sweeps with; the stable output is unique.
-fn serial_sort<K, V>(
-    gpu: &mut Gpu,
-    at: SimTime,
-    parts: &[SortPart<'_, K, V>],
-    n: usize,
-    bits: u32,
-    s: &mut SortScratch<K, V>,
-) -> SimGpuResult<SimTime>
-where
-    K: RadixKey,
-    V: Copy + Send + Sync + 'static,
-{
     let digits = 1usize << SORT_DIGIT_BITS;
     let pair_bytes = std::mem::size_of::<K>() + std::mem::size_of::<V>();
     let launch_cfg = LaunchConfig::for_items(n, SORT_ITEMS_PER_BLOCK, 256)
         .with_shared_bytes((digits * 4) as u32);
     let blocks = n.div_ceil(SORT_ITEMS_PER_BLOCK);
-
-    // Simulated kernels: exactly the plan, with charge-only launch
-    // closures — how the host reproduces the output is its own business
-    // (below).
-    let sim_passes = bits.clamp(1, K::BITS).div_ceil(SORT_DIGIT_BITS);
+    let sim_passes = significant_bits.clamp(1, K::BITS).div_ceil(SORT_DIGIT_BITS);
     let mut t = at;
     for pass in 0..sim_passes {
         t = if pass + 1 == sim_passes {
@@ -340,23 +195,70 @@ where
             gpu.charge_compute(r2.end, &scatter_cost, 1.0).end
         };
     }
+    Ok(t)
+}
 
-    // Host sweeps, possibly on wider digits than the simulated kernels
-    // (see [`host_sweep_bits`]) — fewer sweeps over the data, same unique
-    // stable output.
+/// The host half of a sort: takes no device and charges nothing (pair it
+/// with [`charge_sort`]). `keys`/`vals` is an arena that `ranges` tile —
+/// every pair lies in exactly one range — and the sort leaves in it,
+/// stably sorted by key, the concatenation of the ranges in list order
+/// (so the order of the ranges, not of the arena, breaks ties). Pass 0
+/// reads the ranges where they lie into the scratch's packed buffer, the
+/// passes then alternate between that buffer and the arena, and an odd
+/// pass count ends with one copy back: no second arena exists.
+///
+/// ```
+/// use gpmr_primitives::{sort_in_place, SortScratch};
+///
+/// let (mut keys, mut vals) = (vec![7u32, 3, 9, 3], vec![0u8, 1, 2, 3]);
+/// // The second piece of the arena arrived first.
+/// sort_in_place(&mut keys, &mut vals, &[2..4, 0..2], 4, &mut SortScratch::default());
+/// assert_eq!(keys, [3, 3, 7, 9]);
+/// assert_eq!(vals, [3, 1, 0, 2]);
+/// ```
+pub fn sort_in_place<K: RadixKey, V: Copy>(
+    keys: &mut [K],
+    vals: &mut [V],
+    ranges: &[Range<usize>],
+    significant_bits: u32,
+    scratch: &mut SortScratch<K, V>,
+) {
+    sort_within(keys, vals, ranges, Some(significant_bits), scratch);
+}
+
+/// [`sort_in_place`], finding the significant bits in the pass-0
+/// histogram sweep when `significant_bits` is `None`. Returns the bits it
+/// sorted on.
+fn sort_within<K: RadixKey, V: Copy>(
+    keys: &mut [K],
+    vals: &mut [V],
+    ranges: &[Range<usize>],
+    significant_bits: Option<u32>,
+    s: &mut SortScratch<K, V>,
+) -> u32 {
+    assert_eq!(keys.len(), vals.len(), "{LENGTH_MISMATCH}");
+    let n = keys.len();
+    let tiled: usize = ranges.iter().map(|r| r.len()).sum();
+    assert_eq!(tiled, n, "the ranges must tile the arena");
+    if n <= 1 {
+        return significant_bits.unwrap_or(1);
+    }
+    // Digit counts of pass 0, and the largest radix, in one sequential
+    // sweep of the arena: a histogram does not care about order.
     let hbits = host_sweep_bits(n);
+    let mask = (1u64 << hbits) - 1;
+    let SortScratch { packed, hist, next } = s;
+    hist.clear();
+    hist.resize(1 << hbits, 0);
+    let mut max = 0u64;
+    for k in keys.iter() {
+        let r = k.radix();
+        max = max.max(r);
+        hist[(r & mask) as usize] += 1;
+    }
+    let bits = significant_bits.unwrap_or_else(|| bits_for_radix(max));
     let hpasses = bits.clamp(1, K::BITS).div_ceil(hbits);
-    let SortScratch {
-        keys,
-        vals,
-        a,
-        b,
-        hist,
-        next,
-        ..
-    } = s;
-    debug_assert_eq!(hist.len(), 1usize << hbits);
-    let (mut src, mut dst) = (a, b);
+
     for pass in 0..hpasses {
         let shift = pass * hbits;
         // Exclusive scan turns the counts into running placement cursors
@@ -365,25 +267,97 @@ where
         for c in hist.iter_mut() {
             running += std::mem::replace(c, running);
         }
-        if pass + 1 == hpasses {
-            if pass == 0 {
-                scatter_split(pairs_of(parts), n, keys, vals, hist, shift, hbits);
-            } else {
-                scatter_split(src.iter().copied(), n, keys, vals, hist, shift, hbits);
-            }
-            break;
+        let last = pass + 1 == hpasses;
+        if !last {
+            next.clear();
+            next.resize(1 << hbits, 0);
         }
-        next.clear();
-        next.resize(1 << hbits, 0);
+        let counts = (!last).then_some(&mut next[..]);
         if pass == 0 {
-            scatter_packed(pairs_of(parts), n, src, hist, next, shift, hbits);
+            let src = ranges.iter().flat_map(|r| {
+                let (k, v) = (&keys[r.clone()], &vals[r.clone()]);
+                k.iter().copied().zip(v.iter().copied())
+            });
+            scatter_packed(src, n, packed, hist, counts, shift, hbits);
+        } else if pass % 2 == 1 {
+            let src = packed.iter().copied();
+            scatter_split(src, keys, vals, hist, counts, shift, hbits);
         } else {
-            scatter_packed(src.iter().copied(), n, dst, hist, next, shift, hbits);
-            std::mem::swap(&mut src, &mut dst);
+            let src = keys.iter().copied().zip(vals.iter().copied());
+            scatter_packed(src, n, packed, hist, counts, shift, hbits);
         }
-        std::mem::swap(hist, next);
+        if !last {
+            std::mem::swap(hist, next);
+        }
     }
-    Ok(t)
+    // An odd pass count left the sorted pairs in the packed buffer.
+    if hpasses % 2 == 1 {
+        for ((k, v), &(pk, pv)) in keys.iter_mut().zip(vals.iter_mut()).zip(packed.iter()) {
+            (*k, *v) = (pk, pv);
+        }
+    }
+    bits
+}
+
+/// Stable scatter of `src` (`n` pairs) into the packed `dst` by the digit
+/// at `shift`, counting the next digit of every pair into `next` on the
+/// way unless this is the last pass. `cursors` must be the exclusive scan
+/// of exactly `src`'s counts of that digit, so that each slot in `0..n` is
+/// written exactly once — into spare capacity, with no zero/fill pass over
+/// memory the scatter is about to overwrite anyway.
+fn scatter_packed<K: RadixKey, V: Copy>(
+    src: impl Iterator<Item = (K, V)>,
+    n: usize,
+    dst: &mut Vec<(K, V)>,
+    cursors: &mut [usize],
+    mut next: Option<&mut [usize]>,
+    shift: u32,
+    hbits: u32,
+) {
+    let mask = (1u64 << hbits) - 1;
+    dst.clear();
+    dst.reserve(n);
+    let out = &mut dst.spare_capacity_mut()[..n];
+    let mut written = 0usize;
+    src.for_each(|(k, v)| {
+        let pos = &mut cursors[((k.radix() >> shift) & mask) as usize];
+        out[*pos].write((k, v));
+        *pos += 1;
+        if let Some(next) = next.as_deref_mut() {
+            next[((k.radix() >> (shift + hbits)) & mask) as usize] += 1;
+        }
+        written += 1;
+    });
+    assert_eq!(written, n, "scatter source shorter than its digit counts");
+    // SAFETY: `n` pairs were written, each at its digit's cursor inside
+    // `out[..n]` (an out-of-range cursor panics on the index). Cursors
+    // scanned from `src`'s own counts never meet, so the `n` writes hit
+    // `n` distinct slots: all of `dst[..n]` is initialized. `(K, V)` is
+    // `Copy`.
+    unsafe { dst.set_len(n) };
+}
+
+/// [`scatter_packed`] into the split arena slices, which have exactly
+/// `src`'s length.
+fn scatter_split<K: RadixKey, V: Copy>(
+    src: impl Iterator<Item = (K, V)>,
+    keys: &mut [K],
+    vals: &mut [V],
+    cursors: &mut [usize],
+    mut next: Option<&mut [usize]>,
+    shift: u32,
+    hbits: u32,
+) {
+    let mask = (1u64 << hbits) - 1;
+    src.for_each(|(k, v)| {
+        let pos = &mut cursors[((k.radix() >> shift) & mask) as usize];
+        keys[*pos] = k;
+        vals[*pos] = v;
+        *pos += 1;
+        if let Some(next) = next.as_deref_mut() {
+            next[((k.radix() >> (shift + hbits)) & mask) as usize] += 1;
+        }
+    });
 }
 
 /// Digit width of the host sweeps. Wide 16-bit digits halve the

@@ -94,13 +94,16 @@ proptest! {
 }
 
 mod pair_path {
-    //! The reducer-side pair path: a sort that reads its input in pieces,
-    //! and segment extraction that fills one output.
+    //! The reducer-side pair path: a sort that reads its input in pieces
+    //! and leaves it sorted where it lay, and segment extraction that
+    //! fills one output.
 
     use gpmr_primitives::segments::SEGMENT_ITEMS_PER_BLOCK;
+    use std::ops::Range;
+
     use gpmr_primitives::{
-        extract_segments, extract_segments_into, sort_pairs, sort_pairs_with_bits,
-        sort_parts_with_bits, Segments, SortPart, SortScratch,
+        charge_sort, extract_segments, extract_segments_into, sort_in_place, sort_pairs,
+        sort_pairs_with_bits, Segments, SortScratch,
     };
     use gpmr_sim_gpu::{Gpu, GpuSpec, SimTime};
     use gpmr_telemetry::{Counter, Telemetry};
@@ -180,6 +183,22 @@ mod pair_path {
                 assert_eq!(fnv1a(&k, &v), digest, "{case}");
                 assert_eq!((t.as_secs().to_bits(), kernels.get()), expect, "{case}");
             }
+            // The two halves apart: the charge half's time and kernel
+            // count are the table's, and the host half leaves the table's
+            // bytes in place.
+            let (mut g, kernels) = counted_gpu();
+            let t = charge_sort::<u32, u32>(&mut g, SimTime::ZERO, n, bits).unwrap();
+            let case = format!("n {n}, bits {bits}, halves");
+            assert_eq!((t.as_secs().to_bits(), kernels.get()), with_bits, "{case}");
+            let (mut k, mut v) = (keys.clone(), vals.clone());
+            sort_in_place(
+                &mut k,
+                &mut v,
+                std::slice::from_ref(&(0..n)),
+                bits,
+                &mut SortScratch::default(),
+            );
+            assert_eq!(fnv1a(&k, &v), digest, "{case}");
         }
     }
 
@@ -187,59 +206,74 @@ mod pair_path {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         #[test]
-        fn sort_of_parts_is_sort_of_their_concatenation(
+        fn in_place_sort_of_ranges_is_the_stable_sort_of_their_concatenation(
             seed in any::<u64>(),
             small in 0usize..3000,
             big in any::<bool>(),
             width in 1u32..=32,
             cuts in prop::collection::vec(0usize..70_000, 0..12),
+            shuffle in any::<u64>(),
         ) {
-            // Below 2^16 pairs the sort sweeps with 11-bit digits; from
-            // 2^16 up, with 16-bit digits.
+            // Below 2^16 pairs the host sweeps 11-bit digits, from 2^16 up
+            // 16-bit ones: widths 1..=32 take 1 to 3 host passes.
             let n = if big { (1 << 16) + small } else { small };
             let keys = keys_from(seed, n, width);
             // Values are original positions: agreement proves stability,
-            // inside a part and across parts.
+            // inside a range and across ranges.
             let vals: Vec<u32> = (0..n as u32).collect();
-            // Random boundaries; repeated cuts make empty parts, no cut
-            // leaves one part.
-            let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (n + 1)).collect();
-            bounds.extend([0, n]);
-            bounds.sort_unstable();
-            let parts: Vec<SortPart<'_, u32, u32>> = bounds
-                .windows(2)
-                .map(|w| (&keys[w[0]..w[1]], &vals[w[0]..w[1]]))
-                .collect();
 
             let (mut g, kernels) = counted_gpu();
             let (ref_k, ref_v, ref_t) =
                 sort_pairs_with_bits(&mut g, SimTime::ZERO, &keys, &vals, width).unwrap();
             let ref_kernels = kernels.get();
-
             // The oracle: positions sorted by key with the standard
-            // library's stable sort, which the whole-input sort meets
-            // with its key width given and without it.
-            let mut order = vals.clone();
-            order.sort_by_key(|&i| keys[i as usize]);
-            let want: Vec<u32> = order.iter().map(|&i| keys[i as usize]).collect();
-            prop_assert_eq!(&ref_k, &want);
-            prop_assert_eq!(&ref_v, &order);
+            // library's stable sort, which the copying sort meets with its
+            // key width given and without it.
+            let stable = |k: &[u32], v: &[u32]| {
+                let mut order: Vec<usize> = (0..k.len()).collect();
+                order.sort_by_key(|&i| k[i]);
+                let pick = |of: &[u32]| order.iter().map(|&i| of[i]).collect::<Vec<u32>>();
+                (pick(k), pick(v))
+            };
+            let (want_k, want_v) = stable(&keys, &vals);
+            prop_assert_eq!(&ref_k, &want_k);
+            prop_assert_eq!(&ref_v, &want_v);
             let (k, v, _) = sort_pairs(&mut g, SimTime::ZERO, &keys, &vals).unwrap();
-            prop_assert_eq!(&k, &want);
-            prop_assert_eq!(&v, &order);
+            prop_assert_eq!(&k, &want_k);
+            prop_assert_eq!(&v, &want_v);
 
-            // A scratch that already served a different, longer sort.
+            // Ranges at random boundaries (repeated cuts make empty ones,
+            // no cut leaves one), listed out of arena order, as deliveries
+            // land in an inbox.
+            let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (n + 1)).collect();
+            bounds.extend([0, n]);
+            bounds.sort_unstable();
+            let mut ranges: Vec<Range<usize>> = bounds.windows(2).map(|w| w[0]..w[1]).collect();
+            let mut x = shuffle | 1;
+            for i in (1..ranges.len()).rev() {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                ranges.swap(i, (x % (i as u64 + 1)) as usize);
+            }
+            let concat = |of: &[u32]| -> Vec<u32> {
+                ranges.iter().flat_map(|r| of[r.clone()].iter().copied()).collect()
+            };
+            let (want_k, want_v) = stable(&concat(&keys), &concat(&vals));
+
+            // A scratch that already served a longer sort.
             let mut scratch = SortScratch::default();
-            let other = keys_from(!seed, n + 100, 32);
-            sort_parts_with_bits(&mut g, SimTime::ZERO, &[(&other, &other)], 32, &mut scratch)
-                .unwrap();
+            let (mut ok, mut ov) = (keys_from(!seed, n + 100, 32), vec![0u32; n + 100]);
+                        sort_in_place(&mut ok, &mut ov, std::slice::from_ref(&(0..n + 100)), 32, &mut scratch);
 
+            let (mut arena_k, mut arena_v) = (keys.clone(), vals.clone());
+            sort_in_place(&mut arena_k, &mut arena_v, &ranges, width, &mut scratch);
+            prop_assert_eq!(&arena_k, &want_k);
+            prop_assert_eq!(&arena_v, &want_v);
+            // The charge half charges the copying sort's kernels, so its
+            // simulated time is the same.
             let (mut g, kernels) = counted_gpu();
-            let t = sort_parts_with_bits(&mut g, SimTime::ZERO, &parts, width, &mut scratch)
-                .unwrap();
-            prop_assert_eq!(&scratch.keys, &ref_k);
-            prop_assert_eq!(&scratch.vals, &ref_v);
-            // Same simulated kernels, so the same simulated time.
+            let t = charge_sort::<u32, u32>(&mut g, SimTime::ZERO, n, width).unwrap();
             prop_assert_eq!(t, ref_t);
             prop_assert_eq!(kernels.get(), ref_kernels);
         }

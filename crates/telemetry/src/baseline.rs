@@ -159,7 +159,11 @@ impl BaselineSet {
                 return Err("missing array field \"scenarios\"".to_string());
             };
             Ok(BaselineSet {
-                scale: field_uint(v, "scale", u64::MAX)?,
+                // A scale divides the workload: 0 ran nothing it could name.
+                scale: field(v, "scale", |x| match uint(x, u64::MAX)? {
+                    0 => Err("is not a scale: 0".to_string()),
+                    scale => Ok(scale),
+                })?,
                 tolerance: field(v, "tolerance", non_negative)?,
                 baselines: scenarios
                     .iter()
@@ -224,14 +228,14 @@ pub struct DiffReport {
 
 /// Compare a whole recorded set against a baseline set, matching scenarios
 /// by name. Scenarios missing on either side warn. Sets recorded at two
-/// different (non-zero) scales ran different workloads: that fails, and
-/// no scenario is compared.
+/// different scales ran different workloads: that fails, and no scenario
+/// is compared.
 pub fn diff_sets(old: &BaselineSet, new: &BaselineSet, tolerance: f64) -> DiffReport {
     let mut report = DiffReport {
         tolerance,
         ..DiffReport::default()
     };
-    if old.scale > 0 && new.scale > 0 && old.scale != new.scale {
+    if old.scale != new.scale {
         report.deltas.push(MetricDelta {
             scenario: "set".into(),
             metric: "scale".into(),

@@ -12,8 +12,8 @@
 use std::collections::BTreeMap;
 
 use crate::json::{
-    field, field_arr, field_map, field_num, field_str, field_time, field_uint, finite, parse,
-    render_num, render_string, uint, Value,
+    field, field_arr, field_entries, field_map, field_num, field_str, field_time, field_uint,
+    finite, parse, render_num, render_string, string, uint, Value,
 };
 use crate::kind::SpanKind;
 use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
@@ -229,12 +229,11 @@ fn read_line(line: &str, snap: &mut TelemetrySnapshot) -> Result<(), String> {
                 .insert(track, field_str(&v, "name")?.to_string());
         }
         "span" => {
+            // Optional; when present, an object of string values, kept in
+            // the order they were written.
             let attrs = match v.get("attrs") {
-                Some(Value::Obj(fields)) => fields
-                    .iter()
-                    .map(|(k, val)| (k.clone(), val.as_str().unwrap_or_default().to_string()))
-                    .collect(),
-                _ => Vec::new(),
+                Some(_) => field_entries(&v, "attrs", |x| string(x).map(str::to_string))?,
+                None => Vec::new(),
             };
             snap.spans.push(SpanRecord {
                 id: field_uint(&v, "id", u64::MAX)?,

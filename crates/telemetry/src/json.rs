@@ -202,12 +202,15 @@ pub(crate) fn field_time(v: &Value, key: &str) -> Result<f64, String> {
     })
 }
 
+/// `v` as a string.
+pub(crate) fn string(v: &Value) -> Result<&str, String> {
+    v.as_str()
+        .ok_or_else(|| format!("is not a string: {}", v.render()))
+}
+
 /// String field `key` of `v`.
 pub(crate) fn field_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
-    field(v, key, |x| {
-        x.as_str()
-            .ok_or_else(|| format!("is not a string: {}", x.render()))
-    })
+    field(v, key, string)
 }
 
 /// Array field `key` of `v`, each element read by `read`.
@@ -226,13 +229,13 @@ pub(crate) fn field_arr<T>(
     })
 }
 
-/// Object field `key` of `v`, each entry's value read by `read`; an
-/// entry's error names it as field `key.name`.
-pub(crate) fn field_map<T>(
+/// Object field `key` of `v`, each entry's value read by `read`, in the
+/// document's order; an entry's error names it as field `key.name`.
+pub(crate) fn field_entries<T>(
     v: &Value,
     key: &str,
     read: impl Fn(&Value) -> Result<T, String>,
-) -> Result<BTreeMap<String, T>, String> {
+) -> Result<Vec<(String, T)>, String> {
     match v.get(key) {
         Some(Value::Obj(entries)) => entries
             .iter()
@@ -243,6 +246,15 @@ pub(crate) fn field_map<T>(
             .collect(),
         _ => field(v, key, |x| Err(format!("is not an object: {}", x.render()))),
     }
+}
+
+/// [`field_entries`] keyed by name.
+pub(crate) fn field_map<T>(
+    v: &Value,
+    key: &str,
+    read: impl Fn(&Value) -> Result<T, String>,
+) -> Result<BTreeMap<String, T>, String> {
+    Ok(field_entries(v, key, read)?.into_iter().collect())
 }
 
 /// Parse a JSON document. Returns a descriptive error on malformed input.

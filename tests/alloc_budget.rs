@@ -4,8 +4,8 @@
 //!
 //! SIO is the shuffle's case — nothing compacts its pairs, so every stage
 //! carries all of them. Bin writes each pair once into its reducer's
-//! inbox, Sort reads it from there into buffers the ranks share, and Map,
-//! Segments and Reduce fill one output each; a per-block `Vec` or a copy
+//! inbox, Sort sorts it there through one packed buffer the ranks share,
+//! and Map, Segments and Reduce fill one output each; a per-block `Vec` or a copy
 //! creeping back into that path shows up here as a multiple of the pair
 //! bytes.
 //!
@@ -25,11 +25,15 @@
 //! one copy of each tile plus a handle; a concatenation, a sort of whole
 //! tiles or a second copy shows up as a multiple of the tile bytes.
 //!
-//! The runs are single-threaded and fault-free, so all counts repeat
-//! exactly.
+//! The runs are fault-free, and each test holds one lock for its whole
+//! body, so all counts repeat exactly. Counting is process-wide: a job
+//! whose reducers are big enough sorts on a helper thread (the engine's
+//! sort lane), and what that thread allocates is the job's too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::{Mutex, MutexGuard};
 
 use gpmr::core::rounds::max_resident_chunk_bytes;
 use gpmr::prelude::*;
@@ -39,10 +43,60 @@ use gpmr_apps::text::{chunk_text, generate_text, Dictionary};
 use gpmr_service::{workload, ObsConfig, ServiceConfig};
 use gpmr_telemetry::Telemetry;
 
+/// Whether allocations are being counted, on any thread.
+static COUNTING: AtomicBool = AtomicBool::new(false);
+/// Bytes and calls counted, on every thread.
+static BYTES: AtomicU64 = AtomicU64::new(0);
+static CALLS: AtomicU64 = AtomicU64::new(0);
+/// Bytes and calls counted on threads other than the one counting.
+static ELSEWHERE_BYTES: AtomicU64 = AtomicU64::new(0);
+static ELSEWHERE_CALLS: AtomicU64 = AtomicU64::new(0);
+
 thread_local! {
-    /// Bytes and calls this thread has asked the allocator for while
-    /// counting; `None` when not counting.
-    static COUNTED: Cell<Option<(u64, u64)>> = const { Cell::new(None) };
+    /// Set on the thread that started the count.
+    static COUNTER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Counting is process-wide and the tests of this file run concurrently:
+/// each holds this lock for its whole body, so no other test allocates
+/// while it counts.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+/// Take the lock, then let the test harness settle: it reports the test
+/// that just ended and starts the next one's thread (names, handles,
+/// result buffers, all allocated) right when a lock holder lets go, and a
+/// count must not start inside that burst.
+fn one_at_a_time() -> MutexGuard<'static, ()> {
+    let guard = ONE_AT_A_TIME
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    guard
+}
+
+/// What a counted stretch allocated: `(bytes, calls)` on every thread,
+/// and the part of it off the counting thread.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Counted {
+    all: (u64, u64),
+    elsewhere: (u64, u64),
+}
+
+/// Run `f`, counting what every thread allocates meanwhile.
+fn counting<T>(f: impl FnOnce() -> T) -> (T, Counted) {
+    for c in [&BYTES, &CALLS, &ELSEWHERE_BYTES, &ELSEWHERE_CALLS] {
+        c.store(0, Relaxed);
+    }
+    COUNTER.with(|c| c.set(true));
+    COUNTING.store(true, Relaxed);
+    let out = f();
+    COUNTING.store(false, Relaxed);
+    COUNTER.with(|c| c.set(false));
+    let counted = Counted {
+        all: (BYTES.load(Relaxed), CALLS.load(Relaxed)),
+        elsewhere: (ELSEWHERE_BYTES.load(Relaxed), ELSEWHERE_CALLS.load(Relaxed)),
+    };
+    (out, counted)
 }
 
 /// The system allocator, counting `alloc`, `alloc_zeroed` and `realloc`
@@ -50,17 +104,20 @@ thread_local! {
 struct Counting;
 
 fn count(size: usize) {
-    COUNTED.with(|c| {
-        if let Some((bytes, calls)) = c.get() {
-            c.set(Some((bytes + size as u64, calls + 1)));
+    if COUNTING.load(Relaxed) {
+        BYTES.fetch_add(size as u64, Relaxed);
+        CALLS.fetch_add(1, Relaxed);
+        if !COUNTER.with(Cell::get) {
+            ELSEWHERE_BYTES.fetch_add(size as u64, Relaxed);
+            ELSEWHERE_CALLS.fetch_add(1, Relaxed);
         }
-    });
+    }
 }
 
 // SAFETY: every method forwards to `System` with the caller's layout and
-// pointer unchanged, so `System`'s guarantees carry over; the counter is
-// a const-initialized thread-local `Cell` of a `Copy` value, which
-// neither allocates nor registers a destructor.
+// pointer unchanged, so `System`'s guarantees carry over; the counters are
+// atomics and a const-initialized thread-local `Cell` of a `Copy` value,
+// none of which allocates or registers a destructor.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
@@ -93,41 +150,46 @@ const KEYS: usize = 1_000_000;
 const RANKS: u32 = 8;
 const CHUNKS: usize = 48;
 
-/// One engine run over prepared chunks, and the `(bytes, calls)` it
+/// One engine run over prepared chunks on `ranks` GPUs, and what it
 /// allocated.
 fn counted_run<J: GpmrJob>(
+    ranks: u32,
     job: &J,
     chunks: Vec<J::Chunk>,
-) -> (JobResult<J::Key, J::Value>, (u64, u64)) {
-    let mut cluster = Cluster::accelerator(RANKS, GpuSpec::gt200());
-    COUNTED.with(|c| c.set(Some((0, 0))));
-    let result = run_job(&mut cluster, job, chunks);
-    let counted = COUNTED.with(|c| c.take()).expect("counting was on");
+) -> (JobResult<J::Key, J::Value>, Counted) {
+    let mut cluster = Cluster::accelerator(ranks, GpuSpec::gt200());
+    let (result, counted) = counting(|| run_job(&mut cluster, job, chunks));
     (result.unwrap(), counted)
 }
 
-fn sio_run_allocations() -> (u64, u64) {
+fn sio_run_allocations(ranks: u32) -> Counted {
     let data = generate_integers(KEYS, 42);
     let chunks = sio_chunks(&data, 4 * KEYS.div_ceil(CHUNKS));
-    let (result, counted) = counted_run(&SioJob::default(), chunks);
+    let (result, counted) = counted_run(ranks, &SioJob::default(), chunks);
     assert_eq!(result.timings.pairs_shuffled, KEYS as u64);
     counted
 }
 
 #[test]
 fn sio_shuffle_stays_inside_its_allocation_budget() {
-    let (bytes, calls) = sio_run_allocations();
+    let _one = one_at_a_time();
+    let counted = sio_run_allocations(RANKS);
     assert_eq!(
-        (bytes, calls),
-        sio_run_allocations(),
-        "a single-threaded, fault-free run allocates the same every time"
+        counted,
+        sio_run_allocations(RANKS),
+        "a fault-free run allocates the same every time"
     );
+    // 125 k pairs a reducer: below the sort lane's gate, so every sort
+    // runs inline and no other thread allocates.
+    assert_eq!(counted.elsewhere, (0, 0));
 
+    let (bytes, calls) = counted.all;
     let pair_bytes = (KEYS * 8) as u64;
     let ratio = bytes as f64 / pair_bytes as f64;
     println!("{bytes} bytes in {calls} allocations: {ratio:.2} x the pair bytes");
-    // Measured: 5.55 x in 501 allocations (533 while every sort asked
-    // the OS for the core count). With a heap bucket per delivery, a
+    // Measured: 4.92 x in 501 allocations; 5.55 x while each sort wrote
+    // a sorted copy of its inbox beside two ping-pong buffers (533
+    // allocations while every sort asked the OS for the core count). With a heap bucket per delivery, a
     // concat per reducer and a `Vec` per kernel block the same run took
     // 14.8 x in 5 447.
     assert!(
@@ -143,14 +205,68 @@ fn sio_shuffle_stays_inside_its_allocation_budget() {
 /// A tenth above the measured 501.
 const ALLOCATION_CEILING: u64 = 551;
 
+/// Reducers on the lane-on SIO run: 250 k pairs each, over the 2^17 of
+/// the sort lane's gate.
+const LANE_RANKS: u32 = 4;
+
+#[test]
+fn sio_sort_lane_allocates_one_packed_scratch_per_job() {
+    let _one = one_at_a_time();
+    let counted = sio_run_allocations(LANE_RANKS);
+    let (bytes, calls) = counted.all;
+    let (lane_bytes, lane_calls) = counted.elsewhere;
+    // The biggest inbox: SIO routes key k to rank k % ranks.
+    let mut inbox = [0u64; LANE_RANKS as usize];
+    for k in generate_integers(KEYS, 42) {
+        inbox[(k % LANE_RANKS) as usize] += 1;
+    }
+    let scratch = 8 * inbox.iter().max().unwrap();
+    let pair_bytes = (KEYS * 8) as u64;
+    println!(
+        "{bytes} bytes in {calls} allocations ({:.2} x the pair bytes); on the lane \
+         {lane_bytes} bytes in {lane_calls}, for a {scratch}-byte packed scratch",
+        bytes as f64 / pair_bytes as f64
+    );
+    // The helper sorts the last three inboxes in one packed buffer sized
+    // for the biggest, with the two 2^16-entry digit-count tables of
+    // 16-bit sweeps: three allocations a job, none a rank. (The calling
+    // thread sorts the first inbox with the same three of its own, freed
+    // before that rank's segments.) The one-slot channel adds the
+    // helper's waiter entry (two allocations, 144 bytes) the first time
+    // the helper finds the slot full, which depends on the threads'
+    // timing — so the lane's counts, and the job's, are ranges here, not
+    // the equalities of one thread.
+    let counters = 2 * (8 << 16);
+    assert!(
+        (3..=5).contains(&lane_calls),
+        "{lane_calls} allocations on the lane: one scratch and two count tables a job"
+    );
+    assert!(
+        (scratch + counters..=scratch + counters + 144).contains(&lane_bytes),
+        "{lane_bytes} bytes on the lane"
+    );
+    assert!(
+        bytes <= 9 * pair_bytes,
+        "{bytes} bytes, budget 9 x {pair_bytes}"
+    );
+    assert!(
+        calls <= LANE_ALLOCATION_CEILING,
+        "{calls} allocations, ceiling {LANE_ALLOCATION_CEILING}"
+    );
+}
+
+/// A tenth above the measured 405 (407 with the two waiter entries), in
+/// one job of four ranks.
+const LANE_ALLOCATION_CEILING: u64 = 446;
+
 const TEXT_BYTES: usize = 4 << 20;
 const DICT_WORDS: usize = 43_000;
 
-fn wo_run_allocations() -> (u64, u64) {
+fn wo_run_allocations() -> Counted {
     let dict = std::sync::Arc::new(Dictionary::generate(DICT_WORDS, 42));
     let text = generate_text(&dict, TEXT_BYTES, 43);
     let chunks = chunk_text(&text, TEXT_BYTES / 16);
-    let (result, counted) = counted_run(&WoJob::new(dict, RANKS), chunks);
+    let (result, counted) = counted_run(RANKS, &WoJob::new(dict, RANKS), chunks);
     // One pair per dictionary word per rank: Accumulation shipped counts,
     // not occurrences.
     assert_eq!(
@@ -162,12 +278,19 @@ fn wo_run_allocations() -> (u64, u64) {
 
 #[test]
 fn wo_accumulation_stays_inside_its_allocation_budget() {
-    let (bytes, calls) = wo_run_allocations();
+    let _one = one_at_a_time();
+    let counted = wo_run_allocations();
     assert_eq!(
-        (bytes, calls),
+        counted,
         wo_run_allocations(),
-        "a single-threaded, fault-free run allocates the same every time"
+        "a fault-free run allocates the same every time"
     );
+    assert_eq!(
+        counted.elsewhere,
+        (0, 0),
+        "nothing is sorted off the calling thread"
+    );
+    let (bytes, calls) = counted.all;
     println!(
         "{bytes} bytes in {calls} allocations: {:.2} x the text bytes",
         bytes as f64 / TEXT_BYTES as f64
@@ -222,10 +345,11 @@ fn serve_run_allocations(flight_capacity: usize) -> (u64, (u64, u64)) {
         },
         ..ServiceConfig::default()
     };
-    COUNTED.with(|c| c.set(Some((0, 0))));
-    let (svc, _report) =
-        workload::run_script(&script, cfg, Telemetry::disabled()).expect("the script parses");
-    let counted = COUNTED.with(|c| c.take()).expect("counting was on");
+    let ((svc, _report), counted) = counting(|| {
+        workload::run_script(&script, cfg, Telemetry::disabled()).expect("the script parses")
+    });
+    assert_eq!(counted.elsewhere, (0, 0), "tiny jobs sort inline");
+    let counted = counted.all;
     let stats = svc.stats();
     assert_eq!(stats.completed + stats.deadline_missed, SERVE_JOBS as u64);
     (stats.postmortems, counted)
@@ -233,13 +357,14 @@ fn serve_run_allocations(flight_capacity: usize) -> (u64, (u64, u64)) {
 
 #[test]
 fn serve_path_stays_inside_its_allocation_budget() {
+    let _one = one_at_a_time();
     let (none, (_, dark_calls)) = serve_run_allocations(0);
     let (postmortems, (bytes, calls)) = serve_run_allocations(4096);
     assert_eq!(none, 0);
     assert_eq!(
         (postmortems, (bytes, calls)),
         serve_run_allocations(4096),
-        "a single-threaded run allocates the same every time"
+        "a run allocates the same every time"
     );
     assert_eq!(
         postmortems,
@@ -291,10 +416,11 @@ fn mm_regroup_allocations() -> (u64, u64, u64) {
     let job = MmMapJob::new(a.n_tiles() as u32);
     let phase1 = run_job(&mut cluster, &job, mm_chunks(&a, &b, rb, cb, kb)).unwrap();
 
-    COUNTED.with(|c| c.set(Some((0, 0))));
-    let bound = max_resident_chunk_bytes(&mut cluster, &Default::default());
-    let chunks = phase2_chunks(&phase1.outputs, capacity, bound);
-    let (bytes, calls) = COUNTED.with(|c| c.take()).expect("counting was on");
+    let (chunks, counted) = counting(|| {
+        let bound = max_resident_chunk_bytes(&mut cluster, &Default::default());
+        phase2_chunks(&phase1.outputs, capacity, bound)
+    });
+    let (bytes, calls) = counted.all;
     assert_eq!(
         chunks.iter().map(|c| c.items.len() as u64).sum::<u64>(),
         phase1.timings.pairs_shuffled,
@@ -305,6 +431,7 @@ fn mm_regroup_allocations() -> (u64, u64, u64) {
 
 #[test]
 fn mm_regroup_stays_inside_its_allocation_budget() {
+    let _one = one_at_a_time();
     let (tile_bytes, bytes, calls) = mm_regroup_allocations();
     assert_eq!(
         (tile_bytes, bytes, calls),

@@ -208,6 +208,21 @@ fn serve_refuses_zero_engines_and_zero_batch_members() {
     }
 }
 
+/// `--scale 0` was taken: `perf record --scale 0` ran at scale 1 but
+/// wrote `"scale": 0`, a set `perf diff` then compared against any scale.
+/// The range starts at 1, so every row carrying the flag refuses 0 by
+/// name, before it runs anything.
+#[test]
+fn every_row_carrying_scale_refuses_zero() {
+    let rows = rows_carrying("scale");
+    assert!(rows.len() >= 9, "{} rows carry --scale", rows.len());
+    for row in rows {
+        let line = format!("{} --scale 0", baselines(row, "scale0")[0]);
+        let err = dispatch(line.split(' ')).expect_err(&line).to_string();
+        assert!(err.starts_with("--scale must be in 1..="), "{line}: {err}");
+    }
+}
+
 /// The five generic subcommands shared one accepted-flag list, so each
 /// took — and ignored — every flag another one read: 96 (subcommand,
 /// flag) pairs (`info --zipf 2`, `kmeans --fault-seed 3`, `serve --seed 9
@@ -306,10 +321,11 @@ fn no_numeric_flag_value_panics_any_command() {
     }
     assert!(panicked.is_empty(), "panicked:\n{}", panicked.join("\n"));
     // Not vacuous, and exact: the outcomes move only when a row, a flag or
-    // a range does.
+    // a range does (`--scale` starting at 1 turned `run`'s two `--scale 0`
+    // reports, SIO's and MM's, into refusals).
     assert_eq!(
         (reports, refusals),
-        (95, 193),
+        (93, 195),
         "{reports} reports, {refusals} refusals"
     );
 }

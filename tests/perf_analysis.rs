@@ -172,12 +172,14 @@ fn a_diff_across_scales_fails_and_names_both_scales() {
     let (at_8192, at_4096) = (set(8192), set(4096));
     let report = diff_sets(&at_8192, &at_4096, 0.10);
     assert_eq!(report.verdict, Verdict::Fail, "{}", report.render_text());
-    // A zero scale is not compared.
+    // A zero scale is a scale like any other: it used to skip the guard and
+    // diff against every scale (WARN, not FAIL).
     let unscaled = BaselineSet {
         scale: 0,
         ..at_8192.clone()
     };
-    assert_eq!(diff_sets(&unscaled, &at_8192, 0.10).verdict, Verdict::Pass);
+    assert_eq!(diff_sets(&unscaled, &at_8192, 0.10).verdict, Verdict::Fail);
+    assert_eq!(diff_sets(&at_8192, &at_8192, 0.10).verdict, Verdict::Pass);
 
     let dir = std::env::temp_dir().join("gpmr_perf_scale_test");
     std::fs::create_dir_all(&dir).unwrap();
@@ -239,7 +241,7 @@ fn set_field(fields: &mut [(String, json::Value)], key: &str, raw: &str) {
 
 /// A baseline set's fields used to be read through `unwrap_or` and `as
 /// u64`: a string scale read as 0, so the scale guard was skipped and the
-/// diff passed; a makespan of -5 read as 0 ("makespan improved -100.0%");
+/// diff passed (as it did for a scale written as 0); a makespan of -5 read as 0 ("makespan improved -100.0%");
 /// a counter given as a string was dropped. Each is now an error naming
 /// the scenario and the field, and `perf diff` exits 2 on it.
 #[test]
@@ -249,9 +251,10 @@ fn a_baseline_set_is_read_with_the_types_perf_record_writes() {
     assert_eq!(same.matches("(makespan +0.00%)").count(), 11, "{same}");
     assert!(BaselineSet::from_json(&edited_bench(|_| {})).is_ok());
 
-    let cases: [(&str, Edit); 7] = [
+    let cases: [(&str, Edit); 8] = [
         ("\"scale\"", |s| set_field(s, "scale", "\"128\"")),
         ("\"scale\"", |s| set_field(s, "scale", "-64")),
+        ("\"scale\"", |s| set_field(s, "scale", "0")),
         ("\"tolerance\"", |s| s.retain(|(k, _)| k != "tolerance")),
         ("\"makespan_ns\"", |s| {
             set_field(first_scenario(s), "makespan_ns", "-5")
@@ -280,7 +283,7 @@ fn a_baseline_set_is_read_with_the_types_perf_record_writes() {
         let text = edited_bench(edit);
         let err = BaselineSet::from_json(&text).expect_err(field);
         assert!(err.contains(field), "case {i}: {err}");
-        if i >= 3 {
+        if i >= 4 {
             assert!(err.contains("scenario \"wo_1rank\""), "case {i}: {err}");
         }
         std::fs::write(&copy, &text).unwrap();

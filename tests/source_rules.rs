@@ -33,6 +33,10 @@ const EVERYWHERE: &[&str] = &["crates", "src", "tests", "examples", "shims", "Ca
 const GENERATORS: &[&str] = &["generate_integers", "generate_zipf_integers", "generate_samples",
     "generate_points", "initial_centers", "generate_text", "generate_zipf_text", "Matrix::random"];
 
+/// The one thread the product starts: the Sort stage's lane.
+const LANE: &str =
+    "every simulated charge runs on the calling thread; one helper runs host-only sort sweeps";
+
 /// Which lines of a file a rule reads: all of them, its [`product_code`],
 /// or its product code before the first line starting with the text.
 enum Text {
@@ -89,9 +93,13 @@ const RULES: &[Rule] = &[
     Rule { roots: TREE, hits: |l| any(l, &["PerfApp", "corpus_for", "with_gpu_direct", "retry_backoff_"]),
         reason: "PR 18: the second app enum, the corpus cache, the GPU-direct switch and the backoff knobs",
         example: "PerfApp::Wo", ..ABSENT },
-    Rule { roots: TREE, hits: |l| any(l, &["available_parallelism", "thread::spawn", "thread::Builder", "thread::scope",
-            "mod pool", "pool::"]), example: "std::thread::available_parallelism()",
+    Rule { roots: TREE, hits: |l| any(l, &["available_parallelism", "thread::spawn", "thread::Builder", "mod pool",
+            "pool::"]), example: "std::thread::available_parallelism()",
         reason: "PR 21: one host execution path; kernels run on the calling thread", ..ABSENT },
+    Rule { roots: TREE, exempt: &["crates/core/src/engine.rs"], hits: |l| l.contains("thread::scope"),
+        example: "std::thread::scope(|s| {", reason: LANE, ..ABSENT },
+    Rule { roots: &["crates/core/src/engine.rs"], hits: |l| l.contains("thread::scope"), want: Exactly(1),
+        example: "std::thread::scope(|s| {", reason: LANE, ..ABSENT },
     Rule { roots: TREE, hits: |l| l.contains("worker_threads"), want: Exactly(1), example: "worker_threads()",
         reason: "PR 21: the one `worker_threads` left is the constant the benchmark harness names", ..ABSENT },
     Rule { roots: &["crates", "src"], pick: |p| p.ends_with("src/lib.rs"), exempt: &["crates/primitives/src/lib.rs"],
@@ -201,6 +209,10 @@ const RULES: &[Rule] = &[
         hits: |l| any(l, &["SortConfig", "sort_pairs_with_bits_config", "digit_bits", "fuse_final"]),
         reason: "one sort plan: 11-bit digits and a fused final pass, and the sort's tests hold it \
             to the standard library's stable sort, not to a second plan", ..ABSENT },
+    Rule { roots: TREE, hits: |l| any(l, &["sort_parts", "SortPart", "SortBuffers", "scratch.keys", "sort.keys"]),
+        reason: "one sort entry per use: a reducer's radix sort is a charge half and a host half that sorts \
+            its inbox in place, so no parts entry and no second, sorted copy of the pairs comes back",
+        example: "let t = sort_parts_with_bits(gpu, at, &parts, bits, &mut scratch)?;", ..ABSENT },
     Rule { roots: &["crates", "src"], text: Code, example: "pub inputs_resident: bool,",
         hits: |l| l.contains("pub inputs_resident"),
         reason: "residency is the round driver's claim, set on its `Run`, not an option a caller hands a run",

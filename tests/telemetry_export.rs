@@ -328,6 +328,52 @@ proptest! {
     }
 }
 
+/// A span's `attrs` used to be read leniently: a value that is not a
+/// string became `""` and an `attrs` that is not an object vanished, so
+/// `gpmr trace export` of `"attrs":{"job":7}` wrote `"job":""` and exited
+/// 0. Each is now an error naming the line and the field, and the
+/// attributes keep the order they were written in.
+#[test]
+fn a_spans_attrs_are_an_object_of_strings_read_in_order() {
+    let span = |attrs: &str| {
+        format!(
+            r#"{{"type":"span","id":1,"track":0,"kind":"Map","name":"m","start_s":0,"end_s":1{attrs}}}"#
+        )
+    };
+    let read =
+        |attrs: &str| export::snapshot_from_jsonl(&format!("{}\n{}\n", span(""), span(attrs)));
+
+    let snap = read(r#","attrs":{"z":"1","a":"2"}"#).expect("string attributes read");
+    let attrs: Vec<(&str, &str)> = snap.spans[1]
+        .attrs
+        .iter()
+        .map(|(k, v)| (k.as_str(), v.as_str()))
+        .collect();
+    assert_eq!(attrs, [("z", "1"), ("a", "2")]);
+    assert!(snap.spans[0].attrs.is_empty(), "no attrs, no attributes");
+    assert_eq!(
+        export::to_jsonl(&snap).lines().nth(1),
+        Some(span(r#","attrs":{"z":"1","a":"2"}"#).as_str())
+    );
+
+    for (attrs, field, got) in [
+        (r#","attrs":{"job":7}"#, "attrs.job", "is not a string: 7"),
+        (
+            r#","attrs":{"a":"1","job":null}"#,
+            "attrs.job",
+            "is not a string: null",
+        ),
+        (r#","attrs":["job"]"#, "attrs", "is not an object"),
+        (r#","attrs":"job=7""#, "attrs", "is not an object"),
+    ] {
+        let err = read(attrs).expect_err(attrs);
+        assert!(
+            err.starts_with(&format!("line 2: field {field:?} {got}")),
+            "{attrs}: {err}"
+        );
+    }
+}
+
 #[test]
 fn service_telemetry_has_tenant_tracks_queue_wait_and_valid_perfetto() {
     // The multi-tenant service run: per-tenant Perfetto tracks, QueueWait
