@@ -8,8 +8,12 @@
 //! closure does the block's real work on host data and *charges* the
 //! memory traffic, arithmetic, and atomics it would have issued.
 //!
-//! Blocks run in block order on the calling thread, and the aggregate
-//! [`KernelCost`] is converted to simulated time by the device.
+//! A launch returns its blocks' outputs in block order and their
+//! aggregate [`KernelCost`], which the device converts to simulated time
+//! on the calling thread. The blocks run there too, except that a launch
+//! whose blocks hand back data and charge enough work runs its upper half
+//! on one scoped helper thread (`run_blocks`); block outputs and costs
+//! cannot tell which thread ran a block.
 
 use crate::cost::KernelCost;
 use crate::error::{SimGpuError, SimGpuResult};
@@ -212,8 +216,30 @@ pub struct Launch<R> {
     pub cost: KernelCost,
 }
 
-/// Execute `f` for every block of `cfg`, in block order on the calling
-/// thread, returning per-block outputs plus the aggregate cost.
+/// Charged work (flops, bytes and atomics, one unit each) from which a
+/// launch that hands data back runs its upper half of blocks on a helper
+/// thread: block 0's units times the grid must reach it. Set from a
+/// sweep of the benchmark's WO and paper workloads (DESIGN.md §5); below
+/// it, starting a thread costs more host time than it saves.
+const SPLIT_MIN_UNITS: u64 = 1_000_000;
+
+/// The units `cost` counts toward [`SPLIT_MIN_UNITS`].
+fn units(cost: &KernelCost) -> u64 {
+    cost.flops + cost.bytes_coalesced + cost.bytes_uncoalesced + cost.atomic_ops
+}
+
+/// Execute `f` for every block of `cfg`, returning per-block outputs in
+/// block order plus the aggregate cost.
+///
+/// Block 0 runs on the calling thread. A launch of three or more blocks
+/// that return data (a zero-sized `R` only charges) and whose block 0
+/// charged [`SPLIT_MIN_UNITS`] or more, times the grid, splits: one
+/// scoped helper runs blocks `[mid, grid)` while the calling thread runs
+/// `[1, mid)`, both through one loop body. Outputs are concatenated and
+/// costs (exact integers) summed in block order, the first error in
+/// block order wins, and a panic on the helper resumes here. The decision
+/// reads only `cfg` and block 0's cost, so the same launches split on
+/// every run.
 pub(crate) fn run_blocks<R, F>(
     spec: &GpuSpec,
     cfg: &LaunchConfig,
@@ -224,19 +250,49 @@ where
     F: Fn(&mut BlockCtx) -> SimGpuResult<R> + Sync,
 {
     cfg.validate(spec)?;
-    let grid = cfg.grid_blocks as usize;
-    let mut outputs = Vec::with_capacity(grid);
-    let mut cost = KernelCost::ZERO;
-    for b in 0..grid {
-        let mut ctx = BlockCtx::new(spec, cfg, b as u32);
-        outputs.push(f(&mut ctx)?);
-        cost += ctx.cost;
+    let grid = cfg.grid_blocks;
+    let run = |blocks: std::ops::Range<u32>, outputs: &mut Vec<R>| {
+        let mut cost = KernelCost::ZERO;
+        for b in blocks {
+            let mut ctx = BlockCtx::new(spec, cfg, b);
+            outputs.push(f(&mut ctx)?);
+            cost += ctx.cost;
+        }
+        Ok(cost)
+    };
+    let mut outputs = Vec::with_capacity(grid as usize);
+    let first = run(0..1, &mut outputs)?;
+    // With fewer than three blocks the calling thread would only wait.
+    let mid = grid.div_ceil(2);
+    let work = units(&first).saturating_mul(u64::from(grid));
+    if std::mem::size_of::<R>() == 0 || mid < 2 || work < SPLIT_MIN_UNITS {
+        let rest = run(1..grid, &mut outputs)?;
+        return Ok((outputs, first + rest));
     }
-    Ok((outputs, cost))
+    std::thread::scope(|s| {
+        let upper = s.spawn(|| {
+            let mut outputs = Vec::with_capacity((grid - mid) as usize);
+            run(mid..grid, &mut outputs).map(|cost| (outputs, cost))
+        });
+        let lower = run(1..mid, &mut outputs);
+        let upper = upper
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        let lower = lower?;
+        let (upper_outputs, upper) = upper?;
+        outputs.extend(upper_outputs);
+        Ok((outputs, first + lower + upper))
+    })
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Mutex;
+    use std::thread::{self, ThreadId};
+
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
     use super::*;
 
     fn spec() -> GpuSpec {
@@ -368,5 +424,166 @@ mod tests {
         assert_eq!(c.bytes_coalesced, 40 + 40);
         assert_eq!(c.bytes_uncoalesced, 3 + 4);
         assert_eq!(c.atomic_ops, 7);
+    }
+
+    // ---- the split: block outputs, costs, errors and panics ------------
+
+    /// A block's charges and output, functions of its index: `per_block`
+    /// flops, then reads and atomics that block 0 does not make.
+    fn work(ctx: &mut BlockCtx, per_block: u64) -> u64 {
+        let b = u64::from(ctx.block_idx);
+        ctx.charge_flops(per_block);
+        ctx.charge_read::<u32>(b as usize);
+        ctx.charge_atomics(b % 7);
+        b * 31 + 7
+    }
+
+    /// The sequential oracle: `(0..grid).map(f)` on this thread.
+    fn oracle<R>(cfg: &LaunchConfig, f: impl Fn(&mut BlockCtx) -> R) -> (Vec<R>, KernelCost) {
+        let s = spec();
+        let mut cost = KernelCost::ZERO;
+        let outputs = (0..cfg.grid_blocks)
+            .map(|b| {
+                let mut ctx = BlockCtx::new(&s, cfg, b);
+                let out = f(&mut ctx);
+                cost += ctx.cost;
+                out
+            })
+            .collect();
+        (outputs, cost)
+    }
+
+    /// What `run_blocks` returns.
+    type Ran<R> = SimGpuResult<(Vec<R>, KernelCost)>;
+
+    /// `run_blocks` of `f` on `cfg`: what it returned, the indices of the
+    /// blocks that ran off the calling thread, and how many blocks ran.
+    fn run_watched<R: Send>(
+        cfg: &LaunchConfig,
+        f: impl Fn(&mut BlockCtx) -> SimGpuResult<R> + Sync,
+    ) -> (Ran<R>, Vec<u32>, usize) {
+        let ran: Mutex<Vec<(u32, ThreadId)>> = Mutex::new(Vec::new());
+        let out = run_blocks(&spec(), cfg, &|ctx: &mut BlockCtx| {
+            ran.lock()
+                .unwrap()
+                .push((ctx.block_idx, thread::current().id()));
+            f(ctx)
+        });
+        let ran = ran.into_inner().unwrap();
+        let here = thread::current().id();
+        let mut elsewhere: Vec<u32> = ran
+            .iter()
+            .filter(|(_, t)| *t != here)
+            .map(|(b, _)| *b)
+            .collect();
+        elsewhere.sort_unstable();
+        (out, elsewhere, ran.len())
+    }
+
+    /// Flops a block charges so that `grid` blocks land above the gate or
+    /// below it, by a seeded margin.
+    fn per_block(rng: &mut SmallRng, grid: u32, above: bool) -> u64 {
+        let grid = u64::from(grid);
+        if above {
+            SPLIT_MIN_UNITS.div_ceil(grid) + rng.gen_range(0..1000u64)
+        } else {
+            ((SPLIT_MIN_UNITS - 1) / grid).saturating_sub(rng.gen_range(0..1000u64))
+        }
+    }
+
+    #[test]
+    fn split_launches_match_the_sequential_oracle_on_both_sides_of_the_gate() {
+        let mut rng = SmallRng::seed_from_u64(50);
+        for case in 0..96 {
+            let grid = rng.gen_range(1..=300u32);
+            let above = case % 2 == 0;
+            let units = per_block(&mut rng, grid, above);
+            let cfg = LaunchConfig::grid(grid, 64);
+            let f = |ctx: &mut BlockCtx| work(ctx, units);
+            let (out, elsewhere, ran) = run_watched(&cfg, |ctx| Ok(f(ctx)));
+            assert_eq!(
+                out.unwrap(),
+                oracle(&cfg, f),
+                "grid {grid}, {units} units a block"
+            );
+            assert_eq!(ran, grid as usize);
+            // Above the gate, from three blocks up, the helper runs the
+            // upper half; otherwise no block leaves this thread.
+            let mid = grid.div_ceil(2);
+            let split = above && grid >= 3;
+            let expected: Vec<u32> = if split {
+                (mid..grid).collect()
+            } else {
+                Vec::new()
+            };
+            assert_eq!(elsewhere, expected, "grid {grid}, {units} units a block");
+        }
+    }
+
+    #[test]
+    fn blocks_that_only_charge_never_leave_the_calling_thread() {
+        let cfg = LaunchConfig::grid(300, 64);
+        let (out, elsewhere, _) = run_watched(&cfg, |ctx| {
+            ctx.charge_flops(SPLIT_MIN_UNITS);
+            Ok(())
+        });
+        let (outputs, cost) = out.unwrap();
+        assert_eq!((outputs.len(), cost.flops), (300, 300 * SPLIT_MIN_UNITS));
+        assert!(elsewhere.is_empty(), "{elsewhere:?}");
+    }
+
+    /// Block `b` charges over the gate and fails when `fails(b)`, naming
+    /// itself.
+    fn failing(ctx: &mut BlockCtx, fails: impl Fn(u32) -> bool) -> SimGpuResult<u32> {
+        ctx.charge_flops(SPLIT_MIN_UNITS);
+        let b = ctx.block_idx;
+        if fails(b) {
+            return Err(SimGpuError::InvalidLaunch(format!("block {b}")));
+        }
+        Ok(b)
+    }
+
+    #[test]
+    fn the_first_error_in_block_order_wins_across_the_halves() {
+        let mut rng = SmallRng::seed_from_u64(51);
+        for _ in 0..32 {
+            let grid = rng.gen_range(3..=300u32);
+            let mid = grid.div_ceil(2);
+            let low = rng.gen_range(1..mid);
+            let high = rng.gen_range(mid..grid);
+            let cfg = LaunchConfig::grid(grid, 64);
+            let (out, elsewhere, _) =
+                run_watched(&cfg, |ctx| failing(ctx, |b| b == low || b == high));
+            let want = SimGpuError::InvalidLaunch(format!("block {low}"));
+            assert_eq!(out.unwrap_err(), want, "grid {grid}");
+            // The helper ran up to its own error.
+            assert_eq!(elsewhere, (mid..=high).collect::<Vec<_>>(), "grid {grid}");
+        }
+    }
+
+    #[test]
+    fn an_error_in_block_0_runs_no_other_block() {
+        let cfg = LaunchConfig::grid(300, 64);
+        let (out, elsewhere, ran) = run_watched(&cfg, |ctx| failing(ctx, |b| b == 0));
+        let want = SimGpuError::InvalidLaunch("block 0".into());
+        assert_eq!(out.unwrap_err(), want);
+        assert_eq!((ran, elsewhere.len()), (1, 0));
+    }
+
+    #[test]
+    fn a_panic_in_the_upper_half_surfaces_as_that_panic() {
+        let cfg = LaunchConfig::grid(40, 64);
+        let panic = std::panic::catch_unwind(|| {
+            run_blocks(&spec(), &cfg, &|ctx: &mut BlockCtx| {
+                ctx.charge_flops(SPLIT_MIN_UNITS);
+                assert!(ctx.block_idx != 33, "block 33 gave up");
+                Ok(ctx.block_idx)
+            })
+        })
+        .expect_err("the helper's panic reaches the caller");
+        let msg = (panic.downcast_ref::<&str>().copied())
+            .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or_default();
+        assert_eq!(msg, "block 33 gave up");
     }
 }

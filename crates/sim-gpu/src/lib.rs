@@ -12,7 +12,9 @@
 //!   (the engine admits chunks against the capacity and charges
 //!   out-of-core passes; Mars checks its in-core need against it);
 //! * [`LaunchConfig`]/[`BlockCtx`] — kernels written at block granularity,
-//!   executed for real on the calling thread, charging a [`KernelCost`];
+//!   executed for real on the host (a launch that hands back enough work
+//!   runs its upper half of blocks on one helper thread), charging a
+//!   [`KernelCost`];
 //! * a roofline timing model ([`kernel_time`], [`occupancy()`]) converting
 //!   costs to simulated time;
 //! * [`Timeline`]s for the compute engine and [`PcieLink`]s: every
@@ -63,7 +65,10 @@ pub fn run_indexed<T, F: Fn(usize) -> T>(n: usize, f: F) -> Vec<T> {
     (0..n).map(f).collect()
 }
 
-/// Host threads that execute kernel blocks: the calling one.
+/// The worker count the benchmark harness reads and prints: 1. A
+/// launch's blocks run on the calling thread, and a split launch's upper
+/// half on one helper besides (`kernel::run_blocks`); the harness refuses
+/// a box with fewer cores than this value, so it stays the calling one.
 pub fn worker_threads() -> usize {
     1
 }

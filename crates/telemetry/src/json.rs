@@ -257,24 +257,72 @@ pub(crate) fn field_map<T>(
     Ok(field_entries(v, key, read)?.into_iter().collect())
 }
 
+/// Arrays and objects nested deeper than this are refused: our writers
+/// nest a handful of levels, and each level is a frame of the parser's
+/// recursion, so an unbounded depth would let a file overflow the stack.
+pub const MAX_DEPTH: usize = 128;
+
+/// Why [`parse`] refused a document.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ParseError {
+    /// An array or object opens at `byte` more than [`MAX_DEPTH`] levels
+    /// down.
+    TooDeep {
+        /// Offset of the bracket that went over the limit.
+        byte: usize,
+    },
+    /// Anything else malformed, described with the byte where it is.
+    Malformed(String),
+}
+
+impl std::fmt::Display for ParseError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ParseError::TooDeep { byte } => write!(
+                f,
+                "nested deeper than {MAX_DEPTH} arrays and objects at byte {byte}"
+            ),
+            ParseError::Malformed(what) => f.write_str(what),
+        }
+    }
+}
+
+impl std::error::Error for ParseError {}
+
+impl From<ParseError> for String {
+    fn from(e: ParseError) -> String {
+        e.to_string()
+    }
+}
+
 /// Parse a JSON document. Returns a descriptive error on malformed input.
-pub fn parse(input: &str) -> Result<Value, String> {
+pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
+        return Err(bad(format!("trailing data at byte {}", p.pos)));
     }
     Ok(v)
 }
 
+/// A [`ParseError::Malformed`] saying `what`.
+fn bad(what: impl Into<String>) -> ParseError {
+    ParseError::Malformed(what.into())
+}
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -292,42 +340,60 @@ impl Parser<'_> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
+    fn expect(&mut self, b: u8) -> Result<(), ParseError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
+            Err(bad(format!(
+                "expected '{}' at byte {}",
+                b as char, self.pos
+            )))
         }
     }
 
-    fn value(&mut self) -> Result<Value, String> {
+    /// The array or object opening at `pos`, read by `read` one level
+    /// further down.
+    fn nested(
+        &mut self,
+        read: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(ParseError::TooDeep { byte: self.pos });
+        }
+        self.depth += 1;
+        let v = read(self);
+        self.depth -= 1;
+        v
+    }
+
+    fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'n') => self.literal("null", Value::Null),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
-            other => Err(format!(
+            other => Err(bad(format!(
                 "unexpected {:?} at byte {}",
                 other.map(|b| b as char),
                 self.pos
-            )),
+            ))),
         }
     }
 
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
+    fn literal(&mut self, word: &str, v: Value) -> Result<Value, ParseError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
         } else {
-            Err(format!("invalid literal at byte {}", self.pos))
+            Err(bad(format!("invalid literal at byte {}", self.pos)))
         }
     }
 
-    fn number(&mut self) -> Result<Value, String> {
+    fn number(&mut self) -> Result<Value, ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -342,21 +408,23 @@ impl Parser<'_> {
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
         text.parse::<f64>()
             .map(Value::Num)
-            .map_err(|_| format!("invalid number {text:?} at byte {start}"))
+            .map_err(|_| bad(format!("invalid number {text:?} at byte {start}")))
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<String, ParseError> {
+        let start = self.pos;
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
             match self.peek() {
-                None => return Err("unterminated string".into()),
+                None => return Err(bad(format!("unterminated string at byte {start}"))),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
                 Some(b'\\') => {
                     self.pos += 1;
+                    let at = self.pos;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
                         Some(b'\\') => out.push('\\'),
@@ -367,41 +435,42 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            if self.pos + 5 > self.bytes.len() {
-                                return Err("truncated \\u escape".into());
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
+                            let code = self
+                                .bytes
+                                .get(at + 1..at + 5)
+                                .and_then(|hex| std::str::from_utf8(hex).ok())
+                                .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                                .ok_or_else(|| bad(format!("bad \\u escape at byte {at}")))?;
                             // Surrogate pairs are not needed for our exports;
                             // map unpaired surrogates to the replacement char.
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                             self.pos += 4;
                         }
                         other => {
-                            return Err(format!(
-                                "bad escape {:?} at byte {}",
-                                other.map(|b| b as char),
-                                self.pos
-                            ))
+                            return Err(bad(format!(
+                                "bad escape {:?} at byte {at}",
+                                other.map(|b| b as char)
+                            )))
                         }
                     }
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // The run up to the next quote or backslash, copied
+                    // whole: both are ASCII, so the run ends on a char
+                    // boundary of the text, and every byte is read once.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
     }
 
-    fn array(&mut self) -> Result<Value, String> {
+    fn array(&mut self) -> Result<Value, ParseError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -419,12 +488,12 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(Value::Arr(items));
                 }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
+                _ => return Err(bad(format!("expected ',' or ']' at byte {}", self.pos))),
             }
         }
     }
 
-    fn object(&mut self) -> Result<Value, String> {
+    fn object(&mut self) -> Result<Value, ParseError> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -447,7 +516,7 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(Value::Obj(fields));
                 }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+                _ => return Err(bad(format!("expected ',' or '}}' at byte {}", self.pos))),
             }
         }
     }
@@ -500,6 +569,40 @@ mod tests {
         assert!(parse("{\"a\":1} extra").is_err());
         assert!(parse("nul").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_refused_naming_the_byte() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            parse(&deep(MAX_DEPTH + 1)),
+            Err(ParseError::TooDeep { byte: MAX_DEPTH })
+        );
+        let objects = "{\"a\":".repeat(50_000);
+        let err = parse(&objects).unwrap_err();
+        assert_eq!(
+            err,
+            ParseError::TooDeep {
+                byte: 5 * MAX_DEPTH
+            }
+        );
+        assert!(
+            err.to_string()
+                .contains(&format!("at byte {}", 5 * MAX_DEPTH)),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn strings_copy_runs_between_escapes() {
+        let v = parse("[\"aé\\u00e9\\n€z\", \"\"]").unwrap();
+        assert_eq!(v, Value::Arr(vec![Value::str("aéé\n€z"), Value::str("")]));
+        assert!(parse("\"abc").unwrap_err().to_string().contains("byte 0"));
+        assert!(parse("\"\\u12\"")
+            .unwrap_err()
+            .to_string()
+            .contains("byte 2"));
     }
 
     #[test]

@@ -25,15 +25,17 @@
 //! one copy of each tile plus a handle; a concatenation, a sort of whole
 //! tiles or a second copy shows up as a multiple of the tile bytes.
 //!
-//! The runs are fault-free, and each test holds one lock for its whole
-//! body, so all counts repeat exactly. Counting is process-wide: a job
-//! whose reducers are big enough sorts on a helper thread (the engine's
-//! sort lane), and what that thread allocates is the job's too.
+//! The runs are fault-free, and each test counts in a child process of
+//! this binary that runs that test alone, so all counts repeat exactly.
+//! Counting is process-wide: a job whose reducers are big enough sorts on
+//! a helper thread (the engine's sort lane), a launch whose blocks hand
+//! back enough work runs its upper half on one (a split launch), and what
+//! those threads allocate is the job's too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::process::Command;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::{Mutex, MutexGuard};
 
 use gpmr::core::rounds::max_resident_chunk_bytes;
 use gpmr::prelude::*;
@@ -57,21 +59,53 @@ thread_local! {
     static COUNTER: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Counting is process-wide and the tests of this file run concurrently:
-/// each holds this lock for its whole body, so no other test allocates
-/// while it counts.
-static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+/// Wait until the test harness's main thread sleeps. It runs the test on
+/// a thread of its own and allocates a channel waiter on its way into the
+/// wait for the result (two allocations, 144 bytes), which on a loaded
+/// machine can come after the test has started counting; once it sleeps
+/// it allocates nothing until the test ends. Linux names its state in
+/// `/proc`; elsewhere, or when the test runs on the main thread, there is
+/// nothing to wait for.
+fn harness_asleep() {
+    if std::thread::current().name() == Some("main") {
+        return;
+    }
+    let stat = format!("/proc/self/task/{}/stat", std::process::id());
+    // The state is the first field after the command name's `)`.
+    let state = || -> Option<char> {
+        let line = std::fs::read_to_string(&stat).ok()?;
+        line.rsplit(')').next()?.trim_start().chars().next()
+    };
+    while !matches!(state(), Some('S') | None) {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
 
-/// Take the lock, then let the test harness settle: it reports the test
-/// that just ended and starts the next one's thread (names, handles,
-/// result buffers, all allocated) right when a lock holder lets go, and a
-/// count must not start inside that burst.
-fn one_at_a_time() -> MutexGuard<'static, ()> {
-    let guard = ONE_AT_A_TIME
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    std::thread::sleep(std::time::Duration::from_millis(50));
-    guard
+/// Set in the environment of the child process a test counts in.
+const CHILD: &str = "ALLOC_BUDGET_CHILD";
+
+/// Run test `name` alone, in a child process of this binary that runs
+/// only that test (`--exact name --test-threads=1`), so no other test,
+/// and no harness work for one, allocates while it counts. In the parent:
+/// run the child, pass its output on, fail when it failed, and return
+/// `true` (the test is done). In the child: return `false` (count).
+fn ran_alone(name: &str) -> bool {
+    if std::env::var_os(CHILD).is_some() {
+        harness_asleep();
+        return false;
+    }
+    let exe = std::env::current_exe().expect("the test binary's path");
+    let out = Command::new(exe)
+        .args(["--exact", name, "--test-threads=1", "--nocapture"])
+        .env(CHILD, "1")
+        .output()
+        .expect("start the test binary");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    print!("{stdout}");
+    eprint!("{}", String::from_utf8_lossy(&out.stderr));
+    assert!(out.status.success(), "{name} failed in its own process");
+    assert!(stdout.contains("1 passed"), "{name} did not run alone");
+    true
 }
 
 /// What a counted stretch allocated: `(bytes, calls)` on every thread,
@@ -172,7 +206,9 @@ fn sio_run_allocations(ranks: u32) -> Counted {
 
 #[test]
 fn sio_shuffle_stays_inside_its_allocation_budget() {
-    let _one = one_at_a_time();
+    if ran_alone("sio_shuffle_stays_inside_its_allocation_budget") {
+        return;
+    }
     let counted = sio_run_allocations(RANKS);
     assert_eq!(
         counted,
@@ -211,7 +247,9 @@ const LANE_RANKS: u32 = 4;
 
 #[test]
 fn sio_sort_lane_allocates_one_packed_scratch_per_job() {
-    let _one = one_at_a_time();
+    if ran_alone("sio_sort_lane_allocates_one_packed_scratch_per_job") {
+        return;
+    }
     let counted = sio_run_allocations(LANE_RANKS);
     let (bytes, calls) = counted.all;
     let (lane_bytes, lane_calls) = counted.elsewhere;
@@ -262,10 +300,13 @@ const LANE_ALLOCATION_CEILING: u64 = 446;
 const TEXT_BYTES: usize = 4 << 20;
 const DICT_WORDS: usize = 43_000;
 
-fn wo_run_allocations() -> Counted {
+/// One WO run over [`TEXT_BYTES`] of text in `chunk_bytes` chunks, what
+/// it allocated, and the chunks' lengths.
+fn wo_run_allocations(chunk_bytes: usize) -> (Counted, Vec<usize>) {
     let dict = std::sync::Arc::new(Dictionary::generate(DICT_WORDS, 42));
     let text = generate_text(&dict, TEXT_BYTES, 43);
-    let chunks = chunk_text(&text, TEXT_BYTES / 16);
+    let chunks = chunk_text(&text, chunk_bytes);
+    let lens = chunks.iter().map(|c| c.items.len()).collect();
     let (result, counted) = counted_run(RANKS, &WoJob::new(dict, RANKS), chunks);
     // One pair per dictionary word per rank: Accumulation shipped counts,
     // not occurrences.
@@ -273,23 +314,54 @@ fn wo_run_allocations() -> Counted {
         result.timings.pairs_shuffled,
         u64::from(RANKS) * DICT_WORDS as u64
     );
-    counted
+    (counted, lens)
+}
+
+/// Blocks `[mid, grid)` of a split launch: the helper's half.
+fn upper_half(grid: usize) -> std::ops::Range<usize> {
+    grid.div_ceil(2)..grid
+}
+
+/// `(bytes, calls)` the helpers of a WO run allocate, when its map
+/// launches over chunks of `lens` bytes split or not. Starting a helper
+/// allocates nothing on it; each fills one `Vec` with its half's block
+/// outputs, and a map block allocates one `Vec<u32>` of word ids, sized
+/// for one id per two bytes of its text. The reduce (one key per warp,
+/// eight a block: 5 375 blocks of 424 units, 2.28 M) always splits.
+fn wo_helper_allocations(lens: &[usize], maps_split: bool) -> (u64, u64) {
+    const MAP_BLOCK_BYTES: usize = 16 << 10;
+    let reduce = DICT_WORDS.div_ceil(8);
+    let mut bytes = upper_half(reduce).len() * std::mem::size_of::<(usize, [u32; 8])>();
+    let mut calls = 1;
+    for &n in lens.iter().filter(|_| maps_split) {
+        let grid = n.div_ceil(MAP_BLOCK_BYTES);
+        let per = n.div_ceil(grid);
+        let blocks = upper_half(grid);
+        calls += 1 + blocks.len();
+        bytes += blocks.len() * std::mem::size_of::<Vec<u32>>();
+        for b in blocks {
+            let len = n.min((b + 1) * per) - n.min(b * per);
+            bytes += 4 * (len / 2 + 1);
+        }
+    }
+    (bytes as u64, calls as u64)
 }
 
 #[test]
 fn wo_accumulation_stays_inside_its_allocation_budget() {
-    let _one = one_at_a_time();
-    let counted = wo_run_allocations();
+    if ran_alone("wo_accumulation_stays_inside_its_allocation_budget") {
+        return;
+    }
+    let (counted, lens) = wo_run_allocations(TEXT_BYTES / 16);
     assert_eq!(
         counted,
-        wo_run_allocations(),
+        wo_run_allocations(TEXT_BYTES / 16).0,
         "a fault-free run allocates the same every time"
     );
-    assert_eq!(
-        counted.elsewhere,
-        (0, 0),
-        "nothing is sorted off the calling thread"
-    );
+    // 256 KiB chunks: 16 blocks a map launch, below the split gate.
+    // Nothing is sorted off the calling thread; the one helper is the
+    // reduce's.
+    assert_eq!(counted.elsewhere, wo_helper_allocations(&lens, false));
     let (bytes, calls) = counted.all;
     println!(
         "{bytes} bytes in {calls} allocations: {:.2} x the text bytes",
@@ -305,11 +377,43 @@ fn wo_accumulation_stays_inside_its_allocation_budget() {
     );
 }
 
-/// A tenth above the measured 26 090 289 bytes (6.22 x the text) in 607
-/// allocations. With a `HashMap` and a sorted `Vec` per map block and a
-/// `KvSet` per reduce block the same run took 34 134 461 bytes in 14 128.
+/// A tenth above the 26 090 289 bytes (6.22 x the text) in 607
+/// allocations measured when they were set; the run now takes 26 413 457
+/// in 619, and with 1 MiB chunks 26 415 341 in 607. With a `HashMap` and
+/// a sorted `Vec` per map block and a `KvSet` per reduce block the same
+/// run took 34 134 461 bytes in 14 128.
 const WO_BYTES_CEILING: u64 = 28_699_000;
 const WO_ALLOCATION_CEILING: u64 = 667;
+
+#[test]
+fn split_wo_maps_allocate_their_upper_halves_on_the_helper() {
+    if ran_alone("split_wo_maps_allocate_their_upper_halves_on_the_helper") {
+        return;
+    }
+    let (counted, lens) = wo_run_allocations(1 << 20);
+    assert_eq!(
+        counted,
+        wo_run_allocations(1 << 20).0,
+        "a fault-free run allocates the same every time"
+    );
+    // 1 MiB chunks: 64 blocks a map launch, over the split gate. The
+    // helpers allocate exactly their halves' outputs.
+    assert_eq!(counted.elsewhere, wo_helper_allocations(&lens, true));
+    let (bytes, calls) = counted.all;
+    println!(
+        "{bytes} bytes in {calls} allocations: {:.2} x the text bytes; on helpers {:?}",
+        bytes as f64 / TEXT_BYTES as f64,
+        counted.elsewhere
+    );
+    assert!(
+        bytes <= WO_BYTES_CEILING,
+        "{bytes} bytes, ceiling {WO_BYTES_CEILING}"
+    );
+    assert!(
+        calls <= WO_ALLOCATION_CEILING,
+        "{calls} allocations, ceiling {WO_ALLOCATION_CEILING}"
+    );
+}
 
 const SERVE_JOBS: usize = 40;
 
@@ -357,7 +461,9 @@ fn serve_run_allocations(flight_capacity: usize) -> (u64, (u64, u64)) {
 
 #[test]
 fn serve_path_stays_inside_its_allocation_budget() {
-    let _one = one_at_a_time();
+    if ran_alone("serve_path_stays_inside_its_allocation_budget") {
+        return;
+    }
     let (none, (_, dark_calls)) = serve_run_allocations(0);
     let (postmortems, (bytes, calls)) = serve_run_allocations(4096);
     assert_eq!(none, 0);
@@ -431,7 +537,9 @@ fn mm_regroup_allocations() -> (u64, u64, u64) {
 
 #[test]
 fn mm_regroup_stays_inside_its_allocation_budget() {
-    let _one = one_at_a_time();
+    if ran_alone("mm_regroup_stays_inside_its_allocation_budget") {
+        return;
+    }
     let (tile_bytes, bytes, calls) = mm_regroup_allocations();
     assert_eq!(
         (tile_bytes, bytes, calls),

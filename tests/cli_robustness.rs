@@ -630,3 +630,54 @@ fn usage_names_exactly_the_flags_each_row_lists() {
         );
     }
 }
+
+/// The four commands that read a JSON file the user names, each over
+/// `file`: a Perfetto document, a baseline set, a recording and a
+/// recording to export.
+fn json_readers(file: &str, test: &str) -> [String; 4] {
+    let at = |name: &str| fixtures().join(name).display().to_string();
+    [
+        format!("trace check --in {file}"),
+        format!("perf diff --baseline {file} --against {}", at("set.json")),
+        format!("analyze --events {file}"),
+        format!(
+            "trace export --in {file} --out {}",
+            at(&format!("{test}.json"))
+        ),
+    ]
+}
+
+/// 50 000 nested `[` overflowed the reader's recursion: each command
+/// died with "stack overflow", exit 134. The reader refuses nesting past
+/// its limit, naming the byte, and the command exits 2.
+#[test]
+fn a_deeply_nested_file_is_refused_naming_the_byte() {
+    let file = fixtures().join("deep.json");
+    std::fs::write(&file, "[".repeat(50_000)).unwrap();
+    let deep = gpmr::telemetry::json::MAX_DEPTH;
+    for line in json_readers(&file.display().to_string(), "deep") {
+        let err = dispatch(line.split(' ')).expect_err(&line).to_string();
+        let at = format!("nested deeper than {deep} arrays and objects at byte {deep}");
+        assert!(err.contains(&at), "{line}: {err}");
+    }
+}
+
+/// The reader decoded each character of a string by checking the rest
+/// of the input as UTF-8, so a string took time quadratic in its length:
+/// a baseline set holding one 800 KB string took 11.4 s to refuse in a
+/// release build. A 1 MB string is refused here, in a debug build, in
+/// well under a second.
+#[test]
+fn a_long_string_is_read_in_linear_time() {
+    let file = fixtures().join("long_string.json");
+    let long = "é".repeat(1 << 19);
+    let set = format!("{{\"scenarios\": [], \"scale\": \"{long}\"}}");
+    std::fs::write(&file, set).unwrap();
+    let line = json_readers(&file.display().to_string(), "long_string")[1].clone();
+    let start = std::time::Instant::now();
+    let err = dispatch(line.split(' ')).expect_err(&line).to_string();
+    let took = start.elapsed();
+    let refusal = "baseline set: field \"scale\" is not a number";
+    assert!(err.starts_with(refusal), "{line}: {}", &err[..200]);
+    assert!(took.as_secs_f64() < 1.0, "{line}: refused in {took:?}");
+}
