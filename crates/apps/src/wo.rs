@@ -16,11 +16,11 @@
 //!   coalesced reads then a warp-wide reduction (the paper saw an order of
 //!   magnitude improvement over thread-per-key here).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use gpmr_core::{GpmrJob, KvSet, MapMode, PartitionMode, PipelineConfig, SliceChunk};
 use gpmr_primitives::Segments;
-use gpmr_sim_gpu::{Gpu, LaunchConfig, SimGpuResult, SimTime};
+use gpmr_sim_gpu::{BlockCtx, Gpu, LaunchConfig, SimGpuResult, SimTime};
 
 use crate::mph::is_separator;
 use crate::text::{words_of, Dictionary};
@@ -37,6 +37,10 @@ pub struct WoJob {
     crossover: u32,
     accumulate: bool,
     partition_override: Option<PartitionMode>,
+    /// Word-id buffers of finished map launches, lent to the next one's
+    /// blocks (clones share them). Freed instead, glibc hands their pages
+    /// back after every launch and the next launch faults them in again.
+    spare_ids: Arc<Mutex<Vec<Vec<u32>>>>,
 }
 
 impl WoJob {
@@ -48,6 +52,7 @@ impl WoJob {
             crossover: DEFAULT_PARTITION_CROSSOVER,
             accumulate: true,
             partition_override: None,
+            spare_ids: Arc::default(),
         }
     }
 
@@ -77,12 +82,14 @@ impl WoJob {
     }
 
     /// The dictionary ids of the words starting within `range` of `text`,
-    /// in text order: what one map block hands back. Words *starting* in
-    /// the range belong to it; the last one may run past the range end.
-    fn block_word_ids(&self, text: &[u8], range: std::ops::Range<usize>) -> Vec<u32> {
+    /// in text order, into `ids`: what one map block hands back. Words
+    /// *starting* in the range belong to it; the last one may run past
+    /// the range end.
+    fn block_word_ids(&self, text: &[u8], range: std::ops::Range<usize>, ids: &mut Vec<u32>) {
         // A word start needs a separator (or the text start) before it, so
         // starts lie at least two bytes apart.
-        let mut ids = Vec::with_capacity(range.len() / 2 + 1);
+        ids.clear();
+        ids.reserve(range.len() / 2 + 1);
         let mut i = range.start;
         // Step over the tail of a word that started in an earlier block.
         if i > 0 && !is_separator(text[i - 1]) {
@@ -99,13 +106,62 @@ impl WoJob {
             ids.push(id);
             i = end;
         }
-        ids
+    }
+
+    /// Launch the map kernel over `text`: each block scans its bytes,
+    /// charges `charge` for the ids it found, and hands them back in a
+    /// buffer lent from `spare_ids`. The buffers a launch lacks are
+    /// allocated here, on the calling thread, so a block allocates nothing
+    /// whichever thread runs it. Give them back with [`Self::keep_spare`].
+    fn map_word_ids(
+        &self,
+        gpu: &mut Gpu,
+        at: SimTime,
+        text: &[u8],
+        charge: impl Fn(&mut BlockCtx, usize) + Sync,
+    ) -> SimGpuResult<(Vec<Vec<u32>>, SimTime)> {
+        let n = text.len();
+        let cfg = LaunchConfig::for_items(n, BYTES_PER_MAP_BLOCK, 256);
+        let lent: Vec<Mutex<Vec<u32>>> = {
+            let mut spare = self.spare_ids.lock().unwrap();
+            (0..cfg.grid_blocks)
+                .map(|_| {
+                    let ids = spare.pop();
+                    Mutex::new(
+                        ids.unwrap_or_else(|| Vec::with_capacity(BYTES_PER_MAP_BLOCK / 2 + 1)),
+                    )
+                })
+                .collect()
+        };
+        let (locals, res) = gpu.launch(at, &cfg, |ctx| {
+            let range = ctx.item_range(n);
+            ctx.charge_read::<u8>(range.len());
+            // Hashing is ~1 op per byte.
+            ctx.charge_flops(range.len() as u64);
+            let mut ids = std::mem::take(&mut *lent[ctx.block_idx as usize].lock().unwrap());
+            self.block_word_ids(text, range, &mut ids);
+            charge(ctx, ids.len());
+            ids
+        })?;
+        Ok((locals.outputs, res.end))
+    }
+
+    /// Keep a map launch's id buffers for the next one, up to
+    /// [`SPARE_ID_BUFFERS`].
+    fn keep_spare(&self, ids: Vec<Vec<u32>>) {
+        let mut spare = self.spare_ids.lock().unwrap();
+        let room = SPARE_ID_BUFFERS.saturating_sub(spare.len());
+        spare.extend(ids.into_iter().take(room));
     }
 }
 
 /// Text bytes handled per map block (each thread scans one line; a block
 /// covers a few kilobytes of lines).
 const BYTES_PER_MAP_BLOCK: usize = 16 * 1024;
+
+/// Id buffers a job keeps between map launches: those of 4 MiB of text,
+/// at most 8 MiB of capacity.
+const SPARE_ID_BUFFERS: usize = 256;
 
 impl GpmrJob for WoJob {
     type Chunk = SliceChunk<u8>;
@@ -137,20 +193,13 @@ impl GpmrJob for WoJob {
     ) -> SimGpuResult<(KvSet<u32, u32>, SimTime)> {
         // Plain (non-accumulating) WO, used by the ablation bench: emit
         // one pair per word and ship them all.
-        let text = &chunk.items;
-        let n = text.len();
-        let cfg = LaunchConfig::for_items(n, BYTES_PER_MAP_BLOCK, 256);
-        let (locals, res) = gpu.launch(at, &cfg, |ctx| {
-            let range = ctx.item_range(n);
-            ctx.charge_read::<u8>(range.len());
-            ctx.charge_flops(range.len() as u64);
-            let ids = self.block_word_ids(text, range);
-            ctx.charge_write::<u32>(2 * ids.len());
-            ids
+        let (ids, end) = self.map_word_ids(gpu, at, &chunk.items, |ctx, words| {
+            ctx.charge_write::<u32>(2 * words);
         })?;
-        let keys = locals.outputs.concat();
+        let keys = ids.concat();
+        self.keep_spare(ids);
         let ones = vec![1; keys.len()];
-        Ok((KvSet::from_parts(keys, ones), res.end))
+        Ok((KvSet::from_parts(keys, ones), end))
     }
 
     fn accumulate_init(
@@ -176,26 +225,18 @@ impl GpmrJob for WoJob {
         chunk: &Self::Chunk,
         state: &mut KvSet<u32, u32>,
     ) -> SimGpuResult<SimTime> {
-        let text = &chunk.items;
-        let n = text.len();
-        let cfg = LaunchConfig::for_items(n, BYTES_PER_MAP_BLOCK, 256);
-        let (locals, res) = gpu.launch(at, &cfg, |ctx| {
-            let range = ctx.item_range(n);
-            ctx.charge_read::<u8>(range.len());
-            // Hashing is ~1 op per byte; one fire-and-forget atomic per
-            // word into the resident emit space.
-            ctx.charge_flops(range.len() as u64);
-            let ids = self.block_word_ids(text, range);
-            ctx.charge_atomics(ids.len() as u64);
-            ids
+        // One fire-and-forget atomic per word into the resident emit space.
+        let (ids, end) = self.map_word_ids(gpu, at, &chunk.items, |ctx, words| {
+            ctx.charge_atomics(words as u64);
         })?;
         // The atomics themselves: blocks cannot touch `state`, so each
         // hands back its word ids and they land here in one sweep. `+1` on
         // `u32` reorders freely, so block order does not matter.
-        for id in locals.outputs.iter().flatten() {
+        for id in ids.iter().flatten() {
             state.vals[*id as usize] += 1;
         }
-        Ok(res.end)
+        self.keep_spare(ids);
+        Ok(end)
     }
 
     fn reduce(
@@ -445,13 +486,15 @@ mod tests {
         let expect: Vec<u32> = words_of(&text).map(|w| dict.mph.index(w)).collect();
         // Block sizes that cut words in two, down to one byte per block.
         for block in [1usize, 2, 3, 7, 64, 1000, text.len()] {
-            let mut got = Vec::new();
+            let (mut got, mut ids) = (Vec::new(), Vec::new());
             let mut straddled = false;
             for start in (0..text.len()).step_by(block) {
                 let end = (start + block).min(text.len());
                 straddled |=
                     end < text.len() && !is_separator(text[end - 1]) && !is_separator(text[end]);
-                got.extend(job.block_word_ids(&text, start..end));
+                // One buffer for every block, as the map kernel reuses them.
+                job.block_word_ids(&text, start..end, &mut ids);
+                got.extend_from_slice(&ids);
             }
             assert_eq!(got, expect, "block size {block}");
             assert!(straddled || block == text.len());

@@ -218,12 +218,21 @@ pub struct Launch<R> {
 
 /// Charged work (flops, bytes and atomics, one unit each) from which a
 /// launch that hands data back runs its upper half of blocks on a helper
-/// thread: block 0's units times the grid must reach it. Set from a
-/// sweep of the benchmark's WO and paper workloads (DESIGN.md §5); below
-/// it, starting a thread costs more host time than it saves.
+/// thread: block 0's units times the grid must reach it, so that the
+/// launch's host time pays for starting and joining the helper. Set from
+/// a sweep of the benchmark's WO and paper workloads (DESIGN.md §5).
 const SPLIT_MIN_UNITS: u64 = 1_000_000;
 
-/// The units `cost` counts toward [`SPLIT_MIN_UNITS`].
+/// What block 0 alone must charge for its launch to split. Units track
+/// host time only where a block does work on host data of that size; a
+/// grid of many small blocks charges far more than it costs (WO's
+/// warp-per-key reduce: 424 units a block, 2.28 M a launch, 0.5 ms of
+/// host time, against 2.22 M and 5 ms for one of its map launches). The
+/// smallest blocks that split on the benchmark are MM's map tiles, at
+/// 19 456 units.
+const SPLIT_MIN_BLOCK_UNITS: u64 = 4_096;
+
+/// The units `cost` counts toward the split gate.
 fn units(cost: &KernelCost) -> u64 {
     cost.flops + cost.bytes_coalesced + cost.bytes_uncoalesced + cost.atomic_ops
 }
@@ -232,8 +241,9 @@ fn units(cost: &KernelCost) -> u64 {
 /// block order plus the aggregate cost.
 ///
 /// Block 0 runs on the calling thread. A launch of three or more blocks
-/// that return data (a zero-sized `R` only charges) and whose block 0
-/// charged [`SPLIT_MIN_UNITS`] or more, times the grid, splits: one
+/// that return data (a zero-sized `R` only charges), whose block 0
+/// charged [`SPLIT_MIN_BLOCK_UNITS`] or more and, times the grid,
+/// [`SPLIT_MIN_UNITS`] or more, splits: one
 /// scoped helper runs blocks `[mid, grid)` while the calling thread runs
 /// `[1, mid)`, both through one loop body. Outputs are concatenated and
 /// costs (exact integers) summed in block order, the first error in
@@ -264,8 +274,13 @@ where
     let first = run(0..1, &mut outputs)?;
     // With fewer than three blocks the calling thread would only wait.
     let mid = grid.div_ceil(2);
-    let work = units(&first).saturating_mul(u64::from(grid));
-    if std::mem::size_of::<R>() == 0 || mid < 2 || work < SPLIT_MIN_UNITS {
+    let block = units(&first);
+    let work = block.saturating_mul(u64::from(grid));
+    if std::mem::size_of::<R>() == 0
+        || mid < 2
+        || block < SPLIT_MIN_BLOCK_UNITS
+        || work < SPLIT_MIN_UNITS
+    {
         let rest = run(1..grid, &mut outputs)?;
         return Ok((outputs, first + rest));
     }
@@ -480,14 +495,26 @@ mod tests {
         (out, elsewhere, ran.len())
     }
 
-    /// Flops a block charges so that `grid` blocks land above the gate or
-    /// below it, by a seeded margin.
-    fn per_block(rng: &mut SmallRng, grid: u32, above: bool) -> u64 {
+    /// Which side of the gate a launch lands on.
+    #[derive(Clone, Copy, Debug)]
+    enum Side {
+        /// Both the block's and the launch's units reach the gate.
+        Above,
+        /// The launch's units fall short.
+        SmallLaunch,
+        /// Block 0's units fall short, whatever the launch's.
+        SmallBlocks,
+    }
+
+    /// Flops a block charges so that `grid` blocks land on `side` of the
+    /// gate, by a seeded margin.
+    fn per_block(rng: &mut SmallRng, grid: u32, side: Side) -> u64 {
         let grid = u64::from(grid);
-        if above {
-            SPLIT_MIN_UNITS.div_ceil(grid) + rng.gen_range(0..1000u64)
-        } else {
-            ((SPLIT_MIN_UNITS - 1) / grid).saturating_sub(rng.gen_range(0..1000u64))
+        let margin = rng.gen_range(0..1000u64);
+        match side {
+            Side::Above => SPLIT_MIN_UNITS.div_ceil(grid).max(SPLIT_MIN_BLOCK_UNITS) + margin,
+            Side::SmallLaunch => ((SPLIT_MIN_UNITS - 1) / grid).saturating_sub(margin),
+            Side::SmallBlocks => (SPLIT_MIN_BLOCK_UNITS - 1).saturating_sub(margin),
         }
     }
 
@@ -496,27 +523,30 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(50);
         for case in 0..96 {
             let grid = rng.gen_range(1..=300u32);
-            let above = case % 2 == 0;
-            let units = per_block(&mut rng, grid, above);
+            let side = [Side::Above, Side::SmallLaunch, Side::SmallBlocks][case % 3];
+            let units = per_block(&mut rng, grid, side);
             let cfg = LaunchConfig::grid(grid, 64);
             let f = |ctx: &mut BlockCtx| work(ctx, units);
             let (out, elsewhere, ran) = run_watched(&cfg, |ctx| Ok(f(ctx)));
             assert_eq!(
                 out.unwrap(),
                 oracle(&cfg, f),
-                "grid {grid}, {units} units a block"
+                "grid {grid}, {units} units a block ({side:?})"
             );
             assert_eq!(ran, grid as usize);
             // Above the gate, from three blocks up, the helper runs the
             // upper half; otherwise no block leaves this thread.
             let mid = grid.div_ceil(2);
-            let split = above && grid >= 3;
+            let split = matches!(side, Side::Above) && grid >= 3;
             let expected: Vec<u32> = if split {
                 (mid..grid).collect()
             } else {
                 Vec::new()
             };
-            assert_eq!(elsewhere, expected, "grid {grid}, {units} units a block");
+            assert_eq!(
+                elsewhere, expected,
+                "grid {grid}, {units} units a block ({side:?})"
+            );
         }
     }
 
