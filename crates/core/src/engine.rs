@@ -23,7 +23,7 @@ use gpmr_primitives::{
     bitonic_sort_pairs_by, bits_for_radix, charge_sort, extract_segments_into, sort_in_place,
     RadixKey, Segments, SortScratch,
 };
-use gpmr_sim_gpu::{FaultPlan, Reservation, SimDuration, SimTime};
+use gpmr_sim_gpu::{lane, FaultPlan, Reservation, SimDuration, SimTime};
 use gpmr_sim_net::{Cluster, Mailbox};
 use gpmr_telemetry::{Counter, Registry, SpanKind, Telemetry};
 
@@ -1378,8 +1378,8 @@ impl<J: GpmrJob> Run<J> {
         }
 
         // One packed scratch serves every host sort of the job. With two
-        // or more big sorts, this thread sorts the first while a helper
-        // thread sorts the rest, in order, and runs ahead: rank r+1's
+        // or more big sorts, this thread sorts the first while the lane's
+        // helper sorts the rest, in order, and runs ahead: rank r+1's
         // sweeps overlap rank r's segments and reduce, which run here, as
         // every simulated charge does, in rank order. A one-slot channel
         // lets the helper start the next rank before this one asks.
@@ -1388,33 +1388,29 @@ impl<J: GpmrJob> Run<J> {
             .iter()
             .filter(|(a, ..)| a.len() >= SORT_LANE_MIN_PAIRS);
         let outputs = if big.count() >= 2 {
-            std::thread::scope(|s| {
-                let (tx, rx) = mpsc::sync_channel(1);
-                let mut host_sorts = host_sorts.into_iter();
-                let mut first = host_sorts.next();
-                let helper = s.spawn(move || {
-                    let mut scratch = SortScratch::with_capacity(max_pairs);
-                    for sort in host_sorts {
-                        if tx.send(sort_host(sort, &mut scratch)).is_err() {
-                            return; // the job stopped early
-                        }
-                    }
-                });
-                let mut helper = Some(helper);
-                let mut sorted = || {
-                    if let Some(sort) = first.take() {
-                        // Its scratch is freed before the segments and the
-                        // output exist, so it adds nothing to the peak.
-                        return sort_host(sort, &mut SortScratch::with_capacity(max_pairs));
-                    }
-                    rx.recv()
-                        .unwrap_or_else(|_| match helper.take().map(|h| h.join()) {
-                            Some(Err(panic)) => std::panic::resume_unwind(panic),
-                            _ => unreachable!("the sort lane sorts every radix rank"),
-                        })
+            let (tx, rx) = mpsc::sync_channel(1);
+            let mut host_sorts = host_sorts.into_iter();
+            let mut first = host_sorts.next();
+            let reduce = || {
+                // It owns the receiver, so a job that stops early drops it
+                // and the helper's next send ends the helper.
+                let mut sorted = move || match first.take() {
+                    // Its scratch is freed before the segments and the
+                    // output exist, so it adds nothing to the peak.
+                    Some(sort) => sort_host(sort, &mut SortScratch::with_capacity(max_pairs)),
+                    None => rx.recv().expect("the sort lane sorts every radix rank"),
                 };
                 self.sort_reduce_ranks(cx, per_rank, &mut sorted)
-            })
+            };
+            let sort_ahead = move || {
+                let mut scratch = SortScratch::with_capacity(max_pairs);
+                for sort in host_sorts {
+                    if tx.send(sort_host(sort, &mut scratch)).is_err() {
+                        return; // the job stopped early
+                    }
+                }
+            };
+            lane::join(reduce, sort_ahead).0
         } else {
             let mut scratch = SortScratch::with_capacity(max_pairs);
             let mut host_sorts = host_sorts.into_iter();
@@ -1793,12 +1789,12 @@ fn sort_host<K: RadixKey, V: Copy>(
 }
 
 /// Pairs from which a rank's radix sort counts toward the sort lane: a job
-/// with two or more such ranks sorts all but the first on a helper thread,
-/// ahead of the calling thread, and smaller jobs sort inline. Measured on
-/// 2 cores with every sort on the helper (the reducer side's wall time,
-/// median of 7 alternating SIO runs on 4 ranks): the
-/// lane took 1.44x, 1.48x, 1.05x and 1.13x the inline time at 2^12 to
-/// 2^15 pairs per rank, and 0.75x, 0.81x, 0.91x and 0.61x at 2^16 to 2^19,
+/// with two or more such ranks sorts all but the first on `lane::join`'s
+/// helper, ahead of the calling thread, and smaller jobs sort inline.
+/// Measured on 2 cores with every sort on the helper (the reducer side's
+/// wall time, median of 7 alternating SIO runs on 4 ranks): the lane took
+/// 1.44x, 1.48x, 1.05x and 1.13x the inline time at 2^12 to 2^15 pairs
+/// per rank, and 0.75x, 0.81x, 0.91x and 0.61x at 2^16 to 2^19,
 /// winning 7 of 7 from 2^16 up (on 2 ranks: 0.90x at 2^16, 0.83x at
 /// 2^17). 2^17 keeps the lane off for 64-rank jobs of 4 M pairs, whose
 /// inboxes sit just under 2^16.

@@ -12,8 +12,8 @@
 //! aggregate [`KernelCost`], which the device converts to simulated time
 //! on the calling thread. The blocks run there too, except that a launch
 //! whose blocks hand back data and charge enough work runs its upper half
-//! on one scoped helper thread (`run_blocks`); block outputs and costs
-//! cannot tell which thread ran a block.
+//! on [`lane::join`](crate::lane::join)'s helper (`run_blocks`); block
+//! outputs and costs cannot tell which thread ran a block.
 
 use crate::cost::KernelCost;
 use crate::error::{SimGpuError, SimGpuResult};
@@ -243,11 +243,11 @@ fn units(cost: &KernelCost) -> u64 {
 /// Block 0 runs on the calling thread. A launch of three or more blocks
 /// that return data (a zero-sized `R` only charges), whose block 0
 /// charged [`SPLIT_MIN_BLOCK_UNITS`] or more and, times the grid,
-/// [`SPLIT_MIN_UNITS`] or more, splits: one
-/// scoped helper runs blocks `[mid, grid)` while the calling thread runs
+/// [`SPLIT_MIN_UNITS`] or more, splits: [`lane::join`](crate::lane::join)
+/// runs blocks `[mid, grid)` on its helper while the calling thread runs
 /// `[1, mid)`, both through one loop body. Outputs are concatenated and
 /// costs (exact integers) summed in block order, the first error in
-/// block order wins, and a panic on the helper resumes here. The decision
+/// block order wins, and a panic in either half resumes here. The decision
 /// reads only `cfg` and block 0's cost, so the same launches split on
 /// every run.
 pub(crate) fn run_blocks<R, F>(
@@ -284,20 +284,17 @@ where
         let rest = run(1..grid, &mut outputs)?;
         return Ok((outputs, first + rest));
     }
-    std::thread::scope(|s| {
-        let upper = s.spawn(|| {
+    let (lower, upper) = crate::lane::join(
+        || run(1..mid, &mut outputs),
+        || {
             let mut outputs = Vec::with_capacity((grid - mid) as usize);
             run(mid..grid, &mut outputs).map(|cost| (outputs, cost))
-        });
-        let lower = run(1..mid, &mut outputs);
-        let upper = upper
-            .join()
-            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-        let lower = lower?;
-        let (upper_outputs, upper) = upper?;
-        outputs.extend(upper_outputs);
-        Ok((outputs, first + lower + upper))
-    })
+        },
+    );
+    let lower = lower?;
+    let (upper_outputs, upper) = upper?;
+    outputs.extend(upper_outputs);
+    Ok((outputs, first + lower + upper))
 }
 
 #[cfg(test)]
@@ -603,17 +600,22 @@ mod tests {
     #[test]
     fn a_panic_in_the_upper_half_surfaces_as_that_panic() {
         let cfg = LaunchConfig::grid(40, 64);
-        let panic = std::panic::catch_unwind(|| {
-            run_blocks(&spec(), &cfg, &|ctx: &mut BlockCtx| {
-                ctx.charge_flops(SPLIT_MIN_UNITS);
-                assert!(ctx.block_idx != 33, "block 33 gave up");
-                Ok(ctx.block_idx)
+        // Block 33 runs on the helper; block 7, in the second input, on the
+        // calling thread, whose panic loses to the helper's.
+        for failing in [&[33][..], &[7, 33]] {
+            let panic = std::panic::catch_unwind(|| {
+                run_blocks(&spec(), &cfg, &|ctx: &mut BlockCtx| {
+                    ctx.charge_flops(SPLIT_MIN_UNITS);
+                    let b = ctx.block_idx;
+                    assert!(!failing.contains(&b), "block {b} gave up");
+                    Ok(b)
+                })
             })
-        })
-        .expect_err("the helper's panic reaches the caller");
-        let msg = (panic.downcast_ref::<&str>().copied())
-            .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
-            .unwrap_or_default();
-        assert_eq!(msg, "block 33 gave up");
+            .expect_err("the helper's panic reaches the caller");
+            let msg = (panic.downcast_ref::<&str>().copied())
+                .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or_default();
+            assert_eq!(msg, "block 33 gave up", "{failing:?}");
+        }
     }
 }

@@ -13,8 +13,11 @@
 //!   out-of-core passes; Mars checks its in-core need against it);
 //! * [`LaunchConfig`]/[`BlockCtx`] — kernels written at block granularity,
 //!   executed for real on the host (a launch that hands back enough work
-//!   runs its upper half of blocks on one helper thread), charging a
-//!   [`KernelCost`];
+//!   runs its upper half of blocks on [`lane::join`]'s helper), charging
+//!   a [`KernelCost`];
+//! * [`lane::join`] — the one way the product uses a second core: one
+//!   half of host work on the calling thread, one on a scoped helper,
+//!   with one panic rule (the gpmr-core Sort stage's lane calls it too);
 //! * a roofline timing model ([`kernel_time`], [`occupancy()`]) converting
 //!   costs to simulated time;
 //! * [`Timeline`]s for the compute engine and [`PcieLink`]s: every
@@ -40,6 +43,7 @@ pub mod device;
 pub mod error;
 pub mod fault;
 pub mod kernel;
+pub mod lane;
 pub mod link;
 pub mod memory;
 pub mod occupancy;
@@ -67,7 +71,7 @@ pub fn run_indexed<T, F: Fn(usize) -> T>(n: usize, f: F) -> Vec<T> {
 
 /// The worker count the benchmark harness reads and prints: 1. A
 /// launch's blocks run on the calling thread, and a split launch's upper
-/// half on one helper besides (`kernel::run_blocks`); the harness refuses
+/// half on [`lane::join`]'s helper besides; the harness refuses
 /// a box with fewer cores than this value, so it stays the calling one.
 pub fn worker_threads() -> usize {
     1

@@ -1,12 +1,12 @@
 //! Split-sized launches. A launch whose blocks hand back data, and whose
 //! block 0 charged enough work times its grid, runs its upper half of
-//! blocks on one scoped helper thread while the calling thread runs the
-//! lower half. None of that may show in a result: these runs pass the
-//! gate (each test checks that something ran off its thread), and their
-//! outputs, timing bits, journal bytes and recordings must be the ones
-//! the engine wrote while every block ran on the calling thread. KMC and
-//! LR fold `f64` pools in block order, so they are the runs whose bits a
-//! reordering of block outputs would change.
+//! blocks on `gpmr_sim_gpu::lane::join`'s one scoped helper while the
+//! calling thread runs the lower half. None of that may show in a result:
+//! these runs pass the gate (each test checks that something ran off its
+//! thread), and their outputs, timing bits, journal bytes and recordings
+//! must be the ones the engine wrote while every block ran on the calling
+//! thread. KMC and LR fold `f64` pools in block order, so they are the
+//! runs whose bits a reordering of block outputs would change.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -1,12 +1,14 @@
 //! The reducer side's sort lane. When two or more reducers of a job each
 //! received at least 2^17 pairs (the engine's `SORT_LANE_MIN_PAIRS`), the
-//! calling thread sorts the first inbox and a helper thread runs the
-//! radix sort's host sweeps for the others, ahead of the calling thread,
-//! which makes every simulated charge and runs each rank's segments and
-//! reduce. None of that may show in a result: these
-//! SIO runs are big enough to turn the lane on, and their outputs, timing
-//! bits, journal bytes and recordings must be the ones the engine wrote
-//! while every rank sorted on the calling thread.
+//! calling thread sorts the first inbox and `gpmr_sim_gpu::lane::join`'s
+//! helper runs the radix sort's host sweeps for the others, ahead of the
+//! calling thread, which makes every simulated charge and runs each
+//! rank's segments and reduce. A panic on the helper surfaces as its own
+//! panic, not as the caller's wait for a rank that never comes (the
+//! join's rule: the helper's payload wins). None of that may show in a
+//! result: these SIO runs are big enough to turn the lane on, and their
+//! outputs, timing bits, journal bytes and recordings must be the ones
+//! the engine wrote while every rank sorted on the calling thread.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};

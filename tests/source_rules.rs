@@ -33,11 +33,12 @@ const EVERYWHERE: &[&str] = &["crates", "src", "tests", "examples", "shims", "Ca
 const GENERATORS: &[&str] = &["generate_integers", "generate_zipf_integers", "generate_samples",
     "generate_points", "initial_centers", "generate_text", "generate_zipf_text", "Matrix::random"];
 
-/// The two places the product starts a thread: a split launch's upper
-/// half of blocks and the Sort stage's lane, each one scoped helper.
+/// The one place the product starts a thread, and the one join: a split
+/// launch and the Sort stage's lane both call `lane::join`.
 const LANE: &str =
-    "every simulated charge runs on the calling thread; one scoped helper runs the upper half \
-    of a split launch's blocks, and one the Sort stage's host-only sort sweeps";
+    "every simulated charge runs on the calling thread; `lane::join` (gpmr-sim-gpu) runs a split \
+    launch's upper half of blocks and the Sort stage's host-only sort sweeps on its one scoped \
+    helper, and resumes a panic from either half";
 
 /// Which lines of a file a rule reads: all of them, its [`product_code`],
 /// or its product code before the first line starting with the text.
@@ -98,12 +99,10 @@ const RULES: &[Rule] = &[
     Rule { roots: TREE, hits: |l| any(l, &["available_parallelism", "thread::spawn", "thread::Builder", "mod pool",
             "pool::"]), example: "std::thread::available_parallelism()",
         reason: "PR 21: one host execution path; kernels run on the calling thread", ..ABSENT },
-    Rule { roots: TREE, exempt: &["crates/core/src/engine.rs", "crates/sim-gpu/src/kernel.rs"],
-        hits: |l| l.contains("thread::scope"), example: "std::thread::scope(|s| {", reason: LANE, ..ABSENT },
-    Rule { roots: &["crates/core/src/engine.rs"], hits: |l| l.contains("thread::scope"), want: Exactly(1),
-        example: "std::thread::scope(|s| {", reason: LANE, ..ABSENT },
-    Rule { roots: &["crates/sim-gpu/src/kernel.rs"], hits: |l| l.contains("thread::scope"), want: Exactly(1),
-        example: "std::thread::scope(|s| {", reason: LANE, ..ABSENT },
+    Rule { roots: &["crates", "src"], pick: |p| p.contains("src/"), text: Code, hits: |l| l.contains("thread::scope"),
+        want: Exactly(1), example: "std::thread::scope(|s| {", reason: LANE, ..ABSENT },
+    Rule { roots: &["crates", "src"], pick: |p| p.contains("src/"), text: Code, hits: |l| l.contains("resume_unwind"),
+        want: Exactly(1), example: "std::panic::resume_unwind(panic)", reason: LANE, ..ABSENT },
     Rule { roots: TREE, hits: |l| l.contains("worker_threads"), want: Exactly(1), example: "worker_threads()",
         reason: "PR 21: the one `worker_threads` left is the constant the benchmark harness names", ..ABSENT },
     Rule { roots: &["crates", "src"], pick: |p| p.ends_with("src/lib.rs"), exempt: &["crates/primitives/src/lib.rs"],
