@@ -483,8 +483,14 @@ mod tests {
         }
     }
 
+    /// FNV-1a of the keys' then the values' little-endian encoding: the
+    /// pair hash of the build that recorded these digests.
     fn digest(out: &KvSet<u32, f64>) -> u64 {
-        gpmr_core::journal::hash_pairs(&out.keys, &out.vals)
+        let keys = out.keys.iter().flat_map(|k| k.to_le_bytes());
+        let bytes: Vec<u8> = keys
+            .chain(out.vals.iter().flat_map(|v| v.to_le_bytes()))
+            .collect();
+        gpmr_core::journal::fnv1a(&bytes)
     }
 
     #[test]

@@ -918,8 +918,11 @@ mod tests {
         assert!(group_chunks(&[KvSet::new(), KvSet::new()], 16, 16).is_empty());
     }
 
+    /// FNV-1a of the elements' little-endian encoding: the pair hash of
+    /// the build that recorded these digests.
     fn digest(m: &Matrix) -> u64 {
-        gpmr_core::journal::hash_pairs::<f32, f32>(&m.data, &[])
+        let bytes: Vec<u8> = m.data.iter().flat_map(|x| x.to_le_bytes()).collect();
+        gpmr_core::journal::fnv1a(&bytes)
     }
 
     #[test]

@@ -30,7 +30,7 @@ use gpmr_telemetry::{Counter, Registry, SpanKind, Telemetry};
 use crate::error::{EngineError, EngineResult};
 use crate::helpers::{charge_partition, combine_pairs, route_into, RouteScratch};
 use crate::job::{GpmrJob, MapMode, PartitionMode, PipelineConfig, SortMode};
-use crate::journal::{fnv1a, hash_pairs, Fnv64, Journal, JournalRecord, RecordOutcome};
+use crate::journal::{hash_pairs, xxh64, Fnv64, Journal, JournalRecord, RecordOutcome};
 use crate::scheduler::WorkQueues;
 use crate::stats::{JobTimings, StageTimes};
 use crate::types::KvSet;
@@ -628,7 +628,7 @@ impl<J: GpmrJob> Run<J> {
             fp.write_u64(u64::from(gpu_direct));
             cfg.fingerprint(&mut fp);
             for (_, c) in &ids {
-                fp.write_u64(fnv1a(&c.serialize()));
+                fp.write_u64(xxh64(&c.serialize()));
             }
             JournalRecord::JobStart {
                 fingerprint: fp.finish(),
@@ -989,7 +989,7 @@ impl<J: GpmrJob> Run<J> {
             chunk_id: c.id,
             rank: r,
             pairs: c.chunk.item_count() as u64,
-            hash: fnv1a(&c.chunk.serialize()),
+            hash: xxh64(&c.chunk.serialize()),
         })?;
         self.st[ri].accum = Some(state);
         self.chunk_mapped(r, c.up_start, t);

@@ -20,6 +20,13 @@
 //! (truncated frame, checksum mismatch, or a payload that is not exactly
 //! one record — the crash happened mid-write) is detected on open and
 //! trimmed back to the last whole record; it is never an error.
+//!
+//! Two hashes, by payload size: FNV-1a ([`fnv1a`], [`Fnv64`]) checksums a
+//! frame and folds a few `u64`s; XXH64 ([`xxh64`], [`hash_pairs`]) hashes
+//! bulk content — chunk bytes and pair buffers — at memory speed. Content
+//! hashes were FNV-1a until the format moved them to XXH64, so a journal
+//! written before that resumes into [`JournalError::Diverged`] (at its
+//! `JobStart`, whose fingerprint folds every chunk's hash).
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -28,16 +35,19 @@ use std::path::{Path, PathBuf};
 
 use crate::pod::Pod;
 
-/// FNV-1a 64-bit over a byte slice: the journal's checksum and content
-/// hash. Stable, dependency-free, and fast enough for commit-sized
-/// payloads.
+/// FNV-1a 64-bit over a byte slice: the journal's frame checksum. One
+/// dependent multiply per byte, so it is for record-sized payloads (tens
+/// of bytes); bulk content goes through [`xxh64`].
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = Fnv64::new();
     h.write(bytes);
     h.finish()
 }
 
-/// Incremental FNV-1a 64-bit hasher (see [`fnv1a`]).
+/// Incremental FNV-1a 64-bit hasher (see [`fnv1a`]): folds a few `u64`s,
+/// such as a job fingerprint's fields or every rank's output hash. It
+/// takes no byte slices from outside this module, so [`fnv1a`] is the one
+/// way to FNV-hash bytes.
 #[derive(Clone, Copy, Debug)]
 pub struct Fnv64(u64);
 
@@ -51,7 +61,7 @@ impl Fnv64 {
     }
 
     /// Fold `bytes` into the state.
-    pub fn write(&mut self, bytes: &[u8]) {
+    fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(Self::PRIME);
@@ -75,23 +85,152 @@ impl Default for Fnv64 {
     }
 }
 
-/// Content hash of a key/value pair sequence, in order. This is the hash
-/// stored in [`JournalRecord::ChunkCommit`], [`JournalRecord::BinSorted`],
-/// and [`JournalRecord::BinReduced`]: since the engine's pair buffers are
-/// canonically ordered, equal hashes mean bit-identical data.
+/// XXH64 with seed 0 over a byte slice: the journal's hash of bulk
+/// content (a chunk's bytes, and through [`hash_pairs`] a pair buffer).
+pub fn xxh64(bytes: &[u8]) -> u64 {
+    let mut h = Xxh64::new();
+    h.write(bytes);
+    h.finish()
+}
+
+/// Streaming XXH64, seed 0, as published: four independent lanes each
+/// fold one `u64` of every 32-byte stripe, so the multiplies overlap
+/// instead of chaining byte by byte. A stripe a write leaves short waits
+/// in `carry` for the next write.
+struct Xxh64 {
+    lanes: [u64; 4],
+    carry: [u8; 32],
+    carried: usize,
+    len: u64,
+}
+
+impl Xxh64 {
+    const P1: u64 = 0x9e37_79b1_85eb_ca87;
+    const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+    const P3: u64 = 0x1656_67b1_9e37_79f9;
+    const P4: u64 = 0x85eb_ca77_c2b2_ae63;
+    const P5: u64 = 0x27d4_eb2f_1656_67c5;
+
+    fn new() -> Self {
+        Xxh64 {
+            lanes: [
+                Self::P1.wrapping_add(Self::P2),
+                Self::P2,
+                0,
+                Self::P1.wrapping_neg(),
+            ],
+            carry: [0; 32],
+            carried: 0,
+            len: 0,
+        }
+    }
+
+    fn round(acc: u64, lane: u64) -> u64 {
+        acc.wrapping_add(lane.wrapping_mul(Self::P2))
+            .rotate_left(31)
+            .wrapping_mul(Self::P1)
+    }
+
+    fn write(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.carried > 0 {
+            let take = bytes.len().min(32 - self.carried);
+            self.carry[self.carried..self.carried + take].copy_from_slice(&bytes[..take]);
+            self.carried += take;
+            bytes = &bytes[take..];
+            if self.carried < 32 {
+                return;
+            }
+            let stripe = self.carry;
+            self.stripe(&stripe);
+            self.carried = 0;
+        }
+        let mut stripes = bytes.chunks_exact(32);
+        for s in &mut stripes {
+            self.stripe(s.try_into().expect("32 bytes"));
+        }
+        let rest = stripes.remainder();
+        self.carry[..rest.len()].copy_from_slice(rest);
+        self.carried = rest.len();
+    }
+
+    fn stripe(&mut self, s: &[u8; 32]) {
+        for (i, acc) in self.lanes.iter_mut().enumerate() {
+            *acc = Self::round(*acc, le_u64(&s[8 * i..]));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        let mut h = if self.len >= 32 {
+            let [a, b, c, d] = self.lanes;
+            let mut h = a
+                .rotate_left(1)
+                .wrapping_add(b.rotate_left(7))
+                .wrapping_add(c.rotate_left(12))
+                .wrapping_add(d.rotate_left(18));
+            for v in self.lanes {
+                h = (h ^ Self::round(0, v))
+                    .wrapping_mul(Self::P1)
+                    .wrapping_add(Self::P4);
+            }
+            h
+        } else {
+            Self::P5
+        };
+        h = h.wrapping_add(self.len);
+        let mut tail = &self.carry[..self.carried];
+        while tail.len() >= 8 {
+            h = (h ^ Self::round(0, le_u64(tail)))
+                .rotate_left(27)
+                .wrapping_mul(Self::P1)
+                .wrapping_add(Self::P4);
+            tail = &tail[8..];
+        }
+        if tail.len() >= 4 {
+            let w = u32::from_le_bytes(tail[..4].try_into().expect("4 bytes"));
+            h = (h ^ u64::from(w).wrapping_mul(Self::P1))
+                .rotate_left(23)
+                .wrapping_mul(Self::P2)
+                .wrapping_add(Self::P3);
+            tail = &tail[4..];
+        }
+        for &b in tail {
+            h = (h ^ u64::from(b).wrapping_mul(Self::P5))
+                .rotate_left(11)
+                .wrapping_mul(Self::P1);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(Self::P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(Self::P3);
+        h ^ (h >> 32)
+    }
+}
+
+/// The little-endian `u64` in the first 8 bytes.
+fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
+}
+
+/// Content hash of a key/value pair sequence, in order: [`xxh64`] of every
+/// key's little-endian [`Pod`] encoding, then every value's. This is the
+/// hash stored in [`JournalRecord::ChunkCommit`],
+/// [`JournalRecord::BinSorted`], and [`JournalRecord::BinReduced`]: since
+/// the engine's pair buffers are canonically ordered, equal hashes mean
+/// bit-identical data.
 pub fn hash_pairs<K: Pod, V: Pod>(keys: &[K], vals: &[V]) -> u64 {
-    let mut h = Fnv64::new();
+    let mut h = Xxh64::new();
     let mut buf = Vec::with_capacity(HASH_BLOCK_ITEMS * K::SIZE.max(V::SIZE));
     hash_pods(&mut h, &mut buf, keys);
     hash_pods(&mut h, &mut buf, vals);
     h.finish()
 }
 
-/// Items encoded per [`Fnv64::write`] in [`hash_pairs`]: the encoding
+/// Items encoded per [`Xxh64::write`] in [`hash_pairs`]: the encoding
 /// passes through one small reused buffer, not one as long as the data.
 const HASH_BLOCK_ITEMS: usize = 4096;
 
-fn hash_pods<T: Pod>(h: &mut Fnv64, buf: &mut Vec<u8>, items: &[T]) {
+fn hash_pods<T: Pod>(h: &mut Xxh64, buf: &mut Vec<u8>, items: &[T]) {
     for block in items.chunks(HASH_BLOCK_ITEMS) {
         buf.clear();
         for it in block {
@@ -165,7 +304,8 @@ journal_records! {
     /// the first record; a resumed run whose fingerprint differs diverges
     /// immediately instead of replaying garbage.
     JobStart = 1, barrier: true {
-        /// FNV-1a over job configuration and input chunk contents.
+        /// FNV-1a fold of the job configuration and every input chunk's
+        /// [`xxh64`].
         fingerprint: u64,
         /// Number of input chunks.
         n_chunks: u64,
@@ -192,7 +332,7 @@ journal_records! {
         /// emissions fold into device state immediately).
         pairs: u64,
         /// Content hash: the emitted pairs ([`hash_pairs`]), or the chunk
-        /// bytes in accumulate mode.
+        /// bytes ([`xxh64`]) in accumulate mode.
         hash: u64,
     }
     /// An idle rank stole a queued chunk.
@@ -732,36 +872,71 @@ mod tests {
     }
 
     #[test]
+    fn xxh64_matches_the_published_vectors() {
+        assert_eq!(xxh64(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(xxh64(b"a"), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(xxh64(b"abc"), 0x44bc_2cf5_ad77_0999);
+        // Past one stripe, through the four lanes: zstd's frame checksum
+        // is the low half of this value (`zstd --check` of the same bytes).
+        let bytes: Vec<u8> = (0..1000u32).map(|i| (i * 7 % 251) as u8).collect();
+        assert_eq!(xxh64(&bytes) & 0xffff_ffff, 0x1ff9_57d5);
+    }
+
+    #[test]
+    fn streaming_equals_one_shot_at_every_split() {
+        let bytes: Vec<u8> = (0..=100u32).map(|i| (i * 37 + 11) as u8).collect();
+        for n in 0..=bytes.len() {
+            let whole = xxh64(&bytes[..n]);
+            for cut in 0..=n {
+                let mut h = Xxh64::new();
+                h.write(&bytes[..cut]);
+                h.write(&bytes[cut..n]);
+                assert_eq!(h.finish(), whole, "n = {n}, cut = {cut}");
+            }
+        }
+    }
+
+    #[test]
     fn hash_pairs_equals_hashing_the_whole_encoding() {
         // The digest is defined over all keys then all values, encoded
-        // little-endian; hashing block by block must not move it. Lengths
-        // sit on and around the block edges.
-        fn whole<K: Pod, V: Pod>(keys: &[K], vals: &[V]) -> u64 {
-            let mut buf = Vec::new();
-            keys.iter().for_each(|k| k.write_le(&mut buf));
-            vals.iter().for_each(|v| v.write_le(&mut buf));
-            fnv1a(&buf)
+        // little-endian; hashing block by block must not move it. Key and
+        // value sizes 4, 8, 12 and 24 bytes, mixed, put the keys-to-values
+        // edge at every offset in a stripe; lengths sit on and around a
+        // stripe and the block edges.
+        fn check<K: Pod, V: Pod>(key: impl Fn(u32) -> K, val: impl Fn(u32) -> V) {
+            let b = HASH_BLOCK_ITEMS;
+            let lens = (0..=9).chain([b - 1, b, b + 1, 3 * b + 7]);
+            for n in lens {
+                let seq = (0..n as u32).map(|i| i.wrapping_mul(2_654_435_761));
+                let keys: Vec<K> = seq.clone().map(&key).collect();
+                let vals: Vec<V> = seq.map(&val).collect();
+                let mut buf = Vec::new();
+                keys.iter().for_each(|k| k.write_le(&mut buf));
+                vals.iter().for_each(|v| v.write_le(&mut buf));
+                let (k, v) = (K::SIZE, V::SIZE);
+                assert_eq!(
+                    hash_pairs(&keys, &vals),
+                    xxh64(&buf),
+                    "{k}+{v} bytes, n = {n}"
+                );
+            }
         }
-        let b = HASH_BLOCK_ITEMS;
-        for n in [0, 1, b - 1, b, b + 1, 3 * b + 7] {
-            let keys: Vec<u32> = (0..n as u32)
-                .map(|i| i.wrapping_mul(2_654_435_761))
-                .collect();
-            let ones = vec![1u32; n];
-            assert_eq!(hash_pairs(&keys, &ones), whole(&keys, &ones), "n = {n}");
-            let wide: Vec<[f32; 3]> = keys.iter().map(|&k| [k as f32, 0.5, -1.0]).collect();
-            let vals: Vec<f64> = keys.iter().map(|&k| f64::from(k) / 7.0).collect();
-            assert_eq!(hash_pairs(&wide, &vals), whole(&wide, &vals), "n = {n}");
-        }
-        // Recorded on the commit that still encoded every pair into one
-        // buffer; the golden journals in `tests/checkpoint_resume.rs` pin
-        // the same function through whole runs.
+        check(|i| i, |_| 1u32);
+        check(|i| i, |i| f64::from(i) / 7.0);
+        check(u64::from, |i| [i as f32, 0.5, -1.0]);
+        check(|i| [i as f32, 0.5, -1.0], |i| [u64::from(i); 3]);
+        check(|i| [u64::from(i), 1, 2], |i| i);
+        check(|i| [i as f32, 0.5, -1.0], f64::from);
+        // Recorded when content hashes moved to XXH64 (zstd's frame
+        // checksum of the same 80 000 bytes is its low half); the golden
+        // journals in `tests/checkpoint_resume.rs` pin the same function
+        // through whole runs.
         let keys: Vec<u32> = (0..10_000u32)
             .map(|i| i.wrapping_mul(2_654_435_761))
             .collect();
         assert_eq!(
             hash_pairs(&keys, &vec![1u32; 10_000]),
-            0xffff_0acf_e62f_0318
+            0xb907_ecf8_703f_50c9
         );
     }
 }

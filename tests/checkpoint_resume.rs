@@ -333,6 +333,51 @@ fn resuming_someone_elses_journal_diverges_with_a_typed_error() {
         matches!(err, EngineError::Journal(JournalError::Diverged { .. })),
         "{err}"
     );
+
+    // Same job, but one mid-journal `BinReduced` holds another content
+    // hash in a valid frame: resume refuses at that record with a typed
+    // error, neither replaying past it nor trimming it as a torn tail.
+    let (mut records, _) = scan_bytes(&reference.bytes);
+    let index = records
+        .iter()
+        .position(|r| matches!(r, JournalRecord::BinReduced { .. }))
+        .expect("a reducer commits its output");
+    assert!(index + 1 < records.len(), "the record is mid-journal");
+    let ours = records[index];
+    let JournalRecord::BinReduced { hash, .. } = &mut records[index] else {
+        unreachable!()
+    };
+    *hash ^= 1;
+    let mut journal = Journal::create(&path, 1).unwrap();
+    for rec in &records {
+        journal.record(rec).unwrap();
+    }
+    drop(journal);
+    let written = std::fs::read(&path).unwrap();
+
+    let mut journal = Journal::resume(&path, 1).unwrap();
+    assert_eq!(journal.torn_bytes(), 0, "every frame is valid");
+    assert_eq!(journal.replay_len(), records.len() as u64);
+    let err = run_with_journal(2, false, &plan, DATA_SEED, &mut journal)
+        .expect_err("a foreign content hash must diverge");
+    assert_eq!(journal.replayed(), index as u64);
+    drop(journal);
+    match err {
+        EngineError::Journal(JournalError::Diverged {
+            index: at,
+            expected,
+            got,
+        }) => {
+            assert_eq!(at, index as u64);
+            assert_eq!((expected, got), (records[index], ours));
+        }
+        other => panic!("expected divergence at record {index}, got {other}"),
+    }
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        written,
+        "a refused resume writes nothing"
+    );
 }
 
 #[test]
@@ -390,9 +435,12 @@ fn journal_digest(name: &str, record: impl FnOnce(&mut Journal)) -> (usize, u64)
 fn journal_bytes_match_the_build_that_introduced_the_format() {
     // Every other test here proves resumed == uninterrupted *within* a
     // build. This one pins the bytes themselves — recorded on the commit
-    // before the engine became a staged `Run` — so a journal written by an
-    // earlier build still verify-replays: one small fixed job per map mode
-    // on 4 ranks, with a kill (GpuLost/Requeue), an elastic add
+    // before the engine became a staged `Run`, and re-recorded when the
+    // format's content hashes moved from FNV-1a to XXH64 (decoded, the
+    // earlier journals agree with these in every tag and every field but
+    // the hashes) — so a journal written by an earlier build of the same
+    // format still verify-replays: one small fixed job per map mode on 4
+    // ranks, with a kill (GpuLost/Requeue), an elastic add
     // (GpuAdded/Steal) and a 3-round drive (RoundStart/RoundEnd).
     let tuning = EngineTuning::default();
     let tel = Telemetry::disabled();
@@ -402,25 +450,25 @@ fn journal_bytes_match_the_build_that_introduced_the_format() {
             "golden_sio_plain_kill",
             SioMode::Plain,
             Some(FaultPlan::new().kill(1, 3e-4)),
-            (2137, 0x9962_9eba_331f_dba8),
+            (2137, 0x7a36_60b8_1cb6_f59f),
         ),
         (
             "golden_sio_partial_reduce",
             SioMode::PartialReduce,
             None,
-            (1946, 0xe107_9c9c_1cdd_8d57),
+            (1946, 0x7819_7666_dcdf_d282),
         ),
         (
             "golden_sio_combine",
             SioMode::Combine,
             None,
-            (1946, 0xb8ff_8962_fa1f_616c),
+            (1946, 0x0666_fd83_d415_b4e3),
         ),
         (
             "golden_sio_plain_elastic",
             SioMode::Plain,
             Some(FaultPlan::new().add(3, 2e-4)),
-            (1980, 0xe179_105f_40ed_3343),
+            (1980, 0x6e7d_dfbb_393a_8d9d),
         ),
     ];
     for (name, mode, plan, expect) in sio_cases {
@@ -451,7 +499,7 @@ fn journal_bytes_match_the_build_that_introduced_the_format() {
         )
         .expect("golden wo run");
     });
-    assert_eq!(got, (1387, 0x4375_23a3_9d92_5122), "wo accumulate + kill");
+    assert_eq!(got, (1387, 0x7cb9_3d4a_9295_cf92), "wo accumulate + kill");
 
     let got = journal_digest("golden_kmeans_3_rounds", |journal| {
         let points = generate_points(8_000, 4, 33);
@@ -467,13 +515,13 @@ fn journal_bytes_match_the_build_that_introduced_the_format() {
         .expect("golden kmeans drive");
         assert_eq!(res.rounds, 3);
     });
-    assert_eq!(got, (2844, 0xf26f_3c3c_b0a5_9615), "kmeans, 3 rounds");
+    assert_eq!(got, (2844, 0x610e_f822_1960_36c1), "kmeans, 3 rounds");
 
     // Recorded when MM moved onto the round driver.
     let got = journal_digest("golden_mm_2_rounds", |journal| {
         run_mm_with_journal(journal);
     });
-    assert_eq!(got, (2664, 0xbf9e_3612_8b28_f75f), "mm, 2 rounds");
+    assert_eq!(got, (2664, 0xbba5_e6d5_a3ea_d6cc), "mm, 2 rounds");
 }
 
 /// Shared reference for the proptest below (recording it once keeps the

@@ -18,8 +18,8 @@ use gpmr::apps::kmc::{generate_points, initial_centers};
 use gpmr::apps::lr::generate_samples;
 use gpmr::apps::mm::{mm_auto_blocks, mm_chunks, MmMapJob};
 use gpmr::apps::text::{chunk_text, generate_text};
-use gpmr::core::journal::{fnv1a, hash_pairs, scan_bytes, Journal, JournalRecord};
-use gpmr::core::{run_job_with, EngineTuning, JobTimings, RunOpts, SliceChunk};
+use gpmr::core::journal::{fnv1a, scan_bytes, Journal, JournalRecord};
+use gpmr::core::{run_job_with, EngineTuning, JobTimings, Pod, RunOpts, SliceChunk};
 use gpmr::prelude::*;
 use gpmr::sim_gpu::FaultPlan;
 use gpmr::telemetry::{export, Telemetry};
@@ -116,7 +116,7 @@ fn run<J: GpmrJob>(
     drop(journal);
     let mut out = Vec::new();
     for o in &result.outputs {
-        out.extend(hash_pairs(&o.keys, &o.vals).to_le_bytes());
+        out.extend(pairs_digest(&o.keys, &o.vals).to_le_bytes());
     }
     let journal = std::fs::read(path).unwrap();
     let recording = export::to_jsonl(&tel.snapshot());
@@ -131,6 +131,15 @@ fn run<J: GpmrJob>(
         journal,
     };
     (ran, replayed)
+}
+
+/// FNV-1a of `keys` then `vals`, each item little-endian: the pair hash
+/// of the build that recorded the output pins.
+fn pairs_digest<K: Pod, V: Pod>(keys: &[K], vals: &[V]) -> u64 {
+    let mut bytes = Vec::new();
+    keys.iter().for_each(|k| k.write_le(&mut bytes));
+    vals.iter().for_each(|v| v.write_le(&mut bytes));
+    fnv1a(&bytes)
 }
 
 /// Every field of `t`, as little-endian bits.
@@ -180,19 +189,20 @@ const WO_ADD_S: f64 = 2e-4;
 
 /// `[outputs, timing bits, journal bytes, recording]` of each run,
 /// recorded at aeb3fde, the last commit whose launches ran every block
-/// on the calling thread.
+/// on the calling thread. The journal bytes were re-recorded when the
+/// journal's content hashes moved from FNV-1a to XXH64.
 #[rustfmt::skip]
-const WO_PIN: [u64; 4] = [0x6d23_6cb8_1580_a2d7, 0x5384_f6eb_5f3b_bf18, 0x4221_1d56_9ea2_9ae9, 0xb908_2609_6207_e155];
+const WO_PIN: [u64; 4] = [0x6d23_6cb8_1580_a2d7, 0x5384_f6eb_5f3b_bf18, 0x56bb_973c_e2ef_c775, 0xb908_2609_6207_e155];
 #[rustfmt::skip]
-const WO_KILL_PIN: [u64; 4] = [0x6d23_6cb8_1580_a2d7, 0x1e81_0556_a2f0_2fbd, 0x1d8f_341c_f929_05de, 0x5594_e2c7_8ea1_2023];
+const WO_KILL_PIN: [u64; 4] = [0x6d23_6cb8_1580_a2d7, 0x1e81_0556_a2f0_2fbd, 0xc141_b6af_939f_b1b2, 0x5594_e2c7_8ea1_2023];
 #[rustfmt::skip]
-const WO_ELASTIC_PIN: [u64; 4] = [0x47f5_497f_f9aa_8d06, 0x3027_c49f_2b1b_d0dc, 0xd500_1e4f_9a62_266d, 0x2274_b3e7_c113_e355];
+const WO_ELASTIC_PIN: [u64; 4] = [0x47f5_497f_f9aa_8d06, 0x3027_c49f_2b1b_d0dc, 0xef01_d274_6c6f_a70a, 0x2274_b3e7_c113_e355];
 #[rustfmt::skip]
-const KMC_PIN: [u64; 4] = [0xf960_3f4e_60cc_22ac, 0x1973_a0ad_794a_733f, 0x6950_da24_2458_edf3, 0xc1f9_c702_dd93_65a3];
+const KMC_PIN: [u64; 4] = [0xf960_3f4e_60cc_22ac, 0x1973_a0ad_794a_733f, 0x54ed_fd71_7a42_3fb1, 0xc1f9_c702_dd93_65a3];
 #[rustfmt::skip]
-const LR_PIN: [u64; 4] = [0x2ffc_ea45_aa9d_2f03, 0x490d_9e02_103f_6589, 0x2826_7563_009e_8bb6, 0x7c06_6cce_ea71_929c];
+const LR_PIN: [u64; 4] = [0x2ffc_ea45_aa9d_2f03, 0x490d_9e02_103f_6589, 0xbb88_70ef_bd89_f5be, 0x7c06_6cce_ea71_929c];
 #[rustfmt::skip]
-const MM_PIN: [u64; 4] = [0x0bcf_3a99_ebc3_f452, 0xf734_af8b_675e_6826, 0x61d1_5053_898d_bf8c, 0x1422_f7f1_d8a6_d058];
+const MM_PIN: [u64; 4] = [0x0bcf_3a99_ebc3_f452, 0xf734_af8b_675e_6826, 0xd796_c53a_5926_c078, 0x1422_f7f1_d8a6_d058];
 
 #[test]
 fn split_sized_wo_runs_match_the_runs_recorded_before_the_split() {

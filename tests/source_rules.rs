@@ -220,6 +220,11 @@ const RULES: &[Rule] = &[
         hits: |l| l.contains("pub inputs_resident"),
         reason: "residency is the round driver's claim, set on its `Run`, not an option a caller hands a run",
         ..ABSENT },
+    Rule { roots: &["crates", "src"], pick: |p| p.contains("src/"), text: Code, want: Exactly(2),
+        hits: |l| l.contains("fnv1a(") && !l.contains("fn fnv1a("), example: "hash: fnv1a(&c.chunk.serialize()),",
+        reason: "content hashes at memory speed: FNV-1a, one dependent multiply per byte, checksums a journal \
+            frame where it is written and where it is checked; chunk bytes and pair buffers go through XXH64",
+        ..ABSENT },
     Rule { roots: &["crates/apps/src/mph.rs"], text: Code, hits: |l| any(l, &["fn len(", "fn is_empty("]),
         reason: "callers that rustc resolves: the hash's size is its dictionary's (`Dictionary::len`)",
         example: "pub fn len(&self) -> usize {", ..ABSENT },
